@@ -70,6 +70,7 @@ from .store import (
     Graph,
     GraphBuilder,
     GraphStats,
+    GraphTooLargeError,
     SnapshotError,
     load_snapshot,
     parse_ntriples,

@@ -21,8 +21,12 @@ from pathlib import Path
 
 from . import embedding, evalkit, qgraph, sparql, store
 from .recommend import RecommendRequest, recommend
-from .sparql import Query, Var
+from .sparql import Query, QueryForm, Var
 from .terms import Term, Triple
+
+
+class QueryFormError(ValueError):
+    """A command got a query form it does not answer."""
 
 
 def _env(name: str, cast, default):
@@ -68,9 +72,9 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    g = _load_store(args.store)
-    cfg = embedding.EmbeddingConfig(
+def _embed_config(args) -> embedding.EmbeddingConfig:
+    """The training options shared by ``train`` and ``bench``."""
+    return embedding.EmbeddingConfig(
         model=args.model,
         dim=args.dim,
         rel_dim=args.rel_dim,
@@ -83,6 +87,11 @@ def cmd_train(args) -> int:
         seed=args.seed,
         include_type_triples=args.include_type_triples,
     )
+
+
+def cmd_train(args) -> int:
+    g = _load_store(args.store)
+    cfg = _embed_config(args)
     started = time.perf_counter()
     emb = embedding.train(g, cfg)
     elapsed = time.perf_counter() - started
@@ -134,6 +143,11 @@ def cmd_query(args) -> int:
     parse_start = time.perf_counter()
     q = sparql.parse_query(text)
     parse_seconds = time.perf_counter() - parse_start
+    if q.form is not QueryForm.SELECT:
+        raise QueryFormError(
+            f"trq query ranks solutions of SELECT queries, not {q.form.name} "
+            "(evaluate it exactly with `trq ask`)"
+        )
     rec = recommend(g, _request_from_args(args, q, emb), parse_seconds=parse_seconds)
     wall = time.perf_counter() - wall_start
 
@@ -246,17 +260,7 @@ def cmd_bench(args) -> int:
     if args.embeddings:
         embeddings = embedding.load_embeddings(args.embeddings)
     else:
-        embed_config = embedding.EmbeddingConfig(
-            model=args.model,
-            dim=args.dim,
-            margin=args.margin,
-            learning_rate=args.learning_rate,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            negatives_per_positive=args.negatives,
-            norm=args.norm,
-            seed=args.seed,
-        )
+        embed_config = _embed_config(args)
     report = evalkit.run_benchmark(
         g,
         cases,
@@ -320,6 +324,8 @@ def _add_train_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--negatives", type=int, default=_env("NEGATIVES", int, 1))
     p.add_argument("--norm", default=_env("NORM", str, "l1"), choices=embedding.NORMS)
     p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+    p.add_argument("--include-type-triples", action="store_true",
+                   default=_env("INCLUDE_TYPE_TRIPLES", bool, False))
 
 
 def _add_query_options(p: argparse.ArgumentParser) -> None:
@@ -345,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default=_env("STORE", str, None), help="TRQG snapshot")
     p.add_argument("-o", "--output", required=True, help="TRQE file to write")
     _add_train_options(p)
-    p.add_argument("--include-type-triples", action="store_true",
-                   default=_env("INCLUDE_TYPE_TRIPLES", bool, False))
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 

@@ -338,6 +338,39 @@ class EmbeddingSet:
             return 1.0
         return 1.0 / (1.0 + self.extended_score(g, h, r, t))
 
+    def normalize_rows(self, g: Graph, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """:meth:`normalize` over int64 id columns of one length, NaN where
+        :meth:`normalize` would raise :class:`UnembeddedTermError`.
+
+        Membership-relation rows and TransE rows are computed column-wise
+        with the same float64 operations as the scalar path, so every
+        value equals the scalar one; TransH and TransR rows go through
+        :meth:`score_triple` one at a time.
+        """
+        self._ensure_bound(g)
+        out = np.ones(len(h))
+        absent = np.flatnonzero(~g.contains_rows(h, r, t))
+        h, r, t = h[absent], r[absent], t[absent]
+        hrow, trow, rrow = self._ent_row[h], self._ent_row[t], self._rel_row[r]
+        is_type = r == g.rdf_type_id if g.rdf_type_id is not None else np.zeros(len(r), dtype=bool)
+        values = np.full(len(absent), np.nan)
+        rows = np.flatnonzero(is_type & (hrow >= 0))
+        if len(rows):
+            types = {ty: self.type_vector(g, ty) for ty in set(t[rows].tolist())}
+            tv = np.stack([types[ty] for ty in t[rows].tolist()])
+            values[rows] = _norm_values(self.entity_vecs[hrow[rows]].astype(np.float64) - tv, self.norm)
+        rows = np.flatnonzero(~is_type & (hrow >= 0) & (trow >= 0) & (rrow >= 0))
+        if len(rows) and self.model == TRANSE:
+            hv = self.entity_vecs[hrow[rows]].astype(np.float64)
+            tv = self.entity_vecs[trow[rows]].astype(np.float64)
+            rv = self.relation_vecs[rrow[rows]].astype(np.float64)
+            values[rows] = _norm_values(hv + rv - tv, self.norm)
+        elif len(rows):
+            ids = zip(h[rows].tolist(), r[rows].tolist(), t[rows].tolist())
+            values[rows] = [self.score_triple(*x) for x in ids]
+        out[absent] = 1.0 / (1.0 + values)
+        return out
+
 
 # -- training ----------------------------------------------------------
 

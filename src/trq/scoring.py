@@ -139,15 +139,17 @@ def score_solution(
     emb: EmbeddingSet,
     weights: Sequence[float] | None = None,
     uniform_f: float | None = None,
+    in_graph: Sequence[bool] | None = None,
 ) -> ScoredSolution:
     """Score one total mapping against the full query.
 
-    ``weights`` lets a caller reuse precomputed edge weights. With
-    ``uniform_f`` set, every edge contributes that constant instead of
-    the embedding plausibility (the structure-only ablation baseline).
-    An edge whose instantiation cannot be scored (a term without an
-    embedding row or unknown to the graph) falls back to the floor
-    1 / (1 + margin) and is flagged.
+    ``weights`` lets a caller reuse precomputed edge weights, and
+    ``in_graph`` the per-pattern flags of whether mu(e) is in the graph
+    (looked up here when not given). With ``uniform_f`` set, every edge
+    contributes that constant instead of the embedding plausibility (the
+    structure-only ablation baseline). An edge whose instantiation
+    cannot be scored (a term without an embedding row or unknown to the
+    graph) falls back to the floor 1 / (1 + margin) and is flagged.
     """
     if weights is None:
         weights = edge_weights(g, patterns)
@@ -156,14 +158,18 @@ def score_solution(
     missing = 0
     total = 0.0
     for i, e in enumerate(patterns):
-        ids = instantiate_ids(g, e, mapping)
-        in_graph = ids is not None and g.contains(*ids)
-        if not in_graph:
+        if in_graph is None:
+            ids = instantiate_ids(g, e, mapping)
+            present = ids is not None and g.contains(*ids)
+        else:
+            present = in_graph[i]
+            ids = None if present or uniform_f is not None else instantiate_ids(g, e, mapping)
+        if not present:
             missing += 1
         fallback = False
         if uniform_f is not None:
             f = uniform_f
-        elif in_graph:
+        elif present:
             f = 1.0
         elif ids is None:
             f = floor
@@ -175,6 +181,6 @@ def score_solution(
                 f = floor
                 fallback = True
         total += weights[i] * f
-        per_edge.append(EdgeScore(i, weights[i], f, in_graph, fallback))
+        per_edge.append(EdgeScore(i, weights[i], f, present, fallback))
     key = tuple(g.term(mapping[v]).nt() for v in sorted(mapping))
     return ScoredSolution(dict(mapping), missing, total, tuple(per_edge), key)

@@ -7,16 +7,28 @@ patterns. Anything beyond that (FILTER, OPTIONAL, UNION, property paths,
 blank nodes in patterns, ...) raises :class:`UnsupportedFeatureError`
 naming the feature, so callers can tell a fragment boundary from a typo.
 
-Evaluation is exact set-semantics join over the store: patterns are
-reordered greedily by an estimated result cardinality drawn from
-GraphStats, then solved pattern-at-a-time with index range scans.
+Evaluation is an exact, order-preserving columnar bind-join over the
+store. Patterns are reordered greedily by an estimated result
+cardinality drawn from GraphStats. A table of bindings (one int64
+column per variable) starts as one empty row, and each pattern in turn
+extends every row by the triples it matches under that row, found with
+vectorised index range lookups and taken in the index order
+``Graph.match`` scans; the parent rows keep their order. The rows thus
+come out in the order of a depth-first walk of the patterns, whatever
+the size of the windows (``JOIN_CHUNK`` rows) a large step is produced
+in. Truncation rule: with a limit, the result is the first ``limit``
+rows (after the DISTINCT filter) in that order, and it is flagged
+truncated exactly when one more raw row exists after the last of them.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .store import Graph
 from .terms import RDF_TYPE_IRI, Term, TermId, unescape_string
@@ -402,11 +414,35 @@ def _parse_select_tail(parser: _Parser) -> Query:
 
 # -- evaluation --------------------------------------------------------
 
+# Output rows a join step produces at a time: a step whose output would
+# be larger is produced in consecutive windows of this many rows.
+JOIN_CHUNK = 65_536
 
-@dataclass
+
 class BGPResult:
-    mappings: list[SolutionMapping]
-    truncated: bool = False
+    """Solutions of a basic graph pattern as a table of term ids.
+
+    ``rows`` holds one int64 column per name in ``variables``, in the
+    order the join first binds them; ``mappings`` is built from the rows
+    (as Python ints) on first access.
+    """
+
+    __slots__ = ("variables", "rows", "truncated", "_mappings")
+
+    def __init__(self, variables: tuple[str, ...], rows: np.ndarray, truncated: bool = False):
+        self.variables = variables
+        self.rows = rows
+        self.truncated = truncated
+        self._mappings: list[SolutionMapping] | None = None
+
+    @property
+    def mappings(self) -> list[SolutionMapping]:
+        if self._mappings is None:
+            self._mappings = [dict(zip(self.variables, row)) for row in self.rows.tolist()]
+        return self._mappings
+
+    def column(self, var: str) -> np.ndarray:
+        return self.rows[:, self.variables.index(var)]
 
 
 def _is_bound(atom: Atom, bound: set[str]) -> bool:
@@ -461,82 +497,136 @@ def _order_patterns(g: Graph, patterns: tuple[TriplePattern, ...]) -> list[Tripl
     return order
 
 
-def _resolve(g: Graph, atom: Atom, binding: SolutionMapping) -> tuple[TermId | None, str | None]:
-    """Returns (bound id or None, free variable name or None).
+# How a join step treats one triple position: ("const", id), ("col", j)
+# for a variable bound in column j by an earlier step, ("new", j) for a
+# variable this step binds into column j, and ("same", j) for a second
+# occurrence, in this pattern, of the variable it binds into column j.
+_Slot = tuple[str, int]
 
-    A constant absent from the dictionary resolves to id -1, which can
-    never match.
-    """
-    if isinstance(atom, Const):
-        tid = g.id(atom.term)
-        return (-1 if tid is None else tid), None
-    if atom.name in binding:
-        return binding[atom.name], None
-    return None, atom.name
+
+def _compile(g: Graph, order: list[TriplePattern]) -> tuple[list[list[_Slot]] | None, tuple[str, ...]]:
+    """Join steps and the variables in column order; steps is None when a
+    constant is unknown to the graph (no pattern with it can match)."""
+    columns: dict[str, int] = {}
+    steps: list[list[_Slot]] = []
+    unknown = False
+    for pat in order:
+        step: list[_Slot] = []
+        fresh: dict[str, int] = {}
+        for atom in pat.atoms():
+            if isinstance(atom, Const):
+                tid = g.id(atom.term)
+                unknown = unknown or tid is None
+                step.append(("const", tid))
+            elif atom.name in fresh:
+                step.append(("same", fresh[atom.name]))
+            elif atom.name in columns:
+                step.append(("col", columns[atom.name]))
+            else:
+                fresh[atom.name] = columns[atom.name] = len(columns)
+                step.append(("new", fresh[atom.name]))
+        steps.append(step)
+    return (None if unknown else steps), tuple(columns)
+
+
+def _expand(g: Graph, step: list[_Slot], table: np.ndarray) -> Iterator[np.ndarray]:
+    """Extend every row of ``table`` with each triple matching the step's
+    pattern under that row, in ``Graph.match`` order; parents stay in
+    order. Yields the extended rows in windows of at most JOIN_CHUNK."""
+    bound = [None, None, None]
+    for pos, (kind, j) in enumerate(step):
+        if kind == "const":
+            bound[pos] = j
+        elif kind == "col":
+            bound[pos] = table[:, j]
+    index, lo, hi = g.ranges(*bound)
+    counts = np.broadcast_to(hi - lo, (len(table),))
+    lo = np.broadcast_to(lo, (len(table),))
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    width = table.shape[1] + sum(kind == "new" for kind, _ in step)
+    for k0 in range(0, total, JOIN_CHUNK):
+        k = np.arange(k0, min(total, k0 + JOIN_CHUNK))
+        parent = np.searchsorted(ends, k, side="right")
+        spo = index.unpack(index.keys[lo[parent] + (k - ends[parent] + counts[parent])])
+        child = np.empty((len(k), width), dtype=np.int64)
+        child[:, : table.shape[1]] = table[parent]
+        keep = None
+        for pos, (kind, j) in enumerate(step):
+            if kind == "new":
+                child[:, j] = spo[pos]
+            elif kind == "same":
+                same = child[:, j] == spo[pos]
+                keep = same if keep is None else keep & same
+        yield child if keep is None else child[keep]
+
+
+def _join(g: Graph, steps: list[list[_Slot]], table: np.ndarray, i: int = 0) -> Iterator[np.ndarray]:
+    """Non-empty solution tables, in the order of a depth-first walk over
+    the steps (index order at every step)."""
+    if i == len(steps):
+        yield table
+        return
+    for child in _expand(g, steps[i], table):
+        if len(child):
+            yield from _join(g, steps, child, i + 1)
+
+
+def _first_seen(rows: np.ndarray, cols: list[int], seen: set[tuple]) -> np.ndarray:
+    """Indices of the rows whose projection onto ``cols`` is not yet in
+    ``seen``, first occurrences only; adds those projections to it."""
+    keys = zip(*(rows[:, j].tolist() for j in cols)) if cols else [()] * len(rows)
+    out = []
+    for r, key in enumerate(keys):
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+    return np.array(out, dtype=np.intp)
 
 
 def evaluate_bgp(g: Graph, q: Query, limit: int | None = None) -> BGPResult:
     """Evaluate the query's basic graph pattern.
 
-    Returns every solution mapping over var(q) (each mapping is total).
-    With ``distinct`` set on the query, mappings whose projected tuple
-    repeats are dropped. With ``limit`` set, evaluation stops after that
-    many retained mappings and the result is flagged truncated if the
-    enumeration had not finished.
+    Returns every solution mapping over var(q) (each mapping is total),
+    in the depth-first order of the bind-join (see the module doc). With
+    ``distinct`` set on the query, rows whose projected tuple repeats
+    are dropped (the first occurrence stays). With ``limit`` set, the
+    result holds the first ``limit`` retained rows in that order, and
+    ``truncated`` is set exactly when one more raw row (before the
+    distinct filter) exists after the last of them.
     """
-    order = _order_patterns(g, q.patterns)
-
-    def walk(idx: int, binding: SolutionMapping):
-        if idx == len(order):
-            yield binding
-            return
-        pat = order[idx]
-        sid, sname = _resolve(g, pat.s, binding)
-        pid, pname = _resolve(g, pat.p, binding)
-        oid, oname = _resolve(g, pat.o, binding)
-        if -1 in (sid, pid, oid):
-            return
-        for tr in g.match(sid, pid, oid):
-            new = dict(binding)
-            ok = True
-            for name, value in ((sname, tr.s), (pname, tr.p), (oname, tr.o)):
-                if name is None:
-                    continue
-                if name in new and new[name] != value:
-                    ok = False
-                    break
-                new[name] = value
-            if ok:
-                yield from walk(idx + 1, new)
-
-    gen = walk(0, {})
-    out: list[SolutionMapping] = []
-    seen: set[tuple] = set()
-    truncated = False
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
+    steps, variables = _compile(g, _order_patterns(g, q.patterns))
+    if steps is None:
+        return BGPResult(variables, np.empty((0, len(variables)), dtype=np.int64))
     projected = q.projected or tuple(sorted(q.variables()))
-    for m in gen:
-        if q.distinct:
-            key = tuple(m[v] for v in projected)
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(m)
-        if limit is not None and len(out) >= limit:
-            truncated = next(gen, None) is not None
+    # projecting every variable keeps rows distinct already
+    cols = [variables.index(v) for v in projected]
+    dedupe = q.distinct and len(set(cols)) < len(variables)
+    seen: set[tuple] = set()
+    parts: list[np.ndarray] = []
+    retained = 0
+    truncated = False
+    chunks = _join(g, steps, np.empty((1, 0), dtype=np.int64))
+    for chunk in chunks:
+        keep = _first_seen(chunk, cols, seen) if dedupe else np.arange(len(chunk))
+        if limit is not None and retained + len(keep) >= limit:
+            keep = keep[: limit - retained]
+            parts.append(chunk[keep])
+            retained = limit
+            truncated = keep[-1] + 1 < len(chunk) or next(chunks, None) is not None
             break
-    return BGPResult(out, truncated)
+        parts.append(chunk[keep])
+        retained += len(keep)
+    rows = np.concatenate(parts) if parts else np.empty((0, len(variables)), dtype=np.int64)
+    return BGPResult(variables, rows, bool(truncated))
 
 
 def ask(g: Graph, q: Query) -> bool:
     """True iff the pattern group has at least one solution."""
-    if len(q.patterns) == 1 and not q.patterns[0].variables():
-        pat = q.patterns[0]
-        ids = [g.id(a.term) for a in pat.atoms()]  # type: ignore[union-attr]
-        if None in ids:
-            return False
-        return g.contains(*ids)
     probe = Query(QueryForm.SELECT, q.patterns, (), False, q.prefixes)
-    return bool(evaluate_bgp(g, probe, limit=1).mappings)
+    return len(evaluate_bgp(g, probe, limit=1).rows) > 0
 
 
 def count_distinct(g: Graph, q: Query) -> int:
@@ -546,5 +636,5 @@ def count_distinct(g: Graph, q: Query) -> int:
     var = q.projected[0]
     if var not in q.variables():
         raise ValueError(f"counted variable ?{var} does not occur in any pattern")
-    result = evaluate_bgp(g, Query(QueryForm.SELECT, q.patterns, (var,), True, q.prefixes))
-    return len({m[var] for m in result.mappings})
+    result = evaluate_bgp(g, Query(QueryForm.SELECT, q.patterns, (var,), False, q.prefixes))
+    return len(np.unique(result.column(var)))

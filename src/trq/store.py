@@ -1,11 +1,21 @@
-"""Dictionary-encoded immutable RDF graph with three access-path indexes.
+"""Dictionary-encoded immutable RDF graph with three columnar indexes.
 
 A :class:`Graph` interns every distinct term into a dense id space in
 first-appearance order and keeps the (deduplicated) triples in three
-sorted permutation indexes, SPO / POS / OSP, so any triple pattern with a
-bound prefix is answered by a binary-searched range scan. Relation
-statistics needed by the scorer (distinct-subject and distinct-object
-counts, plus restricted variants) live in :class:`GraphStats`.
+sorted permutation indexes, SPO / POS / OSP, after the RDF-3X layout
+(Neumann & Weikum, VLDB 2008). Each index is one sorted int64 numpy
+array of packed keys: a triple's ids in the index's field order, each in
+``bits = max(1, (term_count - 1).bit_length())`` bits, so lexicographic
+triple order is numeric key order. Any pattern with a bound prefix is a
+key range found by ``np.searchsorted`` (a fully bound pattern is a range
+of width one), and id columns are unpacked from a range with shifts and
+masks. The three key arrays cost 24 bytes per triple.
+
+The keys must fit in 63 bits, so a graph holds at most
+``MAX_TERM_COUNT`` = 2**21 - 1 (2,097,151) distinct terms; building a
+larger one raises :class:`GraphTooLargeError`. Relation statistics needed by the
+scorer (distinct-subject and distinct-object counts, plus restricted
+variants) live in :class:`GraphStats`.
 
 Snapshot format (``TRQG``, version 1, little endian)::
 
@@ -17,16 +27,18 @@ Snapshot format (``TRQG``, version 1, little endian)::
     triples     triple_count x (s u32, p u32, o u32), SPO order
 
 The dictionary is written in id order, so a load reproduces the exact
-ids of the saved graph.
+ids of the saved graph. The triple block is the SPO index unpacked into
+one ``<u4`` array, and is read back with ``np.frombuffer``.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from io import BufferedIOBase
 from pathlib import Path
+
+import numpy as np
 
 from .ntriples import NTriplesError, parse_line
 from .terms import RDF_TYPE_IRI, Term, TermId, TermKind, Triple
@@ -34,9 +46,67 @@ from .terms import RDF_TYPE_IRI, Term, TermId, TermKind, Triple
 SNAPSHOT_MAGIC = b"TRQG"
 SNAPSHOT_VERSION = 1
 
+# Packed keys hold three ids of `bits` <= 21 bits each in a signed 64-bit
+# int; the largest id stays below 2**21 - 1, so the end of a key range
+# (a bound prefix plus one) fits too.
+MAX_TERM_COUNT = 2**21 - 1
+
+# Rows unpacked at a time when iterating a whole index.
+_SCAN_CHUNK = 65_536
+
 
 class SnapshotError(ValueError):
     """Raised for a corrupt or mismatched snapshot file."""
+
+
+class GraphTooLargeError(ValueError):
+    """The term dictionary is beyond what the packed index keys can hold."""
+
+
+class TripleIndex:
+    """One sorted permutation of the triples as packed int64 keys.
+
+    ``order`` names the triple positions (0 = s, 1 = p, 2 = o) from the
+    most to the least significant key field.
+    """
+
+    __slots__ = ("keys", "order", "bits")
+
+    def __init__(self, order: tuple[int, int, int], bits: int, s, p, o, unique: bool = False):
+        self.order = order
+        self.bits = bits
+        keys = self.pack(s, p, o)
+        self.keys = np.unique(keys) if unique else np.sort(keys)
+
+    def pack(self, s, p, o):
+        """Key of (s, p, o); scalars or int64 arrays."""
+        spo = (s, p, o)
+        a, b, c = (spo[i] for i in self.order)
+        return (a << (2 * self.bits)) | (b << self.bits) | c
+
+    def unpack(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (s, p, o) id columns of an array of keys."""
+        mask = (1 << self.bits) - 1
+        fields = (keys >> (2 * self.bits), (keys >> self.bits) & mask, keys & mask)
+        out = [None, None, None]
+        for pos, col in zip(self.order, fields):
+            out[pos] = col
+        return tuple(out)
+
+
+# For each bound-position mask (s, p, o): the index to scan and how many
+# of its leading fields are bound. Anything with s bound scans SPO, p
+# bound (s free) scans POS, and o bound alone or with s scans OSP.
+_ACCESS = {
+    (True, True, True): ("_spo", 3),
+    (True, True, False): ("_spo", 2),
+    (True, False, False): ("_spo", 1),
+    (True, False, True): ("_osp", 2),
+    (False, True, False): ("_pos", 1),
+    (False, True, True): ("_pos", 2),
+    (False, False, True): ("_osp", 1),
+    (False, False, False): ("_spo", 0),
+}
 
 
 class GraphStats:
@@ -46,16 +116,15 @@ class GraphStats:
 
     def __init__(self, graph: "Graph"):
         self._graph = graph
-        dom: dict[TermId, set[TermId]] = {}
-        ran: dict[TermId, set[TermId]] = {}
-        freq: dict[TermId, int] = {}
-        for t in graph.triples():
-            dom.setdefault(t.p, set()).add(t.s)
-            ran.setdefault(t.p, set()).add(t.o)
-            freq[t.p] = freq.get(t.p, 0) + 1
-        self._dom = {r: len(s) for r, s in dom.items()}
-        self._ran = {r: len(s) for r, s in ran.items()}
-        self._freq = freq
+        bits = graph._bits
+        # (s, p) prefixes of SPO and (p, o) prefixes of POS, each distinct
+        sp = np.unique(graph._spo.keys >> bits)
+        po = np.unique(graph._pos.keys >> bits)
+        rel, freq = np.unique(graph._pos.keys >> (2 * bits), return_counts=True)
+        mask = (1 << bits) - 1
+        self._freq = dict(zip(rel.tolist(), freq.tolist()))
+        self._dom = _counts(sp & mask)
+        self._ran = _counts(po >> bits)
         self._dom_at: dict[tuple[TermId, TermId], int] = {}
         self._ran_at: dict[tuple[TermId, TermId], int] = {}
 
@@ -77,7 +146,7 @@ class GraphStats:
         hit = self._dom_at.get(key)
         if hit is None:
             # triples are distinct, so the range size is the subject count
-            hit = self._graph._range_size(self._graph._pos, (r, c))
+            hit = self._graph._range_size(None, r, c)
             self._dom_at[key] = hit
         return hit
 
@@ -86,7 +155,7 @@ class GraphStats:
         key = (c, r)
         hit = self._ran_at.get(key)
         if hit is None:
-            hit = self._graph._range_size(self._graph._spo, (c, r))
+            hit = self._graph._range_size(c, r, None)
             self._ran_at[key] = hit
         return hit
 
@@ -94,27 +163,49 @@ class GraphStats:
         return sorted(self._freq)
 
 
+def _counts(ids: np.ndarray) -> dict[TermId, int]:
+    values, counts = np.unique(ids, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
 class Graph:
-    """Immutable triple set over a term dictionary. Build via GraphBuilder."""
+    """Immutable triple set over a term dictionary. Build via GraphBuilder.
 
-    __slots__ = ("_terms", "_id_of", "_triples", "_spo", "_pos", "_osp", "stats", "_rdf_type_id")
+    ``triples`` is an iterable of (s, p, o) id tuples or an (n, 3)
+    integer array; duplicates are dropped.
+    """
 
-    def __init__(self, terms: list[Term], triples: Iterable[tuple[int, int, int]]):
+    __slots__ = ("_terms", "_id_of", "_bits", "_spo", "_pos", "_osp", "_stats", "_rdf_type_id")
+
+    def __init__(self, terms: list[Term], triples: Iterable[tuple[int, int, int]] | np.ndarray):
         self._terms = list(terms)
-        self._id_of = {t: i for i, t in enumerate(self._terms)}
-        if len(self._id_of) != len(self._terms):
-            raise ValueError("duplicate terms in dictionary")
-        spo = sorted(set(triples))
         n = len(self._terms)
-        for s, p, o in spo:
-            if not (0 <= s < n and 0 <= p < n and 0 <= o < n):
-                raise ValueError("triple references unknown term id")
-        self._spo = spo
-        self._pos = sorted((p, o, s) for s, p, o in spo)
-        self._osp = sorted((o, s, p) for s, p, o in spo)
-        self._triples = frozenset(spo)
+        if n > MAX_TERM_COUNT:
+            raise GraphTooLargeError(
+                f"graph has {n} terms; the packed index keys hold at most {MAX_TERM_COUNT}"
+            )
+        self._id_of = {t: i for i, t in enumerate(self._terms)}
+        if len(self._id_of) != n:
+            raise ValueError("duplicate terms in dictionary")
+        if not isinstance(triples, np.ndarray):
+            triples = list(triples)
+        rows = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        if len(rows) and (rows.min() < 0 or rows.max() >= n):
+            raise ValueError("triple references unknown term id")
+        self._bits = bits = max(1, (n - 1).bit_length())
+        self._spo = TripleIndex((0, 1, 2), bits, *rows.T, unique=True)
+        s, p, o = self._spo.unpack(self._spo.keys)
+        self._pos = TripleIndex((1, 2, 0), bits, s, p, o)
+        self._osp = TripleIndex((2, 0, 1), bits, s, p, o)
         self._rdf_type_id = self._id_of.get(Term.iri(RDF_TYPE_IRI))
-        self.stats = GraphStats(self)
+        self._stats: GraphStats | None = None
+
+    @property
+    def stats(self) -> GraphStats:
+        """Relation statistics, computed on first use."""
+        if self._stats is None:
+            self._stats = GraphStats(self)
+        return self._stats
 
     # -- dictionary ----------------------------------------------------
 
@@ -124,7 +215,7 @@ class Graph:
 
     @property
     def triple_count(self) -> int:
-        return len(self._spo)
+        return len(self._spo.keys)
 
     @property
     def rdf_type_id(self) -> TermId | None:
@@ -141,26 +232,65 @@ class Graph:
 
     # -- triples -------------------------------------------------------
 
+    def _in_range(self, *ids) -> bool:
+        n = len(self._terms)
+        return all(x is None or 0 <= x < n for x in ids)
+
     def contains(self, s: TermId, p: TermId, o: TermId) -> bool:
-        return (s, p, o) in self._triples
+        n = len(self._terms)
+        if not (0 <= s < n and 0 <= p < n and 0 <= o < n):
+            return False
+        b = self._bits
+        key = (int(s) << 2 * b) | (int(p) << b) | int(o)
+        keys = self._spo.keys
+        i = keys.searchsorted(key)
+        return bool(i < len(keys) and keys[i] == key)
 
     def contains_triple(self, t: Triple) -> bool:
-        return t.as_tuple() in self._triples
+        return self.contains(t.s, t.p, t.o)
+
+    def contains_rows(self, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`contains` over int64 id columns of one length."""
+        keys = self._spo.keys
+        if len(keys) == 0:
+            return np.zeros(len(s), dtype=bool)
+        key = self._spo.pack(s, p, o)
+        i = np.minimum(keys.searchsorted(key), len(keys) - 1)
+        return keys[i] == key
+
+    def ranges(self, s=None, p=None, o=None) -> tuple[TripleIndex, np.ndarray, np.ndarray]:
+        """The index :meth:`match` scans for this pattern and the key range
+        [lo, hi) of the matching rows.
+
+        Each of s, p, o is None (free), an id, or an int64 array of ids
+        (one pattern per element, broadcast together); bound ids must be
+        valid term ids. ``lo`` and ``hi`` follow the broadcast shape.
+        """
+        name, k = _ACCESS[(s is not None, p is not None, o is not None)]
+        index = getattr(self, name)
+        if k == 0:  # the whole index; 1 << (3 * bits) may not fit in an int64
+            return index, 0, len(index.keys)
+        zero = np.int64(0)
+        spo = [zero if x is None else x for x in (s, p, o)]
+        lo_key = index.pack(*spo)
+        hi_key = lo_key + (np.int64(1) << (index.bits * (3 - k)))
+        return index, index.keys.searchsorted(lo_key), index.keys.searchsorted(hi_key)
+
+    def _range_size(self, s, p, o) -> int:
+        if not self._in_range(s, p, o):
+            return 0
+        _, lo, hi = self.ranges(s, p, o)
+        return int(hi - lo)
+
+    def _iter_rows(self, index: TripleIndex, lo: int, hi: int) -> Iterator[Triple]:
+        for start in range(lo, hi, _SCAN_CHUNK):
+            s, p, o = index.unpack(index.keys[start : min(hi, start + _SCAN_CHUNK)])
+            for t in zip(s.tolist(), p.tolist(), o.tolist()):
+                yield Triple(*t)
 
     def triples(self) -> Iterator[Triple]:
-        for s, p, o in self._spo:
-            yield Triple(s, p, o)
-
-    @staticmethod
-    def _range(index: list[tuple], prefix: tuple) -> tuple[int, int]:
-        lo = bisect_left(index, prefix)
-        hi = bisect_left(index, prefix[:-1] + (prefix[-1] + 1,))
-        return lo, hi
-
-    @staticmethod
-    def _range_size(index: list[tuple], prefix: tuple) -> int:
-        lo, hi = Graph._range(index, prefix)
-        return hi - lo
+        """Every triple in SPO order."""
+        return self._iter_rows(self._spo, 0, len(self._spo.keys))
 
     def match(
         self,
@@ -172,38 +302,13 @@ class Graph:
 
         None is a wildcard. The index is chosen by the bound positions:
         anything with s bound scans SPO, p bound (s free) scans POS, and
-        o bound alone or with s scans OSP.
+        o bound alone or with s scans OSP; rows come in that index's
+        sorted order.
         """
-        if s is not None and p is not None and o is not None:
-            if (s, p, o) in self._triples:
-                yield Triple(s, p, o)
-            return
-        if s is not None:
-            if p is not None:
-                lo, hi = self._range(self._spo, (s, p))
-            elif o is None:
-                lo, hi = self._range(self._spo, (s,))
-            else:
-                lo, hi = self._range(self._osp, (o, s))
-                for oo, ss, pp in self._osp[lo:hi]:
-                    yield Triple(ss, pp, oo)
-                return
-            for ss, pp, oo in self._spo[lo:hi]:
-                yield Triple(ss, pp, oo)
-            return
-        if p is not None:
-            prefix = (p,) if o is None else (p, o)
-            lo, hi = self._range(self._pos, prefix)
-            for pp, oo, ss in self._pos[lo:hi]:
-                yield Triple(ss, pp, oo)
-            return
-        if o is not None:
-            lo, hi = self._range(self._osp, (o,))
-            for oo, ss, pp in self._osp[lo:hi]:
-                yield Triple(ss, pp, oo)
-            return
-        for ss, pp, oo in self._spo:
-            yield Triple(ss, pp, oo)
+        if not self._in_range(s, p, o):
+            return iter(())
+        index, lo, hi = self.ranges(s, p, o)
+        return self._iter_rows(index, int(lo), int(hi))
 
 
 class GraphBuilder:
@@ -304,8 +409,6 @@ def parse_ntriples(
 
 def save_snapshot(g: Graph, dest: str | Path | BufferedIOBase) -> None:
     """Write the graph in the TRQG binary format."""
-    if g.term_count >= 2**32:
-        raise SnapshotError("term dictionary too large for snapshot format")
     own = isinstance(dest, (str, Path))
     fh = open(dest, "wb") if own else dest
     try:
@@ -315,47 +418,66 @@ def save_snapshot(g: Graph, dest: str | Path | BufferedIOBase) -> None:
             data = term.lexical.encode("utf-8")
             fh.write(struct.pack("<BI", int(term.kind), len(data)))
             fh.write(data)
-        for t in g.triples():
-            fh.write(struct.pack("<III", t.s, t.p, t.o))
+        fh.write(np.stack(g._spo.unpack(g._spo.keys), axis=1).astype("<u4").tobytes())
     finally:
         if own:
             fh.close()
-
-
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise SnapshotError("truncated snapshot")
-    return data
 
 
 def load_snapshot(src: str | Path | BufferedIOBase) -> Graph:
-    """Read a TRQG snapshot back into a Graph."""
-    own = isinstance(src, (str, Path))
-    fh = open(src, "rb") if own else src
-    try:
-        if _read_exact(fh, 4) != SNAPSHOT_MAGIC:
-            raise SnapshotError("not a TRQG snapshot (bad magic)")
-        version, term_count, triple_count = struct.unpack("<HQQ", _read_exact(fh, 18))
-        if version != SNAPSHOT_VERSION:
-            raise SnapshotError(f"unsupported snapshot version {version}")
-        terms: list[Term] = []
-        for _ in range(term_count):
-            kind, length = struct.unpack("<BI", _read_exact(fh, 5))
-            try:
-                kind = TermKind(kind)
-            except ValueError as exc:
-                raise SnapshotError(f"unknown term kind {kind}") from exc
-            terms.append(Term(kind, _read_exact(fh, length).decode("utf-8")))
-        triples = []
-        for _ in range(triple_count):
-            triples.append(struct.unpack("<III", _read_exact(fh, 12)))
-        if fh.read(1):
-            raise SnapshotError("trailing bytes after snapshot payload")
+    """Read a TRQG snapshot back into a Graph.
+
+    Every count in the header is checked against the bytes actually
+    present before anything is allocated for it; a malformed file of any
+    kind raises :class:`SnapshotError`.
+    """
+    if isinstance(src, (str, Path)):
+        data = Path(src).read_bytes()
+    else:
+        data = src.read()
+    if len(data) < 4:
+        raise SnapshotError("truncated snapshot")
+    if data[:4] != SNAPSHOT_MAGIC:
+        raise SnapshotError("not a TRQG snapshot (bad magic)")
+    if len(data) < 4 + 18:
+        raise SnapshotError("truncated snapshot")
+    version, term_count, triple_count = struct.unpack_from("<HQQ", data, 4)
+    if version != SNAPSHOT_VERSION:
+        raise SnapshotError(f"unsupported snapshot version {version}")
+    pos = 4 + 18
+    # each term takes at least its 5-byte header, each triple 12 bytes
+    if term_count * 5 + triple_count * 12 > len(data) - pos:
+        raise SnapshotError("truncated snapshot: header counts exceed the file size")
+    terms: list[Term] = []
+    for _ in range(term_count):
+        if pos + 5 > len(data):
+            raise SnapshotError("truncated snapshot")
+        kind, length = struct.unpack_from("<BI", data, pos)
+        pos += 5
         try:
-            return Graph(terms, triples)
+            kind = TermKind(kind)
         except ValueError as exc:
-            raise SnapshotError(str(exc)) from exc
-    finally:
-        if own:
-            fh.close()
+            raise SnapshotError(f"unknown term kind {kind}") from exc
+        if pos + length > len(data):
+            raise SnapshotError("truncated snapshot")
+        try:
+            lexical = data[pos : pos + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(f"term {len(terms)} is not valid UTF-8") from exc
+        terms.append(Term(kind, lexical))
+        pos += length
+    size = triple_count * 12
+    if len(data) - pos < size:
+        raise SnapshotError("truncated snapshot")
+    if len(data) - pos > size:
+        raise SnapshotError("trailing bytes after snapshot payload")
+    triples = np.frombuffer(data, dtype="<u4", count=3 * triple_count, offset=pos).reshape(-1, 3)
+    if len(triples) and int(triples.max()) >= term_count:
+        raise SnapshotError("triple references unknown term id")
+    try:
+        return Graph(terms, triples)
+    except GraphTooLargeError:
+        raise
+    except ValueError as exc:
+        raise SnapshotError(str(exc)) from exc
+

@@ -17,7 +17,7 @@ from trq import (
     TriplePattern,
     train,
 )
-from trq.sparql import Const, Var
+from trq.sparql import Const, Var, _order_patterns
 
 EX = "http://example.org/"
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -110,6 +110,65 @@ def brute_candidates(g: Graph, patterns, threshold: int) -> dict[tuple, int]:
         if missing < threshold:
             out[tuple(sorted(mapping.items()))] = missing
     return out
+
+
+def reference_evaluate_bgp(g: Graph, q: Query, limit: int | None = None):
+    """The scalar depth-first evaluator that the columnar join replaced.
+
+    Walks the patterns in ``trq.sparql``'s greedy order, one ``Graph.match``
+    scan per binding, copying the binding dict at every step. Returns
+    (mappings, truncated) under the same distinct and limit rules as
+    ``evaluate_bgp``.
+    """
+    order = _order_patterns(g, q.patterns)
+
+    def resolve(atom, binding):
+        if isinstance(atom, Const):
+            tid = g.id(atom.term)
+            return (-1 if tid is None else tid), None
+        if atom.name in binding:
+            return binding[atom.name], None
+        return None, atom.name
+
+    def walk(idx, binding):
+        if idx == len(order):
+            yield binding
+            return
+        pat = order[idx]
+        sid, sname = resolve(pat.s, binding)
+        pid, pname = resolve(pat.p, binding)
+        oid, oname = resolve(pat.o, binding)
+        if -1 in (sid, pid, oid):
+            return
+        for tr in g.match(sid, pid, oid):
+            new = dict(binding)
+            ok = True
+            for name, value in ((sname, tr.s), (pname, tr.p), (oname, tr.o)):
+                if name is None:
+                    continue
+                if name in new and new[name] != value:
+                    ok = False
+                    break
+                new[name] = value
+            if ok:
+                yield from walk(idx + 1, new)
+
+    gen = walk(0, {})
+    out = []
+    seen = set()
+    truncated = False
+    projected = q.projected or tuple(sorted(q.variables()))
+    for m in gen:
+        if q.distinct:
+            key = tuple(m[v] for v in projected)
+            if key in seen:
+                continue
+            seen.add(key)
+        out.append(m)
+        if limit is not None and len(out) >= limit:
+            truncated = next(gen, None) is not None
+            break
+    return out, truncated
 
 
 def binding_keys(g: Graph, mappings) -> set[tuple[str, ...]]:

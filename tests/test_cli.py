@@ -282,6 +282,24 @@ def test_query_missing_embeddings_is_error(run, artifacts, movie_query_file):
     assert "no embeddings" in err
 
 
+@pytest.mark.parametrize(
+    "body, form",
+    [
+        ("ASK { ?f ex:starring ?a . ?a ex:spouse ?b . }", "ASK"),
+        ("SELECT COUNT(DISTINCT ?a) WHERE { ?f ex:starring ?a . ?a ex:spouse ?b . }", "COUNT_DISTINCT"),
+    ],
+)
+def test_query_rejects_non_select_forms(run, artifacts, tmp_path, body, form):
+    store_path, emb_path = artifacts
+    q = tmp_path / "q.rq"
+    q.write_text(PROLOG + body)
+    stdout, err = run(
+        "query", str(q), "--store", str(store_path), "--embeddings", str(emb_path), expect=1
+    )
+    assert stdout == ""
+    assert form in err and "trq ask" in err
+
+
 # -- ask ---------------------------------------------------------------
 
 
@@ -403,3 +421,27 @@ def test_bench_unknown_deletion_term_is_error(run, artifacts, bench_dir):
         expect=1,
     )
     assert "not in the store" in err
+
+
+def test_bench_passes_every_training_option(run, artifacts, bench_dir, monkeypatch):
+    import trq.evalkit
+
+    store_path, _ = artifacts
+    trained = []
+    real_train = trq.evalkit.train
+
+    def recording_train(g, cfg):
+        emb = real_train(g, cfg)
+        trained.append((cfg, emb))
+        return emb
+
+    monkeypatch.setattr(trq.evalkit, "train", recording_train)
+    run(
+        "bench", str(bench_dir / "bench.manifest"),
+        "--store", str(store_path),
+        "--model", "transr", "--dim", "12", "--rel-dim", "8", "--epochs", "2",
+        "--include-type-triples",
+    )
+    [(cfg, emb)] = trained
+    assert cfg.rel_dim == 8 and cfg.include_type_triples
+    assert emb.rel_dim == 8 and emb.maps.shape[1:] == (8, 12)

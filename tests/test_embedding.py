@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -347,6 +348,28 @@ def test_normalize_nonmembers_in_open_unit_interval(chain):
     v = emb.normalize(chain, e5, r0, e0)
     if not chain.contains(e5, r0, e0):
         assert 0.0 < v < 1.0
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "transr"])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_normalize_rows_equals_normalize(chain, model, norm):
+    emb = train(chain, EmbeddingConfig(model=model, norm=norm, dim=6, epochs=5, batch_size=8, seed=1))
+    # "stray" has no embedding row: the set was trained without it
+    rows = [(chain.term(t.s), chain.term(t.p), chain.term(t.o)) for t in chain.triples()]
+    g = build_graph(rows + [("e0", "r0", "stray"), ("stray", "type", "C")])
+    emb.bind(g)
+    ents = [g.id(t) for t in g.terms() if t not in (ex("r0"), ex("r1"), RDF_TYPE)]
+    rels = [g.id(ex("r0")), g.id(ex("r1")), g.id(RDF_TYPE)]
+    h, r, t = (np.array(c, dtype=np.int64) for c in zip(*itertools.product(ents, rels, ents)))
+    want = []
+    for ids in zip(h.tolist(), r.tolist(), t.tolist()):
+        try:
+            want.append(emb.normalize(g, *ids))
+        except UnembeddedTermError:
+            want.append(np.nan)
+    got = emb.normalize_rows(g, h, r, t)
+    assert np.isnan(want).any() and (np.asarray(want) == 1.0).any()
+    assert np.array_equal(got, np.asarray(want), equal_nan=True)
 
 
 def test_unembedded_term_raises(chain):

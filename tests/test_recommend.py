@@ -153,6 +153,24 @@ def test_movie_uniform_f_ties_break_lexicographically(movies, movie_emb):
     assert keys == sorted(keys)
 
 
+def _view(solutions):
+    return [(s.binding_key, s.score, s.edit_distance, s.per_edge, s.mapping) for s in solutions]
+
+
+@pytest.mark.parametrize("model", ["transe", "transh"])
+@pytest.mark.parametrize("uniform_f", [None, 0.5])
+def test_top_k_is_the_head_of_the_full_ranking(model, uniform_f):
+    # only the top k rows become ScoredSolutions; the result must still be
+    # the first k of ranking every candidate, ties on the score included
+    for seed in range(6):
+        g, q = candidate_instance(np.random.default_rng(seed))
+        emb = small_emb(g, model=model, epochs=2, dim=6)
+        full = recommend(g, _req(q, emb, top_k=10**9, uniform_f=uniform_f)).solutions
+        for k in sorted({1, 2, 5, max(1, len(full) - 1)}):
+            got = recommend(g, _req(q, emb, top_k=k, uniform_f=uniform_f)).solutions
+            assert _view(got) == _view(full[:k]), (seed, k)
+
+
 # -- exactness guarantees ----------------------------------------------
 
 

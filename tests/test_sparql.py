@@ -18,7 +18,15 @@ from trq.sparql import (
 )
 from trq.terms import RDF_TYPE, Term
 
-from conftest import EX, brute_solutions, build_graph, ex, make_query, pattern
+from conftest import (
+    EX,
+    brute_solutions,
+    build_graph,
+    ex,
+    make_query,
+    pattern,
+    reference_evaluate_bgp,
+)
 
 PROLOG = f"PREFIX ex: <{EX}>\n"
 
@@ -294,6 +302,75 @@ def test_evaluate_matches_brute_force(seed):
     q = make_query(pats, projected=sorted(used))
     got = {tuple(sorted(m.items())) for m in evaluate_bgp(g, q).mappings}
     assert got == brute_solutions(g, pats)
+
+
+def _random_bgp(rng):
+    """A small graph and query over it. Subjects and objects are variables,
+    known constants or a constant absent from the graph; predicates are
+    variables now and then; a pattern may repeat a variable (?x p ?x)."""
+    n = int(rng.integers(2, 6))
+    rows = [
+        (f"e{rng.integers(n)}", f"r{rng.integers(2)}", f"e{rng.integers(n)}")
+        for _ in range(int(rng.integers(1, 30)))
+    ]
+    g = build_graph(rows)
+    names = ["x", "y", "z"]
+
+    def node():
+        u = rng.random()
+        if u < 0.65:
+            return f"?{names[rng.integers(3)]}"
+        return f"e{rng.integers(n)}" if u < 0.93 else "ghost"
+
+    def pred():
+        u = rng.random()
+        if u < 0.2:
+            return f"?{names[rng.integers(3)]}"
+        return f"r{rng.integers(2)}" if u < 0.95 else "ghost"
+
+    pats = []
+    for _ in range(int(rng.integers(1, 4))):
+        s = node()
+        o = s if rng.random() < 0.15 else node()
+        pats.append(pattern(s, pred(), o))
+    used = sorted(set().union(*[p.variables() for p in pats]))
+    projected = [v for v in used if rng.random() < 0.6] or used
+    return g, make_query(pats, projected=projected, distinct=bool(rng.random() < 0.6))
+
+
+def _ordered(mappings):
+    return [list(m.items()) for m in mappings]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_join_matches_reference_walk(seed):
+    """Same rows, in the same order (dict key order included), and the
+    same truncated flag as the depth-first walk, for every limit from 1
+    to past the result size and for join chunks down to a single row."""
+    import trq.sparql as sparql_mod
+
+    g, q = _random_bgp(np.random.default_rng(seed))
+    full, _ = reference_evaluate_bgp(g, q)
+    default_chunk = sparql_mod.JOIN_CHUNK
+    try:
+        for chunk in (default_chunk, 1, 3):
+            sparql_mod.JOIN_CHUNK = chunk
+            res = evaluate_bgp(g, q)
+            assert _ordered(res.mappings) == _ordered(full)
+            assert not res.truncated
+            for limit in sorted({1, 2, len(full), len(full) + 1} - {0}):
+                ref, ref_truncated = reference_evaluate_bgp(g, q, limit)
+                res = evaluate_bgp(g, q, limit)
+                assert _ordered(res.mappings) == _ordered(ref), (chunk, limit)
+                assert res.truncated == ref_truncated, (chunk, limit)
+    finally:
+        sparql_mod.JOIN_CHUNK = default_chunk
+
+
+def test_limit_must_be_positive(films):
+    with pytest.raises(ValueError):
+        evaluate_bgp(films, make_query([pattern("?f", "starring", "?a")]), limit=0)
 
 
 def test_join_order_invariance(films):

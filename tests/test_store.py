@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import io
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trq.store
 from trq.store import (
     Graph,
     GraphBuilder,
+    GraphTooLargeError,
     SnapshotError,
     load_snapshot,
     parse_ntriples,
@@ -113,6 +116,38 @@ def test_match_full_scan_random_graphs(seed):
         pick = lambda: None if rng.random() < 0.5 else int(rng.integers(g.term_count))
         s, p, o = pick(), pick(), pick()
         assert set(g.match(s, p, o)) == _scan(g, s, p, o)
+
+
+# The index each bound-position combination scans, as a sort key over
+# (s, p, o): the row order match() has always produced.
+_SEED_ORDER = {
+    (True, True, True): lambda t: (t.s, t.p, t.o),
+    (True, True, False): lambda t: (t.s, t.p, t.o),
+    (True, False, False): lambda t: (t.s, t.p, t.o),
+    (True, False, True): lambda t: (t.o, t.s, t.p),
+    (False, True, False): lambda t: (t.p, t.o, t.s),
+    (False, True, True): lambda t: (t.p, t.o, t.s),
+    (False, False, True): lambda t: (t.o, t.s, t.p),
+    (False, False, False): lambda t: (t.s, t.p, t.o),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_match_row_order_per_bound_combination(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    rows = [
+        (f"e{rng.integers(n)}", f"r{rng.integers(3)}", f"e{rng.integers(n)}")
+        for _ in range(int(rng.integers(1, 40)))
+    ]
+    g = build_graph(rows)
+    ids = range(g.term_count)
+    for mask, key in _SEED_ORDER.items():
+        for _ in range(6):
+            s, p, o = (int(rng.choice(ids)) if bound else None for bound in mask)
+            got = list(g.match(s, p, o))
+            assert got == sorted(_scan(g, s, p, o), key=key), (s, p, o)
 
 
 def test_match_results_sorted_spo(small):
@@ -254,3 +289,75 @@ def test_empty_graph_round_trip(tmp_path):
     g2 = load_snapshot(path)
     assert g2.term_count == 0 and g2.triple_count == 0
     assert list(g2.match(None, None, None)) == []
+
+
+def _snapshot_bytes(g) -> bytes:
+    buf = io.BytesIO()
+    save_snapshot(g, buf)
+    return buf.getvalue()
+
+
+_FUZZ_SOURCE = parse_ntriples(
+    '_:x <http://e/p> "caf\u00e9"@fr .\n<http://e/s> <http://e/p> _:x .\n'
+    '<http://e/s> <http://e/q> "1"^^<http://e/int> .\n<http://e/o> <http://e/p> <http://e/s> .\n'
+)
+
+
+def test_snapshot_bytes_match_struct_layout():
+    """The numpy-written triple block is the u32 SPO layout byte for byte."""
+    data = _snapshot_bytes(_FUZZ_SOURCE)
+    block = b"".join(struct.pack("<III", t.s, t.p, t.o) for t in _FUZZ_SOURCE.triples())
+    assert data.endswith(block)
+    assert len(data) - len(block) == 22 + sum(
+        5 + len(t.lexical.encode("utf-8")) for t in _FUZZ_SOURCE.terms()
+    )
+
+
+def test_snapshot_rejects_unknown_term_id():
+    data = bytearray(_snapshot_bytes(_FUZZ_SOURCE))
+    data[-4:] = struct.pack("<I", _FUZZ_SOURCE.term_count)
+    with pytest.raises(SnapshotError, match="unknown term id"):
+        load_snapshot(io.BytesIO(bytes(data)))
+
+
+@pytest.mark.parametrize("field_offset", [6, 14])  # term_count, triple_count
+def test_snapshot_rejects_counts_beyond_the_file(field_offset):
+    data = bytearray(_snapshot_bytes(_FUZZ_SOURCE))
+    data[field_offset : field_offset + 8] = struct.pack("<Q", 2**62)
+    with pytest.raises(SnapshotError, match="truncated"):
+        load_snapshot(io.BytesIO(bytes(data)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from(["truncate", "flip", "count", "length"]),
+)
+def test_snapshot_loader_fuzz_raises_only_snapshot_error(data, how):
+    raw = bytearray(_snapshot_bytes(_FUZZ_SOURCE))
+    if how == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    elif how == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(raw) - 1))
+            raw[i] ^= data.draw(st.integers(1, 255))
+    elif how == "count":
+        offset = data.draw(st.sampled_from([6, 14]))
+        value = data.draw(st.one_of(st.integers(0, 64), st.sampled_from([2**32, 2**62, 2**64 - 1])))
+        raw[offset : offset + 8] = struct.pack("<Q", value)
+    else:
+        # the first term's byte length
+        raw[23:27] = struct.pack("<I", data.draw(st.integers(0, 2**32 - 1)))
+    try:
+        g = load_snapshot(io.BytesIO(bytes(raw)))
+    except SnapshotError:
+        return
+    assert all(0 <= x < g.term_count for t in g.triples() for x in t.as_tuple())
+
+
+def test_graph_beyond_packed_key_size_is_a_named_error(monkeypatch):
+    monkeypatch.setattr(trq.store, "MAX_TERM_COUNT", 4)
+    rows = [("a", "p", "b"), ("c", "p", "d")]  # five terms
+    with pytest.raises(GraphTooLargeError):
+        build_graph(rows)
+    assert build_graph(rows[:1]).term_count == 3
