@@ -8,6 +8,7 @@ edit distance with translation-embedding plausibility.
 from .embedding import (
     EmbeddingConfig,
     EmbeddingSet,
+    NonFiniteEmbeddingError,
     UnembeddedTermError,
     load_embeddings,
     save_embeddings,
@@ -50,7 +51,6 @@ from .scoring import (
     index_of,
     score_graph,
     score_solution,
-    weight,
 )
 from .sparql import (
     Const,

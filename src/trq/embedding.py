@@ -22,6 +22,14 @@ are handled through aggregated type vectors instead:
 * the normalized plausibility of a triple is 1 when the graph contains
   it and 1 / (1 + extended score) otherwise, so it always lies in (0, 1].
 
+One kernel, :func:`_batch_scores`, evaluates g for training batches and
+for query-time scoring alike. :meth:`EmbeddingSet.score_rows` scores id
+columns through it, ``SCORE_CHUNK`` rows per call, plus the rdf:type
+rows against type vectors, and marks rows with a term that has no
+embedding row; ``score_triple``, ``extended_score``, ``normalize`` and
+``normalize_rows`` are one-row or membership-aware calls of it. Training
+that ends with a non-finite value raises :class:`NonFiniteEmbeddingError`.
+
 Embedding file format (``TRQE``, version 1, little endian)::
 
     magic      4 bytes  b"TRQE"
@@ -39,10 +47,17 @@ Embedding file format (``TRQE``, version 1, little endian)::
     relation matrix  f32, row-major, relation_count x rel_dim
     [transh] normals f32, relation_count x dim
     [transr] maps    f32, relation_count x rel_dim x dim
+
+Writes to a path are atomic (a temporary file, then ``os.replace``).
+The loader checks every header count against the bytes present before it
+allocates, and rejects non-positive dimensions, a margin that is not a
+positive number and non-finite matrix values with
+:class:`EmbeddingFormatError`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from io import BufferedIOBase
@@ -50,8 +65,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .binio import TERM_HEADER_SIZE, read_source, read_terms, write_file, write_terms
 from .store import Graph
-from .terms import Term, TermId, TermKind, Triple
+from .terms import Term, TermId
 
 TRANSE, TRANSH, TRANSR = "transe", "transh", "transr"
 MODELS = (TRANSE, TRANSH, TRANSR)
@@ -61,6 +77,11 @@ EMBED_MAGIC = b"TRQE"
 EMBED_VERSION = 1
 _MODEL_TAGS = {TRANSE: 1, TRANSH: 2, TRANSR: 3}
 _TAG_MODELS = {v: k for k, v in _MODEL_TAGS.items()}
+_HEADER = struct.Struct("<HBBIIdQQ")
+
+# Model rows scored per kernel call at query time: a TransR call gathers
+# at most SCORE_CHUNK x rel_dim x dim map entries.
+SCORE_CHUNK = 1024
 
 
 class EmbeddingFormatError(ValueError):
@@ -69,6 +90,10 @@ class EmbeddingFormatError(ValueError):
 
 class UnembeddedTermError(LookupError):
     """A scored term has no row in the embedding set."""
+
+
+class NonFiniteEmbeddingError(ValueError):
+    """Training diverged: an embedding value is infinite or NaN."""
 
 
 @dataclass
@@ -120,21 +145,23 @@ def _norm_grads(d: np.ndarray, norm: str, values: np.ndarray) -> np.ndarray:
 
 
 def _batch_scores(model, norm, ent, rel, normals, maps, h, r, t):
-    """Scores for index arrays (h, r, t) plus the tensors gradients need."""
-    he = ent[h]
-    te = ent[t]
-    rv = rel[r]
+    """Scores g(h, r, t) for row-index arrays, plus the tensors gradients
+    need: the one evaluation of the models, at float64, for training and
+    query-time scoring alike."""
+    he = ent[h].astype(np.float64, copy=False)
+    te = ent[t].astype(np.float64, copy=False)
+    rv = rel[r].astype(np.float64, copy=False)
     if model == TRANSE:
         d = he + rv - te
         cache = {}
     elif model == TRANSH:
-        w = normals[r]
+        w = normals[r].astype(np.float64, copy=False)
         hw = (he * w).sum(axis=1)
         tw = (te * w).sum(axis=1)
         d = (he - hw[:, None] * w) + rv - (te - tw[:, None] * w)
         cache = {"w": w}
     else:
-        m = maps[r]
+        m = maps[r].astype(np.float64, copy=False)
         d = np.einsum("bij,bj->bi", m, he) + rv - np.einsum("bij,bj->bi", m, te)
         cache = {"m": m}
     values = _norm_values(d, norm)
@@ -264,34 +291,68 @@ class EmbeddingSet:
         if self._bound is None:
             raise RuntimeError("embedding set is not bound to a graph; call bind(graph) first")
 
-    def _entity_vec(self, tid: TermId) -> np.ndarray:
-        row = self._ent_row[tid] if 0 <= tid < len(self._ent_row) else -1
+    def _row(self, table: np.ndarray, tid: TermId, what: str) -> int:
+        row = table[tid] if 0 <= tid < len(table) else -1
         if row < 0:
-            raise UnembeddedTermError(f"no entity row for term {self._bound.term(tid).nt()}")
-        return self.entity_vecs[row].astype(np.float64)
-
-    def _relation_row(self, tid: TermId) -> int:
-        row = self._rel_row[tid] if 0 <= tid < len(self._rel_row) else -1
-        if row < 0:
-            raise UnembeddedTermError(f"no relation row for term {self._bound.term(tid).nt()}")
+            raise UnembeddedTermError(f"no {what} row for term {self._bound.term(tid).nt()}")
         return int(row)
+
+    def _entity_vec(self, tid: TermId) -> np.ndarray:
+        return self.entity_vecs[self._row(self._ent_row, tid, "entity")].astype(np.float64)
+
+    @staticmethod
+    def _rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        out = np.full(len(ids), -1, dtype=np.int64)  # also for ids out of range
+        inside = (ids >= 0) & (ids < len(table))
+        out[inside] = table[ids[inside]]
+        return out
+
+    def score_rows(
+        self, h: np.ndarray, r: np.ndarray, t: np.ndarray, g: Graph | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Scores of int64 id columns, and the mask of the rows whose terms
+        have the embedding rows the score reads (0 elsewhere).
+
+        Rows get the model score of :meth:`score_triple`, in
+        ``SCORE_CHUNK``-row kernel calls; with ``g``, rows on its rdf:type
+        get the membership score of :meth:`extended_score`. Graph
+        membership is not looked up.
+        """
+        self._ensure_bound(g)
+        hrow = self._rows(self._ent_row, h)
+        trow = self._rows(self._ent_row, t)
+        rrow = self._rows(self._rel_row, r)
+        is_type = np.zeros(len(r), dtype=bool)
+        if g is not None and g.rdf_type_id is not None:
+            is_type = r == g.rdf_type_id
+        scored = (hrow >= 0) & (is_type | ((trow >= 0) & (rrow >= 0)))
+        values = np.zeros(len(h))
+        rows = np.flatnonzero(scored & is_type)
+        if len(rows):
+            classes, inverse = np.unique(t[rows], return_inverse=True)
+            tv = np.stack([self.type_vector(g, ty) for ty in classes.tolist()])[inverse]
+            values[rows] = _norm_values(self.entity_vecs[hrow[rows]].astype(np.float64) - tv, self.norm)
+        rows = np.flatnonzero(scored & ~is_type)
+        for start in range(0, len(rows), SCORE_CHUNK):
+            part = rows[start : start + SCORE_CHUNK]
+            values[part] = _batch_scores(
+                self.model, self.norm, self.entity_vecs, self.relation_vecs,
+                self.normals, self.maps, hrow[part], rrow[part], trow[part],
+            )[0]
+        return values, scored
+
+    def _score_one(self, h: TermId, r: TermId, t: TermId, g: Graph | None = None) -> float:
+        values, scored = self.score_rows(*(np.array([x], dtype=np.int64) for x in (h, r, t)), g=g)
+        if not scored[0]:
+            # name the first term the score reads that has no row
+            self._row(self._ent_row, h, "entity")
+            self._row(self._ent_row, t, "entity")
+            self._row(self._rel_row, r, "relation")
+        return float(values[0])
 
     def score_triple(self, h: TermId, r: TermId, t: TermId) -> float:
         """Model score g(h, r, t); lower means more plausible."""
-        self._ensure_bound()
-        hv = self._entity_vec(h)
-        tv = self._entity_vec(t)
-        row = self._relation_row(r)
-        rv = self.relation_vecs[row].astype(np.float64)
-        if self.model == TRANSE:
-            d = hv + rv - tv
-        elif self.model == TRANSH:
-            w = self.normals[row].astype(np.float64)
-            d = (hv - (w @ hv) * w) + rv - (tv - (w @ tv) * w)
-        else:
-            m = self.maps[row].astype(np.float64)
-            d = m @ hv + rv - m @ tv
-        return float(_norm_values(d[None, :], self.norm)[0])
+        return self._score_one(h, r, t)
 
     def type_vector(self, g: Graph, ty: TermId) -> np.ndarray:
         """Mean entity vector of the class's instances (see module doc)."""
@@ -324,12 +385,7 @@ class EmbeddingSet:
         between h and the type vector of t (no projection, any model);
         otherwise it is the model score.
         """
-        self._ensure_bound(g)
-        if g.rdf_type_id is not None and r == g.rdf_type_id:
-            hv = self._entity_vec(h)
-            tv = self.type_vector(g, t)
-            return float(_norm_values((hv - tv)[None, :], self.norm)[0])
-        return self.score_triple(h, r, t)
+        return self._score_one(h, r, t, g)
 
     def normalize(self, g: Graph, h: TermId, r: TermId, t: TermId) -> float:
         """Plausibility in (0, 1]: exactly 1 for graph members."""
@@ -340,35 +396,12 @@ class EmbeddingSet:
 
     def normalize_rows(self, g: Graph, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         """:meth:`normalize` over int64 id columns of one length, NaN where
-        :meth:`normalize` would raise :class:`UnembeddedTermError`.
-
-        Membership-relation rows and TransE rows are computed column-wise
-        with the same float64 operations as the scalar path, so every
-        value equals the scalar one; TransH and TransR rows go through
-        :meth:`score_triple` one at a time.
-        """
+        :meth:`normalize` would raise :class:`UnembeddedTermError`."""
         self._ensure_bound(g)
         out = np.ones(len(h))
         absent = np.flatnonzero(~g.contains_rows(h, r, t))
-        h, r, t = h[absent], r[absent], t[absent]
-        hrow, trow, rrow = self._ent_row[h], self._ent_row[t], self._rel_row[r]
-        is_type = r == g.rdf_type_id if g.rdf_type_id is not None else np.zeros(len(r), dtype=bool)
-        values = np.full(len(absent), np.nan)
-        rows = np.flatnonzero(is_type & (hrow >= 0))
-        if len(rows):
-            types = {ty: self.type_vector(g, ty) for ty in set(t[rows].tolist())}
-            tv = np.stack([types[ty] for ty in t[rows].tolist()])
-            values[rows] = _norm_values(self.entity_vecs[hrow[rows]].astype(np.float64) - tv, self.norm)
-        rows = np.flatnonzero(~is_type & (hrow >= 0) & (trow >= 0) & (rrow >= 0))
-        if len(rows) and self.model == TRANSE:
-            hv = self.entity_vecs[hrow[rows]].astype(np.float64)
-            tv = self.entity_vecs[trow[rows]].astype(np.float64)
-            rv = self.relation_vecs[rrow[rows]].astype(np.float64)
-            values[rows] = _norm_values(hv + rv - tv, self.norm)
-        elif len(rows):
-            ids = zip(h[rows].tolist(), r[rows].tolist(), t[rows].tolist())
-            values[rows] = [self.score_triple(*x) for x in ids]
-        out[absent] = 1.0 / (1.0 + values)
+        values, scored = self.score_rows(h[absent], r[absent], t[absent], g)
+        out[absent] = np.where(scored, 1.0 / (1.0 + values), np.nan)
         return out
 
 
@@ -473,6 +506,14 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
             pair_count += len(pos)
         losses.append(loss_sum / max(1, pair_count))
 
+    params = [x for x in (ent, rel, normals, maps) if x is not None]
+    with np.errstate(over="ignore"):  # values beyond float32 become inf, rejected below
+        vecs = [x.astype(np.float32) for x in params]
+    if not all(np.isfinite(x).all() for x in vecs):
+        raise NonFiniteEmbeddingError(
+            f"training diverged: non-finite embedding values after {cfg.epochs} epochs "
+            f"at learning_rate {cfg.learning_rate}; lower the learning rate"
+        )
     out = EmbeddingSet(
         model=cfg.model,
         norm=cfg.norm,
@@ -481,10 +522,10 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
         margin=cfg.margin,
         entity_terms=ent_terms,
         relation_terms=rel_terms,
-        entity_vecs=ent.astype(np.float32),
-        relation_vecs=rel.astype(np.float32),
-        normals=None if normals is None else normals.astype(np.float32),
-        maps=None if maps is None else maps.astype(np.float32),
+        entity_vecs=vecs[0],
+        relation_vecs=vecs[1],
+        normals=vecs[2] if cfg.model == TRANSH else None,
+        maps=vecs[2] if cfg.model == TRANSR else None,
         losses=losses,
     )
     out.bind(g)
@@ -494,22 +535,25 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
 # -- file I/O ----------------------------------------------------------
 
 
-def _write_terms(fh, terms: list[Term]) -> None:
-    for term in terms:
-        data = term.lexical.encode("utf-8")
-        fh.write(struct.pack("<BI", int(term.kind), len(data)))
-        fh.write(data)
+def _matrix_shapes(model: str, n_ent: int, n_rel: int, dim: int, rel_dim: int) -> list[tuple[int, ...]]:
+    """Shapes of the matrices a TRQE file holds, in file order."""
+    shapes = [(n_ent, dim), (n_rel, rel_dim)]
+    if model == TRANSH:
+        shapes.append((n_rel, dim))
+    if model == TRANSR:
+        shapes.append((n_rel, rel_dim, dim))
+    return shapes
 
 
 def save_embeddings(emb: EmbeddingSet, dest: str | Path | BufferedIOBase) -> None:
-    """Write the set in the TRQE binary format (float32 matrices)."""
-    own = isinstance(dest, (str, Path))
-    fh = open(dest, "wb") if own else dest
-    try:
+    """Write the set in the TRQE binary format (float32 matrices;
+    atomically to a path)."""
+    extra = {TRANSE: [], TRANSH: [emb.normals], TRANSR: [emb.maps]}[emb.model]
+
+    def write(fh):
         fh.write(EMBED_MAGIC)
         fh.write(
-            struct.pack(
-                "<HBBIIdQQ",
+            _HEADER.pack(
                 EMBED_VERSION,
                 _MODEL_TAGS[emb.model],
                 1 if emb.norm == "l1" else 2,
@@ -520,84 +564,75 @@ def save_embeddings(emb: EmbeddingSet, dest: str | Path | BufferedIOBase) -> Non
                 emb.relation_count,
             )
         )
-        _write_terms(fh, emb.entity_terms)
-        _write_terms(fh, emb.relation_terms)
-        fh.write(np.ascontiguousarray(emb.entity_vecs, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(emb.relation_vecs, dtype="<f4").tobytes())
-        if emb.model == TRANSH:
-            fh.write(np.ascontiguousarray(emb.normals, dtype="<f4").tobytes())
-        if emb.model == TRANSR:
-            fh.write(np.ascontiguousarray(emb.maps, dtype="<f4").tobytes())
-    finally:
-        if own:
-            fh.close()
+        write_terms(fh, emb.entity_terms)
+        write_terms(fh, emb.relation_terms)
+        for m in [emb.entity_vecs, emb.relation_vecs] + extra:
+            fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
 
-
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise EmbeddingFormatError("truncated embedding file")
-    return data
-
-
-def _read_terms(fh, count: int) -> list[Term]:
-    out: list[Term] = []
-    for _ in range(count):
-        kind, length = struct.unpack("<BI", _read_exact(fh, 5))
-        try:
-            kind = TermKind(kind)
-        except ValueError as exc:
-            raise EmbeddingFormatError(f"unknown term kind {kind}") from exc
-        out.append(Term(kind, _read_exact(fh, length).decode("utf-8")))
-    return out
-
-
-def _read_matrix(fh, shape: tuple[int, ...]) -> np.ndarray:
-    n = int(np.prod(shape))
-    data = _read_exact(fh, 4 * n)
-    return np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+    write_file(dest, write)
 
 
 def load_embeddings(src: str | Path | BufferedIOBase, expect_model: str | None = None) -> EmbeddingSet:
-    """Read a TRQE file; optionally enforce the expected model family."""
-    own = isinstance(src, (str, Path))
-    fh = open(src, "rb") if own else src
-    try:
-        if _read_exact(fh, 4) != EMBED_MAGIC:
-            raise EmbeddingFormatError("not a TRQE embedding file (bad magic)")
-        version, tag, norm_tag, dim, rel_dim, margin, n_ent, n_rel = struct.unpack(
-            "<HBBIIdQQ", _read_exact(fh, 36)
-        )
-        if version != EMBED_VERSION:
-            raise EmbeddingFormatError(f"unsupported embedding file version {version}")
-        model = _TAG_MODELS.get(tag)
-        if model is None:
-            raise EmbeddingFormatError(f"unknown model tag {tag}")
-        if expect_model is not None and model != expect_model:
-            raise EmbeddingFormatError(f"model mismatch: file has {model}, expected {expect_model}")
-        if norm_tag not in (1, 2):
-            raise EmbeddingFormatError(f"unknown norm tag {norm_tag}")
-        ent_terms = _read_terms(fh, n_ent)
-        rel_terms = _read_terms(fh, n_rel)
-        ent = _read_matrix(fh, (n_ent, dim))
-        rel = _read_matrix(fh, (n_rel, rel_dim))
-        normals = _read_matrix(fh, (n_rel, dim)) if model == TRANSH else None
-        maps = _read_matrix(fh, (n_rel, rel_dim, dim)) if model == TRANSR else None
-        if fh.read(1):
-            raise EmbeddingFormatError("trailing bytes after embedding payload")
-        return EmbeddingSet(
-            model=model,
-            norm="l1" if norm_tag == 1 else "l2",
-            dim=dim,
-            rel_dim=rel_dim,
-            margin=margin,
-            entity_terms=ent_terms,
-            relation_terms=rel_terms,
-            entity_vecs=ent,
-            relation_vecs=rel,
-            normals=normals,
-            maps=maps,
-        )
-    finally:
-        if own:
-            fh.close()
+    """Read a TRQE file; optionally enforce the expected model family.
+
+    The file is read once, and every count in the header is checked
+    against the bytes actually present before anything is allocated for
+    it; a malformed file of any kind, including one holding a non-finite
+    value, raises :class:`EmbeddingFormatError`.
+    """
+    data = read_source(src)
+    if len(data) < 4:
+        raise EmbeddingFormatError("truncated embedding file")
+    if data[:4] != EMBED_MAGIC:
+        raise EmbeddingFormatError("not a TRQE embedding file (bad magic)")
+    if len(data) < 4 + _HEADER.size:
+        raise EmbeddingFormatError("truncated embedding file")
+    version, tag, norm_tag, dim, rel_dim, margin, n_ent, n_rel = _HEADER.unpack_from(data, 4)
+    if version != EMBED_VERSION:
+        raise EmbeddingFormatError(f"unsupported embedding file version {version}")
+    model = _TAG_MODELS.get(tag)
+    if model is None:
+        raise EmbeddingFormatError(f"unknown model tag {tag}")
+    if expect_model is not None and model != expect_model:
+        raise EmbeddingFormatError(f"model mismatch: file has {model}, expected {expect_model}")
+    if norm_tag not in (1, 2):
+        raise EmbeddingFormatError(f"unknown norm tag {norm_tag}")
+    if dim < 1 or rel_dim < 1:
+        raise EmbeddingFormatError(f"dim {dim} and rel_dim {rel_dim} must be positive")
+    if model != TRANSR and rel_dim != dim:
+        raise EmbeddingFormatError(f"rel_dim {rel_dim} differs from dim {dim} in a {model} file")
+    if not math.isfinite(margin) or margin <= 0:
+        raise EmbeddingFormatError(f"margin {margin} is not a positive number")
+    shapes = _matrix_shapes(model, n_ent, n_rel, dim, rel_dim)
+    size = 4 * sum(math.prod(shape) for shape in shapes)
+    pos = 4 + _HEADER.size
+    # each term takes at least its 5-byte header
+    if (n_ent + n_rel) * TERM_HEADER_SIZE + size > len(data) - pos:
+        raise EmbeddingFormatError("truncated embedding file: header counts exceed the file size")
+    ent_terms, pos = read_terms(data, pos, n_ent, EmbeddingFormatError)
+    rel_terms, pos = read_terms(data, pos, n_rel, EmbeddingFormatError)
+    if len(data) - pos < size:
+        raise EmbeddingFormatError("truncated embedding file")
+    if len(data) - pos > size:
+        raise EmbeddingFormatError("trailing bytes after embedding payload")
+    matrices = []
+    for shape in shapes:
+        count = math.prod(shape)
+        m = np.frombuffer(data, dtype="<f4", count=count, offset=pos).reshape(shape).copy()
+        if not np.isfinite(m).all():
+            raise EmbeddingFormatError("embedding matrices hold a non-finite value")
+        matrices.append(m)
+        pos += 4 * count
+    return EmbeddingSet(
+        model=model,
+        norm="l1" if norm_tag == 1 else "l2",
+        dim=dim,
+        rel_dim=rel_dim,
+        margin=margin,
+        entity_terms=ent_terms,
+        relation_terms=rel_terms,
+        entity_vecs=matrices[0],
+        relation_vecs=matrices[1],
+        normals=matrices[2] if model == TRANSH else None,
+        maps=matrices[2] if model == TRANSR else None,
+    )

@@ -7,13 +7,13 @@ them, and return the top K under a stable ranking: score descending,
 then edit distance ascending, then the lexicographic binding tuple.
 Exact solutions, when they exist, are guaranteed the top ranks.
 
-The pooled mappings stay a table of term ids until scoring: the edit
-distance is counted once, from per-pattern in-graph flags that are
-looked up column-wise for each tree's dropped patterns. The rows under
-the threshold are scored column-wise with those same flags (the sums
-:func:`score_solution` makes, bit for bit), and only the top K of them
-become dicts and ScoredSolutions, so a query with thousands of
-near-solutions costs about what one with a handful does.
+The pooled mappings stay a table of term ids throughout: the edit
+distance is counted once, from per-pattern in-graph flags looked up
+column-wise for each tree's dropped patterns. Every row under the
+threshold is scored once, column-wise, with those same flags; only the
+top K rows become ScoredSolutions, built from the arrays already
+computed. Ranking every candidate (the deletion bench) takes the same
+path.
 """
 
 from __future__ import annotations
@@ -25,7 +25,14 @@ import numpy as np
 
 from .embedding import EmbeddingSet
 from .qgraph import DEFAULT_MAX_EDGES, SubqueryTree, enumerate_subquery_trees
-from .scoring import ScoredSolution, edge_weights, score_solution
+from .scoring import (
+    ScoredSolution,
+    edge_weights,
+    in_graph_flags,
+    resolve_patterns,
+    score_table,
+    scored_solution,
+)
 from .sparql import Query, QueryForm, Var, evaluate_bgp
 from .store import Graph
 
@@ -77,64 +84,19 @@ def rank(solutions: list[ScoredSolution], k: int) -> list[ScoredSolution]:
     return ordered[:k]
 
 
-def _in_graph(
-    g: Graph, resolved: list[list], tree: SubqueryTree, variables: tuple[str, ...], table: np.ndarray
-) -> np.ndarray:
-    """(rows x patterns) flags: is mu(e) in the graph, for each row of one
-    tree's result. The tree's own patterns hold on its rows by
-    construction, so only its dropped patterns are looked up, each with
-    one vectorised membership test."""
-    flags = np.ones((len(table), len(resolved)), dtype=bool)
-    column = dict(zip(variables, table.T))
-    for i in tree.dropped_origins:
-        if None in resolved[i]:
-            flags[:, i] = False
-        else:
-            ids = (column[x] if isinstance(x, str) else x for x in resolved[i])
-            flags[:, i] = g.contains_rows(*(np.broadcast_to(x, len(table)) for x in ids))
-    return flags
-
-
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence of every distinct row."""
     view = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
     return np.sort(np.unique(view.ravel(), return_index=True)[1])
 
 
-def _scores(
-    g: Graph,
-    req: RecommendRequest,
-    resolved: list[list],
-    weights: list[float],
-    variables: tuple[str, ...],
-    rows: np.ndarray,
-    in_graph: np.ndarray,
-) -> np.ndarray:
-    """The score of every row, column-wise: the same sum, in the same
-    order and with the same plausibilities, as :func:`score_solution`."""
-    emb = req.embeddings
-    floor = 1.0 / (1.0 + emb.margin)
-    column = dict(zip(variables, rows.T))
-    total = np.zeros(len(rows))
-    for i, w in enumerate(weights):
-        f = np.ones(len(rows)) if req.uniform_f is None else np.full(len(rows), req.uniform_f)
-        missing = np.flatnonzero(~in_graph[:, i])
-        if req.uniform_f is None and len(missing):
-            if None in resolved[i]:
-                f[missing] = floor
-            else:
-                ids = [column[x][missing] if isinstance(x, str) else x for x in resolved[i]]
-                p = emb.normalize_rows(g, *(np.broadcast_to(x, len(missing)) for x in ids))
-                f[missing] = np.where(np.isnan(p), floor, p)
-        total = total + w * f
-    return total
-
-
 def _top(g: Graph, rows: np.ndarray, scores: np.ndarray, distance: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` best rows in :func:`rank` order (``k`` below
-    the row count). Only rows that tie with or beat the k-th best score
-    are ordered; their binding tuples are compared through the rank of
-    each term's N-Triples form among the terms of those rows."""
+    """Indices of the ``k`` best rows in :func:`rank` order. Only rows
+    that tie with or beat the k-th best score are ordered; their binding
+    tuples are compared through the rank of each term's N-Triples form
+    among the terms of those rows."""
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
     kth = -np.partition(-scores, k - 1)[k - 1]
     picked = np.flatnonzero(scores >= kth)
     rows, scores, distance = rows[picked], scores[picked], distance[picked]
@@ -172,9 +134,7 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
         )
 
     # constants resolved once per query; None marks one unknown to the graph
-    resolved = [
-        [a.name if isinstance(a, Var) else g.id(a.term) for a in pat.atoms()] for pat in q.patterns
-    ]
+    resolved = resolve_patterns(g, q.patterns)
     # every tree binds every variable of the query
     variables = tuple(sorted(q.variables()))
     tables: list[np.ndarray] = []
@@ -187,33 +147,27 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
         truncated = truncated or result.truncated
         table = np.stack([result.column(v) for v in variables], axis=1)
         tables.append(table)
-        flags.append(_in_graph(g, resolved, tree, variables, table))
+        # a tree's own patterns hold on its rows; only its dropped ones are looked up
+        flags.append(in_graph_flags(g, resolved, variables, table, tree.dropped_origins))
     # candidates: distinct rows over all trees, the first tree's copy kept
     rows, in_graph = np.concatenate(tables), np.concatenate(flags)
     first = _first_occurrences(rows)
     kept = first[(~in_graph[first]).sum(axis=1) < req.threshold]
+    rows, in_graph = rows[kept], in_graph[kept]
     t2 = time.perf_counter()
 
     weights = edge_weights(g, q.patterns)
-    if len(kept) > req.top_k:
-        # only the top_k rows become ScoredSolutions; the rest cannot rank
-        scores = _scores(g, req, resolved, weights, variables, rows[kept], in_graph[kept])
-        distance = (~in_graph[kept]).sum(axis=1)
-        kept = kept[_top(g, rows[kept], scores, distance, req.top_k)]
-    scored = [
-        score_solution(
-            g,
-            q.patterns,
-            dict(zip(variables, rows[r].tolist())),
-            req.embeddings,
-            weights=weights,
-            uniform_f=req.uniform_f,
-            in_graph=in_graph[r].tolist(),
-        )
-        for r in kept.tolist()
-    ]
+    scores, f, fallback = score_table(
+        g, resolved, weights, variables, rows, in_graph, req.embeddings, req.uniform_f
+    )
     t3 = time.perf_counter()
-    top = rank(scored, req.top_k)
+    chosen = _top(g, rows, scores, (~in_graph).sum(axis=1), min(req.top_k, len(rows)))
+    top = [
+        scored_solution(
+            g, dict(zip(variables, rows[r].tolist())), weights, in_graph[r], f[r], fallback[r], scores[r]
+        )
+        for r in chosen.tolist()
+    ]
     t4 = time.perf_counter()
 
     return Recommendation(

@@ -19,12 +19,14 @@ exactly score_graph(Q) = sum of weights, the maximum.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
-from .embedding import EmbeddingSet, UnembeddedTermError
-from .sparql import Const, SolutionMapping, TriplePattern, Var
+import numpy as np
+
+from .embedding import EmbeddingSet
+from .sparql import SolutionMapping, TriplePattern, Var
 from .store import Graph
 from .terms import TermId
 
@@ -74,11 +76,6 @@ def index_of(g: Graph, patterns: Sequence[TriplePattern]) -> float:
 def edge_weights(g: Graph, patterns: Sequence[TriplePattern]) -> list[float]:
     total = index_of(g, patterns)
     return [total / delta(g, e) for e in patterns]
-
-
-def weight(g: Graph, patterns: Sequence[TriplePattern], e: TriplePattern) -> float:
-    """w(Q, e) = I(Q) / delta(e); e must be one of the query's patterns."""
-    return index_of(g, patterns) / delta(g, e)
 
 
 def score_graph(g: Graph, patterns: Sequence[TriplePattern]) -> float:
@@ -132,6 +129,88 @@ class ScoredSolution:
     binding_key: tuple[str, ...]  # lexical forms in sorted-variable order
 
 
+def resolve_patterns(g: Graph, patterns: Sequence[TriplePattern]) -> list[list]:
+    """Each pattern's atoms as a variable's name, a constant's term id, or
+    None for a constant unknown to the graph."""
+    return [[a.name if isinstance(a, Var) else g.id(a.term) for a in pat.atoms()] for pat in patterns]
+
+
+def _ids(atoms: list, column: dict[str, np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
+    """The id columns of mu(e) on the selected rows of a binding table."""
+    return [column[x][rows] if isinstance(x, str) else np.full(len(rows), x, dtype=np.int64) for x in atoms]
+
+
+def in_graph_flags(
+    g: Graph, resolved: list[list], variables: Sequence[str], rows: np.ndarray, looked_up: Iterable[int]
+) -> np.ndarray:
+    """(rows x patterns) flags of whether mu(e) is in the graph, for a
+    binding table whose columns are ``variables``. Only the ``looked_up``
+    patterns are tested, one vectorised lookup each; the rest read True."""
+    flags = np.ones((len(rows), len(resolved)), dtype=bool)
+    column = dict(zip(variables, rows.T))
+    for i in looked_up:
+        if None in resolved[i]:
+            flags[:, i] = False
+        else:
+            flags[:, i] = g.contains_rows(*_ids(resolved[i], column, np.arange(len(rows))))
+    return flags
+
+
+def score_table(
+    g: Graph,
+    resolved: list[list],
+    weights: Sequence[float],
+    variables: Sequence[str],
+    rows: np.ndarray,
+    in_graph: np.ndarray,
+    emb: EmbeddingSet,
+    uniform_f: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row scores, and per-row, per-pattern f and fallback flags, of a
+    binding table with the flags of :func:`in_graph_flags`.
+
+    f is 1 for an edge in the graph and 1 / (1 + extended score) for a
+    missing one, or the floor 1 / (1 + margin) when a constant is unknown
+    or a term has no embedding row; ``uniform_f`` replaces f everywhere
+    (the structure-only ablation baseline). Scores sum weight * f left to
+    right, so an exact solution scores exactly :func:`score_graph`.
+    """
+    floor = 1.0 / (1.0 + emb.margin)
+    column = dict(zip(variables, rows.T))
+    f = np.ones((len(rows), len(resolved)))
+    fallback = np.zeros(f.shape, dtype=bool)
+    total = np.zeros(len(rows))
+    for i, atoms in enumerate(resolved):
+        missing = np.flatnonzero(~in_graph[:, i])
+        if uniform_f is not None:
+            f[:, i] = uniform_f
+        elif None in atoms:
+            fallback[missing, i] = True
+        elif len(missing):
+            values, scored = emb.score_rows(*_ids(atoms, column, missing), g=g)
+            f[missing, i] = 1.0 / (1.0 + values)
+            fallback[missing[~scored], i] = True
+        f[fallback[:, i], i] = floor
+        total = total + weights[i] * f[:, i]
+    return total, f, fallback
+
+
+def scored_solution(
+    g: Graph,
+    mapping: SolutionMapping,
+    weights: Sequence[float],
+    in_graph: np.ndarray,
+    f: np.ndarray,
+    fallback: np.ndarray,
+    score: float,
+) -> ScoredSolution:
+    """One row of :func:`score_table` as a ScoredSolution."""
+    present, f, fallback = in_graph.tolist(), f.tolist(), fallback.tolist()
+    per_edge = tuple(EdgeScore(i, weights[i], f[i], present[i], fallback[i]) for i in range(len(present)))
+    key = tuple(g.term(mapping[v]).nt() for v in sorted(mapping))
+    return ScoredSolution(dict(mapping), present.count(False), float(score), per_edge, key)
+
+
 def score_solution(
     g: Graph,
     patterns: Sequence[TriplePattern],
@@ -141,46 +220,18 @@ def score_solution(
     uniform_f: float | None = None,
     in_graph: Sequence[bool] | None = None,
 ) -> ScoredSolution:
-    """Score one total mapping against the full query.
-
-    ``weights`` lets a caller reuse precomputed edge weights, and
-    ``in_graph`` the per-pattern flags of whether mu(e) is in the graph
-    (looked up here when not given). With ``uniform_f`` set, every edge
-    contributes that constant instead of the embedding plausibility (the
-    structure-only ablation baseline). An edge whose instantiation
-    cannot be scored (a term without an embedding row or unknown to the
-    graph) falls back to the floor 1 / (1 + margin) and is flagged.
+    """Score one total mapping against the full query: :func:`score_table`
+    on a one-row table. ``weights`` reuses precomputed edge weights and
+    ``in_graph`` known per-pattern flags (looked up here when not given).
     """
     if weights is None:
         weights = edge_weights(g, patterns)
-    floor = 1.0 / (1.0 + emb.margin)
-    per_edge: list[EdgeScore] = []
-    missing = 0
-    total = 0.0
-    for i, e in enumerate(patterns):
-        if in_graph is None:
-            ids = instantiate_ids(g, e, mapping)
-            present = ids is not None and g.contains(*ids)
-        else:
-            present = in_graph[i]
-            ids = None if present or uniform_f is not None else instantiate_ids(g, e, mapping)
-        if not present:
-            missing += 1
-        fallback = False
-        if uniform_f is not None:
-            f = uniform_f
-        elif present:
-            f = 1.0
-        elif ids is None:
-            f = floor
-            fallback = True
-        else:
-            try:
-                f = emb.normalize(g, *ids)
-            except UnembeddedTermError:
-                f = floor
-                fallback = True
-        total += weights[i] * f
-        per_edge.append(EdgeScore(i, weights[i], f, present, fallback))
-    key = tuple(g.term(mapping[v]).nt() for v in sorted(mapping))
-    return ScoredSolution(dict(mapping), missing, total, tuple(per_edge), key)
+    resolved = resolve_patterns(g, patterns)
+    variables = tuple(mapping)
+    row = np.array([list(mapping.values())], dtype=np.int64)
+    if in_graph is None:
+        flags = in_graph_flags(g, resolved, variables, row, range(len(patterns)))
+    else:
+        flags = np.array([in_graph], dtype=bool)
+    total, f, fallback = score_table(g, resolved, weights, variables, row, flags, emb, uniform_f)
+    return scored_solution(g, mapping, weights, flags[0], f[0], fallback[0], total[0])

@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binio import TERM_HEADER_SIZE, read_source, read_terms, write_file, write_terms
 from .ntriples import NTriplesError, parse_line
 from .terms import RDF_TYPE_IRI, Term, TermId, TermKind, Triple
 
@@ -408,20 +409,15 @@ def parse_ntriples(
 
 
 def save_snapshot(g: Graph, dest: str | Path | BufferedIOBase) -> None:
-    """Write the graph in the TRQG binary format."""
-    own = isinstance(dest, (str, Path))
-    fh = open(dest, "wb") if own else dest
-    try:
+    """Write the graph in the TRQG binary format (atomically to a path)."""
+
+    def write(fh):
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<HQQ", SNAPSHOT_VERSION, g.term_count, g.triple_count))
-        for term in g.terms():
-            data = term.lexical.encode("utf-8")
-            fh.write(struct.pack("<BI", int(term.kind), len(data)))
-            fh.write(data)
+        write_terms(fh, g.terms())
         fh.write(np.stack(g._spo.unpack(g._spo.keys), axis=1).astype("<u4").tobytes())
-    finally:
-        if own:
-            fh.close()
+
+    write_file(dest, write)
 
 
 def load_snapshot(src: str | Path | BufferedIOBase) -> Graph:
@@ -431,10 +427,7 @@ def load_snapshot(src: str | Path | BufferedIOBase) -> Graph:
     present before anything is allocated for it; a malformed file of any
     kind raises :class:`SnapshotError`.
     """
-    if isinstance(src, (str, Path)):
-        data = Path(src).read_bytes()
-    else:
-        data = src.read()
+    data = read_source(src)
     if len(data) < 4:
         raise SnapshotError("truncated snapshot")
     if data[:4] != SNAPSHOT_MAGIC:
@@ -446,26 +439,9 @@ def load_snapshot(src: str | Path | BufferedIOBase) -> Graph:
         raise SnapshotError(f"unsupported snapshot version {version}")
     pos = 4 + 18
     # each term takes at least its 5-byte header, each triple 12 bytes
-    if term_count * 5 + triple_count * 12 > len(data) - pos:
+    if term_count * TERM_HEADER_SIZE + triple_count * 12 > len(data) - pos:
         raise SnapshotError("truncated snapshot: header counts exceed the file size")
-    terms: list[Term] = []
-    for _ in range(term_count):
-        if pos + 5 > len(data):
-            raise SnapshotError("truncated snapshot")
-        kind, length = struct.unpack_from("<BI", data, pos)
-        pos += 5
-        try:
-            kind = TermKind(kind)
-        except ValueError as exc:
-            raise SnapshotError(f"unknown term kind {kind}") from exc
-        if pos + length > len(data):
-            raise SnapshotError("truncated snapshot")
-        try:
-            lexical = data[pos : pos + length].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SnapshotError(f"term {len(terms)} is not valid UTF-8") from exc
-        terms.append(Term(kind, lexical))
-        pos += length
+    terms, pos = read_terms(data, pos, term_count, SnapshotError)
     size = triple_count * 12
     if len(data) - pos < size:
         raise SnapshotError("truncated snapshot")

@@ -9,14 +9,18 @@ import pytest
 
 from trq import (
     EmbeddingConfig,
+    EmbeddingSet,
     Graph,
     GraphBuilder,
     Query,
     QueryForm,
     Term,
     TriplePattern,
+    UnembeddedTermError,
     train,
 )
+from trq.embedding import TRANSE, TRANSH, _norm_values
+from trq.scoring import EdgeScore, ScoredSolution, edge_weights, instantiate_ids
 from trq.sparql import Const, Var, _order_patterns
 
 EX = "http://example.org/"
@@ -169,6 +173,63 @@ def reference_evaluate_bgp(g: Graph, q: Query, limit: int | None = None):
             truncated = next(gen, None) is not None
             break
     return out, truncated
+
+
+def reference_score_triple(emb: EmbeddingSet, h: int, r: int, t: int) -> float:
+    """The scalar three-branch model score that the batched kernel replaced."""
+    hv = emb._entity_vec(h)
+    tv = emb._entity_vec(t)
+    row = emb._row(emb._rel_row, r, "relation")
+    rv = emb.relation_vecs[row].astype(np.float64)
+    if emb.model == TRANSE:
+        d = hv + rv - tv
+    elif emb.model == TRANSH:
+        w = emb.normals[row].astype(np.float64)
+        d = (hv - (w @ hv) * w) + rv - (tv - (w @ tv) * w)
+    else:
+        m = emb.maps[row].astype(np.float64)
+        d = m @ hv + rv - m @ tv
+    return float(_norm_values(d[None, :], emb.norm)[0])
+
+
+def reference_extended_score(emb: EmbeddingSet, g: Graph, h: int, r: int, t: int) -> float:
+    """Membership rows against the class's type vector, others the model score."""
+    if g.rdf_type_id is not None and r == g.rdf_type_id:
+        d = emb._entity_vec(h) - emb.type_vector(g, t)
+        return float(_norm_values(d[None, :], emb.norm)[0])
+    return reference_score_triple(emb, h, r, t)
+
+
+def reference_score_solution(g: Graph, patterns, mapping, emb: EmbeddingSet, uniform_f=None) -> ScoredSolution:
+    """The scalar per-edge loop that ``score_table`` replaced: membership
+    looked up per edge, f = 1 for present edges, 1 / (1 + extended score)
+    for missing ones, the floor 1 / (1 + margin) when a constant is
+    unknown or a term has no row, and ``uniform_f`` over all of it."""
+    weights = edge_weights(g, patterns)
+    floor = 1.0 / (1.0 + emb.margin)
+    per_edge = []
+    missing = 0
+    total = 0.0
+    for i, e in enumerate(patterns):
+        ids = instantiate_ids(g, e, mapping)
+        present = ids is not None and g.contains(*ids)
+        missing += not present
+        fallback = False
+        if uniform_f is not None:
+            f = uniform_f
+        elif present:
+            f = 1.0
+        elif ids is None:
+            f, fallback = floor, True
+        else:
+            try:
+                f = 1.0 / (1.0 + reference_extended_score(emb, g, *ids))
+            except UnembeddedTermError:
+                f, fallback = floor, True
+        total += weights[i] * f
+        per_edge.append(EdgeScore(i, weights[i], f, present, fallback))
+    key = tuple(g.term(mapping[v]).nt() for v in sorted(mapping))
+    return ScoredSolution(dict(mapping), missing, total, tuple(per_edge), key)
 
 
 def binding_keys(g: Graph, mappings) -> set[tuple[str, ...]]:

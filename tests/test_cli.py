@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from trq.cli import main
@@ -153,6 +154,15 @@ def test_train_model_and_norm_flags(run, tmp_path, artifacts):
     emb = load_embeddings(out)
     assert emb.model == "transh" and emb.norm == "l2"
     assert emb.normals is not None
+
+
+def test_train_divergence_is_error(run, tmp_path, artifacts):
+    store_path, _ = artifacts
+    out = tmp_path / "x.trqe"
+    args = ["--dim", "4", "--epochs", "5", "--learning-rate", "1e300", "--quiet"]
+    with np.errstate(all="ignore"):
+        _, err = run("train", "--store", str(store_path), "-o", str(out), *args, expect=1)
+    assert "diverged" in err and not out.exists()
 
 
 def test_train_missing_store_is_error(run, tmp_path):

@@ -1,26 +1,40 @@
 from __future__ import annotations
 
+import functools
 import io
 import itertools
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import trq.embedding
 from trq.embedding import (
     EMBED_MAGIC,
     EmbeddingConfig,
     EmbeddingFormatError,
     EmbeddingSet,
+    NonFiniteEmbeddingError,
     UnembeddedTermError,
     load_embeddings,
     margin_loss_and_grads,
     save_embeddings,
     train,
 )
+from trq.evalkit import BenchCase, run_benchmark
 from trq.store import GraphBuilder
-from trq.terms import RDF_TYPE, Term
+from trq.terms import RDF_TYPE, Term, TermKind
 
-from conftest import build_graph, ex, small_emb
+from conftest import (
+    build_graph,
+    ex,
+    make_query,
+    pattern,
+    planted_kg,
+    reference_extended_score,
+    small_emb,
+)
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +386,37 @@ def test_normalize_rows_equals_normalize(chain, model, norm):
     assert np.array_equal(got, np.asarray(want), equal_nan=True)
 
 
+@pytest.mark.parametrize("model", ["transe", "transh", "transr"])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_score_rows_matches_reference(chain, model, norm, monkeypatch):
+    # the batched kernel against the scalar three-branch math it replaced:
+    # exact for TransE and membership rows, within 1e-12 relative for the
+    # projections; and the same value whatever the chunk size
+    emb = train(chain, EmbeddingConfig(model=model, norm=norm, dim=6, epochs=5, batch_size=8, seed=1))
+    rows = [(chain.term(t.s), chain.term(t.p), chain.term(t.o)) for t in chain.triples()]
+    g = build_graph(rows + [("e0", "r0", "stray"), ("stray", "type", "C")])
+    emb.bind(g)
+    ents = [g.id(t) for t in g.terms() if t not in (ex("r0"), ex("r1"), RDF_TYPE)]
+    rels = [g.id(ex("r0")), g.id(ex("r1")), g.id(RDF_TYPE)]
+    h, r, t = (np.array(c, dtype=np.int64) for c in zip(*itertools.product(ents, rels, ents)))
+    want = []
+    for ids in zip(h.tolist(), r.tolist(), t.tolist()):
+        try:
+            want.append(reference_extended_score(emb, g, *ids))
+        except UnembeddedTermError:
+            want.append(np.nan)
+    want = np.asarray(want)
+    got, scored = emb.score_rows(h, r, t, g)
+    assert np.array_equal(scored, ~np.isnan(want)) and not scored.all()
+    membership = r == g.rdf_type_id
+    exact = membership if model != "transe" else np.ones(len(r), dtype=bool)
+    assert np.array_equal(got[scored & exact], want[scored & exact])
+    assert got[scored] == pytest.approx(want[scored], rel=1e-12, abs=0)
+    for chunk in (1, 3):
+        monkeypatch.setattr(trq.embedding, "SCORE_CHUNK", chunk)
+        assert np.array_equal(emb.score_rows(h, r, t, g)[0], got)
+
+
 def test_unembedded_term_raises(chain):
     emb = small_emb(chain)
     g2 = build_graph([("e0", "r0", "brandnew")])
@@ -451,6 +496,128 @@ def test_load_rejects_bad_magic(chain):
     data[:4] = b"NOPE"
     with pytest.raises(EmbeddingFormatError):
         load_embeddings(io.BytesIO(bytes(data)))
+
+
+@pytest.fixture(scope="module")
+def bench_graph():
+    return planted_kg(n_clusters=8)[0]  # 200 triples
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "transr"])
+def test_divergent_training_is_a_named_error(model, bench_graph):
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteEmbeddingError, match="diverged"):
+        train(bench_graph, EmbeddingConfig(model=model, dim=8, epochs=5, learning_rate=1e300))
+
+
+def test_run_benchmark_records_divergence_on_the_case(bench_graph):
+    q = make_query([pattern("?a", "linked", "?b"), pattern("?b", "attr0", "val0_00")])
+    deleted = next(iter(bench_graph.match(None, bench_graph.id(ex("attr0")), bench_graph.id(ex("val0_00")))))
+    cfg = EmbeddingConfig(dim=8, epochs=5, learning_rate=1e300)
+    with np.errstate(all="ignore"):
+        report = run_benchmark(bench_graph, [BenchCase("c", q, [deleted])], embed_config=cfg)
+    assert report.failures == 1
+    assert report.rows[0].error.startswith("NonFiniteEmbeddingError")
+
+
+@functools.cache
+def _trqe_bytes(model: str) -> bytes:
+    g = build_graph([("a", "p", "b"), ("b", "q", Term.literal("caf\u00e9")), ("a", "type", "C")])
+    buf = io.BytesIO()
+    save_embeddings(train(g, EmbeddingConfig(model=model, dim=3, epochs=2, seed=0)), buf)
+    return buf.getvalue()
+
+
+# header offsets: dim u32 at 8, rel_dim u32 at 12, entity and relation
+# counts u64 at 24 and 32; the first term's byte length u32 at 41
+_HEADER_FIELDS = {8: "<I", 12: "<I", 24: "<Q", 32: "<Q"}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_load_rejects_non_finite_values(bad):
+    data = bytearray(_trqe_bytes("transe"))
+    data[-4:] = struct.pack("<f", bad)
+    with pytest.raises(EmbeddingFormatError, match="non-finite"):
+        load_embeddings(io.BytesIO(bytes(data)))
+
+
+def test_load_rejects_zero_dimension():
+    # a header with dim = rel_dim = 0 and no matrix bytes is consistent in size
+    raw = bytearray(_trqe_bytes("transe"))
+    dim, rel_dim = struct.unpack_from("<II", raw, 8)
+    n_ent, n_rel = struct.unpack_from("<QQ", raw, 24)
+    raw = raw[: len(raw) - 4 * (n_ent * dim + n_rel * rel_dim)]
+    raw[8:16] = struct.pack("<II", 0, 0)
+    with pytest.raises(EmbeddingFormatError, match="positive"):
+        load_embeddings(io.BytesIO(bytes(raw)))
+
+
+def test_load_rejects_dimensions_beyond_the_file(tmp_path):
+    # read from a path, a matrix of 2**31 columns would be allocated before
+    # the read comes up short
+    raw = bytearray(_trqe_bytes("transe"))
+    raw[8:16] = struct.pack("<II", 2**31, 2**31)
+    path = tmp_path / "huge.trqe"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(EmbeddingFormatError, match="exceed the file size"):
+        load_embeddings(path)
+
+
+def test_load_rejects_relation_width_of_another_model():
+    raw = bytearray(_trqe_bytes("transe"))
+    raw[12:16] = struct.pack("<I", 4)
+    with pytest.raises(EmbeddingFormatError, match="differs"):
+        load_embeddings(io.BytesIO(bytes(raw)))
+
+
+def test_load_rejects_non_utf8_term():
+    data = bytearray(_trqe_bytes("transe"))
+    data[45] = 0xFF
+    with pytest.raises(EmbeddingFormatError, match="UTF-8"):
+        load_embeddings(io.BytesIO(bytes(data)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from(["transe", "transh", "transr"]),
+    st.sampled_from(["truncate", "flip", "count", "length"]),
+)
+def test_embedding_loader_fuzz_raises_only_format_error(data, model, how):
+    raw = bytearray(_trqe_bytes(model))
+    if how == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    elif how == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(raw) - 1))
+            raw[i] ^= data.draw(st.integers(1, 255))
+    elif how == "count":
+        offset = data.draw(st.sampled_from(sorted(_HEADER_FIELDS)))
+        fmt = _HEADER_FIELDS[offset]
+        top = 2 ** (8 * struct.calcsize(fmt)) - 1
+        value = data.draw(st.one_of(st.integers(0, 64), st.sampled_from([2**31, 2**32 - 1, top])))
+        raw[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, min(value, top))
+    else:
+        raw[41:45] = struct.pack("<I", data.draw(st.integers(0, 2**32 - 1)))
+    try:
+        emb = load_embeddings(io.BytesIO(bytes(raw)))
+    except EmbeddingFormatError:
+        return
+    assert emb.entity_vecs.shape == (emb.entity_count, emb.dim)
+    assert emb.relation_vecs.shape == (emb.relation_count, emb.rel_dim)
+    assert np.isfinite(emb.entity_vecs).all() and np.isfinite(emb.relation_vecs).all()
+
+
+def test_failed_save_leaves_existing_file_untouched(tmp_path, chain):
+    path = tmp_path / "e.trqe"
+    save_embeddings(small_emb(chain), path)
+    before = path.read_bytes()
+    emb = small_emb(chain, seed=1)
+    # a lone surrogate cannot be encoded: the write fails after the header
+    emb.relation_terms[-1] = Term(TermKind.IRI, "http://example.org/\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        save_embeddings(emb, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["e.trqe"]
 
 
 def test_load_rejects_truncation_and_trailing(chain):

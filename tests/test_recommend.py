@@ -25,6 +25,7 @@ from conftest import (
     make_query,
     movie_graph,
     pattern,
+    reference_score_solution,
     small_emb,
 )
 
@@ -169,6 +170,66 @@ def test_top_k_is_the_head_of_the_full_ranking(model, uniform_f):
         for k in sorted({1, 2, 5, max(1, len(full) - 1)}):
             got = recommend(g, _req(q, emb, top_k=k, uniform_f=uniform_f)).solutions
             assert _view(got) == _view(full[:k]), (seed, k)
+
+
+_REFERENCE_SEEDS = range(4)
+
+
+@pytest.fixture(scope="module")
+def reference_instances():
+    """Instances with their brute-force candidate mappings (threshold 2)."""
+    out = []
+    for seed in _REFERENCE_SEEDS:
+        g, q = candidate_instance(np.random.default_rng(seed))
+        out.append((g, q, [dict(c) for c in brute_candidates(g, q.patterns, 2)]))
+    return out
+
+
+def _edges(s):
+    return [(e.in_graph, e.fallback) for e in s.per_edge]
+
+
+def _assert_ranking_close(got, ranked, k):
+    """``got`` holds the reference's solutions up to 1e-12 relative in
+    every score and f, is in rank order on its own scores, and leaves out
+    nothing that ranks clearly above its last row. Rows whose scores tie
+    within the tolerance may come in either order: the same f summed at
+    different pattern positions rounds differently, so such ties fall
+    either way by an ulp."""
+    ref = {s.binding_key: s for s in ranked}
+    assert len(got) == min(k, len(ranked))
+    for s in got:
+        r = ref[s.binding_key]
+        assert (s.edit_distance, _edges(s)) == (r.edit_distance, _edges(r))
+        assert s.score == pytest.approx(r.score, rel=1e-12, abs=0)
+        assert [e.f for e in s.per_edge] == pytest.approx([e.f for e in r.per_edge], rel=1e-12, abs=0)
+    assert rank(got, len(got) or 1) == got
+    chosen = {s.binding_key for s in got}
+    bar = got[-1].score * (1 + 1e-12) if got else float("-inf")
+    assert all(r.score <= bar for r in ranked if r.binding_key not in chosen)
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "transr"])
+@pytest.mark.parametrize("uniform_f", [None, 0.5])
+@pytest.mark.parametrize("top_k", [3, 10**9])  # fewer than kept; every candidate
+def test_recommend_matches_reference_scoring(reference_instances, model, uniform_f, top_k):
+    # every brute-force candidate scored by the scalar per-edge loop and
+    # ordered by `rank` is what recommend returns: exactly for TransE,
+    # within 1e-12 relative for the models whose kernel math differs
+    cut = 0
+    for g, q, candidates in reference_instances:
+        # trained without n00's facts, so edges that read n00 fall back
+        rows = [[g.term(x) for x in t.as_tuple()] for t in g.triples()]
+        trained = build_graph([r for r in rows if ex("n00") not in (r[0], r[2])])
+        emb = small_emb(trained, model=model, epochs=2, dim=6).bind(g)
+        got = recommend(g, _req(q, emb, top_k=top_k, per_tree_limit=10**9, uniform_f=uniform_f)).solutions
+        ranked = rank([reference_score_solution(g, q.patterns, m, emb, uniform_f) for m in candidates], 10**9)
+        cut += len(candidates) > top_k
+        if model == "transe":
+            assert _view(got) == _view(ranked[:top_k])
+        else:
+            _assert_ranking_close(got, ranked, top_k)
+    assert cut or top_k > 3
 
 
 # -- exactness guarantees ----------------------------------------------

@@ -15,7 +15,6 @@ from trq.scoring import (
     instantiate_ids,
     score_graph,
     score_solution,
-    weight,
 )
 
 from conftest import build_graph, ex, make_query, pattern, small_emb
@@ -75,7 +74,7 @@ def test_index_and_weights_worked_example(twop):
     ws = edge_weights(twop, pats)
     assert ws[0] == pytest.approx(7.0 / 3.0)
     assert ws[1] == pytest.approx(1.75)
-    assert weight(twop, pats, pats[0]) == pytest.approx(7.0 / 3.0)
+    assert edge_weights(twop, pats)[0] == pytest.approx(7.0 / 3.0)
     assert score_graph(twop, pats) == pytest.approx(49.0 / 12.0)
 
 

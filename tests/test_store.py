@@ -17,7 +17,7 @@ from trq.store import (
     parse_ntriples,
     save_snapshot,
 )
-from trq.terms import RDF_TYPE, Term
+from trq.terms import RDF_TYPE, Term, TermKind
 
 from conftest import build_graph, ex
 
@@ -353,6 +353,18 @@ def test_snapshot_loader_fuzz_raises_only_snapshot_error(data, how):
     except SnapshotError:
         return
     assert all(0 <= x < g.term_count for t in g.triples() for x in t.as_tuple())
+
+
+def test_failed_save_leaves_existing_file_untouched(tmp_path):
+    path = tmp_path / "g.trqg"
+    save_snapshot(_FUZZ_SOURCE, path)
+    before = path.read_bytes()
+    # a lone surrogate cannot be encoded: the write fails after the header
+    bad = Graph([ex("a"), ex("p"), Term(TermKind.IRI, "http://example.org/\ud800")], [(0, 1, 2)])
+    with pytest.raises(UnicodeEncodeError):
+        save_snapshot(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["g.trqg"]
 
 
 def test_graph_beyond_packed_key_size_is_a_named_error(monkeypatch):
