@@ -6,6 +6,7 @@ edit distance with translation-embedding plausibility.
 """
 
 from .embedding import (
+    BoundEmbeddings,
     EmbeddingConfig,
     EmbeddingSet,
     NonFiniteEmbeddingError,
@@ -48,7 +49,6 @@ from .scoring import (
     classify,
     delta,
     edit_distance,
-    index_of,
     score_graph,
     score_solution,
 )

@@ -136,7 +136,7 @@ def cmd_query(args) -> int:
     if not args.embeddings:
         raise ValueError("no embeddings given (use --embeddings or TRQ_EMBEDDINGS)")
     emb = embedding.load_embeddings(args.embeddings)
-    emb.bind(g)
+    emb.bind(g)  # aligned before the query clock starts; recommend reuses this view
 
     text = _read_text(args.query)
     wall_start = time.perf_counter()

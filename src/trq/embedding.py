@@ -22,13 +22,16 @@ are handled through aggregated type vectors instead:
 * the normalized plausibility of a triple is 1 when the graph contains
   it and 1 / (1 + extended score) otherwise, so it always lies in (0, 1].
 
+An :class:`EmbeddingSet` is data only. Scores read term ids of one
+graph, so they live on the :class:`BoundEmbeddings` view ``bind(g)``
+returns, which aligns each id with its rows once and is never rebound.
+
 One kernel, :func:`_batch_scores`, evaluates g for training batches and
-for query-time scoring alike. :meth:`EmbeddingSet.score_rows` scores id
-columns through it, ``SCORE_CHUNK`` rows per call, plus the rdf:type
+for query-time scoring alike. :meth:`BoundEmbeddings.score_rows` scores
+id columns through it, ``SCORE_CHUNK`` rows per call, plus the rdf:type
 rows against type vectors, and marks rows with a term that has no
-embedding row; ``score_triple``, ``extended_score``, ``normalize`` and
-``normalize_rows`` are one-row or membership-aware calls of it. Training
-that ends with a non-finite value raises :class:`NonFiniteEmbeddingError`.
+embedding row. Training stops at the first epoch that leaves a
+non-finite value with :class:`NonFiniteEmbeddingError`.
 
 Embedding file format (``TRQE``, version 1, little endian)::
 
@@ -237,9 +240,8 @@ def margin_loss_and_grads(model, norm, margin, ent, rel, normals, maps, pos, neg
 class EmbeddingSet:
     """Trained (or loaded) embedding rows keyed by term.
 
-    Score lookups take term ids, so the set has to be bound to a graph
-    first; :func:`train` binds to the training graph, loaded sets bind
-    lazily on first use against whatever graph is passed in.
+    The set holds no graph. Scores read term ids of one graph, so they
+    live on the :class:`BoundEmbeddings` view that :meth:`bind` returns.
     """
 
     model: str
@@ -258,10 +260,7 @@ class EmbeddingSet:
     def __post_init__(self):
         self.entity_index = {t: i for i, t in enumerate(self.entity_terms)}
         self.relation_index = {t: i for i, t in enumerate(self.relation_terms)}
-        self._bound: Graph | None = None
-        self._ent_row: np.ndarray | None = None
-        self._rel_row: np.ndarray | None = None
-        self._type_cache: dict[TermId, np.ndarray] = {}
+        self._view: BoundEmbeddings | None = None  # bind's one-slot cache
 
     @property
     def entity_count(self) -> int:
@@ -271,138 +270,128 @@ class EmbeddingSet:
     def relation_count(self) -> int:
         return len(self.relation_terms)
 
-    def bind(self, g: Graph) -> "EmbeddingSet":
-        """Align term ids of ``g`` with embedding rows (-1 = no row)."""
-        ent = np.full(g.term_count, -1, dtype=np.int64)
-        rel = np.full(g.term_count, -1, dtype=np.int64)
-        for tid in range(g.term_count):
-            term = g.term(tid)
-            ent[tid] = self.entity_index.get(term, -1)
-            rel[tid] = self.relation_index.get(term, -1)
-        self._bound = g
-        self._ent_row = ent
-        self._rel_row = rel
-        self._type_cache = {}
-        return self
+    def bind(self, g: Graph) -> BoundEmbeddings:
+        """The view of this set over ``g``. The last view built is returned
+        again for the same graph, so a caller may bind ahead of time."""
+        view = self._view
+        if view is None or view.graph is not g:
+            view = self._view = BoundEmbeddings(self, g, *_align(self, g))
+        return view
 
-    def _ensure_bound(self, g: Graph | None = None) -> None:
-        if g is not None and self._bound is not g:
-            self.bind(g)
-        if self._bound is None:
-            raise RuntimeError("embedding set is not bound to a graph; call bind(graph) first")
+
+def _align(emb: EmbeddingSet, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The entity and the relation row of every term id of ``g`` (-1 = none)."""
+    terms = list(g.terms())
+    return tuple(
+        np.fromiter((index.get(t, -1) for t in terms), dtype=np.int64, count=len(terms))
+        for index in (emb.entity_index, emb.relation_index)
+    )
+
+
+def _rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    out = np.full(len(ids), -1, dtype=np.int64)  # also for ids out of range
+    inside = (ids >= 0) & (ids < len(table))
+    out[inside] = table[ids[inside]]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class BoundEmbeddings:
+    """An embedding set aligned with the term ids of one graph.
+
+    Made by :meth:`EmbeddingSet.bind` and never rebound: ``ent_row`` and
+    ``rel_row`` (read-only) give each term id of ``graph`` its entity and
+    relation row, -1 for none, and every score reads ids of ``graph``.
+    Type vectors are memoized per class.
+    """
+
+    embeddings: EmbeddingSet
+    graph: Graph
+    ent_row: np.ndarray
+    rel_row: np.ndarray
+    _type_cache: dict[TermId, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.ent_row.setflags(write=False)
+        self.rel_row.setflags(write=False)
 
     def _row(self, table: np.ndarray, tid: TermId, what: str) -> int:
         row = table[tid] if 0 <= tid < len(table) else -1
         if row < 0:
-            raise UnembeddedTermError(f"no {what} row for term {self._bound.term(tid).nt()}")
+            raise UnembeddedTermError(f"no {what} row for term {self.graph.term(tid).nt()}")
         return int(row)
 
-    def _entity_vec(self, tid: TermId) -> np.ndarray:
-        return self.entity_vecs[self._row(self._ent_row, tid, "entity")].astype(np.float64)
+    def score_rows(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Extended scores of int64 id columns, and the mask of the rows
+        whose terms have the embedding rows the score reads (0 elsewhere).
 
-    @staticmethod
-    def _rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        out = np.full(len(ids), -1, dtype=np.int64)  # also for ids out of range
-        inside = (ids >= 0) & (ids < len(table))
-        out[inside] = table[ids[inside]]
-        return out
-
-    def score_rows(
-        self, h: np.ndarray, r: np.ndarray, t: np.ndarray, g: Graph | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scores of int64 id columns, and the mask of the rows whose terms
-        have the embedding rows the score reads (0 elsewhere).
-
-        Rows get the model score of :meth:`score_triple`, in
-        ``SCORE_CHUNK``-row kernel calls; with ``g``, rows on its rdf:type
-        get the membership score of :meth:`extended_score`. Graph
+        Rows on the graph's rdf:type get the membership score of
+        :meth:`extended_score`, the others the model score of
+        :meth:`score_triple`, in ``SCORE_CHUNK``-row kernel calls. Graph
         membership is not looked up.
         """
-        self._ensure_bound(g)
-        hrow = self._rows(self._ent_row, h)
-        trow = self._rows(self._ent_row, t)
-        rrow = self._rows(self._rel_row, r)
-        is_type = np.zeros(len(r), dtype=bool)
-        if g is not None and g.rdf_type_id is not None:
-            is_type = r == g.rdf_type_id
+        e = self.embeddings
+        hrow = _rows(self.ent_row, h)
+        trow = _rows(self.ent_row, t)
+        rrow = _rows(self.rel_row, r)
+        type_id = self.graph.rdf_type_id
+        is_type = np.zeros(len(r), dtype=bool) if type_id is None else r == type_id
         scored = (hrow >= 0) & (is_type | ((trow >= 0) & (rrow >= 0)))
         values = np.zeros(len(h))
         rows = np.flatnonzero(scored & is_type)
         if len(rows):
             classes, inverse = np.unique(t[rows], return_inverse=True)
-            tv = np.stack([self.type_vector(g, ty) for ty in classes.tolist()])[inverse]
-            values[rows] = _norm_values(self.entity_vecs[hrow[rows]].astype(np.float64) - tv, self.norm)
+            tv = np.stack([self.type_vector(ty) for ty in classes.tolist()])[inverse]
+            values[rows] = _norm_values(e.entity_vecs[hrow[rows]].astype(np.float64) - tv, e.norm)
         rows = np.flatnonzero(scored & ~is_type)
         for start in range(0, len(rows), SCORE_CHUNK):
             part = rows[start : start + SCORE_CHUNK]
-            values[part] = _batch_scores(
-                self.model, self.norm, self.entity_vecs, self.relation_vecs,
-                self.normals, self.maps, hrow[part], rrow[part], trow[part],
-            )[0]
+            values[part] = self._model_scores(hrow[part], rrow[part], trow[part])
         return values, scored
 
-    def _score_one(self, h: TermId, r: TermId, t: TermId, g: Graph | None = None) -> float:
-        values, scored = self.score_rows(*(np.array([x], dtype=np.int64) for x in (h, r, t)), g=g)
-        if not scored[0]:
-            # name the first term the score reads that has no row
-            self._row(self._ent_row, h, "entity")
-            self._row(self._ent_row, t, "entity")
-            self._row(self._rel_row, r, "relation")
-        return float(values[0])
+    def _model_scores(self, hrow: np.ndarray, rrow: np.ndarray, trow: np.ndarray) -> np.ndarray:
+        e = self.embeddings
+        return _batch_scores(e.model, e.norm, e.entity_vecs, e.relation_vecs, e.normals, e.maps, hrow, rrow, trow)[0]
 
     def score_triple(self, h: TermId, r: TermId, t: TermId) -> float:
         """Model score g(h, r, t); lower means more plausible."""
-        return self._score_one(h, r, t)
+        hrow = self._row(self.ent_row, h, "entity")
+        trow = self._row(self.ent_row, t, "entity")
+        rrow = self._row(self.rel_row, r, "relation")
+        return float(self._model_scores(np.array([hrow]), np.array([rrow]), np.array([trow]))[0])
 
-    def type_vector(self, g: Graph, ty: TermId) -> np.ndarray:
+    def type_vector(self, ty: TermId) -> np.ndarray:
         """Mean entity vector of the class's instances (see module doc)."""
-        self._ensure_bound(g)
-        cached = self._type_cache.get(ty)
-        if cached is not None:
-            return cached
-        rows: list[int] = []
-        type_id = g.rdf_type_id
-        if type_id is not None:
-            for tr in g.match(None, type_id, ty):
-                row = self._ent_row[tr.s]
-                if row >= 0:
-                    rows.append(int(row))
-        if rows:
-            vec = self.entity_vecs[rows].astype(np.float64).mean(axis=0)
-        else:
-            row = self._ent_row[ty] if 0 <= ty < len(self._ent_row) else -1
-            if row >= 0:
-                vec = self.entity_vecs[row].astype(np.float64)
-            else:
-                vec = np.zeros(self.dim, dtype=np.float64)
-        self._type_cache[ty] = vec
+        vec = self._type_cache.get(ty)
+        if vec is None:
+            type_id = self.graph.rdf_type_id
+            members = [] if type_id is None else [tr.s for tr in self.graph.match(None, type_id, ty)]
+            rows = _rows(self.ent_row, np.array(members, dtype=np.int64))
+            if not (rows >= 0).any():  # no embedded instance: the class's own row
+                rows = _rows(self.ent_row, np.array([ty], dtype=np.int64))
+            rows = rows[rows >= 0]
+            e = self.embeddings
+            vec = e.entity_vecs[rows].astype(np.float64).mean(axis=0) if len(rows) else np.zeros(e.dim)
+            self._type_cache[ty] = vec
         return vec
 
-    def extended_score(self, g: Graph, h: TermId, r: TermId, t: TermId) -> float:
+    def extended_score(self, h: TermId, r: TermId, t: TermId) -> float:
         """Score with the membership-relation special case.
 
         For r = rdf:type the score is the raw entity-space distance
         between h and the type vector of t (no projection, any model);
         otherwise it is the model score.
         """
-        return self._score_one(h, r, t, g)
+        if r != self.graph.rdf_type_id:
+            return self.score_triple(h, r, t)
+        self._row(self.ent_row, h, "entity")  # names an unembedded head
+        return float(self.score_rows(*(np.array([x], dtype=np.int64) for x in (h, r, t)))[0][0])
 
-    def normalize(self, g: Graph, h: TermId, r: TermId, t: TermId) -> float:
+    def normalize(self, h: TermId, r: TermId, t: TermId) -> float:
         """Plausibility in (0, 1]: exactly 1 for graph members."""
-        self._ensure_bound(g)
-        if g.contains(h, r, t):
+        if self.graph.contains(h, r, t):
             return 1.0
-        return 1.0 / (1.0 + self.extended_score(g, h, r, t))
-
-    def normalize_rows(self, g: Graph, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """:meth:`normalize` over int64 id columns of one length, NaN where
-        :meth:`normalize` would raise :class:`UnembeddedTermError`."""
-        self._ensure_bound(g)
-        out = np.ones(len(h))
-        absent = np.flatnonzero(~g.contains_rows(h, r, t))
-        values, scored = self.score_rows(h[absent], r[absent], t[absent], g)
-        out[absent] = np.where(scored, 1.0 / (1.0 + values), np.nan)
-        return out
+        return 1.0 / (1.0 + self.extended_score(h, r, t))
 
 
 # -- training ----------------------------------------------------------
@@ -466,47 +455,54 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
     if cfg.model == TRANSR:
         maps = np.tile(np.eye(rel_dim, dim), (n_rel, 1, 1))
 
+    params = [x for x in (ent, rel, normals, maps) if x is not None]
     losses: list[float] = []
     triples = np.array(train_rows, dtype=np.int64).reshape(-1, 3)
     k = cfg.negatives_per_positive
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         if len(triples) == 0:
             losses.append(0.0)
             continue
         perm = rng.permutation(len(triples))
         loss_sum = 0.0
         pair_count = 0
-        for start in range(0, len(triples), cfg.batch_size):
-            batch = triples[perm[start : start + cfg.batch_size]]
-            pos = np.repeat(batch, k, axis=0)
-            neg = np.empty_like(pos)
-            for j, (h, r, t) in enumerate(pos):
-                cand = (h, r, t)
-                for _try in range(50):
-                    if rng.random() < 0.5:
-                        cand = (int(rng.integers(n_ent)), r, t)
-                    else:
-                        cand = (h, r, int(rng.integers(n_ent)))
-                    if cand not in known:
-                        break
-                neg[j] = cand
-            loss, grads = margin_loss_and_grads(
-                cfg.model, cfg.norm, cfg.margin, ent, rel, normals, maps, pos, neg
+        # a diverging epoch overflows quietly; the check after it names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(triples), cfg.batch_size):
+                batch = triples[perm[start : start + cfg.batch_size]]
+                pos = np.repeat(batch, k, axis=0)
+                neg = np.empty_like(pos)
+                for j, (h, r, t) in enumerate(pos):
+                    cand = (h, r, t)
+                    for _try in range(50):
+                        if rng.random() < 0.5:
+                            cand = (int(rng.integers(n_ent)), r, t)
+                        else:
+                            cand = (h, r, int(rng.integers(n_ent)))
+                        if cand not in known:
+                            break
+                    neg[j] = cand
+                loss, grads = margin_loss_and_grads(
+                    cfg.model, cfg.norm, cfg.margin, ent, rel, normals, maps, pos, neg
+                )
+                ent -= cfg.learning_rate * grads["entities"]
+                rel -= cfg.learning_rate * grads["relations"]
+                if cfg.model == TRANSH:
+                    normals -= cfg.learning_rate * grads["normals"]
+                    normals /= np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-12)
+                if cfg.model == TRANSR:
+                    maps -= cfg.learning_rate * grads["maps"]
+                norms = np.linalg.norm(ent, axis=1, keepdims=True)
+                np.divide(ent, norms, out=ent, where=norms > 1.0)
+                loss_sum += loss * len(pos)
+                pair_count += len(pos)
+        if not all(np.isfinite(x).all() for x in params):
+            raise NonFiniteEmbeddingError(
+                f"training diverged: non-finite embedding values in epoch {epoch} of {cfg.epochs} "
+                f"at learning_rate {cfg.learning_rate}; lower the learning rate"
             )
-            ent -= cfg.learning_rate * grads["entities"]
-            rel -= cfg.learning_rate * grads["relations"]
-            if cfg.model == TRANSH:
-                normals -= cfg.learning_rate * grads["normals"]
-                normals /= np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-12)
-            if cfg.model == TRANSR:
-                maps -= cfg.learning_rate * grads["maps"]
-            norms = np.linalg.norm(ent, axis=1, keepdims=True)
-            np.divide(ent, norms, out=ent, where=norms > 1.0)
-            loss_sum += loss * len(pos)
-            pair_count += len(pos)
         losses.append(loss_sum / max(1, pair_count))
 
-    params = [x for x in (ent, rel, normals, maps) if x is not None]
     with np.errstate(over="ignore"):  # values beyond float32 become inf, rejected below
         vecs = [x.astype(np.float32) for x in params]
     if not all(np.isfinite(x).all() for x in vecs):
@@ -528,7 +524,8 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
         maps=vecs[2] if cfg.model == TRANSR else None,
         losses=losses,
     )
-    out.bind(g)
+    # the rows above are the alignment bind would compute
+    out._view = BoundEmbeddings(out, g, ent_row, rel_row)
     return out
 
 

@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .embedding import EmbeddingConfig, EmbeddingSet, train
 from .recommend import RecommendRequest, recommend
 from .sparql import Query, QueryForm, evaluate_bgp
-from .store import Graph, GraphBuilder
+from .store import Graph
 from .terms import Triple
 
 BindingTuple = tuple[str, ...]
@@ -62,17 +64,21 @@ class MissingDeletionError(ValueError):
 
 
 def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
-    """A new graph without the deleted facts; every deletion must exist."""
+    """A new graph without the deleted facts; every deletion must exist.
+    Ids follow first appearance in the kept SPO rows, as GraphBuilder
+    interns them, but the terms (blank labels too) are the source's."""
     todel = set(deletions)
     missing = [t for t in todel if not g.contains_triple(t)]
     if missing:
         raise MissingDeletionError(sorted(missing))
-    builder = GraphBuilder()
-    for tr in g.triples():
-        if tr in todel:
-            continue
-        builder.add(g.term(tr.s), g.term(tr.p), g.term(tr.o))
-    return builder.build()
+    index, _, _ = g.ranges()
+    dropped = index.pack(*np.array([t.as_tuple() for t in todel], dtype=np.int64).reshape(-1, 3).T)
+    rows = np.stack(index.unpack(index.keys[~np.isin(index.keys, dropped)]), axis=1)
+    ids, first = np.unique(rows.ravel(), return_index=True)
+    order = ids[np.argsort(first)]
+    renumber = np.empty(g.term_count, dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    return Graph([g.term(i) for i in order.tolist()], renumber[rows])
 
 
 def exact_solutions(g: Graph, q: Query) -> set[BindingTuple]:

@@ -157,9 +157,8 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     t2 = time.perf_counter()
 
     weights = edge_weights(g, q.patterns)
-    scores, f, fallback = score_table(
-        g, resolved, weights, variables, rows, in_graph, req.embeddings, req.uniform_f
-    )
+    view = req.embeddings.bind(g)
+    scores, f, fallback = score_table(view, resolved, weights, variables, rows, in_graph, req.uniform_f)
     t3 = time.perf_counter()
     chosen = _top(g, rows, scores, (~in_graph).sum(axis=1), min(req.top_k, len(rows)))
     top = [

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .embedding import EmbeddingSet
+from .embedding import BoundEmbeddings
 from .sparql import SolutionMapping, TriplePattern, Var
 from .store import Graph
 from .terms import TermId
@@ -68,14 +68,10 @@ def delta(g: Graph, e: TriplePattern) -> float:
     return max(1.0, value)
 
 
-def index_of(g: Graph, patterns: Sequence[TriplePattern]) -> float:
-    """I(Q): the summed matching degree over all patterns."""
-    return sum(delta(g, e) for e in patterns)
-
-
 def edge_weights(g: Graph, patterns: Sequence[TriplePattern]) -> list[float]:
-    total = index_of(g, patterns)
-    return [total / delta(g, e) for e in patterns]
+    deltas = [delta(g, e) for e in patterns]
+    total = sum(deltas)
+    return [total / d for d in deltas]
 
 
 def score_graph(g: Graph, patterns: Sequence[TriplePattern]) -> float:
@@ -157,13 +153,12 @@ def in_graph_flags(
 
 
 def score_table(
-    g: Graph,
+    view: BoundEmbeddings,
     resolved: list[list],
     weights: Sequence[float],
     variables: Sequence[str],
     rows: np.ndarray,
     in_graph: np.ndarray,
-    emb: EmbeddingSet,
     uniform_f: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row scores, and per-row, per-pattern f and fallback flags, of a
@@ -175,7 +170,7 @@ def score_table(
     (the structure-only ablation baseline). Scores sum weight * f left to
     right, so an exact solution scores exactly :func:`score_graph`.
     """
-    floor = 1.0 / (1.0 + emb.margin)
+    floor = 1.0 / (1.0 + view.embeddings.margin)
     column = dict(zip(variables, rows.T))
     f = np.ones((len(rows), len(resolved)))
     fallback = np.zeros(f.shape, dtype=bool)
@@ -187,7 +182,7 @@ def score_table(
         elif None in atoms:
             fallback[missing, i] = True
         elif len(missing):
-            values, scored = emb.score_rows(*_ids(atoms, column, missing), g=g)
+            values, scored = view.score_rows(*_ids(atoms, column, missing))
             f[missing, i] = 1.0 / (1.0 + values)
             fallback[missing[~scored], i] = True
         f[fallback[:, i], i] = floor
@@ -212,10 +207,9 @@ def scored_solution(
 
 
 def score_solution(
-    g: Graph,
+    view: BoundEmbeddings,
     patterns: Sequence[TriplePattern],
     mapping: SolutionMapping,
-    emb: EmbeddingSet,
     weights: Sequence[float] | None = None,
     uniform_f: float | None = None,
     in_graph: Sequence[bool] | None = None,
@@ -224,6 +218,7 @@ def score_solution(
     on a one-row table. ``weights`` reuses precomputed edge weights and
     ``in_graph`` known per-pattern flags (looked up here when not given).
     """
+    g = view.graph
     if weights is None:
         weights = edge_weights(g, patterns)
     resolved = resolve_patterns(g, patterns)
@@ -233,5 +228,5 @@ def score_solution(
         flags = in_graph_flags(g, resolved, variables, row, range(len(patterns)))
     else:
         flags = np.array([in_graph], dtype=bool)
-    total, f, fallback = score_table(g, resolved, weights, variables, row, flags, emb, uniform_f)
+    total, f, fallback = score_table(view, resolved, weights, variables, row, flags, uniform_f)
     return scored_solution(g, mapping, weights, flags[0], f[0], fallback[0], total[0])

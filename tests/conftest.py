@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from trq import (
+    BoundEmbeddings,
     EmbeddingConfig,
-    EmbeddingSet,
     Graph,
     GraphBuilder,
     Query,
@@ -175,11 +175,16 @@ def reference_evaluate_bgp(g: Graph, q: Query, limit: int | None = None):
     return out, truncated
 
 
-def reference_score_triple(emb: EmbeddingSet, h: int, r: int, t: int) -> float:
+def _entity_vec(view: BoundEmbeddings, tid: int) -> np.ndarray:
+    return view.embeddings.entity_vecs[view._row(view.ent_row, tid, "entity")].astype(np.float64)
+
+
+def reference_score_triple(view: BoundEmbeddings, h: int, r: int, t: int) -> float:
     """The scalar three-branch model score that the batched kernel replaced."""
-    hv = emb._entity_vec(h)
-    tv = emb._entity_vec(t)
-    row = emb._row(emb._rel_row, r, "relation")
+    emb = view.embeddings
+    hv = _entity_vec(view, h)
+    tv = _entity_vec(view, t)
+    row = view._row(view.rel_row, r, "relation")
     rv = emb.relation_vecs[row].astype(np.float64)
     if emb.model == TRANSE:
         d = hv + rv - tv
@@ -192,21 +197,23 @@ def reference_score_triple(emb: EmbeddingSet, h: int, r: int, t: int) -> float:
     return float(_norm_values(d[None, :], emb.norm)[0])
 
 
-def reference_extended_score(emb: EmbeddingSet, g: Graph, h: int, r: int, t: int) -> float:
+def reference_extended_score(view: BoundEmbeddings, h: int, r: int, t: int) -> float:
     """Membership rows against the class's type vector, others the model score."""
+    g = view.graph
     if g.rdf_type_id is not None and r == g.rdf_type_id:
-        d = emb._entity_vec(h) - emb.type_vector(g, t)
-        return float(_norm_values(d[None, :], emb.norm)[0])
-    return reference_score_triple(emb, h, r, t)
+        d = _entity_vec(view, h) - view.type_vector(t)
+        return float(_norm_values(d[None, :], view.embeddings.norm)[0])
+    return reference_score_triple(view, h, r, t)
 
 
-def reference_score_solution(g: Graph, patterns, mapping, emb: EmbeddingSet, uniform_f=None) -> ScoredSolution:
+def reference_score_solution(view: BoundEmbeddings, patterns, mapping, uniform_f=None) -> ScoredSolution:
     """The scalar per-edge loop that ``score_table`` replaced: membership
     looked up per edge, f = 1 for present edges, 1 / (1 + extended score)
     for missing ones, the floor 1 / (1 + margin) when a constant is
     unknown or a term has no row, and ``uniform_f`` over all of it."""
+    g = view.graph
     weights = edge_weights(g, patterns)
-    floor = 1.0 / (1.0 + emb.margin)
+    floor = 1.0 / (1.0 + view.embeddings.margin)
     per_edge = []
     missing = 0
     total = 0.0
@@ -223,13 +230,25 @@ def reference_score_solution(g: Graph, patterns, mapping, emb: EmbeddingSet, uni
             f, fallback = floor, True
         else:
             try:
-                f = 1.0 / (1.0 + reference_extended_score(emb, g, *ids))
+                f = 1.0 / (1.0 + reference_extended_score(view, *ids))
             except UnembeddedTermError:
                 f, fallback = floor, True
         total += weights[i] * f
         per_edge.append(EdgeScore(i, weights[i], f, present, fallback))
     key = tuple(g.term(mapping[v]).nt() for v in sorted(mapping))
     return ScoredSolution(dict(mapping), missing, total, tuple(per_edge), key)
+
+
+def reference_corrupt_graph(g: Graph, deletions) -> Graph:
+    """The builder loop that the SPO-key mask of ``corrupt_graph`` replaced:
+    every kept triple re-interned in SPO order (blank nodes relabelled)."""
+    todel = set(deletions)
+    builder = GraphBuilder()
+    for tr in g.triples():
+        if tr in todel:
+            continue
+        builder.add(g.term(tr.s), g.term(tr.p), g.term(tr.o))
+    return builder.build()
 
 
 def binding_keys(g: Graph, mappings) -> set[tuple[str, ...]]:

@@ -329,21 +329,21 @@ def test_criterion_07_normalization_bounds(exact_runs):
     bad = []
     scored = 0
     for r in runs:
-        g, emb = r.g, r.emb
+        g, emb = r.g, r.emb.bind(r.g)
         rels = g.stats.relations()
         ents = sorted({t.s for t in g.triples()} | {t.o for t in g.triples()})
         for _ in range(500):
             h = ents[int(rng.integers(len(ents)))]
             rel = rels[int(rng.integers(len(rels)))]
             t = ents[int(rng.integers(len(ents)))]
-            f = emb.normalize(g, h, rel, t)
+            f = emb.normalize(h, rel, t)
             scored += 1
             if not (0.0 < f <= 1.0):
                 bad.append(f"seed {r.seed}: f={f} outside (0, 1]")
             if g.contains(h, rel, t) and f != 1.0:
                 bad.append(f"seed {r.seed}: member triple with f={f}")
         for tr in g.triples():
-            if emb.normalize(g, tr.s, tr.p, tr.o) != 1.0:
+            if emb.normalize(tr.s, tr.p, tr.o) != 1.0:
                 bad.append(f"seed {r.seed}: member triple f != 1")
                 break
     ok = not bad and scored >= 10_000
@@ -406,8 +406,7 @@ def test_criterion_09_link_prediction_sanity(planted):
                 norm="l2",
                 seed=0,
             ),
-        )
-        emb.bind(g)
+        ).bind(g)
         trial_rng = np.random.default_rng(10)
         wins = 0
         for _ in range(200):

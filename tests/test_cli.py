@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
+import warnings
 
-import numpy as np
 import pytest
 
 from trq.cli import main
@@ -160,7 +160,8 @@ def test_train_divergence_is_error(run, tmp_path, artifacts):
     store_path, _ = artifacts
     out = tmp_path / "x.trqe"
     args = ["--dim", "4", "--epochs", "5", "--learning-rate", "1e300", "--quiet"]
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         _, err = run("train", "--store", str(store_path), "-o", str(out), *args, expect=1)
     assert "diverged" in err and not out.exists()
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import io
 import itertools
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -23,13 +25,15 @@ from trq.embedding import (
     train,
 )
 from trq.evalkit import BenchCase, run_benchmark
-from trq.store import GraphBuilder
+from trq.scoring import in_graph_flags, score_table
+from trq.store import GraphBuilder, parse_ntriples
 from trq.terms import RDF_TYPE, Term, TermKind
 
 from conftest import (
     build_graph,
     ex,
     make_query,
+    nt_text,
     pattern,
     planted_kg,
     reference_extended_score,
@@ -243,7 +247,7 @@ def test_loss_decreases_on_learnable_graph():
 
 
 def test_trained_triples_score_below_corrupted(chain):
-    emb = train(chain, EmbeddingConfig(dim=16, epochs=60, batch_size=16, seed=2))
+    emb = train(chain, EmbeddingConfig(dim=16, epochs=60, batch_size=16, seed=2)).bind(chain)
     better = 0
     total = 0
     for tr in chain.triples():
@@ -252,7 +256,7 @@ def test_trained_triples_score_below_corrupted(chain):
         total += 1
         # corrupt the tail with an arbitrary different entity
         for cand in range(chain.term_count):
-            if cand != tr.o and emb._ent_row[cand] >= 0 and not chain.contains(tr.s, tr.p, cand):
+            if cand != tr.o and emb.ent_row[cand] >= 0 and not chain.contains(tr.s, tr.p, cand):
                 if emb.score_triple(tr.s, tr.p, tr.o) < emb.score_triple(tr.s, tr.p, cand):
                     better += 1
                 break
@@ -302,86 +306,94 @@ def test_transr_rectangular_relation_space(chain):
     assert emb.entity_vecs.shape[1] == 8
     assert emb.relation_vecs.shape[1] == 5
     assert emb.maps.shape[1:] == (5, 8)
-    emb.score_triple(0, chain.id(ex("r0")), 2)
+    emb.bind(chain).score_triple(0, chain.id(ex("r0")), 2)
 
 
 # -- type vectors and normalized plausibility --------------------------
 
 
+def _entity_vec(emb, term):
+    return emb.entity_vecs[emb.entity_index[term]].astype(np.float64)
+
+
 def test_type_vector_is_instance_mean(chain):
     emb = small_emb(chain)
     c = chain.id(ex("C"))
-    e0 = emb._entity_vec(chain.id(ex("e0")))
-    e1 = emb._entity_vec(chain.id(ex("e1")))
+    e0 = _entity_vec(emb, ex("e0"))
+    e1 = _entity_vec(emb, ex("e1"))
     expect = (e0 + e1) / 2.0
-    assert np.allclose(emb.type_vector(chain, c), expect, atol=1e-7)
+    assert np.allclose(emb.bind(chain).type_vector(c), expect, atol=1e-7)
 
 
 def test_type_vector_falls_back_to_own_row(chain):
     emb = small_emb(chain)
     # e5 has no instances; its own entity row is the fallback
     e5 = chain.id(ex("e5"))
-    assert np.allclose(emb.type_vector(chain, e5), emb._entity_vec(e5))
+    assert np.allclose(emb.bind(chain).type_vector(e5), _entity_vec(emb, ex("e5")))
 
 
 def test_type_vector_zero_for_unknown_class():
     g1 = build_graph([("a", "p", "b")])
     g2 = build_graph([("a", "p", "b"), ("x", "q", "y")])
     emb = small_emb(g1)
-    emb.bind(g2)
     # x never seen at training time: no row, no instances
-    assert not np.any(emb.type_vector(g2, g2.id(ex("x"))))
+    assert not np.any(emb.bind(g2).type_vector(g2.id(ex("x"))))
 
 
 def test_extended_score_uses_type_vector_for_membership(chain):
-    emb = small_emb(chain)
+    emb = small_emb(chain).bind(chain)
     e2 = chain.id(ex("e2"))
     c = chain.id(ex("C"))
     ty = chain.rdf_type_id
     manual = float(
-        np.abs(emb._entity_vec(e2) - emb.type_vector(chain, c)).sum()
+        np.abs(_entity_vec(emb.embeddings, ex("e2")) - emb.type_vector(c)).sum()
     )
-    assert emb.extended_score(chain, e2, ty, c) == pytest.approx(manual, rel=1e-9)
+    assert emb.extended_score(e2, ty, c) == pytest.approx(manual, rel=1e-9)
     # non-membership relations defer to the model score
     r0 = chain.id(ex("r0"))
-    assert emb.extended_score(chain, e2, r0, e2) == pytest.approx(
+    assert emb.extended_score(e2, r0, e2) == pytest.approx(
         emb.score_triple(e2, r0, e2), rel=1e-12
     )
 
 
 def test_normalize_members_exactly_one(chain):
-    emb = small_emb(chain)
+    emb = small_emb(chain).bind(chain)
     for tr in chain.triples():
-        assert emb.normalize(chain, tr.s, tr.p, tr.o) == 1.0
+        assert emb.normalize(tr.s, tr.p, tr.o) == 1.0
 
 
 def test_normalize_nonmembers_in_open_unit_interval(chain):
-    emb = small_emb(chain)
+    emb = small_emb(chain).bind(chain)
     e0, e5 = chain.id(ex("e0")), chain.id(ex("e5"))
     r0 = chain.id(ex("r0"))
-    v = emb.normalize(chain, e5, r0, e0)
+    v = emb.normalize(e5, r0, e0)
     if not chain.contains(e5, r0, e0):
         assert 0.0 < v < 1.0
 
 
 @pytest.mark.parametrize("model", ["transe", "transh", "transr"])
 @pytest.mark.parametrize("norm", ["l1", "l2"])
-def test_normalize_rows_equals_normalize(chain, model, norm):
+def test_score_table_f_equals_normalize(chain, model, norm):
+    # the column-wise plausibility of a (?h ?r ?t) table is the scalar
+    # normalize of each row, and falls back exactly where normalize raises
     emb = train(chain, EmbeddingConfig(model=model, norm=norm, dim=6, epochs=5, batch_size=8, seed=1))
     # "stray" has no embedding row: the set was trained without it
     rows = [(chain.term(t.s), chain.term(t.p), chain.term(t.o)) for t in chain.triples()]
     g = build_graph(rows + [("e0", "r0", "stray"), ("stray", "type", "C")])
-    emb.bind(g)
+    view = emb.bind(g)
     ents = [g.id(t) for t in g.terms() if t not in (ex("r0"), ex("r1"), RDF_TYPE)]
     rels = [g.id(ex("r0")), g.id(ex("r1")), g.id(RDF_TYPE)]
-    h, r, t = (np.array(c, dtype=np.int64) for c in zip(*itertools.product(ents, rels, ents)))
+    table = np.array(list(itertools.product(ents, rels, ents)), dtype=np.int64)
     want = []
-    for ids in zip(h.tolist(), r.tolist(), t.tolist()):
+    for ids in table.tolist():
         try:
-            want.append(emb.normalize(g, *ids))
+            want.append(view.normalize(*ids))
         except UnembeddedTermError:
             want.append(np.nan)
-    got = emb.normalize_rows(g, h, r, t)
+    resolved, variables = [["h", "r", "t"]], ("h", "r", "t")
+    flags = in_graph_flags(g, resolved, variables, table, [0])
+    _, f, fallback = score_table(view, resolved, [1.0], variables, table, flags)
+    got = np.where(fallback[:, 0], np.nan, f[:, 0])
     assert np.isnan(want).any() and (np.asarray(want) == 1.0).any()
     assert np.array_equal(got, np.asarray(want), equal_nan=True)
 
@@ -395,18 +407,18 @@ def test_score_rows_matches_reference(chain, model, norm, monkeypatch):
     emb = train(chain, EmbeddingConfig(model=model, norm=norm, dim=6, epochs=5, batch_size=8, seed=1))
     rows = [(chain.term(t.s), chain.term(t.p), chain.term(t.o)) for t in chain.triples()]
     g = build_graph(rows + [("e0", "r0", "stray"), ("stray", "type", "C")])
-    emb.bind(g)
+    emb = emb.bind(g)
     ents = [g.id(t) for t in g.terms() if t not in (ex("r0"), ex("r1"), RDF_TYPE)]
     rels = [g.id(ex("r0")), g.id(ex("r1")), g.id(RDF_TYPE)]
     h, r, t = (np.array(c, dtype=np.int64) for c in zip(*itertools.product(ents, rels, ents)))
     want = []
     for ids in zip(h.tolist(), r.tolist(), t.tolist()):
         try:
-            want.append(reference_extended_score(emb, g, *ids))
+            want.append(reference_extended_score(emb, *ids))
         except UnembeddedTermError:
             want.append(np.nan)
     want = np.asarray(want)
-    got, scored = emb.score_rows(h, r, t, g)
+    got, scored = emb.score_rows(h, r, t)
     assert np.array_equal(scored, ~np.isnan(want)) and not scored.all()
     membership = r == g.rdf_type_id
     exact = membership if model != "transe" else np.ones(len(r), dtype=bool)
@@ -414,31 +426,54 @@ def test_score_rows_matches_reference(chain, model, norm, monkeypatch):
     assert got[scored] == pytest.approx(want[scored], rel=1e-12, abs=0)
     for chunk in (1, 3):
         monkeypatch.setattr(trq.embedding, "SCORE_CHUNK", chunk)
-        assert np.array_equal(emb.score_rows(h, r, t, g)[0], got)
+        assert np.array_equal(emb.score_rows(h, r, t)[0], got)
 
 
 def test_unembedded_term_raises(chain):
     emb = small_emb(chain)
     g2 = build_graph([("e0", "r0", "brandnew")])
-    emb.bind(g2)
     with pytest.raises(UnembeddedTermError):
-        emb.score_triple(g2.id(ex("e0")), g2.id(ex("r0")), g2.id(ex("brandnew")))
+        emb.bind(g2).score_triple(g2.id(ex("e0")), g2.id(ex("r0")), g2.id(ex("brandnew")))
 
 
-def test_unbound_set_raises():
-    ent = np.zeros((1, 2), dtype=np.float32)
-    rel = np.zeros((1, 2), dtype=np.float32)
-    s = _manual_set("transe", ent, rel, [ex("a")], [ex("p")])
-    with pytest.raises(RuntimeError):
-        s.score_triple(0, 0, 0)
-
-
-def test_rebind_on_new_graph_is_automatic(chain):
+@pytest.mark.parametrize("first", ["trained", "reversed"])
+def test_views_on_two_graphs_match_fresh_binds(chain, first):
+    # one set bound to two graphs that hold the same terms under different
+    # ids: each view scores with its own graph's ids, whichever came first
     emb = small_emb(chain)
-    g2 = build_graph([("e1", "r0", "e0")])
-    # extended_score accepts the new graph and rebinds internally
-    v = emb.extended_score(g2, g2.id(ex("e1")), g2.id(ex("r0")), g2.id(ex("e0")))
-    assert v > 0.0
+    rows = [(chain.term(t.s), chain.term(t.p), chain.term(t.o)) for t in chain.triples()]
+    flipped = parse_ntriples("".join(reversed(nt_text(rows).splitlines(True))))
+    assert list(flipped.terms()) != list(chain.terms())
+    graphs = [chain, flipped] if first == "trained" else [flipped, chain]
+    views = [emb.bind(g) for g in graphs]
+    for g, view in zip(graphs, views):
+        fresh = dataclasses.replace(emb).bind(g)
+        ents = [g.id(t) for t in emb.entity_terms]
+        rels = [g.id(t) for t in emb.relation_terms]
+        triples = list(itertools.product(ents, rels, ents))
+        h, r, t = (np.array(c, dtype=np.int64) for c in zip(*triples))
+        assert [view.score_triple(*x) for x in triples] == [fresh.score_triple(*x) for x in triples]
+        assert np.array_equal(view.score_rows(h, r, t)[0], fresh.score_rows(h, r, t)[0])
+
+
+def test_bind_aligns_once_per_graph(bench_graph, monkeypatch):
+    # train's own view needs no alignment; run_benchmark with shared
+    # embeddings aligns once per case, for that case's corrupted graph
+    graphs = []
+    align = trq.embedding._align
+    monkeypatch.setattr(trq.embedding, "_align", lambda emb, g: graphs.append(g) or align(emb, g))
+    emb = train(bench_graph, EmbeddingConfig(dim=8, epochs=1))
+    view = emb.bind(bench_graph)
+    assert emb.bind(bench_graph) is view and graphs == []
+    assert all(np.array_equal(a, b) for a, b in zip((view.ent_row, view.rel_row), align(emb, bench_graph)))
+    cases = []
+    for c in range(3):
+        value = bench_graph.id(ex(f"val0_{c:02d}"))
+        q = make_query([pattern("?a", "linked", "?b"), pattern("?b", "attr0", f"val0_{c:02d}")])
+        cases.append(BenchCase(f"c{c}", q, [next(bench_graph.match(None, bench_graph.id(ex("attr0")), value))]))
+    report = run_benchmark(bench_graph, cases, embeddings=emb)
+    assert report.failures == 0
+    assert len(graphs) == len(cases) and len({id(g) for g in graphs}) == len(cases)
 
 
 # -- persistence -------------------------------------------------------
@@ -465,9 +500,8 @@ def test_save_load_round_trip(tmp_path, chain, model):
     if model == "transr":
         assert np.array_equal(back.maps, emb.maps)
     # scores are bitwise identical after the round trip
-    back.bind(chain)
     r0 = chain.id(ex("r0"))
-    assert back.score_triple(0, r0, 2) == emb.score_triple(0, r0, 2)
+    assert back.bind(chain).score_triple(0, r0, 2) == emb.bind(chain).score_triple(0, r0, 2)
 
 
 def test_save_bytes_deterministic(chain):
@@ -505,15 +539,29 @@ def bench_graph():
 
 @pytest.mark.parametrize("model", ["transe", "transh", "transr"])
 def test_divergent_training_is_a_named_error(model, bench_graph):
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteEmbeddingError, match="diverged"):
+    with warnings.catch_warnings(), pytest.raises(NonFiniteEmbeddingError, match="diverged"):
+        warnings.simplefilter("error")
         train(bench_graph, EmbeddingConfig(model=model, dim=8, epochs=5, learning_rate=1e300))
+
+
+def test_divergence_stops_at_the_first_non_finite_epoch(bench_graph, monkeypatch):
+    # TransR at this rate overflows in its first epoch; no later batch runs
+    batches = []
+    grads = trq.embedding.margin_loss_and_grads
+    monkeypatch.setattr(trq.embedding, "margin_loss_and_grads", lambda *a: batches.append(1) or grads(*a))
+    cfg = EmbeddingConfig(model="transr", dim=8, epochs=5, batch_size=64, learning_rate=1e300)
+    with warnings.catch_warnings(), pytest.raises(NonFiniteEmbeddingError, match="in epoch 1 of 5"):
+        warnings.simplefilter("error")
+        train(bench_graph, cfg)
+    assert len(batches) == -(-bench_graph.triple_count // 64)
 
 
 def test_run_benchmark_records_divergence_on_the_case(bench_graph):
     q = make_query([pattern("?a", "linked", "?b"), pattern("?b", "attr0", "val0_00")])
     deleted = next(iter(bench_graph.match(None, bench_graph.id(ex("attr0")), bench_graph.id(ex("val0_00")))))
     cfg = EmbeddingConfig(dim=8, epochs=5, learning_rate=1e300)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = run_benchmark(bench_graph, [BenchCase("c", q, [deleted])], embed_config=cfg)
     assert report.failures == 1
     assert report.rows[0].error.startswith("NonFiniteEmbeddingError")

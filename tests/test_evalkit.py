@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,9 +15,20 @@ from trq.evalkit import (
     reciprocal_rank,
     run_benchmark,
 )
-from trq.terms import Triple
+from trq.sparql import parse_query
+from trq.store import parse_ntriples
+from trq.terms import Term, Triple
 
-from conftest import build_graph, ex, make_query, pattern, small_emb
+from conftest import (
+    build_graph,
+    ex,
+    exact_instance,
+    make_query,
+    pattern,
+    planted_kg,
+    reference_corrupt_graph,
+    small_emb,
+)
 
 
 # -- rank metrics ------------------------------------------------------
@@ -106,6 +118,35 @@ def test_corrupt_graph_missing_deletion_raises(g5):
 def test_corrupt_graph_empty_deletions_is_copy(g5):
     g2 = corrupt_graph(g5, [])
     assert g2.triple_count == g5.triple_count
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_corrupt_graph_matches_reference_builder(seed):
+    # on blank-free graphs the key mask gives the builder loop's term ids
+    # and triples, for no, some and all triples deleted
+    rng = np.random.default_rng(seed)
+    g = planted_kg(n_clusters=4, seed=seed)[0] if seed % 2 else exact_instance(rng, 20, 60)[0]
+    triples = list(g.triples())
+    for n in (0, 1, len(triples) // 3, len(triples)):
+        deletions = [triples[i] for i in rng.choice(len(triples), n, replace=False)]
+        got, want = corrupt_graph(g, deletions), reference_corrupt_graph(g, deletions)
+        assert list(got.terms()) == list(want.terms())
+        assert list(got.triples()) == list(want.triples())
+
+
+def test_corrupt_graph_keeps_blank_node_labels():
+    # the source labels _:x as b0 and _:y as b1; with _:x's facts deleted,
+    # re-interning would relabel _:y as b0 and lose the truth tuple
+    g = parse_ntriples(
+        "_:x <http://e/p> <http://e/a> .\n"
+        "_:y <http://e/q> <http://e/b> .\n"
+        "_:x <http://e/r> <http://e/c> .\n"
+        "_:y <http://e/r> <http://e/d> .\n"
+    )
+    q = parse_query("SELECT ?s WHERE { ?s <http://e/q> <http://e/b> . }")
+    x = g.id(Term.blank("b0"))
+    corrupted = corrupt_graph(g, [t for t in g.triples() if t.s == x])
+    assert exact_solutions(corrupted, q) == exact_solutions(g, q) == {("_:b1",)}
 
 
 # -- exact solutions ---------------------------------------------------

@@ -221,9 +221,10 @@ def test_recommend_matches_reference_scoring(reference_instances, model, uniform
         # trained without n00's facts, so edges that read n00 fall back
         rows = [[g.term(x) for x in t.as_tuple()] for t in g.triples()]
         trained = build_graph([r for r in rows if ex("n00") not in (r[0], r[2])])
-        emb = small_emb(trained, model=model, epochs=2, dim=6).bind(g)
+        emb = small_emb(trained, model=model, epochs=2, dim=6)
         got = recommend(g, _req(q, emb, top_k=top_k, per_tree_limit=10**9, uniform_f=uniform_f)).solutions
-        ranked = rank([reference_score_solution(g, q.patterns, m, emb, uniform_f) for m in candidates], 10**9)
+        view = emb.bind(g)
+        ranked = rank([reference_score_solution(view, q.patterns, m, uniform_f) for m in candidates], 10**9)
         cut += len(candidates) > top_k
         if model == "transe":
             assert _view(got) == _view(ranked[:top_k])

@@ -11,7 +11,6 @@ from trq.scoring import (
     delta,
     edge_weights,
     edit_distance,
-    index_of,
     instantiate_ids,
     score_graph,
     score_solution,
@@ -70,7 +69,7 @@ def test_delta_variable_predicate_rejected(twop):
 
 def test_index_and_weights_worked_example(twop):
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
-    assert index_of(twop, pats) == 3.5
+    assert sum(delta(twop, e) for e in pats) == 3.5
     ws = edge_weights(twop, pats)
     assert ws[0] == pytest.approx(7.0 / 3.0)
     assert ws[1] == pytest.approx(1.75)
@@ -110,7 +109,7 @@ def test_exact_solution_scores_score_graph_bitwise(twop):
     emb = small_emb(twop)
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
     a, b = twop.id(ex("a")), twop.id(ex("b"))
-    sol = score_solution(twop, pats, {"x": a, "y": b}, emb)
+    sol = score_solution(emb.bind(twop), pats, {"x": a, "y": b})
     assert sol.edit_distance == 0
     # identical float operations: equality is exact, not approximate
     assert sol.score == score_graph(twop, pats)
@@ -121,7 +120,7 @@ def test_inexact_solution_scores_strictly_below_maximum(twop):
     emb = small_emb(twop)
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
     b, c = twop.id(ex("b")), twop.id(ex("c"))
-    sol = score_solution(twop, pats, {"x": b, "y": c}, emb)
+    sol = score_solution(emb.bind(twop), pats, {"x": b, "y": c})
     assert sol.edit_distance == 2
     assert sol.score < score_graph(twop, pats)
     assert all(0.0 < e.f < 1.0 for e in sol.per_edge)
@@ -131,7 +130,7 @@ def test_score_decomposes_per_edge(twop):
     emb = small_emb(twop)
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
     a, c = twop.id(ex("a")), twop.id(ex("c"))
-    sol = score_solution(twop, pats, {"x": a, "y": c}, emb)
+    sol = score_solution(emb.bind(twop), pats, {"x": a, "y": c})
     assert sol.score == pytest.approx(sum(e.weight * e.f for e in sol.per_edge))
     assert sol.per_edge[0].weight == pytest.approx(7.0 / 3.0)
 
@@ -140,7 +139,7 @@ def test_uniform_f_overrides_embedding(twop):
     emb = small_emb(twop)
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
     a, c = twop.id(ex("a")), twop.id(ex("c"))
-    sol = score_solution(twop, pats, {"x": a, "y": c}, emb, uniform_f=0.5)
+    sol = score_solution(emb.bind(twop), pats, {"x": a, "y": c}, uniform_f=0.5)
     assert sol.score == pytest.approx(0.5 * score_graph(twop, pats))
     assert {e.f for e in sol.per_edge} == {0.5}
 
@@ -149,7 +148,7 @@ def test_unknown_constant_falls_back_to_floor(twop):
     emb = small_emb(twop)
     pats = [pattern("?x", "p", "zzz")]
     a = twop.id(ex("a"))
-    sol = score_solution(twop, pats, {"x": a}, emb)
+    sol = score_solution(emb.bind(twop), pats, {"x": a})
     floor = 1.0 / (1.0 + emb.margin)
     assert sol.per_edge[0].fallback
     assert sol.per_edge[0].f == floor
@@ -158,9 +157,8 @@ def test_unknown_constant_falls_back_to_floor(twop):
 def test_unembedded_term_falls_back_to_floor(twop):
     emb = small_emb(twop)
     g2 = build_graph([("a", "p", "b"), ("c", "p", "b"), ("new", "p", "a")])
-    emb.bind(g2)
     pats = [pattern("?x", "p", "?y")]
-    sol = score_solution(g2, pats, {"x": g2.id(ex("new")), "y": g2.id(ex("b"))}, emb)
+    sol = score_solution(emb.bind(g2), pats, {"x": g2.id(ex("new")), "y": g2.id(ex("b"))})
     assert sol.per_edge[0].fallback
     assert sol.per_edge[0].f == 1.0 / (1.0 + emb.margin)
 
@@ -170,7 +168,7 @@ def test_precomputed_weights_reused(twop):
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
     a, b = twop.id(ex("a")), twop.id(ex("b"))
     ws = [10.0, 20.0]
-    sol = score_solution(twop, pats, {"x": a, "y": b}, emb, weights=ws)
+    sol = score_solution(emb.bind(twop), pats, {"x": a, "y": b}, weights=ws)
     assert sol.score == pytest.approx(30.0)
 
 
@@ -178,7 +176,7 @@ def test_binding_key_sorted_variable_order(twop):
     emb = small_emb(twop)
     pats = [pattern("?zeta", "p", "?alpha")]
     a, b = twop.id(ex("a")), twop.id(ex("b"))
-    sol = score_solution(twop, pats, {"zeta": a, "alpha": b}, emb)
+    sol = score_solution(emb.bind(twop), pats, {"zeta": a, "alpha": b})
     # alpha sorts first
     assert sol.binding_key == (ex("b").nt(), ex("a").nt())
 
