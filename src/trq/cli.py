@@ -98,7 +98,11 @@ def cmd_train(args) -> int:
     if not args.quiet:
         step = max(1, cfg.epochs // 10)
         for i in range(0, cfg.epochs, step):
-            print(f"epoch {i + 1}/{cfg.epochs} mean loss {emb.losses[i]:.6f}", file=sys.stderr)
+            print(
+                f"epoch {i + 1}/{cfg.epochs} mean loss {emb.losses[i]:.6f}"
+                f" sampler redraws {emb.sampler_redraws[i]}",
+                file=sys.stderr,
+            )
         print(f"final mean loss {emb.losses[-1]:.6f} ({elapsed:.1f}s)", file=sys.stderr)
     embedding.save_embeddings(emb, args.output)
     print(

@@ -8,12 +8,20 @@ relation space by a matrix). Training minimizes the margin ranking loss
 
     sum over (pos, neg) of max(0, margin + g(pos) - g(neg))
 
-with minibatch SGD and uniform negative sampling (corrupt head or tail
-with probability 1/2, resampling while the corruption is a known
-triple). Entity rows are projected back into the unit ball after every
-batch, and hyperplane normals are renormalized. Membership triples
-(rdf:type) are excluded from the relational batches by default; classes
-are handled through aggregated type vectors instead:
+with minibatch SGD and uniform negative sampling. Each epoch draws all
+its negatives at once: every positive is repeated once per negative,
+a fair coin picks the head or the tail, and a uniform entity replaces
+it; the corruptions that are known triples of the graph (rdf:type ones
+too) are found with one vectorised lookup and redrawn, coin and entity
+afresh, for at most ``SAMPLER_ROUNDS`` draws in all. Batches are slices
+of the epoch's pairs. A step scatters each batch's gradient with
+``np.bincount`` and updates only the entity rows it touches, projecting
+them back into the unit ball; relations, hyperplane normals (kept
+unit) and maps are updated whole. The number of negatives redrawn in
+each epoch is kept beside its loss.
+
+Membership triples (rdf:type) are excluded from the relational batches
+by default; classes are handled through aggregated type vectors instead:
 
 * the type vector of a class is the mean of its instances' entity rows
   (falling back to the class's own row, then to the zero vector),
@@ -62,6 +70,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from io import BufferedIOBase
 from pathlib import Path
@@ -69,7 +78,7 @@ from pathlib import Path
 import numpy as np
 
 from .binio import TERM_HEADER_SIZE, read_source, read_terms, write_file, write_terms
-from .store import Graph
+from .store import Graph, first_appearance
 from .terms import Term, TermId
 
 TRANSE, TRANSH, TRANSR = "transe", "transh", "transr"
@@ -124,8 +133,10 @@ class EmbeddingConfig:
         for name in ("dim", "epochs", "batch_size", "negatives_per_positive"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.margin <= 0 or self.learning_rate <= 0:
-            raise ValueError("margin and learning_rate must be positive")
+        for name in ("margin", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
         if self.model != TRANSR and self.rel_dim not in (None, self.dim):
             raise ValueError("rel_dim must equal dim unless the model is transr")
         if self.resolved_rel_dim() < 1:
@@ -172,38 +183,49 @@ def _batch_scores(model, norm, ent, rel, normals, maps, h, r, t):
     return values, cache
 
 
-def _accumulate_grads(model, norm, cache, coef, g_ent, g_rel, g_normals, g_maps):
-    """Add coef * d(score)/d(params) into the dense gradient arrays."""
-    active = coef != 0.0
-    if not active.any():
-        return
-    h = cache["h"][active]
-    r = cache["r"][active]
-    t = cache["t"][active]
-    u = _norm_grads(cache["d"][active], norm, cache["values"][active])
-    u = u * coef[active][:, None]
+def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sums of the rows of ``values`` into ``n`` rows by ``index``, in input
+    order: one ``np.bincount`` over the flattened (row, column) positions."""
+    shape = values.shape[1:]
+    width = math.prod(shape)
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    # bincount of no positions is an int array, whatever the weights
+    sums = np.bincount(flat, weights=values.ravel(), minlength=n * width).astype(np.float64, copy=False)
+    return sums.reshape((n, *shape))
+
+
+def _pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg):
+    """Mean margin loss of explicit pairs and its exact gradients.
+
+    Returns (loss, rows, grads): ``rows`` are the distinct entity rows
+    the gradient touches, ``grads['entities']`` their gradient rows in
+    that order, and 'relations', 'normals' (transh) and 'maps' (transr)
+    are dense. Pairs within the margin add nothing.
+    """
+    n = len(pos)
+    both = np.concatenate([pos, neg])
+    values, cache = _batch_scores(model, norm, ent, rel, normals, maps, both[:, 0], both[:, 1], both[:, 2])
+    hinge = margin + values[:n] - values[n:]
+    active = np.flatnonzero(np.tile(hinge > 0, 2))
+    coef = np.where(active < n, 1.0 / n, -1.0 / n)
+    h, r, t = (cache[x][active] for x in "hrt")
+    u = _norm_grads(cache["d"][active], norm, cache["values"][active]) * coef[:, None]
+    grads = {"relations": _scatter(r, u, len(rel))}
     if model == TRANSE:
-        np.add.at(g_ent, h, u)
-        np.add.at(g_ent, t, -u)
-        np.add.at(g_rel, r, u)
+        du = u
     elif model == TRANSH:
         w = cache["w"][active]
         a = cache["te"][active] - cache["he"][active]
         uw = (u * w).sum(axis=1)
         du = u - uw[:, None] * w
-        dw = uw[:, None] * a + (w * a).sum(axis=1)[:, None] * u
-        np.add.at(g_ent, h, du)
-        np.add.at(g_ent, t, -du)
-        np.add.at(g_rel, r, u)
-        np.add.at(g_normals, r, dw)
+        grads["normals"] = _scatter(r, uw[:, None] * a + (w * a).sum(axis=1)[:, None] * u, len(normals))
     else:
-        m = cache["m"][active]
-        du = np.einsum("bij,bi->bj", m, u)
+        du = np.einsum("bij,bi->bj", cache["m"][active], u)
         dm = u[:, :, None] * (cache["he"][active] - cache["te"][active])[:, None, :]
-        np.add.at(g_ent, h, du)
-        np.add.at(g_ent, t, -du)
-        np.add.at(g_rel, r, u)
-        np.add.at(g_maps, r, dm)
+        grads["maps"] = _scatter(r, dm, len(maps))
+    rows, inverse = np.unique(np.concatenate([h, t]), return_inverse=True)
+    grads["entities"] = _scatter(inverse, np.concatenate([du, -du]), len(rows))
+    return float(np.maximum(hinge, 0.0).mean()), rows, grads
 
 
 def margin_loss_and_grads(model, norm, margin, ent, rel, normals, maps, pos, neg):
@@ -214,23 +236,33 @@ def margin_loss_and_grads(model, norm, margin, ent, rel, normals, maps, pos, neg
     'entities', 'relations', 'normals', 'maps'); gradient arrays match
     the parameter shapes, with the unused ones absent.
     """
-    pos = np.asarray(pos)
-    neg = np.asarray(neg)
-    g_pos, cache_pos = _batch_scores(model, norm, ent, rel, normals, maps, pos[:, 0], pos[:, 1], pos[:, 2])
-    g_neg, cache_neg = _batch_scores(model, norm, ent, rel, normals, maps, neg[:, 0], neg[:, 1], neg[:, 2])
-    hinge = margin + g_pos - g_neg
-    active = (hinge > 0).astype(float)
-    n = len(pos)
-    grads = {"entities": np.zeros_like(ent), "relations": np.zeros_like(rel)}
-    g_normals = g_maps = None
-    if model == TRANSH:
-        g_normals = grads["normals"] = np.zeros_like(normals)
-    if model == TRANSR:
-        g_maps = grads["maps"] = np.zeros_like(maps)
-    _accumulate_grads(model, norm, cache_pos, active / n, grads["entities"], grads["relations"], g_normals, g_maps)
-    _accumulate_grads(model, norm, cache_neg, -active / n, grads["entities"], grads["relations"], g_normals, g_maps)
-    loss = float(np.maximum(hinge, 0.0).mean())
+    loss, rows, grads = _pair_grads(model, norm, margin, ent, rel, normals, maps, np.asarray(pos), np.asarray(neg))
+    dense = np.zeros_like(ent)
+    dense[rows] = grads["entities"]
+    grads["entities"] = dense
     return loss, grads
+
+
+def _train_step(model, norm, margin, learning_rate, ent, rel, normals, maps, pos, neg) -> float:
+    """One SGD step on a batch of pairs, in place; returns its mean loss.
+
+    Only the entity rows the gradient touches change, and only they are
+    projected back into the unit ball. Relations, normals (renormalized
+    to unit length) and maps have one row per relation and are updated
+    whole.
+    """
+    loss, rows, grads = _pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg)
+    sub = ent[rows] - learning_rate * grads["entities"]
+    norms = np.linalg.norm(sub, axis=1, keepdims=True)
+    np.divide(sub, norms, out=sub, where=norms > 1.0)
+    ent[rows] = sub
+    rel -= learning_rate * grads["relations"]
+    if "normals" in grads:
+        normals -= learning_rate * grads["normals"]
+        normals /= np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-12)
+    if "maps" in grads:
+        maps -= learning_rate * grads["maps"]
+    return loss
 
 
 # -- embedding set ------------------------------------------------------
@@ -256,6 +288,9 @@ class EmbeddingSet:
     normals: np.ndarray | None = None
     maps: np.ndarray | None = None
     losses: list[float] = field(default_factory=list, repr=False)
+    # negatives redrawn per epoch as known triples; training telemetry,
+    # not stored in TRQE files
+    sampler_redraws: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         self.entity_index = {t: i for i, t in enumerate(self.entity_terms)}
@@ -318,7 +353,8 @@ class BoundEmbeddings:
     def _row(self, table: np.ndarray, tid: TermId, what: str) -> int:
         row = table[tid] if 0 <= tid < len(table) else -1
         if row < 0:
-            raise UnembeddedTermError(f"no {what} row for term {self.graph.term(tid).nt()}")
+            name = f" {self.graph.term(tid).nt()}" if 0 <= tid < self.graph.term_count else ""
+            raise UnembeddedTermError(f"no {what} row for term id {tid}{name}")
         return int(row)
 
     def score_rows(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,21 +433,58 @@ class BoundEmbeddings:
 # -- training ----------------------------------------------------------
 
 
-def _first_appearance_rows(g: Graph) -> tuple[list[Term], list[Term], np.ndarray, np.ndarray]:
-    """Entity/relation row orders (SPO triple order), id->row maps."""
-    ent_terms: list[Term] = []
-    rel_terms: list[Term] = []
+def _first_appearance_rows(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row orders and the training-row table, from the SPO key columns.
+
+    Entities are numbered by first appearance in SPO triple order (a
+    triple's subject before its object) and relations by first
+    appearance as predicate. Returns the entity and the relation term id
+    of each row, the id->row maps (-1 = none) and every triple as an
+    (n, 3) array of (entity, relation, entity) rows, in SPO order.
+    """
+    index, _, _ = g.ranges()
+    s, p, o = index.unpack(index.keys)
+    ent_ids = first_appearance(np.stack([s, o], axis=1).ravel())
+    rel_ids = first_appearance(p)
     ent_row = np.full(g.term_count, -1, dtype=np.int64)
     rel_row = np.full(g.term_count, -1, dtype=np.int64)
-    for tr in g.triples():
-        for tid in (tr.s, tr.o):
-            if ent_row[tid] < 0:
-                ent_row[tid] = len(ent_terms)
-                ent_terms.append(g.term(tid))
-        if rel_row[tr.p] < 0:
-            rel_row[tr.p] = len(rel_terms)
-            rel_terms.append(g.term(tr.p))
-    return ent_terms, rel_terms, ent_row, rel_row
+    ent_row[ent_ids] = np.arange(len(ent_ids))
+    rel_row[rel_ids] = np.arange(len(rel_ids))
+    rows = np.stack([ent_row[s], rel_row[p], ent_row[o]], axis=1)
+    return ent_ids, rel_ids, ent_row, rel_row, rows
+
+
+# Draws per negative before the sampler keeps a known triple.
+SAMPLER_ROUNDS = 50
+
+
+def _corrupt(
+    rng: np.random.Generator, pos: np.ndarray, n_ent: int, known: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, int]:
+    """One negative per row of ``pos``, and how many of them were redrawn.
+
+    Each negative replaces the head or the tail of its positive (a fair
+    coin) by a uniform entity row. Where ``known(rows)`` marks a draw as a
+    known triple, coin and entity are drawn again, for at most
+    ``SAMPLER_ROUNDS`` draws; a negative whose every draw was known keeps
+    its last one.
+    """
+    neg = pos.copy()
+    todo = np.arange(len(pos))
+    redrawn = 0
+    for draw in range(SAMPLER_ROUNDS):
+        head = rng.random(len(todo)) < 0.5
+        ents = rng.integers(n_ent, size=len(todo))
+        cand = pos[todo]
+        cand[head, 0] = ents[head]
+        cand[~head, 2] = ents[~head]
+        neg[todo] = cand
+        todo = todo[known(cand)]
+        if draw == 0:
+            redrawn = len(todo)
+        if len(todo) == 0:
+            break
+    return neg, redrawn
 
 
 def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
@@ -428,19 +501,17 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
     if g.triple_count == 0:
         raise ValueError("cannot train embeddings on an empty graph")
 
-    ent_terms, rel_terms, ent_row, rel_row = _first_appearance_rows(g)
-    n_ent, n_rel = len(ent_terms), len(rel_terms)
+    ent_ids, rel_ids, ent_row, rel_row, rows = _first_appearance_rows(g)
+    n_ent, n_rel = len(ent_ids), len(rel_ids)
     dim, rel_dim = cfg.dim, cfg.resolved_rel_dim()
-
-    known: set[tuple[int, int, int]] = set()
-    train_rows: list[tuple[int, int, int]] = []
     type_id = g.rdf_type_id
-    for tr in g.triples():
-        row = (int(ent_row[tr.s]), int(rel_row[tr.p]), int(ent_row[tr.o]))
-        known.add(row)
-        if not cfg.include_type_triples and type_id is not None and tr.p == type_id:
-            continue
-        train_rows.append(row)
+    if cfg.include_type_triples or type_id is None:
+        triples = rows
+    else:
+        triples = rows[rel_ids[rows[:, 1]] != type_id]
+
+    def known(cand: np.ndarray) -> np.ndarray:
+        return g.contains_rows(ent_ids[cand[:, 0]], rel_ids[cand[:, 1]], ent_ids[cand[:, 2]])
 
     rng = np.random.default_rng(cfg.seed)
     bound = 6.0 / np.sqrt(dim)
@@ -457,51 +528,33 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
 
     params = [x for x in (ent, rel, normals, maps) if x is not None]
     losses: list[float] = []
-    triples = np.array(train_rows, dtype=np.int64).reshape(-1, 3)
+    redraws: list[int] = []
     k = cfg.negatives_per_positive
+    batch = cfg.batch_size * k
     for epoch in range(1, cfg.epochs + 1):
         if len(triples) == 0:
             losses.append(0.0)
+            redraws.append(0)
             continue
-        perm = rng.permutation(len(triples))
+        pos = np.repeat(triples[rng.permutation(len(triples))], k, axis=0)
+        neg, redrawn = _corrupt(rng, pos, n_ent, known)
         loss_sum = 0.0
-        pair_count = 0
         # a diverging epoch overflows quietly; the check after it names it
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(triples), cfg.batch_size):
-                batch = triples[perm[start : start + cfg.batch_size]]
-                pos = np.repeat(batch, k, axis=0)
-                neg = np.empty_like(pos)
-                for j, (h, r, t) in enumerate(pos):
-                    cand = (h, r, t)
-                    for _try in range(50):
-                        if rng.random() < 0.5:
-                            cand = (int(rng.integers(n_ent)), r, t)
-                        else:
-                            cand = (h, r, int(rng.integers(n_ent)))
-                        if cand not in known:
-                            break
-                    neg[j] = cand
-                loss, grads = margin_loss_and_grads(
-                    cfg.model, cfg.norm, cfg.margin, ent, rel, normals, maps, pos, neg
+            for start in range(0, len(pos), batch):
+                part = slice(start, start + batch)
+                loss = _train_step(
+                    cfg.model, cfg.norm, cfg.margin, cfg.learning_rate,
+                    ent, rel, normals, maps, pos[part], neg[part],
                 )
-                ent -= cfg.learning_rate * grads["entities"]
-                rel -= cfg.learning_rate * grads["relations"]
-                if cfg.model == TRANSH:
-                    normals -= cfg.learning_rate * grads["normals"]
-                    normals /= np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-12)
-                if cfg.model == TRANSR:
-                    maps -= cfg.learning_rate * grads["maps"]
-                norms = np.linalg.norm(ent, axis=1, keepdims=True)
-                np.divide(ent, norms, out=ent, where=norms > 1.0)
-                loss_sum += loss * len(pos)
-                pair_count += len(pos)
+                loss_sum += loss * len(pos[part])
         if not all(np.isfinite(x).all() for x in params):
             raise NonFiniteEmbeddingError(
                 f"training diverged: non-finite embedding values in epoch {epoch} of {cfg.epochs} "
                 f"at learning_rate {cfg.learning_rate}; lower the learning rate"
             )
-        losses.append(loss_sum / max(1, pair_count))
+        losses.append(loss_sum / len(pos))
+        redraws.append(redrawn)
 
     with np.errstate(over="ignore"):  # values beyond float32 become inf, rejected below
         vecs = [x.astype(np.float32) for x in params]
@@ -516,13 +569,14 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
         dim=dim,
         rel_dim=rel_dim,
         margin=cfg.margin,
-        entity_terms=ent_terms,
-        relation_terms=rel_terms,
+        entity_terms=[g.term(tid) for tid in ent_ids.tolist()],
+        relation_terms=[g.term(tid) for tid in rel_ids.tolist()],
         entity_vecs=vecs[0],
         relation_vecs=vecs[1],
         normals=vecs[2] if cfg.model == TRANSH else None,
         maps=vecs[2] if cfg.model == TRANSR else None,
         losses=losses,
+        sampler_redraws=redraws,
     )
     # the rows above are the alignment bind would compute
     out._view = BoundEmbeddings(out, g, ent_row, rel_row)

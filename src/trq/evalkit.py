@@ -24,7 +24,7 @@ import numpy as np
 from .embedding import EmbeddingConfig, EmbeddingSet, train
 from .recommend import RecommendRequest, recommend
 from .sparql import Query, QueryForm, evaluate_bgp
-from .store import Graph
+from .store import Graph, first_appearance
 from .terms import Triple
 
 BindingTuple = tuple[str, ...]
@@ -74,8 +74,7 @@ def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
     index, _, _ = g.ranges()
     dropped = index.pack(*np.array([t.as_tuple() for t in todel], dtype=np.int64).reshape(-1, 3).T)
     rows = np.stack(index.unpack(index.keys[~np.isin(index.keys, dropped)]), axis=1)
-    ids, first = np.unique(rows.ravel(), return_index=True)
-    order = ids[np.argsort(first)]
+    order = first_appearance(rows.ravel())
     renumber = np.empty(g.term_count, dtype=np.int64)
     renumber[order] = np.arange(len(order))
     return Graph([g.term(i) for i in order.tolist()], renumber[rows])

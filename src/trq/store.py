@@ -169,6 +169,12 @@ def _counts(ids: np.ndarray) -> dict[TermId, int]:
     return dict(zip(values.tolist(), counts.tolist()))
 
 
+def first_appearance(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ``ids`` in the order they first appear."""
+    distinct, first = np.unique(ids, return_index=True)
+    return distinct[np.argsort(first)]
+
+
 class Graph:
     """Immutable triple set over a term dictionary. Build via GraphBuilder.
 

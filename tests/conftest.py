@@ -19,7 +19,7 @@ from trq import (
     UnembeddedTermError,
     train,
 )
-from trq.embedding import TRANSE, TRANSH, _norm_values
+from trq.embedding import TRANSE, TRANSH, _batch_scores, _norm_grads, _norm_values
 from trq.scoring import EdgeScore, ScoredSolution, edge_weights, instantiate_ids
 from trq.sparql import Const, Var, _order_patterns
 
@@ -195,6 +195,56 @@ def reference_score_triple(view: BoundEmbeddings, h: int, r: int, t: int) -> flo
         m = emb.maps[row].astype(np.float64)
         d = m @ hv + rv - m @ tv
     return float(_norm_values(d[None, :], emb.norm)[0])
+
+
+def _reference_accumulate(model, norm, cache, coef, g_ent, g_rel, g_normals, g_maps):
+    active = coef != 0.0
+    if not active.any():
+        return
+    h, r, t = (cache[x][active] for x in "hrt")
+    u = _norm_grads(cache["d"][active], norm, cache["values"][active]) * coef[active][:, None]
+    if model == TRANSE:
+        du = u
+    elif model == TRANSH:
+        w = cache["w"][active]
+        a = cache["te"][active] - cache["he"][active]
+        uw = (u * w).sum(axis=1)
+        du = u - uw[:, None] * w
+        np.add.at(g_normals, r, uw[:, None] * a + (w * a).sum(axis=1)[:, None] * u)
+    else:
+        m = cache["m"][active]
+        du = np.einsum("bij,bi->bj", m, u)
+        np.add.at(g_maps, r, u[:, :, None] * (cache["he"][active] - cache["te"][active])[:, None, :])
+    np.add.at(g_ent, h, du)
+    np.add.at(g_ent, t, -du)
+    np.add.at(g_rel, r, u)
+
+
+def reference_train_step(model, norm, margin, learning_rate, ent, rel, normals, maps, pos, neg) -> float:
+    """The dense per-batch update the row-sparse step replaced: gradients
+    accumulated into zeroed full-size arrays with ``np.add.at``, every
+    parameter updated, then every entity row re-projected into the unit
+    ball and every normal renormalized. In place; returns the mean loss."""
+    g_pos, cache_pos = _batch_scores(model, norm, ent, rel, normals, maps, *pos.T)
+    g_neg, cache_neg = _batch_scores(model, norm, ent, rel, normals, maps, *neg.T)
+    hinge = margin + g_pos - g_neg
+    active = (hinge > 0).astype(float)
+    n = len(pos)
+    g_ent, g_rel = np.zeros_like(ent), np.zeros_like(rel)
+    g_normals = None if normals is None else np.zeros_like(normals)
+    g_maps = None if maps is None else np.zeros_like(maps)
+    _reference_accumulate(model, norm, cache_pos, active / n, g_ent, g_rel, g_normals, g_maps)
+    _reference_accumulate(model, norm, cache_neg, -active / n, g_ent, g_rel, g_normals, g_maps)
+    ent -= learning_rate * g_ent
+    rel -= learning_rate * g_rel
+    if normals is not None:
+        normals -= learning_rate * g_normals
+        normals /= np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-12)
+    if maps is not None:
+        maps -= learning_rate * g_maps
+    norms = np.linalg.norm(ent, axis=1, keepdims=True)
+    np.divide(ent, norms, out=ent, where=norms > 1.0)
+    return float(np.maximum(hinge, 0.0).mean())
 
 
 def reference_extended_score(view: BoundEmbeddings, h: int, r: int, t: int) -> float:

@@ -133,6 +133,8 @@ def test_train_logs_epoch_losses(run, tmp_path, artifacts):
     )
     assert "epoch 1/10" in err and "final mean loss" in err
     assert "transe d=4" in stdout
+    epochs = [line for line in err.splitlines() if line.startswith("epoch ")]
+    assert len(epochs) == 10 and all(" sampler redraws " in line for line in epochs)
 
 
 def test_train_deterministic_bytes(run, tmp_path, artifacts):
@@ -164,6 +166,14 @@ def test_train_divergence_is_error(run, tmp_path, artifacts):
         warnings.simplefilter("error")
         _, err = run("train", "--store", str(store_path), "-o", str(out), *args, expect=1)
     assert "diverged" in err and not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--margin", "inf"), ("--margin", "nan"), ("--learning-rate", "nan")])
+def test_train_rejects_non_finite_settings(run, tmp_path, artifacts, flag, value):
+    store_path, _ = artifacts
+    out = tmp_path / "x.trqe"
+    _, err = run("train", "--store", str(store_path), "-o", str(out), "--dim", "4", flag, value, expect=1)
+    assert flag.lstrip("-").replace("-", "_") in err and not out.exists()
 
 
 def test_train_missing_store_is_error(run, tmp_path):

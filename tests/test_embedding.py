@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import io
 import itertools
+import math
 import struct
 import warnings
 
@@ -37,6 +38,7 @@ from conftest import (
     pattern,
     planted_kg,
     reference_extended_score,
+    reference_train_step,
     small_emb,
 )
 
@@ -73,6 +75,13 @@ def test_config_defaults_valid():
 def test_config_rejections(kw):
     with pytest.raises(ValueError):
         EmbeddingConfig(**kw).validate()
+
+
+@pytest.mark.parametrize("name", ["margin", "learning_rate"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_settings(name, value):
+    with pytest.raises(ValueError, match=name):
+        EmbeddingConfig(**{name: value}).validate()
 
 
 def test_rel_dim_resolution():
@@ -147,6 +156,72 @@ def test_zero_when_margin_satisfied():
     loss, grads = margin_loss_and_grads("transe", "l1", 1.0, ent, rel, None, None, pos, neg)
     assert loss == 0.0
     assert not grads["entities"].any() and not grads["relations"].any()
+
+
+# -- the training step ---------------------------------------------------
+
+
+def _step_batch(model, k, rng):
+    """A unit-ball state and a batch of k negatives per positive."""
+    ent, rel, normals, maps = _random_state(rng, model, n_ent=9, rel_dim=4 if model == "transr" else 6)
+    ent /= np.linalg.norm(ent, axis=1, keepdims=True)
+    pos = np.repeat(np.array([[0, 0, 1], [2, 1, 3], [4, 2, 0], [1, 0, 5], [0, 1, 2]]), k, axis=0)
+    neg = pos.copy()
+    side = np.where(rng.random(len(pos)) < 0.5, 0, 2)
+    neg[np.arange(len(pos)), side] = rng.integers(9, size=len(pos))
+    return [ent, rel, normals, maps], pos, neg
+
+
+def _copy(params):
+    return [None if x is None else x.copy() for x in params]
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "transr"])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("active", ["some", "none"])
+def test_train_step_matches_the_dense_reference(model, norm, k, active):
+    params, pos, neg = _step_batch(model, k, np.random.default_rng(17))
+    margin = 1.0
+    if active == "none":
+        # keep the pairs whose negative scores higher and a margin below
+        # every gap, so no pair is active
+        ent, rel, normals, maps = params
+        gap = trq.embedding._batch_scores(model, norm, ent, rel, normals, maps, *neg.T)[0]
+        gap -= trq.embedding._batch_scores(model, norm, ent, rel, normals, maps, *pos.T)[0]
+        pos, neg = pos[gap > 0], neg[gap > 0]
+        margin = gap[gap > 0].min() / 2
+        assert len(pos)
+    got, want = _copy(params), _copy(params)
+    loss = trq.embedding._train_step(model, norm, margin, 0.5, *got, pos, neg)
+    assert loss == pytest.approx(reference_train_step(model, norm, margin, 0.5, *want, pos, neg), rel=1e-12)
+    assert (loss == 0.0) == (active == "none")
+    for a, b in zip(got, want):
+        if a is not None:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    if active == "none":
+        for a, b in zip(got, params):
+            if a is not None:
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "transr"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_training_matches_training_with_the_reference_step(chain, model, k, monkeypatch):
+    cfg = EmbeddingConfig(
+        model=model, dim=8, rel_dim=5 if model == "transr" else None, epochs=6, batch_size=4,
+        negatives_per_positive=k, learning_rate=0.05, norm="l2", seed=4,
+    )
+    got = train(chain, cfg)
+    monkeypatch.setattr(trq.embedding, "_train_step", reference_train_step)
+    want = train(chain, cfg)
+    assert got.losses == pytest.approx(want.losses, rel=1e-9)
+    assert got.sampler_redraws == want.sampler_redraws
+    for name in ("entity_vecs", "relation_vecs", "normals", "maps"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-6)
 
 
 # -- model reductions --------------------------------------------------
@@ -301,6 +376,95 @@ def test_empty_graph_rejected():
         train(GraphBuilder().build(), EmbeddingConfig())
 
 
+# -- negative sampler ----------------------------------------------------
+
+
+def _sampled_pairs(g, cfg, monkeypatch):
+    """Train, recording every batch's (pos, neg) as graph term-id rows."""
+    batches = []
+    step = trq.embedding._train_step
+    monkeypatch.setattr(
+        trq.embedding, "_train_step", lambda *a: batches.append((a[-2].copy(), a[-1].copy())) or step(*a)
+    )
+    emb = train(g, cfg)
+    ent_ids = np.array([g.id(t) for t in emb.entity_terms])
+    rel_ids = np.array([g.id(t) for t in emb.relation_terms])
+
+    def ids(rows):
+        return np.stack([ent_ids[rows[:, 0]], rel_ids[rows[:, 1]], ent_ids[rows[:, 2]]], axis=1)
+
+    pos = np.concatenate([ids(p) for p, _ in batches])
+    neg = np.concatenate([ids(n) for _, n in batches])
+    return emb, pos, neg
+
+
+def _known(g, rows):
+    return np.array([g.contains(*row) for row in rows.tolist()], dtype=bool)
+
+
+@pytest.fixture(scope="module")
+def typed_graph():
+    # most entities share one class, so many head corruptions of a type
+    # triple are known type triples
+    rows = [(f"x{i}", "type", "C") for i in range(10)]
+    rows += [(f"x{i}", "p", f"x{(i + 1) % 10}") for i in range(10)] + [("y", "p", "x0"), ("x1", "q", "z")]
+    return build_graph(rows)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_negatives_corrupt_one_side_and_are_never_known(typed_graph, k, monkeypatch):
+    cfg = EmbeddingConfig(dim=4, epochs=4, batch_size=5, negatives_per_positive=k, include_type_triples=True)
+    emb, pos, neg = _sampled_pairs(typed_graph, cfg, monkeypatch)
+    assert len(pos) == 4 * k * typed_graph.triple_count
+    diff = neg != pos
+    assert not diff[:, 1].any()
+    assert (diff[:, 0] != diff[:, 2]).all()  # exactly one side replaced
+    assert (pos[:, 1] == typed_graph.rdf_type_id).any()
+    assert not _known(typed_graph, neg).any()
+    # the known type triples made some draws collide
+    assert len(emb.sampler_redraws) == 4 and sum(emb.sampler_redraws) > 0
+    assert all(0 <= r <= k * typed_graph.triple_count for r in emb.sampler_redraws)
+
+
+def test_sampler_skips_a_side_whose_every_corruption_is_known(monkeypatch):
+    # (a, p) already has every entity as tail: only head corruptions of
+    # its triples are unknown
+    ents = ["a"] + [f"b{i}" for i in range(6)]
+    g = build_graph([("a", "p", e) for e in ents])
+    _, pos, neg = _sampled_pairs(g, EmbeddingConfig(dim=4, epochs=3, batch_size=3), monkeypatch)
+    assert not _known(g, neg).any()
+    assert (neg[:, 0] != pos[:, 0]).all() and (neg[:, 2] == pos[:, 2]).all()
+
+
+def test_sampler_terminates_when_every_corruption_is_known(monkeypatch):
+    ents = ["a", "b", "c"]
+    g = build_graph([(h, "p", t) for h in ents for t in ents])
+    cfg = EmbeddingConfig(dim=4, epochs=2, batch_size=4, negatives_per_positive=2)
+    emb, pos, neg = _sampled_pairs(g, cfg, monkeypatch)
+    # every negative kept its last draw, which is a known triple
+    assert _known(g, neg).all() and len(neg) == 2 * 2 * 9
+    assert emb.sampler_redraws == [18, 18]
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "transr"])
+def test_same_seed_gives_identical_trqe_bytes(chain, model):
+    cfg = EmbeddingConfig(model=model, dim=6, epochs=5, batch_size=4, negatives_per_positive=2, seed=9)
+    files = []
+    for _ in range(2):
+        buf = io.BytesIO()
+        save_embeddings(train(chain, cfg), buf)
+        files.append(buf.getvalue())
+    assert files[0] == files[1]
+
+
+def test_sampler_redraws_are_not_stored(chain):
+    emb = train(chain, EmbeddingConfig(dim=4, epochs=3, seed=0))
+    assert len(emb.sampler_redraws) == 3
+    buf = io.BytesIO()
+    save_embeddings(emb, buf)
+    assert load_embeddings(io.BytesIO(buf.getvalue())).sampler_redraws == []
+
+
 def test_transr_rectangular_relation_space(chain):
     emb = train(chain, EmbeddingConfig(model="transr", dim=8, rel_dim=5, epochs=3, seed=0))
     assert emb.entity_vecs.shape[1] == 8
@@ -436,6 +600,17 @@ def test_unembedded_term_raises(chain):
         emb.bind(g2).score_triple(g2.id(ex("e0")), g2.id(ex("r0")), g2.id(ex("brandnew")))
 
 
+@pytest.mark.parametrize("tid", [99, -1])
+def test_out_of_range_term_id_is_an_unembedded_term(tid):
+    g = build_graph([("a", "p", "b")])
+    view = small_emb(g).bind(g)
+    p = g.id(ex("p"))
+    with pytest.raises(UnembeddedTermError, match=f"term id {tid}"):
+        view.score_triple(tid, p, 0)
+    with pytest.raises(UnembeddedTermError, match=f"term id {tid}"):
+        view.score_triple(0, tid, 0)
+
+
 @pytest.mark.parametrize("first", ["trained", "reversed"])
 def test_views_on_two_graphs_match_fresh_binds(chain, first):
     # one set bound to two graphs that hold the same terms under different
@@ -547,8 +722,8 @@ def test_divergent_training_is_a_named_error(model, bench_graph):
 def test_divergence_stops_at_the_first_non_finite_epoch(bench_graph, monkeypatch):
     # TransR at this rate overflows in its first epoch; no later batch runs
     batches = []
-    grads = trq.embedding.margin_loss_and_grads
-    monkeypatch.setattr(trq.embedding, "margin_loss_and_grads", lambda *a: batches.append(1) or grads(*a))
+    step = trq.embedding._train_step
+    monkeypatch.setattr(trq.embedding, "_train_step", lambda *a: batches.append(1) or step(*a))
     cfg = EmbeddingConfig(model="transr", dim=8, epochs=5, batch_size=64, learning_rate=1e300)
     with warnings.catch_warnings(), pytest.raises(NonFiniteEmbeddingError, match="in epoch 1 of 5"):
         warnings.simplefilter("error")
