@@ -40,7 +40,6 @@ from .recommend import (
     Recommendation,
     RecommendRequest,
     VariablePredicateError,
-    rank,
     recommend,
 )
 from .scoring import (
@@ -48,9 +47,7 @@ from .scoring import (
     ScoredSolution,
     classify,
     delta,
-    edit_distance,
     score_graph,
-    score_solution,
 )
 from .sparql import (
     Const,

@@ -5,9 +5,12 @@ TRQE embeddings), ``plan`` (show a query's subquery trees), ``query``
 (ranked approximate solutions), ``ask``, ``stats``, and ``bench``
 (fact-deletion benchmark from a manifest). Results go to stdout as TSV
 or JSON; diagnostics go to stderr; the exit status is 0 exactly when no
-errors occurred. Every option falls back to a ``TRQ_``-prefixed
-environment variable (e.g. ``TRQ_STORE``, ``TRQ_MODEL``, ``TRQ_TOP_K``)
-before its built-in default.
+errors occurred. Every option except ``--output``, ``--lax``,
+``--quiet``, ``--top``, ``--relation`` and ``--uniform-f`` falls back to
+a ``TRQ_``-prefixed environment variable (e.g. ``TRQ_STORE``,
+``TRQ_MODEL``, ``TRQ_TOP_K``) before its built-in default. Booleans read
+``1/true/yes/on`` or ``0/false/no/off``; any other value, a number
+that does not parse, or a word outside an option's choices is an error.
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ import time
 from pathlib import Path
 
 from . import embedding, evalkit, qgraph, sparql, store
-from .recommend import RecommendRequest, recommend
+from .recommend import (
+    DEFAULT_PER_TREE_LIMIT,
+    DEFAULT_THRESHOLD,
+    DEFAULT_TOP_K,
+    RecommendRequest,
+    recommend,
+)
 from .sparql import Query, QueryForm, Var
 from .terms import Term, Triple
 
@@ -29,13 +38,26 @@ class QueryFormError(ValueError):
     """A command got a query form it does not answer."""
 
 
-def _env(name: str, cast, default):
+FORMATS = ("tsv", "json")
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _env(name: str, cast, default, choices=None):
     raw = os.environ.get("TRQ_" + name)
     if raw is None:
         return default
+    if choices is not None and raw not in choices:
+        raise ValueError(f"TRQ_{name}: expected one of {'/'.join(choices)}, got {raw!r}")
     if cast is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    return cast(raw)
+        word = raw.strip().lower()
+        if word not in _TRUE + _FALSE:
+            raise ValueError(f"TRQ_{name}: expected one of 1/true/yes/on or 0/false/no/off, got {raw!r}")
+        return word in _TRUE
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"TRQ_{name}: not a valid {cast.__name__}: {raw!r}") from None
 
 
 def _read_text(path: str) -> str:
@@ -318,23 +340,24 @@ def cmd_bench(args) -> int:
 
 
 def _add_train_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", default=_env("MODEL", str, "transe"), choices=embedding.MODELS)
-    p.add_argument("--dim", type=int, default=_env("DIM", int, 50))
-    p.add_argument("--rel-dim", type=int, default=_env("REL_DIM", int, None))
-    p.add_argument("--margin", type=float, default=_env("MARGIN", float, 1.0))
-    p.add_argument("--learning-rate", type=float, default=_env("LEARNING_RATE", float, 0.01))
-    p.add_argument("--epochs", type=int, default=_env("EPOCHS", int, 200))
-    p.add_argument("--batch-size", type=int, default=_env("BATCH_SIZE", int, 128))
-    p.add_argument("--negatives", type=int, default=_env("NEGATIVES", int, 1))
-    p.add_argument("--norm", default=_env("NORM", str, "l1"), choices=embedding.NORMS)
-    p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+    d = embedding.EmbeddingConfig()
+    p.add_argument("--model", default=_env("MODEL", str, d.model, embedding.MODELS), choices=embedding.MODELS)
+    p.add_argument("--dim", type=int, default=_env("DIM", int, d.dim))
+    p.add_argument("--rel-dim", type=int, default=_env("REL_DIM", int, d.rel_dim))
+    p.add_argument("--margin", type=float, default=_env("MARGIN", float, d.margin))
+    p.add_argument("--learning-rate", type=float, default=_env("LEARNING_RATE", float, d.learning_rate))
+    p.add_argument("--epochs", type=int, default=_env("EPOCHS", int, d.epochs))
+    p.add_argument("--batch-size", type=int, default=_env("BATCH_SIZE", int, d.batch_size))
+    p.add_argument("--negatives", type=int, default=_env("NEGATIVES", int, d.negatives_per_positive))
+    p.add_argument("--norm", default=_env("NORM", str, d.norm, embedding.NORMS), choices=embedding.NORMS)
+    p.add_argument("--seed", type=int, default=_env("SEED", int, d.seed))
     p.add_argument("--include-type-triples", action="store_true",
-                   default=_env("INCLUDE_TYPE_TRIPLES", bool, False))
+                   default=_env("INCLUDE_TYPE_TRIPLES", bool, d.include_type_triples))
 
 
 def _add_query_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threshold", "-t", type=int, default=_env("THRESHOLD", int, 2))
-    p.add_argument("--per-tree-limit", type=int, default=_env("PER_TREE_LIMIT", int, 10_000))
+    p.add_argument("--threshold", "-t", type=int, default=_env("THRESHOLD", int, DEFAULT_THRESHOLD))
+    p.add_argument("--per-tree-limit", type=int, default=_env("PER_TREE_LIMIT", int, DEFAULT_PER_TREE_LIMIT))
     p.add_argument("--max-edges", type=int, default=_env("MAX_EDGES", int, qgraph.DEFAULT_MAX_EDGES))
 
 
@@ -367,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query", help="query file, or - for stdin")
     p.add_argument("--store", default=_env("STORE", str, None))
     p.add_argument("--embeddings", default=_env("EMBEDDINGS", str, None), help="TRQE file")
-    p.add_argument("--top-k", "-k", type=int, default=_env("TOP_K", int, 10))
+    p.add_argument("--top-k", "-k", type=int, default=_env("TOP_K", int, DEFAULT_TOP_K))
     _add_query_options(p)
-    p.add_argument("--format", default=_env("FORMAT", str, "tsv"), choices=("tsv", "json"))
+    p.add_argument("--format", default=_env("FORMAT", str, "tsv", FORMATS), choices=FORMATS)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("ask", help="evaluate an ASK query exactly")
@@ -392,15 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_query_options(p)
     p.add_argument("--uniform-f", type=float, default=None,
                    help="ablation: score every edge with this constant f")
-    p.add_argument("--format", default=_env("FORMAT", str, "tsv"), choices=("tsv", "json"))
+    p.add_argument("--format", default=_env("FORMAT", str, "tsv", FORMATS), choices=FORMATS)
     p.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, LookupError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -400,9 +400,12 @@ class BoundEmbeddings:
         """Mean entity vector of the class's instances (see module doc)."""
         vec = self._type_cache.get(ty)
         if vec is None:
-            type_id = self.graph.rdf_type_id
-            members = [] if type_id is None else [tr.s for tr in self.graph.match(None, type_id, ty)]
-            rows = _rows(self.ent_row, np.array(members, dtype=np.int64))
+            g = self.graph
+            members = np.empty(0, dtype=np.int64)
+            if g.rdf_type_id is not None and 0 <= ty < g.term_count:
+                index, lo, hi = g.ranges(None, g.rdf_type_id, ty)
+                members = index.unpack(index.keys[lo:hi])[0]
+            rows = _rows(self.ent_row, members)
             if not (rows >= 0).any():  # no embedded instance: the class's own row
                 rows = _rows(self.ent_row, np.array([ty], dtype=np.int64))
             rows = rows[rows >= 0]

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import EmbeddingConfig, EmbeddingSet, train
-from .recommend import RecommendRequest, recommend
+from .recommend import DEFAULT_PER_TREE_LIMIT, DEFAULT_THRESHOLD, RecommendRequest, recommend
 from .sparql import Query, QueryForm, evaluate_bgp
 from .store import Graph, first_appearance
 from .terms import Triple
@@ -85,10 +85,8 @@ def exact_solutions(g: Graph, q: Query) -> set[BindingTuple]:
     exact solutions of the query's patterns."""
     probe = Query(QueryForm.SELECT, q.patterns, tuple(sorted(q.variables())), True, q.prefixes)
     result = evaluate_bgp(g, probe)
-    out: set[BindingTuple] = set()
-    for m in result.mappings:
-        out.add(tuple(g.term(m[v]).nt() for v in sorted(m)))
-    return out
+    columns = [result.variables.index(v) for v in sorted(result.variables)]
+    return {tuple(g.term(t).nt() for t in row) for row in result.rows[:, columns].tolist()}
 
 
 @dataclass
@@ -134,9 +132,9 @@ def run_benchmark(
     cases: Sequence[BenchCase],
     embed_config: EmbeddingConfig | None = None,
     embeddings: EmbeddingSet | None = None,
-    threshold: int = 2,
+    threshold: int = DEFAULT_THRESHOLD,
     top_k: int | None = None,
-    per_tree_limit: int = 10_000,
+    per_tree_limit: int = DEFAULT_PER_TREE_LIMIT,
     uniform_f: float | None = None,
 ) -> BenchReport:
     """Run every case, charging metrics against the original exact answers.
@@ -164,7 +162,7 @@ def run_benchmark(
                 query=case.query,
                 embeddings=emb,
                 threshold=threshold,
-                top_k=top_k if top_k is not None else max(1, per_tree_limit),
+                top_k=top_k,
                 per_tree_limit=per_tree_limit,
                 uniform_f=uniform_f,
             )

@@ -18,6 +18,7 @@ path.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -54,7 +55,7 @@ class RecommendRequest:
     query: Query
     embeddings: EmbeddingSet
     threshold: int = DEFAULT_THRESHOLD
-    top_k: int = DEFAULT_TOP_K
+    top_k: int | None = DEFAULT_TOP_K  # None: every candidate
     per_tree_limit: int = DEFAULT_PER_TREE_LIMIT
     max_edges: int = DEFAULT_MAX_EDGES
     uniform_f: float | None = None  # ablation hook: constant f for every edge
@@ -62,10 +63,12 @@ class RecommendRequest:
     def validate(self) -> None:
         if self.threshold < 1:
             raise ValueError("threshold must be at least 1")
-        if self.top_k < 1:
+        if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be at least 1")
         if self.per_tree_limit < 1:
             raise ValueError("per_tree_limit must be at least 1")
+        if self.uniform_f is not None and not (math.isfinite(self.uniform_f) and 0 < self.uniform_f <= 1):
+            raise ValueError(f"uniform_f must be a finite number in (0, 1], got {self.uniform_f}")
 
 
 @dataclass
@@ -78,12 +81,6 @@ class Recommendation:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def rank(solutions: list[ScoredSolution], k: int) -> list[ScoredSolution]:
-    """Stable top-k: score desc, edit distance asc, binding tuple asc."""
-    ordered = sorted(solutions, key=lambda s: (-s.score, s.edit_distance, s.binding_key))
-    return ordered[:k]
-
-
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence of every distinct row."""
     view = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
@@ -91,8 +88,9 @@ def _first_occurrences(rows: np.ndarray) -> np.ndarray:
 
 
 def _top(g: Graph, rows: np.ndarray, scores: np.ndarray, distance: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` best rows in :func:`rank` order. Only rows
-    that tie with or beat the k-th best score are ordered; their binding
+    """Indices of the ``k`` best rows, ordered by score descending, then
+    edit distance ascending, then binding tuple ascending. Only rows that
+    tie with or beat the k-th best score are ordered; their binding
     tuples are compared through the rank of each term's N-Triples form
     among the terms of those rows."""
     if k == 0:
@@ -160,7 +158,8 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     view = req.embeddings.bind(g)
     scores, f, fallback = score_table(view, resolved, weights, variables, rows, in_graph, req.uniform_f)
     t3 = time.perf_counter()
-    chosen = _top(g, rows, scores, (~in_graph).sum(axis=1), min(req.top_k, len(rows)))
+    k = len(rows) if req.top_k is None else min(req.top_k, len(rows))
+    chosen = _top(g, rows, scores, (~in_graph).sum(axis=1), k)
     top = [
         scored_solution(
             g, dict(zip(variables, rows[r].tolist())), weights, in_graph[r], f[r], fallback[r], scores[r]

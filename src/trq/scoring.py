@@ -28,7 +28,6 @@ import numpy as np
 from .embedding import BoundEmbeddings
 from .sparql import SolutionMapping, TriplePattern, Var
 from .store import Graph
-from .terms import TermId
 
 
 class EdgeForm(Enum):
@@ -77,34 +76,6 @@ def edge_weights(g: Graph, patterns: Sequence[TriplePattern]) -> list[float]:
 def score_graph(g: Graph, patterns: Sequence[TriplePattern]) -> float:
     """The maximum achievable score: the sum of all pattern weights."""
     return sum(edge_weights(g, patterns))
-
-
-def instantiate_ids(
-    g: Graph, e: TriplePattern, mapping: SolutionMapping
-) -> tuple[TermId, TermId, TermId] | None:
-    """Term ids of mu(e), or None when a constant is unknown to the graph."""
-    out = []
-    for atom in e.atoms():
-        if isinstance(atom, Var):
-            if atom.name not in mapping:
-                raise KeyError(f"mapping does not bind ?{atom.name}")
-            out.append(mapping[atom.name])
-        else:
-            tid = g.id(atom.term)
-            if tid is None:
-                return None
-            out.append(tid)
-    return tuple(out)
-
-
-def edit_distance(g: Graph, patterns: Sequence[TriplePattern], mapping: SolutionMapping) -> int:
-    """Number of patterns whose instantiation under the mapping is absent."""
-    missing = 0
-    for e in patterns:
-        ids = instantiate_ids(g, e, mapping)
-        if ids is None or not g.contains(*ids):
-            missing += 1
-    return missing
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,29 +175,3 @@ def scored_solution(
     per_edge = tuple(EdgeScore(i, weights[i], f[i], present[i], fallback[i]) for i in range(len(present)))
     key = tuple(g.term(mapping[v]).nt() for v in sorted(mapping))
     return ScoredSolution(dict(mapping), present.count(False), float(score), per_edge, key)
-
-
-def score_solution(
-    view: BoundEmbeddings,
-    patterns: Sequence[TriplePattern],
-    mapping: SolutionMapping,
-    weights: Sequence[float] | None = None,
-    uniform_f: float | None = None,
-    in_graph: Sequence[bool] | None = None,
-) -> ScoredSolution:
-    """Score one total mapping against the full query: :func:`score_table`
-    on a one-row table. ``weights`` reuses precomputed edge weights and
-    ``in_graph`` known per-pattern flags (looked up here when not given).
-    """
-    g = view.graph
-    if weights is None:
-        weights = edge_weights(g, patterns)
-    resolved = resolve_patterns(g, patterns)
-    variables = tuple(mapping)
-    row = np.array([list(mapping.values())], dtype=np.int64)
-    if in_graph is None:
-        flags = in_graph_flags(g, resolved, variables, row, range(len(patterns)))
-    else:
-        flags = np.array([in_graph], dtype=bool)
-    total, f, fallback = score_table(view, resolved, weights, variables, row, flags, uniform_f)
-    return scored_solution(g, mapping, weights, flags[0], f[0], fallback[0], total[0])

@@ -20,7 +20,7 @@ from trq import (
     train,
 )
 from trq.embedding import TRANSE, TRANSH, _batch_scores, _norm_grads, _norm_values
-from trq.scoring import EdgeScore, ScoredSolution, edge_weights, instantiate_ids
+from trq.scoring import EdgeScore, ScoredSolution, edge_weights
 from trq.sparql import Const, Var, _order_patterns
 
 EX = "http://example.org/"
@@ -268,15 +268,16 @@ def reference_score_solution(view: BoundEmbeddings, patterns, mapping, uniform_f
     missing = 0
     total = 0.0
     for i, e in enumerate(patterns):
-        ids = instantiate_ids(g, e, mapping)
-        present = ids is not None and g.contains(*ids)
+        ids = tuple(mapping[a.name] if isinstance(a, Var) else g.id(a.term) for a in e.atoms())
+        unknown = None in ids  # a constant the graph does not hold
+        present = not unknown and g.contains(*ids)
         missing += not present
         fallback = False
         if uniform_f is not None:
             f = uniform_f
         elif present:
             f = 1.0
-        elif ids is None:
+        elif unknown:
             f, fallback = floor, True
         else:
             try:
@@ -287,6 +288,12 @@ def reference_score_solution(view: BoundEmbeddings, patterns, mapping, uniform_f
         per_edge.append(EdgeScore(i, weights[i], f, present, fallback))
     key = tuple(g.term(mapping[v]).nt() for v in sorted(mapping))
     return ScoredSolution(dict(mapping), missing, total, tuple(per_edge), key)
+
+
+def reference_rank(solutions, k: int) -> list[ScoredSolution]:
+    """The sort ``recommend``'s top-K must reproduce: score desc, edit
+    distance asc, binding tuple asc, first k."""
+    return sorted(solutions, key=lambda s: (-s.score, s.edit_distance, s.binding_key))[:k]
 
 
 def reference_corrupt_graph(g: Graph, deletions) -> Graph:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import warnings
 
 import pytest
 
-from trq.cli import main
-from trq.embedding import load_embeddings
+from trq.cli import _embed_config, build_parser, main
+from trq.embedding import EmbeddingConfig, load_embeddings
+from trq.recommend import DEFAULT_PER_TREE_LIMIT, DEFAULT_THRESHOLD, DEFAULT_TOP_K
 from trq.store import load_snapshot
 
 from conftest import EX, MOVIE_QUERY, movie_graph, nt_text
@@ -286,6 +288,39 @@ def test_query_flag_overrides_env(run, artifacts, movie_query_file, monkeypatch)
     assert len(stdout.strip().split("\n")) == 4
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("TOP_K", "abc"), ("DIM", "1.5"), ("MARGIN", "wide"), ("INCLUDE_TYPE_TRIPLES", "garbage"),
+        ("FORMAT", "xml"), ("MODEL", "transx"), ("NORM", "l3"),
+    ],
+)
+def test_malformed_env_value_is_clean_error(run, movie_query_file, monkeypatch, name, value):
+    monkeypatch.setenv("TRQ_" + name, value)
+    _, err = run("plan", str(movie_query_file), expect=1)
+    assert err.startswith(f"error: TRQ_{name}: ") and repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "value, expect",
+    [(w, True) for w in ("1", "true", "Yes", " ON ")] + [(w, False) for w in ("0", "false", "NO", "off")],
+)
+def test_boolean_env_words(monkeypatch, value, expect):
+    monkeypatch.setenv("TRQ_INCLUDE_TYPE_TRIPLES", value)
+    assert build_parser().parse_args(["train", "-o", "x.trqe"]).include_type_triples is expect
+
+
+def test_defaults_come_from_the_library(monkeypatch):
+    for name in [k for k in os.environ if k.startswith("TRQ_")]:
+        monkeypatch.delenv(name)
+    parser = build_parser()
+    assert _embed_config(parser.parse_args(["train", "-o", "x.trqe"])) == EmbeddingConfig()
+    args = parser.parse_args(["query", "q.rq"])
+    assert (args.threshold, args.per_tree_limit, args.top_k) == (
+        DEFAULT_THRESHOLD, DEFAULT_PER_TREE_LIMIT, DEFAULT_TOP_K,
+    )
+
+
 def test_query_unsupported_feature_is_clean_error(run, artifacts, tmp_path):
     store_path, emb_path = artifacts
     q = tmp_path / "f.rq"
@@ -442,6 +477,17 @@ def test_bench_unknown_deletion_term_is_error(run, artifacts, bench_dir):
         expect=1,
     )
     assert "not in the store" in err
+
+
+def test_bench_rejects_non_finite_uniform_f(run, artifacts, bench_dir):
+    store_path, emb_path = artifacts
+    stdout, _ = run(
+        "bench", str(bench_dir / "bench.manifest"),
+        "--store", str(store_path), "--embeddings", str(emb_path),
+        "--uniform-f", "nan",
+        expect=1,
+    )
+    assert "uniform_f" in stdout
 
 
 def test_bench_passes_every_training_option(run, artifacts, bench_dir, monkeypatch):

@@ -280,6 +280,25 @@ def test_benchmark_uniform_f_ablation_runs(bench_world):
     assert report.failures == 0
 
 
+def test_run_benchmark_ranks_every_candidate_of_every_tree():
+    # the 2-cycle ?x p ?y . ?y q ?x has two trees, p alone and q alone;
+    # after the deletion each yields 4 rows, so 8 candidates pool across
+    # trees and a truth missing from them is charged 8 + 1
+    rows = [(f"a{i}", "p", f"b{i}") for i in range(4)] + [(f"d{i}", "q", f"c{i}") for i in range(4)]
+    g = build_graph(rows + [("b3", "q", "a3")])
+    case = BenchCase(
+        name="two-trees",
+        query=make_query([pattern("?x", "p", "?y"), pattern("?y", "q", "?x")]),
+        deletions=[Triple(g.id(ex("b3")), g.id(ex("q")), g.id(ex("a3")))],
+        truth={(ex("nobody").nt(), ex("nowhere").nt())},
+    )
+    emb = small_emb(g, epochs=3)
+    [row] = run_benchmark(g, [case], embeddings=emb, per_tree_limit=4).rows
+    assert (row.candidates, row.rr, row.mr) == (8, 0.0, 9.0)
+    [row] = run_benchmark(g, [case], embeddings=emb, per_tree_limit=4, top_k=3).rows
+    assert (row.candidates, row.mr) == (8, 4.0)
+
+
 # -- manifests ---------------------------------------------------------
 
 

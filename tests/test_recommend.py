@@ -9,7 +9,7 @@ from trq.recommend import (
     Recommendation,
     RecommendRequest,
     VariablePredicateError,
-    rank,
+    _top,
     recommend,
 )
 from trq.scoring import ScoredSolution, score_graph
@@ -25,6 +25,7 @@ from conftest import (
     make_query,
     movie_graph,
     pattern,
+    reference_rank,
     reference_score_solution,
     small_emb,
 )
@@ -61,26 +62,34 @@ def _req(q, emb, **kw):
 # -- ranking -----------------------------------------------------------
 
 
-def _sol(score, ed, key):
-    return ScoredSolution({}, ed, score, (), key)
+def _ranked(candidates, k, width=1):
+    """``_top``'s first ``k`` of (score, edit distance, binding names)
+    candidates, each as (score, edit distance, N-Triples binding key),
+    and the same from ``reference_rank``."""
+    g = build_graph([(x, "p", x) for _, _, names in candidates for x in names])
+    rows = np.array([[g.id(ex(x)) for x in names] for _, _, names in candidates], dtype=np.int64)
+    scores = np.array([score for score, _, _ in candidates], dtype=np.float64)
+    distance = np.array([ed for _, ed, _ in candidates], dtype=np.int64)
+    chosen = _top(g, rows.reshape(len(candidates), width), scores, distance, min(k, len(candidates)))
+    sols = [
+        ScoredSolution({}, ed, score, (), tuple(ex(x).nt() for x in names))
+        for score, ed, names in candidates
+    ]
+    got = [(scores[i], distance[i], sols[i].binding_key) for i in chosen.tolist()]
+    return got, [(s.score, s.edit_distance, s.binding_key) for s in reference_rank(sols, k)]
 
 
 def test_rank_orders_by_score_then_edit_then_key():
-    sols = [
-        _sol(1.0, 2, ("b",)),
-        _sol(2.0, 1, ("z",)),
-        _sol(1.0, 1, ("c",)),
-        _sol(1.0, 1, ("a",)),
-    ]
-    out = rank(sols, 10)
-    assert [s.score for s in out] == [2.0, 1.0, 1.0, 1.0]
-    assert [s.binding_key for s in out[1:]] == [("a",), ("c",), ("b",)]
+    got, want = _ranked([(1.0, 2, ("b",)), (2.0, 1, ("z",)), (1.0, 1, ("c",)), (1.0, 1, ("a",))], 10)
+    assert got == want
+    assert [score for score, _, _ in got] == [2.0, 1.0, 1.0, 1.0]
+    assert [key for _, _, key in got[1:]] == [(ex(x).nt(),) for x in ("a", "c", "b")]
 
 
 def test_rank_truncates_to_k():
-    sols = [_sol(float(i), 0, (str(i),)) for i in range(9)]
-    assert len(rank(sols, 3)) == 3
-    assert [s.score for s in rank(sols, 3)] == [8.0, 7.0, 6.0]
+    got, want = _ranked([(float(i), 0, (f"t{i}",)) for i in range(9)], 3)
+    assert got == want
+    assert [score for score, _, _ in got] == [8.0, 7.0, 6.0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,15 +98,16 @@ def test_rank_truncates_to_k():
         st.tuples(
             st.sampled_from([1.0, 2.0, 2.5]),
             st.integers(0, 2),
-            st.text("ab", min_size=1, max_size=2),
+            st.tuples(st.text("ab", min_size=1, max_size=2), st.text("ab", min_size=1, max_size=2)),
         ),
         max_size=12,
-    )
+    ),
+    st.integers(1, 13),
 )
-def test_rank_matches_reference_sort(rows):
-    sols = [_sol(s, e, (k,)) for s, e, k in rows]
-    expect = sorted(sols, key=lambda s: (-s.score, s.edit_distance, s.binding_key))
-    assert rank(sols, len(sols) or 1) == expect
+def test_rank_matches_reference_sort(candidates, k):
+    # ties on the score, on the edit distance and on either binding
+    got, want = _ranked(candidates, k, width=2)
+    assert got == want
 
 
 # -- pipeline on the film toy ------------------------------------------
@@ -203,7 +213,7 @@ def _assert_ranking_close(got, ranked, k):
         assert (s.edit_distance, _edges(s)) == (r.edit_distance, _edges(r))
         assert s.score == pytest.approx(r.score, rel=1e-12, abs=0)
         assert [e.f for e in s.per_edge] == pytest.approx([e.f for e in r.per_edge], rel=1e-12, abs=0)
-    assert rank(got, len(got) or 1) == got
+    assert reference_rank(got, len(got)) == got
     chosen = {s.binding_key for s in got}
     bar = got[-1].score * (1 + 1e-12) if got else float("-inf")
     assert all(r.score <= bar for r in ranked if r.binding_key not in chosen)
@@ -214,7 +224,7 @@ def _assert_ranking_close(got, ranked, k):
 @pytest.mark.parametrize("top_k", [3, 10**9])  # fewer than kept; every candidate
 def test_recommend_matches_reference_scoring(reference_instances, model, uniform_f, top_k):
     # every brute-force candidate scored by the scalar per-edge loop and
-    # ordered by `rank` is what recommend returns: exactly for TransE,
+    # ordered by `reference_rank` is what recommend returns: exactly for TransE,
     # within 1e-12 relative for the models whose kernel math differs
     cut = 0
     for g, q, candidates in reference_instances:
@@ -224,7 +234,8 @@ def test_recommend_matches_reference_scoring(reference_instances, model, uniform
         emb = small_emb(trained, model=model, epochs=2, dim=6)
         got = recommend(g, _req(q, emb, top_k=top_k, per_tree_limit=10**9, uniform_f=uniform_f)).solutions
         view = emb.bind(g)
-        ranked = rank([reference_score_solution(view, q.patterns, m, uniform_f) for m in candidates], 10**9)
+        scored = [reference_score_solution(view, q.patterns, m, uniform_f) for m in candidates]
+        ranked = reference_rank(scored, len(scored))
         cut += len(candidates) > top_k
         if model == "transe":
             assert _view(got) == _view(ranked[:top_k])
@@ -307,6 +318,22 @@ def test_request_validation(stars):
     for kw in ({"threshold": 0}, {"top_k": 0}, {"per_tree_limit": 0}):
         with pytest.raises(ValueError):
             recommend(stars, _req(q, emb, **kw))
+
+
+@pytest.mark.parametrize("uniform_f", [float("nan"), float("inf"), float("-inf"), -3.0, 0.0, 1.5])
+def test_request_rejects_uniform_f_outside_unit_interval(stars, uniform_f):
+    emb = small_emb(stars)
+    q = make_query([pattern("?f", "starring", "?a")])
+    with pytest.raises(ValueError, match="uniform_f"):
+        recommend(stars, _req(q, emb, uniform_f=uniform_f))
+
+
+def test_top_k_none_ranks_every_candidate(stars):
+    emb = small_emb(stars)
+    q = make_query([pattern("?f", "starring", "?a"), pattern("?f", "type", "Film")])
+    every = recommend(stars, _req(q, emb, top_k=None))
+    assert len(every.solutions) == every.candidates_seen > 1
+    assert _view(every.solutions) == _view(recommend(stars, _req(q, emb, top_k=10**9)).solutions)
 
 
 def test_timings_cover_all_phases(stars):

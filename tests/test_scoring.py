@@ -10,13 +10,29 @@ from trq.scoring import (
     classify,
     delta,
     edge_weights,
-    edit_distance,
-    instantiate_ids,
+    in_graph_flags,
+    resolve_patterns,
     score_graph,
-    score_solution,
+    score_table,
+    scored_solution,
 )
 
 from conftest import build_graph, ex, make_query, pattern, small_emb
+
+
+def score_row(view, patterns, mapping, weights=None, uniform_f=None):
+    """One total mapping scored as recommend scores its candidates: a
+    one-row binding table, every pattern's flag looked up, then
+    score_table."""
+    g = view.graph
+    if weights is None:
+        weights = edge_weights(g, patterns)
+    resolved = resolve_patterns(g, patterns)
+    variables = tuple(mapping)
+    row = np.array([list(mapping.values())], dtype=np.int64)
+    flags = in_graph_flags(g, resolved, variables, row, range(len(patterns)))
+    total, f, fallback = score_table(view, resolved, weights, variables, row, flags, uniform_f)
+    return scored_solution(g, mapping, weights, flags[0], f[0], fallback[0], total[0])
 
 
 @pytest.fixture(scope="module")
@@ -88,28 +104,34 @@ def test_selective_patterns_weigh_more():
     assert ws[1] > ws[0]
 
 
-def test_instantiate_and_edit_distance(twop):
+def test_in_graph_flags_count_edit_distance(twop):
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
     a, b, c = twop.id(ex("a")), twop.id(ex("b")), twop.id(ex("c"))
-    assert edit_distance(twop, pats, {"x": a, "y": b}) == 0
-    assert edit_distance(twop, pats, {"x": b, "y": a}) == 2
-    assert edit_distance(twop, pats, {"x": c, "y": b}) == 0
-    # unknown constant counts as missing
+    # one row per mapping, columns (x, y)
+    rows = np.array([[a, b], [b, a], [c, b]], dtype=np.int64)
+    flags = in_graph_flags(twop, resolve_patterns(twop, pats), ("x", "y"), rows, range(2))
+    assert (~flags).sum(axis=1).tolist() == [0, 2, 0]
+    # unknown constant resolves to None and counts as missing
     pats2 = [pattern("?x", "p", "?y"), pattern("?x", "p", "zzz")]
-    assert edit_distance(twop, pats2, {"x": a, "y": b}) == 1
-    assert instantiate_ids(twop, pats2[1], {"x": a, "y": b}) is None
+    resolved = resolve_patterns(twop, pats2)
+    assert resolved[1] == ["x", twop.id(ex("p")), None]
+    flags = in_graph_flags(twop, resolved, ("x", "y"), rows[:1], range(2))
+    assert (~flags).sum(axis=1).tolist() == [1]
 
 
-def test_edit_distance_requires_total_mapping(twop):
-    with pytest.raises(KeyError):
-        edit_distance(twop, [pattern("?x", "p", "?y")], {"x": 0})
+def test_in_graph_flags_look_up_only_the_named_patterns(twop):
+    pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
+    a, b = twop.id(ex("a")), twop.id(ex("b"))
+    rows = np.array([[b, a]], dtype=np.int64)  # misses both patterns
+    flags = in_graph_flags(twop, resolve_patterns(twop, pats), ("x", "y"), rows, [1])
+    assert flags.tolist() == [[True, False]]
 
 
 def test_exact_solution_scores_score_graph_bitwise(twop):
     emb = small_emb(twop)
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
     a, b = twop.id(ex("a")), twop.id(ex("b"))
-    sol = score_solution(emb.bind(twop), pats, {"x": a, "y": b})
+    sol = score_row(emb.bind(twop), pats, {"x": a, "y": b})
     assert sol.edit_distance == 0
     # identical float operations: equality is exact, not approximate
     assert sol.score == score_graph(twop, pats)
@@ -120,7 +142,7 @@ def test_inexact_solution_scores_strictly_below_maximum(twop):
     emb = small_emb(twop)
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
     b, c = twop.id(ex("b")), twop.id(ex("c"))
-    sol = score_solution(emb.bind(twop), pats, {"x": b, "y": c})
+    sol = score_row(emb.bind(twop), pats, {"x": b, "y": c})
     assert sol.edit_distance == 2
     assert sol.score < score_graph(twop, pats)
     assert all(0.0 < e.f < 1.0 for e in sol.per_edge)
@@ -130,7 +152,7 @@ def test_score_decomposes_per_edge(twop):
     emb = small_emb(twop)
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
     a, c = twop.id(ex("a")), twop.id(ex("c"))
-    sol = score_solution(emb.bind(twop), pats, {"x": a, "y": c})
+    sol = score_row(emb.bind(twop), pats, {"x": a, "y": c})
     assert sol.score == pytest.approx(sum(e.weight * e.f for e in sol.per_edge))
     assert sol.per_edge[0].weight == pytest.approx(7.0 / 3.0)
 
@@ -139,7 +161,7 @@ def test_uniform_f_overrides_embedding(twop):
     emb = small_emb(twop)
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
     a, c = twop.id(ex("a")), twop.id(ex("c"))
-    sol = score_solution(emb.bind(twop), pats, {"x": a, "y": c}, uniform_f=0.5)
+    sol = score_row(emb.bind(twop), pats, {"x": a, "y": c}, uniform_f=0.5)
     assert sol.score == pytest.approx(0.5 * score_graph(twop, pats))
     assert {e.f for e in sol.per_edge} == {0.5}
 
@@ -148,7 +170,7 @@ def test_unknown_constant_falls_back_to_floor(twop):
     emb = small_emb(twop)
     pats = [pattern("?x", "p", "zzz")]
     a = twop.id(ex("a"))
-    sol = score_solution(emb.bind(twop), pats, {"x": a})
+    sol = score_row(emb.bind(twop), pats, {"x": a})
     floor = 1.0 / (1.0 + emb.margin)
     assert sol.per_edge[0].fallback
     assert sol.per_edge[0].f == floor
@@ -158,7 +180,7 @@ def test_unembedded_term_falls_back_to_floor(twop):
     emb = small_emb(twop)
     g2 = build_graph([("a", "p", "b"), ("c", "p", "b"), ("new", "p", "a")])
     pats = [pattern("?x", "p", "?y")]
-    sol = score_solution(emb.bind(g2), pats, {"x": g2.id(ex("new")), "y": g2.id(ex("b"))})
+    sol = score_row(emb.bind(g2), pats, {"x": g2.id(ex("new")), "y": g2.id(ex("b"))})
     assert sol.per_edge[0].fallback
     assert sol.per_edge[0].f == 1.0 / (1.0 + emb.margin)
 
@@ -168,7 +190,7 @@ def test_precomputed_weights_reused(twop):
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
     a, b = twop.id(ex("a")), twop.id(ex("b"))
     ws = [10.0, 20.0]
-    sol = score_solution(emb.bind(twop), pats, {"x": a, "y": b}, weights=ws)
+    sol = score_row(emb.bind(twop), pats, {"x": a, "y": b}, weights=ws)
     assert sol.score == pytest.approx(30.0)
 
 
@@ -176,7 +198,7 @@ def test_binding_key_sorted_variable_order(twop):
     emb = small_emb(twop)
     pats = [pattern("?zeta", "p", "?alpha")]
     a, b = twop.id(ex("a")), twop.id(ex("b"))
-    sol = score_solution(emb.bind(twop), pats, {"zeta": a, "alpha": b})
+    sol = score_row(emb.bind(twop), pats, {"zeta": a, "alpha": b})
     # alpha sorts first
     assert sol.binding_key == (ex("b").nt(), ex("a").nt())
 
