@@ -22,7 +22,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import EmbeddingConfig, EmbeddingSet, train
-from .recommend import DEFAULT_PER_TREE_LIMIT, DEFAULT_THRESHOLD, RecommendRequest, recommend
+from .recommend import (
+    DEFAULT_PER_TREE_LIMIT,
+    DEFAULT_THRESHOLD,
+    RecommendRequest,
+    recommend,
+    validate_settings,
+)
 from .sparql import Query, QueryForm, evaluate_bgp
 from .store import Graph, first_appearance
 from .terms import Triple
@@ -142,11 +148,14 @@ def run_benchmark(
     By default a fresh embedding set is trained on each corrupted graph
     (the deleted facts then carry no direct training signal); passing
     ``embeddings`` reuses one set trained on the source graph instead.
-    A case failure is recorded on its row and does not stop the run.
-    ``top_k=None`` ranks every surviving candidate.
+    A case failure is recorded on its row and does not stop the run; a
+    recommend setting out of range raises ValueError before any case
+    runs. ``top_k=None`` ranks every surviving candidate.
     """
     if embeddings is None and embed_config is None:
         raise ValueError("run_benchmark needs embed_config or embeddings")
+    # Once, before any case trains a model it could not use.
+    validate_settings(threshold, top_k, per_tree_limit, uniform_f)
     report = BenchReport()
     for case in cases:
         row = BenchRow(name=case.name)

@@ -9,6 +9,17 @@ absolute IRIs, objects may additionally be literals ``"value"`` with an
 optional ``@lang`` tag or ``^^<datatype>`` suffix. A ``#`` comment may
 follow the closing dot. Escapes inside IRIs are restricted to \\u/\\U;
 literals accept the usual ECHAR set as well.
+
+Two readers share this grammar. :data:`TRIPLE_LINE` is one compiled
+pattern for the common line: absolute IRIs without escapes or forbidden
+characters, ``_:label`` blank nodes and literals without backslashes,
+each term given back as its raw token. A document loader tries it first
+and hands every line it does not match (comments, blank lines, escapes,
+malformed input) to :func:`parse_line`, the full parser, which builds
+the terms and raises the line-numbered :class:`NTriplesError`. A line
+the pattern matches is one :func:`parse_line` accepts, and each raw
+token parses with :func:`parse_term` to the term :func:`parse_line`
+gives for it.
 """
 
 from __future__ import annotations
@@ -20,6 +31,19 @@ from .terms import Term, TermKind, is_absolute_iri, unescape_string
 _BLANK_LABEL = re.compile(r"_:([A-Za-z0-9_]+)")
 _LANG_TAG = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")
 _WS = re.compile(r"[ \t]+")
+# Characters an IRI may not hold once its escapes are resolved.
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`]')
+
+# The common line, whose three groups are the raw subject, predicate and
+# object tokens. IRIs are absolute and hold no escape (so no backslash)
+# and no character _IRI_FORBIDDEN rejects; literals hold no backslash.
+_IRI = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
+_BLANK = r"_:[A-Za-z0-9_]+"
+_LITERAL = rf'"[^"\\]*"(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^{_IRI})?'
+TRIPLE_LINE = re.compile(
+    rf"[ \t]*({_IRI}|{_BLANK})[ \t]*({_IRI})[ \t]*({_IRI}|{_BLANK}|{_LITERAL})"
+    r"[ \t]*\.[ \t]*(?:#.*)?\r*"
+)
 
 
 class NTriplesError(ValueError):
@@ -51,7 +75,7 @@ def _parse_iri(line: str, i: int) -> tuple[Term, int]:
         raise ValueError("unterminated IRI")
     raw = line[i + 1 : end]
     value = _unescape_iri(raw)
-    if not value or any(ch in value for ch in ' <>"{}|^`') or any(ord(ch) < 0x21 for ch in value):
+    if not value or _IRI_FORBIDDEN.search(value):
         raise ValueError(f"malformed IRI <{raw}>")
     if not is_absolute_iri(value):
         raise ValueError(f"IRI is not absolute: <{raw}>")

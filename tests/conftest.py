@@ -20,6 +20,7 @@ from trq import (
     train,
 )
 from trq.embedding import TRANSE, TRANSH, _batch_scores, _norm_grads, _norm_values
+from trq.ntriples import NTriplesError, parse_line
 from trq.scoring import EdgeScore, ScoredSolution, edge_weights
 from trq.sparql import Const, Var, _order_patterns
 
@@ -305,6 +306,25 @@ def reference_corrupt_graph(g: Graph, deletions) -> Graph:
         if tr in todel:
             continue
         builder.add(g.term(tr.s), g.term(tr.p), g.term(tr.o))
+    return builder.build()
+
+
+def reference_parse_ntriples(text: str, strict: bool = True, error_sink=None) -> Graph:
+    """The loop that the line pattern and raw-token memo of
+    ``parse_ntriples`` sped up: every line through ``parse_line``, every
+    triple through ``GraphBuilder.add``."""
+    builder = GraphBuilder()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        try:
+            parsed = parse_line(line, lineno)
+        except NTriplesError as exc:
+            if strict:
+                raise
+            if error_sink is not None:
+                error_sink(exc)
+            continue
+        if parsed is not None:
+            builder.add(*parsed)
     return builder.build()
 
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +118,43 @@ def test_ingest_stdin(run, tmp_path, monkeypatch):
     out = tmp_path / "g.trqg"
     run("ingest", "-", "-o", str(out))
     assert load_snapshot(out).triple_count == 1
+
+
+INVALID_UTF8 = b"<http://a> <http://p> <http://b> .\n<http://a> <http://p> \"\xff\" .\n<http://a> <http://p> <http://c> .\n"
+
+
+def test_ingest_strict_fails_on_invalid_utf8_with_its_line(run, tmp_path):
+    bad = tmp_path / "bad.nt"
+    bad.write_bytes(INVALID_UTF8)
+    out = tmp_path / "g.trqg"
+    _, err = run("ingest", str(bad), "-o", str(out), expect=1)
+    assert "error: line 2: invalid UTF-8" in err
+    assert not out.exists()
+
+
+def test_ingest_lax_skips_the_invalid_utf8_line_only(run, tmp_path):
+    bad = tmp_path / "bad.nt"
+    bad.write_bytes(INVALID_UTF8)
+    out = tmp_path / "g.trqg"
+    _, err = run("ingest", str(bad), "-o", str(out), "--lax")
+    assert "skipped 1 malformed line(s)" in err
+    assert load_snapshot(out).triple_count == 2
+
+
+def test_python_dash_m_trq_runs_the_cli(tmp_path):
+    src = tmp_path / "toy.nt"
+    src.write_text(nt_text([("a", "p", "b"), ("b", "p", "c")]))
+    out = tmp_path / "toy.trqg"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trq", "ingest", str(src), "-o", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert load_snapshot(out).triple_count == 2
 
 
 # -- train -------------------------------------------------------------
@@ -481,13 +521,15 @@ def test_bench_unknown_deletion_term_is_error(run, artifacts, bench_dir):
 
 def test_bench_rejects_non_finite_uniform_f(run, artifacts, bench_dir):
     store_path, emb_path = artifacts
-    stdout, _ = run(
+    stdout, err = run(
         "bench", str(bench_dir / "bench.manifest"),
         "--store", str(store_path), "--embeddings", str(emb_path),
         "--uniform-f", "nan",
         expect=1,
     )
-    assert "uniform_f" in stdout
+    # rejected before any case runs, so no report is printed
+    assert stdout == ""
+    assert "error: uniform_f must be a finite number" in err
 
 
 def test_bench_passes_every_training_option(run, artifacts, bench_dir, monkeypatch):

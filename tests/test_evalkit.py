@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trq.embedding
+import trq.evalkit
 from trq.embedding import EmbeddingConfig
 from trq.evalkit import (
     BenchCase,
@@ -267,6 +269,38 @@ def test_run_benchmark_empty_truth_is_case_error(bench_world):
 def test_run_benchmark_requires_some_embedding_source(bench_world):
     with pytest.raises(ValueError):
         run_benchmark(bench_world, [])
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"uniform_f": float("nan")},
+        {"uniform_f": 0.0},
+        {"threshold": 0},
+        {"top_k": 0},
+        {"per_tree_limit": 0},
+    ],
+)
+def test_run_benchmark_rejects_bad_settings_before_training(bench_world, monkeypatch, setting):
+    trainings = []
+
+    def counting_train(g, cfg):
+        trainings.append(cfg)
+        return trq.embedding.train(g, cfg)
+
+    monkeypatch.setattr(trq.evalkit, "train", counting_train)
+    g = bench_world
+    cases = [
+        BenchCase(
+            name=f"m{i}",
+            query=member_query(),
+            deletions=[Triple(g.id(ex(f"m{i}")), g.id(ex("memberOf")), g.id(ex("G")))],
+        )
+        for i in range(3)
+    ]
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        run_benchmark(g, cases, embed_config=EmbeddingConfig(dim=8, epochs=2, seed=0), **setting)
+    assert trainings == []
 
 
 def test_benchmark_uniform_f_ablation_runs(bench_world):

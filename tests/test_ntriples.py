@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from trq.ntriples import NTriplesError, parse_line, parse_term
+from trq.ntriples import TRIPLE_LINE, NTriplesError, parse_line, parse_term
 from trq.store import parse_ntriples
 from trq.terms import Term, TermKind
 
-from conftest import build_graph, nt_text
+from conftest import build_graph, nt_text, reference_parse_ntriples
 
 
 def test_basic_line():
@@ -159,3 +159,167 @@ def test_literal_round_trip_through_syntax(value, lang):
     line = f"<http://s> <http://p> {t.nt()} ."
     _, _, o = parse_line(line, 1)
     assert o == t
+
+
+def test_path_and_bytes_give_the_same_graph(tmp_path):
+    # A raw CR inside a literal is part of the line.
+    cr_literal = tmp_path / "cr_literal.nt"
+    cr_literal.write_bytes(b'<http://a> <http://p> "x\ry" .\n')
+    g = parse_ntriples(cr_literal)
+    assert [t.lexical for t in g.terms()] == ["http://a", "http://p", '"x\\ry"']
+    assert list(g.terms()) == list(parse_ntriples(cr_literal.read_bytes()).terms())
+    # A lone CR does not end a line.
+    lone_cr = tmp_path / "lone_cr.nt"
+    lone_cr.write_bytes(b"<http://a> <http://p> <http://b> .\r<http://a> <http://p> <http://c> .\r")
+    errors = []
+    for source in (lone_cr, lone_cr.read_bytes()):
+        with pytest.raises(NTriplesError) as e:
+            parse_ntriples(source)
+        errors.append(str(e.value))
+    assert errors == ["line 1: trailing characters after dot"] * 2
+
+
+def test_invalid_utf8_is_a_line_numbered_error():
+    doc = b'<http://a> <http://p> <http://b> .\n<http://a> <http://p> "\xff" .\n\n<http://a> <http://p> "\xc3" .\n'
+    with pytest.raises(NTriplesError) as e:
+        parse_ntriples(doc)
+    assert str(e.value) == "line 2: invalid UTF-8"
+    assert e.value.line == '<http://a> <http://p> "\ufffd" .'
+    errors = []
+    g = parse_ntriples(doc, strict=False, error_sink=errors.append)
+    assert [err.lineno for err in errors] == [2, 4]
+    assert g.triple_count == 1
+
+
+def test_raw_token_memo_keeps_one_id_per_term():
+    # Two raw tokens of one term: a memo miss must still find the term's id.
+    # The escaped IRI's line falls back to parse_line, the next line does not.
+    doc = (
+        '<http://a> <http://p> "x"@EN .\n'
+        '<http://a> <http://p> "x"@en .\n'
+        "<http://a/\\u0041> <http://p> <http://a> .\n"
+        "<http://a/A> <http://p> <http://a> .\n"
+    )
+    g = parse_ntriples(doc)
+    assert [t.nt() for t in g.terms()] == ["<http://a>", "<http://p>", '"x"@en', "<http://a/A>"]
+    assert g.triple_count == 2
+
+
+def test_line_pattern_groups_are_the_raw_tokens():
+    m = TRIPLE_LINE.fullmatch(' _:b1\t<http://p>"v"^^<http://t> . # c\r\r')
+    assert m.groups() == ("_:b1", "<http://p>", '"v"^^<http://t>')
+    for line in ("", "# c", "<http://a> <http://p> <http://b\\u0041> .", "<http://a> <http://p> <http://b> .\r \r"):
+        assert TRIPLE_LINE.fullmatch(line) is None
+
+
+# -- the fast path against the line-by-line reference ------------------
+
+
+def _pieces(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=5).map("".join)
+
+
+def _mostly(clean, noisy):
+    """Three draws in four from ``clean``."""
+    return st.sampled_from([clean, clean, clean, noisy]).flatmap(lambda strategy: strategy)
+
+
+def _triple_line(subject, predicate, obj, end):
+    return st.builds(
+        lambda lead, s, g1, p, g2, o, e: f"{lead}{s}{g1}{p}{g2}{o}{e}",
+        st.sampled_from(["", " ", "\t"]),
+        subject,
+        st.sampled_from(["", " ", "\t", "  ", " \t"]),
+        predicate,
+        st.sampled_from(["", " ", "\t", "  ", " \t"]),
+        obj,
+        end,
+    )
+
+
+# Terms and line ends the line pattern takes ...
+_iri = st.builds(
+    lambda scheme, body: f"<{scheme}{body}>",
+    st.sampled_from(["http://ex.org/", "urn:x:", "a+b.c-d:"]),
+    _pieces(list("ab/:#.-é\x7f")),
+)
+_blank = st.sampled_from(["_:a", "_:b", "_:x_1", "_:B"])
+_literal = st.builds(
+    lambda body, suffix: f'"{body}"{suffix}',
+    _pieces(list("ab é'\t\r")),
+    st.sampled_from(["", "@en", "@EN", "@en-GB", "@En-gb", "^^<http://www.w3.org/2001/XMLSchema#int>"]),
+)
+_end = st.sampled_from([".", " .", "\t.", " . # c", " .# c", " .\r", " .\r\r", "  . \t# c\r"])
+# ... and those it leaves to parse_line: IRIs with one forbidden
+# character, escapes (most of them spell a term above another way),
+# then other errors and relative IRIs.
+_bad_char_iri = st.builds(
+    lambda head, bad, tail: f"<http://ex.org/{head}{bad}{tail}>",
+    _pieces(list("ab/")),
+    st.sampled_from(list(' <"{}|^`\t\x00\x1f')),
+    _pieces(list("ab/")),
+)
+_escaped_iri = st.sampled_from(["<http://ex.org/\\u0061>", "<http://ex.org/\\U00000062>", "<urn:x:\\u00e9>"])
+_escaped_literal = st.sampled_from(
+    ['"a\\u0062"', '"\\t"@EN', '"\\u0061"', '"a\\r"^^<http://www.w3.org/2001/XMLSchema#int>', '"\\\\"']
+    + ['"a\\"', '"\\q"', '"\\u00"']  # not valid
+)
+_odd_iri = st.builds(
+    lambda scheme, body: f"<{scheme}{body}>",
+    st.sampled_from(["http://ex.org/", "", "1x:", "rel/"]),
+    _pieces(list("ab/:") + list(' <>"{}|^`\t\x00') + ["\\u0041", "\\u003E", "\\n", "\\u00"]),
+)
+_odd_blank = st.sampled_from(["_:", "_:a-b", "_:a.b", "_:é"])
+_odd_literal = st.builds(
+    lambda body, suffix: f'"{body}"{suffix}',
+    _pieces(list("a\t\r") + ["\\n", '\\"', "\\u00e9", "\\t", "\\q", "\\", '"']),
+    st.sampled_from(["", "@EN", "@", "@1", "@en-", "^^<rel>", "^^x", "^^<http://t/\\u0041>"]),
+)
+_odd_end = st.sampled_from(["", " .\r \r", " . \r", " . x", " ..", " \r."])
+_any_term = st.one_of(_iri, _blank, _literal, _odd_iri, _odd_blank, _odd_literal)
+
+_line = _mostly(
+    _mostly(
+        _triple_line(
+            _mostly(st.one_of(_iri, _blank), st.one_of(_escaped_iri, _bad_char_iri)),
+            _mostly(_iri, _bad_char_iri),
+            _mostly(
+                st.one_of(_iri, _blank, _literal),
+                st.one_of(_escaped_iri, _escaped_literal, _bad_char_iri, _odd_literal),
+            ),
+            _end,
+        ),
+        _triple_line(_any_term, _any_term, _any_term, st.one_of(_end, _odd_end)),
+    ),
+    st.sampled_from(["", " ", "\r", "# comment", "  # indented\r", "junk"]),
+)
+
+
+@st.composite
+def _documents(draw):
+    """Lines from the mix above, some repeated, with LF or CRLF ends."""
+    lines = draw(st.lists(_line, min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(lines), min_size=1, max_size=10))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in picks)
+
+
+def _outcome(parse, doc):
+    try:
+        g = parse(doc)
+    except NTriplesError as exc:
+        return str(exc)
+    return [t.nt() for t in g.terms()], [t.as_tuple() for t in g.triples()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_documents())
+def test_fast_path_matches_the_line_by_line_reference(doc):
+    expected = _outcome(reference_parse_ntriples, doc)
+    assert _outcome(parse_ntriples, doc) == expected
+    assert _outcome(parse_ntriples, doc.encode()) == expected
+    skipped, reference_skipped = [], []
+    g = parse_ntriples(doc, strict=False, error_sink=skipped.append)
+    ref = reference_parse_ntriples(doc, strict=False, error_sink=reference_skipped.append)
+    assert [(e.lineno, str(e)) for e in skipped] == [(e.lineno, str(e)) for e in reference_skipped]
+    assert list(g.terms()) == list(ref.terms())
+    assert list(g.triples()) == list(ref.triples())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import struct
 
@@ -247,6 +248,37 @@ def test_snapshot_bytes_deterministic(small):
     save_snapshot(small, b2)
     assert b1.getvalue() == b2.getvalue()
     assert b1.getvalue()[:4] == b"TRQG"
+
+
+# Literals, escapes, blank nodes, comments, CRLF and duplicate lines; the
+# lines without escapes take the line pattern, the others parse_line.
+GOLDEN_DOC = (
+    b"# a mixed-syntax document\r\n"
+    b"<http://ex.org/s1> <http://ex.org/p> <http://ex.org/o1> .\r\n"
+    b'<http://ex.org/s1> <http://ex.org/p> "plain" .\n'
+    b'<http://ex.org/s1> <http://ex.org/p> "Tagged"@EN-gb .\n'
+    b'<http://ex.org/s1> <http://ex.org/p> "Tagged"@en-GB . # the same term\n'
+    b'<http://ex.org/s2> <http://ex.org/q> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+    b'<http://ex.org/s2> <http://ex.org/q> "tab\\there \\"quoted\\" \\u00e9\\nnew line" .\n'
+    b'<http://ex.org/s2> <http://ex.org/q> "raw\ttab and raw\rcr" .\n'
+    b"<http://ex.org/\\u0041> <http://ex.org/p> <http://ex.org/A> .\n"
+    b"_:x <http://ex.org/p> _:y .\n"
+    b"_:y\t<http://ex.org/q>\t_:x .  # blank nodes, tabs\n"
+    b"\n"
+    b"   # an indented comment\n"
+    b"<http://ex.org/s1> <http://ex.org/p> <http://ex.org/o1> .\n"
+    b'<http://ex.org/s3><http://ex.org/p>"caf\xc3\xa9".\r\r\n'
+    b'_:x <http://ex.org/p> "\xe2\x98\x83"@de .\n'
+    b'<http://ex.org/A> <http://ex.org/p> "plain" .\n'
+)
+
+
+def test_ingest_output_is_pinned():
+    # The SHA-256 of the TRQG bytes the line-by-line parser wrote for GOLDEN_DOC.
+    g = parse_ntriples(GOLDEN_DOC)
+    assert (g.term_count, g.triple_count) == (16, 12)
+    digest = hashlib.sha256(_snapshot_bytes(g)).hexdigest()
+    assert digest == "29ad9f5b05594c5b1d09471c15ce74e4769a6cd122aaa692d09c5b009434d2e5"
 
 
 def test_snapshot_rejects_bad_magic(small):
