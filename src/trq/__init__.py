@@ -10,7 +10,6 @@ from .embedding import (
     EmbeddingConfig,
     EmbeddingSet,
     NonFiniteEmbeddingError,
-    UnembeddedTermError,
     load_embeddings,
     save_embeddings,
     train,
@@ -65,7 +64,6 @@ from .sparql import (
 )
 from .store import (
     Graph,
-    GraphBuilder,
     GraphStats,
     GraphTooLargeError,
     SnapshotError,

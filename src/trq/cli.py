@@ -22,6 +22,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import embedding, evalkit, qgraph, sparql, store
 from .recommend import (
     DEFAULT_PER_TREE_LIMIT,
@@ -30,6 +32,7 @@ from .recommend import (
     RecommendRequest,
     recommend,
 )
+from .ntriples import NTriplesError, parse_line
 from .sparql import Query, QueryForm, Var
 from .terms import Term, Triple
 
@@ -238,10 +241,11 @@ def cmd_ask(args) -> int:
 def cmd_stats(args) -> int:
     g = _load_store(args.store)
     rel_ids = g.stats.relations()
-    entities = {t.s for t in g.triples()} | {t.o for t in g.triples()}
+    index, _, _ = g.ranges()
+    s, _, o = index.unpack(index.keys)
     print(f"triples: {g.triple_count}")
     print(f"terms: {g.term_count}")
-    print(f"entities: {len(entities)}")
+    print(f"entities: {len(np.union1d(s, o))}")
     print(f"relations: {len(rel_ids)}")
     if args.relation:
         rid = g.id(Term.iri(args.relation))
@@ -256,21 +260,38 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _read_deletions(g: store.Graph, path: Path) -> list[Triple]:
+    """The triples of a deletions file as ids of ``g``.
+
+    Terms are looked up as written, so a blank node is named by the
+    store's own label (``_:b0``, as ``trq query`` prints it); parsing the
+    file as a document would relabel its blank nodes.
+    """
+    out = []
+    for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
+        try:
+            parsed = parse_line(raw.decode("utf-8"), lineno)
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: line {lineno}: invalid UTF-8") from None
+        except NTriplesError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if parsed is None:
+            continue
+        ids = [g.id(term) for term in parsed]
+        if None in ids:
+            missing = parsed[ids.index(None)].nt()
+            raise ValueError(f"{path}: line {lineno}: deletion references a term not in the store: {missing}")
+        out.append(Triple(*ids))
+    return out
+
+
 def cmd_bench(args) -> int:
     g = _load_store(args.store)
     entries = evalkit.load_manifest(args.manifest)
     cases = []
     for entry in entries:
         q = sparql.parse_query(entry.query_path.read_text(encoding="utf-8"))
-        del_graph = store.parse_ntriples(entry.deletions_path.read_bytes())
-        deletions = []
-        for tr in del_graph.triples():
-            ids = [g.id(del_graph.term(x)) for x in (tr.s, tr.p, tr.o)]
-            if None in ids:
-                raise ValueError(
-                    f"{entry.deletions_path}: deletion references a term not in the store"
-                )
-            deletions.append(Triple(*ids))
+        deletions = _read_deletions(g, entry.deletions_path)
         truth = None
         if entry.truth_path is not None:
             truth = set()

@@ -27,16 +27,20 @@ by default; classes are handled through aggregated type vectors instead:
   (falling back to the class's own row, then to the zero vector),
 * the extended score of (h, rdf:type, c) is the raw entity-space
   distance ||h - typevec(c)||, any model, no projection,
-* the normalized plausibility of a triple is 1 when the graph contains
-  it and 1 / (1 + extended score) otherwise, so it always lies in (0, 1].
+* the plausibility f of an edge, computed by
+  :func:`trq.scoring.score_table` alone, is 1 when the graph contains
+  the triple and 1 / (1 + extended score) otherwise, so it always lies
+  in (0, 1].
 
 An :class:`EmbeddingSet` is data only. Scores read term ids of one
 graph, so they live on the :class:`BoundEmbeddings` view ``bind(g)``
 returns, which aligns each id with its rows once and is never rebound.
 
 One kernel, :func:`_batch_scores`, evaluates g for training batches and
-for query-time scoring alike. :meth:`BoundEmbeddings.score_rows` scores
-id columns through it, ``SCORE_CHUNK`` rows per call, plus the rdf:type
+for query-time scoring alike, and one function, :func:`_pair_grads`,
+computes the margin loss's gradient. :meth:`BoundEmbeddings.score_rows`
+is the only scorer of term ids: it scores id columns (one row or many)
+through the kernel, ``SCORE_CHUNK`` rows per call, plus the rdf:type
 rows against type vectors, and marks rows with a term that has no
 embedding row. Training stops at the first epoch that leaves a
 non-finite value with :class:`NonFiniteEmbeddingError`.
@@ -98,10 +102,6 @@ SCORE_CHUNK = 1024
 
 class EmbeddingFormatError(ValueError):
     """Raised for a corrupt or mismatched embedding file."""
-
-
-class UnembeddedTermError(LookupError):
-    """A scored term has no row in the embedding set."""
 
 
 class NonFiniteEmbeddingError(ValueError):
@@ -228,21 +228,6 @@ def _pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg):
     return float(np.maximum(hinge, 0.0).mean()), rows, grads
 
 
-def margin_loss_and_grads(model, norm, margin, ent, rel, normals, maps, pos, neg):
-    """Margin ranking loss and its exact gradients for explicit pairs.
-
-    ``pos`` and ``neg`` are (N, 3) integer arrays of row indices; the
-    i-th rows form a pair. Returns (mean loss, grads dict keyed by
-    'entities', 'relations', 'normals', 'maps'); gradient arrays match
-    the parameter shapes, with the unused ones absent.
-    """
-    loss, rows, grads = _pair_grads(model, norm, margin, ent, rel, normals, maps, np.asarray(pos), np.asarray(neg))
-    dense = np.zeros_like(ent)
-    dense[rows] = grads["entities"]
-    grads["entities"] = dense
-    return loss, grads
-
-
 def _train_step(model, norm, margin, learning_rate, ent, rel, normals, maps, pos, neg) -> float:
     """One SGD step on a batch of pairs, in place; returns its mean loss.
 
@@ -350,21 +335,16 @@ class BoundEmbeddings:
         self.ent_row.setflags(write=False)
         self.rel_row.setflags(write=False)
 
-    def _row(self, table: np.ndarray, tid: TermId, what: str) -> int:
-        row = table[tid] if 0 <= tid < len(table) else -1
-        if row < 0:
-            name = f" {self.graph.term(tid).nt()}" if 0 <= tid < self.graph.term_count else ""
-            raise UnembeddedTermError(f"no {what} row for term id {tid}{name}")
-        return int(row)
-
     def score_rows(self, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Extended scores of int64 id columns, and the mask of the rows
-        whose terms have the embedding rows the score reads (0 elsewhere).
+        """Extended scores of int64 id columns (one row or many), and the
+        mask of the rows whose terms have the embedding rows the score
+        reads; an unscored row, an id outside the graph included, is 0.
 
-        Rows on the graph's rdf:type get the membership score of
-        :meth:`extended_score`, the others the model score of
-        :meth:`score_triple`, in ``SCORE_CHUNK``-row kernel calls. Graph
-        membership is not looked up.
+        A row on the graph's rdf:type scores ||h - typevec(t)||, the raw
+        entity-space distance to the class's type vector (no projection,
+        any model); every other row gets the model score g(h, r, t),
+        lower meaning more plausible, in ``SCORE_CHUNK``-row kernel
+        calls. Graph membership is not looked up.
         """
         e = self.embeddings
         hrow = _rows(self.ent_row, h)
@@ -382,19 +362,10 @@ class BoundEmbeddings:
         rows = np.flatnonzero(scored & ~is_type)
         for start in range(0, len(rows), SCORE_CHUNK):
             part = rows[start : start + SCORE_CHUNK]
-            values[part] = self._model_scores(hrow[part], rrow[part], trow[part])
+            values[part] = _batch_scores(
+                e.model, e.norm, e.entity_vecs, e.relation_vecs, e.normals, e.maps, hrow[part], rrow[part], trow[part]
+            )[0]
         return values, scored
-
-    def _model_scores(self, hrow: np.ndarray, rrow: np.ndarray, trow: np.ndarray) -> np.ndarray:
-        e = self.embeddings
-        return _batch_scores(e.model, e.norm, e.entity_vecs, e.relation_vecs, e.normals, e.maps, hrow, rrow, trow)[0]
-
-    def score_triple(self, h: TermId, r: TermId, t: TermId) -> float:
-        """Model score g(h, r, t); lower means more plausible."""
-        hrow = self._row(self.ent_row, h, "entity")
-        trow = self._row(self.ent_row, t, "entity")
-        rrow = self._row(self.rel_row, r, "relation")
-        return float(self._model_scores(np.array([hrow]), np.array([rrow]), np.array([trow]))[0])
 
     def type_vector(self, ty: TermId) -> np.ndarray:
         """Mean entity vector of the class's instances (see module doc)."""
@@ -413,24 +384,6 @@ class BoundEmbeddings:
             vec = e.entity_vecs[rows].astype(np.float64).mean(axis=0) if len(rows) else np.zeros(e.dim)
             self._type_cache[ty] = vec
         return vec
-
-    def extended_score(self, h: TermId, r: TermId, t: TermId) -> float:
-        """Score with the membership-relation special case.
-
-        For r = rdf:type the score is the raw entity-space distance
-        between h and the type vector of t (no projection, any model);
-        otherwise it is the model score.
-        """
-        if r != self.graph.rdf_type_id:
-            return self.score_triple(h, r, t)
-        self._row(self.ent_row, h, "entity")  # names an unembedded head
-        return float(self.score_rows(*(np.array([x], dtype=np.int64) for x in (h, r, t)))[0][0])
-
-    def normalize(self, h: TermId, r: TermId, t: TermId) -> float:
-        """Plausibility in (0, 1]: exactly 1 for graph members."""
-        if self.graph.contains(h, r, t):
-            return 1.0
-        return 1.0 / (1.0 + self.extended_score(h, r, t))
 
 
 # -- training ----------------------------------------------------------

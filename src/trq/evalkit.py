@@ -64,21 +64,37 @@ def mean_rank(ranked: Sequence[BindingTuple], truth: set[BindingTuple]) -> float
 
 
 class MissingDeletionError(ValueError):
-    def __init__(self, missing: list[Triple]):
-        super().__init__(f"{len(missing)} deletion(s) not present in the graph")
-        self.missing = missing
+    """Deletions the graph does not hold. ``missing`` maps each one to
+    its N-Triples line, which the message names; the attribute keeps the
+    triples."""
+
+    def __init__(self, missing: dict[Triple, str]):
+        super().__init__(f"{len(missing)} deletion(s) not present in the graph: " + " ".join(missing.values()))
+        self.missing = list(missing)
+
+
+def _nt_line(g: Graph, t: Triple) -> str:
+    ids = t.as_tuple()
+    return " ".join(g.term(x).nt() if 0 <= x < g.term_count else f"(term id {x})" for x in ids) + " ."
 
 
 def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
     """A new graph without the deleted facts; every deletion must exist.
-    Ids follow first appearance in the kept SPO rows, as GraphBuilder
-    interns them, but the terms (blank labels too) are the source's."""
-    todel = set(deletions)
-    missing = [t for t in todel if not g.contains_triple(t)]
-    if missing:
-        raise MissingDeletionError(sorted(missing))
+
+    One ``contains_rows`` lookup checks every deletion, and one mask over
+    the SPO keys drops them. Ids follow first appearance in the kept SPO
+    rows, as :func:`~trq.store.parse_ntriples` would number the kept
+    triples written out in SPO order, but the terms (blank labels too)
+    are the source's.
+    """
+    todel = sorted(set(deletions))
+    rows = np.array([t.as_tuple() for t in todel], dtype=np.int64).reshape(-1, 3)
+    present = ((rows >= 0) & (rows < g.term_count)).all(axis=1)
+    present[present] = g.contains_rows(*rows[present].T)
+    if not present.all():
+        raise MissingDeletionError({t: _nt_line(g, t) for t, ok in zip(todel, present.tolist()) if not ok})
     index, _, _ = g.ranges()
-    dropped = index.pack(*np.array([t.as_tuple() for t in todel], dtype=np.int64).reshape(-1, 3).T)
+    dropped = index.pack(*rows.T)
     rows = np.stack(index.unpack(index.keys[~np.isin(index.keys, dropped)]), axis=1)
     order = first_appearance(rows.ravel())
     renumber = np.empty(g.term_count, dtype=np.int64)

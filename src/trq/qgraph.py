@@ -102,19 +102,15 @@ def del_constant_leaf(g: QueryGraph) -> QueryGraph:
     Degrees are taken on the undirected view; variable nodes are never
     removed, even when the deletions leave them isolated.
     """
-    nodes = list(g.nodes)
-    edges = list(g.edges)
     while True:
-        deg: Counter = Counter()
-        for e in edges:
-            deg[e.src] += 1
-            deg[e.dst] += 1
-        drop = {n for n in nodes if isinstance(n, Const) and deg[n] == 1}
+        deg = g.degrees()
+        drop = {n for n in g.nodes if isinstance(n, Const) and deg[n] == 1}
         if not drop:
-            break
-        edges = [e for e in edges if e.src not in drop and e.dst not in drop]
-        nodes = [n for n in nodes if n not in drop]
-    return QueryGraph(tuple(nodes), tuple(edges))
+            return g
+        g = QueryGraph(
+            tuple(n for n in g.nodes if n not in drop),
+            tuple(e for e in g.edges if e.src not in drop and e.dst not in drop),
+        )
 
 
 def is_connected(g: QueryGraph) -> bool:

@@ -395,17 +395,9 @@ def _parse_select_tail(parser: _Parser) -> Query:
         parser.next()
     patterns = parser.parse_group()
 
-    in_patterns = set()
-    for p in patterns:
-        in_patterns |= p.variables()
-    if not projected:
-        # SELECT *: project every variable in first-appearance order
-        seen: list[str] = []
-        for p in patterns:
-            for a in p.atoms():
-                if isinstance(a, Var) and a.name not in seen:
-                    seen.append(a.name)
-        projected = seen
+    in_patterns = Query(form, patterns).variables()
+    # SELECT *: project every variable in first-appearance order
+    projected = projected or list(in_patterns)
     for v in projected:
         if v not in in_patterns:
             raise QuerySyntaxError(f"projected variable ?{v} does not occur in any pattern")

@@ -176,10 +176,12 @@ def first_appearance(ids: np.ndarray) -> np.ndarray:
 
 
 class Graph:
-    """Immutable triple set over a term dictionary. Build via GraphBuilder.
+    """Immutable triple set over a term dictionary, usually made by
+    :func:`parse_ntriples` or :func:`load_snapshot`.
 
-    ``triples`` is an iterable of (s, p, o) id tuples or an (n, 3)
-    integer array; duplicates are dropped.
+    ``terms`` are the distinct terms in id order. ``triples`` is an
+    iterable of (s, p, o) id tuples or an (n, 3) integer array;
+    duplicates are dropped, here and only here.
     """
 
     __slots__ = ("_terms", "_id_of", "_bits", "_spo", "_pos", "_osp", "_stats", "_rdf_type_id")
@@ -259,11 +261,9 @@ class Graph:
         i = keys.searchsorted(key)
         return bool(i < len(keys) and keys[i] == key)
 
-    def contains_triple(self, t: Triple) -> bool:
-        return self.contains(t.s, t.p, t.o)
-
     def contains_rows(self, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`contains` over int64 id columns of one length."""
+        """Vectorised :meth:`contains` over int64 id columns of one length;
+        unlike :meth:`contains`, every id must be a valid term id."""
         keys = self._spo.keys
         if len(keys) == 0:
             return np.zeros(len(s), dtype=bool)
@@ -324,54 +324,6 @@ class Graph:
         return self._iter_rows(index, int(lo), int(hi))
 
 
-class GraphBuilder:
-    """Accumulates term-level triples, then freezes them into a Graph.
-
-    Blank node labels are treated as scoped to this builder: each distinct
-    input label is replaced with a fresh internal label (b0, b1, ...), so
-    graphs built from different files never alias blank nodes.
-    """
-
-    def __init__(self) -> None:
-        self._terms: list[Term] = []
-        self._id_of: dict[Term, TermId] = {}
-        self._triples: list[tuple[int, int, int]] = []
-        self._seen: set[tuple[int, int, int]] = set()
-        self._blanks: dict[str, Term] = {}
-
-    def _intern(self, term: Term) -> TermId:
-        """The id of ``term``, a new one when it is first seen; a blank
-        node is first replaced by its builder-scoped label."""
-        if term.kind is TermKind.BLANK:
-            mapped = self._blanks.get(term.lexical)
-            if mapped is None:
-                mapped = Term.blank(f"b{len(self._blanks)}")
-                self._blanks[term.lexical] = mapped
-            term = mapped
-        tid = self._id_of.get(term)
-        if tid is None:
-            tid = len(self._terms)
-            self._terms.append(term)
-            self._id_of[term] = tid
-        return tid
-
-    def add(self, s: Term, p: Term, o: Term) -> bool:
-        """Add one triple; returns False when it was a duplicate."""
-        if s.kind is TermKind.LITERAL:
-            raise ValueError("literal not allowed as subject")
-        if p.kind is not TermKind.IRI:
-            raise ValueError("predicate must be an IRI")
-        key = (self._intern(s), self._intern(p), self._intern(o))
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self._triples.append(key)
-        return True
-
-    def build(self) -> Graph:
-        return Graph(self._terms, self._triples)
-
-
 def _lines(source: str | bytes | Path | object) -> tuple[list[str], dict[int, str]]:
     """The lines of a document, split on ``\\n`` alone, and the lines that
     are not valid UTF-8 by line number.
@@ -428,19 +380,37 @@ def parse_ntriples(
     skipped, each reported to ``error_sink`` when one is given. Duplicate
     statements are stored once.
 
+    Terms are interned here, in one place: ids follow first appearance,
+    and blank node labels are scoped to the document, each distinct
+    label replaced with a fresh one (b0, b1, ...) in order of appearance,
+    so graphs parsed from different files never alias blank nodes.
+
     Each line is first tried against :data:`TRIPLE_LINE`. On a match,
     its three raw tokens are interned through a per-document memo from
     token to id, so a term is built and looked up once per distinct
     token, not once per occurrence; on a memo miss the token's term is
     interned as usual, so ``"x"@EN`` and ``"x"@en`` still share one id.
     Every other line goes through :func:`parse_line`. Both paths intern
-    in s, p, o order, so ids follow first appearance. The ids are
-    collected flat and the :class:`Graph` constructor drops duplicate
-    triples.
+    in s, p, o order. The ids are collected flat and the :class:`Graph`
+    constructor drops duplicate triples.
     """
     lines, invalid = _lines(source)
-    builder = GraphBuilder()
-    intern = builder._intern
+    terms: list[Term] = []
+    id_of: dict[Term, TermId] = {}
+    blanks: dict[str, Term] = {}
+
+    def intern(term: Term) -> TermId:
+        if term.kind is TermKind.BLANK:
+            mapped = blanks.get(term.lexical)
+            if mapped is None:
+                mapped = blanks[term.lexical] = Term.blank(f"b{len(blanks)}")
+            term = mapped
+        tid = id_of.get(term)
+        if tid is None:
+            tid = id_of[term] = len(terms)
+            terms.append(term)
+        return tid
+
     memo: dict[str, TermId] = {}
     ids: list[TermId] = []
     match = TRIPLE_LINE.fullmatch
@@ -465,7 +435,7 @@ def parse_ntriples(
             continue
         if parsed is not None:
             ids.extend(map(intern, parsed))
-    return Graph(builder._terms, np.array(ids, dtype=np.int64).reshape(-1, 3))
+    return Graph(terms, np.array(ids, dtype=np.int64).reshape(-1, 3))
 
 
 # -- snapshot I/O ------------------------------------------------------

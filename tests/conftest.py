@@ -11,17 +11,17 @@ from trq import (
     BoundEmbeddings,
     EmbeddingConfig,
     Graph,
-    GraphBuilder,
     Query,
     QueryForm,
     Term,
+    TermKind,
     TriplePattern,
-    UnembeddedTermError,
+    parse_ntriples,
     train,
 )
-from trq.embedding import TRANSE, TRANSH, _batch_scores, _norm_grads, _norm_values
+from trq.embedding import TRANSE, TRANSH, _batch_scores, _norm_grads, _norm_values, _pair_grads
 from trq.ntriples import NTriplesError, parse_line
-from trq.scoring import EdgeScore, ScoredSolution, edge_weights
+from trq.scoring import EdgeScore, ScoredSolution, edge_weights, in_graph_flags, score_table
 from trq.sparql import Const, Var, _order_patterns
 
 EX = "http://example.org/"
@@ -40,15 +40,12 @@ def _term(x) -> Term:
     return ex(x)
 
 
-def build_graph(rows) -> Graph:
-    b = GraphBuilder()
-    for s, p, o in rows:
-        b.add(_term(s), _term(p), _term(o))
-    return b.build()
-
-
 def nt_text(rows) -> str:
     return "".join(f"{_term(s).nt()} {_term(p).nt()} {_term(o).nt()} .\n" for s, p, o in rows)
+
+
+def build_graph(rows) -> Graph:
+    return parse_ntriples(nt_text(rows))
 
 
 def atom(x):
@@ -176,16 +173,28 @@ def reference_evaluate_bgp(g: Graph, q: Query, limit: int | None = None):
     return out, truncated
 
 
+class NoEmbeddingRow(LookupError):
+    """A term the reference scorers need has no embedding row."""
+
+
+def _embedding_row(table: np.ndarray, tid: int) -> int:
+    row = int(table[tid]) if 0 <= tid < len(table) else -1
+    if row < 0:
+        raise NoEmbeddingRow(tid)
+    return row
+
+
 def _entity_vec(view: BoundEmbeddings, tid: int) -> np.ndarray:
-    return view.embeddings.entity_vecs[view._row(view.ent_row, tid, "entity")].astype(np.float64)
+    return view.embeddings.entity_vecs[_embedding_row(view.ent_row, tid)].astype(np.float64)
 
 
 def reference_score_triple(view: BoundEmbeddings, h: int, r: int, t: int) -> float:
-    """The scalar three-branch model score that the batched kernel replaced."""
+    """The scalar three-branch model score that the batched kernel replaced;
+    raises NoEmbeddingRow where ``score_rows`` leaves a row unscored."""
     emb = view.embeddings
     hv = _entity_vec(view, h)
     tv = _entity_vec(view, t)
-    row = view._row(view.rel_row, r, "relation")
+    row = _embedding_row(view.rel_row, r)
     rv = emb.relation_vecs[row].astype(np.float64)
     if emb.model == TRANSE:
         d = hv + rv - tv
@@ -248,8 +257,34 @@ def reference_train_step(model, norm, margin, learning_rate, ent, rel, normals, 
     return float(np.maximum(hinge, 0.0).mean())
 
 
+def dense_pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg):
+    """``_pair_grads`` with its entity rows scattered into a zeroed array
+    of the entity matrix's shape: (mean loss, grads keyed like it)."""
+    loss, rows, grads = _pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg)
+    dense = np.zeros_like(ent)
+    dense[rows] = grads["entities"]
+    return loss, dict(grads, entities=dense)
+
+
+def row_score(view: BoundEmbeddings, h: int, r: int, t: int) -> float:
+    """``score_rows`` of the one row (h, r, t), which must be scored."""
+    values, scored = view.score_rows(*(np.array([x], dtype=np.int64) for x in (h, r, t)))
+    assert scored[0]
+    return float(values[0])
+
+
+def edge_plausibility(view: BoundEmbeddings, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f and the fallback flags of each (h, r, t) id row, from one
+    ``score_table`` call over a ``(?h ?r ?t)`` table."""
+    resolved, variables = [["h", "r", "t"]], ("h", "r", "t")
+    flags = in_graph_flags(view.graph, resolved, variables, rows, [0])
+    _, f, fallback = score_table(view, resolved, [1.0], variables, rows, flags)
+    return f[:, 0], fallback[:, 0]
+
+
 def reference_extended_score(view: BoundEmbeddings, h: int, r: int, t: int) -> float:
-    """Membership rows against the class's type vector, others the model score."""
+    """Membership rows against the class's type vector, others the model
+    score; raises NoEmbeddingRow where ``score_rows`` leaves a row unscored."""
     g = view.graph
     if g.rdf_type_id is not None and r == g.rdf_type_id:
         d = _entity_vec(view, h) - view.type_vector(t)
@@ -283,7 +318,7 @@ def reference_score_solution(view: BoundEmbeddings, patterns, mapping, uniform_f
         else:
             try:
                 f = 1.0 / (1.0 + reference_extended_score(view, *ids))
-            except UnembeddedTermError:
+            except NoEmbeddingRow:
                 f, fallback = floor, True
         total += weights[i] * f
         per_edge.append(EdgeScore(i, weights[i], f, present, fallback))
@@ -297,11 +332,38 @@ def reference_rank(solutions, k: int) -> list[ScoredSolution]:
     return sorted(solutions, key=lambda s: (-s.score, s.edit_distance, s.binding_key))[:k]
 
 
+class _ReferenceBuilder:
+    """The term-level graph builder the oracles below use, kept apart from
+    the code they check: ids in first-appearance order, each distinct
+    blank label replaced with b0, b1, ... in order, duplicate triples
+    left to the Graph constructor."""
+
+    def __init__(self) -> None:
+        self.terms: list[Term] = []
+        self.ids: dict[Term, int] = {}
+        self.blanks: dict[str, Term] = {}
+        self.triples: list[tuple[int, int, int]] = []
+
+    def _intern(self, term: Term) -> int:
+        if term.kind is TermKind.BLANK:
+            term = self.blanks.setdefault(term.lexical, Term.blank(f"b{len(self.blanks)}"))
+        if term not in self.ids:
+            self.ids[term] = len(self.terms)
+            self.terms.append(term)
+        return self.ids[term]
+
+    def add(self, s: Term, p: Term, o: Term) -> None:
+        self.triples.append((self._intern(s), self._intern(p), self._intern(o)))
+
+    def build(self) -> Graph:
+        return Graph(self.terms, self.triples)
+
+
 def reference_corrupt_graph(g: Graph, deletions) -> Graph:
     """The builder loop that the SPO-key mask of ``corrupt_graph`` replaced:
     every kept triple re-interned in SPO order (blank nodes relabelled)."""
     todel = set(deletions)
-    builder = GraphBuilder()
+    builder = _ReferenceBuilder()
     for tr in g.triples():
         if tr in todel:
             continue
@@ -312,8 +374,8 @@ def reference_corrupt_graph(g: Graph, deletions) -> Graph:
 def reference_parse_ntriples(text: str, strict: bool = True, error_sink=None) -> Graph:
     """The loop that the line pattern and raw-token memo of
     ``parse_ntriples`` sped up: every line through ``parse_line``, every
-    triple through ``GraphBuilder.add``."""
-    builder = GraphBuilder()
+    triple through a term-level builder."""
+    builder = _ReferenceBuilder()
     for lineno, line in enumerate(text.split("\n"), start=1):
         try:
             parsed = parse_line(line, lineno)

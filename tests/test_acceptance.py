@@ -23,21 +23,24 @@ import pytest
 
 from trq import EmbeddingConfig, train
 from trq.cli import main
-from trq.embedding import EmbeddingSet, margin_loss_and_grads, save_embeddings
-from trq.evalkit import BenchCase, exact_solutions, mean_rank, reciprocal_rank, run_benchmark
+from trq.embedding import EmbeddingSet, save_embeddings
+from trq.evalkit import BenchCase, corrupt_graph, exact_solutions, mean_rank, reciprocal_rank, run_benchmark
 from trq.qgraph import enumerate_subquery_trees
 from trq.recommend import RecommendRequest, recommend
 from trq.scoring import score_graph
 from trq.sparql import Var, parse_query
-from trq.store import GraphBuilder, save_snapshot
+from trq.store import save_snapshot
 from trq.terms import Triple
 
 from conftest import (
     EX,
     MOVIE_QUERY,
     brute_candidates,
+    build_graph,
     candidate_instance,
     deletion_cases,
+    dense_pair_grads,
+    edge_plausibility,
     ex,
     exact_instance,
     make_query,
@@ -240,7 +243,7 @@ def test_criterion_05_gradient_check():
             rel_dim = 4 if model == "transr" else dim
             norm = "l1" if inst % 2 else "l2"
             ent, rel, normals, maps, pos, neg = _random_loss_state(rng, model, dim, rel_dim)
-            _, grads = margin_loss_and_grads(model, norm, 1.0, ent, rel, normals, maps, pos, neg)
+            _, grads = dense_pair_grads(model, norm, 1.0, ent, rel, normals, maps, pos, neg)
             arrays = {"entities": ent, "relations": rel}
             if model == "transh":
                 arrays["normals"] = normals
@@ -252,9 +255,9 @@ def test_criterion_05_gradient_check():
                 for idx in rng.choice(flat.size, size=6, replace=False):
                     saved = flat[idx]
                     flat[idx] = saved + eps
-                    up, _ = margin_loss_and_grads(model, norm, 1.0, ent, rel, normals, maps, pos, neg)
+                    up, _ = dense_pair_grads(model, norm, 1.0, ent, rel, normals, maps, pos, neg)
                     flat[idx] = saved - eps
-                    down, _ = margin_loss_and_grads(model, norm, 1.0, ent, rel, normals, maps, pos, neg)
+                    down, _ = dense_pair_grads(model, norm, 1.0, ent, rel, normals, maps, pos, neg)
                     flat[idx] = saved
                     fd = (up - down) / (2 * eps)
                     rel_err = abs(fd - gflat[idx]) / max(1.0, abs(fd))
@@ -296,25 +299,25 @@ def test_criterion_06_model_reductions():
 
     terms_e = [ex(f"e{i}") for i in range(5)]
     terms_r = [ex(f"p{j}") for j in range(3)]
-    g = GraphBuilder()
-    g.add(terms_e[0], terms_r[0], terms_e[1])
-    g.add(terms_e[2], terms_r[1], terms_e[3])
-    g.add(terms_e[4], terms_r[2], terms_e[0])
-    g = g.build()
+    g = build_graph(
+        [
+            (terms_e[0], terms_r[0], terms_e[1]),
+            (terms_e[2], terms_r[1], terms_e[3]),
+            (terms_e[4], terms_r[2], terms_e[0]),
+        ]
+    )
 
     worst = 0.0
+    ids = [[g.id(x) for x in row] for row in itertools.product(terms_e, terms_r, terms_e)]
+    h, r, t = np.array(ids, dtype=np.int64).T
     for norm in ("l1", "l2"):
         base = _manual_set("transe", ent, rel, terms_e, terms_r, norm=norm).bind(g)
         hyper = _manual_set("transh", ent, rel, terms_e, terms_r, normals=normals, norm=norm).bind(g)
         proj = _manual_set("transr", ent, rel, terms_e, terms_r, maps=maps, norm=norm).bind(g)
-        for h, r, t in itertools.product(terms_e, terms_r, terms_e):
-            ids = (g.id(h), g.id(r), g.id(t))
-            want = base.score_triple(*ids)
-            worst = max(
-                worst,
-                abs(hyper.score_triple(*ids) - want),
-                abs(proj.score_triple(*ids) - want),
-            )
+        want, scored = base.score_rows(h, r, t)
+        assert scored.all()
+        for view in (hyper, proj):
+            worst = max(worst, float(np.abs(view.score_rows(h, r, t)[0] - want).max()))
     ok = worst <= 1e-9
     report(6, ok, f"150 triples x 2 norms, max |score difference| {worst:.2e}")
     assert ok
@@ -332,20 +335,24 @@ def test_criterion_07_normalization_bounds(exact_runs):
         g, emb = r.g, r.emb.bind(r.g)
         rels = g.stats.relations()
         ents = sorted({t.s for t in g.triples()} | {t.o for t in g.triples()})
+        sampled = []
         for _ in range(500):
             h = ents[int(rng.integers(len(ents)))]
             rel = rels[int(rng.integers(len(rels)))]
             t = ents[int(rng.integers(len(ents)))]
-            f = emb.normalize(h, rel, t)
+            sampled.append((h, rel, t))
+        index, _, _ = g.ranges()
+        members = np.stack(index.unpack(index.keys), axis=1)
+        # one score_table call over the sampled rows, then every member triple
+        f, _ = edge_plausibility(emb, np.concatenate([np.array(sampled, dtype=np.int64), members]))
+        for (h, rel, t), value in zip(sampled, f[: len(sampled)].tolist()):
             scored += 1
-            if not (0.0 < f <= 1.0):
-                bad.append(f"seed {r.seed}: f={f} outside (0, 1]")
-            if g.contains(h, rel, t) and f != 1.0:
-                bad.append(f"seed {r.seed}: member triple with f={f}")
-        for tr in g.triples():
-            if emb.normalize(tr.s, tr.p, tr.o) != 1.0:
-                bad.append(f"seed {r.seed}: member triple f != 1")
-                break
+            if not (0.0 < value <= 1.0):
+                bad.append(f"seed {r.seed}: f={value} outside (0, 1]")
+            if g.contains(h, rel, t) and value != 1.0:
+                bad.append(f"seed {r.seed}: member triple with f={value}")
+        if (f[len(sampled) :] != 1.0).any():
+            bad.append(f"seed {r.seed}: member triple f != 1")
     ok = not bad and scored >= 10_000
     report(7, ok, f"{scored} sampled triples in (0, 1], every member triple at exactly 1")
     assert ok, bad[:5]
@@ -384,11 +391,7 @@ def test_criterion_09_link_prediction_sanity(planted):
     all_triples = list(g.triples())
     held_idx = rng.choice(len(all_triples), size=50, replace=False)
     held = sorted(all_triples[i] for i in held_idx)
-    b = GraphBuilder()
-    for tr in g.triples():
-        if Triple(tr.s, tr.p, tr.o) not in set(held):
-            b.add(g.term(tr.s), g.term(tr.p), g.term(tr.o))
-    train_g = b.build()
+    train_g = corrupt_graph(g, held)
     entities = sorted({t.s for t in g.triples()} | {t.o for t in g.triples()})
 
     results = {}
@@ -408,7 +411,7 @@ def test_criterion_09_link_prediction_sanity(planted):
             ),
         ).bind(g)
         trial_rng = np.random.default_rng(10)
-        wins = 0
+        trials, cands = [], []
         for _ in range(200):
             tr = held[trial_rng.integers(len(held))]
             while True:
@@ -418,8 +421,12 @@ def test_criterion_09_link_prediction_sanity(planted):
                 ]
                 if not g.contains(*cand):
                     break
-            if emb.score_triple(tr.s, tr.p, tr.o) < emb.score_triple(*cand):
-                wins += 1
+            trials.append(tr.as_tuple())
+            cands.append(cand)
+        true_scores, true_scored = emb.score_rows(*np.array(trials, dtype=np.int64).T)
+        cand_scores, cand_scored = emb.score_rows(*np.array(cands, dtype=np.int64).T)
+        assert true_scored.all() and cand_scored.all()
+        wins = int((true_scores < cand_scores).sum())
         results[model] = wins
         if wins < 160:
             bad.append(f"{model}: {wins}/200 < 160")

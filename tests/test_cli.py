@@ -423,6 +423,7 @@ def test_stats_listing(run, artifacts):
     stdout, _ = run("stats", "--store", str(store_path))
     assert "triples:" in stdout and "relations:" in stdout
     assert "freq=" in stdout
+    assert "\nentities: 23\n" in stdout
 
 
 def test_stats_single_relation(run, artifacts):
@@ -510,13 +511,69 @@ def test_bench_case_failure_sets_exit_code(run, artifacts, bench_dir):
 
 def test_bench_unknown_deletion_term_is_error(run, artifacts, bench_dir):
     store_path, emb_path = artifacts
-    (bench_dir / "del.nt").write_text(f"<{EX}nobody> <{EX}starring> <{EX}nothing> .\n")
+    (bench_dir / "del.nt").write_text(f"\n<{EX}nobody> <{EX}starring> <{EX}nothing> .\n")
     _, err = run(
         "bench", str(bench_dir / "bench.manifest"),
         "--store", str(store_path), "--embeddings", str(emb_path),
         expect=1,
     )
     assert "not in the store" in err
+    # the error names the file, the line and the first unknown term
+    assert f"{bench_dir / 'del.nt'}: line 2: deletion references a term not in the store: <{EX}nobody>" in err
+
+
+@pytest.fixture()
+def blank_bench(run, tmp_path):
+    """A store holding _:x as _:b0 and _:y as _:b1, and a bench manifest
+    over it whose deletions file is written by each test."""
+    (tmp_path / "g.nt").write_text("_:x <p:p> <p:a> .\n_:y <p:p> <p:b> .\n<p:a> <p:q> <p:b> .\n<p:c> <p:q> <p:a> .\n")
+    store_path = tmp_path / "g.trqg"
+    run("ingest", str(tmp_path / "g.nt"), "-o", str(store_path))
+    (tmp_path / "q.rq").write_text("SELECT ?s ?o WHERE { ?s <p:p> ?o . }")
+    (tmp_path / "bench.manifest").write_text("q.rq del.nt\n")
+
+    def bench(deletions, expect):
+        (tmp_path / "del.nt").write_text(deletions)
+        return run(
+            "bench", str(tmp_path / "bench.manifest"), "--store", str(store_path),
+            "--uniform-f", "0.5", "--format", "json", expect=expect,
+        )
+
+    return bench
+
+
+def test_bench_deletions_name_blank_nodes_by_store_label(blank_bench):
+    # the deletion names the store's _:b1, the second file's blank node
+    stdout, _ = blank_bench("_:b1 <p:p> <p:b> .\n", expect=0)
+    [case] = json.loads(stdout)["cases"]
+    assert case["error"] is None and case["truth_size"] == 2
+
+
+def test_bench_deletion_of_an_absent_blank_node_fact_fails(blank_bench):
+    # _:b1 <p:p> <p:a> is no fact, whichever label _:b1 would get on reparsing
+    stdout, _ = blank_bench("# comment\n_:b1 <p:p> <p:a> .\n", expect=1)
+    [case] = json.loads(stdout)["cases"]
+    assert case["error"] == (
+        "MissingDeletionError: 1 deletion(s) not present in the graph: _:b1 <p:p> <p:a> ."
+    )
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\n<p:a> <p:q> .\n", "line 2: expected IRI, blank node, or literal object"),
+        (b"\n\n<p:a> <p:q> <p:\xff> .\n", "line 3: invalid UTF-8"),
+    ],
+)
+def test_bench_bad_deletion_line_names_file_and_line(run, artifacts, bench_dir, content, message):
+    store_path, emb_path = artifacts
+    (bench_dir / "del.nt").write_bytes(content)
+    stdout, err = run(
+        "bench", str(bench_dir / "bench.manifest"),
+        "--store", str(store_path), "--embeddings", str(emb_path),
+        expect=1,
+    )
+    assert stdout == "" and f"error: {bench_dir / 'del.nt'}: {message}" in err
 
 
 def test_bench_rejects_non_finite_uniform_f(run, artifacts, bench_dir):

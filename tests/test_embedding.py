@@ -19,26 +19,28 @@ from trq.embedding import (
     EmbeddingFormatError,
     EmbeddingSet,
     NonFiniteEmbeddingError,
-    UnembeddedTermError,
     load_embeddings,
-    margin_loss_and_grads,
     save_embeddings,
     train,
 )
 from trq.evalkit import BenchCase, run_benchmark
-from trq.scoring import in_graph_flags, score_table
-from trq.store import GraphBuilder, parse_ntriples
+from trq.store import Graph, parse_ntriples
 from trq.terms import RDF_TYPE, Term, TermKind
 
 from conftest import (
+    NoEmbeddingRow,
     build_graph,
+    dense_pair_grads,
+    edge_plausibility,
     ex,
     make_query,
     nt_text,
     pattern,
     planted_kg,
     reference_extended_score,
+    reference_score_triple,
     reference_train_step,
+    row_score,
     small_emb,
 )
 
@@ -117,10 +119,10 @@ def test_gradients_match_finite_differences(model, norm):
     margin = 1.0
 
     def loss_of(e, r, w, m):
-        val, _ = margin_loss_and_grads(model, norm, margin, e, r, w, m, pos, neg)
+        val, _ = dense_pair_grads(model, norm, margin, e, r, w, m, pos, neg)
         return val
 
-    base, grads = margin_loss_and_grads(model, norm, margin, ent, rel, normals, maps, pos, neg)
+    base, grads = dense_pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg)
     assert base > 0.0
 
     eps = 1e-6
@@ -153,7 +155,7 @@ def test_zero_when_margin_satisfied():
     rel = np.array([[1.0, 0.0]])
     pos = np.array([[0, 0, 1]])  # g = 0
     neg = np.array([[0, 0, 2]])  # g huge
-    loss, grads = margin_loss_and_grads("transe", "l1", 1.0, ent, rel, None, None, pos, neg)
+    loss, grads = dense_pair_grads("transe", "l1", 1.0, ent, rel, None, None, pos, neg)
     assert loss == 0.0
     assert not grads["entities"].any() and not grads["relations"].any()
 
@@ -255,7 +257,7 @@ def test_transh_with_zero_normal_reduces_to_transe():
         "transh", ent, rel, terms_e, terms_r, normals=np.zeros((1, 4))
     ).bind(g)
     a, p, b = g.id(ex("a")), g.id(ex("p")), g.id(ex("b"))
-    assert sh.score_triple(a, p, b) == pytest.approx(se.score_triple(a, p, b), abs=1e-9)
+    assert row_score(sh, a, p, b) == pytest.approx(row_score(se, a, p, b), abs=1e-9)
 
 
 def test_transr_with_identity_map_reduces_to_transe():
@@ -270,7 +272,7 @@ def test_transr_with_identity_map_reduces_to_transe():
         "transr", ent, rel, terms_e, terms_r, maps=np.eye(4)[None, :, :]
     ).bind(g)
     a, p, b = g.id(ex("a")), g.id(ex("p")), g.id(ex("b"))
-    assert sr.score_triple(a, p, b) == pytest.approx(se.score_triple(a, p, b), abs=1e-9)
+    assert row_score(sr, a, p, b) == pytest.approx(row_score(se, a, p, b), abs=1e-9)
 
 
 def test_transh_projection_formula():
@@ -280,7 +282,7 @@ def test_transh_projection_formula():
     w = np.array([[1.0, 0.0]])  # project out the first axis
     s = _manual_set("transh", ent, rel, [ex("a"), ex("b")], [ex("p")], normals=w, norm="l1").bind(g)
     # h_perp = (0, 1), t_perp = (0, 2): d = (0,1)+(0.5,-0.5)-(0,2) = (0.5,-1.5)
-    assert s.score_triple(0, g.id(ex("p")), g.id(ex("b"))) == pytest.approx(2.0)
+    assert row_score(s, 0, g.id(ex("p")), g.id(ex("b"))) == pytest.approx(2.0)
 
 
 def test_l1_l2_score_difference():
@@ -291,8 +293,8 @@ def test_l1_l2_score_difference():
     l1 = _manual_set("transe", ent, rel, terms_e, terms_r, norm="l1").bind(g)
     l2 = _manual_set("transe", ent, rel, terms_e, terms_r, norm="l2").bind(g)
     p, b = g.id(ex("p")), g.id(ex("b"))
-    assert l1.score_triple(0, p, b) == pytest.approx(7.0)
-    assert l2.score_triple(0, p, b) == pytest.approx(5.0)
+    assert row_score(l1, 0, p, b) == pytest.approx(7.0)
+    assert row_score(l2, 0, p, b) == pytest.approx(5.0)
 
 
 # -- training behaviour ------------------------------------------------
@@ -332,7 +334,7 @@ def test_trained_triples_score_below_corrupted(chain):
         # corrupt the tail with an arbitrary different entity
         for cand in range(chain.term_count):
             if cand != tr.o and emb.ent_row[cand] >= 0 and not chain.contains(tr.s, tr.p, cand):
-                if emb.score_triple(tr.s, tr.p, tr.o) < emb.score_triple(tr.s, tr.p, cand):
+                if row_score(emb, tr.s, tr.p, tr.o) < row_score(emb, tr.s, tr.p, cand):
                     better += 1
                 break
     assert better / total >= 0.7
@@ -373,7 +375,7 @@ def test_type_only_graph_trains_with_empty_batches():
 
 def test_empty_graph_rejected():
     with pytest.raises(ValueError):
-        train(GraphBuilder().build(), EmbeddingConfig())
+        train(Graph([], []), EmbeddingConfig())
 
 
 # -- negative sampler ----------------------------------------------------
@@ -470,7 +472,7 @@ def test_transr_rectangular_relation_space(chain):
     assert emb.entity_vecs.shape[1] == 8
     assert emb.relation_vecs.shape[1] == 5
     assert emb.maps.shape[1:] == (5, 8)
-    emb.bind(chain).score_triple(0, chain.id(ex("r0")), 2)
+    row_score(emb.bind(chain), 0, chain.id(ex("r0")), 2)
 
 
 # -- type vectors and normalized plausibility --------------------------
@@ -512,25 +514,26 @@ def test_extended_score_uses_type_vector_for_membership(chain):
     manual = float(
         np.abs(_entity_vec(emb.embeddings, ex("e2")) - emb.type_vector(c)).sum()
     )
-    assert emb.extended_score(e2, ty, c) == pytest.approx(manual, rel=1e-9)
+    assert row_score(emb, e2, ty, c) == pytest.approx(manual, rel=1e-9)
     # non-membership relations defer to the model score
     r0 = chain.id(ex("r0"))
-    assert emb.extended_score(e2, r0, e2) == pytest.approx(
-        emb.score_triple(e2, r0, e2), rel=1e-12
+    assert row_score(emb, e2, r0, e2) == pytest.approx(
+        reference_score_triple(emb, e2, r0, e2), rel=1e-12
     )
 
 
 def test_normalize_members_exactly_one(chain):
     emb = small_emb(chain).bind(chain)
-    for tr in chain.triples():
-        assert emb.normalize(tr.s, tr.p, tr.o) == 1.0
+    index, _, _ = chain.ranges()
+    f, _ = edge_plausibility(emb, np.stack(index.unpack(index.keys), axis=1))
+    assert len(f) == chain.triple_count and (f == 1.0).all()
 
 
 def test_normalize_nonmembers_in_open_unit_interval(chain):
     emb = small_emb(chain).bind(chain)
     e0, e5 = chain.id(ex("e0")), chain.id(ex("e5"))
     r0 = chain.id(ex("r0"))
-    v = emb.normalize(e5, r0, e0)
+    [v], _ = edge_plausibility(emb, np.array([[e5, r0, e0]]))
     if not chain.contains(e5, r0, e0):
         assert 0.0 < v < 1.0
 
@@ -538,8 +541,9 @@ def test_normalize_nonmembers_in_open_unit_interval(chain):
 @pytest.mark.parametrize("model", ["transe", "transh", "transr"])
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 def test_score_table_f_equals_normalize(chain, model, norm):
-    # the column-wise plausibility of a (?h ?r ?t) table is the scalar
-    # normalize of each row, and falls back exactly where normalize raises
+    # the column-wise plausibility of a (?h ?r ?t) table is 1 for members
+    # and 1 / (1 + the scalar extended score) for the others, and falls
+    # back exactly where that score has no embedding row
     emb = train(chain, EmbeddingConfig(model=model, norm=norm, dim=6, epochs=5, batch_size=8, seed=1))
     # "stray" has no embedding row: the set was trained without it
     rows = [(chain.term(t.s), chain.term(t.p), chain.term(t.o)) for t in chain.triples()]
@@ -550,16 +554,19 @@ def test_score_table_f_equals_normalize(chain, model, norm):
     table = np.array(list(itertools.product(ents, rels, ents)), dtype=np.int64)
     want = []
     for ids in table.tolist():
+        if g.contains(*ids):
+            want.append(1.0)
+            continue
         try:
-            want.append(view.normalize(*ids))
-        except UnembeddedTermError:
+            want.append(1.0 / (1.0 + reference_extended_score(view, *ids)))
+        except NoEmbeddingRow:
             want.append(np.nan)
-    resolved, variables = [["h", "r", "t"]], ("h", "r", "t")
-    flags = in_graph_flags(g, resolved, variables, table, [0])
-    _, f, fallback = score_table(view, resolved, [1.0], variables, table, flags)
-    got = np.where(fallback[:, 0], np.nan, f[:, 0])
-    assert np.isnan(want).any() and (np.asarray(want) == 1.0).any()
-    assert np.array_equal(got, np.asarray(want), equal_nan=True)
+    want = np.asarray(want)
+    f, fallback = edge_plausibility(view, table)
+    got = np.where(fallback, np.nan, f)
+    assert np.isnan(want).any() and (want == 1.0).any()
+    assert np.array_equal(got == 1.0, want == 1.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, equal_nan=True)
 
 
 @pytest.mark.parametrize("model", ["transe", "transh", "transr"])
@@ -567,23 +574,27 @@ def test_score_table_f_equals_normalize(chain, model, norm):
 def test_score_rows_matches_reference(chain, model, norm, monkeypatch):
     # the batched kernel against the scalar three-branch math it replaced:
     # exact for TransE and membership rows, within 1e-12 relative for the
-    # projections; and the same value whatever the chunk size
+    # projections; and the same value whatever the chunk size. Ids outside
+    # the graph (-1 and term_count) in the h and r columns score nothing.
     emb = train(chain, EmbeddingConfig(model=model, norm=norm, dim=6, epochs=5, batch_size=8, seed=1))
     rows = [(chain.term(t.s), chain.term(t.p), chain.term(t.o)) for t in chain.triples()]
     g = build_graph(rows + [("e0", "r0", "stray"), ("stray", "type", "C")])
     emb = emb.bind(g)
     ents = [g.id(t) for t in g.terms() if t not in (ex("r0"), ex("r1"), RDF_TYPE)]
     rels = [g.id(ex("r0")), g.id(ex("r1")), g.id(RDF_TYPE)]
-    h, r, t = (np.array(c, dtype=np.int64) for c in zip(*itertools.product(ents, rels, ents)))
+    outside = [-1, g.term_count]
+    h, r, t = (np.array(c, dtype=np.int64) for c in zip(*itertools.product(ents + outside, rels + outside, ents)))
     want = []
     for ids in zip(h.tolist(), r.tolist(), t.tolist()):
         try:
             want.append(reference_extended_score(emb, *ids))
-        except UnembeddedTermError:
+        except NoEmbeddingRow:
             want.append(np.nan)
     want = np.asarray(want)
     got, scored = emb.score_rows(h, r, t)
     assert np.array_equal(scored, ~np.isnan(want)) and not scored.all()
+    beyond = np.isin(h, outside) | np.isin(r, outside)
+    assert beyond.any() and not scored[beyond].any() and not got[~scored].any()
     membership = r == g.rdf_type_id
     exact = membership if model != "transe" else np.ones(len(r), dtype=bool)
     assert np.array_equal(got[scored & exact], want[scored & exact])
@@ -591,24 +602,6 @@ def test_score_rows_matches_reference(chain, model, norm, monkeypatch):
     for chunk in (1, 3):
         monkeypatch.setattr(trq.embedding, "SCORE_CHUNK", chunk)
         assert np.array_equal(emb.score_rows(h, r, t)[0], got)
-
-
-def test_unembedded_term_raises(chain):
-    emb = small_emb(chain)
-    g2 = build_graph([("e0", "r0", "brandnew")])
-    with pytest.raises(UnembeddedTermError):
-        emb.bind(g2).score_triple(g2.id(ex("e0")), g2.id(ex("r0")), g2.id(ex("brandnew")))
-
-
-@pytest.mark.parametrize("tid", [99, -1])
-def test_out_of_range_term_id_is_an_unembedded_term(tid):
-    g = build_graph([("a", "p", "b")])
-    view = small_emb(g).bind(g)
-    p = g.id(ex("p"))
-    with pytest.raises(UnembeddedTermError, match=f"term id {tid}"):
-        view.score_triple(tid, p, 0)
-    with pytest.raises(UnembeddedTermError, match=f"term id {tid}"):
-        view.score_triple(0, tid, 0)
 
 
 @pytest.mark.parametrize("first", ["trained", "reversed"])
@@ -627,7 +620,6 @@ def test_views_on_two_graphs_match_fresh_binds(chain, first):
         rels = [g.id(t) for t in emb.relation_terms]
         triples = list(itertools.product(ents, rels, ents))
         h, r, t = (np.array(c, dtype=np.int64) for c in zip(*triples))
-        assert [view.score_triple(*x) for x in triples] == [fresh.score_triple(*x) for x in triples]
         assert np.array_equal(view.score_rows(h, r, t)[0], fresh.score_rows(h, r, t)[0])
 
 
@@ -676,7 +668,7 @@ def test_save_load_round_trip(tmp_path, chain, model):
         assert np.array_equal(back.maps, emb.maps)
     # scores are bitwise identical after the round trip
     r0 = chain.id(ex("r0"))
-    assert back.bind(chain).score_triple(0, r0, 2) == emb.bind(chain).score_triple(0, r0, 2)
+    assert row_score(back.bind(chain), 0, r0, 2) == row_score(emb.bind(chain), 0, r0, 2)
 
 
 def test_save_bytes_deterministic(chain):

@@ -22,6 +22,7 @@ from trq.store import parse_ntriples
 from trq.terms import Term, Triple
 
 from conftest import (
+    EX,
     build_graph,
     ex,
     exact_instance,
@@ -97,17 +98,15 @@ def test_corrupt_graph_removes_exact_triples(g5):
     t = Triple(g5.id(ex("a")), g5.id(ex("p")), g5.id(ex("b")))
     g2 = corrupt_graph(g5, [t])
     assert g2.triple_count == g5.triple_count - 1
-    assert not g2.contains_triple(
-        Triple(g2.id(ex("a")), g2.id(ex("p")), g2.id(ex("b")))
-    )
+    assert not g2.contains(g2.id(ex("a")), g2.id(ex("p")), g2.id(ex("b")))
     # untouched facts survive
-    assert g2.contains_triple(Triple(g2.id(ex("b")), g2.id(ex("p")), g2.id(ex("c"))))
+    assert g2.contains(g2.id(ex("b")), g2.id(ex("p")), g2.id(ex("c")))
 
 
 def test_corrupt_graph_leaves_original_untouched(g5):
     t = Triple(g5.id(ex("a")), g5.id(ex("p")), g5.id(ex("b")))
     corrupt_graph(g5, [t])
-    assert g5.contains_triple(t)
+    assert g5.contains(*t.as_tuple())
 
 
 def test_corrupt_graph_missing_deletion_raises(g5):
@@ -115,6 +114,18 @@ def test_corrupt_graph_missing_deletion_raises(g5):
     with pytest.raises(MissingDeletionError) as e:
         corrupt_graph(g5, [bogus])
     assert e.value.missing == [bogus]
+
+
+def test_missing_deletions_are_named_in_ntriples(g5):
+    # present and absent deletions mixed, ids outside the graph included:
+    # only the absent ones are reported, in sorted order
+    a, p, b = g5.id(ex("a")), g5.id(ex("p")), g5.id(ex("b"))
+    absent = [Triple(b, p, a), Triple(a, p, g5.term_count), Triple(-1, p, b)]
+    with pytest.raises(MissingDeletionError) as e:
+        corrupt_graph(g5, [Triple(a, p, b)] + absent)
+    assert e.value.missing == sorted(absent)
+    assert "3 deletion(s) not present in the graph: " in str(e.value)
+    assert f"<{EX}b> <{EX}p> <{EX}a> ." in str(e.value)
 
 
 def test_corrupt_graph_empty_deletions_is_copy(g5):

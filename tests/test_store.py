@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import trq.store
 from trq.store import (
     Graph,
-    GraphBuilder,
     GraphTooLargeError,
     SnapshotError,
     load_snapshot,
@@ -64,26 +63,7 @@ def test_contains(small):
     a, p, b = small.id(ex("a")), small.id(ex("p")), small.id(ex("b"))
     assert small.contains(a, p, b)
     assert not small.contains(b, p, b)
-    from trq.terms import Triple
-    assert small.contains_triple(Triple(a, p, b))
-    assert not small.contains_triple(Triple(b, p, b))
-
-
-def test_duplicate_add_is_noop():
-    b = GraphBuilder()
-    b.add(ex("a"), ex("p"), ex("b"))
-    b.add(ex("a"), ex("p"), ex("b"))
-    assert b.build().triple_count == 1
-
-
-def test_builder_rejects_bad_positions():
-    b = GraphBuilder()
-    with pytest.raises(ValueError):
-        b.add(Term.literal("x"), ex("p"), ex("o"))
-    with pytest.raises(ValueError):
-        b.add(ex("s"), Term.literal("p"), ex("o"))
-    with pytest.raises(ValueError):
-        b.add(ex("s"), Term.blank("b"), ex("o"))
+    assert small.contains_rows(np.array([a, b]), np.array([p, p]), np.array([b, b])).tolist() == [True, False]
 
 
 def _scan(g: Graph, s, p, o):
@@ -315,7 +295,7 @@ def test_snapshot_rejects_bad_version(small):
 
 
 def test_empty_graph_round_trip(tmp_path):
-    g = GraphBuilder().build()
+    g = Graph([], [])
     path = tmp_path / "empty.trqg"
     save_snapshot(g, path)
     g2 = load_snapshot(path)
