@@ -27,6 +27,7 @@ from .ntriples import NTriplesError, parse_term
 from .qgraph import (
     BudgetExceededError,
     DisconnectedQueryError,
+    NoVariableError,
     QueryGraph,
     SubqueryTree,
     build_query_graph,

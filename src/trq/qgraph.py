@@ -26,6 +26,17 @@ class DisconnectedQueryError(ValueError):
     pass
 
 
+class NoVariableError(ValueError):
+    """The query has no variable in subject or object position, so it has
+    no solutions to rank; it can only be evaluated exactly."""
+
+    def __init__(self):
+        super().__init__(
+            "query has no variable to rank in subject or object position; "
+            "evaluate it exactly with `trq ask`"
+        )
+
+
 class BudgetExceededError(ValueError):
     def __init__(self, edges: int, choose: int, combinations: int):
         super().__init__(
@@ -149,12 +160,16 @@ def enumerate_subquery_trees(
 ) -> list[SubqueryTree]:
     """All distinct re-stripped spanning trees of the reduced query graph.
 
-    Raises DisconnectedQueryError when the reduced graph is disconnected
-    and BudgetExceededError when the C(|E|, |V|-1) enumeration would
-    exceed the configured budget. Every returned tree preserves the full
-    variable set of the query.
+    Raises NoVariableError when no subject or object of the query is a
+    variable, DisconnectedQueryError when the reduced graph is
+    disconnected and BudgetExceededError when the C(|E|, |V|-1)
+    enumeration would exceed the configured budget. Every returned tree
+    preserves the full variable set of the query.
     """
     reduced = del_constant_leaf(build_query_graph(q))
+    # del_constant_leaf never strips a variable node
+    if not reduced.variables():
+        raise NoVariableError()
     if not is_connected(reduced):
         raise DisconnectedQueryError("query graph is disconnected after constant-leaf removal")
     n_edges = len(reduced.edges)

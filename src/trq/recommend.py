@@ -7,11 +7,22 @@ them, and return the top K under a stable ranking: score descending,
 then edit distance ascending, then the lexicographic binding tuple.
 Exact solutions, when they exist, are guaranteed the top ranks.
 
-The pooled mappings stay a table of term ids throughout: the edit
-distance is counted once, from per-pattern in-graph flags looked up
-column-wise for each tree's dropped patterns. Every row under the
-threshold is scored once, column-wise, with those same flags; only the
-top K rows become ScoredSolutions, built from the arrays already
+The pooled mappings stay a table of term ids throughout, and each
+candidate passes a funnel in this order:
+
+1. *Look up.* A tree's own patterns hold on its rows; its dropped
+   patterns are looked up column-wise, one vectorised lookup each
+   (:func:`~trq.scoring.in_graph_flags`). Whether mu(e) is in the graph
+   depends on the row alone, so a row gets the same flags from every
+   tree that produces it.
+2. *Dedupe.* The rows of all trees are pooled and the first copy of each
+   distinct row is kept, compared on one packed int64 key per row when
+   its ids fit; ``candidates_seen`` counts these rows.
+3. *Threshold.* Rows whose edit distance, the count of False flags, is
+   under the threshold are kept.
+
+Every kept row is scored once, column-wise, with those same flags; only
+the top K rows become ScoredSolutions, built from the arrays already
 computed. Ranking every candidate (the deletion bench) takes the same
 path.
 """
@@ -87,9 +98,27 @@ class Recommendation:
 
 
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of every distinct row."""
-    view = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    return np.sort(np.unique(view.ravel(), return_index=True)[1])
+    """Ascending indices of the first occurrence of every distinct row of
+    non-negative term ids.
+
+    When a row's ids fit one int64 (``width * bits <= 63``, ``bits`` the
+    length of the largest id), each row is packed into one key, the keys
+    are sorted once, and each run of equal keys gives its least index;
+    wider rows are compared as raw bytes.
+    """
+    if len(rows) == 0:
+        return np.empty(0, dtype=np.intp)
+    width, bits = rows.shape[1], int(rows.max()).bit_length()
+    if width * bits > 63:
+        view = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * width)))
+        return np.sort(np.unique(view.ravel(), return_index=True)[1])
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for j in range(width):
+        keys = (keys << bits) | rows[:, j]
+    order = keys.argsort()
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return np.sort(np.minimum.reduceat(order, starts))
 
 
 def _top(g: Graph, rows: np.ndarray, scores: np.ndarray, distance: np.ndarray, k: int) -> np.ndarray:

@@ -263,13 +263,21 @@ class Graph:
 
     def contains_rows(self, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`contains` over int64 id columns of one length;
-        unlike :meth:`contains`, every id must be a valid term id."""
+        unlike :meth:`contains`, every id must be a valid term id.
+
+        The probe keys are searched in sorted order (one argsort per
+        call), so each search starts where the last one ended; the flags
+        are scattered back to the order of the rows.
+        """
         keys = self._spo.keys
-        if len(keys) == 0:
-            return np.zeros(len(s), dtype=bool)
         key = self._spo.pack(s, p, o)
-        i = np.minimum(keys.searchsorted(key), len(keys) - 1)
-        return keys[i] == key
+        if len(keys) == 0:
+            return np.zeros(len(key), dtype=bool)
+        order = key.argsort()
+        probe = key[order]
+        found = np.empty(len(key), dtype=bool)
+        found[order] = keys[np.minimum(keys.searchsorted(probe), len(keys) - 1)] == probe
+        return found
 
     def ranges(self, s=None, p=None, o=None) -> tuple[TripleIndex, np.ndarray, np.ndarray]:
         """The index :meth:`match` scans for this pattern and the key range
@@ -277,7 +285,11 @@ class Graph:
 
         Each of s, p, o is None (free), an id, or an int64 array of ids
         (one pattern per element, broadcast together); bound ids must be
-        valid term ids. ``lo`` and ``hi`` follow the broadcast shape.
+        valid term ids. ``lo`` and ``hi`` follow the broadcast shape. An
+        array of patterns is searched in the sorted order of its range
+        starts, which one argsort per call gives to both bounds (a range
+        end is its start plus a constant); the bounds are scattered back
+        to the order of the patterns.
         """
         name, k = _ACCESS[(s is not None, p is not None, o is not None)]
         index = getattr(self, name)
@@ -286,8 +298,17 @@ class Graph:
         zero = np.int64(0)
         spo = [zero if x is None else x for x in (s, p, o)]
         lo_key = index.pack(*spo)
-        hi_key = lo_key + (np.int64(1) << (index.bits * (3 - k)))
-        return index, index.keys.searchsorted(lo_key), index.keys.searchsorted(hi_key)
+        width = np.int64(1) << (index.bits * (3 - k))
+        if np.ndim(lo_key) == 0:
+            return index, index.keys.searchsorted(lo_key), index.keys.searchsorted(lo_key + width)
+        flat = lo_key.ravel()
+        order = flat.argsort()
+        probe = flat[order]
+        lo = np.empty(len(flat), dtype=np.intp)
+        hi = np.empty(len(flat), dtype=np.intp)
+        lo[order] = index.keys.searchsorted(probe)
+        hi[order] = index.keys.searchsorted(probe + width)
+        return index, lo.reshape(lo_key.shape), hi.reshape(lo_key.shape)
 
     def _range_size(self, s, p, o) -> int:
         if not self._in_range(s, p, o):

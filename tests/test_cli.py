@@ -240,6 +240,22 @@ def test_plan_reports_syntax_errors(run, tmp_path):
     assert "error:" in err
 
 
+VARIABLE_FREE = "SELECT * WHERE { <http://e/a> <http://e/p> <http://e/b> }"
+
+
+@pytest.mark.parametrize("verb", ["plan", "query"])
+def test_variable_free_select_is_clean_error(run, artifacts, tmp_path, verb):
+    store_path, emb_path = artifacts
+    q = tmp_path / "q.rq"
+    q.write_text(VARIABLE_FREE)
+    args = [] if verb == "plan" else ["--store", str(store_path), "--embeddings", str(emb_path)]
+    stdout, err = run(verb, str(q), *args, expect=1)
+    assert stdout == ""
+    assert err.startswith("error: query has no variable to rank")
+    assert "trq ask" in err
+    assert "Traceback" not in err
+
+
 # -- query -------------------------------------------------------------
 
 

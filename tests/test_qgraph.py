@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from trq.qgraph import (
     BudgetExceededError,
     DisconnectedQueryError,
+    NoVariableError,
     QueryGraph,
     build_query_graph,
     canonical_form,
@@ -125,6 +126,20 @@ def test_connected_checks():
 def test_disconnected_query_raises():
     q = q_of(pattern("?x", "p", "?y"), pattern("?a", "p", "?b"))
     with pytest.raises(DisconnectedQueryError):
+        enumerate_subquery_trees(q)
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [
+        [("a", "p", "b")],  # every node a constant leaf: the reduced graph is empty
+        [("a", "p", "b"), ("b", "p", "a")],  # a constant cycle survives the stripping
+        [("a", "?p", "b")],  # a variable predicate is no node
+    ],
+)
+def test_query_without_node_variable_raises(patterns):
+    q = q_of(*(pattern(*t) for t in patterns))
+    with pytest.raises(NoVariableError, match="trq ask"):
         enumerate_subquery_trees(q)
 
 

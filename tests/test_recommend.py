@@ -9,6 +9,7 @@ from trq.recommend import (
     Recommendation,
     RecommendRequest,
     VariablePredicateError,
+    _first_occurrences,
     _top,
     recommend,
 )
@@ -296,6 +297,26 @@ def test_per_tree_limit_sets_truncated_flag(stars):
     rec = recommend(stars, _req(q, emb, per_tree_limit=2))
     assert rec.truncated
     assert rec.candidates_seen == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 21), st.data())
+def test_first_occurrences_packed_and_void_paths_agree(width, bits, data):
+    # edge ids as well as any: a key packed too narrow makes (1, 0) and (0, 2**(bits-1)) collide
+    term = st.one_of(st.sampled_from([0, 1, 2 ** (bits - 1), 2**bits - 1]), st.integers(0, 2**bits - 1))
+    row = st.lists(term, min_size=width, max_size=width)
+    distinct = data.draw(st.lists(row, max_size=12))
+    # rows drawn from a few distinct ones, so most repeat; zero rows included
+    table = data.draw(st.lists(st.sampled_from(distinct), max_size=40)) if distinct else []
+    rows = np.array(table, dtype=np.int64).reshape(-1, width)
+    first: dict[tuple, int] = {}
+    for i, r in enumerate(map(tuple, table)):
+        first.setdefault(r, i)
+    # ids below 2**21 in at most 3 columns fit one int64 key per row
+    assert _first_occurrences(rows).tolist() == sorted(first.values())
+    if width > 1:
+        # ids of 41 bits or more in two or more columns do not: rows compared as bytes
+        assert _first_occurrences(rows + 2**40).tolist() == sorted(first.values())
 
 
 def test_unmatchable_query_raises(stars):

@@ -131,6 +131,50 @@ def test_match_row_order_per_bound_combination(seed):
             assert got == sorted(_scan(g, s, p, o), key=key), (s, p, o)
 
 
+_BOUND_MASKS = [mask for mask in _SEED_ORDER if any(mask)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_array_probes_match_scalar_lookups(data):
+    """ranges and contains_rows over unsorted probe arrays, duplicates
+    included, of length 0, 1 or many, equal one scalar lookup per probe."""
+    n = data.draw(st.integers(2, 6))
+    entity = st.integers(0, n - 1)
+    rows = data.draw(st.lists(st.tuples(entity, st.integers(0, 2), entity), min_size=1, max_size=30))
+    g = build_graph([(f"e{s}", f"r{p}", f"e{o}") for s, p, o in rows])
+    stored = [t.as_tuple() for t in g.triples()]
+    if data.draw(st.booleans()):
+        g = Graph(list(g.terms()), [])  # the same terms, no triple
+    ids = st.integers(0, g.term_count - 1)
+    # a few triples, stored ones among them, that the probes repeat
+    pool = data.draw(st.lists(st.one_of(st.sampled_from(stored), st.tuples(ids, ids, ids)), min_size=1, max_size=4))
+    length = data.draw(st.sampled_from([0, 1, data.draw(st.integers(2, 40))]))
+    probes = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length)), dtype=np.int64)
+    s, p, o = probes.reshape(-1, 3).T
+
+    found = g.contains_rows(s, p, o)
+    assert found.dtype == bool and found.shape == (length,)
+    assert found.tolist() == [g.contains(*t) for t in zip(s.tolist(), p.tolist(), o.tolist())]
+
+    mask = data.draw(st.sampled_from(_BOUND_MASKS))
+    # each bound position is an array, or a scalar broadcast against the others
+    arrays = [bound and data.draw(st.booleans()) for bound in mask]
+    if not any(arrays):
+        arrays[mask.index(True)] = True
+    bound = [(col if a else int(col[0]) if length else pool[0][j]) if b else None
+             for j, (col, b, a) in enumerate(zip((s, p, o), mask, arrays))]
+    index, lo, hi = g.ranges(*bound)
+    assert lo.shape == hi.shape == (length,)
+    k = sum(mask)
+    for i in range(length):
+        spo = [0 if x is None else int(x) if np.ndim(x) == 0 else int(x[i]) for x in bound]
+        key = int(index.pack(*spo))
+        assert lo[i] == index.keys.searchsorted(key)
+        assert hi[i] == index.keys.searchsorted(key + (1 << (index.bits * (3 - k))))
+        assert hi[i] - lo[i] == len(_scan(g, *(None if x is None else spo[j] for j, x in enumerate(bound))))
+
+
 def test_match_results_sorted_spo(small):
     out = [t.as_tuple() for t in small.match(None, None, None)]
     assert out == sorted(out)
