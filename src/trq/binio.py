@@ -24,6 +24,8 @@ from .terms import Term, TermKind
 
 _TERM_HEADER = struct.Struct("<BI")
 TERM_HEADER_SIZE = _TERM_HEADER.size
+# TermKind members by their byte value
+_KINDS = tuple(TermKind)
 
 
 def read_source(src: str | Path | BufferedIOBase) -> bytes:
@@ -58,30 +60,37 @@ def write_file(dest: str | Path | BufferedIOBase, write: Callable[[BinaryIO], No
 
 
 def write_terms(fh: BinaryIO, terms: Iterable[Term]) -> None:
-    for term in terms:
-        data = term.lexical.encode("utf-8")
-        fh.write(_TERM_HEADER.pack(int(term.kind), len(data)))
-        fh.write(data)
+    """Write the table of ``terms`` with one ``fh.write`` call."""
+    pack = _TERM_HEADER.pack
+    parts: list[bytes] = []
+    append = parts.append
+    for kind, lexical in terms:
+        data = lexical.encode("utf-8")
+        append(pack(kind, len(data)))
+        append(data)
+    fh.write(b"".join(parts))
 
 
 def read_terms(data: bytes, pos: int, count: int, error: type[Exception]) -> tuple[list[Term], int]:
     """``count`` terms starting at byte ``pos``, and the offset after them."""
     terms: list[Term] = []
+    append = terms.append
+    unpack = _TERM_HEADER.unpack_from
+    kinds = _KINDS
+    end = len(data)
     for _ in range(count):
-        if pos + TERM_HEADER_SIZE > len(data):
+        if pos + TERM_HEADER_SIZE > end:
             raise error("truncated term table")
-        kind, length = _TERM_HEADER.unpack_from(data, pos)
+        kind, length = unpack(data, pos)
         pos += TERM_HEADER_SIZE
-        try:
-            kind = TermKind(kind)
-        except ValueError as exc:
-            raise error(f"unknown term kind {kind}") from exc
-        if pos + length > len(data):
+        if kind >= len(kinds):
+            raise error(f"unknown term kind {kind}")
+        if pos + length > end:
             raise error("truncated term table")
         try:
             lexical = data[pos : pos + length].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise error(f"term {len(terms)} is not valid UTF-8") from exc
-        terms.append(Term(kind, lexical))
+        append(Term(kinds[kind], lexical))
         pos += length
     return terms, pos

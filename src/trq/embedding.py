@@ -66,12 +66,13 @@ Embedding file format (``TRQE``, version 1, little endian)::
 Writes to a path are atomic (a temporary file, then ``os.replace``).
 The loader checks every header count against the bytes present before it
 allocates, and rejects non-positive dimensions, a margin that is not a
-positive number and non-finite matrix values with
-:class:`EmbeddingFormatError`.
+positive number, non-finite matrix values and a term listed twice in the
+entity or the relation table with :class:`EmbeddingFormatError`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from collections.abc import Callable
@@ -278,8 +279,8 @@ class EmbeddingSet:
     sampler_redraws: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        self.entity_index = {t: i for i, t in enumerate(self.entity_terms)}
-        self.relation_index = {t: i for i, t in enumerate(self.relation_terms)}
+        self.entity_index = dict(zip(self.entity_terms, range(len(self.entity_terms))))
+        self.relation_index = dict(zip(self.relation_terms, range(len(self.relation_terms))))
         self._view: BoundEmbeddings | None = None  # bind's one-slot cache
 
     @property
@@ -303,7 +304,7 @@ def _align(emb: EmbeddingSet, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The entity and the relation row of every term id of ``g`` (-1 = none)."""
     terms = list(g.terms())
     return tuple(
-        np.fromiter((index.get(t, -1) for t in terms), dtype=np.int64, count=len(terms))
+        np.fromiter(map(index.get, terms, itertools.repeat(-1)), dtype=np.int64, count=len(terms))
         for index in (emb.entity_index, emb.relation_index)
     )
 
@@ -585,7 +586,8 @@ def load_embeddings(src: str | Path | BufferedIOBase, expect_model: str | None =
     The file is read once, and every count in the header is checked
     against the bytes actually present before anything is allocated for
     it; a malformed file of any kind, including one holding a non-finite
-    value, raises :class:`EmbeddingFormatError`.
+    value or listing a term twice in one table, raises
+    :class:`EmbeddingFormatError`.
     """
     data = read_source(src)
     if len(data) < 4:
@@ -630,7 +632,7 @@ def load_embeddings(src: str | Path | BufferedIOBase, expect_model: str | None =
             raise EmbeddingFormatError("embedding matrices hold a non-finite value")
         matrices.append(m)
         pos += 4 * count
-    return EmbeddingSet(
+    emb = EmbeddingSet(
         model=model,
         norm="l1" if norm_tag == 1 else "l2",
         dim=dim,
@@ -643,3 +645,12 @@ def load_embeddings(src: str | Path | BufferedIOBase, expect_model: str | None =
         normals=matrices[2] if model == TRANSH else None,
         maps=matrices[2] if model == TRANSR else None,
     )
+    for table, terms, index in (
+        ("entity", ent_terms, emb.entity_index),
+        ("relation", rel_terms, emb.relation_index),
+    ):
+        if len(index) != len(terms):
+            # the index keeps a repeated term's last row
+            repeated = next(t for i, t in enumerate(terms) if index[t] != i)
+            raise EmbeddingFormatError(f"{table} table lists {repeated.nt()} twice")
+    return emb

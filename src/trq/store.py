@@ -76,8 +76,15 @@ class TripleIndex:
     def __init__(self, order: tuple[int, int, int], bits: int, s, p, o, unique: bool = False):
         self.order = order
         self.bits = bits
-        keys = self.pack(s, p, o)
-        self.keys = np.unique(keys) if unique else np.sort(keys)
+        keys = self.pack(s, p, o)  # a new array, sorted in place
+        keys.sort()
+        if unique and len(keys) > 1:
+            # sorted, so a repeated key directly follows its first copy
+            keep = np.empty(len(keys), dtype=bool)
+            keep[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            keys = keys[keep]
+        self.keys = keys
 
     def pack(self, s, p, o):
         """Key of (s, p, o); scalars or int64 arrays."""
@@ -193,7 +200,7 @@ class Graph:
             raise GraphTooLargeError(
                 f"graph has {n} terms; the packed index keys hold at most {MAX_TERM_COUNT}"
             )
-        self._id_of = {t: i for i, t in enumerate(self._terms)}
+        self._id_of = dict(zip(self._terms, range(n)))
         if len(self._id_of) != n:
             raise ValueError("duplicate terms in dictionary")
         if not isinstance(triples, np.ndarray):

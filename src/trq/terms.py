@@ -6,6 +6,11 @@ tag), so two literals are equal exactly when their canonical forms match;
 no value-space normalization is attempted. Blank node labels are file
 scoped: the loader replaces them with fresh internal labels, so terms can
 be compared by value everywhere else.
+
+A :class:`Term` is an immutable named tuple ``(kind, lexical)``, so its
+hashing and equality run in C, and a term equals the plain tuple
+``(kind, lexical)`` of the same two values (with ``kind`` a
+:class:`TermKind` member, or the int it stands for).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -88,8 +94,7 @@ def is_absolute_iri(value: str) -> bool:
     return bool(_ABSOLUTE_IRI.match(value))
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(NamedTuple):
     """An RDF term; equality is (kind, lexical form)."""
 
     kind: TermKind

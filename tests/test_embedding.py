@@ -5,6 +5,7 @@ import functools
 import io
 import itertools
 import math
+import re
 import struct
 import warnings
 
@@ -789,6 +790,18 @@ def test_load_rejects_non_utf8_term():
     data[45] = 0xFF
     with pytest.raises(EmbeddingFormatError, match="UTF-8"):
         load_embeddings(io.BytesIO(bytes(data)))
+
+
+@pytest.mark.parametrize("table", ["entity", "relation"])
+def test_load_rejects_a_term_listed_twice(table):
+    a, b, r = ex("a"), ex("b"), ex("r")
+    ent, rel = ([a, b, a], [r]) if table == "entity" else ([a, b], [r, r])
+    emb = _manual_set("transe", np.zeros((len(ent), 2)), np.zeros((len(rel), 2)), ent, rel)
+    buf = io.BytesIO()
+    save_embeddings(emb, buf)
+    twice = ent[0] if table == "entity" else rel[0]
+    with pytest.raises(EmbeddingFormatError, match=f"^{table} table lists {re.escape(twice.nt())} twice$"):
+        load_embeddings(io.BytesIO(buf.getvalue()))
 
 
 @settings(max_examples=300, deadline=None)

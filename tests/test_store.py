@@ -305,6 +305,36 @@ def test_ingest_output_is_pinned():
     assert digest == "29ad9f5b05594c5b1d09471c15ce74e4769a6cd122aaa692d09c5b009434d2e5"
 
 
+def _assert_spo_keys_are_distinct_packed_rows(n: int, rows: list[tuple[int, int, int]]) -> None:
+    g = Graph([ex(f"t{i}") for i in range(n)], rows)
+    packed = g._spo.pack(*np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+    assert g._spo.keys.dtype == np.int64
+    assert np.array_equal(g._spo.keys, np.unique(packed))
+    assert g.triple_count == len(set(rows))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [(0, 1, 2)] * 7,
+        [(2, 1, 0), (1, 1, 1), (2, 1, 0), (0, 2, 2), (0, 0, 0), (1, 1, 1)],
+    ],
+    ids=["empty", "all-duplicate", "shuffled"],
+)
+def test_spo_keys_named_cases(rows):
+    _assert_spo_keys_are_distinct_packed_rows(3, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_spo_keys_are_the_distinct_packed_rows(data):
+    n = data.draw(st.integers(1, 40))
+    distinct = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=30))
+    rows = data.draw(st.permutations(distinct * data.draw(st.integers(1, 3))))
+    _assert_spo_keys_are_distinct_packed_rows(n, rows)
+
+
 def test_snapshot_rejects_bad_magic(small):
     buf = io.BytesIO()
     save_snapshot(small, buf)

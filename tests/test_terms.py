@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from trq.store import load_snapshot, parse_ntriples, save_snapshot
 from trq.terms import (
     RDF_TYPE,
     RDF_TYPE_IRI,
@@ -134,3 +135,26 @@ def test_unescape_numeric_forms():
 @given(st.text(max_size=200))
 def test_escape_round_trip(s):
     assert unescape_string(escape_string(s)) == s
+
+
+def test_term_is_an_immutable_tuple():
+    t = Term.iri("http://example.org/a")
+    with pytest.raises(AttributeError):
+        t.kind = TermKind.LITERAL
+    with pytest.raises(AttributeError):
+        t.lexical = "http://example.org/b"
+    assert t == (TermKind.IRI, "http://example.org/a")
+
+
+@given(st.sampled_from(TermKind), st.text(max_size=20))
+def test_equal_terms_hash_equal(kind, lexical):
+    a, b = Term(kind, lexical), Term(kind, "".join(list(lexical)))
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((kind, lexical))
+
+
+def test_loaded_term_kinds_are_members(tmp_path):
+    save_snapshot(parse_ntriples('_:x <http://e/p> "v"@en .\n'), tmp_path / "g.trqg")
+    terms = list(load_snapshot(tmp_path / "g.trqg").terms())
+    assert [t.kind for t in terms] == [TermKind.BLANK, TermKind.IRI, TermKind.LITERAL]
+    assert all(type(t.kind) is TermKind for t in terms)
