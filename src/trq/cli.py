@@ -41,6 +41,10 @@ class QueryFormError(ValueError):
     """A command got a query form it does not answer."""
 
 
+class PartialProjectionError(ValueError):
+    """``trq query`` got a SELECT clause that leaves out a query variable."""
+
+
 FORMATS = ("tsv", "json")
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
@@ -176,6 +180,12 @@ def cmd_query(args) -> int:
         raise QueryFormError(
             f"trq query ranks solutions of SELECT queries, not {q.form.name} "
             "(evaluate it exactly with `trq ask`)"
+        )
+    left_out = sorted(set(q.variables()) - set(q.projected))
+    if left_out:
+        raise PartialProjectionError(
+            f"SELECT leaves out {' '.join('?' + v for v in left_out)}; trq query ranks whole "
+            "solution mappings, so project every variable or use SELECT *"
         )
     rec = recommend(g, _request_from_args(args, q, emb), parse_seconds=parse_seconds)
     wall = time.perf_counter() - wall_start

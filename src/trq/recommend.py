@@ -1,25 +1,29 @@
 """End-to-end approximate solution recommendation.
 
 Pipeline: enumerate the query's subquery trees, evaluate each tree
-exactly, pool the mappings (deduplicated across trees), keep those whose
-edit distance against the full query stays under the threshold, score
-them, and return the top K under a stable ranking: score descending,
-then edit distance ascending, then the lexicographic binding tuple.
-Exact solutions, when they exist, are guaranteed the top ranks.
+exactly, keep the mappings (deduplicated across trees) whose edit
+distance against the full query stays under the threshold, score them,
+and return the top K under a stable ranking: score descending, then edit
+distance ascending, then the lexicographic binding tuple. Exact
+solutions, when they exist, are guaranteed the top ranks.
 
-The pooled mappings stay a table of term ids throughout, and each
-candidate passes a funnel in this order:
+The mappings stay a table of term ids throughout. Each tree's rows
+(distinct by construction, since every tree binds every variable) pass
+a funnel in this order, one tree at a time:
 
 1. *Look up.* A tree's own patterns hold on its rows; its dropped
    patterns are looked up column-wise, one vectorised lookup each
    (:func:`~trq.scoring.in_graph_flags`). Whether mu(e) is in the graph
    depends on the row alone, so a row gets the same flags from every
    tree that produces it.
-2. *Dedupe.* The rows of all trees are pooled and the first copy of each
-   distinct row is kept, compared on one packed int64 key per row when
-   its ids fit; ``candidates_seen`` counts these rows.
-3. *Threshold.* Rows whose edit distance, the count of False flags, is
-   under the threshold are kept.
+2. *Dedupe.* A row repeats a row of an earlier tree exactly when its
+   flags hold on every pattern that tree covers and, if that tree
+   stopped at ``per_tree_limit``, the row is among the ones it kept
+   (checked on just those rows). The first tree's copy is kept, and
+   ``candidates_seen`` counts the rows that are not repeats.
+3. *Threshold.* Of those, rows whose edit distance, the count of False
+   flags, is under the threshold are kept.
+4. *Pool.* The kept rows of every tree are pooled in tree order.
 
 Every kept row is scored once, column-wise, with those same flags; only
 the top K rows become ScoredSolutions, built from the arrays already
@@ -97,28 +101,25 @@ class Recommendation:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of every distinct row of
-    non-negative term ids.
+def _repeated(
+    table: np.ndarray, flags: np.ndarray, earlier: list[tuple[list[int], np.ndarray | None]]
+) -> np.ndarray:
+    """Mask of the rows of a tree that an earlier tree also produced.
 
-    When a row's ids fit one int64 (``width * bits <= 63``, ``bits`` the
-    length of the largest id), each row is packed into one key, the keys
-    are sorted once, and each run of equal keys gives its least index;
-    wider rows are compared as raw bytes.
+    ``earlier`` holds each earlier tree's covered patterns and, when the
+    tree stopped at its limit, its rows (None otherwise). An untruncated
+    tree produced every mapping on which its covered patterns hold; a
+    truncated one produced those of its rows only.
     """
-    if len(rows) == 0:
-        return np.empty(0, dtype=np.intp)
-    width, bits = rows.shape[1], int(rows.max()).bit_length()
-    if width * bits > 63:
-        view = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * width)))
-        return np.sort(np.unique(view.ravel(), return_index=True)[1])
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for j in range(width):
-        keys = (keys << bits) | rows[:, j]
-    order = keys.argsort()
-    ordered = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    return np.sort(np.minimum.reduceat(order, starts))
+    seen = np.zeros(len(table), dtype=bool)
+    for covered, rows in earlier:
+        hit = flags[:, covered].all(axis=1) & ~seen
+        if rows is not None and hit.any():
+            kept = set(map(tuple, rows.tolist()))
+            at = np.flatnonzero(hit)
+            hit[at] = [r in kept for r in map(tuple, table[at].tolist())]
+        seen |= hit
+    return seen
 
 
 def _top(g: Graph, rows: np.ndarray, scores: np.ndarray, distance: np.ndarray, k: int) -> np.ndarray:
@@ -169,23 +170,26 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     resolved = resolve_patterns(g, q.patterns)
     # every tree binds every variable of the query
     variables = tuple(sorted(q.variables()))
+    earlier: list[tuple[list[int], np.ndarray | None]] = []
     tables: list[np.ndarray] = []
     flags: list[np.ndarray] = []
+    seen = 0
     truncated = False
     for tree in usable:
-        covered = tree.covered_origins()
+        covered = list(tree.covered_origins())
         sub = Query(QueryForm.SELECT, tuple(q.patterns[i] for i in covered), variables, True, q.prefixes)
         result = evaluate_bgp(g, sub, limit=req.per_tree_limit)
         truncated = truncated or result.truncated
         table = np.stack([result.column(v) for v in variables], axis=1)
-        tables.append(table)
         # a tree's own patterns hold on its rows; only its dropped ones are looked up
-        flags.append(in_graph_flags(g, resolved, variables, table, tree.dropped_origins))
-    # candidates: distinct rows over all trees, the first tree's copy kept
+        in_graph = in_graph_flags(g, resolved, variables, table, tree.dropped_origins)
+        new = ~_repeated(table, in_graph, earlier)
+        seen += int(np.count_nonzero(new))
+        keep = new & ((~in_graph).sum(axis=1) < req.threshold)
+        tables.append(table[keep])
+        flags.append(in_graph[keep])
+        earlier.append((covered, table if result.truncated else None))
     rows, in_graph = np.concatenate(tables), np.concatenate(flags)
-    first = _first_occurrences(rows)
-    kept = first[(~in_graph[first]).sum(axis=1) < req.threshold]
-    rows, in_graph = rows[kept], in_graph[kept]
     t2 = time.perf_counter()
 
     weights = edge_weights(g, q.patterns)
@@ -205,7 +209,7 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     return Recommendation(
         solutions=top,
         trees=usable,
-        candidates_seen=len(first),
+        candidates_seen=seen,
         trees_evaluated=len(usable),
         truncated=truncated,
         timings={

@@ -112,14 +112,16 @@ def in_graph_flags(
 ) -> np.ndarray:
     """(rows x patterns) flags of whether mu(e) is in the graph, for a
     binding table whose columns are ``variables``. Only the ``looked_up``
-    patterns are tested, one vectorised lookup each; the rest read True."""
+    patterns are tested, one vectorised lookup each, with the constants
+    as scalars so the lookup searches only their block; the rest read
+    True."""
     flags = np.ones((len(rows), len(resolved)), dtype=bool)
     column = dict(zip(variables, rows.T))
     for i in looked_up:
         if None in resolved[i]:
             flags[:, i] = False
         else:
-            flags[:, i] = g.contains_rows(*_ids(resolved[i], column, np.arange(len(rows))))
+            flags[:, i] = g.contains_rows(*(column[x] if isinstance(x, str) else x for x in resolved[i]))
     return flags
 
 

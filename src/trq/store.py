@@ -1,15 +1,24 @@
-"""Dictionary-encoded immutable RDF graph with three columnar indexes.
+"""Dictionary-encoded immutable RDF graph with four columnar indexes.
 
 A :class:`Graph` interns every distinct term into a dense id space in
-first-appearance order and keeps the (deduplicated) triples in three
-sorted permutation indexes, SPO / POS / OSP, after the RDF-3X layout
+first-appearance order and keeps the (deduplicated) triples in sorted
+permutation indexes, SPO / POS / OSP and PSO, after the RDF-3X layout
 (Neumann & Weikum, VLDB 2008). Each index is one sorted int64 numpy
 array of packed keys: a triple's ids in the index's field order, each in
 ``bits = max(1, (term_count - 1).bit_length())`` bits, so lexicographic
 triple order is numeric key order. Any pattern with a bound prefix is a
 key range found by ``np.searchsorted`` (a fully bound pattern is a range
 of width one), and id columns are unpacked from a range with shifts and
-masks. The three key arrays cost 24 bytes per triple.
+masks. SPO, POS and OSP are built with the graph and cost 24 bytes per
+triple. PSO is built on the first lookup with s and p bound and o free
+(in practice a constant predicate and a subject column), and kept; the
+four then cost 32 bytes per triple. Ingest, snapshot loading and
+training never read PSO.
+
+Array lookups with a constant (scalar) leading field, such as every
+pattern of a query with a constant predicate, first find the block of
+triples that share that constant prefix, with two scalar searches, and
+search their probes inside the block only.
 
 The keys must fit in 63 bits, so a graph holds at most
 ``MAX_TERM_COUNT`` = 2**21 - 1 (2,097,151) distinct terms; building a
@@ -102,18 +111,34 @@ class TripleIndex:
         return tuple(out)
 
 
-# For each bound-position mask (s, p, o): the index to scan and how many
-# of its leading fields are bound. Anything with s bound scans SPO, p
-# bound (s free) scans POS, and o bound alone or with s scans OSP.
+# For each bound-position mask (s, p, o) of a pattern with a free
+# position: the index to scan and how many of its leading fields are
+# bound. s alone scans SPO, s and p scan PSO (by o within one (s, p), as
+# SPO would), p bound (s free) scans POS, and o bound alone or with s
+# scans OSP.
 _ACCESS = {
-    (True, True, True): ("_spo", 3),
-    (True, True, False): ("_spo", 2),
+    (True, True, False): ("_pso", 2),
     (True, False, False): ("_spo", 1),
     (True, False, True): ("_osp", 2),
     (False, True, False): ("_pos", 1),
     (False, True, True): ("_pos", 2),
     (False, False, True): ("_osp", 1),
     (False, False, False): ("_spo", 0),
+}
+
+# A fully bound pattern is a range of width one in any index, so it is
+# searched in the rotation of SPO whose leading fields are the scalar
+# ones, by whether each of s, p, o is a scalar: the constant prefix is
+# then as long as it can be.
+_FULLY_BOUND = {
+    (True, True, True): "_spo",
+    (True, True, False): "_spo",
+    (True, False, True): "_osp",
+    (False, True, True): "_pos",
+    (True, False, False): "_spo",
+    (False, True, False): "_pos",
+    (False, False, True): "_osp",
+    (False, False, False): "_spo",
 }
 
 
@@ -191,7 +216,7 @@ class Graph:
     duplicates are dropped, here and only here.
     """
 
-    __slots__ = ("_terms", "_id_of", "_bits", "_spo", "_pos", "_osp", "_stats", "_rdf_type_id")
+    __slots__ = ("_terms", "_id_of", "_bits", "_spo", "_pos", "_osp", "_pso_index", "_stats", "_rdf_type_id")
 
     def __init__(self, terms: list[Term], triples: Iterable[tuple[int, int, int]] | np.ndarray):
         self._terms = list(terms)
@@ -214,16 +239,24 @@ class Graph:
         self._pos = TripleIndex((1, 2, 0), bits, s, p, o)
         self._osp = TripleIndex((2, 0, 1), bits, s, p, o)
         self._rdf_type_id = self._id_of.get(Term.iri(RDF_TYPE_IRI))
+        self._pso_index: TripleIndex | None = None
         self._stats: GraphStats | None = None
+
+    @property
+    def _pso(self) -> TripleIndex:
+        """The PSO index, built on first use and kept (see the module doc)."""
+        if self._pso_index is None:
+            self._pso_index = TripleIndex((1, 0, 2), self._bits, *self._spo.unpack(self._spo.keys))
+        return self._pso_index
 
     @property
     def stats(self) -> GraphStats:
         """Relation statistics, built on first use and kept.
 
         Ingest, snapshot loading and training never read them, so they
-        do not pay for them; a long-running process that answers queries
-        pays for them once, on its first query (about 24 ms on a
-        62k-triple graph).
+        do not pay for them; a process that answers queries pays for them
+        once, on its first query (about 24 ms on a 61k-triple graph; the
+        PSO index that query builds takes under 2 ms more).
         """
         if self._stats is None:
             self._stats = GraphStats(self)
@@ -268,23 +301,33 @@ class Graph:
         i = keys.searchsorted(key)
         return bool(i < len(keys) and keys[i] == key)
 
-    def contains_rows(self, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`contains` over int64 id columns of one length;
-        unlike :meth:`contains`, every id must be a valid term id.
+    def contains_rows(self, s, p, o) -> np.ndarray:
+        """Vectorised :meth:`contains`: each of s, p, o is an id or an int64
+        array of ids, broadcast together as in :meth:`ranges`; unlike
+        :meth:`contains`, every id must be a valid term id.
 
-        The probe keys are searched in sorted order (one argsort per
-        call), so each search starts where the last one ended; the flags
-        are scattered back to the order of the rows.
+        The lookup searches the index whose leading fields are the scalar
+        ids (POS for ``?x p c``, SPO for ``c p ?x``, POS for ``?x p ?y``).
+        Within the block of that constant prefix, the probe keys are
+        searched as they come. With no scalar, the probe keys are
+        searched over the whole SPO index in sorted order (one argsort
+        per call), so each search starts where the last one ended, and
+        the flags are scattered back to the order of the rows.
         """
-        keys = self._spo.keys
-        key = self._spo.pack(s, p, o)
+        index, _, c, key, (b0, b1) = self._locate(s, p, o)
+        if c == 3:
+            return np.full(np.shape(key), b1 > b0)
+        keys = index.keys[b0:b1]
         if len(keys) == 0:
-            return np.zeros(len(key), dtype=bool)
-        order = key.argsort()
-        probe = key[order]
-        found = np.empty(len(key), dtype=bool)
+            return np.zeros(key.shape, dtype=bool)
+        if c > 0:
+            return keys[np.minimum(keys.searchsorted(key), len(keys) - 1)] == key
+        flat = key.ravel()
+        order = flat.argsort()
+        probe = flat[order]
+        found = np.empty(len(flat), dtype=bool)
         found[order] = keys[np.minimum(keys.searchsorted(probe), len(keys) - 1)] == probe
-        return found
+        return found.reshape(key.shape)
 
     def ranges(self, s=None, p=None, o=None) -> tuple[TripleIndex, np.ndarray, np.ndarray]:
         """The index :meth:`match` scans for this pattern and the key range
@@ -292,30 +335,55 @@ class Graph:
 
         Each of s, p, o is None (free), an id, or an int64 array of ids
         (one pattern per element, broadcast together); bound ids must be
-        valid term ids. ``lo`` and ``hi`` follow the broadcast shape. An
-        array of patterns is searched in the sorted order of its range
-        starts, which one argsort per call gives to both bounds (a range
-        end is its start plus a constant); the bounds are scattered back
-        to the order of the patterns.
+        valid term ids. ``lo`` and ``hi`` follow the broadcast shape.
+        An array of patterns is searched within the block of its constant
+        prefix (the leading bound fields that are scalars, such as a
+        constant predicate), or within the whole index when it has none,
+        in the sorted order of its range starts. One argsort per call
+        gives that order to both bounds (a range end is its start plus a
+        constant); the bounds are scattered back to the order of the
+        patterns.
         """
-        name, k = _ACCESS[(s is not None, p is not None, o is not None)]
-        index = getattr(self, name)
-        if k == 0:  # the whole index; 1 << (3 * bits) may not fit in an int64
-            return index, 0, len(index.keys)
-        zero = np.int64(0)
-        spo = [zero if x is None else x for x in (s, p, o)]
-        lo_key = index.pack(*spo)
-        width = np.int64(1) << (index.bits * (3 - k))
-        if np.ndim(lo_key) == 0:
-            return index, index.keys.searchsorted(lo_key), index.keys.searchsorted(lo_key + width)
+        index, k, c, lo_key, (b0, b1) = self._locate(s, p, o)
+        if c == k:
+            return index, b0, b1
+        keys = index.keys[b0:b1]
         flat = lo_key.ravel()
         order = flat.argsort()
         probe = flat[order]
         lo = np.empty(len(flat), dtype=np.intp)
         hi = np.empty(len(flat), dtype=np.intp)
-        lo[order] = index.keys.searchsorted(probe)
-        hi[order] = index.keys.searchsorted(probe + width)
-        return index, lo.reshape(lo_key.shape), hi.reshape(lo_key.shape)
+        lo[order] = keys.searchsorted(probe)
+        hi[order] = keys.searchsorted(probe + (np.int64(1) << (index.bits * (3 - k))))
+        return index, b0 + lo.reshape(lo_key.shape), b0 + hi.reshape(lo_key.shape)
+
+    def _locate(self, s, p, o) -> tuple[TripleIndex, int, int, object, tuple[int, int]]:
+        """For the pattern(s) (s, p, o) as in :meth:`ranges`: the index to
+        search, the number k of its leading fields that are bound, the
+        number c <= k of those that are scalars (the constant prefix),
+        the range-start key(s), and the key positions [b0, b1) of the
+        block of triples that share the constant prefix (the whole index
+        when c is 0, the answer itself when c is k)."""
+        spo = (s, p, o)
+        bound = (s is not None, p is not None, o is not None)
+        # an array of patterns has a dimension; an id (or None) has none
+        scalar = [getattr(x, "ndim", 0) == 0 for x in spo]
+        name, k = (_FULLY_BOUND[tuple(scalar)], 3) if all(bound) else _ACCESS[bound]
+        index = getattr(self, name)
+        keys = index.keys
+        if k == 0:  # the whole index; 1 << (3 * bits) may not fit in an int64
+            return index, 0, 0, None, (0, len(keys))
+        c = 0
+        while c < k and scalar[index.order[c]]:
+            c += 1
+        zero = np.int64(0)
+        lo_key = index.pack(*(zero if x is None else x for x in spo))
+        if c == 0:
+            return index, k, 0, lo_key, (0, len(keys))
+        prefix = index.order[:c]
+        head = index.pack(*(x if i in prefix else zero for i, x in enumerate(spo)))
+        end = head + (np.int64(1) << (index.bits * (3 - c)))
+        return index, k, c, lo_key, (keys.searchsorted(head), keys.searchsorted(end))
 
     def _range_size(self, s, p, o) -> int:
         if not self._in_range(s, p, o):
@@ -342,9 +410,9 @@ class Graph:
         """All triples matching the pattern, in a deterministic index order.
 
         None is a wildcard. The index is chosen by the bound positions:
-        anything with s bound scans SPO, p bound (s free) scans POS, and
-        o bound alone or with s scans OSP; rows come in that index's
-        sorted order.
+        s alone or all three scan SPO, s and p scan PSO, p bound (s
+        free) scans POS, and o bound alone or with s scans OSP; rows come
+        in that index's sorted order (by o within one (s, p), as in SPO).
         """
         if not self._in_range(s, p, o):
             return iter(())

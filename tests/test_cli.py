@@ -76,8 +76,9 @@ def artifacts(tmp_path_factory, movie_nt):
 
 @pytest.fixture()
 def movie_query_file(tmp_path):
+    # trq query ranks whole mappings, so the file projects every variable
     p = tmp_path / "q.rq"
-    p.write_text(MOVIE_QUERY)
+    p.write_text(MOVIE_QUERY.replace("SELECT DISTINCT ?film ?actor1 ?actor2 WHERE", "SELECT * WHERE"))
     return p
 
 
@@ -410,6 +411,39 @@ def test_query_rejects_non_select_forms(run, artifacts, tmp_path, body, form):
     )
     assert stdout == ""
     assert form in err and "trq ask" in err
+
+
+STARRING_BODY = "WHERE { ?f ex:starring ?a . ?f a ex:Film }"
+
+
+def test_query_projection_leaving_out_a_variable_is_a_named_error(run, artifacts, tmp_path):
+    store_path, emb_path = artifacts
+    q = tmp_path / "q.rq"
+    q.write_text(PROLOG + "SELECT DISTINCT ?f " + STARRING_BODY)
+    stdout, err = run(
+        "query", str(q), "--store", str(store_path), "--embeddings", str(emb_path), expect=1
+    )
+    assert stdout == ""
+    assert err.startswith("error: SELECT leaves out ?a;") and "SELECT *" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_query_star_and_every_variable_print_the_same(run, artifacts, tmp_path, fmt):
+    store_path, emb_path = artifacts
+    out = []
+    for head in ("SELECT * ", "SELECT ?a ?f ", "SELECT DISTINCT ?f ?a "):
+        q = tmp_path / "q.rq"
+        q.write_text(PROLOG + head + STARRING_BODY)
+        stdout, _ = run(
+            "query", str(q), "--store", str(store_path), "--embeddings", str(emb_path), "--format", fmt
+        )
+        out.append(json.loads(stdout)["rows"] if fmt == "json" else stdout)
+    assert out[0] == out[1] == out[2]
+    if fmt == "tsv":
+        lines = out[0].strip().split("\n")
+        assert lines[0] == "rank\tscore\tedit_distance\t?a\t?f"
+        assert len(lines) > 1
 
 
 # -- ask ---------------------------------------------------------------

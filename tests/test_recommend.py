@@ -9,12 +9,12 @@ from trq.recommend import (
     Recommendation,
     RecommendRequest,
     VariablePredicateError,
-    _first_occurrences,
     _top,
     recommend,
 )
+from trq.qgraph import enumerate_subquery_trees
 from trq.scoring import ScoredSolution, score_graph
-from trq.sparql import TriplePattern, Var, parse_query
+from trq.sparql import Query, QueryForm, TriplePattern, Var, evaluate_bgp, parse_query
 
 from conftest import (
     MOVIE_QUERY,
@@ -299,24 +299,58 @@ def test_per_tree_limit_sets_truncated_flag(stars):
     assert rec.candidates_seen == 2
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 21), st.data())
-def test_first_occurrences_packed_and_void_paths_agree(width, bits, data):
-    # edge ids as well as any: a key packed too narrow makes (1, 0) and (0, 2**(bits-1)) collide
-    term = st.one_of(st.sampled_from([0, 1, 2 ** (bits - 1), 2**bits - 1]), st.integers(0, 2**bits - 1))
-    row = st.lists(term, min_size=width, max_size=width)
-    distinct = data.draw(st.lists(row, max_size=12))
-    # rows drawn from a few distinct ones, so most repeat; zero rows included
-    table = data.draw(st.lists(st.sampled_from(distinct), max_size=40)) if distinct else []
-    rows = np.array(table, dtype=np.int64).reshape(-1, width)
-    first: dict[tuple, int] = {}
-    for i, r in enumerate(map(tuple, table)):
-        first.setdefault(r, i)
-    # ids below 2**21 in at most 3 columns fit one int64 key per row
-    assert _first_occurrences(rows).tolist() == sorted(first.values())
-    if width > 1:
-        # ids of 41 bits or more in two or more columns do not: rows compared as bytes
-        assert _first_occurrences(rows + 2**40).tolist() == sorted(first.values())
+def _pooled_oracle(g, q, threshold, limit):
+    """``candidates_seen`` and the candidate mappings as pooling every
+    tree's rows and deduplicating them with ``np.unique`` gives them,
+    and how many rows of a later tree hold on every pattern of an earlier
+    truncated tree without being among that tree's rows."""
+    variables = tuple(sorted(q.variables()))
+    tables, covered, truncated = [], [], []
+    for tree in enumerate_subquery_trees(q):
+        if not tree.graph.edges:
+            continue
+        covered.append(tree.covered_origins())
+        sub = Query(QueryForm.SELECT, tuple(q.patterns[i] for i in covered[-1]), variables, True, q.prefixes)
+        result = evaluate_bgp(g, sub, limit=limit)
+        tables.append(np.stack([result.column(v) for v in variables], axis=1))
+        truncated.append(result.truncated)
+
+    def holds(mapping, i):
+        atoms = [mapping[a.name] if isinstance(a, Var) else g.id(a.term) for a in q.patterns[i].atoms()]
+        return None not in atoms and g.contains(*atoms)
+
+    beyond = 0
+    for j, table in enumerate(tables):
+        for row in table.tolist():
+            mapping = dict(zip(variables, row))
+            for i in range(j):
+                kept = set(map(tuple, tables[i].tolist()))
+                beyond += truncated[i] and all(holds(mapping, e) for e in covered[i]) and tuple(row) not in kept
+    rows = np.concatenate(tables)
+    _, first = np.unique(rows, axis=0, return_index=True)
+    mappings = [dict(zip(variables, row)) for row in rows[np.sort(first)].tolist()]
+    near = [m for m in mappings if sum(not holds(m, i) for i in range(len(q.patterns))) < threshold]
+    return len(first), near, beyond
+
+
+def test_dedupe_across_truncated_trees_matches_pooling():
+    # With a small per_tree_limit, an earlier tree stops before rows that a
+    # later tree yields although they hold on every pattern of the earlier
+    # one; those rows are new candidates, not repeats.
+    beyond = 0
+    for seed in range(12):
+        g, q = candidate_instance(np.random.default_rng(seed), n_noise=120)
+        emb = small_emb(g, epochs=2, dim=6)
+        view = emb.bind(g)
+        for limit in (2, 5, 11):
+            for threshold in (1, 2, 3):
+                seen, near, hit = _pooled_oracle(g, q, threshold, limit)
+                beyond += hit
+                rec = recommend(g, _req(q, emb, threshold=threshold, top_k=None, per_tree_limit=limit))
+                assert rec.candidates_seen == seen, (seed, limit, threshold)
+                ranked = reference_rank([reference_score_solution(view, q.patterns, m) for m in near], len(near))
+                assert _view(rec.solutions) == _view(ranked), (seed, limit, threshold)
+    assert beyond > 0
 
 
 def test_unmatchable_query_raises(stars):

@@ -175,6 +175,66 @@ def test_array_probes_match_scalar_lookups(data):
         assert hi[i] - lo[i] == len(_scan(g, *(None if x is None else spo[j] for j, x in enumerate(bound))))
 
 
+def _position(data, bound: bool, length: int, ids):
+    """None for a free position, else a scalar id, an np.full column or
+    an array of ids of the given length."""
+    if not bound:
+        return None
+    how = data.draw(st.sampled_from(["scalar", "full", "array"]))
+    if how == "scalar":
+        return data.draw(ids)
+    if how == "full":
+        return np.full(length, data.draw(ids), dtype=np.int64)
+    return np.array(data.draw(st.lists(ids, min_size=length, max_size=length)), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_block_local_lookups_match_a_scan(data):
+    """ranges and contains_rows, each bound position a scalar, an np.full
+    column or an array, equal a brute-force scan of triples(): predicates
+    with no triple, the largest id, constants in s or o, empty graphs."""
+    n = data.draw(st.integers(1, 8))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=30))
+    g = Graph([ex(f"t{i}") for i in range(n)], rows)
+    stored = [t.as_tuple() for t in g.triples()]
+    ids = st.one_of(st.just(n - 1), st.integers(0, n - 1))
+    length = data.draw(st.integers(0, 12))
+
+    spo = [_position(data, True, length, ids) for _ in range(3)]
+    found = g.contains_rows(*spo)
+    shape = np.broadcast(*spo).shape
+    assert found.dtype == bool and found.shape == shape
+    probes = zip(*(np.broadcast_to(x, shape).ravel().tolist() for x in spo))
+    assert found.ravel().tolist() == [t in stored for t in probes]
+
+    mask = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    bound = [_position(data, b, length, ids) for b in mask]
+    index, lo, hi = g.ranges(*bound)
+    given_ = [x for x in bound if x is not None]
+    shape = np.broadcast(*given_).shape if given_ else ()
+    columns = [None if x is None else np.broadcast_to(x, shape).ravel().tolist() for x in bound]
+    for i, (a, b) in enumerate(zip(np.broadcast_to(lo, shape).ravel(), np.broadcast_to(hi, shape).ravel())):
+        want = [t for t in stored if all(c is None or t[j] == c[i] for j, c in enumerate(columns))]
+        got = list(zip(*(col.tolist() for col in index.unpack(index.keys[a:b]))))
+        # the range holds the matches, in the index's order
+        assert got == sorted(want, key=lambda t: tuple(t[j] for j in index.order))
+
+
+def test_pso_is_built_only_by_a_subject_and_predicate_lookup(small):
+    g = load_snapshot(io.BytesIO(_snapshot_bytes(small)))
+    a, p = g.id(ex("a")), g.id(ex("p"))
+    column = np.array([a, a], dtype=np.int64)
+    g.contains_rows(column, column, column)
+    g.contains_rows(column, p, column)
+    g.ranges(None, p, column)
+    g.stats.relations()
+    assert g._pso_index is None
+    index, lo, hi = g.ranges(column, p, None)
+    assert g._pso_index is index and index.order == (1, 0, 2)
+    assert (hi - lo).tolist() == [2, 2]  # (a, p, b) and (a, p, c)
+
+
 def test_match_results_sorted_spo(small):
     out = [t.as_tuple() for t in small.match(None, None, None)]
     assert out == sorted(out)
@@ -237,6 +297,34 @@ def test_stats_against_scan_oracle():
         for c in range(g.term_count):
             assert stats.dom_at(r, c) == len({t.s for t in trs if t.p == r and t.o == c})
             assert stats.ran_at(c, r) == len({t.o for t in trs if t.p == r and t.s == c})
+
+
+def _assert_stats_match_unique(g: Graph) -> None:
+    t = np.array([t.as_tuple() for t in g.triples()], dtype=np.int64).reshape(-1, 3)
+    s, p, o = t.T
+    stats = g.stats
+    assert stats.relations() == np.unique(p).tolist()
+    for r in range(g.term_count + 1):  # one id past the last
+        on = p == r
+        assert stats.freq(r) == np.count_nonzero(on)
+        assert stats.dom(r) == len(np.unique(s[on]))
+        assert stats.ran(r) == len(np.unique(o[on]))
+        for c in range(g.term_count):
+            assert stats.dom_at(r, c) == len(np.unique(s[on & (o == c)]))
+            assert stats.ran_at(c, r) == len(np.unique(o[on & (s == c)]))
+
+
+def test_stats_of_an_empty_graph():
+    _assert_stats_match_unique(Graph([], []))
+    _assert_stats_match_unique(Graph([ex("a"), ex("p")], []))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stats_match_a_unique_reference(data):
+    n = data.draw(st.integers(1, 10))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=40))
+    _assert_stats_match_unique(Graph([ex(f"t{i}") for i in range(n)], rows))
 
 
 # -- snapshots ---------------------------------------------------------
