@@ -31,7 +31,6 @@ from .qgraph import (
     QueryGraph,
     SubqueryTree,
     build_query_graph,
-    canonical_form,
     del_constant_leaf,
     enumerate_subquery_trees,
 )
@@ -59,13 +58,11 @@ from .sparql import (
     UnsupportedFeatureError,
     Var,
     ask,
-    count_distinct,
     evaluate_bgp,
     parse_query,
 )
 from .store import (
     Graph,
-    GraphStats,
     GraphTooLargeError,
     SnapshotError,
     load_snapshot,

@@ -29,7 +29,7 @@ from .recommend import (
     recommend,
     validate_settings,
 )
-from .sparql import Query, QueryForm, evaluate_bgp
+from .sparql import Query, evaluate_bgp
 from .store import Graph, first_appearance
 from .terms import Triple
 
@@ -105,10 +105,7 @@ def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
 def exact_solutions(g: Graph, q: Query) -> set[BindingTuple]:
     """Binding tuples (sorted-variable order, N-Triples forms) of all
     exact solutions of the query's patterns."""
-    probe = Query(QueryForm.SELECT, q.patterns, tuple(sorted(q.variables())), True, q.prefixes)
-    result = evaluate_bgp(g, probe)
-    columns = [result.variables.index(v) for v in sorted(result.variables)]
-    return {tuple(g.term(t).nt() for t in row) for row in result.rows[:, columns].tolist()}
+    return {tuple(g.term(t).nt() for t in row) for row in evaluate_bgp(g, q.patterns).rows.tolist()}
 
 
 @dataclass

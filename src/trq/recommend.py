@@ -49,7 +49,7 @@ from .scoring import (
     score_table,
     scored_solution,
 )
-from .sparql import Query, QueryForm, Var, evaluate_bgp
+from .sparql import Query, Var, evaluate_bgp
 from .store import Graph
 
 DEFAULT_THRESHOLD = 2
@@ -168,7 +168,7 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
 
     # constants resolved once per query; None marks one unknown to the graph
     resolved = resolve_patterns(g, q.patterns)
-    # every tree binds every variable of the query
+    # every tree binds every variable of the query, in name order
     variables = tuple(sorted(q.variables()))
     earlier: list[tuple[list[int], np.ndarray | None]] = []
     tables: list[np.ndarray] = []
@@ -177,10 +177,9 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     truncated = False
     for tree in usable:
         covered = list(tree.covered_origins())
-        sub = Query(QueryForm.SELECT, tuple(q.patterns[i] for i in covered), variables, True, q.prefixes)
-        result = evaluate_bgp(g, sub, limit=req.per_tree_limit)
+        result = evaluate_bgp(g, tuple(q.patterns[i] for i in covered), limit=req.per_tree_limit)
         truncated = truncated or result.truncated
-        table = np.stack([result.column(v) for v in variables], axis=1)
+        table = result.rows
         # a tree's own patterns hold on its rows; only its dropped ones are looked up
         in_graph = in_graph_flags(g, resolved, variables, table, tree.dropped_origins)
         new = ~_repeated(table, in_graph, earlier)

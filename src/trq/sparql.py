@@ -1,24 +1,26 @@
 """Parser and evaluator for a basic-graph-pattern SPARQL fragment.
 
 Supported query shapes: ``PREFIX`` declarations, ``SELECT [DISTINCT]
-?v ... WHERE { ... }``, ``ASK { ... }``, and ``SELECT COUNT(DISTINCT ?v)
-WHERE { ... }``, where the body is a conjunction of dot-separated triple
-patterns. Anything beyond that (FILTER, OPTIONAL, UNION, property paths,
-blank nodes in patterns, ...) raises :class:`UnsupportedFeatureError`
-naming the feature, so callers can tell a fragment boundary from a typo.
+?v ... WHERE { ... }`` and ``ASK { ... }``, where the body is a
+conjunction of dot-separated triple patterns. ``DISTINCT`` is accepted
+and has no effect: solutions are whole mappings over the deduplicated
+triples, so they are distinct already. Anything beyond that (COUNT,
+FILTER, OPTIONAL, UNION, property paths, blank nodes in patterns, ...)
+raises :class:`UnsupportedFeatureError` naming the feature, so callers
+can tell a fragment boundary from a typo.
 
 Evaluation is an exact, order-preserving columnar bind-join over the
 store. Patterns are reordered greedily by an estimated result
 cardinality drawn from GraphStats. A table of bindings (one int64
 column per variable) starts as one empty row, and each pattern in turn
 extends every row by the triples it matches under that row, found with
-vectorised index range lookups and taken in the index order
-``Graph.match`` scans; the parent rows keep their order. The rows thus
-come out in the order of a depth-first walk of the patterns, whatever
-the size of the windows (``JOIN_CHUNK`` rows) a large step is produced
-in. Truncation rule: with a limit, the result is the first ``limit``
-rows (after the DISTINCT filter) in that order, and it is flagged
-truncated exactly when one more raw row exists after the last of them.
+vectorised index range lookups and taken in the order of the index
+range ``Graph.ranges`` returns; the parent rows keep their order. The
+rows thus come out in the order of a depth-first walk of the patterns,
+whatever the size of the windows (``JOIN_CHUNK`` rows) a large step is
+produced in. Truncation rule: with a limit, the result is the first
+``limit`` rows in that order, and it is flagged truncated exactly when
+one more row exists after the last of them.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ class TriplePattern:
 class QueryForm(Enum):
     SELECT = "select"
     ASK = "ask"
-    COUNT_DISTINCT = "count_distinct"
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,6 @@ class Query:
     form: QueryForm
     patterns: tuple[TriplePattern, ...]
     projected: tuple[str, ...] = ()
-    distinct: bool = False
-    prefixes: dict[str, str] | None = None
 
     def variables(self) -> tuple[str, ...]:
         """Variable names in first-appearance order."""
@@ -331,7 +330,7 @@ def parse_query(text: str) -> Query:
         if parser.at_word("where"):
             parser.next()
         patterns = parser.parse_group()
-        query = Query(QueryForm.ASK, patterns, (), False, dict(parser.prefixes))
+        query = Query(QueryForm.ASK, patterns)
     elif parser.at_word("select"):
         parser.next()
         query = _parse_select_tail(parser)
@@ -346,62 +345,38 @@ def parse_query(text: str) -> Query:
 
 
 def _parse_select_tail(parser: _Parser) -> Query:
-    form = QueryForm.SELECT
-    distinct = False
-    projected: list[str] = []
-    counted: str | None = None
-
-    wrapped = False
     tok = parser.peek()
-    if tok is not None and tok.kind == "lparen":
+    wrapped = tok is not None and tok.kind == "lparen"
+    if wrapped:
         parser.next()
-        wrapped = True
-        tok = parser.peek()
-
     if parser.at_word("count"):
+        raise UnsupportedFeatureError("COUNT")
+    if wrapped:
+        raise UnsupportedFeatureError("expression in SELECT clause")
+    if parser.at_word("distinct"):  # no effect (see the module doc)
         parser.next()
-        parser.expect("lparen")
-        parser.expect_word("distinct")
-        counted = parser.expect("var").text[1:]
-        parser.expect("rparen")
-        if wrapped:
-            parser.expect_word("as")
-            parser.expect("var")
-            parser.expect("rparen")
-        form = QueryForm.COUNT_DISTINCT
-        distinct = True
-        projected = [counted]
+
+    projected: list[str] = []
+    star = parser.peek()
+    if star is not None and star.kind == "other" and star.text == "*":
+        parser.next()
     else:
-        if wrapped:
-            raise UnsupportedFeatureError("expression in SELECT clause")
-        if parser.at_word("distinct"):
-            parser.next()
-            distinct = True
-        star = parser.peek()
-        if star is not None and star.kind == "other" and star.text == "*":
-            parser.next()
-            projected = []
-        else:
-            while True:
-                tok = parser.peek()
-                if tok is not None and tok.kind == "var":
-                    projected.append(parser.next().text[1:])
-                else:
-                    break
-            if not projected:
-                raise QuerySyntaxError("SELECT needs at least one variable or *")
+        while (tok := parser.peek()) is not None and tok.kind == "var":
+            projected.append(parser.next().text[1:])
+        if not projected:
+            raise QuerySyntaxError("SELECT needs at least one variable or *")
 
     if parser.at_word("where"):
         parser.next()
     patterns = parser.parse_group()
 
-    in_patterns = Query(form, patterns).variables()
+    in_patterns = Query(QueryForm.SELECT, patterns).variables()
     # SELECT *: project every variable in first-appearance order
     projected = projected or list(in_patterns)
     for v in projected:
         if v not in in_patterns:
             raise QuerySyntaxError(f"projected variable ?{v} does not occur in any pattern")
-    return Query(form, patterns, tuple(projected), distinct, dict(parser.prefixes))
+    return Query(QueryForm.SELECT, patterns, tuple(projected))
 
 
 # -- evaluation --------------------------------------------------------
@@ -414,9 +389,9 @@ JOIN_CHUNK = 65_536
 class BGPResult:
     """Solutions of a basic graph pattern as a table of term ids.
 
-    ``rows`` holds one int64 column per name in ``variables``, in the
-    order the join first binds them; ``mappings`` is built from the rows
-    (as Python ints) on first access.
+    ``rows`` holds one int64 column per name in ``variables``, which are
+    in name order; ``mappings`` is built from the rows (as Python ints)
+    on first access.
     """
 
     __slots__ = ("variables", "rows", "truncated", "_mappings")
@@ -432,9 +407,6 @@ class BGPResult:
         if self._mappings is None:
             self._mappings = [dict(zip(self.variables, row)) for row in self.rows.tolist()]
         return self._mappings
-
-    def column(self, var: str) -> np.ndarray:
-        return self.rows[:, self.variables.index(var)]
 
 
 def _is_bound(atom: Atom, bound: set[str]) -> bool:
@@ -523,7 +495,7 @@ def _compile(g: Graph, order: list[TriplePattern]) -> tuple[list[list[_Slot]] | 
 
 def _expand(g: Graph, step: list[_Slot], table: np.ndarray) -> Iterator[np.ndarray]:
     """Extend every row of ``table`` with each triple matching the step's
-    pattern under that row, in ``Graph.match`` order; parents stay in
+    pattern under that row, in ``Graph.ranges`` order; parents stay in
     order. Yields the extended rows in windows of at most JOIN_CHUNK."""
     bound = [None, None, None]
     for pos, (kind, j) in enumerate(step):
@@ -564,69 +536,37 @@ def _join(g: Graph, steps: list[list[_Slot]], table: np.ndarray, i: int = 0) -> 
             yield from _join(g, steps, child, i + 1)
 
 
-def _first_seen(rows: np.ndarray, cols: list[int], seen: set[tuple]) -> np.ndarray:
-    """Indices of the rows whose projection onto ``cols`` is not yet in
-    ``seen``, first occurrences only; adds those projections to it."""
-    keys = zip(*(rows[:, j].tolist() for j in cols)) if cols else [()] * len(rows)
-    out = []
-    for r, key in enumerate(keys):
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return np.array(out, dtype=np.intp)
+def evaluate_bgp(g: Graph, patterns: tuple[TriplePattern, ...], limit: int | None = None) -> BGPResult:
+    """Evaluate a basic graph pattern.
 
-
-def evaluate_bgp(g: Graph, q: Query, limit: int | None = None) -> BGPResult:
-    """Evaluate the query's basic graph pattern.
-
-    Returns every solution mapping over var(q) (each mapping is total),
+    Returns every solution mapping over the variables of ``patterns``
+    (each mapping is total), with the columns in name order and the rows
     in the depth-first order of the bind-join (see the module doc). With
-    ``distinct`` set on the query, rows whose projected tuple repeats
-    are dropped (the first occurrence stays). With ``limit`` set, the
-    result holds the first ``limit`` retained rows in that order, and
-    ``truncated`` is set exactly when one more raw row (before the
-    distinct filter) exists after the last of them.
+    ``limit`` set, the result holds the first ``limit`` rows in that
+    order, and ``truncated`` is set exactly when one more row exists
+    after the last of them.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    steps, variables = _compile(g, _order_patterns(g, q.patterns))
+    steps, variables = _compile(g, _order_patterns(g, patterns))
+    names = tuple(sorted(variables))
     if steps is None:
-        return BGPResult(variables, np.empty((0, len(variables)), dtype=np.int64))
-    projected = q.projected or tuple(sorted(q.variables()))
-    # projecting every variable keeps rows distinct already
-    cols = [variables.index(v) for v in projected]
-    dedupe = q.distinct and len(set(cols)) < len(variables)
-    seen: set[tuple] = set()
+        return BGPResult(names, np.empty((0, len(names)), dtype=np.int64))
     parts: list[np.ndarray] = []
     retained = 0
     truncated = False
     chunks = _join(g, steps, np.empty((1, 0), dtype=np.int64))
     for chunk in chunks:
-        keep = _first_seen(chunk, cols, seen) if dedupe else np.arange(len(chunk))
-        if limit is not None and retained + len(keep) >= limit:
-            keep = keep[: limit - retained]
-            parts.append(chunk[keep])
-            retained = limit
-            truncated = keep[-1] + 1 < len(chunk) or next(chunks, None) is not None
+        if limit is not None and retained + len(chunk) >= limit:
+            parts.append(chunk[: limit - retained])
+            truncated = retained + len(chunk) > limit or next(chunks, None) is not None
             break
-        parts.append(chunk[keep])
-        retained += len(keep)
-    rows = np.concatenate(parts) if parts else np.empty((0, len(variables)), dtype=np.int64)
-    return BGPResult(variables, rows, bool(truncated))
+        parts.append(chunk)
+        retained += len(chunk)
+    rows = np.concatenate(parts) if parts else np.empty((0, len(names)), dtype=np.int64)
+    return BGPResult(names, rows[:, [variables.index(v) for v in names]], truncated)
 
 
 def ask(g: Graph, q: Query) -> bool:
-    """True iff the pattern group has at least one solution."""
-    probe = Query(QueryForm.SELECT, q.patterns, (), False, q.prefixes)
-    return len(evaluate_bgp(g, probe, limit=1).rows) > 0
-
-
-def count_distinct(g: Graph, q: Query) -> int:
-    """Number of distinct bindings of the counted variable."""
-    if q.form is not QueryForm.COUNT_DISTINCT:
-        raise ValueError("query is not a COUNT(DISTINCT ?v) form")
-    var = q.projected[0]
-    if var not in q.variables():
-        raise ValueError(f"counted variable ?{var} does not occur in any pattern")
-    result = evaluate_bgp(g, Query(QueryForm.SELECT, q.patterns, (var,), False, q.prefixes))
-    return len(np.unique(result.column(var)))
+    """True iff the query's patterns have at least one solution."""
+    return len(evaluate_bgp(g, q.patterns, limit=1).rows) > 0

@@ -330,8 +330,8 @@ class Graph:
         return found.reshape(key.shape)
 
     def ranges(self, s=None, p=None, o=None) -> tuple[TripleIndex, np.ndarray, np.ndarray]:
-        """The index :meth:`match` scans for this pattern and the key range
-        [lo, hi) of the matching rows.
+        """The index to scan for this pattern and the key range [lo, hi)
+        of the matching rows, whose order is the index's sorted order.
 
         Each of s, p, o is None (free), an id, or an int64 array of ids
         (one pattern per element, broadcast together); bound ids must be
@@ -391,33 +391,13 @@ class Graph:
         _, lo, hi = self.ranges(s, p, o)
         return int(hi - lo)
 
-    def _iter_rows(self, index: TripleIndex, lo: int, hi: int) -> Iterator[Triple]:
-        for start in range(lo, hi, _SCAN_CHUNK):
-            s, p, o = index.unpack(index.keys[start : min(hi, start + _SCAN_CHUNK)])
-            for t in zip(s.tolist(), p.tolist(), o.tolist()):
-                yield Triple(*t)
-
     def triples(self) -> Iterator[Triple]:
         """Every triple in SPO order."""
-        return self._iter_rows(self._spo, 0, len(self._spo.keys))
-
-    def match(
-        self,
-        s: TermId | None = None,
-        p: TermId | None = None,
-        o: TermId | None = None,
-    ) -> Iterator[Triple]:
-        """All triples matching the pattern, in a deterministic index order.
-
-        None is a wildcard. The index is chosen by the bound positions:
-        s alone or all three scan SPO, s and p scan PSO, p bound (s
-        free) scans POS, and o bound alone or with s scans OSP; rows come
-        in that index's sorted order (by o within one (s, p), as in SPO).
-        """
-        if not self._in_range(s, p, o):
-            return iter(())
-        index, lo, hi = self.ranges(s, p, o)
-        return self._iter_rows(index, int(lo), int(hi))
+        keys = self._spo.keys
+        for start in range(0, len(keys), _SCAN_CHUNK):
+            s, p, o = self._spo.unpack(keys[start : start + _SCAN_CHUNK])
+            for t in zip(s.tolist(), p.tolist(), o.tolist()):
+                yield Triple(*t)
 
 
 def _lines(source: str | bytes | Path | object) -> tuple[list[str], dict[int, str]]:

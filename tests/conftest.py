@@ -15,6 +15,7 @@ from trq import (
     QueryForm,
     Term,
     TermKind,
+    Triple,
     TriplePattern,
     parse_ntriples,
     train,
@@ -60,14 +61,24 @@ def pattern(s, p, o) -> TriplePattern:
     return TriplePattern(atom(s), atom(p), atom(o))
 
 
-def make_query(patterns, projected=None, distinct=True) -> Query:
+def make_query(patterns, projected=None) -> Query:
     pats = tuple(patterns)
     if projected is None:
         seen = set()
         for p in pats:
             seen |= p.variables()
         projected = tuple(sorted(seen))
-    return Query(QueryForm.SELECT, pats, tuple(projected), distinct, {})
+    return Query(QueryForm.SELECT, pats, tuple(projected))
+
+
+def match_triples(g: Graph, s=None, p=None, o=None) -> list[Triple]:
+    """The triples matching a pattern of ids (None is a wildcard), in the
+    order of the index range ``Graph.ranges`` gives for it; an id outside
+    the graph matches nothing."""
+    if any(x is not None and not 0 <= x < g.term_count for x in (s, p, o)):
+        return []
+    index, lo, hi = g.ranges(s, p, o)
+    return [Triple(*t) for t in zip(*(col.tolist() for col in index.unpack(index.keys[lo:hi])))]
 
 
 # -- brute-force oracles -----------------------------------------------
@@ -114,15 +125,15 @@ def brute_candidates(g: Graph, patterns, threshold: int) -> dict[tuple, int]:
     return out
 
 
-def reference_evaluate_bgp(g: Graph, q: Query, limit: int | None = None):
+def reference_evaluate_bgp(g: Graph, patterns, limit: int | None = None):
     """The scalar depth-first evaluator that the columnar join replaced.
 
-    Walks the patterns in ``trq.sparql``'s greedy order, one ``Graph.match``
-    scan per binding, copying the binding dict at every step. Returns
-    (mappings, truncated) under the same distinct and limit rules as
-    ``evaluate_bgp``.
+    Walks the patterns in ``trq.sparql``'s greedy order, one
+    :func:`match_triples` scan per binding, copying the binding dict at
+    every step. Returns (mappings, truncated) under the same limit rule
+    as ``evaluate_bgp``, each mapping keyed in name order.
     """
-    order = _order_patterns(g, q.patterns)
+    order = _order_patterns(g, tuple(patterns))
 
     def resolve(atom, binding):
         if isinstance(atom, Const):
@@ -134,7 +145,7 @@ def reference_evaluate_bgp(g: Graph, q: Query, limit: int | None = None):
 
     def walk(idx, binding):
         if idx == len(order):
-            yield binding
+            yield {name: binding[name] for name in sorted(binding)}
             return
         pat = order[idx]
         sid, sname = resolve(pat.s, binding)
@@ -142,7 +153,7 @@ def reference_evaluate_bgp(g: Graph, q: Query, limit: int | None = None):
         oid, oname = resolve(pat.o, binding)
         if -1 in (sid, pid, oid):
             return
-        for tr in g.match(sid, pid, oid):
+        for tr in match_triples(g, sid, pid, oid):
             new = dict(binding)
             ok = True
             for name, value in ((sname, tr.s), (pname, tr.p), (oname, tr.o)):
@@ -157,15 +168,8 @@ def reference_evaluate_bgp(g: Graph, q: Query, limit: int | None = None):
 
     gen = walk(0, {})
     out = []
-    seen = set()
     truncated = False
-    projected = q.projected or tuple(sorted(q.variables()))
     for m in gen:
-        if q.distinct:
-            key = tuple(m[v] for v in projected)
-            if key in seen:
-                continue
-            seen.add(key)
         out.append(m)
         if limit is not None and len(out) >= limit:
             truncated = next(gen, None) is not None

@@ -396,13 +396,16 @@ def test_query_missing_embeddings_is_error(run, artifacts, movie_query_file):
 
 
 @pytest.mark.parametrize(
-    "body, form",
+    "body, message",
     [
-        ("ASK { ?f ex:starring ?a . ?a ex:spouse ?b . }", "ASK"),
-        ("SELECT COUNT(DISTINCT ?a) WHERE { ?f ex:starring ?a . ?a ex:spouse ?b . }", "COUNT_DISTINCT"),
+        ("ASK { ?f ex:starring ?a . ?a ex:spouse ?b . }", "ASK (evaluate it exactly with `trq ask`)"),
+        (
+            "SELECT COUNT(DISTINCT ?a) WHERE { ?f ex:starring ?a . ?a ex:spouse ?b . }",
+            "unsupported query feature: COUNT",
+        ),
     ],
 )
-def test_query_rejects_non_select_forms(run, artifacts, tmp_path, body, form):
+def test_query_rejects_non_select_forms(run, artifacts, tmp_path, body, message):
     store_path, emb_path = artifacts
     q = tmp_path / "q.rq"
     q.write_text(PROLOG + body)
@@ -410,7 +413,7 @@ def test_query_rejects_non_select_forms(run, artifacts, tmp_path, body, form):
         "query", str(q), "--store", str(store_path), "--embeddings", str(emb_path), expect=1
     )
     assert stdout == ""
-    assert form in err and "trq ask" in err
+    assert message in err and "Traceback" not in err
 
 
 STARRING_BODY = "WHERE { ?f ex:starring ?a . ?f a ex:Film }"
@@ -432,14 +435,14 @@ def test_query_projection_leaving_out_a_variable_is_a_named_error(run, artifacts
 def test_query_star_and_every_variable_print_the_same(run, artifacts, tmp_path, fmt):
     store_path, emb_path = artifacts
     out = []
-    for head in ("SELECT * ", "SELECT ?a ?f ", "SELECT DISTINCT ?f ?a "):
+    for head in ("SELECT * ", "SELECT ?a ?f ", "SELECT DISTINCT ?f ?a ", "SELECT DISTINCT * "):
         q = tmp_path / "q.rq"
         q.write_text(PROLOG + head + STARRING_BODY)
         stdout, _ = run(
             "query", str(q), "--store", str(store_path), "--embeddings", str(emb_path), "--format", fmt
         )
         out.append(json.loads(stdout)["rows"] if fmt == "json" else stdout)
-    assert out[0] == out[1] == out[2]
+    assert out[0] == out[1] == out[2] == out[3]
     if fmt == "tsv":
         lines = out[0].strip().split("\n")
         assert lines[0] == "rank\tscore\tedit_distance\t?a\t?f"

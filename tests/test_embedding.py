@@ -35,6 +35,7 @@ from conftest import (
     edge_plausibility,
     ex,
     make_query,
+    match_triples,
     nt_text,
     pattern,
     planted_kg,
@@ -638,7 +639,7 @@ def test_bind_aligns_once_per_graph(bench_graph, monkeypatch):
     for c in range(3):
         value = bench_graph.id(ex(f"val0_{c:02d}"))
         q = make_query([pattern("?a", "linked", "?b"), pattern("?b", "attr0", f"val0_{c:02d}")])
-        cases.append(BenchCase(f"c{c}", q, [next(bench_graph.match(None, bench_graph.id(ex("attr0")), value))]))
+        cases.append(BenchCase(f"c{c}", q, [match_triples(bench_graph, None, bench_graph.id(ex("attr0")), value)[0]]))
     report = run_benchmark(bench_graph, cases, embeddings=emb)
     assert report.failures == 0
     assert len(graphs) == len(cases) and len({id(g) for g in graphs}) == len(cases)
@@ -726,7 +727,7 @@ def test_divergence_stops_at_the_first_non_finite_epoch(bench_graph, monkeypatch
 
 def test_run_benchmark_records_divergence_on_the_case(bench_graph):
     q = make_query([pattern("?a", "linked", "?b"), pattern("?b", "attr0", "val0_00")])
-    deleted = next(iter(bench_graph.match(None, bench_graph.id(ex("attr0")), bench_graph.id(ex("val0_00")))))
+    deleted = match_triples(bench_graph, None, bench_graph.id(ex("attr0")), bench_graph.id(ex("val0_00")))[0]
     cfg = EmbeddingConfig(dim=8, epochs=5, learning_rate=1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

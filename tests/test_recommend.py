@@ -14,7 +14,7 @@ from trq.recommend import (
 )
 from trq.qgraph import enumerate_subquery_trees
 from trq.scoring import ScoredSolution, score_graph
-from trq.sparql import Query, QueryForm, TriplePattern, Var, evaluate_bgp, parse_query
+from trq.sparql import TriplePattern, Var, evaluate_bgp, parse_query
 
 from conftest import (
     MOVIE_QUERY,
@@ -310,9 +310,8 @@ def _pooled_oracle(g, q, threshold, limit):
         if not tree.graph.edges:
             continue
         covered.append(tree.covered_origins())
-        sub = Query(QueryForm.SELECT, tuple(q.patterns[i] for i in covered[-1]), variables, True, q.prefixes)
-        result = evaluate_bgp(g, sub, limit=limit)
-        tables.append(np.stack([result.column(v) for v in variables], axis=1))
+        result = evaluate_bgp(g, tuple(q.patterns[i] for i in covered[-1]), limit=limit)
+        tables.append(result.rows)
         truncated.append(result.truncated)
 
     def holds(mapping, i):

@@ -12,7 +12,6 @@ from trq.sparql import (
     UnsupportedFeatureError,
     Var,
     ask,
-    count_distinct,
     evaluate_bgp,
     parse_query,
 )
@@ -23,7 +22,6 @@ from conftest import (
     brute_solutions,
     build_graph,
     ex,
-    make_query,
     pattern,
     reference_evaluate_bgp,
 )
@@ -38,13 +36,12 @@ def test_parse_simple_select():
     q = parse_query(PROLOG + "SELECT ?x WHERE { ?x ex:p ex:b . }")
     assert q.form is QueryForm.SELECT
     assert q.projected == ("x",)
-    assert not q.distinct
     assert q.patterns == (pattern("?x", "p", "b"),)
 
 
 def test_parse_select_distinct_multiple_vars():
     q = parse_query(PROLOG + "SELECT DISTINCT ?x ?y WHERE { ?x ex:p ?y . ?y ex:q ?x . }")
-    assert q.distinct
+    assert q.form is QueryForm.SELECT
     assert q.projected == ("x", "y")
     assert len(q.patterns) == 2
 
@@ -81,15 +78,6 @@ def test_parse_ask():
     assert q.projected == ()
 
 
-def test_parse_count_distinct():
-    q = parse_query(PROLOG + "SELECT COUNT(DISTINCT ?x) WHERE { ?x ex:p ?y . }")
-    assert q.form is QueryForm.COUNT_DISTINCT
-    assert q.projected == ("x",)
-    q2 = parse_query(PROLOG + "SELECT (COUNT(DISTINCT ?x) AS ?n) WHERE { ?x ex:p ?y . }")
-    assert q2.form is QueryForm.COUNT_DISTINCT
-    assert q2.projected == ("x",)
-
-
 def test_parse_where_keyword_optional():
     q = parse_query(PROLOG + "SELECT ?x { ?x ex:p ?y . }")
     assert q.projected == ("x",)
@@ -102,7 +90,7 @@ def test_parse_final_dot_optional():
 
 def test_parse_case_insensitive_keywords():
     q = parse_query(PROLOG + "select distinct ?x where { ?x ex:p ?y . }")
-    assert q.distinct
+    assert q.form is QueryForm.SELECT and q.projected == ("x",)
 
 
 def test_parse_multiline_and_comments():
@@ -141,11 +129,24 @@ def test_projection_must_use_pattern_variables():
         "SELECT ?x WHERE { ?x ex:p ?y . } LIMIT 5",
         "SELECT ?x WHERE { ?x ex:p ?y . } ORDER BY ?x",
         "SELECT ?x WHERE { SERVICE ex:s { ?x ex:p ?y . } }",
+        "SELECT COUNT(DISTINCT ?x) WHERE { ?x ex:p ?y . }",
+        "SELECT (COUNT(DISTINCT ?x) AS ?n) WHERE { ?x ex:p ?y . }",
     ],
 )
 def test_unsupported_features_are_named_errors(body):
     with pytest.raises(UnsupportedFeatureError):
         parse_query(PROLOG + body)
+
+
+def test_select_expressions_name_their_feature():
+    for head, feature in [
+        ("SELECT COUNT(DISTINCT ?x)", "COUNT"),
+        ("SELECT (COUNT(DISTINCT ?x) AS ?n)", "COUNT"),
+        ("SELECT (?x AS ?n)", "expression in SELECT clause"),
+    ]:
+        with pytest.raises(UnsupportedFeatureError) as exc:
+            parse_query(PROLOG + head + " WHERE { ?x ex:p ?y . }")
+        assert exc.value.feature == feature
 
 
 def test_unsupported_syntax_shorthands():
@@ -201,8 +202,7 @@ def _mapping_set(g, result):
 
 
 def test_evaluate_single_pattern(films):
-    q = make_query([pattern("?f", "type", "Film")])
-    res = evaluate_bgp(films, q)
+    res = evaluate_bgp(films, (pattern("?f", "type", "Film"),))
     assert not res.truncated
     assert _mapping_set(films, res) == {
         (("f", films.id(ex("f1"))),),
@@ -211,68 +211,40 @@ def test_evaluate_single_pattern(films):
 
 
 def test_evaluate_join(films):
-    q = make_query([pattern("?f", "starring", "?a"), pattern("?f", "type", "Film")])
-    res = evaluate_bgp(films, q)
-    assert res.mappings and _mapping_set(films, res) == brute_solutions(
-        films, q.patterns
-    )
+    pats = (pattern("?f", "starring", "?a"), pattern("?f", "type", "Film"))
+    res = evaluate_bgp(films, pats)
+    assert res.mappings and _mapping_set(films, res) == brute_solutions(films, pats)
 
 
 def test_evaluate_repeated_variable_consistency(films):
     # ?x starring ?x has no solutions; ?a spouse ?b with ?a=?b neither
-    q = make_query([pattern("?x", "starring", "?x")])
-    assert evaluate_bgp(films, q).mappings == []
-    q2 = make_query([pattern("?a", "spouse", "?a")])
-    assert evaluate_bgp(films, q2).mappings == []
+    assert evaluate_bgp(films, (pattern("?x", "starring", "?x"),)).mappings == []
+    assert evaluate_bgp(films, (pattern("?a", "spouse", "?a"),)).mappings == []
 
 
 def test_evaluate_unknown_constant_is_empty(films):
-    q = make_query([pattern("?x", "starring", "nobody")])
-    assert evaluate_bgp(films, q).mappings == []
+    res = evaluate_bgp(films, (pattern("?x", "starring", "nobody"),))
+    assert res.mappings == [] and res.variables == ("x",)
 
 
 def test_evaluate_cartesian_product_of_disconnected_patterns(films):
-    q = make_query([pattern("?f", "type", "Film"), pattern("?z", "type", "Animal")])
-    res = evaluate_bgp(films, q)
+    pats = (pattern("?f", "type", "Film"), pattern("?z", "type", "Animal"))
+    res = evaluate_bgp(films, pats)
     assert len(res.mappings) == 2
-    assert _mapping_set(films, res) == brute_solutions(films, q.patterns)
-
-
-def test_distinct_projection_collapses(films):
-    # two starring edges for f1; project only the film
-    q = make_query(
-        [pattern("?f", "starring", "?a")], projected=["f"], distinct=True
-    )
-    res = evaluate_bgp(films, q)
-    assert sorted(m["f"] for m in res.mappings) == sorted(
-        [films.id(ex("f1")), films.id(ex("f2"))]
-    )
-
-
-def test_non_distinct_keeps_duplicate_projections(films):
-    q = make_query([pattern("?f", "starring", "?a")], projected=["f"], distinct=False)
-    res = evaluate_bgp(films, q)
-    assert len(res.mappings) == 3
-
-
-def test_mappings_are_total_even_with_projection(films):
-    q = make_query([pattern("?f", "starring", "?a")], projected=["f"], distinct=True)
-    for m in evaluate_bgp(films, q).mappings:
-        assert set(m) == {"f", "a"}
+    assert _mapping_set(films, res) == brute_solutions(films, pats)
 
 
 def test_limit_and_truncated_flag(films):
-    q = make_query([pattern("?f", "starring", "?a")], distinct=True)
-    res = evaluate_bgp(films, q, limit=2)
+    pats = (pattern("?f", "starring", "?a"),)
+    res = evaluate_bgp(films, pats, limit=2)
     assert len(res.mappings) == 2 and res.truncated
-    res_all = evaluate_bgp(films, q, limit=3)
+    res_all = evaluate_bgp(films, pats, limit=3)
     assert len(res_all.mappings) == 3 and not res_all.truncated
 
 
 def test_evaluate_empty_graph():
     g = build_graph([])
-    q = make_query([pattern("?x", "p", "?y")])
-    res = evaluate_bgp(g, q)
+    res = evaluate_bgp(g, (pattern("?x", "p", "?y"),))
     assert res.mappings == [] and not res.truncated
 
 
@@ -296,18 +268,17 @@ def test_evaluate_matches_brute_force(seed):
             else f"e{rng.integers(n)}"
         )
         pats.append(pattern(pick(), rel, pick()))
-    used = set().union(*[p.variables() for p in pats])
-    if not used:
+    if not set().union(*[p.variables() for p in pats]):
         return
-    q = make_query(pats, projected=sorted(used))
-    got = {tuple(sorted(m.items())) for m in evaluate_bgp(g, q).mappings}
+    got = {tuple(sorted(m.items())) for m in evaluate_bgp(g, tuple(pats)).mappings}
     assert got == brute_solutions(g, pats)
 
 
 def _random_bgp(rng):
-    """A small graph and query over it. Subjects and objects are variables,
-    known constants or a constant absent from the graph; predicates are
-    variables now and then; a pattern may repeat a variable (?x p ?x)."""
+    """A small graph and patterns over it. Subjects and objects are
+    variables, known constants or a constant absent from the graph;
+    predicates are variables now and then; a pattern may repeat a
+    variable (?x p ?x)."""
     n = int(rng.integers(2, 6))
     rows = [
         (f"e{rng.integers(n)}", f"r{rng.integers(2)}", f"e{rng.integers(n)}")
@@ -333,9 +304,7 @@ def _random_bgp(rng):
         s = node()
         o = s if rng.random() < 0.15 else node()
         pats.append(pattern(s, pred(), o))
-    used = sorted(set().union(*[p.variables() for p in pats]))
-    projected = [v for v in used if rng.random() < 0.6] or used
-    return g, make_query(pats, projected=projected, distinct=bool(rng.random() < 0.6))
+    return g, tuple(pats)
 
 
 def _ordered(mappings):
@@ -350,18 +319,21 @@ def test_join_matches_reference_walk(seed):
     to past the result size and for join chunks down to a single row."""
     import trq.sparql as sparql_mod
 
-    g, q = _random_bgp(np.random.default_rng(seed))
-    full, _ = reference_evaluate_bgp(g, q)
+    g, pats = _random_bgp(np.random.default_rng(seed))
+    variables = tuple(sorted(set().union(*[p.variables() for p in pats])))
+    full, _ = reference_evaluate_bgp(g, pats)
     default_chunk = sparql_mod.JOIN_CHUNK
     try:
         for chunk in (default_chunk, 1, 3):
             sparql_mod.JOIN_CHUNK = chunk
-            res = evaluate_bgp(g, q)
+            res = evaluate_bgp(g, pats)
+            assert res.variables == variables
             assert _ordered(res.mappings) == _ordered(full)
             assert not res.truncated
             for limit in sorted({1, 2, len(full), len(full) + 1} - {0}):
-                ref, ref_truncated = reference_evaluate_bgp(g, q, limit)
-                res = evaluate_bgp(g, q, limit)
+                ref, ref_truncated = reference_evaluate_bgp(g, pats, limit)
+                res = evaluate_bgp(g, pats, limit)
+                assert res.variables == variables
                 assert _ordered(res.mappings) == _ordered(ref), (chunk, limit)
                 assert res.truncated == ref_truncated, (chunk, limit)
     finally:
@@ -370,7 +342,7 @@ def test_join_matches_reference_walk(seed):
 
 def test_limit_must_be_positive(films):
     with pytest.raises(ValueError):
-        evaluate_bgp(films, make_query([pattern("?f", "starring", "?a")]), limit=0)
+        evaluate_bgp(films, (pattern("?f", "starring", "?a"),), limit=0)
 
 
 def test_join_order_invariance(films):
@@ -386,7 +358,7 @@ def test_join_order_invariance(films):
     for perm in itertools.permutations(pats):
         got = {
             tuple(sorted(m.items()))
-            for m in evaluate_bgp(films, make_query(perm)).mappings
+            for m in evaluate_bgp(films, perm).mappings
         }
         if baseline is None:
             baseline = got
@@ -394,7 +366,7 @@ def test_join_order_invariance(films):
     assert baseline
 
 
-# -- ask / count -------------------------------------------------------
+# -- ask ---------------------------------------------------------------
 
 
 def test_ask_ground(films):
@@ -406,21 +378,6 @@ def test_ask_ground(films):
 def test_ask_with_variables(films):
     assert ask(films, parse_query(PROLOG + "ASK { ?f ex:starring ?a . ?a ex:spouse ?b . }"))
     assert not ask(films, parse_query(PROLOG + "ASK { ?a ex:spouse ex:cat . }"))
-
-
-def test_count_distinct(films):
-    q = parse_query(PROLOG + "SELECT COUNT(DISTINCT ?a) WHERE { ?f ex:starring ?a . }")
-    assert count_distinct(films, q) == 2
-    q2 = parse_query(PROLOG + "SELECT COUNT(DISTINCT ?f) WHERE { ?f ex:starring ?a . }")
-    assert count_distinct(films, q2) == 2
-    q3 = parse_query(PROLOG + "SELECT COUNT(DISTINCT ?f) WHERE { ?f ex:type ex:Nope . }")
-    assert count_distinct(films, q3) == 0
-
-
-def test_count_distinct_requires_count_form(films):
-    q = parse_query(PROLOG + "SELECT ?f WHERE { ?f ex:starring ?a . }")
-    with pytest.raises(ValueError):
-        count_distinct(films, q)
 
 
 def test_movie_query_shape_parses():

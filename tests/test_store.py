@@ -19,7 +19,7 @@ from trq.store import (
 )
 from trq.terms import RDF_TYPE, Term, TermKind
 
-from conftest import build_graph, ex
+from conftest import build_graph, ex, match_triples
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ def test_match_against_full_scan(small):
     for s in ids:
         for p in ids:
             for o in ids:
-                got = set(small.match(s, p, o))
+                got = set(match_triples(small, s, p, o))
                 assert got == _scan(small, s, p, o), (s, p, o)
 
 
@@ -96,11 +96,11 @@ def test_match_full_scan_random_graphs(seed):
     for _ in range(12):
         pick = lambda: None if rng.random() < 0.5 else int(rng.integers(g.term_count))
         s, p, o = pick(), pick(), pick()
-        assert set(g.match(s, p, o)) == _scan(g, s, p, o)
+        assert set(match_triples(g, s, p, o)) == _scan(g, s, p, o)
 
 
 # The index each bound-position combination scans, as a sort key over
-# (s, p, o): the row order match() has always produced.
+# (s, p, o): the row order the join reads from Graph.ranges.
 _SEED_ORDER = {
     (True, True, True): lambda t: (t.s, t.p, t.o),
     (True, True, False): lambda t: (t.s, t.p, t.o),
@@ -127,7 +127,7 @@ def test_match_row_order_per_bound_combination(seed):
     for mask, key in _SEED_ORDER.items():
         for _ in range(6):
             s, p, o = (int(rng.choice(ids)) if bound else None for bound in mask)
-            got = list(g.match(s, p, o))
+            got = match_triples(g, s, p, o)
             assert got == sorted(_scan(g, s, p, o), key=key), (s, p, o)
 
 
@@ -236,10 +236,10 @@ def test_pso_is_built_only_by_a_subject_and_predicate_lookup(small):
 
 
 def test_match_results_sorted_spo(small):
-    out = [t.as_tuple() for t in small.match(None, None, None)]
+    out = [t.as_tuple() for t in match_triples(small)]
     assert out == sorted(out)
     a = small.id(ex("a"))
-    by_s = [t.as_tuple() for t in small.match(a, None, None)]
+    by_s = [t.as_tuple() for t in match_triples(small, a)]
     assert by_s == sorted(by_s)
 
 
@@ -462,7 +462,7 @@ def test_empty_graph_round_trip(tmp_path):
     save_snapshot(g, path)
     g2 = load_snapshot(path)
     assert g2.term_count == 0 and g2.triple_count == 0
-    assert list(g2.match(None, None, None)) == []
+    assert match_triples(g2) == []
 
 
 def _snapshot_bytes(g) -> bytes:
