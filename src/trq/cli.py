@@ -133,6 +133,12 @@ def cmd_train(args) -> int:
                 file=sys.stderr,
             )
         print(f"final mean loss {emb.losses[-1]:.6f} ({elapsed:.1f}s)", file=sys.stderr)
+    if emb.losses[-1] > emb.losses[0]:
+        print(
+            f"warning: mean loss grew from {emb.losses[0]:.6g} in epoch 1 to {emb.losses[-1]:.6g}"
+            f" in epoch {cfg.epochs}; the learning rate may be too high",
+            file=sys.stderr,
+        )
     embedding.save_embeddings(emb, args.output)
     print(
         f"{cfg.model} d={cfg.dim} entities={emb.entity_count} relations={emb.relation_count}"

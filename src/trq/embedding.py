@@ -14,11 +14,15 @@ a fair coin picks the head or the tail, and a uniform entity replaces
 it; the corruptions that are known triples of the graph (rdf:type ones
 too) are found with one vectorised lookup and redrawn, coin and entity
 afresh, for at most ``SAMPLER_ROUNDS`` draws in all. Batches are slices
-of the epoch's pairs. A step scatters each batch's gradient with
-``np.bincount`` and updates only the entity rows it touches, projecting
-them back into the unit ball; relations, hyperplane normals (kept
-unit) and maps are updated whole. The number of negatives redrawn in
-each epoch is kept beside its loss.
+of the epoch's pairs. A step scatters the batch's whole gradient
+(relations, normals or maps, and the entity rows it touches) with one
+``np.bincount`` over disjoint blocks of bins, and updates only the
+entity rows it touches, projecting them back into the unit ball;
+relations, hyperplane normals (kept unit) and maps are updated whole.
+Each :func:`train` allocates one workspace, sized to the largest batch
+it makes, and every step writes its gathers and intermediate results
+there, so a step allocates little more than the scatter's sums. The
+number of negatives redrawn in each epoch is kept beside its loss.
 
 Membership triples (rdf:type) are excluded from the relational batches
 by default; classes are handled through aggregated type vectors instead:
@@ -38,9 +42,12 @@ returns, which aligns each id with its rows once and is never rebound.
 
 One kernel, :func:`_batch_scores`, evaluates g for training batches and
 for query-time scoring alike, and one function, :func:`_pair_grads`,
-computes the margin loss's gradient. :meth:`BoundEmbeddings.score_rows`
-is the only scorer of term ids: it scores id columns (one row or many)
-through the kernel, ``SCORE_CHUNK`` rows per call, plus the rdf:type
+computes the margin loss's gradient. Both write into a workspace's
+buffers through ufunc ``out=`` arguments, with the operations of the
+plain expressions in the same order, so their bits do not depend on
+the buffers. :meth:`BoundEmbeddings.score_rows` is the only scorer of
+term ids: it scores id columns (one row or many) through the kernel,
+``SCORE_CHUNK`` rows per call in one workspace of that size, plus the rdf:type
 rows against type vectors, and marks rows with a term that has no
 embedding row. Training stops at the first epoch that leaves a
 non-finite value with :class:`NonFiniteEmbeddingError`.
@@ -153,101 +160,229 @@ def _norm_values(d: np.ndarray, norm: str) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=1))
 
 
-def _norm_grads(d: np.ndarray, norm: str, values: np.ndarray) -> np.ndarray:
-    if norm == "l1":
-        return np.sign(d)
-    return d / np.maximum(values, 1e-12)[:, None]
+def _row_norms(x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of ``x`` into ``out``: the reduction
+    ``np.linalg.norm(x, axis=1)`` runs, so the same bits."""
+    return np.sqrt(np.add.reduce(np.multiply(x, x, out=scratch), axis=1, out=out), out=out)
 
 
-def _batch_scores(model, norm, ent, rel, normals, maps, h, r, t):
-    """Scores g(h, r, t) for row-index arrays, plus the tensors gradients
-    need: the one evaluation of the models, at float64, for training and
-    query-time scoring alike."""
-    he = ent[h].astype(np.float64, copy=False)
-    te = ent[t].astype(np.float64, copy=False)
-    rv = rel[r].astype(np.float64, copy=False)
+class _Workspace:
+    """The buffers of the scoring kernel and of the training step.
+
+    It holds ``rows`` kernel rows: one :func:`_batch_scores` call of up to
+    ``rows`` rows, or one step of up to ``rows // 2`` pairs. A step also
+    needs ``n_ent`` and ``n_rel`` (0 for a scoring-only workspace) for the
+    entity mark and slot arrays and the scatter's bins and weights. Calls
+    write into the leading rows of each buffer, so a training step
+    allocates only a few small index arrays and the scatter's sums.
+    """
+
+    def __init__(self, model: str, rows: int, dim: int, rel_dim: int, n_ent: int = 0, n_rel: int = 0):
+        self.he, self.te = np.empty((rows, dim)), np.empty((rows, dim))
+        self.d, self.sq = np.empty((rows, rel_dim)), np.empty((rows, rel_dim))
+        self.values, self.col = np.empty(rows), np.empty(rows)
+        self.tmp = None if model == TRANSE else np.empty((rows, dim))
+        self.w = np.empty((rows, dim)) if model == TRANSH else None
+        self.m = np.empty((rows, rel_dim, dim)) if model == TRANSR else None
+        if not n_ent:
+            return
+        self.hrt = np.empty((3, rows), dtype=np.int64)
+        self.hinge, self.dead = np.empty(rows // 2), np.empty(rows // 2, dtype=bool)
+        self.rel_key, self.key = np.empty(rows, dtype=np.int64), np.empty(2 * rows, dtype=np.int64)
+        # the head, then the tail entity of each kernel row; n_ent is none
+        self.ent_ids, self.ent_key = np.empty(2 * rows, dtype=np.int64), np.empty(2 * rows, dtype=np.int64)
+        self.mark = np.zeros(n_ent + 1, dtype=bool)  # all False between steps
+        self.slot = np.empty(n_ent + 1, dtype=np.int64)
+        touched = min(2 * rows, n_ent)
+        self.sub, self.ent_norm, self.rel_norm = np.empty((touched, dim)), np.empty(touched), np.empty(n_rel)
+        self.iota = np.arange(touched)
+        extra = _extra_width(model, dim, rel_dim)
+        self.bins = np.empty(rows * (rel_dim + extra + 2 * dim), dtype=np.int64)
+        self.weights = np.empty(len(self.bins))
+        # 0 .. width - 1 once per row of each block of the scatter
+        self.cols = {}
+        for width, count in ((rel_dim, rows), (extra, rows), (dim, 2 * rows)):
+            if len(self.cols.get(width, ())) < width * count:
+                self.cols[width] = np.tile(np.arange(width), count)
+
+
+def _extra_width(model: str, dim: int, rel_dim: int) -> int:
+    """Width of a relation's normal (transh) or map (transr) gradient row."""
+    return {TRANSE: 0, TRANSH: dim, TRANSR: rel_dim * dim}[model]
+
+
+def _take(src: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``src[rows]`` written into ``out``: with no temporary when ``src`` is
+    float64 (training), through one when it is float32 (a stored set)."""
+    if src.dtype == out.dtype:
+        # mode="raise" would buffer ``out``; every row index here is in range
+        return np.take(src, rows, axis=0, out=out, mode="clip")
+    out[...] = src[rows]
+    return out
+
+
+def _spread(col: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``col[:, None]`` copied into every column of ``out``. numpy buffers
+    a ufunc operand that broadcasts, at up to 64 KiB a call; a plain copy
+    followed by a same-shape ufunc allocates nothing."""
+    np.copyto(out, col[:, None])
+    return out
+
+
+def _batch_scores(ws, model, norm, ent, rel, normals, maps, h, r, t):
+    """Scores g(h, r, t) of row-index arrays: the one evaluation of the
+    models, at float64, for training batches and query-time scoring alike.
+
+    The results land in the first ``len(h)`` rows of the workspace ``ws``:
+    the gathered ``he`` and ``te``, ``w`` (transh) or ``m`` (transr), the
+    residual ``d`` whose norm is g, and the returned scores, ``values``.
+    The gradient reads them there. Each operation is one of the plain
+    expression's, such as ``(he - hw w) + r - (te - tw w)`` for transh, in
+    the same order, so the bits do not depend on the buffers.
+    """
+    n = len(h)
+    he, te = _take(ent, h, ws.he[:n]), _take(ent, t, ws.te[:n])
+    d, sq, values = _take(rel, r, ws.d[:n]), ws.sq[:n], ws.values[:n]
     if model == TRANSE:
-        d = he + rv - te
-        cache = {}
+        np.add(he, d, out=d)
+        np.subtract(d, te, out=d)
     elif model == TRANSH:
-        w = normals[r].astype(np.float64, copy=False)
-        hw = (he * w).sum(axis=1)
-        tw = (te * w).sum(axis=1)
-        d = (he - hw[:, None] * w) + rv - (te - tw[:, None] * w)
-        cache = {"w": w}
+        w, tmp, col = _take(normals, r, ws.w[:n]), ws.tmp[:n], ws.col[:n]
+        np.add.reduce(np.multiply(he, w, out=tmp), axis=1, out=col)
+        np.subtract(he, np.multiply(_spread(col, tmp), w, out=tmp), out=tmp)
+        np.add(tmp, d, out=d)
+        np.add.reduce(np.multiply(te, w, out=tmp), axis=1, out=col)
+        np.subtract(te, np.multiply(_spread(col, tmp), w, out=tmp), out=tmp)
+        np.subtract(d, tmp, out=d)
     else:
-        m = maps[r].astype(np.float64, copy=False)
-        d = np.einsum("bij,bj->bi", m, he) + rv - np.einsum("bij,bj->bi", m, te)
-        cache = {"m": m}
-    values = _norm_values(d, norm)
-    cache.update(h=h, r=r, t=t, he=he, te=te, d=d, values=values)
-    return values, cache
+        m = _take(maps, r, ws.m[:n])
+        np.add(np.einsum("bij,bj->bi", m, he, out=sq), d, out=d)
+        np.subtract(d, np.einsum("bij,bj->bi", m, te, out=sq), out=d)
+    if norm == "l1":
+        np.add.reduce(np.abs(d, out=sq), axis=1, out=values)
+    else:
+        np.sqrt(np.add.reduce(np.multiply(d, d, out=sq), axis=1, out=values), out=values)
+    return values
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Sums of the rows of ``values`` into ``n`` rows by ``index``, in input
-    order: one ``np.bincount`` over the flattened (row, column) positions."""
-    shape = values.shape[1:]
-    width = math.prod(shape)
-    flat = (index[:, None] * width + np.arange(width)).ravel()
-    # bincount of no positions is an int array, whatever the weights
-    sums = np.bincount(flat, weights=values.ravel(), minlength=n * width).astype(np.float64, copy=False)
-    return sums.reshape((n, *shape))
+def _fill_bins(ws: _Workspace, at: int, key: np.ndarray, width: int, base: int) -> int:
+    """Writes the bins ``base + key * width + column`` of each key, row by
+    row, into ``ws.bins`` from ``at``; returns where they end."""
+    end = at + len(key) * width
+    first = np.multiply(key, width, out=ws.key[: len(key)])
+    np.add(first, base, out=first)
+    bins = ws.bins[at:end]
+    np.copyto(bins.reshape(len(key), width), first[:, None])
+    np.add(bins, ws.cols[width][: end - at], out=bins)
+    return end
 
 
-def _pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg):
+def _pair_grads(ws, model, norm, margin, ent, rel, normals, maps, pos, neg):
     """Mean margin loss of explicit pairs and its exact gradients.
 
     Returns (loss, rows, grads): ``rows`` are the distinct entity rows
-    the gradient touches, ``grads['entities']`` their gradient rows in
-    that order, and 'relations', 'normals' (transh) and 'maps' (transr)
-    are dense. Pairs within the margin add nothing.
+    the gradient touches, ascending, ``grads['entities']`` their gradient
+    rows in that order, and 'relations', 'normals' (transh) and 'maps'
+    (transr) are dense. Pairs within the margin add nothing.
+
+    The touched rows come from the workspace's mark array. Every gradient
+    is a view of the sums of one ``np.bincount`` over disjoint blocks of
+    bins: relations, then normals or maps, then entities. Each block has
+    a spare row past its last, which takes the rows of the pairs within
+    the margin. Each bin still sums its inputs in the order of the
+    separate scatters: kernel rows in order, and heads before tails.
     """
-    n = len(pos)
-    both = np.concatenate([pos, neg])
-    values, cache = _batch_scores(model, norm, ent, rel, normals, maps, both[:, 0], both[:, 1], both[:, 2])
-    hinge = margin + values[:n] - values[n:]
-    active = np.flatnonzero(np.tile(hinge > 0, 2))
-    coef = np.where(active < n, 1.0 / n, -1.0 / n)
-    h, r, t = (cache[x][active] for x in "hrt")
-    u = _norm_grads(cache["d"][active], norm, cache["values"][active]) * coef[:, None]
-    grads = {"relations": _scatter(r, u, len(rel))}
-    if model == TRANSE:
-        du = u
-    elif model == TRANSH:
-        w = cache["w"][active]
-        a = cache["te"][active] - cache["he"][active]
-        uw = (u * w).sum(axis=1)
-        du = u - uw[:, None] * w
-        grads["normals"] = _scatter(r, uw[:, None] * a + (w * a).sum(axis=1)[:, None] * u, len(normals))
+    n, k = len(pos), 2 * len(pos)
+    n_ent, n_rel, dim, rel_dim = len(ent), len(rel), ent.shape[1], rel.shape[1]
+    h, r, t = np.concatenate([pos.T, neg.T], axis=1, out=ws.hrt[:, :k])
+    values = _batch_scores(ws, model, norm, ent, rel, normals, maps, h, r, t)
+    hinge, dead = ws.hinge[:n], ws.dead[:n]
+    np.subtract(np.add(values[:n], margin, out=hinge), values[n:], out=hinge)
+    np.logical_not(np.greater(hinge, 0.0, out=dead), out=dead)
+    loss = float(np.add.reduce(np.maximum(hinge, 0.0, out=hinge)) / n)
+
+    # The weights: u = +-(dg/dd) / n of every kernel row, the row's normal
+    # or map gradient, then du for its head and -du for its tail.
+    extra = _extra_width(model, dim, rel_dim)
+    u = ws.weights[: k * rel_dim].reshape(k, rel_dim)
+    ge = ws.weights[k * rel_dim : k * (rel_dim + extra)].reshape(k, extra)
+    ent_w = ws.weights[k * (rel_dim + extra) : k * (rel_dim + extra + 2 * dim)].reshape(2 * k, dim)
+    d, he, te, sq, col = ws.d[:k], ws.he[:k], ws.te[:k], ws.sq[:k], ws.col[:k]
+    if norm == "l1":
+        np.sign(d, out=u)
     else:
-        du = np.einsum("bij,bi->bj", cache["m"][active], u)
-        dm = u[:, :, None] * (cache["he"][active] - cache["te"][active])[:, None, :]
-        grads["maps"] = _scatter(r, dm, len(maps))
-    rows, inverse = np.unique(np.concatenate([h, t]), return_inverse=True)
-    grads["entities"] = _scatter(inverse, np.concatenate([du, -du]), len(rows))
-    return float(np.maximum(hinge, 0.0).mean()), rows, grads
+        np.divide(d, _spread(np.maximum(values, 1e-12, out=col), u), out=u)
+    np.multiply(u[:n], 1.0 / n, out=u[:n])
+    np.multiply(u[n:], -1.0 / n, out=u[n:])
+    du = ent_w[:k]
+    if model == TRANSE:
+        np.copyto(du, u)
+    elif model == TRANSH:
+        w, a = ws.w[:k], np.subtract(te, he, out=ws.tmp[:k])
+        uw = np.add.reduce(np.multiply(u, w, out=sq), axis=1, out=col)
+        np.subtract(u, np.multiply(_spread(uw, du), w, out=du), out=du)
+        np.multiply(_spread(uw, ge), a, out=ge)
+        wa = np.add.reduce(np.multiply(w, a, out=sq), axis=1, out=col)
+        np.add(ge, np.multiply(_spread(wa, sq), u, out=sq), out=ge)
+    else:
+        np.einsum("bij,bi->bj", ws.m[:k], u, out=du)
+        np.einsum("bi,bj->bij", u, np.subtract(he, te, out=ws.tmp[:k]), out=ge.reshape(k, rel_dim, dim))
+    np.negative(du, out=ent_w[k:])
+
+    # The bin keys: the spare relation n_rel and entity n_ent take dead rows.
+    rel_key = ws.rel_key[:k]
+    np.copyto(rel_key, r)
+    np.copyto(rel_key.reshape(2, n), n_rel, where=dead)
+    ids = np.concatenate([h, t], out=ws.ent_ids[: 2 * k])
+    np.copyto(ids.reshape(4, n), n_ent, where=dead)
+    mark, slot = ws.mark, ws.slot
+    mark[ids] = True
+    mark[n_ent] = False
+    rows = np.flatnonzero(mark)
+    mark[rows] = False
+    slot[rows] = ws.iota[: len(rows)]
+    slot[n_ent] = len(rows)
+    ent_key = np.take(slot, ids, out=ws.ent_key[: 2 * k], mode="clip")
+
+    at = _fill_bins(ws, 0, rel_key, rel_dim, 0)
+    if extra:
+        at = _fill_bins(ws, at, rel_key, extra, (n_rel + 1) * rel_dim)
+    ent_base = (n_rel + 1) * (rel_dim + extra)
+    at = _fill_bins(ws, at, ent_key, dim, ent_base)
+    sums = np.bincount(ws.bins[:at], weights=ws.weights[:at], minlength=ent_base + (len(rows) + 1) * dim)
+    grads = {"relations": sums[: n_rel * rel_dim].reshape(n_rel, rel_dim)}
+    start = (n_rel + 1) * rel_dim
+    if model == TRANSH:
+        grads["normals"] = sums[start : start + n_rel * extra].reshape(n_rel, dim)
+    elif model == TRANSR:
+        grads["maps"] = sums[start : start + n_rel * extra].reshape(n_rel, rel_dim, dim)
+    grads["entities"] = sums[ent_base : ent_base + len(rows) * dim].reshape(len(rows), dim)
+    return loss, rows, grads
 
 
-def _train_step(model, norm, margin, learning_rate, ent, rel, normals, maps, pos, neg) -> float:
+def _train_step(ws, model, norm, margin, learning_rate, ent, rel, normals, maps, pos, neg) -> float:
     """One SGD step on a batch of pairs, in place; returns its mean loss.
 
     Only the entity rows the gradient touches change, and only they are
     projected back into the unit ball. Relations, normals (renormalized
     to unit length) and maps have one row per relation and are updated
-    whole.
+    whole. The step's intermediates live in the workspace ``ws``.
     """
-    loss, rows, grads = _pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg)
-    sub = ent[rows] - learning_rate * grads["entities"]
-    norms = np.linalg.norm(sub, axis=1, keepdims=True)
-    np.divide(sub, norms, out=sub, where=norms > 1.0)
+    loss, rows, grads = _pair_grads(ws, model, norm, margin, ent, rel, normals, maps, pos, neg)
+    g = grads["entities"]
+    sub = _take(ent, rows, ws.sub[: len(rows)])
+    np.subtract(sub, np.multiply(g, learning_rate, out=g), out=sub)
+    # x / 1 is x, so rows inside the ball (and NaN rows) stay as they are
+    norms = np.fmax(_row_norms(sub, g, ws.ent_norm[: len(rows)]), 1.0, out=ws.ent_norm[: len(rows)])
+    np.divide(sub, _spread(norms, g), out=sub)
     ent[rows] = sub
-    rel -= learning_rate * grads["relations"]
-    if "normals" in grads:
-        normals -= learning_rate * grads["normals"]
-        normals /= np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-12)
-    if "maps" in grads:
-        maps -= learning_rate * grads["maps"]
+    for param, name in ((rel, "relations"), (normals, "normals"), (maps, "maps")):
+        if name in grads:
+            np.subtract(param, np.multiply(grads[name], learning_rate, out=grads[name]), out=param)
+    if normals is not None:
+        gn = grads["normals"]
+        norms = _row_norms(normals, gn, ws.rel_norm)
+        np.divide(normals, _spread(np.maximum(norms, 1e-12, out=norms), gn), out=normals)
     return loss
 
 
@@ -361,11 +496,12 @@ class BoundEmbeddings:
             tv = np.stack([self.type_vector(ty) for ty in classes.tolist()])[inverse]
             values[rows] = _norm_values(e.entity_vecs[hrow[rows]].astype(np.float64) - tv, e.norm)
         rows = np.flatnonzero(scored & ~is_type)
+        ws = _Workspace(e.model, min(SCORE_CHUNK, len(rows)), e.dim, e.rel_dim)
         for start in range(0, len(rows), SCORE_CHUNK):
             part = rows[start : start + SCORE_CHUNK]
             values[part] = _batch_scores(
-                e.model, e.norm, e.entity_vecs, e.relation_vecs, e.normals, e.maps, hrow[part], rrow[part], trow[part]
-            )[0]
+                ws, e.model, e.norm, e.entity_vecs, e.relation_vecs, e.normals, e.maps, hrow[part], rrow[part], trow[part]
+            )
         return values, scored
 
     def type_vector(self, ty: TermId) -> np.ndarray:
@@ -488,6 +624,8 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
     redraws: list[int] = []
     k = cfg.negatives_per_positive
     batch = cfg.batch_size * k
+    # sized to the largest batch this run makes, not to the flag
+    ws = _Workspace(cfg.model, 2 * min(batch, len(triples) * k), dim, rel_dim, n_ent, n_rel)
     for epoch in range(1, cfg.epochs + 1):
         if len(triples) == 0:
             losses.append(0.0)
@@ -501,7 +639,7 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
             for start in range(0, len(pos), batch):
                 part = slice(start, start + batch)
                 loss = _train_step(
-                    cfg.model, cfg.norm, cfg.margin, cfg.learning_rate,
+                    ws, cfg.model, cfg.norm, cfg.margin, cfg.learning_rate,
                     ent, rel, normals, maps, pos[part], neg[part],
                 )
                 loss_sum += loss * len(pos[part])

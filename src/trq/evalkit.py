@@ -161,11 +161,13 @@ def run_benchmark(
     By default a fresh embedding set is trained on each corrupted graph
     (the deleted facts then carry no direct training signal); passing
     ``embeddings`` reuses one set trained on the source graph instead.
-    A case failure is recorded on its row and does not stop the run; a
-    recommend setting out of range raises ValueError before any case
-    runs. ``top_k=None`` ranks every surviving candidate.
+    With ``uniform_f`` no score reads an embedding, so nothing is trained
+    and neither source is needed. A case failure is recorded on its row
+    and does not stop the run; a recommend setting out of range raises
+    ValueError before any case runs. ``top_k=None`` ranks every surviving
+    candidate.
     """
-    if embeddings is None and embed_config is None:
+    if embeddings is None and embed_config is None and uniform_f is None:
         raise ValueError("run_benchmark needs embed_config or embeddings")
     # Once, before any case trains a model it could not use.
     validate_settings(threshold, top_k, per_tree_limit, uniform_f)
@@ -179,7 +181,9 @@ def run_benchmark(
             if not truth:
                 raise ValueError("case has an empty truth set")
             corrupted = corrupt_graph(g, case.deletions)
-            emb = embeddings if embeddings is not None else train(corrupted, embed_config)
+            emb = embeddings
+            if emb is None and uniform_f is None:
+                emb = train(corrupted, embed_config)
             req = RecommendRequest(
                 query=case.query,
                 embeddings=emb,

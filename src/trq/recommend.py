@@ -68,7 +68,7 @@ class VariablePredicateError(ValueError):
 @dataclass
 class RecommendRequest:
     query: Query
-    embeddings: EmbeddingSet
+    embeddings: EmbeddingSet | None  # None only with uniform_f, which reads none
     threshold: int = DEFAULT_THRESHOLD
     top_k: int | None = DEFAULT_TOP_K  # None: every candidate
     per_tree_limit: int = DEFAULT_PER_TREE_LIMIT
@@ -77,6 +77,8 @@ class RecommendRequest:
 
     def validate(self) -> None:
         validate_settings(self.threshold, self.top_k, self.per_tree_limit, self.uniform_f)
+        if self.embeddings is None and self.uniform_f is None:
+            raise ValueError("a request without embeddings needs uniform_f")
 
 
 def validate_settings(threshold: int, top_k: int | None, per_tree_limit: int, uniform_f: float | None) -> None:
@@ -192,7 +194,7 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     t2 = time.perf_counter()
 
     weights = edge_weights(g, q.patterns)
-    view = req.embeddings.bind(g)
+    view = None if req.uniform_f is not None else req.embeddings.bind(g)
     scores, f, fallback = score_table(view, resolved, weights, variables, rows, in_graph, req.uniform_f)
     t3 = time.perf_counter()
     k = len(rows) if req.top_k is None else min(req.top_k, len(rows))

@@ -126,7 +126,7 @@ def in_graph_flags(
 
 
 def score_table(
-    view: BoundEmbeddings,
+    view: BoundEmbeddings | None,
     resolved: list[list],
     weights: Sequence[float],
     variables: Sequence[str],
@@ -140,10 +140,10 @@ def score_table(
     f is 1 for an edge in the graph and 1 / (1 + extended score) for a
     missing one, or the floor 1 / (1 + margin) when a constant is unknown
     or a term has no embedding row; ``uniform_f`` replaces f everywhere
-    (the structure-only ablation baseline). Scores sum weight * f left to
-    right, so an exact solution scores exactly :func:`score_graph`.
+    (the structure-only ablation baseline) and reads no embedding, so
+    ``view`` may then be None. Scores sum weight * f left to right, so an
+    exact solution scores exactly :func:`score_graph`.
     """
-    floor = 1.0 / (1.0 + view.embeddings.margin)
     column = dict(zip(variables, rows.T))
     f = np.ones((len(rows), len(resolved)))
     fallback = np.zeros(f.shape, dtype=bool)
@@ -158,7 +158,8 @@ def score_table(
             values, scored = view.score_rows(*_ids(atoms, column, missing))
             f[missing, i] = 1.0 / (1.0 + values)
             fallback[missing[~scored], i] = True
-        f[fallback[:, i], i] = floor
+        if fallback[:, i].any():
+            f[fallback[:, i], i] = 1.0 / (1.0 + view.embeddings.margin)
         total = total + weights[i] * f[:, i]
     return total, f, fallback
 

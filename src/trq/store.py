@@ -88,11 +88,7 @@ class TripleIndex:
         keys = self.pack(s, p, o)  # a new array, sorted in place
         keys.sort()
         if unique and len(keys) > 1:
-            # sorted, so a repeated key directly follows its first copy
-            keep = np.empty(len(keys), dtype=bool)
-            keep[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-            keys = keys[keep]
+            keys = keys[_run_starts(keys)]
         self.keys = keys
 
     def pack(self, s, p, o):
@@ -150,14 +146,12 @@ class GraphStats:
     def __init__(self, graph: "Graph"):
         self._graph = graph
         bits = graph._bits
-        # (s, p) prefixes of SPO and (p, o) prefixes of POS, each distinct
-        sp = np.unique(graph._spo.keys >> bits)
-        po = np.unique(graph._pos.keys >> bits)
-        rel, freq = np.unique(graph._pos.keys >> (2 * bits), return_counts=True)
-        mask = (1 << bits) - 1
-        self._freq = dict(zip(rel.tolist(), freq.tolist()))
-        self._dom = _counts(sp & mask)
-        self._ran = _counts(po >> bits)
+        # the (s, p) prefixes of SPO and the (p, o) prefixes of POS, sorted
+        sp = graph._spo.keys >> bits
+        po = graph._pos.keys >> bits
+        self._freq = _counts(po >> bits)
+        self._dom = _counts(sp[_run_starts(sp)] & ((1 << bits) - 1))
+        self._ran = _counts(po[_run_starts(po)] >> bits)
         self._dom_at: dict[tuple[TermId, TermId], int] = {}
         self._ran_at: dict[tuple[TermId, TermId], int] = {}
 
@@ -196,9 +190,20 @@ class GraphStats:
         return sorted(self._freq)
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first key of each run of equal keys; ``keys`` sorted, so
+    a repeated key directly follows its first copy."""
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keep
+
+
 def _counts(ids: np.ndarray) -> dict[TermId, int]:
-    values, counts = np.unique(ids, return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
+    """How often each id occurs, for the ids that do."""
+    counts = np.bincount(ids)
+    present = np.flatnonzero(counts)
+    return dict(zip(present.tolist(), counts[present].tolist()))
 
 
 def first_appearance(ids: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from trq import (
     parse_ntriples,
     train,
 )
-from trq.embedding import TRANSE, TRANSH, _batch_scores, _norm_grads, _norm_values, _pair_grads
+from trq.embedding import TRANSE, TRANSH, _norm_values, _pair_grads, _Workspace
 from trq.ntriples import NTriplesError, parse_line
 from trq.scoring import EdgeScore, ScoredSolution, edge_weights, in_graph_flags, score_table
 from trq.sparql import Const, Var, _order_patterns
@@ -211,12 +212,123 @@ def reference_score_triple(view: BoundEmbeddings, h: int, r: int, t: int) -> flo
     return float(_norm_values(d[None, :], emb.norm)[0])
 
 
+# -- the training step before its workspace, verbatim --------------------
+#
+# The kernel, gradient and step as they were before the step moved into a
+# preallocated workspace with one fused scatter. The workspace step must
+# reproduce them bit for bit: same parameters, same losses.
+
+
+def parent_norm_grads(d: np.ndarray, norm: str, values: np.ndarray) -> np.ndarray:
+    if norm == "l1":
+        return np.sign(d)
+    return d / np.maximum(values, 1e-12)[:, None]
+
+
+def parent_batch_scores(model, norm, ent, rel, normals, maps, h, r, t):
+    """Scores g(h, r, t) for row-index arrays, plus the tensors gradients
+    need: the one evaluation of the models, at float64, for training and
+    query-time scoring alike."""
+    he = ent[h].astype(np.float64, copy=False)
+    te = ent[t].astype(np.float64, copy=False)
+    rv = rel[r].astype(np.float64, copy=False)
+    if model == TRANSE:
+        d = he + rv - te
+        cache = {}
+    elif model == TRANSH:
+        w = normals[r].astype(np.float64, copy=False)
+        hw = (he * w).sum(axis=1)
+        tw = (te * w).sum(axis=1)
+        d = (he - hw[:, None] * w) + rv - (te - tw[:, None] * w)
+        cache = {"w": w}
+    else:
+        m = maps[r].astype(np.float64, copy=False)
+        d = np.einsum("bij,bj->bi", m, he) + rv - np.einsum("bij,bj->bi", m, te)
+        cache = {"m": m}
+    values = _norm_values(d, norm)
+    cache.update(h=h, r=r, t=t, he=he, te=te, d=d, values=values)
+    return values, cache
+
+
+def parent_scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sums of the rows of ``values`` into ``n`` rows by ``index``, in input
+    order: one ``np.bincount`` over the flattened (row, column) positions."""
+    shape = values.shape[1:]
+    width = math.prod(shape)
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    # bincount of no positions is an int array, whatever the weights
+    sums = np.bincount(flat, weights=values.ravel(), minlength=n * width).astype(np.float64, copy=False)
+    return sums.reshape((n, *shape))
+
+
+def parent_pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg):
+    """Mean margin loss of explicit pairs and its exact gradients.
+
+    Returns (loss, rows, grads): ``rows`` are the distinct entity rows
+    the gradient touches, ``grads['entities']`` their gradient rows in
+    that order, and 'relations', 'normals' (transh) and 'maps' (transr)
+    are dense. Pairs within the margin add nothing.
+    """
+    n = len(pos)
+    both = np.concatenate([pos, neg])
+    values, cache = parent_batch_scores(model, norm, ent, rel, normals, maps, both[:, 0], both[:, 1], both[:, 2])
+    hinge = margin + values[:n] - values[n:]
+    active = np.flatnonzero(np.tile(hinge > 0, 2))
+    coef = np.where(active < n, 1.0 / n, -1.0 / n)
+    h, r, t = (cache[x][active] for x in "hrt")
+    u = parent_norm_grads(cache["d"][active], norm, cache["values"][active]) * coef[:, None]
+    grads = {"relations": parent_scatter(r, u, len(rel))}
+    if model == TRANSE:
+        du = u
+    elif model == TRANSH:
+        w = cache["w"][active]
+        a = cache["te"][active] - cache["he"][active]
+        uw = (u * w).sum(axis=1)
+        du = u - uw[:, None] * w
+        grads["normals"] = parent_scatter(r, uw[:, None] * a + (w * a).sum(axis=1)[:, None] * u, len(normals))
+    else:
+        du = np.einsum("bij,bi->bj", cache["m"][active], u)
+        dm = u[:, :, None] * (cache["he"][active] - cache["te"][active])[:, None, :]
+        grads["maps"] = parent_scatter(r, dm, len(maps))
+    rows, inverse = np.unique(np.concatenate([h, t]), return_inverse=True)
+    grads["entities"] = parent_scatter(inverse, np.concatenate([du, -du]), len(rows))
+    return float(np.maximum(hinge, 0.0).mean()), rows, grads
+
+
+def parent_train_step(model, norm, margin, learning_rate, ent, rel, normals, maps, pos, neg) -> float:
+    """One SGD step on a batch of pairs, in place; returns its mean loss.
+
+    Only the entity rows the gradient touches change, and only they are
+    projected back into the unit ball. Relations, normals (renormalized
+    to unit length) and maps have one row per relation and are updated
+    whole.
+    """
+    loss, rows, grads = parent_pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg)
+    sub = ent[rows] - learning_rate * grads["entities"]
+    norms = np.linalg.norm(sub, axis=1, keepdims=True)
+    np.divide(sub, norms, out=sub, where=norms > 1.0)
+    ent[rows] = sub
+    rel -= learning_rate * grads["relations"]
+    if "normals" in grads:
+        normals -= learning_rate * grads["normals"]
+        normals /= np.maximum(np.linalg.norm(normals, axis=1, keepdims=True), 1e-12)
+    if "maps" in grads:
+        maps -= learning_rate * grads["maps"]
+    return loss
+
+
+def step_workspace(model, pairs, ent, rel) -> _Workspace:
+    """A training workspace for steps of up to ``pairs`` pairs over these
+    parameter matrices."""
+    return _Workspace(model, 2 * pairs, ent.shape[1], rel.shape[1], len(ent), len(rel))
+
+
 def _reference_accumulate(model, norm, cache, coef, g_ent, g_rel, g_normals, g_maps):
     active = coef != 0.0
     if not active.any():
         return
     h, r, t = (cache[x][active] for x in "hrt")
-    u = _norm_grads(cache["d"][active], norm, cache["values"][active]) * coef[active][:, None]
+    u = parent_norm_grads(cache["d"][active], norm, cache["values"][active]) * coef[active][:, None]
     if model == TRANSE:
         du = u
     elif model == TRANSH:
@@ -239,8 +351,8 @@ def reference_train_step(model, norm, margin, learning_rate, ent, rel, normals, 
     accumulated into zeroed full-size arrays with ``np.add.at``, every
     parameter updated, then every entity row re-projected into the unit
     ball and every normal renormalized. In place; returns the mean loss."""
-    g_pos, cache_pos = _batch_scores(model, norm, ent, rel, normals, maps, *pos.T)
-    g_neg, cache_neg = _batch_scores(model, norm, ent, rel, normals, maps, *neg.T)
+    g_pos, cache_pos = parent_batch_scores(model, norm, ent, rel, normals, maps, *pos.T)
+    g_neg, cache_neg = parent_batch_scores(model, norm, ent, rel, normals, maps, *neg.T)
     hinge = margin + g_pos - g_neg
     active = (hinge > 0).astype(float)
     n = len(pos)
@@ -264,7 +376,8 @@ def reference_train_step(model, norm, margin, learning_rate, ent, rel, normals, 
 def dense_pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg):
     """``_pair_grads`` with its entity rows scattered into a zeroed array
     of the entity matrix's shape: (mean loss, grads keyed like it)."""
-    loss, rows, grads = _pair_grads(model, norm, margin, ent, rel, normals, maps, pos, neg)
+    ws = step_workspace(model, len(pos), ent, rel)
+    loss, rows, grads = _pair_grads(ws, model, norm, margin, ent, rel, normals, maps, pos, neg)
     dense = np.zeros_like(ent)
     dense[rows] = grads["entities"]
     return loss, dict(grads, entities=dense)

@@ -178,6 +178,17 @@ def test_train_logs_epoch_losses(run, tmp_path, artifacts):
     assert "transe d=4" in stdout
     epochs = [line for line in err.splitlines() if line.startswith("epoch ")]
     assert len(epochs) == 10 and all(" sampler redraws " in line for line in epochs)
+    assert "warning:" not in err  # the loss fell
+
+
+def test_train_warns_when_the_loss_grows(run, tmp_path, artifacts):
+    store_path, _ = artifacts
+    out = tmp_path / "r.trqe"
+    args = ["--model", "transr", "--dim", "4", "--epochs", "10", "--seed", "0", "--learning-rate", "1e6"]
+    _, err = run("train", "--store", str(store_path), "-o", str(out), *args, "--quiet")
+    warnings_ = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings_) == 1 and "mean loss grew" in warnings_[0]
+    assert load_embeddings(out).model == "transr"
 
 
 def test_train_deterministic_bytes(run, tmp_path, artifacts):

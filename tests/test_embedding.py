@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,6 +38,8 @@ from conftest import (
     make_query,
     match_triples,
     nt_text,
+    parent_batch_scores,
+    parent_train_step,
     pattern,
     planted_kg,
     reference_extended_score,
@@ -44,6 +47,7 @@ from conftest import (
     reference_train_step,
     row_score,
     small_emb,
+    step_workspace,
 )
 
 
@@ -191,13 +195,14 @@ def test_train_step_matches_the_dense_reference(model, norm, k, active):
         # keep the pairs whose negative scores higher and a margin below
         # every gap, so no pair is active
         ent, rel, normals, maps = params
-        gap = trq.embedding._batch_scores(model, norm, ent, rel, normals, maps, *neg.T)[0]
-        gap -= trq.embedding._batch_scores(model, norm, ent, rel, normals, maps, *pos.T)[0]
+        gap = parent_batch_scores(model, norm, ent, rel, normals, maps, *neg.T)[0]
+        gap -= parent_batch_scores(model, norm, ent, rel, normals, maps, *pos.T)[0]
         pos, neg = pos[gap > 0], neg[gap > 0]
         margin = gap[gap > 0].min() / 2
         assert len(pos)
     got, want = _copy(params), _copy(params)
-    loss = trq.embedding._train_step(model, norm, margin, 0.5, *got, pos, neg)
+    ws = step_workspace(model, len(pos), got[0], got[1])
+    loss = trq.embedding._train_step(ws, model, norm, margin, 0.5, *got, pos, neg)
     assert loss == pytest.approx(reference_train_step(model, norm, margin, 0.5, *want, pos, neg), rel=1e-12)
     assert (loss == 0.0) == (active == "none")
     for a, b in zip(got, want):
@@ -217,7 +222,7 @@ def test_training_matches_training_with_the_reference_step(chain, model, k, monk
         negatives_per_positive=k, learning_rate=0.05, norm="l2", seed=4,
     )
     got = train(chain, cfg)
-    monkeypatch.setattr(trq.embedding, "_train_step", reference_train_step)
+    monkeypatch.setattr(trq.embedding, "_train_step", lambda ws, *a: reference_train_step(*a))
     want = train(chain, cfg)
     assert got.losses == pytest.approx(want.losses, rel=1e-9)
     assert got.sampler_redraws == want.sampler_redraws
@@ -226,6 +231,97 @@ def test_training_matches_training_with_the_reference_step(chain, model, k, monk
         assert (a is None) == (b is None)
         if a is not None:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "transr"])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("active", ["some", "none", "all"])
+def test_train_step_is_bit_identical_to_the_parent_step(model, norm, k, active):
+    params, pos, neg = _step_batch(model, k, np.random.default_rng(23))
+    # g(pos) - g(neg): a pair is within the margin when margin + diff <= 0
+    diff = parent_batch_scores(model, norm, *params, *pos.T)[0] - parent_batch_scores(model, norm, *params, *neg.T)[0]
+    # "some": about half the pairs are within the margin
+    margin = {"some": -np.median(diff), "all": 100.0}.get(active)
+    if active == "none":
+        # the pairs whose negative scores higher, and a margin below every gap
+        pos, neg, diff = pos[diff < 0], neg[diff < 0], diff[diff < 0]
+        margin = -diff.max() / 2
+    live = np.count_nonzero(margin + diff > 0)
+    assert {"some": 0 < live < len(pos), "none": live == 0 < len(pos), "all": live == len(pos)}[active]
+    got, want = _copy(params), _copy(params)
+    ws = step_workspace(model, len(pos), got[0], got[1])
+    # a full batch, then a shorter last one through the same workspace
+    for part in (slice(None), slice(len(pos) // 2 + 1)):
+        loss = trq.embedding._train_step(ws, model, norm, margin, 0.5, *got, pos[part], neg[part])
+        assert loss == parent_train_step(model, norm, margin, 0.5, *want, pos[part], neg[part])
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            assert a is None or np.array_equal(a, b)
+
+
+def _parent_trained(g, cfg, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(trq.embedding, "_train_step", lambda ws, *a: parent_train_step(*a))
+        return train(g, cfg)
+
+
+def _file_bytes(emb) -> bytes:
+    buf = io.BytesIO()
+    save_embeddings(emb, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "transr"])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_training_is_bit_identical_to_training_with_the_parent_step(chain, model, norm, monkeypatch):
+    # 24 pairs an epoch in batches of 10: the last batch is short
+    cfg = EmbeddingConfig(
+        model=model, norm=norm, dim=8, rel_dim=5 if model == "transr" else None, epochs=6, batch_size=5,
+        negatives_per_positive=2, learning_rate=0.05, seed=4,
+    )
+    got, want = train(chain, cfg), _parent_trained(chain, cfg, monkeypatch)
+    assert got.losses == want.losses
+    assert got.sampler_redraws == want.sampler_redraws
+    assert _file_bytes(got) == _file_bytes(want)
+
+
+def test_bench_training_is_bit_identical_to_training_with_the_parent_step(bench_graph, monkeypatch):
+    cfg = EmbeddingConfig(
+        model="transh", dim=16, epochs=20, batch_size=128, learning_rate=0.1, margin=2.0, norm="l2", seed=0
+    )
+    got, want = train(bench_graph, cfg), _parent_trained(bench_graph, cfg, monkeypatch)
+    assert got.losses == want.losses
+    assert _file_bytes(got) == _file_bytes(want)
+
+
+def test_a_training_step_allocates_little(chain, monkeypatch):
+    # a deletion-bench step: TransH, 128 pairs, dim 16, about 330 entities;
+    # the step before the workspace peaked at about 549 KiB here
+    rng = np.random.default_rng(0)
+    n_ent, n_rel, dim, n = 330, 8, 16, 128
+    ent, rel, normals, _ = _random_state(rng, "transh", n_ent=n_ent, n_rel=n_rel, dim=dim)
+    ent /= np.linalg.norm(ent, axis=1, keepdims=True)
+    pos = np.stack([rng.integers(n_ent, size=n), rng.integers(n_rel, size=n), rng.integers(n_ent, size=n)], axis=1)
+    neg = pos.copy()
+    neg[:, 2] = rng.integers(n_ent, size=n)
+    ws = step_workspace("transh", n, ent, rel)
+    args = (ws, "transh", "l2", 2.0, 0.1, ent, rel, normals, None, pos, neg)
+    assert trq.embedding._train_step(*args) > 0
+    tracemalloc.start()
+    try:
+        trq.embedding._train_step(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+    # the workspace is sized by the pairs an epoch has, not by the flag
+    sizes = []
+    workspace = trq.embedding._Workspace
+    monkeypatch.setattr(trq.embedding, "_Workspace", lambda *a: sizes.append(a[1]) or workspace(*a))
+    train(chain, EmbeddingConfig(dim=8, epochs=2, batch_size=10**9, negatives_per_positive=3))
+    assert sizes == [2 * 12 * 3]
 
 
 # -- model reductions --------------------------------------------------

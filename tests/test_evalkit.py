@@ -325,6 +325,34 @@ def test_benchmark_uniform_f_ablation_runs(bench_world):
     assert report.failures == 0
 
 
+def test_uniform_f_trains_no_model(bench_world, monkeypatch):
+    trainings, rankings = [], []
+    train, recommend = trq.evalkit.train, trq.evalkit.recommend
+
+    def ranking(g, req):
+        rec = recommend(g, req)
+        rankings.append([(s.binding_key, s.score) for s in rec.solutions])
+        return rec
+
+    monkeypatch.setattr(trq.evalkit, "train", lambda g, cfg: trainings.append(cfg) or train(g, cfg))
+    monkeypatch.setattr(trq.evalkit, "recommend", ranking)
+    g = bench_world
+    cases = [
+        BenchCase(f"m{i}", member_query(), [Triple(g.id(ex(f"m{i}")), g.id(ex("memberOf")), g.id(ex("G")))])
+        for i in range(3)
+    ]
+    cfg = EmbeddingConfig(dim=8, epochs=2, seed=0)
+    skipped = run_benchmark(g, cases, embed_config=cfg, uniform_f=0.5)
+    assert trainings == [] and skipped.failures == 0
+    # the rankings of a run that reads a trained set's f nowhere
+    with_set = run_benchmark(g, cases, embeddings=small_emb(g, epochs=3), uniform_f=0.5)
+    assert [(r.rr, r.mr, r.candidates) for r in skipped.rows] == [(r.rr, r.mr, r.candidates) for r in with_set.rows]
+    assert rankings[:3] == rankings[3:]
+    # without uniform_f, one training per case
+    run_benchmark(g, cases, embed_config=cfg)
+    assert len(trainings) == 3
+
+
 def test_run_benchmark_ranks_every_candidate_of_every_tree():
     # the 2-cycle ?x p ?y . ?y q ?x has two trees, p alone and q alone;
     # after the deletion each yields 4 rows, so 8 candidates pool across

@@ -163,6 +163,10 @@ def test_movie_uniform_f_ties_break_lexicographically(movies, movie_emb):
     assert len(scores) == 1  # structure only: all three tie
     keys = [s.binding_key for s in rec.solutions]
     assert keys == sorted(keys)
+    # uniform_f reads no embedding, so it needs none
+    assert _view(recommend(movies, _req(q, None, uniform_f=1.0)).solutions) == _view(rec.solutions)
+    with pytest.raises(ValueError, match="needs uniform_f"):
+        recommend(movies, _req(q, None))
 
 
 def _view(solutions):
