@@ -4,6 +4,12 @@ Both formats hold term tables laid out the same way, one entry per term::
 
     kind u8, byte_len u32, utf-8 lexical form
 
+An entry's bytes are the term's key: a :class:`~trq.store.Graph` and an
+:class:`~trq.embedding.EmbeddingSet` keep their tables as lists of keys
+and index them by key, so a table is read and written without building
+a :class:`Term`. :func:`term_key` and :func:`term_of` convert at the
+edge, where a caller hands in or reads out a term.
+
 Readers take the whole file as bytes and an error class, so each format
 raises its own named error for truncation, an unknown term kind or a
 term that is not valid UTF-8. Writers to a path go through
@@ -15,10 +21,12 @@ from __future__ import annotations
 
 import os
 import struct
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Sequence
 from io import BufferedIOBase
 from pathlib import Path
 from typing import BinaryIO
+
+import numpy as np
 
 from .terms import Term, TermKind
 
@@ -26,6 +34,7 @@ _TERM_HEADER = struct.Struct("<BI")
 TERM_HEADER_SIZE = _TERM_HEADER.size
 # TermKind members by their byte value
 _KINDS = tuple(TermKind)
+_new_tuple = tuple.__new__
 
 
 def read_source(src: str | Path | BufferedIOBase) -> bytes:
@@ -59,38 +68,86 @@ def write_file(dest: str | Path | BufferedIOBase, write: Callable[[BinaryIO], No
         raise
 
 
-def write_terms(fh: BinaryIO, terms: Iterable[Term]) -> None:
-    """Write the table of ``terms`` with one ``fh.write`` call."""
-    pack = _TERM_HEADER.pack
-    parts: list[bytes] = []
-    append = parts.append
-    for kind, lexical in terms:
-        data = lexical.encode("utf-8")
-        append(pack(kind, len(data)))
-        append(data)
-    fh.write(b"".join(parts))
+def term_key(term: Term) -> bytes:
+    """The table entry of ``term``. Raises UnicodeEncodeError for a
+    lexical form that is not valid Unicode text (a lone surrogate)."""
+    data = term.lexical.encode("utf-8")
+    return _TERM_HEADER.pack(term.kind, len(data)) + data
 
 
-def read_terms(data: bytes, pos: int, count: int, error: type[Exception]) -> tuple[list[Term], int]:
-    """``count`` terms starting at byte ``pos``, and the offset after them."""
-    terms: list[Term] = []
-    append = terms.append
+def term_of(key: bytes) -> Term:
+    """The term of a table entry that :func:`read_keys` or :func:`term_key`
+    made."""
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, as _make does
+    return _new_tuple(Term, (_KINDS[key[0]], key[TERM_HEADER_SIZE:].decode("utf-8")))
+
+
+def write_keys(fh: BinaryIO, keys: Sequence[bytes]) -> None:
+    """Write the table of ``keys`` with one ``fh.write`` call."""
+    fh.write(b"".join(keys))
+
+
+def read_keys(data: bytes, pos: int, count: int, error: type[Exception]) -> tuple[list[bytes], int]:
+    """The ``count`` entries starting at byte ``pos``, as keys, and the
+    offset after them.
+
+    One pass slices the entries out, checking that each is inside
+    ``data`` and names a known kind; the payloads are then checked as
+    UTF-8 together. A table with several faults reports the first entry
+    at fault, as reading the entries one by one would.
+    """
+    keys: list[bytes] = []
+    append = keys.append
     unpack = _TERM_HEADER.unpack_from
-    kinds = _KINDS
+    n_kinds = len(_KINDS)
     end = len(data)
-    for _ in range(count):
-        if pos + TERM_HEADER_SIZE > end:
-            raise error("truncated term table")
-        kind, length = unpack(data, pos)
-        pos += TERM_HEADER_SIZE
-        if kind >= len(kinds):
-            raise error(f"unknown term kind {kind}")
-        if pos + length > end:
-            raise error("truncated term table")
-        try:
-            lexical = data[pos : pos + length].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise error(f"term {len(terms)} is not valid UTF-8") from exc
-        append(Term(kinds[kind], lexical))
-        pos += length
-    return terms, pos
+    start = pos
+    fault = None
+    try:
+        for _ in range(count):
+            kind, length = unpack(data, pos)
+            if kind >= n_kinds:
+                fault = f"unknown term kind {kind}"
+                break
+            stop = pos + TERM_HEADER_SIZE + length
+            if stop > end:
+                fault = "truncated term table"
+                break
+            append(data[pos:stop])
+            pos = stop
+    except struct.error:  # fewer than TERM_HEADER_SIZE bytes left
+        fault = "truncated term table"
+    _check_utf8(data, start, pos, keys, error)
+    if fault is not None:
+        raise error(fault)
+    return keys, pos
+
+
+def _check_utf8(data: bytes, start: int, stop: int, keys: list[bytes], error: type[Exception]) -> None:
+    """Raise ``error`` naming the first of ``keys`` (the entries in
+    ``data[start:stop]``) whose payload is not valid UTF-8.
+
+    The table is decoded once, with each entry's header overwritten by
+    ASCII newlines: a newline can neither continue nor start a multibyte
+    sequence, so a character split across two entries fails as it would
+    on its own, and every payload is checked from a clean state.
+    """
+    if not keys:
+        return
+    table = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start).copy()
+    lengths = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    heads = np.cumsum(lengths) - lengths
+    for i in range(TERM_HEADER_SIZE):
+        table[heads + i] = ord("\n")
+    try:
+        str(table, "utf-8")
+    except UnicodeDecodeError as exc:
+        at = int(heads.searchsorted(exc.start, side="right")) - 1
+        raise error(f"term {at} is not valid UTF-8") from exc
+
+
+def repeated_term(keys: Sequence[bytes], index: dict[bytes, int]) -> str:
+    """The N-Triples form of the first entry of ``keys`` listed again;
+    ``index`` is ``dict(zip(keys, range(len(keys))))``, which keeps a
+    repeated key's last position."""
+    return term_of(next(k for i, k in enumerate(keys) if index[k] != i)).nt()

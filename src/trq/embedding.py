@@ -70,6 +70,11 @@ Embedding file format (``TRQE``, version 1, little endian)::
     [transh] normals f32, relation_count x dim
     [transr] maps    f32, relation_count x rel_dim x dim
 
+The term tables hold the same entries as a TRQG dictionary, and a set
+keeps them as they are read: rows are indexed by entry bytes, and
+:meth:`EmbeddingSet.bind` aligns them with a graph's ids by looking the
+graph's entries up, so neither load nor bind decodes a term.
+
 Writes to a path are atomic (a temporary file, then ``os.replace``).
 The loader checks every header count against the bytes present before it
 allocates, and rejects non-positive dimensions, a margin that is not a
@@ -89,7 +94,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import TERM_HEADER_SIZE, read_source, read_terms, write_file, write_terms
+from .binio import TERM_HEADER_SIZE, read_keys, read_source, repeated_term, term_of, write_file, write_keys
 from .store import Graph, first_appearance
 from .terms import Term, TermId
 
@@ -393,6 +398,11 @@ def _train_step(ws, model, norm, margin, learning_rate, ent, rel, normals, maps,
 class EmbeddingSet:
     """Trained (or loaded) embedding rows keyed by term.
 
+    ``entity_keys`` and ``relation_keys`` name each row's term by its
+    table entry (:func:`~trq.binio.term_key`), the bytes TRQG and TRQE
+    files hold, and ``entity_index`` and ``relation_index`` map an entry
+    to its row. ``entity_terms`` and ``relation_terms`` decode them.
+
     The set holds no graph. Scores read term ids of one graph, so they
     live on the :class:`BoundEmbeddings` view that :meth:`bind` returns.
     """
@@ -402,8 +412,8 @@ class EmbeddingSet:
     dim: int
     rel_dim: int
     margin: float
-    entity_terms: list[Term]
-    relation_terms: list[Term]
+    entity_keys: list[bytes]
+    relation_keys: list[bytes]
     entity_vecs: np.ndarray
     relation_vecs: np.ndarray
     normals: np.ndarray | None = None
@@ -414,17 +424,25 @@ class EmbeddingSet:
     sampler_redraws: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        self.entity_index = dict(zip(self.entity_terms, range(len(self.entity_terms))))
-        self.relation_index = dict(zip(self.relation_terms, range(len(self.relation_terms))))
+        self.entity_index = dict(zip(self.entity_keys, range(len(self.entity_keys))))
+        self.relation_index = dict(zip(self.relation_keys, range(len(self.relation_keys))))
         self._view: BoundEmbeddings | None = None  # bind's one-slot cache
 
     @property
     def entity_count(self) -> int:
-        return len(self.entity_terms)
+        return len(self.entity_keys)
 
     @property
     def relation_count(self) -> int:
-        return len(self.relation_terms)
+        return len(self.relation_keys)
+
+    @property
+    def entity_terms(self) -> list[Term]:
+        return list(map(term_of, self.entity_keys))
+
+    @property
+    def relation_terms(self) -> list[Term]:
+        return list(map(term_of, self.relation_keys))
 
     def bind(self, g: Graph) -> BoundEmbeddings:
         """The view of this set over ``g``. The last view built is returned
@@ -437,9 +455,9 @@ class EmbeddingSet:
 
 def _align(emb: EmbeddingSet, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The entity and the relation row of every term id of ``g`` (-1 = none)."""
-    terms = list(g.terms())
+    keys = g.term_keys
     return tuple(
-        np.fromiter(map(index.get, terms, itertools.repeat(-1)), dtype=np.int64, count=len(terms))
+        np.fromiter(map(index.get, keys, itertools.repeat(-1)), dtype=np.int64, count=len(keys))
         for index in (emb.entity_index, emb.relation_index)
     )
 
@@ -658,14 +676,15 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
             f"training diverged: non-finite embedding values after {cfg.epochs} epochs "
             f"at learning_rate {cfg.learning_rate}; lower the learning rate"
         )
+    keys = g.term_keys
     out = EmbeddingSet(
         model=cfg.model,
         norm=cfg.norm,
         dim=dim,
         rel_dim=rel_dim,
         margin=cfg.margin,
-        entity_terms=[g.term(tid) for tid in ent_ids.tolist()],
-        relation_terms=[g.term(tid) for tid in rel_ids.tolist()],
+        entity_keys=[keys[tid] for tid in ent_ids.tolist()],
+        relation_keys=[keys[tid] for tid in rel_ids.tolist()],
         entity_vecs=vecs[0],
         relation_vecs=vecs[1],
         normals=vecs[2] if cfg.model == TRANSH else None,
@@ -710,8 +729,8 @@ def save_embeddings(emb: EmbeddingSet, dest: str | Path | BufferedIOBase) -> Non
                 emb.relation_count,
             )
         )
-        write_terms(fh, emb.entity_terms)
-        write_terms(fh, emb.relation_terms)
+        write_keys(fh, emb.entity_keys)
+        write_keys(fh, emb.relation_keys)
         for m in [emb.entity_vecs, emb.relation_vecs] + extra:
             fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
 
@@ -756,8 +775,8 @@ def load_embeddings(src: str | Path | BufferedIOBase, expect_model: str | None =
     # each term takes at least its 5-byte header
     if (n_ent + n_rel) * TERM_HEADER_SIZE + size > len(data) - pos:
         raise EmbeddingFormatError("truncated embedding file: header counts exceed the file size")
-    ent_terms, pos = read_terms(data, pos, n_ent, EmbeddingFormatError)
-    rel_terms, pos = read_terms(data, pos, n_rel, EmbeddingFormatError)
+    ent_keys, pos = read_keys(data, pos, n_ent, EmbeddingFormatError)
+    rel_keys, pos = read_keys(data, pos, n_rel, EmbeddingFormatError)
     if len(data) - pos < size:
         raise EmbeddingFormatError("truncated embedding file")
     if len(data) - pos > size:
@@ -776,19 +795,17 @@ def load_embeddings(src: str | Path | BufferedIOBase, expect_model: str | None =
         dim=dim,
         rel_dim=rel_dim,
         margin=margin,
-        entity_terms=ent_terms,
-        relation_terms=rel_terms,
+        entity_keys=ent_keys,
+        relation_keys=rel_keys,
         entity_vecs=matrices[0],
         relation_vecs=matrices[1],
         normals=matrices[2] if model == TRANSH else None,
         maps=matrices[2] if model == TRANSR else None,
     )
-    for table, terms, index in (
-        ("entity", ent_terms, emb.entity_index),
-        ("relation", rel_terms, emb.relation_index),
+    for table, keys, index in (
+        ("entity", ent_keys, emb.entity_index),
+        ("relation", rel_keys, emb.relation_index),
     ):
-        if len(index) != len(terms):
-            # the index keeps a repeated term's last row
-            repeated = next(t for i, t in enumerate(terms) if index[t] != i)
-            raise EmbeddingFormatError(f"{table} table lists {repeated.nt()} twice")
+        if len(index) != len(keys):
+            raise EmbeddingFormatError(f"{table} table lists {repeated_term(keys, index)} twice")
     return emb

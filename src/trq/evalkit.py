@@ -99,7 +99,8 @@ def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
     order = first_appearance(rows.ravel())
     renumber = np.empty(g.term_count, dtype=np.int64)
     renumber[order] = np.arange(len(order))
-    return Graph([g.term(i) for i in order.tolist()], renumber[rows])
+    keys = g.term_keys
+    return Graph([keys[i] for i in order.tolist()], renumber[rows])
 
 
 def exact_solutions(g: Graph, q: Query) -> set[BindingTuple]:

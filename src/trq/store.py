@@ -1,10 +1,16 @@
 """Dictionary-encoded immutable RDF graph with four columnar indexes.
 
 A :class:`Graph` interns every distinct term into a dense id space in
-first-appearance order and keeps the (deduplicated) triples in sorted
-permutation indexes, SPO / POS / OSP and PSO, after the RDF-3X layout
-(Neumann & Weikum, VLDB 2008). Each index is one sorted int64 numpy
-array of packed keys: a triple's ids in the index's field order, each in
+first-appearance order. Its dictionary is the list of the terms' table
+entries (kind byte, length, UTF-8; :mod:`trq.binio`), the bytes a TRQG
+or TRQE file holds, indexed by entry, so a snapshot loads and saves
+without building a :class:`Term`: :meth:`Graph.term` decodes an entry
+when it is read and :meth:`Graph.id` encodes the term it is given, in
+the manner of the HDT dictionary (Fernández et al., JWS 2013). The
+graph keeps the (deduplicated) triples in sorted permutation indexes,
+SPO / POS / OSP and PSO, after the RDF-3X layout (Neumann & Weikum,
+VLDB 2008). Each index is one sorted int64 numpy array of packed keys:
+a triple's ids in the index's field order, each in
 ``bits = max(1, (term_count - 1).bit_length())`` bits, so lexicographic
 triple order is numeric key order. Any pattern with a bound prefix is a
 key range found by ``np.searchsorted`` (a fully bound pattern is a range
@@ -36,7 +42,9 @@ Snapshot format (``TRQG``, version 1, little endian)::
     triples     triple_count x (s u32, p u32, o u32), SPO order
 
 The dictionary is written in id order, so a load reproduces the exact
-ids of the saved graph. The triple block is the SPO index unpacked into
+ids of the saved graph; its entries are the graph's own, written with
+one join and sliced back out, each checked for truncation, its kind,
+UTF-8 and a repeat. The triple block is the SPO index unpacked into
 one ``<u4`` array, and is read back with ``np.frombuffer``.
 """
 
@@ -49,9 +57,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import TERM_HEADER_SIZE, read_source, read_terms, write_file, write_terms
+from .binio import (
+    TERM_HEADER_SIZE,
+    read_keys,
+    read_source,
+    repeated_term,
+    term_key,
+    term_of,
+    write_file,
+    write_keys,
+)
 from .ntriples import TRIPLE_LINE, NTriplesError, parse_line, parse_term
-from .terms import RDF_TYPE_IRI, Term, TermId, TermKind, Triple
+from .terms import RDF_TYPE, Term, TermId, TermKind, Triple
 
 SNAPSHOT_MAGIC = b"TRQG"
 SNAPSHOT_VERSION = 1
@@ -63,6 +80,8 @@ MAX_TERM_COUNT = 2**21 - 1
 
 # Rows unpacked at a time when iterating a whole index.
 _SCAN_CHUNK = 65_536
+
+_RDF_TYPE_KEY = term_key(RDF_TYPE)
 
 
 class SnapshotError(ValueError):
@@ -216,23 +235,24 @@ class Graph:
     """Immutable triple set over a term dictionary, usually made by
     :func:`parse_ntriples` or :func:`load_snapshot`.
 
-    ``terms`` are the distinct terms in id order. ``triples`` is an
-    iterable of (s, p, o) id tuples or an (n, 3) integer array;
-    duplicates are dropped, here and only here.
+    ``keys`` are the distinct terms in id order, each as its table entry
+    (:func:`~trq.binio.term_key`). ``triples`` is an iterable of
+    (s, p, o) id tuples or an (n, 3) integer array; duplicates are
+    dropped, here and only here.
     """
 
-    __slots__ = ("_terms", "_id_of", "_bits", "_spo", "_pos", "_osp", "_pso_index", "_stats", "_rdf_type_id")
+    __slots__ = ("_keys", "_id_of", "_bits", "_spo", "_pos", "_osp", "_pso_index", "_stats", "_rdf_type_id")
 
-    def __init__(self, terms: list[Term], triples: Iterable[tuple[int, int, int]] | np.ndarray):
-        self._terms = list(terms)
-        n = len(self._terms)
+    def __init__(self, keys: Iterable[bytes], triples: Iterable[tuple[int, int, int]] | np.ndarray):
+        self._keys = tuple(keys)
+        n = len(self._keys)
         if n > MAX_TERM_COUNT:
             raise GraphTooLargeError(
                 f"graph has {n} terms; the packed index keys hold at most {MAX_TERM_COUNT}"
             )
-        self._id_of = dict(zip(self._terms, range(n)))
+        self._id_of = dict(zip(self._keys, range(n)))
         if len(self._id_of) != n:
-            raise ValueError("duplicate terms in dictionary")
+            raise ValueError(f"term table lists {repeated_term(self._keys, self._id_of)} twice")
         if not isinstance(triples, np.ndarray):
             triples = list(triples)
         rows = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
@@ -243,7 +263,7 @@ class Graph:
         s, p, o = self._spo.unpack(self._spo.keys)
         self._pos = TripleIndex((1, 2, 0), bits, s, p, o)
         self._osp = TripleIndex((2, 0, 1), bits, s, p, o)
-        self._rdf_type_id = self._id_of.get(Term.iri(RDF_TYPE_IRI))
+        self._rdf_type_id = self._id_of.get(_RDF_TYPE_KEY)
         self._pso_index: TripleIndex | None = None
         self._stats: GraphStats | None = None
 
@@ -260,8 +280,8 @@ class Graph:
 
         Ingest, snapshot loading and training never read them, so they
         do not pay for them; a process that answers queries pays for them
-        once, on its first query (about 24 ms on a 61k-triple graph; the
-        PSO index that query builds takes under 2 ms more).
+        once, on its first query (about 2 ms on a 61k-triple graph; the
+        PSO index that query builds takes under 1 ms more).
         """
         if self._stats is None:
             self._stats = GraphStats(self)
@@ -271,7 +291,12 @@ class Graph:
 
     @property
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._keys)
+
+    @property
+    def term_keys(self) -> tuple[bytes, ...]:
+        """Every term's table entry, in id order."""
+        return self._keys
 
     @property
     def triple_count(self) -> int:
@@ -282,22 +307,26 @@ class Graph:
         return self._rdf_type_id
 
     def term(self, tid: TermId) -> Term:
-        return self._terms[tid]
+        return term_of(self._keys[tid])
 
     def id(self, term: Term) -> TermId | None:
-        return self._id_of.get(term)
+        try:
+            key = term_key(term)
+        except UnicodeEncodeError:  # not text a table entry can hold
+            return None
+        return self._id_of.get(key)
 
     def terms(self) -> Iterator[Term]:
-        return iter(self._terms)
+        return map(term_of, self._keys)
 
     # -- triples -------------------------------------------------------
 
     def _in_range(self, *ids) -> bool:
-        n = len(self._terms)
+        n = len(self._keys)
         return all(x is None or 0 <= x < n for x in ids)
 
     def contains(self, s: TermId, p: TermId, o: TermId) -> bool:
-        n = len(self._terms)
+        n = len(self._keys)
         if not (0 <= s < n and 0 <= p < n and 0 <= o < n):
             return False
         b = self._bits
@@ -476,8 +505,8 @@ def parse_ntriples(
     constructor drops duplicate triples.
     """
     lines, invalid = _lines(source)
-    terms: list[Term] = []
-    id_of: dict[Term, TermId] = {}
+    keys: list[bytes] = []
+    id_of: dict[bytes, TermId] = {}
     blanks: dict[str, Term] = {}
 
     def intern(term: Term) -> TermId:
@@ -486,10 +515,11 @@ def parse_ntriples(
             if mapped is None:
                 mapped = blanks[term.lexical] = Term.blank(f"b{len(blanks)}")
             term = mapped
-        tid = id_of.get(term)
+        key = term_key(term)
+        tid = id_of.get(key)
         if tid is None:
-            tid = id_of[term] = len(terms)
-            terms.append(term)
+            tid = id_of[key] = len(keys)
+            keys.append(key)
         return tid
 
     memo: dict[str, TermId] = {}
@@ -516,7 +546,7 @@ def parse_ntriples(
             continue
         if parsed is not None:
             ids.extend(map(intern, parsed))
-    return Graph(terms, np.array(ids, dtype=np.int64).reshape(-1, 3))
+    return Graph(keys, np.array(ids, dtype=np.int64).reshape(-1, 3))
 
 
 # -- snapshot I/O ------------------------------------------------------
@@ -528,7 +558,7 @@ def save_snapshot(g: Graph, dest: str | Path | BufferedIOBase) -> None:
     def write(fh):
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<HQQ", SNAPSHOT_VERSION, g.term_count, g.triple_count))
-        write_terms(fh, g.terms())
+        write_keys(fh, g.term_keys)
         fh.write(np.stack(g._spo.unpack(g._spo.keys), axis=1).astype("<u4").tobytes())
 
     write_file(dest, write)
@@ -555,7 +585,7 @@ def load_snapshot(src: str | Path | BufferedIOBase) -> Graph:
     # each term takes at least its 5-byte header, each triple 12 bytes
     if term_count * TERM_HEADER_SIZE + triple_count * 12 > len(data) - pos:
         raise SnapshotError("truncated snapshot: header counts exceed the file size")
-    terms, pos = read_terms(data, pos, term_count, SnapshotError)
+    keys, pos = read_keys(data, pos, term_count, SnapshotError)
     size = triple_count * 12
     if len(data) - pos < size:
         raise SnapshotError("truncated snapshot")
@@ -565,7 +595,7 @@ def load_snapshot(src: str | Path | BufferedIOBase) -> Graph:
     if len(triples) and int(triples.max()) >= term_count:
         raise SnapshotError("triple references unknown term id")
     try:
-        return Graph(terms, triples)
+        return Graph(keys, triples)
     except GraphTooLargeError:
         raise
     except ValueError as exc:

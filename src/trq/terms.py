@@ -55,7 +55,8 @@ def escape_string(value: str) -> str:
 def unescape_string(raw: str) -> str:
     """Resolve backslash escapes (ECHAR plus \\uXXXX and \\UXXXXXXXX).
 
-    Raises ValueError on a malformed escape sequence.
+    Raises ValueError on a malformed escape sequence, or one that names a
+    surrogate code point, which UTF-8 cannot encode.
     """
     if "\\" not in raw:
         return raw
@@ -80,7 +81,10 @@ def unescape_string(raw: str) -> str:
             if len(code) != width:
                 raise ValueError(f"truncated \\{e} escape")
             try:
-                out.append(chr(int(code, 16)))
+                point = int(code, 16)
+                if 0xD800 <= point <= 0xDFFF:
+                    raise ValueError("a surrogate is not a character")
+                out.append(chr(point))
             except ValueError as exc:
                 raise ValueError(f"bad \\{e} escape: {code!r}") from exc
             i += 2 + width

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from trq import (
     parse_ntriples,
     train,
 )
-from trq.embedding import TRANSE, TRANSH, _norm_values, _pair_grads, _Workspace
+from trq.binio import term_key
+from trq.embedding import TRANSE, TRANSH, EmbeddingSet, _norm_values, _pair_grads, _Workspace
 from trq.ntriples import NTriplesError, parse_line
 from trq.scoring import EdgeScore, ScoredSolution, edge_weights, in_graph_flags, score_table
 from trq.sparql import Const, Var, _order_patterns
@@ -48,6 +50,16 @@ def nt_text(rows) -> str:
 
 def build_graph(rows) -> Graph:
     return parse_ntriples(nt_text(rows))
+
+
+def keys_of(terms) -> list[bytes]:
+    """The table entries of ``terms``, as Graph and EmbeddingSet take them."""
+    return [term_key(t) for t in terms]
+
+
+def graph_of(terms, triples) -> Graph:
+    """The graph of ``terms`` (in id order) and id ``triples``."""
+    return Graph(keys_of(terms), triples)
 
 
 def atom(x):
@@ -210,6 +222,60 @@ def reference_score_triple(view: BoundEmbeddings, h: int, r: int, t: int) -> flo
         m = emb.maps[row].astype(np.float64)
         d = m @ hv + rv - m @ tv
     return float(_norm_values(d[None, :], emb.norm)[0])
+
+
+# -- term tables before they were kept as entry bytes, verbatim -----------
+#
+# The reader that decoded every entry into a Term, and the alignment that
+# looked a graph's Terms up in Term-keyed indexes. The entry-keyed reader
+# and bind must agree with them: the same terms, the same first fault,
+# the same rows.
+
+_TERM_HEADER = struct.Struct("<BI")
+TERM_HEADER_SIZE = _TERM_HEADER.size
+_KINDS = tuple(TermKind)
+
+
+def parent_read_terms(data: bytes, pos: int, count: int, error: type[Exception]) -> tuple[list[Term], int]:
+    """``count`` terms starting at byte ``pos``, and the offset after them."""
+    terms: list[Term] = []
+    append = terms.append
+    unpack = _TERM_HEADER.unpack_from
+    kinds = _KINDS
+    end = len(data)
+    for _ in range(count):
+        if pos + TERM_HEADER_SIZE > end:
+            raise error("truncated term table")
+        kind, length = unpack(data, pos)
+        pos += TERM_HEADER_SIZE
+        if kind >= len(kinds):
+            raise error(f"unknown term kind {kind}")
+        if pos + length > end:
+            raise error("truncated term table")
+        try:
+            lexical = data[pos : pos + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"term {len(terms)} is not valid UTF-8") from exc
+        append(Term(kinds[kind], lexical))
+        pos += length
+    return terms, pos
+
+
+class TermKeyedIndexes:
+    """The Term-keyed row indexes an EmbeddingSet used to build."""
+
+    def __init__(self, emb: EmbeddingSet):
+        self.entity_index = dict(zip(emb.entity_terms, range(len(emb.entity_terms))))
+        self.relation_index = dict(zip(emb.relation_terms, range(len(emb.relation_terms))))
+
+
+def parent_align(emb, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The entity and the relation row of every term id of ``g`` (-1 = none)."""
+    terms = list(g.terms())
+    return tuple(
+        np.fromiter(map(index.get, terms, itertools.repeat(-1)), dtype=np.int64, count=len(terms))
+        for index in (emb.entity_index, emb.relation_index)
+    )
 
 
 # -- the training step before its workspace, verbatim --------------------
@@ -473,7 +539,7 @@ class _ReferenceBuilder:
         self.triples.append((self._intern(s), self._intern(p), self._intern(o)))
 
     def build(self) -> Graph:
-        return Graph(self.terms, self.triples)
+        return graph_of(self.terms, self.triples)
 
 
 def reference_corrupt_graph(g: Graph, deletions) -> Graph:

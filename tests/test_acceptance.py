@@ -43,6 +43,7 @@ from conftest import (
     edge_plausibility,
     ex,
     exact_instance,
+    keys_of,
     make_query,
     movie_graph,
     pattern,
@@ -278,8 +279,8 @@ def _manual_set(model, ent, rel, terms_e, terms_r, normals=None, maps=None, norm
         dim=ent.shape[1],
         rel_dim=rel.shape[1],
         margin=1.0,
-        entity_terms=terms_e,
-        relation_terms=terms_r,
+        entity_keys=keys_of(terms_e),
+        relation_keys=keys_of(terms_r),
         entity_vecs=ent.astype(np.float32),
         relation_vecs=rel.astype(np.float32),
         normals=None if normals is None else normals.astype(np.float32),

@@ -27,7 +27,7 @@ from trq.embedding import (
 )
 from trq.evalkit import BenchCase, run_benchmark
 from trq.store import Graph, parse_ntriples
-from trq.terms import RDF_TYPE, Term, TermKind
+from trq.terms import RDF_TYPE, Term
 
 from conftest import (
     NoEmbeddingRow,
@@ -35,6 +35,7 @@ from conftest import (
     dense_pair_grads,
     edge_plausibility,
     ex,
+    keys_of,
     make_query,
     match_triples,
     nt_text,
@@ -334,8 +335,8 @@ def _manual_set(model, ent, rel, terms_e, terms_r, normals=None, maps=None, norm
         dim=ent.shape[1],
         rel_dim=rel.shape[1],
         margin=1.0,
-        entity_terms=terms_e,
-        relation_terms=terms_r,
+        entity_keys=keys_of(terms_e),
+        relation_keys=keys_of(terms_r),
         entity_vecs=ent.astype(np.float32),
         relation_vecs=rel.astype(np.float32),
         normals=None if normals is None else normals.astype(np.float32),
@@ -454,8 +455,8 @@ def test_transh_normals_stay_unit(chain):
 def test_every_term_gets_rows_even_type_terms(chain):
     emb = train(chain, EmbeddingConfig(dim=8, epochs=2, seed=0))
     # classes and rdf:type itself have rows despite batch exclusion
-    assert ex("C") in emb.entity_index
-    assert RDF_TYPE in emb.relation_index
+    assert ex("C") in emb.entity_terms
+    assert RDF_TYPE in emb.relation_terms
     assert chain.term_count >= emb.entity_count
 
 
@@ -577,7 +578,7 @@ def test_transr_rectangular_relation_space(chain):
 
 
 def _entity_vec(emb, term):
-    return emb.entity_vecs[emb.entity_index[term]].astype(np.float64)
+    return emb.entity_vecs[emb.entity_terms.index(term)].astype(np.float64)
 
 
 def test_type_vector_is_instance_mean(chain):
@@ -937,9 +938,9 @@ def test_failed_save_leaves_existing_file_untouched(tmp_path, chain):
     save_embeddings(small_emb(chain), path)
     before = path.read_bytes()
     emb = small_emb(chain, seed=1)
-    # a lone surrogate cannot be encoded: the write fails after the header
-    emb.relation_terms[-1] = Term(TermKind.IRI, "http://example.org/\ud800")
-    with pytest.raises(UnicodeEncodeError):
+    # an entry that is not bytes cannot be joined: the write fails after the header
+    emb.relation_keys[-1] = "not bytes"
+    with pytest.raises(TypeError):
         save_embeddings(emb, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["e.trqe"]

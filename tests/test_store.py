@@ -17,9 +17,9 @@ from trq.store import (
     parse_ntriples,
     save_snapshot,
 )
-from trq.terms import RDF_TYPE, Term, TermKind
+from trq.terms import RDF_TYPE
 
-from conftest import build_graph, ex, match_triples
+from conftest import build_graph, ex, graph_of, keys_of, match_triples
 
 
 @pytest.fixture
@@ -145,7 +145,7 @@ def test_array_probes_match_scalar_lookups(data):
     g = build_graph([(f"e{s}", f"r{p}", f"e{o}") for s, p, o in rows])
     stored = [t.as_tuple() for t in g.triples()]
     if data.draw(st.booleans()):
-        g = Graph(list(g.terms()), [])  # the same terms, no triple
+        g = Graph(g.term_keys, [])  # the same terms, no triple
     ids = st.integers(0, g.term_count - 1)
     # a few triples, stored ones among them, that the probes repeat
     pool = data.draw(st.lists(st.one_of(st.sampled_from(stored), st.tuples(ids, ids, ids)), min_size=1, max_size=4))
@@ -196,7 +196,7 @@ def test_block_local_lookups_match_a_scan(data):
     with no triple, the largest id, constants in s or o, empty graphs."""
     n = data.draw(st.integers(1, 8))
     rows = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=30))
-    g = Graph([ex(f"t{i}") for i in range(n)], rows)
+    g = graph_of([ex(f"t{i}") for i in range(n)], rows)
     stored = [t.as_tuple() for t in g.triples()]
     ids = st.one_of(st.just(n - 1), st.integers(0, n - 1))
     length = data.draw(st.integers(0, 12))
@@ -316,7 +316,7 @@ def _assert_stats_match_unique(g: Graph) -> None:
 
 def test_stats_of_an_empty_graph():
     _assert_stats_match_unique(Graph([], []))
-    _assert_stats_match_unique(Graph([ex("a"), ex("p")], []))
+    _assert_stats_match_unique(graph_of([ex("a"), ex("p")], []))
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,7 +324,7 @@ def test_stats_of_an_empty_graph():
 def test_stats_match_a_unique_reference(data):
     n = data.draw(st.integers(1, 10))
     rows = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=40))
-    _assert_stats_match_unique(Graph([ex(f"t{i}") for i in range(n)], rows))
+    _assert_stats_match_unique(graph_of([ex(f"t{i}") for i in range(n)], rows))
 
 
 # -- snapshots ---------------------------------------------------------
@@ -394,7 +394,7 @@ def test_ingest_output_is_pinned():
 
 
 def _assert_spo_keys_are_distinct_packed_rows(n: int, rows: list[tuple[int, int, int]]) -> None:
-    g = Graph([ex(f"t{i}") for i in range(n)], rows)
+    g = graph_of([ex(f"t{i}") for i in range(n)], rows)
     packed = g._spo.pack(*np.array(rows, dtype=np.int64).reshape(-1, 3).T)
     assert g._spo.keys.dtype == np.int64
     assert np.array_equal(g._spo.keys, np.unique(packed))
@@ -533,9 +533,9 @@ def test_failed_save_leaves_existing_file_untouched(tmp_path):
     path = tmp_path / "g.trqg"
     save_snapshot(_FUZZ_SOURCE, path)
     before = path.read_bytes()
-    # a lone surrogate cannot be encoded: the write fails after the header
-    bad = Graph([ex("a"), ex("p"), Term(TermKind.IRI, "http://example.org/\ud800")], [(0, 1, 2)])
-    with pytest.raises(UnicodeEncodeError):
+    # an entry that is not bytes cannot be joined: the write fails after the header
+    bad = Graph(keys_of([ex("a"), ex("p")]) + ["not bytes"], [(0, 1, 2)])
+    with pytest.raises(TypeError):
         save_snapshot(bad, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["g.trqg"]

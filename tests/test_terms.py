@@ -130,6 +130,9 @@ def test_unescape_numeric_forms():
         unescape_string("\\u00G1")
     with pytest.raises(ValueError):
         unescape_string("trailing\\")
+    for surrogate in ("\\uD800", "\\uDFFF", "\\U0000DC00"):
+        with pytest.raises(ValueError, match="escape"):
+            unescape_string(surrogate)
 
 
 @given(st.text(max_size=200))
