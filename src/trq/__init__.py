@@ -41,13 +41,7 @@ from .recommend import (
     VariablePredicateError,
     recommend,
 )
-from .scoring import (
-    EdgeForm,
-    ScoredSolution,
-    classify,
-    delta,
-    score_graph,
-)
+from .scoring import ScoredSolution, delta, score_graph
 from .sparql import (
     Const,
     Query,
@@ -60,6 +54,7 @@ from .sparql import (
     ask,
     evaluate_bgp,
     parse_query,
+    resolve_patterns,
 )
 from .store import (
     Graph,

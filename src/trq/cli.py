@@ -213,7 +213,7 @@ def cmd_query(args) -> int:
                     "rank": i,
                     "score": s.score,
                     "edit_distance": s.edit_distance,
-                    "bindings": {v: g.term(s.mapping[v]).nt() for v in variables},
+                    "bindings": dict(zip(variables, s.binding_key)),
                     "edges": [
                         {
                             "pattern": e.pattern,
@@ -234,7 +234,7 @@ def cmd_query(args) -> int:
         print("\t".join(header))
         for i, s in enumerate(rec.solutions, start=1):
             row = [str(i), f"{s.score:.10g}", str(s.edit_distance)]
-            row += [g.term(s.mapping[v]).nt() for v in variables]
+            row += s.binding_key
             print("\t".join(row))
         t = rec.timings
         print(
@@ -255,6 +255,8 @@ def cmd_ask(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.top < 0:
+        raise ValueError(f"--top must be at least 0, got {args.top}")
     g = _load_store(args.store)
     rel_ids = g.stats.relations()
     index, _, _ = g.ranges()

@@ -29,7 +29,7 @@ from .recommend import (
     recommend,
     validate_settings,
 )
-from .sparql import Query, evaluate_bgp
+from .sparql import Query, evaluate_bgp, resolve_patterns
 from .store import Graph, first_appearance
 from .terms import Triple
 
@@ -106,7 +106,8 @@ def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
 def exact_solutions(g: Graph, q: Query) -> set[BindingTuple]:
     """Binding tuples (sorted-variable order, N-Triples forms) of all
     exact solutions of the query's patterns."""
-    return {tuple(g.term(t).nt() for t in row) for row in evaluate_bgp(g, q.patterns).rows.tolist()}
+    rows = evaluate_bgp(g, resolve_patterns(g, q.patterns)).rows
+    return {tuple(g.term(t).nt() for t in row) for row in rows.tolist()}
 
 
 @dataclass

@@ -38,10 +38,12 @@ class NoVariableError(ValueError):
 
 
 class BudgetExceededError(ValueError):
-    def __init__(self, edges: int, choose: int, combinations: int):
-        super().__init__(
-            f"combinatorial budget exceeded: C({edges},{choose}) = {combinations} spanning-tree candidates"
-        )
+    def __init__(self, edges: int, choose: int, combinations: int, max_edges: int | None = None):
+        if max_edges is None:
+            detail = f"C({edges},{choose}) = {combinations} spanning-tree candidates"
+        else:
+            detail = f"{edges} edges after constant-leaf removal, more than max_edges = {max_edges}"
+        super().__init__(f"combinatorial budget exceeded: {detail}")
         self.edges = edges
         self.choose = choose
         self.combinations = combinations
@@ -163,9 +165,12 @@ def enumerate_subquery_trees(
     Raises NoVariableError when no subject or object of the query is a
     variable, DisconnectedQueryError when the reduced graph is
     disconnected and BudgetExceededError when the C(|E|, |V|-1)
-    enumeration would exceed the configured budget. Every returned tree
-    preserves the full variable set of the query.
+    enumeration would exceed the configured budget, naming the edge cap
+    when it is what trips. Every returned tree preserves the full variable
+    set of the query.
     """
+    if max_edges < 1:
+        raise ValueError("max_edges must be at least 1")
     reduced = del_constant_leaf(build_query_graph(q))
     # del_constant_leaf never strips a variable node
     if not reduced.variables():
@@ -175,7 +180,9 @@ def enumerate_subquery_trees(
     n_edges = len(reduced.edges)
     choose = len(reduced.nodes) - 1
     total = math.comb(n_edges, choose) if n_edges >= choose else 0
-    if n_edges > max_edges or total > max_combinations:
+    if n_edges > max_edges:
+        raise BudgetExceededError(n_edges, choose, total, max_edges)
+    if total > max_combinations:
         raise BudgetExceededError(n_edges, choose, total)
 
     all_origins = frozenset(range(len(q.patterns)))

@@ -7,7 +7,9 @@ and return the top K under a stable ranking: score descending, then edit
 distance ascending, then the lexicographic binding tuple. Exact
 solutions, when they exist, are guaranteed the top ranks.
 
-The mappings stay a table of term ids throughout. Each tree's rows
+The query's constants are resolved to term ids once, with
+:func:`~trq.sparql.resolve_patterns`, and every step below reads those
+ids. The mappings stay a table of term ids throughout. Each tree's rows
 (distinct by construction, since every tree binds every variable) pass
 a funnel in this order, one tree at a time:
 
@@ -27,8 +29,10 @@ a funnel in this order, one tree at a time:
 
 Every kept row is scored once, column-wise, with those same flags; only
 the top K rows become ScoredSolutions, built from the arrays already
-computed. Ranking every candidate (the deletion bench) takes the same
-path.
+computed. Terms are rendered only for ranking: the N-Triples form of
+each term in the rows that tie with or beat the K-th score is decoded
+once, orders the ties, and becomes the chosen rows' binding keys.
+Ranking every candidate (the deletion bench) takes the same path.
 """
 
 from __future__ import annotations
@@ -41,15 +45,8 @@ import numpy as np
 
 from .embedding import EmbeddingSet
 from .qgraph import DEFAULT_MAX_EDGES, SubqueryTree, enumerate_subquery_trees
-from .scoring import (
-    ScoredSolution,
-    edge_weights,
-    in_graph_flags,
-    resolve_patterns,
-    score_table,
-    scored_solution,
-)
-from .sparql import Query, Var, evaluate_bgp
+from .scoring import ScoredSolution, edge_weights, in_graph_flags, score_table, scored_solution
+from .sparql import Query, evaluate_bgp, resolve_patterns
 from .store import Graph
 
 DEFAULT_THRESHOLD = 2
@@ -124,24 +121,29 @@ def _repeated(
     return seen
 
 
-def _top(g: Graph, rows: np.ndarray, scores: np.ndarray, distance: np.ndarray, k: int) -> np.ndarray:
+def _top(
+    g: Graph, rows: np.ndarray, scores: np.ndarray, distance: np.ndarray, k: int
+) -> tuple[np.ndarray, list[tuple[str, ...]]]:
     """Indices of the ``k`` best rows, ordered by score descending, then
-    edit distance ascending, then binding tuple ascending. Only rows that
-    tie with or beat the k-th best score are ordered; their binding
-    tuples are compared through the rank of each term's N-Triples form
-    among the terms of those rows."""
+    edit distance ascending, then binding tuple ascending, and each chosen
+    row's binding tuple of N-Triples forms. Only rows that tie with or
+    beat the k-th best score are ordered; their binding tuples are
+    compared through the rank of each term's form among the terms of
+    those rows, and each of those terms is decoded once."""
     if k == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), []
     kth = -np.partition(-scores, k - 1)[k - 1]
     picked = np.flatnonzero(scores >= kth)
     rows, scores, distance = rows[picked], scores[picked], distance[picked]
     ids, inverse = np.unique(rows, return_inverse=True)
-    forms = np.array([g.term(t).nt() for t in ids.tolist()], dtype=object)
+    forms = [g.term(t).nt() for t in ids.tolist()]
+    cells = inverse.reshape(rows.shape)
     order = np.empty(len(ids), dtype=np.int64)
-    order[np.argsort(forms, kind="stable")] = np.arange(len(ids))
-    lexical = order[inverse.reshape(rows.shape)]
+    order[np.argsort(np.array(forms, dtype=object), kind="stable")] = np.arange(len(ids))
+    lexical = order[cells]
     keys = [lexical[:, j] for j in reversed(range(rows.shape[1]))] + [distance, -scores]
-    return picked[np.lexsort(keys)[:k]]
+    best = np.lexsort(keys)[:k]
+    return picked[best], [tuple(forms[c] for c in row) for row in cells[best].tolist()]
 
 
 def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Recommendation:
@@ -152,14 +154,14 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     """
     req.validate()
     q = req.query
-    for pat in q.patterns:
-        if isinstance(pat.p, Var):
-            raise VariablePredicateError(
-                "query patterns with variable predicates cannot be scored; "
-                "bind the predicate or drop the pattern"
-            )
-
     t0 = time.perf_counter()
+    # constants resolved once per query; None marks one unknown to the graph
+    resolved = resolve_patterns(g, q.patterns)
+    if any(isinstance(p, str) for _, p, _ in resolved):
+        raise VariablePredicateError(
+            "query patterns with variable predicates cannot be scored; "
+            "bind the predicate or drop the pattern"
+        )
     trees = enumerate_subquery_trees(q, max_edges=req.max_edges)
     usable = [t for t in trees if t.graph.edges]
     t1 = time.perf_counter()
@@ -168,8 +170,6 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
             "query reduces to a single node; no subquery tree has a matchable edge"
         )
 
-    # constants resolved once per query; None marks one unknown to the graph
-    resolved = resolve_patterns(g, q.patterns)
     # every tree binds every variable of the query, in name order
     variables = tuple(sorted(q.variables()))
     earlier: list[tuple[list[int], np.ndarray | None]] = []
@@ -179,7 +179,7 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     truncated = False
     for tree in usable:
         covered = list(tree.covered_origins())
-        result = evaluate_bgp(g, tuple(q.patterns[i] for i in covered), limit=req.per_tree_limit)
+        result = evaluate_bgp(g, [resolved[i] for i in covered], limit=req.per_tree_limit)
         truncated = truncated or result.truncated
         table = result.rows
         # a tree's own patterns hold on its rows; only its dropped ones are looked up
@@ -193,17 +193,17 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     rows, in_graph = np.concatenate(tables), np.concatenate(flags)
     t2 = time.perf_counter()
 
-    weights = edge_weights(g, q.patterns)
+    weights = edge_weights(g, resolved)
     view = None if req.uniform_f is not None else req.embeddings.bind(g)
     scores, f, fallback = score_table(view, resolved, weights, variables, rows, in_graph, req.uniform_f)
     t3 = time.perf_counter()
     k = len(rows) if req.top_k is None else min(req.top_k, len(rows))
-    chosen = _top(g, rows, scores, (~in_graph).sum(axis=1), k)
+    chosen, keys = _top(g, rows, scores, (~in_graph).sum(axis=1), k)
     top = [
         scored_solution(
-            g, dict(zip(variables, rows[r].tolist())), weights, in_graph[r], f[r], fallback[r], scores[r]
+            dict(zip(variables, rows[r].tolist())), key, weights, in_graph[r], f[r], fallback[r], scores[r]
         )
-        for r in chosen.tolist()
+        for r, key in zip(chosen.tolist(), keys)
     ]
     t4 = time.perf_counter()
 

@@ -15,67 +15,53 @@ where f is the normalized embedding plausibility. Weights always come
 from the full query, also for candidates produced by a subquery tree, so
 scores of different candidates are comparable. An exact solution scores
 exactly score_graph(Q) = sum of weights, the maximum.
+
+Everything here reads patterns as :func:`~trq.sparql.resolve_patterns`
+tuples, whose constants are term ids already; only
+:func:`score_graph` takes the parsed patterns and resolves them itself.
+No term is decoded here: a solution's binding key comes from the ranking,
+which renders each printed term once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .embedding import BoundEmbeddings
-from .sparql import SolutionMapping, TriplePattern, Var
+from .sparql import ResolvedPattern, SolutionMapping, TriplePattern, resolve_patterns
 from .store import Graph
 
 
-class EdgeForm(Enum):
-    VAR_VAR = "var_var"
-    VAR_CONST = "var_const"
-    CONST_VAR = "const_var"
-    CONST_CONST = "const_const"
-    VAR_PREDICATE = "var_predicate"
-
-
-def classify(e: TriplePattern) -> EdgeForm:
-    if isinstance(e.p, Var):
-        return EdgeForm.VAR_PREDICATE
-    if isinstance(e.s, Var):
-        return EdgeForm.VAR_VAR if isinstance(e.o, Var) else EdgeForm.VAR_CONST
-    return EdgeForm.CONST_VAR if isinstance(e.o, Var) else EdgeForm.CONST_CONST
-
-
-def delta(g: Graph, e: TriplePattern) -> float:
-    """Estimated matching degree of one pattern; always >= 1."""
-    form = classify(e)
-    if form is EdgeForm.VAR_PREDICATE:
+def delta(g: Graph, e: ResolvedPattern) -> float:
+    """Estimated matching degree of one resolved pattern; always >= 1."""
+    s, p, o = e
+    if isinstance(p, str):
         raise ValueError("patterns with a variable predicate have no matching degree")
-    if form is EdgeForm.CONST_CONST:
+    if None in e:  # a constant the graph does not hold
         return 1.0
-    rid = g.id(e.p.term)
-    if rid is None:
-        return 1.0
-    if form is EdgeForm.VAR_VAR:
-        value = (g.stats.dom(rid) + g.stats.ran(rid)) / 2.0
-    elif form is EdgeForm.VAR_CONST:
-        cid = g.id(e.o.term)
-        value = 0.0 if cid is None else float(g.stats.dom_at(rid, cid))
+    if isinstance(s, str) and isinstance(o, str):
+        value = (g.stats.dom(p) + g.stats.ran(p)) / 2.0
+    elif isinstance(s, str):
+        value = float(g.stats.dom_at(p, o))
+    elif isinstance(o, str):
+        value = float(g.stats.ran_at(s, p))
     else:
-        cid = g.id(e.s.term)
-        value = 0.0 if cid is None else float(g.stats.ran_at(cid, rid))
+        return 1.0
     return max(1.0, value)
 
 
-def edge_weights(g: Graph, patterns: Sequence[TriplePattern]) -> list[float]:
-    deltas = [delta(g, e) for e in patterns]
+def edge_weights(g: Graph, resolved: Sequence[ResolvedPattern]) -> list[float]:
+    deltas = [delta(g, e) for e in resolved]
     total = sum(deltas)
     return [total / d for d in deltas]
 
 
 def score_graph(g: Graph, patterns: Sequence[TriplePattern]) -> float:
     """The maximum achievable score: the sum of all pattern weights."""
-    return sum(edge_weights(g, patterns))
+    return sum(edge_weights(g, resolve_patterns(g, patterns)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,22 +79,16 @@ class ScoredSolution:
     edit_distance: int
     score: float
     per_edge: tuple[EdgeScore, ...]
-    binding_key: tuple[str, ...]  # lexical forms in sorted-variable order
+    binding_key: tuple[str, ...]  # N-Triples forms in sorted-variable order
 
 
-def resolve_patterns(g: Graph, patterns: Sequence[TriplePattern]) -> list[list]:
-    """Each pattern's atoms as a variable's name, a constant's term id, or
-    None for a constant unknown to the graph."""
-    return [[a.name if isinstance(a, Var) else g.id(a.term) for a in pat.atoms()] for pat in patterns]
-
-
-def _ids(atoms: list, column: dict[str, np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
+def _ids(atoms: ResolvedPattern, column: dict[str, np.ndarray], rows: np.ndarray) -> list[np.ndarray]:
     """The id columns of mu(e) on the selected rows of a binding table."""
     return [column[x][rows] if isinstance(x, str) else np.full(len(rows), x, dtype=np.int64) for x in atoms]
 
 
 def in_graph_flags(
-    g: Graph, resolved: list[list], variables: Sequence[str], rows: np.ndarray, looked_up: Iterable[int]
+    g: Graph, resolved: Sequence[ResolvedPattern], variables: Sequence[str], rows: np.ndarray, looked_up: Iterable[int]
 ) -> np.ndarray:
     """(rows x patterns) flags of whether mu(e) is in the graph, for a
     binding table whose columns are ``variables``. Only the ``looked_up``
@@ -127,7 +107,7 @@ def in_graph_flags(
 
 def score_table(
     view: BoundEmbeddings | None,
-    resolved: list[list],
+    resolved: Sequence[ResolvedPattern],
     weights: Sequence[float],
     variables: Sequence[str],
     rows: np.ndarray,
@@ -165,8 +145,8 @@ def score_table(
 
 
 def scored_solution(
-    g: Graph,
     mapping: SolutionMapping,
+    binding_key: tuple[str, ...],
     weights: Sequence[float],
     in_graph: np.ndarray,
     f: np.ndarray,
@@ -176,5 +156,4 @@ def scored_solution(
     """One row of :func:`score_table` as a ScoredSolution."""
     present, f, fallback = in_graph.tolist(), f.tolist(), fallback.tolist()
     per_edge = tuple(EdgeScore(i, weights[i], f[i], present[i], fallback[i]) for i in range(len(present)))
-    key = tuple(g.term(mapping[v]).nt() for v in sorted(mapping))
-    return ScoredSolution(dict(mapping), present.count(False), float(score), per_edge, key)
+    return ScoredSolution(dict(mapping), present.count(False), float(score), per_edge, binding_key)

@@ -9,6 +9,11 @@ FILTER, OPTIONAL, UNION, property paths, blank nodes in patterns, ...)
 raises :class:`UnsupportedFeatureError` naming the feature, so callers
 can tell a fragment boundary from a typo.
 
+A query's constants become term ids in one place,
+:func:`resolve_patterns`, before anything is planned: every evaluator
+and scorer reads the resolved patterns, and terms are rendered again
+only for output.
+
 Evaluation is an exact, order-preserving columnar bind-join over the
 store. Patterns are reordered greedily by an estimated result
 cardinality drawn from GraphStats. A table of bindings (one int64
@@ -26,7 +31,7 @@ one more row exists after the last of them.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -99,6 +104,11 @@ class Query:
 
 # A solution mapping binds every variable of the query to a term id.
 SolutionMapping = dict[str, TermId]
+
+# A pattern's atoms as a variable's name, a constant's term id, or None
+# for a constant the graph does not hold.
+ResolvedAtom = str | TermId | None
+ResolvedPattern = tuple[ResolvedAtom, ResolvedAtom, ResolvedAtom]
 
 
 # -- tokenizer ---------------------------------------------------------
@@ -409,27 +419,30 @@ class BGPResult:
         return self._mappings
 
 
-def _is_bound(atom: Atom, bound: set[str]) -> bool:
-    return isinstance(atom, Const) or atom.name in bound
+def resolve_patterns(g: Graph, patterns: Iterable[TriplePattern]) -> list[ResolvedPattern]:
+    """Each pattern as a (s, p, o) tuple of resolved atoms: a variable's
+    name, a constant's term id, or None for a constant unknown to ``g``.
+    The one place a query's constants are looked up in the dictionary."""
+    return [tuple(a.name if isinstance(a, Var) else g.id(a.term) for a in pat.atoms()) for pat in patterns]
 
 
-def _cardinality_estimate(g: Graph, pat: TriplePattern, bound: set[str]) -> float:
-    sb = _is_bound(pat.s, bound)
-    pb = _is_bound(pat.p, bound)
-    ob = _is_bound(pat.o, bound)
-    if isinstance(pat.p, Const):
-        rid = g.id(pat.p.term)
-        if rid is None:
-            return 0.0
-        freq = g.stats.freq(rid)
+def _names(pat: ResolvedPattern) -> set[str]:
+    return {x for x in pat if isinstance(x, str)}
+
+
+def _cardinality_estimate(g: Graph, pat: ResolvedPattern, bound: set[str]) -> float:
+    p = pat[1]
+    sb, pb, ob = (not isinstance(x, str) or x in bound for x in pat)
+    if not isinstance(p, str):
+        freq = g.stats.freq(p)
         if freq == 0:
             return 0.0
         if sb and ob:
             return 1.0
         if sb:
-            return freq / max(1, g.stats.dom(rid))
+            return freq / max(1, g.stats.dom(p))
         if ob:
-            return freq / max(1, g.stats.ran(rid))
+            return freq / max(1, g.stats.ran(p))
         return float(freq)
     # variable predicate: fall back to coarse whole-graph ratios
     if sb and ob and pb:
@@ -441,23 +454,22 @@ def _cardinality_estimate(g: Graph, pat: TriplePattern, bound: set[str]) -> floa
     return float(g.triple_count)
 
 
-def _order_patterns(g: Graph, patterns: tuple[TriplePattern, ...]) -> list[TriplePattern]:
+def _order_patterns(g: Graph, patterns: Sequence[ResolvedPattern]) -> list[ResolvedPattern]:
     """Greedy join order: cheapest estimated pattern next, preferring ones
     that share a variable with what is already bound (avoids products)."""
+    names = [_names(pat) for pat in patterns]
     remaining = list(range(len(patterns)))
     bound: set[str] = set()
-    order: list[TriplePattern] = []
+    order: list[ResolvedPattern] = []
     while remaining:
         def key(i: int) -> tuple:
-            pat = patterns[i]
-            vars_i = pat.variables()
-            connected = not bound or not vars_i or bool(vars_i & bound)
-            return (not connected, _cardinality_estimate(g, pat, bound), i)
+            connected = not bound or not names[i] or bool(names[i] & bound)
+            return (not connected, _cardinality_estimate(g, patterns[i], bound), i)
 
         best = min(remaining, key=key)
         remaining.remove(best)
         order.append(patterns[best])
-        bound |= patterns[best].variables()
+        bound |= names[best]
     return order
 
 
@@ -468,29 +480,25 @@ def _order_patterns(g: Graph, patterns: tuple[TriplePattern, ...]) -> list[Tripl
 _Slot = tuple[str, int]
 
 
-def _compile(g: Graph, order: list[TriplePattern]) -> tuple[list[list[_Slot]] | None, tuple[str, ...]]:
-    """Join steps and the variables in column order; steps is None when a
-    constant is unknown to the graph (no pattern with it can match)."""
+def _compile(order: list[ResolvedPattern]) -> tuple[list[list[_Slot]], tuple[str, ...]]:
+    """Join steps and the variables in column order."""
     columns: dict[str, int] = {}
     steps: list[list[_Slot]] = []
-    unknown = False
     for pat in order:
         step: list[_Slot] = []
         fresh: dict[str, int] = {}
-        for atom in pat.atoms():
-            if isinstance(atom, Const):
-                tid = g.id(atom.term)
-                unknown = unknown or tid is None
-                step.append(("const", tid))
-            elif atom.name in fresh:
-                step.append(("same", fresh[atom.name]))
-            elif atom.name in columns:
-                step.append(("col", columns[atom.name]))
+        for atom in pat:
+            if not isinstance(atom, str):
+                step.append(("const", atom))
+            elif atom in fresh:
+                step.append(("same", fresh[atom]))
+            elif atom in columns:
+                step.append(("col", columns[atom]))
             else:
-                fresh[atom.name] = columns[atom.name] = len(columns)
-                step.append(("new", fresh[atom.name]))
+                fresh[atom] = columns[atom] = len(columns)
+                step.append(("new", fresh[atom]))
         steps.append(step)
-    return (None if unknown else steps), tuple(columns)
+    return steps, tuple(columns)
 
 
 def _expand(g: Graph, step: list[_Slot], table: np.ndarray) -> Iterator[np.ndarray]:
@@ -536,22 +544,25 @@ def _join(g: Graph, steps: list[list[_Slot]], table: np.ndarray, i: int = 0) -> 
             yield from _join(g, steps, child, i + 1)
 
 
-def evaluate_bgp(g: Graph, patterns: tuple[TriplePattern, ...], limit: int | None = None) -> BGPResult:
-    """Evaluate a basic graph pattern.
+def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | None = None) -> BGPResult:
+    """Evaluate a basic graph pattern given as :func:`resolve_patterns`
+    tuples.
 
-    Returns every solution mapping over the variables of ``patterns``
+    Returns every solution mapping over the variables of the patterns
     (each mapping is total), with the columns in name order and the rows
     in the depth-first order of the bind-join (see the module doc). With
     ``limit`` set, the result holds the first ``limit`` rows in that
     order, and ``truncated`` is set exactly when one more row exists
-    after the last of them.
+    after the last of them. A constant unknown to the graph (a None
+    atom) matches nothing, so the result is then empty.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    steps, variables = _compile(g, _order_patterns(g, patterns))
-    names = tuple(sorted(variables))
-    if steps is None:
+    if any(None in pat for pat in resolved):
+        names = tuple(sorted(set().union(*map(_names, resolved))))
         return BGPResult(names, np.empty((0, len(names)), dtype=np.int64))
+    steps, variables = _compile(_order_patterns(g, resolved))
+    names = tuple(sorted(variables))
     parts: list[np.ndarray] = []
     retained = 0
     truncated = False
@@ -569,4 +580,4 @@ def evaluate_bgp(g: Graph, patterns: tuple[TriplePattern, ...], limit: int | Non
 
 def ask(g: Graph, q: Query) -> bool:
     """True iff the query's patterns have at least one solution."""
-    return len(evaluate_bgp(g, q.patterns, limit=1).rows) > 0
+    return len(evaluate_bgp(g, resolve_patterns(g, q.patterns), limit=1).rows) > 0

@@ -26,7 +26,7 @@ from trq.binio import term_key
 from trq.embedding import TRANSE, TRANSH, EmbeddingSet, _norm_values, _pair_grads, _Workspace
 from trq.ntriples import NTriplesError, parse_line
 from trq.scoring import EdgeScore, ScoredSolution, edge_weights, in_graph_flags, score_table
-from trq.sparql import Const, Var, _order_patterns
+from trq.sparql import Const, Var, _order_patterns, resolve_patterns
 
 EX = "http://example.org/"
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -138,34 +138,34 @@ def brute_candidates(g: Graph, patterns, threshold: int) -> dict[tuple, int]:
     return out
 
 
-def reference_evaluate_bgp(g: Graph, patterns, limit: int | None = None):
+def reference_evaluate_bgp(g: Graph, resolved, limit: int | None = None):
     """The scalar depth-first evaluator that the columnar join replaced.
 
-    Walks the patterns in ``trq.sparql``'s greedy order, one
-    :func:`match_triples` scan per binding, copying the binding dict at
-    every step. Returns (mappings, truncated) under the same limit rule
-    as ``evaluate_bgp``, each mapping keyed in name order.
+    Walks the resolved patterns (``resolve_patterns`` tuples) in
+    ``trq.sparql``'s greedy order, one :func:`match_triples` scan per
+    binding, copying the binding dict at every step. Returns (mappings,
+    truncated) under the same limit rule as ``evaluate_bgp``, each
+    mapping keyed in name order; a constant unknown to the graph (None)
+    matches nothing.
     """
-    order = _order_patterns(g, tuple(patterns))
+    if any(None in pat for pat in resolved):
+        return [], False
+    order = _order_patterns(g, tuple(resolved))
 
     def resolve(atom, binding):
-        if isinstance(atom, Const):
-            tid = g.id(atom.term)
-            return (-1 if tid is None else tid), None
-        if atom.name in binding:
-            return binding[atom.name], None
-        return None, atom.name
+        if not isinstance(atom, str):
+            return atom, None
+        if atom in binding:
+            return binding[atom], None
+        return None, atom
 
     def walk(idx, binding):
         if idx == len(order):
             yield {name: binding[name] for name in sorted(binding)}
             return
-        pat = order[idx]
-        sid, sname = resolve(pat.s, binding)
-        pid, pname = resolve(pat.p, binding)
-        oid, oname = resolve(pat.o, binding)
-        if -1 in (sid, pid, oid):
-            return
+        sid, sname = resolve(order[idx][0], binding)
+        pid, pname = resolve(order[idx][1], binding)
+        oid, oname = resolve(order[idx][2], binding)
         for tr in match_triples(g, sid, pid, oid):
             new = dict(binding)
             ok = True
@@ -481,13 +481,14 @@ def reference_score_solution(view: BoundEmbeddings, patterns, mapping, uniform_f
     for missing ones, the floor 1 / (1 + margin) when a constant is
     unknown or a term has no row, and ``uniform_f`` over all of it."""
     g = view.graph
-    weights = edge_weights(g, patterns)
+    resolved = resolve_patterns(g, patterns)
+    weights = edge_weights(g, resolved)
     floor = 1.0 / (1.0 + view.embeddings.margin)
     per_edge = []
     missing = 0
     total = 0.0
-    for i, e in enumerate(patterns):
-        ids = tuple(mapping[a.name] if isinstance(a, Var) else g.id(a.term) for a in e.atoms())
+    for i, e in enumerate(resolved):
+        ids = tuple(mapping[a] if isinstance(a, str) else a for a in e)
         unknown = None in ids  # a constant the graph does not hold
         present = not unknown and g.contains(*ids)
         missing += not present

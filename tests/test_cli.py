@@ -245,6 +245,16 @@ def test_plan_lists_trees(run, movie_query_file):
     assert "?film" in stdout
 
 
+@pytest.mark.parametrize("verb", ["plan", "query"])
+@pytest.mark.parametrize("max_edges", ["0", "-1"])
+def test_max_edges_below_one_is_a_named_error(run, artifacts, movie_query_file, verb, max_edges):
+    store_path, emb_path = artifacts
+    args = [] if verb == "plan" else ["--store", str(store_path), "--embeddings", str(emb_path)]
+    stdout, err = run(verb, str(movie_query_file), *args, "--max-edges", max_edges, expect=1)
+    assert stdout == ""
+    assert err == "error: max_edges must be at least 1\n"
+
+
 def test_plan_reports_syntax_errors(run, tmp_path):
     p = tmp_path / "bad.rq"
     p.write_text("SELECT ?x WHERE { ?x ex:p ?y . }")  # undeclared prefix
@@ -488,6 +498,17 @@ def test_stats_listing(run, artifacts):
     assert "triples:" in stdout and "relations:" in stdout
     assert "freq=" in stdout
     assert "\nentities: 23\n" in stdout
+
+
+def test_stats_top_counts_relations(run, artifacts):
+    store_path, _ = artifacts
+    stdout, _ = run("stats", "--store", str(store_path), "--top", "0")
+    assert "freq=" not in stdout
+    stdout, _ = run("stats", "--store", str(store_path), "--top", "2")
+    assert stdout.count("freq=") == 2
+    stdout, err = run("stats", "--store", str(store_path), "--top", "-1", expect=1)
+    assert stdout == ""
+    assert err == "error: --top must be at least 0, got -1\n"
 
 
 def test_stats_single_relation(run, artifacts):

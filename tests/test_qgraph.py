@@ -276,8 +276,20 @@ def test_budget_error_reports_counts():
 
 def test_max_edges_budget():
     pats = [pattern(f"?v{i}", "p", f"?v{i + 1}") for i in range(17)]
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as e:
         enumerate_subquery_trees(make_query(pats), max_edges=16)
+    # the edge cap trips, not the combinations: C(17,17) = 1
+    assert (e.value.edges, e.value.choose, e.value.combinations) == (17, 17, 1)
+    assert "17 edges" in str(e.value) and "max_edges = 16" in str(e.value)
+    assert "spanning-tree candidates" not in str(e.value)
+
+
+@pytest.mark.parametrize("max_edges", [0, -1])
+def test_max_edges_below_one_is_rejected(max_edges):
+    q = make_query([pattern("?x", "p", "?y"), pattern("?y", "q", "?z")])
+    with pytest.raises(ValueError, match="max_edges must be at least 1") as e:
+        enumerate_subquery_trees(q, max_edges=max_edges)
+    assert not isinstance(e.value, BudgetExceededError)
 
 
 def test_degenerate_single_node_query_yields_no_edges():

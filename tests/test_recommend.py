@@ -14,7 +14,8 @@ from trq.recommend import (
 )
 from trq.qgraph import enumerate_subquery_trees
 from trq.scoring import ScoredSolution, score_graph
-from trq.sparql import TriplePattern, Var, evaluate_bgp, parse_query
+from trq.sparql import Const, TriplePattern, Var, evaluate_bgp, parse_query, resolve_patterns
+from trq.store import Graph
 
 from conftest import (
     MOVIE_QUERY,
@@ -71,11 +72,12 @@ def _ranked(candidates, k, width=1):
     rows = np.array([[g.id(ex(x)) for x in names] for _, _, names in candidates], dtype=np.int64)
     scores = np.array([score for score, _, _ in candidates], dtype=np.float64)
     distance = np.array([ed for _, ed, _ in candidates], dtype=np.int64)
-    chosen = _top(g, rows.reshape(len(candidates), width), scores, distance, min(k, len(candidates)))
+    chosen, keys = _top(g, rows.reshape(len(candidates), width), scores, distance, min(k, len(candidates)))
     sols = [
         ScoredSolution({}, ed, score, (), tuple(ex(x).nt() for x in names))
         for score, ed, names in candidates
     ]
+    assert keys == [sols[i].binding_key for i in chosen.tolist()]
     got = [(scores[i], distance[i], sols[i].binding_key) for i in chosen.tolist()]
     return got, [(s.score, s.edit_distance, s.binding_key) for s in reference_rank(sols, k)]
 
@@ -167,6 +169,34 @@ def test_movie_uniform_f_ties_break_lexicographically(movies, movie_emb):
     assert _view(recommend(movies, _req(q, None, uniform_f=1.0)).solutions) == _view(rec.solutions)
     with pytest.raises(ValueError, match="needs uniform_f"):
         recommend(movies, _req(q, None))
+
+
+def test_constants_are_encoded_once_and_terms_decoded_once(movies, movie_emb, monkeypatch):
+    # Graph.id only resolves the query's constants, once per atom, and
+    # Graph.term renders each term of the rows _top orders once; here
+    # every candidate ties with or beats the k-th score, so _top orders
+    # all of them
+    q = parse_query(MOVIE_QUERY)
+    encoded, decoded = [], []
+    graph_id, graph_term = Graph.id, Graph.term
+
+    def counting_id(self, term):
+        encoded.append(term)
+        return graph_id(self, term)
+
+    def counting_term(self, tid):
+        decoded.append(tid)
+        return graph_term(self, tid)
+
+    monkeypatch.setattr(Graph, "id", counting_id)
+    monkeypatch.setattr(Graph, "term", counting_term)
+    rec = recommend(movies, _req(q, movie_emb))
+    monkeypatch.undo()
+    assert rec.trees_evaluated >= 2 and len(rec.solutions) < 10
+    constants = [a.term for pat in q.patterns for a in pat.atoms() if isinstance(a, Const)]
+    assert sorted(encoded) == sorted(constants)
+    assert len(decoded) == len(set(decoded))
+    assert set(decoded) == {tid for s in rec.solutions for tid in s.mapping.values()}
 
 
 def _view(solutions):
@@ -309,17 +339,18 @@ def _pooled_oracle(g, q, threshold, limit):
     and how many rows of a later tree hold on every pattern of an earlier
     truncated tree without being among that tree's rows."""
     variables = tuple(sorted(q.variables()))
+    resolved = resolve_patterns(g, q.patterns)
     tables, covered, truncated = [], [], []
     for tree in enumerate_subquery_trees(q):
         if not tree.graph.edges:
             continue
         covered.append(tree.covered_origins())
-        result = evaluate_bgp(g, tuple(q.patterns[i] for i in covered[-1]), limit=limit)
+        result = evaluate_bgp(g, [resolved[i] for i in covered[-1]], limit=limit)
         tables.append(result.rows)
         truncated.append(result.truncated)
 
     def holds(mapping, i):
-        atoms = [mapping[a.name] if isinstance(a, Var) else g.id(a.term) for a in q.patterns[i].atoms()]
+        atoms = [mapping[a] if isinstance(a, str) else a for a in resolved[i]]
         return None not in atoms and g.contains(*atoms)
 
     beyond = 0

@@ -5,34 +5,39 @@ import math
 import numpy as np
 import pytest
 
+from trq.recommend import _top
 from trq.scoring import (
-    EdgeForm,
-    classify,
     delta,
     edge_weights,
     in_graph_flags,
-    resolve_patterns,
     score_graph,
     score_table,
     scored_solution,
 )
+from trq.sparql import resolve_patterns
 
 from conftest import build_graph, ex, make_query, pattern, small_emb
 
 
+def delta_of(g, s, p, o):
+    """``delta`` of one parsed pattern, resolved first."""
+    return delta(g, resolve_patterns(g, [pattern(s, p, o)])[0])
+
+
 def score_row(view, patterns, mapping, weights=None, uniform_f=None):
     """One total mapping scored as recommend scores its candidates: a
-    one-row binding table, every pattern's flag looked up, then
-    score_table."""
+    one-row binding table over the sorted variables, every pattern's flag
+    looked up, then score_table, with the binding key ``_top`` renders."""
     g = view.graph
-    if weights is None:
-        weights = edge_weights(g, patterns)
     resolved = resolve_patterns(g, patterns)
-    variables = tuple(mapping)
-    row = np.array([list(mapping.values())], dtype=np.int64)
+    if weights is None:
+        weights = edge_weights(g, resolved)
+    variables = tuple(sorted(mapping))
+    row = np.array([[mapping[v] for v in variables]], dtype=np.int64)
     flags = in_graph_flags(g, resolved, variables, row, range(len(patterns)))
     total, f, fallback = score_table(view, resolved, weights, variables, row, flags, uniform_f)
-    return scored_solution(g, mapping, weights, flags[0], f[0], fallback[0], total[0])
+    _, (key,) = _top(g, row, total, (~flags).sum(axis=1), 1)
+    return scored_solution(mapping, key, weights, flags[0], f[0], fallback[0], total[0])
 
 
 @pytest.fixture(scope="module")
@@ -41,55 +46,43 @@ def twop():
     return build_graph([("a", "p", "b"), ("c", "p", "b")])
 
 
-def test_classify_forms():
-    assert classify(pattern("?x", "p", "?y")) is EdgeForm.VAR_VAR
-    assert classify(pattern("?x", "p", "b")) is EdgeForm.VAR_CONST
-    assert classify(pattern("a", "p", "?y")) is EdgeForm.CONST_VAR
-    assert classify(pattern("a", "p", "b")) is EdgeForm.CONST_CONST
-    from trq.sparql import TriplePattern, Var
-
-    vp = TriplePattern(Var("x"), Var("p"), Var("y"))
-    assert classify(vp) is EdgeForm.VAR_PREDICATE
-
-
 def test_delta_var_var(twop):
-    assert delta(twop, pattern("?x", "p", "?y")) == 1.5
+    assert delta_of(twop, "?x", "p", "?y") == 1.5
 
 
 def test_delta_var_const(twop):
-    assert delta(twop, pattern("?x", "p", "b")) == 2.0
+    assert delta_of(twop, "?x", "p", "b") == 2.0
     # no subject reaches a through p: clamped to 1
-    assert delta(twop, pattern("?x", "p", "a")) == 1.0
+    assert delta_of(twop, "?x", "p", "a") == 1.0
 
 
 def test_delta_const_var(twop):
-    assert delta(twop, pattern("a", "p", "?y")) == 1.0
-    assert delta(twop, pattern("c", "p", "?y")) == 1.0
+    assert delta_of(twop, "a", "p", "?y") == 1.0
+    assert delta_of(twop, "c", "p", "?y") == 1.0
 
 
 def test_delta_const_const(twop):
-    assert delta(twop, pattern("a", "p", "b")) == 1.0
-    assert delta(twop, pattern("a", "p", "zzz")) == 1.0
+    assert delta_of(twop, "a", "p", "b") == 1.0
+    assert delta_of(twop, "a", "p", "zzz") == 1.0
 
 
 def test_delta_unknown_relation_clamps_to_one(twop):
-    assert delta(twop, pattern("?x", "nosuch", "?y")) == 1.0
+    assert delta_of(twop, "?x", "nosuch", "?y") == 1.0
 
 
 def test_delta_variable_predicate_rejected(twop):
-    from trq.sparql import TriplePattern, Var
-
     with pytest.raises(ValueError):
-        delta(twop, TriplePattern(Var("x"), Var("p"), Var("y")))
+        delta(twop, ("x", "p", "y"))
 
 
 def test_index_and_weights_worked_example(twop):
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
-    assert sum(delta(twop, e) for e in pats) == 3.5
-    ws = edge_weights(twop, pats)
+    resolved = resolve_patterns(twop, pats)
+    assert sum(delta(twop, e) for e in resolved) == 3.5
+    ws = edge_weights(twop, resolved)
     assert ws[0] == pytest.approx(7.0 / 3.0)
     assert ws[1] == pytest.approx(1.75)
-    assert edge_weights(twop, pats)[0] == pytest.approx(7.0 / 3.0)
+    assert edge_weights(twop, resolved)[0] == pytest.approx(7.0 / 3.0)
     assert score_graph(twop, pats) == pytest.approx(49.0 / 12.0)
 
 
@@ -99,7 +92,7 @@ def test_selective_patterns_weigh_more():
         + [("b", "q", "c")]
     )
     pats = [pattern("?s", "p", "?o"), pattern("?s2", "q", "c")]
-    ws = edge_weights(g, pats)
+    ws = edge_weights(g, resolve_patterns(g, pats))
     # q reaches one subject, p many: the q pattern dominates
     assert ws[1] > ws[0]
 
@@ -114,7 +107,7 @@ def test_in_graph_flags_count_edit_distance(twop):
     # unknown constant resolves to None and counts as missing
     pats2 = [pattern("?x", "p", "?y"), pattern("?x", "p", "zzz")]
     resolved = resolve_patterns(twop, pats2)
-    assert resolved[1] == ["x", twop.id(ex("p")), None]
+    assert resolved[1] == ("x", twop.id(ex("p")), None)
     flags = in_graph_flags(twop, resolved, ("x", "y"), rows[:1], range(2))
     assert (~flags).sum(axis=1).tolist() == [1]
 
@@ -207,7 +200,7 @@ def test_score_monotone_in_f(twop):
     # every weight is positive, so raising any f raises the score
     emb = small_emb(twop)
     pats = [pattern("?x", "p", "?y"), pattern("?x", "p", "b")]
-    ws = edge_weights(twop, pats)
+    ws = edge_weights(twop, resolve_patterns(twop, pats))
     assert all(w > 0 for w in ws)
     lo = sum(w * 0.2 for w in ws)
     hi = sum(w * 0.9 for w in ws)

@@ -14,6 +14,7 @@ from trq.sparql import (
     ask,
     evaluate_bgp,
     parse_query,
+    resolve_patterns,
 )
 from trq.terms import RDF_TYPE, Term
 
@@ -197,12 +198,17 @@ def films():
     )
 
 
+def evaluate(g, patterns, limit=None):
+    """``evaluate_bgp`` of parsed patterns, resolved first."""
+    return evaluate_bgp(g, resolve_patterns(g, patterns), limit)
+
+
 def _mapping_set(g, result):
     return {tuple(sorted(m.items())) for m in result.mappings}
 
 
 def test_evaluate_single_pattern(films):
-    res = evaluate_bgp(films, (pattern("?f", "type", "Film"),))
+    res = evaluate(films, (pattern("?f", "type", "Film"),))
     assert not res.truncated
     assert _mapping_set(films, res) == {
         (("f", films.id(ex("f1"))),),
@@ -212,39 +218,39 @@ def test_evaluate_single_pattern(films):
 
 def test_evaluate_join(films):
     pats = (pattern("?f", "starring", "?a"), pattern("?f", "type", "Film"))
-    res = evaluate_bgp(films, pats)
+    res = evaluate(films, pats)
     assert res.mappings and _mapping_set(films, res) == brute_solutions(films, pats)
 
 
 def test_evaluate_repeated_variable_consistency(films):
     # ?x starring ?x has no solutions; ?a spouse ?b with ?a=?b neither
-    assert evaluate_bgp(films, (pattern("?x", "starring", "?x"),)).mappings == []
-    assert evaluate_bgp(films, (pattern("?a", "spouse", "?a"),)).mappings == []
+    assert evaluate(films, (pattern("?x", "starring", "?x"),)).mappings == []
+    assert evaluate(films, (pattern("?a", "spouse", "?a"),)).mappings == []
 
 
 def test_evaluate_unknown_constant_is_empty(films):
-    res = evaluate_bgp(films, (pattern("?x", "starring", "nobody"),))
-    assert res.mappings == [] and res.variables == ("x",)
+    res = evaluate(films, (pattern("?x", "starring", "nobody"),))
+    assert res.mappings == [] and res.variables == ("x",) and not res.truncated
 
 
 def test_evaluate_cartesian_product_of_disconnected_patterns(films):
     pats = (pattern("?f", "type", "Film"), pattern("?z", "type", "Animal"))
-    res = evaluate_bgp(films, pats)
+    res = evaluate(films, pats)
     assert len(res.mappings) == 2
     assert _mapping_set(films, res) == brute_solutions(films, pats)
 
 
 def test_limit_and_truncated_flag(films):
     pats = (pattern("?f", "starring", "?a"),)
-    res = evaluate_bgp(films, pats, limit=2)
+    res = evaluate(films, pats, limit=2)
     assert len(res.mappings) == 2 and res.truncated
-    res_all = evaluate_bgp(films, pats, limit=3)
+    res_all = evaluate(films, pats, limit=3)
     assert len(res_all.mappings) == 3 and not res_all.truncated
 
 
 def test_evaluate_empty_graph():
     g = build_graph([])
-    res = evaluate_bgp(g, (pattern("?x", "p", "?y"),))
+    res = evaluate(g, (pattern("?x", "p", "?y"),))
     assert res.mappings == [] and not res.truncated
 
 
@@ -270,7 +276,7 @@ def test_evaluate_matches_brute_force(seed):
         pats.append(pattern(pick(), rel, pick()))
     if not set().union(*[p.variables() for p in pats]):
         return
-    got = {tuple(sorted(m.items())) for m in evaluate_bgp(g, tuple(pats)).mappings}
+    got = {tuple(sorted(m.items())) for m in evaluate(g, tuple(pats)).mappings}
     assert got == brute_solutions(g, pats)
 
 
@@ -321,18 +327,19 @@ def test_join_matches_reference_walk(seed):
 
     g, pats = _random_bgp(np.random.default_rng(seed))
     variables = tuple(sorted(set().union(*[p.variables() for p in pats])))
-    full, _ = reference_evaluate_bgp(g, pats)
+    resolved = resolve_patterns(g, pats)
+    full, _ = reference_evaluate_bgp(g, resolved)
     default_chunk = sparql_mod.JOIN_CHUNK
     try:
         for chunk in (default_chunk, 1, 3):
             sparql_mod.JOIN_CHUNK = chunk
-            res = evaluate_bgp(g, pats)
+            res = evaluate(g, pats)
             assert res.variables == variables
             assert _ordered(res.mappings) == _ordered(full)
             assert not res.truncated
             for limit in sorted({1, 2, len(full), len(full) + 1} - {0}):
-                ref, ref_truncated = reference_evaluate_bgp(g, pats, limit)
-                res = evaluate_bgp(g, pats, limit)
+                ref, ref_truncated = reference_evaluate_bgp(g, resolved, limit)
+                res = evaluate(g, pats, limit)
                 assert res.variables == variables
                 assert _ordered(res.mappings) == _ordered(ref), (chunk, limit)
                 assert res.truncated == ref_truncated, (chunk, limit)
@@ -342,7 +349,7 @@ def test_join_matches_reference_walk(seed):
 
 def test_limit_must_be_positive(films):
     with pytest.raises(ValueError):
-        evaluate_bgp(films, (pattern("?f", "starring", "?a"),), limit=0)
+        evaluate(films, (pattern("?f", "starring", "?a"),), limit=0)
 
 
 def test_join_order_invariance(films):
@@ -358,7 +365,7 @@ def test_join_order_invariance(films):
     for perm in itertools.permutations(pats):
         got = {
             tuple(sorted(m.items()))
-            for m in evaluate_bgp(films, perm).mappings
+            for m in evaluate(films, perm).mappings
         }
         if baseline is None:
             baseline = got
