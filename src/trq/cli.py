@@ -334,6 +334,7 @@ def cmd_bench(args) -> int:
         threshold=args.threshold,
         top_k=None,
         per_tree_limit=args.per_tree_limit,
+        max_edges=args.max_edges,
         uniform_f=args.uniform_f,
     )
 

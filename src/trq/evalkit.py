@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import EmbeddingConfig, EmbeddingSet, train
+from .qgraph import DEFAULT_MAX_EDGES
 from .recommend import (
     DEFAULT_PER_TREE_LIMIT,
     DEFAULT_THRESHOLD,
@@ -157,6 +158,7 @@ def run_benchmark(
     top_k: int | None = None,
     per_tree_limit: int = DEFAULT_PER_TREE_LIMIT,
     uniform_f: float | None = None,
+    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> BenchReport:
     """Run every case, charging metrics against the original exact answers.
 
@@ -172,7 +174,7 @@ def run_benchmark(
     if embeddings is None and embed_config is None and uniform_f is None:
         raise ValueError("run_benchmark needs embed_config or embeddings")
     # Once, before any case trains a model it could not use.
-    validate_settings(threshold, top_k, per_tree_limit, uniform_f)
+    validate_settings(threshold, top_k, per_tree_limit, max_edges, uniform_f)
     report = BenchReport()
     for case in cases:
         row = BenchRow(name=case.name)
@@ -192,6 +194,7 @@ def run_benchmark(
                 threshold=threshold,
                 top_k=top_k,
                 per_tree_limit=per_tree_limit,
+                max_edges=max_edges,
                 uniform_f=uniform_f,
             )
             rec = recommend(corrupted, req)

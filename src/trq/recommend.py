@@ -73,12 +73,14 @@ class RecommendRequest:
     uniform_f: float | None = None  # ablation hook: constant f for every edge
 
     def validate(self) -> None:
-        validate_settings(self.threshold, self.top_k, self.per_tree_limit, self.uniform_f)
+        validate_settings(self.threshold, self.top_k, self.per_tree_limit, self.max_edges, self.uniform_f)
         if self.embeddings is None and self.uniform_f is None:
             raise ValueError("a request without embeddings needs uniform_f")
 
 
-def validate_settings(threshold: int, top_k: int | None, per_tree_limit: int, uniform_f: float | None) -> None:
+def validate_settings(
+    threshold: int, top_k: int | None, per_tree_limit: int, max_edges: int, uniform_f: float | None
+) -> None:
     """Raise ValueError for a :class:`RecommendRequest` setting out of range."""
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
@@ -86,6 +88,8 @@ def validate_settings(threshold: int, top_k: int | None, per_tree_limit: int, un
         raise ValueError("top_k must be at least 1")
     if per_tree_limit < 1:
         raise ValueError("per_tree_limit must be at least 1")
+    if max_edges < 1:
+        raise ValueError("max_edges must be at least 1")
     if uniform_f is not None and not (math.isfinite(uniform_f) and 0 < uniform_f <= 1):
         raise ValueError(f"uniform_f must be a finite number in (0, 1], got {uniform_f}")
 

@@ -26,10 +26,24 @@ whatever the size of the windows (``JOIN_CHUNK`` rows) a large step is
 produced in. Truncation rule: with a limit, the result is the first
 ``limit`` rows in that order, and it is flagged truncated exactly when
 one more row exists after the last of them.
+
+Patterns that share no variable form independent parts (two type
+leaves ``?b a C . ?c a C`` meet only at the constant). The join order
+is cut before each pattern where the patterns before it and the
+patterns from it on share no variable; under the greedy order that
+happens only where a pattern binds nothing already bound. Each part is
+joined once, from the one empty row, and keeps at most ``limit + 1``
+rows. The depth-first order over all the patterns is the lexicographic
+order of the parts' product, so the result is read off the part tables
+by mixed-radix index arithmetic, never by joining one part once per
+row of another. ``truncated`` is set exactly when the product of the
+kept part sizes exceeds ``limit``: a part cut at ``limit + 1`` rows
+alone makes the product exceed it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -39,8 +53,6 @@ import numpy as np
 
 from .store import Graph
 from .terms import RDF_TYPE_IRI, Term, TermId, unescape_string
-
-DEFAULT_RESULT_LIMIT = 10_000
 
 
 class QuerySyntaxError(ValueError):
@@ -198,12 +210,6 @@ class _Parser:
     def at_word(self, word: str) -> bool:
         tok = self.peek()
         return tok is not None and tok.kind == "word" and tok.text.lower() == word
-
-    def expect_word(self, word: str) -> None:
-        if not self.at_word(word):
-            got = self.peek().text if self.peek() else "end of query"
-            raise QuerySyntaxError(f"expected {word.upper()}, got {got!r}")
-        self.next()
 
     def expect(self, kind: str) -> _Tok:
         tok = self.next()
@@ -544,6 +550,43 @@ def _join(g: Graph, steps: list[list[_Slot]], table: np.ndarray, i: int = 0) -> 
             yield from _join(g, steps, child, i + 1)
 
 
+def _parts(order: list[ResolvedPattern]) -> list[list[ResolvedPattern]]:
+    """``order`` cut before each pattern where the patterns before it and
+    the patterns from it on share no variable."""
+    last: dict[str, int] = {}
+    for i, pat in enumerate(order):
+        for atom in pat:
+            if isinstance(atom, str):
+                last[atom] = i
+    parts: list[list[ResolvedPattern]] = []
+    start = reach = 0  # reach: the last pattern that shares a variable with order[:i]
+    for i, pat in enumerate(order):
+        if i > reach:
+            parts.append(order[start:i])
+            start = i
+        for atom in pat:
+            if isinstance(atom, str) and last[atom] > reach:
+                reach = last[atom]
+    parts.append(order[start:])
+    return parts
+
+
+def _first_rows(g: Graph, steps: list[list[_Slot]], width: int, cap: int | None) -> np.ndarray:
+    """The first ``cap`` rows of the join of ``steps`` from the one empty
+    row, or all of them when ``cap`` is None."""
+    chunks: list[np.ndarray] = []
+    kept = 0
+    for chunk in _join(g, steps, np.empty((1, 0), dtype=np.int64)):
+        if cap is not None and kept + len(chunk) >= cap:
+            chunks.append(chunk[: cap - kept])
+            break
+        chunks.append(chunk)
+        kept += len(chunk)
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate(chunks) if chunks else np.empty((0, width), dtype=np.int64)
+
+
 def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | None = None) -> BGPResult:
     """Evaluate a basic graph pattern given as :func:`resolve_patterns`
     tuples.
@@ -555,27 +598,46 @@ def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | Non
     order, and ``truncated`` is set exactly when one more row exists
     after the last of them. A constant unknown to the graph (a None
     atom) matches nothing, so the result is then empty.
+
+    The join order is cut wherever the patterns before and after the cut
+    share no variable. Each part is joined once, keeping at most
+    ``limit + 1`` rows, and an empty part ends the evaluation. The
+    depth-first order is the lexicographic order of the parts' product:
+    row k takes from each part the row named by k's mixed-radix digit
+    over the part sizes. ``truncated`` is set exactly when the product
+    of those capped sizes exceeds ``limit``.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
     if any(None in pat for pat in resolved):
-        names = tuple(sorted(set().union(*map(_names, resolved))))
-        return BGPResult(names, np.empty((0, len(names)), dtype=np.int64))
-    steps, variables = _compile(_order_patterns(g, resolved))
-    names = tuple(sorted(variables))
-    parts: list[np.ndarray] = []
-    retained = 0
-    truncated = False
-    chunks = _join(g, steps, np.empty((1, 0), dtype=np.int64))
-    for chunk in chunks:
-        if limit is not None and retained + len(chunk) >= limit:
-            parts.append(chunk[: limit - retained])
-            truncated = retained + len(chunk) > limit or next(chunks, None) is not None
-            break
-        parts.append(chunk)
-        retained += len(chunk)
-    rows = np.concatenate(parts) if parts else np.empty((0, len(names)), dtype=np.int64)
-    return BGPResult(names, rows[:, [variables.index(v) for v in names]], truncated)
+        return _no_rows(resolved)
+    cap = None if limit is None else limit + 1
+    tables: list[tuple[np.ndarray, tuple[str, ...]]] = []
+    for part in _parts(_order_patterns(g, resolved)):
+        steps, variables = _compile(part)
+        table = _first_rows(g, steps, len(variables), cap)
+        if not len(table):
+            return _no_rows(resolved)
+        tables.append((table, variables))
+    names = tuple(sorted(v for _, variables in tables for v in variables))
+    total = math.prod(len(table) for table, _ in tables)
+    count = total if limit is None else min(total, limit)
+    rows = np.empty((count, len(names)), dtype=np.int64)
+    stride = 1  # the product's rows that one row of this part spans
+    for table, variables in reversed(tables):
+        columns = [names.index(v) for v in variables]
+        if stride == 1 and len(table) >= count:
+            rows[:, columns] = table[:count]
+        else:  # k // stride is 0 for every k < count once stride >= count
+            rows[:, columns] = table[np.arange(count) // min(stride, count) % len(table)]
+        stride *= len(table)
+    return BGPResult(names, rows, limit is not None and total > limit)
+
+
+def _no_rows(resolved: Sequence[ResolvedPattern]) -> BGPResult:
+    """The empty result over the variables of ``resolved``."""
+    names = tuple(sorted(set().union(*map(_names, resolved))))
+    return BGPResult(names, np.empty((0, len(names)), dtype=np.int64))
 
 
 def ask(g: Graph, q: Query) -> bool:

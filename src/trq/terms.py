@@ -136,10 +136,6 @@ class Term(NamedTuple):
     def is_literal(self) -> bool:
         return self.kind is TermKind.LITERAL
 
-    @property
-    def is_blank(self) -> bool:
-        return self.kind is TermKind.BLANK
-
     def nt(self) -> str:
         """Render in N-Triples syntax."""
         if self.kind is TermKind.IRI:

@@ -674,6 +674,44 @@ def test_bench_rejects_non_finite_uniform_f(run, artifacts, bench_dir):
     assert "error: uniform_f must be a finite number" in err
 
 
+@pytest.mark.parametrize("max_edges", ["0", "-1"])
+def test_bench_max_edges_below_one_is_a_named_error(run, artifacts, bench_dir, monkeypatch, max_edges):
+    import trq.evalkit
+
+    store_path, _ = artifacts
+    trained = []
+    monkeypatch.setattr(trq.evalkit, "train", lambda g, cfg: trained.append(cfg))
+    stdout, err = run(
+        "bench", str(bench_dir / "bench.manifest"),
+        "--store", str(store_path), "--dim", "8", "--epochs", "2",
+        "--max-edges", max_edges,
+        expect=1,
+    )
+    # rejected before any case trains, so no report is printed
+    assert stdout == "" and trained == []
+    assert err == "error: max_edges must be at least 1\n"
+
+
+def test_bench_max_edges_caps_each_case(run, artifacts, bench_dir):
+    store_path, emb_path = artifacts
+    # two edges are left after ?f a ex:Film is removed as a constant leaf
+    (bench_dir / "q.rq").write_text(
+        PROLOG + "SELECT ?f ?a ?b WHERE { ?f ex:starring ?a . ?a ex:spouse ?b . ?f a ex:Film . }"
+    )
+    args = [
+        "bench", str(bench_dir / "bench.manifest"),
+        "--store", str(store_path), "--embeddings", str(emb_path), "--format", "json",
+    ]
+    stdout, _ = run(*args, "--max-edges", "2")
+    assert json.loads(stdout)["cases"][0]["error"] is None
+    stdout, _ = run(*args, "--max-edges", "1", expect=1)
+    [case] = json.loads(stdout)["cases"]
+    assert case["error"] == (
+        "BudgetExceededError: combinatorial budget exceeded: "
+        "2 edges after constant-leaf removal, more than max_edges = 1"
+    )
+
+
 def test_bench_passes_every_training_option(run, artifacts, bench_dir, monkeypatch):
     import trq.evalkit
 

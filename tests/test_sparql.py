@@ -347,6 +347,104 @@ def test_join_matches_reference_walk(seed):
         sparql_mod.JOIN_CHUNK = default_chunk
 
 
+def _product_bgp(rng):
+    """A small graph and patterns whose variables fall into 2-3 groups
+    that meet only at constants, with ground patterns (no variable) mixed
+    in, most of them facts of the graph."""
+    n = int(rng.integers(2, 5))
+    rows = [
+        (f"e{rng.integers(n)}", f"r{rng.integers(2)}", f"e{rng.integers(n)}")
+        for _ in range(int(rng.integers(3, 16)))
+    ]
+    g = build_graph(rows)
+    pats = []
+    for group in range(int(rng.integers(2, 4))):
+        names = [f"?g{group}v{j}" for j in range(int(rng.integers(1, 3)))]
+
+        def node(term):
+            return names[rng.integers(len(names))] if rng.random() < 0.8 else term
+
+        for _ in range(int(rng.integers(1, 3))):
+            s, p, o = rows[rng.integers(len(rows))]
+            pats.append(pattern(node(s), names[0] if rng.random() < 0.1 else p, node(o)))
+    for _ in range(int(rng.integers(0, 3))):
+        fact = rows[rng.integers(len(rows))]
+        pats.append(pattern(*fact) if rng.random() < 0.8 else pattern(fact[2], fact[1], fact[0]))
+    rng.shuffle(pats)
+    return g, tuple(pats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_product_of_parts_matches_reference_walk(seed):
+    """A BGP whose variables meet only at constants is evaluated part by
+    part; its rows, their order, its variables and its truncated flag
+    equal the depth-first walk's at limits around every part's size and
+    the full size, for join chunks down to a single row."""
+    import trq.sparql as sparql_mod
+
+    g, pats = _product_bgp(np.random.default_rng(seed))
+    variables = tuple(sorted(set().union(*[p.variables() for p in pats])))
+    resolved = resolve_patterns(g, pats)
+    full, _ = reference_evaluate_bgp(g, resolved)
+    limits = {1, 2, len(full), len(full) + 1}
+    for part in sparql_mod._parts(sparql_mod._order_patterns(g, resolved)):
+        size = len(reference_evaluate_bgp(g, part)[0])
+        limits |= {size - 1, size, size + 1}
+    expected = {None: (full, False)}
+    expected.update({limit: reference_evaluate_bgp(g, resolved, limit) for limit in limits if limit > 0})
+    default_chunk = sparql_mod.JOIN_CHUNK
+    try:
+        for chunk in (default_chunk, 1, 3):
+            sparql_mod.JOIN_CHUNK = chunk
+            for limit, (ref, ref_truncated) in expected.items():
+                res = evaluate_bgp(g, resolved, limit)
+                assert res.variables == variables
+                assert _ordered(res.mappings) == _ordered(ref), (chunk, limit)
+                assert res.truncated == ref_truncated, (chunk, limit)
+    finally:
+        sparql_mod.JOIN_CHUNK = default_chunk
+
+
+def test_product_is_never_enumerated_past_the_limit(monkeypatch):
+    """Each part of a product is joined on its own and stops at limit + 1
+    rows, so no step yields more, however large the product is."""
+    import trq.sparql as sparql_mod
+
+    films = [f"film{i}" for i in range(300)]
+    people = [f"person{i}" for i in range(250)]
+    g = build_graph([(f, "type", "Film") for f in films] + [(p, "type", "Person") for p in people])
+    pats = (pattern("?f", "type", "Film"), pattern("?p", "type", "Person"))
+    assert len(films) * len(people) > sparql_mod.JOIN_CHUNK
+    resolved = resolve_patterns(g, pats)
+
+    yielded = []
+    real_expand = sparql_mod._expand
+
+    def counting_expand(g, step, table):
+        yielded.append(0)
+        for child in real_expand(g, step, table):
+            yielded[-1] += len(child)
+            yield child
+
+    monkeypatch.setattr(sparql_mod, "_expand", counting_expand)
+    limit = 1_000
+    res = evaluate_bgp(g, resolved, limit)
+    assert len(res.rows) == limit and res.truncated
+    assert yielded and max(yielded) <= limit + 1
+
+    # a first part with no row stops the evaluation before the second is looked up
+    pats = (pattern("?f", "film0", "?x"), pattern("?p", "type", "Person"))
+    resolved = resolve_patterns(g, pats)
+    assert sparql_mod._order_patterns(g, resolved)[0] == resolved[0]
+    ranges = []
+    real_ranges = type(g).ranges
+    monkeypatch.setattr(type(g), "ranges", lambda self, *a: ranges.append(a) or real_ranges(self, *a))
+    res = evaluate_bgp(g, resolved, limit)
+    assert len(res.rows) == 0 and not res.truncated and res.variables == ("f", "p", "x")
+    assert len(ranges) == 1
+
+
 def test_limit_must_be_positive(films):
     with pytest.raises(ValueError):
         evaluate(films, (pattern("?f", "starring", "?a"),), limit=0)
