@@ -33,7 +33,7 @@ from .recommend import (
     recommend,
 )
 from .ntriples import NTriplesError, parse_line
-from .sparql import Query, QueryForm, Var
+from .sparql import Query, QueryForm
 from .terms import Term, Triple
 
 
@@ -79,21 +79,13 @@ def _load_store(path: str | None) -> store.Graph:
     return store.load_snapshot(path)
 
 
-def _atom_str(atom) -> str:
-    return "?" + atom.name if isinstance(atom, Var) else atom.term.nt()
-
-
-def _pattern_str(pat) -> str:
-    return f"{_atom_str(pat.s)} {_atom_str(pat.p)} {_atom_str(pat.o)} ."
-
-
 # -- commands ----------------------------------------------------------
 
 
 def cmd_ingest(args) -> int:
     errors: list = []
     raw = sys.stdin.buffer.read() if args.input == "-" else Path(args.input).read_bytes()
-    g = store.parse_ntriples(raw, strict=not args.lax, error_sink=errors.append)
+    g = store.parse_ntriples(raw, on_error=errors.append if args.lax else None)
     store.save_snapshot(g, args.output)
     if errors:
         print(f"skipped {len(errors)} malformed line(s)", file=sys.stderr)
@@ -155,7 +147,7 @@ def cmd_plan(args) -> int:
         dropped = sorted(tree.dropped_origins)
         print(f"tree {i}/{len(trees)}: covers {list(tree.covered_origins())}, drops {dropped}")
         for origin in tree.covered_origins():
-            print(f"  {_pattern_str(q.patterns[origin])}")
+            print(f"  {' '.join(map(qgraph.atom_label, q.patterns[origin].atoms()))} .")
     return 0
 
 
@@ -467,6 +459,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, LookupError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

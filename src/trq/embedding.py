@@ -737,8 +737,8 @@ def save_embeddings(emb: EmbeddingSet, dest: str | Path | BufferedIOBase) -> Non
     write_file(dest, write)
 
 
-def load_embeddings(src: str | Path | BufferedIOBase, expect_model: str | None = None) -> EmbeddingSet:
-    """Read a TRQE file; optionally enforce the expected model family.
+def load_embeddings(src: str | Path | BufferedIOBase) -> EmbeddingSet:
+    """Read a TRQE file.
 
     The file is read once, and every count in the header is checked
     against the bytes actually present before anything is allocated for
@@ -759,8 +759,6 @@ def load_embeddings(src: str | Path | BufferedIOBase, expect_model: str | None =
     model = _TAG_MODELS.get(tag)
     if model is None:
         raise EmbeddingFormatError(f"unknown model tag {tag}")
-    if expect_model is not None and model != expect_model:
-        raise EmbeddingFormatError(f"model mismatch: file has {model}, expected {expect_model}")
     if norm_tag not in (1, 2):
         raise EmbeddingFormatError(f"unknown norm tag {norm_tag}")
     if dim < 1 or rel_dim < 1:

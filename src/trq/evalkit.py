@@ -46,22 +46,19 @@ def reciprocal_rank(ranked: Sequence[BindingTuple], truth: set[BindingTuple]) ->
 
 
 def mean_rank(ranked: Sequence[BindingTuple], truth: set[BindingTuple]) -> float:
-    """Competition-free mean rank of the truth tuples (see module doc)."""
+    """Competition-free mean rank of the truth tuples (see module doc), in
+    one walk of the ranking: a truth tuple's rank is its position minus
+    the truth tuples found before it."""
     if not truth:
         raise ValueError("mean_rank needs a non-empty truth set")
-    position: dict[BindingTuple, int] = {}
+    found: set[BindingTuple] = set()
+    total = 0
     for i, key in enumerate(ranked, start=1):
-        if key in truth and key not in position:
-            position[key] = i
-    ranks: list[float] = []
-    for key in truth:
-        pos = position.get(key)
-        if pos is None:
-            ranks.append(float(len(ranked) + 1))
-        else:
-            above = sum(1 for other in position.values() if other < pos)
-            ranks.append(float(pos - above))
-    return sum(ranks) / len(ranks)
+        if key in truth and key not in found:
+            total += i - len(found)
+            found.add(key)
+    total += (len(truth) - len(found)) * (len(ranked) + 1)
+    return total / len(truth)
 
 
 class MissingDeletionError(ValueError):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .sparql import Atom, Const, Query, Var
 
 DEFAULT_MAX_EDGES = 16
-DEFAULT_MAX_COMBINATIONS = 50_000
+# Spanning-tree candidates C(|E|, |V|-1) one query may enumerate.
+MAX_COMBINATIONS = 50_000
 
 
 class DisconnectedQueryError(ValueError):
@@ -84,7 +85,8 @@ class SubqueryTree:
         return tuple(sorted(e.origin for e in self.graph.edges))
 
 
-def _label(atom: Atom) -> str:
+def atom_label(atom: Atom) -> str:
+    """A query atom as written: ``?name`` or the constant's N-Triples form."""
     if isinstance(atom, Var):
         return "?" + atom.name
     return atom.term.nt()
@@ -150,22 +152,18 @@ def canonical_form(g: QueryGraph) -> str:
     needed. An edgeless graph falls back to its sorted node labels.
     """
     if not g.edges:
-        return "nodes:" + ",".join(sorted(_label(n) for n in g.nodes))
-    rows = sorted(f"{_label(e.src)}|{_label(e.pred)}|{_label(e.dst)}" for e in g.edges)
+        return "nodes:" + ",".join(sorted(atom_label(n) for n in g.nodes))
+    rows = sorted(f"{atom_label(e.src)}|{atom_label(e.pred)}|{atom_label(e.dst)}" for e in g.edges)
     return ";".join(rows)
 
 
-def enumerate_subquery_trees(
-    q: Query,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    max_combinations: int = DEFAULT_MAX_COMBINATIONS,
-) -> list[SubqueryTree]:
+def enumerate_subquery_trees(q: Query, max_edges: int = DEFAULT_MAX_EDGES) -> list[SubqueryTree]:
     """All distinct re-stripped spanning trees of the reduced query graph.
 
     Raises NoVariableError when no subject or object of the query is a
     variable, DisconnectedQueryError when the reduced graph is
     disconnected and BudgetExceededError when the C(|E|, |V|-1)
-    enumeration would exceed the configured budget, naming the edge cap
+    enumeration would exceed ``MAX_COMBINATIONS``, naming the edge cap
     when it is what trips. Every returned tree preserves the full variable
     set of the query.
     """
@@ -182,7 +180,7 @@ def enumerate_subquery_trees(
     total = math.comb(n_edges, choose) if n_edges >= choose else 0
     if n_edges > max_edges:
         raise BudgetExceededError(n_edges, choose, total, max_edges)
-    if total > max_combinations:
+    if total > MAX_COMBINATIONS:
         raise BudgetExceededError(n_edges, choose, total)
 
     all_origins = frozenset(range(len(q.patterns)))

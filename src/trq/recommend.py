@@ -24,14 +24,16 @@ a funnel in this order, one tree at a time:
    (checked on just those rows). The first tree's copy is kept, and
    ``candidates_seen`` counts the rows that are not repeats.
 3. *Threshold.* Of those, rows whose edit distance, the count of False
-   flags, is under the threshold are kept.
+   flags, is under the threshold are kept. The distance is counted here,
+   once per row, and kept beside the row's flags.
 4. *Pool.* The kept rows of every tree are pooled in tree order.
 
 Every kept row is scored once, column-wise, with those same flags; only
 the top K rows become ScoredSolutions, built from the arrays already
-computed. Terms are rendered only for ranking: the N-Triples form of
-each term in the rows that tie with or beat the K-th score is decoded
-once, orders the ties, and becomes the chosen rows' binding keys.
+computed, edit distances included. Terms are rendered only for ranking:
+the N-Triples form of each term in the rows that tie with or beat the
+K-th score is decoded once, orders the ties, and becomes the chosen
+rows' binding keys.
 Ranking every candidate (the deletion bench) takes the same path.
 """
 
@@ -99,9 +101,12 @@ class Recommendation:
     solutions: list[ScoredSolution]
     trees: list[SubqueryTree]
     candidates_seen: int
-    trees_evaluated: int
     truncated: bool
     timings: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def trees_evaluated(self) -> int:
+        return len(self.trees)
 
 
 def _repeated(
@@ -179,6 +184,7 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     earlier: list[tuple[list[int], np.ndarray | None]] = []
     tables: list[np.ndarray] = []
     flags: list[np.ndarray] = []
+    distances: list[np.ndarray] = []
     seen = 0
     truncated = False
     for tree in usable:
@@ -190,11 +196,13 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
         in_graph = in_graph_flags(g, resolved, variables, table, tree.dropped_origins)
         new = ~_repeated(table, in_graph, earlier)
         seen += int(np.count_nonzero(new))
-        keep = new & ((~in_graph).sum(axis=1) < req.threshold)
+        distance = (~in_graph).sum(axis=1)
+        keep = new & (distance < req.threshold)
         tables.append(table[keep])
         flags.append(in_graph[keep])
+        distances.append(distance[keep])
         earlier.append((covered, table if result.truncated else None))
-    rows, in_graph = np.concatenate(tables), np.concatenate(flags)
+    rows, in_graph, distance = np.concatenate(tables), np.concatenate(flags), np.concatenate(distances)
     t2 = time.perf_counter()
 
     weights = edge_weights(g, resolved)
@@ -202,10 +210,10 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     scores, f, fallback = score_table(view, resolved, weights, variables, rows, in_graph, req.uniform_f)
     t3 = time.perf_counter()
     k = len(rows) if req.top_k is None else min(req.top_k, len(rows))
-    chosen, keys = _top(g, rows, scores, (~in_graph).sum(axis=1), k)
+    chosen, keys = _top(g, rows, scores, distance, k)
     top = [
         scored_solution(
-            dict(zip(variables, rows[r].tolist())), key, weights, in_graph[r], f[r], fallback[r], scores[r]
+            dict(zip(variables, rows[r].tolist())), key, weights, in_graph[r], distance[r], f[r], fallback[r], scores[r]
         )
         for r, key in zip(chosen.tolist(), keys)
     ]
@@ -215,7 +223,6 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
         solutions=top,
         trees=usable,
         candidates_seen=seen,
-        trees_evaluated=len(usable),
         truncated=truncated,
         timings={
             "parse": parse_seconds,

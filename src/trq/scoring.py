@@ -149,11 +149,13 @@ def scored_solution(
     binding_key: tuple[str, ...],
     weights: Sequence[float],
     in_graph: np.ndarray,
+    edit_distance: int,
     f: np.ndarray,
     fallback: np.ndarray,
     score: float,
 ) -> ScoredSolution:
-    """One row of :func:`score_table` as a ScoredSolution."""
+    """One row of :func:`score_table` as a ScoredSolution; ``edit_distance``
+    is the row's count of False ``in_graph`` flags."""
     present, f, fallback = in_graph.tolist(), f.tolist(), fallback.tolist()
     per_edge = tuple(EdgeScore(i, weights[i], f[i], present[i], fallback[i]) for i in range(len(present)))
-    return ScoredSolution(dict(mapping), present.count(False), float(score), per_edge, binding_key)
+    return ScoredSolution(dict(mapping), int(edit_distance), float(score), per_edge, binding_key)

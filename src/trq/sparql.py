@@ -28,15 +28,17 @@ produced in. Truncation rule: with a limit, the result is the first
 one more row exists after the last of them.
 
 Patterns that share no variable form independent parts (two type
-leaves ``?b a C . ?c a C`` meet only at the constant). The join order
-is cut before each pattern where the patterns before it and the
-patterns from it on share no variable; under the greedy order that
-happens only where a pattern binds nothing already bound. Each part is
-joined once, from the one empty row, and keeps at most ``limit + 1``
-rows. The depth-first order over all the patterns is the lexicographic
-order of the parts' product, so the result is read off the part tables
-by mixed-radix index arithmetic, never by joining one part once per
-row of another. ``truncated`` is set exactly when the product of the
+leaves ``?b a C . ?c a C`` meet only at the constant). The greedy
+order yields the parts itself: a pattern starts a new part when greedy
+picks it while it has a variable and shares none with the variables
+bound so far, which it does only once no remaining pattern shares one,
+so the patterns before it and from it on share no variable. A ground
+pattern (no variable) joins the current part. Each part is joined once,
+from the one empty row, and keeps at most ``limit + 1`` rows. The
+depth-first order over all the patterns is the lexicographic order of
+the parts' product, so the result is read off the part tables by
+mixed-radix index arithmetic, never by joining one part once per row of
+another. ``truncated`` is set exactly when the product of the
 kept part sizes exceeds ``limit``: a part cut at ``limit + 1`` rows
 alone makes the product exceed it.
 """
@@ -460,23 +462,29 @@ def _cardinality_estimate(g: Graph, pat: ResolvedPattern, bound: set[str]) -> fl
     return float(g.triple_count)
 
 
-def _order_patterns(g: Graph, patterns: Sequence[ResolvedPattern]) -> list[ResolvedPattern]:
-    """Greedy join order: cheapest estimated pattern next, preferring ones
-    that share a variable with what is already bound (avoids products)."""
+def _order_patterns(g: Graph, patterns: Sequence[ResolvedPattern]) -> list[list[ResolvedPattern]]:
+    """Greedy join order, cut into variable-disjoint parts: cheapest
+    estimated pattern next, preferring ones that share a variable with
+    what is already bound (avoids products). A pattern opens a new part
+    when it has a variable and shares none with the bound set; greedy
+    picks such a pattern only once no remaining pattern shares one."""
     names = [_names(pat) for pat in patterns]
     remaining = list(range(len(patterns)))
     bound: set[str] = set()
-    order: list[ResolvedPattern] = []
+    parts: list[list[ResolvedPattern]] = []
     while remaining:
+        opens = {i: bool(names[i]) and not names[i] & bound for i in remaining}
+
         def key(i: int) -> tuple:
-            connected = not bound or not names[i] or bool(names[i] & bound)
-            return (not connected, _cardinality_estimate(g, patterns[i], bound), i)
+            return (bool(bound) and opens[i], _cardinality_estimate(g, patterns[i], bound), i)
 
         best = min(remaining, key=key)
         remaining.remove(best)
-        order.append(patterns[best])
+        if opens[best] or not parts:
+            parts.append([])
+        parts[-1].append(patterns[best])
         bound |= names[best]
-    return order
+    return parts
 
 
 # How a join step treats one triple position: ("const", id), ("col", j)
@@ -550,27 +558,6 @@ def _join(g: Graph, steps: list[list[_Slot]], table: np.ndarray, i: int = 0) -> 
             yield from _join(g, steps, child, i + 1)
 
 
-def _parts(order: list[ResolvedPattern]) -> list[list[ResolvedPattern]]:
-    """``order`` cut before each pattern where the patterns before it and
-    the patterns from it on share no variable."""
-    last: dict[str, int] = {}
-    for i, pat in enumerate(order):
-        for atom in pat:
-            if isinstance(atom, str):
-                last[atom] = i
-    parts: list[list[ResolvedPattern]] = []
-    start = reach = 0  # reach: the last pattern that shares a variable with order[:i]
-    for i, pat in enumerate(order):
-        if i > reach:
-            parts.append(order[start:i])
-            start = i
-        for atom in pat:
-            if isinstance(atom, str) and last[atom] > reach:
-                reach = last[atom]
-    parts.append(order[start:])
-    return parts
-
-
 def _first_rows(g: Graph, steps: list[list[_Slot]], width: int, cap: int | None) -> np.ndarray:
     """The first ``cap`` rows of the join of ``steps`` from the one empty
     row, or all of them when ``cap`` is None."""
@@ -599,12 +586,11 @@ def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | Non
     after the last of them. A constant unknown to the graph (a None
     atom) matches nothing, so the result is then empty.
 
-    The join order is cut wherever the patterns before and after the cut
-    share no variable. Each part is joined once, keeping at most
-    ``limit + 1`` rows, and an empty part ends the evaluation. The
-    depth-first order is the lexicographic order of the parts' product:
-    row k takes from each part the row named by k's mixed-radix digit
-    over the part sizes. ``truncated`` is set exactly when the product
+    The greedy join order comes cut into variable-disjoint parts. Each
+    part is joined once, keeping at most ``limit + 1`` rows, and an empty
+    part ends the evaluation. The depth-first order is the lexicographic
+    order of the parts' product: row k takes from each part the row
+    named by k's mixed-radix digit over the part sizes. ``truncated`` is set exactly when the product
     of those capped sizes exceeds ``limit``.
     """
     if limit is not None and limit < 1:
@@ -613,7 +599,7 @@ def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | Non
         return _no_rows(resolved)
     cap = None if limit is None else limit + 1
     tables: list[tuple[np.ndarray, tuple[str, ...]]] = []
-    for part in _parts(_order_patterns(g, resolved)):
+    for part in _order_patterns(g, resolved):
         steps, variables = _compile(part)
         table = _first_rows(g, steps, len(variables), cap)
         if not len(table):

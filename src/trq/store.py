@@ -158,9 +158,10 @@ _FULLY_BOUND = {
 
 
 class GraphStats:
-    """Per-relation degree statistics with lazily cached restricted counts."""
+    """Per-relation degree statistics, and restricted counts read off the
+    graph's indexes on each call; built once and never changed."""
 
-    __slots__ = ("_graph", "_dom", "_ran", "_freq", "_dom_at", "_ran_at")
+    __slots__ = ("_graph", "_dom", "_ran", "_freq")
 
     def __init__(self, graph: "Graph"):
         self._graph = graph
@@ -171,8 +172,6 @@ class GraphStats:
         self._freq = _counts(po >> bits)
         self._dom = _counts(sp[_run_starts(sp)] & ((1 << bits) - 1))
         self._ran = _counts(po[_run_starts(po)] >> bits)
-        self._dom_at: dict[tuple[TermId, TermId], int] = {}
-        self._ran_at: dict[tuple[TermId, TermId], int] = {}
 
     def dom(self, r: TermId) -> int:
         """Number of distinct subjects occurring with relation r."""
@@ -187,23 +186,13 @@ class GraphStats:
         return self._freq.get(r, 0)
 
     def dom_at(self, r: TermId, c: TermId) -> int:
-        """Distinct subjects s with (s, r, c) in the graph; cached."""
-        key = (r, c)
-        hit = self._dom_at.get(key)
-        if hit is None:
-            # triples are distinct, so the range size is the subject count
-            hit = self._graph._range_size(None, r, c)
-            self._dom_at[key] = hit
-        return hit
+        """Distinct subjects s with (s, r, c) in the graph."""
+        # triples are distinct, so the range size is the subject count
+        return self._graph._range_size(None, r, c)
 
     def ran_at(self, c: TermId, r: TermId) -> int:
-        """Distinct objects o with (c, r, o) in the graph; cached."""
-        key = (c, r)
-        hit = self._ran_at.get(key)
-        if hit is None:
-            hit = self._graph._range_size(c, r, None)
-            self._ran_at[key] = hit
-        return hit
+        """Distinct objects o with (c, r, o) in the graph."""
+        return self._graph._range_size(c, r, None)
 
     def relations(self) -> list[TermId]:
         return sorted(self._freq)
@@ -329,8 +318,7 @@ class Graph:
         n = len(self._keys)
         if not (0 <= s < n and 0 <= p < n and 0 <= o < n):
             return False
-        b = self._bits
-        key = (int(s) << 2 * b) | (int(p) << b) | int(o)
+        key = self._spo.pack(int(s), int(p), int(o))
         keys = self._spo.keys
         i = keys.searchsorted(key)
         return bool(i < len(keys) and keys[i] == key)
@@ -434,21 +422,20 @@ class Graph:
                 yield Triple(*t)
 
 
-def _lines(source: str | bytes | Path | object) -> tuple[list[str], dict[int, str]]:
+def _lines(source: str | bytes | Path) -> tuple[list[str], dict[int, str]]:
     """The lines of a document, split on ``\\n`` alone, and the lines that
     are not valid UTF-8 by line number.
 
     A path is read as bytes, so every kind of source splits the same
-    way. Bytes that do not decode as a whole are decoded line by line;
-    an undecodable line is ``""`` in the list and its text, decoded with
-    replacement characters, is in the dict.
+    way; any other type of source is a TypeError. Bytes that do not
+    decode as a whole are decoded line by line; an undecodable line is
+    ``""`` in the list and its text, decoded with replacement characters,
+    is in the dict.
     """
     if isinstance(source, Path):
         source = source.read_bytes()
     elif not isinstance(source, (bytes, str)):
-        if not hasattr(source, "read"):
-            raise TypeError(f"unsupported source type: {type(source).__name__}")
-        source = source.read()
+        raise TypeError(f"unsupported source type: {type(source).__name__}")
     if isinstance(source, str):
         return source.split("\n"), {}
     try:
@@ -475,20 +462,15 @@ def _token_term(token: str) -> Term:
     return parse_term(token)
 
 
-def parse_ntriples(
-    source: str | bytes | Path | object,
-    strict: bool = True,
-    error_sink: Callable[[NTriplesError], None] | None = None,
-) -> Graph:
+def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError], None] | None = None) -> Graph:
     """Parse N-Triples into a Graph.
 
-    ``source`` may be text content, UTF-8 bytes, a Path, or a file-like
-    object; a path is read as bytes. Lines end at ``\\n`` only (a ``\\r``
-    before it is dropped). In strict mode (the default) the first
-    malformed line, or line that is not valid UTF-8, raises
-    :class:`NTriplesError` with its line number; otherwise bad lines are
-    skipped, each reported to ``error_sink`` when one is given. Duplicate
-    statements are stored once.
+    ``source`` may be text content, UTF-8 bytes or a Path; a path is read
+    as bytes. Lines end at ``\\n`` only (a ``\\r`` before it is dropped).
+    Without ``on_error`` (the default) the first malformed line, or line
+    that is not valid UTF-8, raises :class:`NTriplesError` with its line
+    number; with it, each bad line is skipped and its error passed to
+    ``on_error``. Duplicate statements are stored once.
 
     Terms are interned here, in one place: ids follow first appearance,
     and blank node labels are scoped to the document, each distinct
@@ -539,10 +521,9 @@ def parse_ntriples(
                 raise NTriplesError("invalid UTF-8", lineno, invalid[lineno])
             parsed = parse_line(line, lineno)
         except NTriplesError as exc:
-            if strict:
+            if on_error is None:
                 raise
-            if error_sink is not None:
-                error_sink(exc)
+            on_error(exc)
             continue
         if parsed is not None:
             ids.extend(map(intern, parsed))

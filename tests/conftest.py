@@ -142,15 +142,15 @@ def reference_evaluate_bgp(g: Graph, resolved, limit: int | None = None):
     """The scalar depth-first evaluator that the columnar join replaced.
 
     Walks the resolved patterns (``resolve_patterns`` tuples) in
-    ``trq.sparql``'s greedy order, one :func:`match_triples` scan per
-    binding, copying the binding dict at every step. Returns (mappings,
-    truncated) under the same limit rule as ``evaluate_bgp``, each
-    mapping keyed in name order; a constant unknown to the graph (None)
-    matches nothing.
+    ``trq.sparql``'s greedy order, its parts flattened, one
+    :func:`match_triples` scan per binding, copying the binding dict at
+    every step. Returns (mappings, truncated) under the same limit rule
+    as ``evaluate_bgp``, each mapping keyed in name order; a constant
+    unknown to the graph (None) matches nothing.
     """
     if any(None in pat for pat in resolved):
         return [], False
-    order = _order_patterns(g, tuple(resolved))
+    order = [pat for part in _order_patterns(g, tuple(resolved)) for pat in part]
 
     def resolve(atom, binding):
         if not isinstance(atom, str):
@@ -516,6 +516,27 @@ def reference_rank(solutions, k: int) -> list[ScoredSolution]:
     return sorted(solutions, key=lambda s: (-s.score, s.edit_distance, s.binding_key))[:k]
 
 
+def reference_mean_rank(ranked, truth) -> float:
+    """The mean rank ``evalkit.mean_rank`` computes in one walk: every
+    truth tuple's first position, then per truth tuple a count of the
+    truth tuples found above it."""
+    if not truth:
+        raise ValueError("mean_rank needs a non-empty truth set")
+    position = {}
+    for i, key in enumerate(ranked, start=1):
+        if key in truth and key not in position:
+            position[key] = i
+    ranks = []
+    for key in truth:
+        pos = position.get(key)
+        if pos is None:
+            ranks.append(float(len(ranked) + 1))
+        else:
+            above = sum(1 for other in position.values() if other < pos)
+            ranks.append(float(pos - above))
+    return sum(ranks) / len(ranks)
+
+
 class _ReferenceBuilder:
     """The term-level graph builder the oracles below use, kept apart from
     the code they check: ids in first-appearance order, each distinct
@@ -555,7 +576,7 @@ def reference_corrupt_graph(g: Graph, deletions) -> Graph:
     return builder.build()
 
 
-def reference_parse_ntriples(text: str, strict: bool = True, error_sink=None) -> Graph:
+def reference_parse_ntriples(text: str, on_error=None) -> Graph:
     """The loop that the line pattern and raw-token memo of
     ``parse_ntriples`` sped up: every line through ``parse_line``, every
     triple through a term-level builder."""
@@ -564,10 +585,9 @@ def reference_parse_ntriples(text: str, strict: bool = True, error_sink=None) ->
         try:
             parsed = parse_line(line, lineno)
         except NTriplesError as exc:
-            if strict:
+            if on_error is None:
                 raise
-            if error_sink is not None:
-                error_sink(exc)
+            on_error(exc)
             continue
         if parsed is not None:
             builder.add(*parsed)

@@ -230,6 +230,20 @@ def test_train_rejects_non_finite_settings(run, tmp_path, artifacts, flag, value
     assert flag.lstrip("-").replace("-", "_") in err and not out.exists()
 
 
+@pytest.mark.parametrize("message, shown", [("Unable to allocate 7.28 TiB", None), ("", "out of memory")])
+def test_train_out_of_memory_is_clean_error(run, tmp_path, artifacts, monkeypatch, message, shown):
+    import trq.embedding
+
+    def exhausted(g, cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(trq.embedding, "train", exhausted)
+    store_path, _ = artifacts
+    out = tmp_path / "x.trqe"
+    _, err = run("train", "--store", str(store_path), "-o", str(out), "--quiet", expect=1)
+    assert err == f"error: {shown or message}\n" and not out.exists()
+
+
 def test_train_missing_store_is_error(run, tmp_path):
     _, err = run("train", "-o", str(tmp_path / "x.trqe"), expect=1)
     assert "no store" in err

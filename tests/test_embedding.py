@@ -779,15 +779,6 @@ def test_save_bytes_deterministic(chain):
     assert b1.getvalue()[:4] == EMBED_MAGIC
 
 
-def test_load_model_expectation(tmp_path, chain):
-    emb = train(chain, EmbeddingConfig(model="transh", dim=4, epochs=1, seed=0))
-    path = tmp_path / "e.trqe"
-    save_embeddings(emb, path)
-    load_embeddings(path, expect_model="transh")
-    with pytest.raises(EmbeddingFormatError):
-        load_embeddings(path, expect_model="transe")
-
-
 def test_load_rejects_bad_magic(chain):
     emb = train(chain, EmbeddingConfig(dim=4, epochs=1, seed=0))
     buf = io.BytesIO()

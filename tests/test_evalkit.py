@@ -30,6 +30,7 @@ from conftest import (
     pattern,
     planted_kg,
     reference_corrupt_graph,
+    reference_mean_rank,
     small_emb,
 )
 
@@ -82,6 +83,13 @@ def test_mean_rank_duplicate_listing_uses_first():
 def test_mean_rank_one_for_any_truth_prefix(k, extra):
     ranked = [f"t{i}" for i in range(k)] + [f"x{i}" for i in range(extra)]
     assert mean_rank(ranked, {f"t{i}" for i in range(k)}) == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=40), st.sets(st.integers(0, 15), min_size=1, max_size=8))
+def test_mean_rank_matches_the_reference(ranked, truth):
+    """Duplicates in the ranking and truth tuples absent from it included."""
+    assert mean_rank(ranked, truth) == reference_mean_rank(ranked, truth)
 
 
 # -- graph corruption --------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,7 +122,7 @@ def test_strict_mode_raises_with_line_number():
 def test_lax_mode_skips_and_reports():
     text = "<http://a> <http://p> <http://b> .\nbad\n<http://a> <http://p> <http://c> .\n"
     errors = []
-    g = parse_ntriples(text, strict=False, error_sink=errors.append)
+    g = parse_ntriples(text, on_error=errors.append)
     assert g.triple_count == 2
     assert len(errors) == 1 and errors[0].lineno == 2
 
@@ -181,6 +183,11 @@ def test_path_and_bytes_give_the_same_graph(tmp_path):
     assert errors == ["line 1: trailing characters after dot"] * 2
 
 
+def test_a_file_object_is_not_a_source():
+    with pytest.raises(TypeError, match="unsupported source type: BytesIO"):
+        parse_ntriples(io.BytesIO(b"<http://a> <http://p> <http://b> .\n"))
+
+
 def test_invalid_utf8_is_a_line_numbered_error():
     doc = b'<http://a> <http://p> <http://b> .\n<http://a> <http://p> "\xff" .\n\n<http://a> <http://p> "\xc3" .\n'
     with pytest.raises(NTriplesError) as e:
@@ -188,7 +195,7 @@ def test_invalid_utf8_is_a_line_numbered_error():
     assert str(e.value) == "line 2: invalid UTF-8"
     assert e.value.line == '<http://a> <http://p> "\ufffd" .'
     errors = []
-    g = parse_ntriples(doc, strict=False, error_sink=errors.append)
+    g = parse_ntriples(doc, on_error=errors.append)
     assert [err.lineno for err in errors] == [2, 4]
     assert g.triple_count == 1
 
@@ -320,8 +327,8 @@ def test_fast_path_matches_the_line_by_line_reference(doc):
     assert _outcome(parse_ntriples, doc) == expected
     assert _outcome(parse_ntriples, doc.encode()) == expected
     skipped, reference_skipped = [], []
-    g = parse_ntriples(doc, strict=False, error_sink=skipped.append)
-    ref = reference_parse_ntriples(doc, strict=False, error_sink=reference_skipped.append)
+    g = parse_ntriples(doc, on_error=skipped.append)
+    ref = reference_parse_ntriples(doc, on_error=reference_skipped.append)
     assert [(e.lineno, str(e)) for e in skipped] == [(e.lineno, str(e)) for e in reference_skipped]
     assert list(g.terms()) == list(ref.terms())
     assert list(g.triples()) == list(ref.triples())

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trq.qgraph
 from trq.qgraph import (
     BudgetExceededError,
     DisconnectedQueryError,
@@ -265,11 +266,12 @@ def test_dropped_plus_covered_partition_origins():
         assert covered & set(t.dropped_origins) == set()
 
 
-def test_budget_error_reports_counts():
+def test_budget_error_reports_counts(monkeypatch):
     # 12 parallel edges between two vars: C(12,1) = 12 fine; crank max down
+    monkeypatch.setattr(trq.qgraph, "MAX_COMBINATIONS", 5)
     pats = [pattern("?x", f"p{i}", "?y") for i in range(12)]
     with pytest.raises(BudgetExceededError) as e:
-        enumerate_subquery_trees(make_query(pats), max_combinations=5)
+        enumerate_subquery_trees(make_query(pats))
     assert e.value.combinations == 12
     assert "spanning-tree candidates" in str(e.value)
 

@@ -425,6 +425,19 @@ def test_top_k_none_ranks_every_candidate(stars):
     assert _view(every.solutions) == _view(recommend(stars, _req(q, emb, top_k=10**9)).solutions)
 
 
+@pytest.mark.parametrize("threshold", [1, 2, 3])
+def test_edit_distance_is_the_count_of_missing_edges(threshold):
+    # counted once per tree for the threshold and carried to every printed row
+    for seed in range(4):
+        g, q = candidate_instance(np.random.default_rng(seed))
+        emb = small_emb(g, epochs=2, dim=6)
+        solutions = recommend(g, _req(q, emb, threshold=threshold, top_k=None)).solutions
+        assert solutions
+        for s in solutions:
+            assert type(s.edit_distance) is int and s.edit_distance < threshold
+            assert s.edit_distance == sum(not e.in_graph for e in s.per_edge)
+
+
 def test_timings_cover_all_phases(stars):
     emb = small_emb(stars)
     q = make_query([pattern("?f", "starring", "?a")])

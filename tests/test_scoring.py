@@ -36,8 +36,9 @@ def score_row(view, patterns, mapping, weights=None, uniform_f=None):
     row = np.array([[mapping[v] for v in variables]], dtype=np.int64)
     flags = in_graph_flags(g, resolved, variables, row, range(len(patterns)))
     total, f, fallback = score_table(view, resolved, weights, variables, row, flags, uniform_f)
-    _, (key,) = _top(g, row, total, (~flags).sum(axis=1), 1)
-    return scored_solution(mapping, key, weights, flags[0], f[0], fallback[0], total[0])
+    distance = (~flags).sum(axis=1)
+    _, (key,) = _top(g, row, total, distance, 1)
+    return scored_solution(mapping, key, weights, flags[0], distance[0], f[0], fallback[0], total[0])
 
 
 @pytest.fixture(scope="module")

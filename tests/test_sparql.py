@@ -388,7 +388,7 @@ def test_product_of_parts_matches_reference_walk(seed):
     resolved = resolve_patterns(g, pats)
     full, _ = reference_evaluate_bgp(g, resolved)
     limits = {1, 2, len(full), len(full) + 1}
-    for part in sparql_mod._parts(sparql_mod._order_patterns(g, resolved)):
+    for part in sparql_mod._order_patterns(g, resolved):
         size = len(reference_evaluate_bgp(g, part)[0])
         limits |= {size - 1, size, size + 1}
     expected = {None: (full, False)}
@@ -404,6 +404,53 @@ def test_product_of_parts_matches_reference_walk(seed):
                 assert res.truncated == ref_truncated, (chunk, limit)
     finally:
         sparql_mod.JOIN_CHUNK = default_chunk
+
+
+def _greedy_order(g, resolved):
+    """The greedy join order as one list: cheapest estimated pattern next,
+    preferring one that shares a variable with what is already bound."""
+    import trq.sparql as sparql_mod
+
+    names = [{x for x in pat if isinstance(x, str)} for pat in resolved]
+    remaining = list(range(len(resolved)))
+    bound, order = set(), []
+    while remaining:
+        def key(i):
+            connected = not bound or not names[i] or bool(names[i] & bound)
+            return (not connected, sparql_mod._cardinality_estimate(g, resolved[i], bound), i)
+
+        best = min(remaining, key=key)
+        remaining.remove(best)
+        order.append(resolved[best])
+        bound |= names[best]
+    return order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_greedy_order_comes_cut_into_variable_disjoint_parts(seed):
+    """The parts flattened are the greedy order, no variable is in two
+    parts, every part after the first opens with a pattern that has a
+    variable and shares none with the parts before it, and no later
+    pattern of a part could have opened one."""
+    import trq.sparql as sparql_mod
+
+    rng = np.random.default_rng(seed)
+    for g, pats in (_random_bgp(rng), _product_bgp(rng)):
+        resolved = resolve_patterns(g, pats)
+        parts = sparql_mod._order_patterns(g, resolved)
+        assert all(parts)
+        assert [pat for part in parts for pat in part] == _greedy_order(g, resolved)
+        bound = set()
+        for i, part in enumerate(parts):
+            names = [{x for x in pat if isinstance(x, str)} for pat in part]
+            assert not set().union(*names) & bound
+            if i:
+                assert names[0] and not names[0] & bound
+            bound |= names[0]
+            for later in names[1:]:
+                assert not later or later & bound
+                bound |= later
 
 
 def test_product_is_never_enumerated_past_the_limit(monkeypatch):
@@ -436,7 +483,7 @@ def test_product_is_never_enumerated_past_the_limit(monkeypatch):
     # a first part with no row stops the evaluation before the second is looked up
     pats = (pattern("?f", "film0", "?x"), pattern("?p", "type", "Person"))
     resolved = resolve_patterns(g, pats)
-    assert sparql_mod._order_patterns(g, resolved)[0] == resolved[0]
+    assert sparql_mod._order_patterns(g, resolved)[0][0] == resolved[0]
     ranges = []
     real_ranges = type(g).ranges
     monkeypatch.setattr(type(g), "ranges", lambda self, *a: ranges.append(a) or real_ranges(self, *a))
