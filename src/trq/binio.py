@@ -38,10 +38,14 @@ _new_tuple = tuple.__new__
 
 
 def read_source(src: str | Path | BufferedIOBase) -> bytes:
-    """All bytes of a path or of a readable binary file object."""
+    """All bytes of a path or of a readable binary file object; any other
+    type of source is a TypeError."""
     if isinstance(src, (str, Path)):
         return Path(src).read_bytes()
-    return src.read()
+    read = getattr(src, "read", None)
+    if read is None:
+        raise TypeError(f"unsupported source type: {type(src).__name__}")
+    return read()
 
 
 def write_file(dest: str | Path | BufferedIOBase, write: Callable[[BinaryIO], None]) -> None:

@@ -27,6 +27,17 @@ produced in. Truncation rule: with a limit, the result is the first
 ``limit`` rows in that order, and it is flagged truncated exactly when
 one more row exists after the last of them.
 
+A step numbers its output rows in that order. Each parent's rows form
+one run, as long as its range is wide, and the running sum of the
+widths ends each run. A window ``[k0, k1)`` of output rows finds its
+last parent with one scalar search of those ends and starts at the last
+parent of the window before it. Its parent map repeats each parent in
+between by its run length, the first and last runs clipped to the
+window, so a window costs time in proportion to its rows and its parent
+map holds at most ``JOIN_CHUNK`` entries. Row k of parent i reads the
+index key at ``k + lo[i] - start[i]``, where ``start[i]`` is the number
+of the parent's first row.
+
 Patterns that share no variable form independent parts (two type
 leaves ``?b a C . ?c a C`` meet only at the constant). The greedy
 order yields the parts itself: a pattern starts a new part when greedy
@@ -516,9 +527,11 @@ def _compile(order: list[ResolvedPattern]) -> tuple[list[list[_Slot]], tuple[str
 
 
 def _expand(g: Graph, step: list[_Slot], table: np.ndarray) -> Iterator[np.ndarray]:
-    """Extend every row of ``table`` with each triple matching the step's
-    pattern under that row, in ``Graph.ranges`` order; parents stay in
-    order. Yields the extended rows in windows of at most JOIN_CHUNK."""
+    """Extend every row of ``table`` (at least one) with each triple
+    matching the step's pattern under that row, in ``Graph.ranges``
+    order; parents stay in order. Yields the extended rows in windows of
+    at most JOIN_CHUNK (see the module doc for how a window finds its
+    parents)."""
     bound = [None, None, None]
     for pos, (kind, j) in enumerate(step):
         if kind == "const":
@@ -526,16 +539,27 @@ def _expand(g: Graph, step: list[_Slot], table: np.ndarray) -> Iterator[np.ndarr
         elif kind == "col":
             bound[pos] = table[:, j]
     index, lo, hi = g.ranges(*bound)
-    counts = np.broadcast_to(hi - lo, (len(table),))
-    lo = np.broadcast_to(lo, (len(table),))
+    if np.ndim(lo) == 0:  # no column bound: one range serves every row
+        lo = np.full(len(table), lo)
+        hi = np.full(len(table), hi)
+    counts = hi - lo
     ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
+    # output row k of parent i reads index key k + shift[i]
+    shift = lo - (ends - counts)
+    total = int(ends[-1])
     width = table.shape[1] + sum(kind == "new" for kind, _ in step)
+    p0 = 0  # the window's first parent
     for k0 in range(0, total, JOIN_CHUNK):
-        k = np.arange(k0, min(total, k0 + JOIN_CHUNK))
-        parent = np.searchsorted(ends, k, side="right")
-        spo = index.unpack(index.keys[lo[parent] + (k - ends[parent] + counts[parent])])
-        child = np.empty((len(k), width), dtype=np.int64)
+        k1 = min(total, k0 + JOIN_CHUNK)
+        p1 = int(ends.searchsorted(k1 - 1, side="right")) + 1
+        # each parent's rows in [k0, k1): the first and last are clipped
+        clipped = counts[p0:p1].copy()
+        clipped[0] -= k0 - (ends[p0] - counts[p0])
+        clipped[-1] -= ends[p1 - 1] - k1
+        parent = np.repeat(np.arange(p0, p1), clipped)
+        spo = index.unpack(index.keys[np.arange(k0, k1) + shift[parent]])
+        p0 = p1 - 1
+        child = np.empty((k1 - k0, width), dtype=np.int64)
         child[:, : table.shape[1]] = table[parent]
         keep = None
         for pos, (kind, j) in enumerate(step):

@@ -50,6 +50,7 @@ one ``<u4`` array, and is read back with ``np.frombuffer``.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections.abc import Callable, Iterable, Iterator
 from io import BufferedIOBase
@@ -387,24 +388,32 @@ class Graph:
         block of triples that share the constant prefix (the whole index
         when c is 0, the answer itself when c is k)."""
         spo = (s, p, o)
-        bound = (s is not None, p is not None, o is not None)
         # an array of patterns has a dimension; an id (or None) has none
-        scalar = [getattr(x, "ndim", 0) == 0 for x in spo]
-        name, k = (_FULLY_BOUND[tuple(scalar)], 3) if all(bound) else _ACCESS[bound]
+        scalar = (getattr(s, "ndim", 0) == 0, getattr(p, "ndim", 0) == 0, getattr(o, "ndim", 0) == 0)
+        if s is not None and p is not None and o is not None:
+            name, k = _FULLY_BOUND[scalar], 3
+        else:
+            name, k = _ACCESS[s is not None, p is not None, o is not None]
         index = getattr(self, name)
         keys = index.keys
         if k == 0:  # the whole index; 1 << (3 * bits) may not fit in an int64
             return index, 0, 0, None, (0, len(keys))
+        order, bits = index.order, index.bits
+        # the bound fields, in key order; the free ones after them are 0
+        lo_key = spo[order[0]] << (2 * bits)
+        if k > 1:
+            lo_key = lo_key | (spo[order[1]] << bits)
+        if k > 2:
+            lo_key = lo_key | spo[order[2]]
         c = 0
-        while c < k and scalar[index.order[c]]:
+        while c < k and scalar[order[c]]:
             c += 1
-        zero = np.int64(0)
-        lo_key = index.pack(*(zero if x is None else x for x in spo))
         if c == 0:
             return index, k, 0, lo_key, (0, len(keys))
-        prefix = index.order[:c]
-        head = index.pack(*(x if i in prefix else zero for i, x in enumerate(spo)))
-        end = head + (np.int64(1) << (index.bits * (3 - c)))
+        head = 0
+        for j in range(c):
+            head |= int(spo[order[j]]) << (bits * (2 - j))
+        end = head + (1 << (bits * (3 - c)))
         return index, k, c, lo_key, (keys.searchsorted(head), keys.searchsorted(end))
 
     def _range_size(self, s, p, o) -> int:
@@ -466,7 +475,9 @@ def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError
     """Parse N-Triples into a Graph.
 
     ``source`` may be text content, UTF-8 bytes or a Path; a path is read
-    as bytes. Lines end at ``\\n`` only (a ``\\r`` before it is dropped).
+    as bytes. A ``str`` is always text: when a one-line ``str`` that fails
+    to parse names an existing file, the error says so. Lines end at
+    ``\\n`` only (a ``\\r`` before it is dropped).
     Without ``on_error`` (the default) the first malformed line, or line
     that is not valid UTF-8, raises :class:`NTriplesError` with its line
     number; with it, each bad line is skipped and its error passed to
@@ -521,8 +532,15 @@ def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError
                 raise NTriplesError("invalid UTF-8", lineno, invalid[lineno])
             parsed = parse_line(line, lineno)
         except NTriplesError as exc:
+            if len(lines) == 1 and isinstance(source, str) and os.path.isfile(source):
+                exc = NTriplesError(
+                    "expected N-Triples, got the name of a file: a str source is document text"
+                    " and a Path is read as a file",
+                    lineno,
+                    line,
+                )
             if on_error is None:
-                raise
+                raise exc
             on_error(exc)
             continue
         if parsed is not None:

@@ -53,6 +53,14 @@ def test_unknown_term_kind_is_named(fmt, kind):
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("src", [123, b"TRQG", None])
+def test_a_source_that_is_no_path_or_file_is_a_type_error(fmt, src):
+    load = FORMATS[fmt][1]
+    with pytest.raises(TypeError, match=f"^unsupported source type: {type(src).__name__}$"):
+        load(src)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_truncated_term_header(fmt):
     # the second term's 5-byte header has only 3 bytes left
     _load(fmt, 2, _entry(0, b"http://example.org/a") + b"\x00\x01\x00", "truncated term table")

@@ -188,6 +188,24 @@ def test_a_file_object_is_not_a_source():
         parse_ntriples(io.BytesIO(b"<http://a> <http://p> <http://b> .\n"))
 
 
+def test_a_str_that_names_a_file_is_text_and_the_error_says_so(tmp_path):
+    path = tmp_path / "films.nt"
+    path.write_text("<http://a> <http://p> <http://b> .\n")
+    assert parse_ntriples(path).triple_count == 1
+    with pytest.raises(NTriplesError, match="str source is document text and a Path is read as a file") as e:
+        parse_ntriples(str(path))
+    assert e.value.lineno == 1 and e.value.line == str(path)
+    assert str(e.value).startswith("line 1: expected N-Triples, got the name of a file")
+    errors = []
+    assert parse_ntriples(str(path), on_error=errors.append).triple_count == 0
+    assert "a Path is read as a file" in str(errors[0])
+    # text that names no file, even one too long for a file name, keeps the plain error
+    for text in (str(tmp_path / "missing.nt"), "x" * 5000):
+        with pytest.raises(NTriplesError) as e:
+            parse_ntriples(text)
+        assert str(e.value) == "line 1: expected IRI or blank node subject"
+
+
 def test_invalid_utf8_is_a_line_numbered_error():
     doc = b'<http://a> <http://p> <http://b> .\n<http://a> <http://p> "\xff" .\n\n<http://a> <http://p> "\xc3" .\n'
     with pytest.raises(NTriplesError) as e:

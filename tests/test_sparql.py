@@ -347,6 +347,41 @@ def test_join_matches_reference_walk(seed):
         sparql_mod.JOIN_CHUNK = default_chunk
 
 
+def test_windows_find_their_parents_by_run_length(monkeypatch):
+    """At JOIN_CHUNK = 2 the second step's 7 rows come from parents with
+    0, 1, 5, 0, 0, 1 and 0 children: x2's children cross the window
+    boundaries at rows 2 and 4, and childless parents sit at the first
+    window's start, on both sides of the boundary at row 6 and after the
+    last window's end. A ground step repeats its one range for each row."""
+    import trq.sparql as sparql_mod
+
+    children = [0, 1, 5, 0, 0, 1, 0]
+    g = build_graph(
+        [(f"x{i}", "type", "T") for i in range(len(children))]
+        + [(f"x{i}", "p", f"y{i}_{j}") for i, n in enumerate(children) for j in range(n)]
+    )
+    pats = (pattern("?x", "type", "T"), pattern("?x", "p", "?y"))
+    resolved = resolve_patterns(g, pats)
+    assert [pat for part in sparql_mod._order_patterns(g, resolved) for pat in part] == resolved
+    monkeypatch.setattr(sparql_mod, "JOIN_CHUNK", 2)
+    steps, _ = sparql_mod._compile(resolved)
+    parents = np.array([[g.id(ex(f"x{i}"))] for i in range(len(children))])
+    windows = list(sparql_mod._expand(g, steps[1], parents))
+    assert [len(w) for w in windows] == [2, 2, 2, 1]
+    assert [row[0] for w in windows for row in w.tolist()] == [
+        g.id(ex(f"x{i}")) for i, n in enumerate(children) for _ in range(n)
+    ]
+    for limit in (None, 1, 2, 3, 6, 7, 8):
+        ref, ref_truncated = reference_evaluate_bgp(g, resolved, limit)
+        res = evaluate_bgp(g, resolved, limit)
+        assert res.variables == ("x", "y")
+        assert res.rows.tolist() == [list(m.values()) for m in ref], limit
+        assert res.truncated == ref_truncated, limit
+    ground = sparql_mod._compile(resolve_patterns(g, (pattern("x2", "p", "y2_0"),)))[0][0]
+    rows = np.concatenate(list(sparql_mod._expand(g, ground, parents[:3])))
+    assert rows.tolist() == parents[:3].tolist()
+
+
 def _product_bgp(rng):
     """A small graph and patterns whose variables fall into 2-3 groups
     that meet only at constants, with ground patterns (no variable) mixed

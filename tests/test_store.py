@@ -176,13 +176,18 @@ def test_array_probes_match_scalar_lookups(data):
 
 
 def _position(data, bound: bool, length: int, ids):
-    """None for a free position, else a scalar id, an np.full column or
-    an array of ids of the given length."""
+    """None for a free position, else a scalar id (an int, an np.int64 or
+    a 0-d array), an np.full column or an array of ids of the given
+    length."""
     if not bound:
         return None
-    how = data.draw(st.sampled_from(["scalar", "full", "array"]))
+    how = data.draw(st.sampled_from(["scalar", "int64", "0-d", "full", "array"]))
     if how == "scalar":
         return data.draw(ids)
+    if how == "int64":
+        return np.int64(data.draw(ids))
+    if how == "0-d":
+        return np.array(data.draw(ids), dtype=np.int64)
     if how == "full":
         return np.full(length, data.draw(ids), dtype=np.int64)
     return np.array(data.draw(st.lists(ids, min_size=length, max_size=length)), dtype=np.int64)
@@ -191,8 +196,8 @@ def _position(data, bound: bool, length: int, ids):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_block_local_lookups_match_a_scan(data):
-    """ranges and contains_rows, each bound position a scalar, an np.full
-    column or an array, equal a brute-force scan of triples(): predicates
+    """ranges and contains_rows, each bound position a scalar of any kind,
+    an np.full column or an array, equal a brute-force scan of triples(): predicates
     with no triple, the largest id, constants in s or o, empty graphs."""
     n = data.draw(st.integers(1, 8))
     rows = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=30))
