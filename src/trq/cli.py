@@ -252,7 +252,7 @@ def cmd_stats(args) -> int:
     g = _load_store(args.store)
     rel_ids = g.stats.relations()
     index, _, _ = g.ranges()
-    s, _, o = index.unpack(index.keys)
+    s, _, o = index.columns()
     print(f"triples: {g.triple_count}")
     print(f"terms: {g.term_count}")
     print(f"entities: {len(np.union1d(s, o))}")

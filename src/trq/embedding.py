@@ -530,7 +530,7 @@ class BoundEmbeddings:
             members = np.empty(0, dtype=np.int64)
             if g.rdf_type_id is not None and 0 <= ty < g.term_count:
                 index, lo, hi = g.ranges(None, g.rdf_type_id, ty)
-                members = index.unpack(index.keys[lo:hi])[0]
+                members = index.columns(slice(lo, hi))[0]
             rows = _rows(self.ent_row, members)
             if not (rows >= 0).any():  # no embedded instance: the class's own row
                 rows = _rows(self.ent_row, np.array([ty], dtype=np.int64))
@@ -554,7 +554,7 @@ def _first_appearance_rows(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray
     (n, 3) array of (entity, relation, entity) rows, in SPO order.
     """
     index, _, _ = g.ranges()
-    s, p, o = index.unpack(index.keys)
+    s, p, o = index.columns()
     ent_ids = first_appearance(np.stack([s, o], axis=1).ravel())
     rel_ids = first_appearance(p)
     ent_row = np.full(g.term_count, -1, dtype=np.int64)

@@ -31,7 +31,7 @@ from .recommend import (
     validate_settings,
 )
 from .sparql import Query, evaluate_bgp, resolve_patterns
-from .store import Graph, first_appearance
+from .store import Graph
 from .terms import Triple
 
 BindingTuple = tuple[str, ...]
@@ -72,33 +72,24 @@ class MissingDeletionError(ValueError):
 
 
 def _nt_line(g: Graph, t: Triple) -> str:
-    ids = t.as_tuple()
-    return " ".join(g.term(x).nt() if 0 <= x < g.term_count else f"(term id {x})" for x in ids) + " ."
+    return " ".join(g.term(x).nt() if 0 <= x < g.term_count else f"(term id {x})" for x in t) + " ."
 
 
 def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
     """A new graph without the deleted facts; every deletion must exist.
 
-    One ``contains_rows`` lookup checks every deletion, and one mask over
-    the SPO keys drops them. Ids follow first appearance in the kept SPO
-    rows, as :func:`~trq.store.parse_ntriples` would number the kept
-    triples written out in SPO order, but the terms (blank labels too)
+    One ``contains_rows`` lookup checks every deletion, and
+    :meth:`~trq.store.Graph.without` drops them: ids follow first
+    appearance in the kept SPO triples, but the terms (blank labels too)
     are the source's.
     """
     todel = sorted(set(deletions))
-    rows = np.array([t.as_tuple() for t in todel], dtype=np.int64).reshape(-1, 3)
+    rows = np.array(todel, dtype=np.int64).reshape(-1, 3)
     present = ((rows >= 0) & (rows < g.term_count)).all(axis=1)
     present[present] = g.contains_rows(*rows[present].T)
     if not present.all():
         raise MissingDeletionError({t: _nt_line(g, t) for t, ok in zip(todel, present.tolist()) if not ok})
-    index, _, _ = g.ranges()
-    dropped = index.pack(*rows.T)
-    rows = np.stack(index.unpack(index.keys[~np.isin(index.keys, dropped)]), axis=1)
-    order = first_appearance(rows.ravel())
-    renumber = np.empty(g.term_count, dtype=np.int64)
-    renumber[order] = np.arange(len(order))
-    keys = g.term_keys
-    return Graph([keys[i] for i in order.tolist()], renumber[rows])
+    return g.without(rows)
 
 
 def exact_solutions(g: Graph, q: Query) -> set[BindingTuple]:

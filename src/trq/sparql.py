@@ -557,7 +557,7 @@ def _expand(g: Graph, step: list[_Slot], table: np.ndarray) -> Iterator[np.ndarr
         clipped[0] -= k0 - (ends[p0] - counts[p0])
         clipped[-1] -= ends[p1 - 1] - k1
         parent = np.repeat(np.arange(p0, p1), clipped)
-        spo = index.unpack(index.keys[np.arange(k0, k1) + shift[parent]])
+        spo = index.columns(np.arange(k0, k1) + shift[parent])
         p0 = p1 - 1
         child = np.empty((k1 - k0, width), dtype=np.int64)
         child[:, : table.shape[1]] = table[parent]

@@ -14,12 +14,15 @@ a triple's ids in the index's field order, each in
 ``bits = max(1, (term_count - 1).bit_length())`` bits, so lexicographic
 triple order is numeric key order. Any pattern with a bound prefix is a
 key range found by ``np.searchsorted`` (a fully bound pattern is a range
-of width one), and id columns are unpacked from a range with shifts and
-masks. SPO, POS and OSP are built with the graph and cost 24 bytes per
-triple. PSO is built on the first lookup with s and p bound and o free
-(in practice a constant predicate and a subject column), and kept; the
-four then cost 32 bytes per triple. Ingest, snapshot loading and
-training never read PSO.
+of width one), and every reader of an index's triples, in this module and
+outside it, gets their id columns from :meth:`TripleIndex.columns`, which
+unpacks them with shifts and masks. So the key layout, and which index
+serves which pattern (``_ACCESS``), are known here alone. SPO, POS and
+OSP are built with the graph and cost 24 bytes per triple. PSO is built
+on the first lookup that binds s and p and leaves o free (in practice a
+constant predicate and a subject column), or that binds all three with
+s and p scalars and o a column, and kept; the four then cost 32 bytes
+per triple. Ingest, snapshot loading and training never read PSO.
 
 Array lookups with a constant (scalar) leading field, such as every
 pattern of a query with a constant predicate, first find the block of
@@ -44,8 +47,8 @@ Snapshot format (``TRQG``, version 1, little endian)::
 The dictionary is written in id order, so a load reproduces the exact
 ids of the saved graph; its entries are the graph's own, written with
 one join and sliced back out, each checked for truncation, its kind,
-UTF-8 and a repeat. The triple block is the SPO index unpacked into
-one ``<u4`` array, and is read back with ``np.frombuffer``.
+UTF-8 and a repeat. The triple block is the SPO index's columns stacked
+into one ``<u4`` array, and is read back with ``np.frombuffer``.
 """
 
 from __future__ import annotations
@@ -117,8 +120,10 @@ class TripleIndex:
         a, b, c = (spo[i] for i in self.order)
         return (a << (2 * self.bits)) | (b << self.bits) | c
 
-    def unpack(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (s, p, o) id columns of an array of keys."""
+    def columns(self, where=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (s, p, o) id columns of the keys at ``where`` (positions, a
+        slice or a mask), in the index's order."""
+        keys = self.keys[where]
         mask = (1 << self.bits) - 1
         fields = (keys >> (2 * self.bits), (keys >> self.bits) & mask, keys & mask)
         out = [None, None, None]
@@ -127,32 +132,20 @@ class TripleIndex:
         return tuple(out)
 
 
-# For each bound-position mask (s, p, o) of a pattern with a free
-# position: the index to scan and how many of its leading fields are
-# bound. s alone scans SPO, s and p scan PSO (by o within one (s, p), as
-# SPO would), p bound (s free) scans POS, and o bound alone or with s
-# scans OSP.
+# For each mask of positions (s, p, o): the index whose leading fields
+# are those positions. A pattern with a free position scans the index of
+# its bound mask: s alone scans SPO, s and p scan PSO (by o within one
+# (s, p), as SPO would), p bound (s free) scans POS, and o bound alone or
+# with s scans OSP. A fully bound pattern is a range of width one in any
+# index, so it is searched in the index of its scalar mask: the constant
+# prefix is then as long as it can be.
 _ACCESS = {
-    (True, True, False): ("_pso", 2),
-    (True, False, False): ("_spo", 1),
-    (True, False, True): ("_osp", 2),
-    (False, True, False): ("_pos", 1),
-    (False, True, True): ("_pos", 2),
-    (False, False, True): ("_osp", 1),
-    (False, False, False): ("_spo", 0),
-}
-
-# A fully bound pattern is a range of width one in any index, so it is
-# searched in the rotation of SPO whose leading fields are the scalar
-# ones, by whether each of s, p, o is a scalar: the constant prefix is
-# then as long as it can be.
-_FULLY_BOUND = {
     (True, True, True): "_spo",
-    (True, True, False): "_spo",
-    (True, False, True): "_osp",
-    (False, True, True): "_pos",
+    (True, True, False): "_pso",
     (True, False, False): "_spo",
+    (True, False, True): "_osp",
     (False, True, False): "_pos",
+    (False, True, True): "_pos",
     (False, False, True): "_osp",
     (False, False, False): "_spo",
 }
@@ -250,7 +243,7 @@ class Graph:
             raise ValueError("triple references unknown term id")
         self._bits = bits = max(1, (n - 1).bit_length())
         self._spo = TripleIndex((0, 1, 2), bits, *rows.T, unique=True)
-        s, p, o = self._spo.unpack(self._spo.keys)
+        s, p, o = self._spo.columns()
         self._pos = TripleIndex((1, 2, 0), bits, s, p, o)
         self._osp = TripleIndex((2, 0, 1), bits, s, p, o)
         self._rdf_type_id = self._id_of.get(_RDF_TYPE_KEY)
@@ -261,7 +254,7 @@ class Graph:
     def _pso(self) -> TripleIndex:
         """The PSO index, built on first use and kept (see the module doc)."""
         if self._pso_index is None:
-            self._pso_index = TripleIndex((1, 0, 2), self._bits, *self._spo.unpack(self._spo.keys))
+            self._pso_index = TripleIndex((1, 0, 2), self._bits, *self._spo.columns())
         return self._pso_index
 
     @property
@@ -297,6 +290,9 @@ class Graph:
         return self._rdf_type_id
 
     def term(self, tid: TermId) -> Term:
+        n = len(self._keys)
+        if not 0 <= tid < n:
+            raise IndexError(f"term id {tid} is outside [0, term_count = {n})")
         return term_of(self._keys[tid])
 
     def id(self, term: Term) -> TermId | None:
@@ -316,13 +312,7 @@ class Graph:
         return all(x is None or 0 <= x < n for x in ids)
 
     def contains(self, s: TermId, p: TermId, o: TermId) -> bool:
-        n = len(self._keys)
-        if not (0 <= s < n and 0 <= p < n and 0 <= o < n):
-            return False
-        key = self._spo.pack(int(s), int(p), int(o))
-        keys = self._spo.keys
-        i = keys.searchsorted(key)
-        return bool(i < len(keys) and keys[i] == key)
+        return self._in_range(s, p, o) and bool(self.contains_rows(s, p, o))
 
     def contains_rows(self, s, p, o) -> np.ndarray:
         """Vectorised :meth:`contains`: each of s, p, o is an id or an int64
@@ -330,7 +320,7 @@ class Graph:
         :meth:`contains`, every id must be a valid term id.
 
         The lookup searches the index whose leading fields are the scalar
-        ids (POS for ``?x p c``, SPO for ``c p ?x``, POS for ``?x p ?y``).
+        ids (POS for ``?x p c``, PSO for ``c p ?x``, POS for ``?x p ?y``).
         Within the block of that constant prefix, the probe keys are
         searched as they come. With no scalar, the probe keys are
         searched over the whole SPO index in sorted order (one argsort
@@ -390,11 +380,9 @@ class Graph:
         spo = (s, p, o)
         # an array of patterns has a dimension; an id (or None) has none
         scalar = (getattr(s, "ndim", 0) == 0, getattr(p, "ndim", 0) == 0, getattr(o, "ndim", 0) == 0)
-        if s is not None and p is not None and o is not None:
-            name, k = _FULLY_BOUND[scalar], 3
-        else:
-            name, k = _ACCESS[s is not None, p is not None, o is not None]
-        index = getattr(self, name)
+        bound = (s is not None, p is not None, o is not None)
+        k = sum(bound)
+        index = getattr(self, _ACCESS[scalar if k == 3 else bound])
         keys = index.keys
         if k == 0:  # the whole index; 1 << (3 * bits) may not fit in an int64
             return index, 0, 0, None, (0, len(keys))
@@ -424,11 +412,25 @@ class Graph:
 
     def triples(self) -> Iterator[Triple]:
         """Every triple in SPO order."""
-        keys = self._spo.keys
-        for start in range(0, len(keys), _SCAN_CHUNK):
-            s, p, o = self._spo.unpack(keys[start : start + _SCAN_CHUNK])
+        for start in range(0, self.triple_count, _SCAN_CHUNK):
+            s, p, o = self._spo.columns(slice(start, start + _SCAN_CHUNK))
             for t in zip(s.tolist(), p.tolist(), o.tolist()):
                 yield Triple(*t)
+
+    def without(self, rows: np.ndarray) -> "Graph":
+        """The graph without the triples of ``rows``, an (n, 3) int64 array
+        of (s, p, o) ids, every one of which it must hold.
+
+        Ids follow first appearance in the kept SPO triples, as
+        :func:`parse_ntriples` would number them written out in SPO order,
+        but the terms (blank labels too) are this graph's.
+        """
+        index = self._spo
+        kept = np.stack(index.columns(~np.isin(index.keys, index.pack(*rows.T))), axis=1)
+        order = first_appearance(kept.ravel())
+        renumber = np.empty(self.term_count, dtype=np.int64)
+        renumber[order] = np.arange(len(order))
+        return Graph([self._keys[i] for i in order.tolist()], renumber[kept])
 
 
 def _lines(source: str | bytes | Path) -> tuple[list[str], dict[int, str]]:
@@ -558,7 +560,7 @@ def save_snapshot(g: Graph, dest: str | Path | BufferedIOBase) -> None:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<HQQ", SNAPSHOT_VERSION, g.term_count, g.triple_count))
         write_keys(fh, g.term_keys)
-        fh.write(np.stack(g._spo.unpack(g._spo.keys), axis=1).astype("<u4").tobytes())
+        fh.write(np.stack(g._spo.columns(), axis=1).astype("<u4").tobytes())
 
     write_file(dest, write)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -148,13 +147,9 @@ class Term(NamedTuple):
 RDF_TYPE = Term.iri(RDF_TYPE_IRI)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Triple:
+class Triple(NamedTuple):
     """A dictionary-encoded triple; field order gives SPO sort order."""
 
     s: TermId
     p: TermId
     o: TermId
-
-    def as_tuple(self) -> tuple[TermId, TermId, TermId]:
-        return (self.s, self.p, self.o)

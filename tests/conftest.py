@@ -91,7 +91,7 @@ def match_triples(g: Graph, s=None, p=None, o=None) -> list[Triple]:
     if any(x is not None and not 0 <= x < g.term_count for x in (s, p, o)):
         return []
     index, lo, hi = g.ranges(s, p, o)
-    return [Triple(*t) for t in zip(*(col.tolist() for col in index.unpack(index.keys[lo:hi])))]
+    return [Triple(*t) for t in zip(*(col.tolist() for col in index.columns(slice(lo, hi))))]
 
 
 # -- brute-force oracles -----------------------------------------------

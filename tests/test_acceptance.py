@@ -343,7 +343,7 @@ def test_criterion_07_normalization_bounds(exact_runs):
             t = ents[int(rng.integers(len(ents)))]
             sampled.append((h, rel, t))
         index, _, _ = g.ranges()
-        members = np.stack(index.unpack(index.keys), axis=1)
+        members = np.stack(index.columns(), axis=1)
         # one score_table call over the sampled rows, then every member triple
         f, _ = edge_plausibility(emb, np.concatenate([np.array(sampled, dtype=np.int64), members]))
         for (h, rel, t), value in zip(sampled, f[: len(sampled)].tolist()):
@@ -416,13 +416,13 @@ def test_criterion_09_link_prediction_sanity(planted):
         for _ in range(200):
             tr = held[trial_rng.integers(len(held))]
             while True:
-                cand = list(tr.as_tuple())
+                cand = list(tr)
                 cand[0 if trial_rng.random() < 0.5 else 2] = entities[
                     trial_rng.integers(len(entities))
                 ]
                 if not g.contains(*cand):
                     break
-            trials.append(tr.as_tuple())
+            trials.append(tuple(tr))
             cands.append(cand)
         true_scores, true_scored = emb.score_rows(*np.array(trials, dtype=np.int64).T)
         cand_scores, cand_scored = emb.score_rows(*np.array(cands, dtype=np.int64).T)

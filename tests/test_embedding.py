@@ -624,7 +624,7 @@ def test_extended_score_uses_type_vector_for_membership(chain):
 def test_normalize_members_exactly_one(chain):
     emb = small_emb(chain).bind(chain)
     index, _, _ = chain.ranges()
-    f, _ = edge_plausibility(emb, np.stack(index.unpack(index.keys), axis=1))
+    f, _ = edge_plausibility(emb, np.stack(index.columns(), axis=1))
     assert len(f) == chain.triple_count and (f == 1.0).all()
 
 

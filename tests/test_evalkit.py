@@ -114,7 +114,7 @@ def test_corrupt_graph_removes_exact_triples(g5):
 def test_corrupt_graph_leaves_original_untouched(g5):
     t = Triple(g5.id(ex("a")), g5.id(ex("p")), g5.id(ex("b")))
     corrupt_graph(g5, [t])
-    assert g5.contains(*t.as_tuple())
+    assert g5.contains(*t)
 
 
 def test_corrupt_graph_missing_deletion_raises(g5):

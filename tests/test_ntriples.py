@@ -146,7 +146,7 @@ def test_round_trip_via_nt_text():
     rows = [("s1", "p", "o1"), ("s1", "p", "o2"), ("s2", "q", "s1")]
     g1 = build_graph(rows)
     g2 = parse_ntriples(nt_text(rows))
-    assert {t.as_tuple() for t in g1.triples()} == {
+    assert {tuple(t) for t in g1.triples()} == {
         (g1.id(g2.term(t.s)), g1.id(g2.term(t.p)), g1.id(g2.term(t.o)))
         for t in g2.triples()
     }
@@ -335,7 +335,7 @@ def _outcome(parse, doc):
         g = parse(doc)
     except NTriplesError as exc:
         return str(exc)
-    return [t.nt() for t in g.terms()], [t.as_tuple() for t in g.triples()]
+    return [t.nt() for t in g.terms()], [tuple(t) for t in g.triples()]
 
 
 @settings(max_examples=500, deadline=None)

@@ -264,7 +264,7 @@ def test_recommend_matches_reference_scoring(reference_instances, model, uniform
     cut = 0
     for g, q, candidates in reference_instances:
         # trained without n00's facts, so edges that read n00 fall back
-        rows = [[g.term(x) for x in t.as_tuple()] for t in g.triples()]
+        rows = [[g.term(x) for x in t] for t in g.triples()]
         trained = build_graph([r for r in rows if ex("n00") not in (r[0], r[2])])
         emb = small_emb(trained, model=model, epochs=2, dim=6)
         got = recommend(g, _req(q, emb, top_k=top_k, per_tree_limit=10**9, uniform_f=uniform_f)).solutions

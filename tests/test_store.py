@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import struct
 
 import numpy as np
@@ -17,7 +18,7 @@ from trq.store import (
     parse_ntriples,
     save_snapshot,
 )
-from trq.terms import RDF_TYPE
+from trq.terms import RDF_TYPE, Triple
 
 from conftest import build_graph, ex, graph_of, keys_of, match_triples
 
@@ -50,8 +51,9 @@ def test_id_lookup_is_total_inverse(small):
 
 
 def test_term_out_of_range(small):
-    with pytest.raises(IndexError):
-        small.term(small.term_count)
+    for tid in (-1, small.term_count):
+        with pytest.raises(IndexError, match=rf"term id {tid} is outside \[0, term_count = 5\)"):
+            small.term(tid)
 
 
 def test_counts(small):
@@ -116,6 +118,10 @@ _SEED_ORDER = {
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_match_row_order_per_bound_combination(seed):
+    """A range's triples come in one order per bound mask, whichever index
+    serves it and whether each bound position is a scalar or a column:
+    s alone by (p, o), p alone by (o, s), o alone by (s, p), nothing bound
+    by (s, p, o), two bound by the free one."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
     rows = [
@@ -126,9 +132,19 @@ def test_match_row_order_per_bound_combination(seed):
     ids = range(g.term_count)
     for mask, key in _SEED_ORDER.items():
         for _ in range(6):
-            s, p, o = (int(rng.choice(ids)) if bound else None for bound in mask)
-            got = match_triples(g, s, p, o)
-            assert got == sorted(_scan(g, s, p, o), key=key), (s, p, o)
+            spo = [int(rng.choice(ids)) if bound else None for bound in mask]
+            assert match_triples(g, *spo) == sorted(_scan(g, *spo), key=key), spo
+            # the same lookup with each mix of scalar and column positions;
+            # a column holds this draw's id and another draw's
+            for mix in itertools.product([False, True], repeat=3):
+                if not any(mix) or any(m and x is None for m, x in zip(mix, spo)):
+                    continue
+                bound = [np.array([x, int(rng.choice(ids))]) if m else x for m, x in zip(mix, spo)]
+                index, lo, hi = g.ranges(*bound)
+                for r in range(2):
+                    pattern = [x if np.ndim(x) == 0 else int(x[r]) for x in bound]
+                    got = [Triple(*t) for t in zip(*(c.tolist() for c in index.columns(slice(lo[r], hi[r]))))]
+                    assert got == sorted(_scan(g, *pattern), key=key), (bound, r)
 
 
 _BOUND_MASKS = [mask for mask in _SEED_ORDER if any(mask)]
@@ -143,7 +159,7 @@ def test_array_probes_match_scalar_lookups(data):
     entity = st.integers(0, n - 1)
     rows = data.draw(st.lists(st.tuples(entity, st.integers(0, 2), entity), min_size=1, max_size=30))
     g = build_graph([(f"e{s}", f"r{p}", f"e{o}") for s, p, o in rows])
-    stored = [t.as_tuple() for t in g.triples()]
+    stored = [tuple(t) for t in g.triples()]
     if data.draw(st.booleans()):
         g = Graph(g.term_keys, [])  # the same terms, no triple
     ids = st.integers(0, g.term_count - 1)
@@ -202,7 +218,7 @@ def test_block_local_lookups_match_a_scan(data):
     n = data.draw(st.integers(1, 8))
     rows = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=30))
     g = graph_of([ex(f"t{i}") for i in range(n)], rows)
-    stored = [t.as_tuple() for t in g.triples()]
+    stored = [tuple(t) for t in g.triples()]
     ids = st.one_of(st.just(n - 1), st.integers(0, n - 1))
     length = data.draw(st.integers(0, 12))
 
@@ -221,15 +237,20 @@ def test_block_local_lookups_match_a_scan(data):
     columns = [None if x is None else np.broadcast_to(x, shape).ravel().tolist() for x in bound]
     for i, (a, b) in enumerate(zip(np.broadcast_to(lo, shape).ravel(), np.broadcast_to(hi, shape).ravel())):
         want = [t for t in stored if all(c is None or t[j] == c[i] for j, c in enumerate(columns))]
-        got = list(zip(*(col.tolist() for col in index.unpack(index.keys[a:b]))))
+        got = list(zip(*(col.tolist() for col in index.columns(slice(a, b)))))
         # the range holds the matches, in the index's order
         assert got == sorted(want, key=lambda t: tuple(t[j] for j in index.order))
 
 
 def test_pso_is_built_only_by_a_subject_and_predicate_lookup(small):
+    """Loading, ``contains``, the other lookups and the statistics read only
+    SPO, POS and OSP, each index's triples through ``columns``. PSO is built
+    on the first lookup that binds s and p and leaves o free, or that binds
+    all three with s and p scalars and o a column."""
     g = load_snapshot(io.BytesIO(_snapshot_bytes(small)))
     a, p = g.id(ex("a")), g.id(ex("p"))
     column = np.array([a, a], dtype=np.int64)
+    g.contains(a, p, a)
     g.contains_rows(column, column, column)
     g.contains_rows(column, p, column)
     g.ranges(None, p, column)
@@ -238,13 +259,16 @@ def test_pso_is_built_only_by_a_subject_and_predicate_lookup(small):
     index, lo, hi = g.ranges(column, p, None)
     assert g._pso_index is index and index.order == (1, 0, 2)
     assert (hi - lo).tolist() == [2, 2]  # (a, p, b) and (a, p, c)
+    fresh = load_snapshot(io.BytesIO(_snapshot_bytes(small)))
+    assert fresh.contains_rows(a, p, column).tolist() == [False, False]
+    assert fresh._pso_index is not None
 
 
 def test_match_results_sorted_spo(small):
-    out = [t.as_tuple() for t in match_triples(small)]
+    out = [tuple(t) for t in match_triples(small)]
     assert out == sorted(out)
     a = small.id(ex("a"))
-    by_s = [t.as_tuple() for t in match_triples(small, a)]
+    by_s = [tuple(t) for t in match_triples(small, a)]
     assert by_s == sorted(by_s)
 
 
@@ -305,7 +329,7 @@ def test_stats_against_scan_oracle():
 
 
 def _assert_stats_match_unique(g: Graph) -> None:
-    t = np.array([t.as_tuple() for t in g.triples()], dtype=np.int64).reshape(-1, 3)
+    t = np.array([tuple(t) for t in g.triples()], dtype=np.int64).reshape(-1, 3)
     s, p, o = t.T
     stats = g.stats
     assert stats.relations() == np.unique(p).tolist()
@@ -344,7 +368,7 @@ def test_snapshot_round_trip(tmp_path, small):
     assert [g2.term(i) for i in range(g2.term_count)] == [
         small.term(i) for i in range(small.term_count)
     ]
-    assert {t.as_tuple() for t in g2.triples()} == {t.as_tuple() for t in small.triples()}
+    assert {tuple(t) for t in g2.triples()} == {tuple(t) for t in small.triples()}
 
 
 def test_snapshot_round_trip_with_literals_and_blanks(tmp_path):
@@ -353,7 +377,7 @@ def test_snapshot_round_trip_with_literals_and_blanks(tmp_path):
     path = tmp_path / "g.trqg"
     save_snapshot(g, path)
     g2 = load_snapshot(path)
-    assert {t.as_tuple() for t in g2.triples()} == {t.as_tuple() for t in g.triples()}
+    assert {tuple(t) for t in g2.triples()} == {tuple(t) for t in g.triples()}
     assert [g2.term(i) for i in range(g2.term_count)] == [
         g.term(i) for i in range(g.term_count)
     ]
@@ -531,7 +555,7 @@ def test_snapshot_loader_fuzz_raises_only_snapshot_error(data, how):
         g = load_snapshot(io.BytesIO(bytes(raw)))
     except SnapshotError:
         return
-    assert all(0 <= x < g.term_count for t in g.triples() for x in t.as_tuple())
+    assert all(0 <= x < g.term_count for t in g.triples() for x in t)
 
 
 def test_failed_save_leaves_existing_file_untouched(tmp_path):

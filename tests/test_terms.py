@@ -103,7 +103,7 @@ def test_rdf_type_constant():
 def test_triple_ordering_and_fields():
     a, p, b = Term.iri("http://a"), Term.iri("http://p"), Term.iri("http://b")
     t = Triple(a, p, b)
-    assert t.as_tuple() == (a, p, b)
+    assert tuple(t) == (a, p, b)
     assert Triple(a, p, b) == Triple(a, p, b)
 
 
