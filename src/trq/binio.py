@@ -1,27 +1,44 @@
 """Binary I/O shared by the TRQG snapshot and TRQE embedding formats.
 
-Both formats hold term tables laid out the same way, one entry per term::
+Both lay a file out the same way, little endian throughout::
 
-    kind u8, byte_len u32, utf-8 lexical form
+    magic    4 bytes
+    header   a struct that starts with the u16 version
+    tables   term tables, one entry per term: kind u8, byte_len u32, utf-8
+    arrays   arrays of known dtype and shape, C order; nothing follows
+
+:mod:`trq.store` (TRQG) and :mod:`trq.embedding` (TRQE) give each
+format's fields. :func:`write_file` writes a file. :func:`read_header`
+and :func:`read_body` read one from its bytes, and raise the format's
+error class with the format's name for a file (``snapshot``,
+``embedding file``), checking in this order:
+
+* ``not a {magic} {name} (bad magic)``;
+* ``truncated {name}``: shorter than the magic or the header;
+* ``unsupported {name} version {version}``;
+* ``truncated {name}: header counts exceed the file size``: the tables,
+  at least 5 bytes a term, and the arrays cannot fit; checked before
+  anything is allocated for them;
+* from :func:`read_keys`: ``truncated term table``,
+  ``unknown term kind {kind}`` or ``term {i} is not valid UTF-8``;
+* ``truncated {name}``: the arrays come up short;
+* ``trailing bytes after {name} payload``.
+
+A format checks its own header fields between the two readers.
 
 An entry's bytes are the term's key: a :class:`~trq.store.Graph` and an
 :class:`~trq.embedding.EmbeddingSet` keep their tables as lists of keys
-and index them by key, so a table is read and written without building
-a :class:`Term`. :func:`term_key` and :func:`term_of` convert at the
-edge, where a caller hands in or reads out a term.
-
-Readers take the whole file as bytes and an error class, so each format
-raises its own named error for truncation, an unknown term kind or a
-term that is not valid UTF-8. Writers to a path go through
-:func:`write_file`, which replaces the destination only once the whole
-payload is written.
+and index them with :func:`key_index`, which rejects a term listed
+twice, so a table is read and written without building a :class:`Term`.
+:func:`term_key` and :func:`term_of` convert at the edge.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from io import BufferedIOBase
 from pathlib import Path
 from typing import BinaryIO
@@ -48,14 +65,25 @@ def read_source(src: str | Path | BufferedIOBase) -> bytes:
     return read()
 
 
-def write_file(dest: str | Path | BufferedIOBase, write: Callable[[BinaryIO], None]) -> None:
-    """Run ``write`` against ``dest``.
+def write_file(
+    dest: str | Path | BufferedIOBase, head: bytes, tables: Sequence[Sequence[bytes]], arrays: Sequence[np.ndarray]
+) -> None:
+    """Write ``head`` (the magic and the packed header), the term
+    ``tables`` and the ``arrays``, in their file dtypes, to ``dest``.
 
     A path is written atomically: the payload goes to a temporary file in
     the destination's directory, which then replaces the destination, so
     a write that fails halfway, or a crash, leaves any existing file
     untouched. A file object is written in place.
     """
+
+    def write(fh: BinaryIO) -> None:
+        fh.write(head)
+        for keys in tables:
+            write_keys(fh, keys)
+        for a in arrays:
+            fh.write(a.tobytes())  # C order, whatever the array's layout
+
     if not isinstance(dest, (str, Path)):
         write(dest)
         return
@@ -70,6 +98,44 @@ def write_file(dest: str | Path | BufferedIOBase, write: Callable[[BinaryIO], No
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_header(
+    data: bytes, magic: bytes, fmt: str, version: int, error: type[Exception], name: str
+) -> tuple[list, int]:
+    """The fields of the header, of struct format ``fmt``, after its
+    version, and the offset of the body (checks: see the module doc)."""
+    if len(data) >= len(magic) and data[: len(magic)] != magic:
+        raise error(f"not a {magic.decode()} {name} (bad magic)")
+    end = len(magic) + struct.calcsize(fmt)
+    if len(data) < end:
+        raise error(f"truncated {name}")
+    found, *fields = struct.unpack_from(fmt, data, len(magic))
+    if found != version:
+        raise error(f"unsupported {name} version {found}")
+    return fields, end
+
+
+def read_body(
+    data: bytes, pos: int, tables: Sequence[int], dtype: str, shapes: Sequence[tuple], error: type[Exception], name: str
+) -> tuple[list[list[bytes]], list[np.ndarray]]:
+    """The term tables of the ``tables`` counts, then read-only views of
+    the ``dtype`` arrays of ``shapes``, from byte ``pos`` to the end of
+    ``data`` (checks: see the module doc)."""
+    counts = [math.prod(shape) for shape in shapes]
+    size = np.dtype(dtype).itemsize * sum(counts)
+    if sum(tables) * TERM_HEADER_SIZE + size > len(data) - pos:
+        raise error(f"truncated {name}: header counts exceed the file size")
+    keys = []
+    for count in tables:
+        table, pos = read_keys(data, pos, count, error)
+        keys.append(table)
+    if len(data) - pos < size:
+        raise error(f"truncated {name}")
+    if len(data) - pos > size:
+        raise error(f"trailing bytes after {name} payload")
+    flat = np.frombuffer(data, dtype=dtype, count=sum(counts), offset=pos)
+    return keys, [a.reshape(shape) for a, shape in zip(np.split(flat, np.cumsum(counts)[:-1]), shapes)]
 
 
 def term_key(term: Term) -> bytes:
@@ -150,8 +216,13 @@ def _check_utf8(data: bytes, start: int, stop: int, keys: list[bytes], error: ty
         raise error(f"term {at} is not valid UTF-8") from exc
 
 
-def repeated_term(keys: Sequence[bytes], index: dict[bytes, int]) -> str:
-    """The N-Triples form of the first entry of ``keys`` listed again;
-    ``index`` is ``dict(zip(keys, range(len(keys))))``, which keeps a
-    repeated key's last position."""
-    return term_of(next(k for i, k in enumerate(keys) if index[k] != i)).nt()
+def key_index(keys: Sequence[bytes], table: str) -> dict[bytes, int]:
+    """The row of each of ``keys``; a key listed twice raises ValueError
+    ``{table} table lists {term} twice``, naming the first repeated term
+    in N-Triples form."""
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) != len(keys):
+        # a repeated key keeps its last row, so its first entry is not it
+        twice = next(k for i, k in enumerate(keys) if index[k] != i)
+        raise ValueError(f"{table} table lists {term_of(twice).nt()} twice")
+    return index

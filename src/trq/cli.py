@@ -32,7 +32,7 @@ from .recommend import (
     RecommendRequest,
     recommend,
 )
-from .ntriples import NTriplesError, parse_line
+from .ntriples import NTriplesError, parse_line, parse_term
 from .sparql import Query, QueryForm
 from .terms import Term, Triple
 
@@ -295,6 +295,27 @@ def _read_deletions(g: store.Graph, path: Path) -> list[Triple]:
     return out
 
 
+def _read_truth(path: Path, width: int) -> set[tuple[str, ...]]:
+    """The binding keys of a truth file: ``width`` tab-separated N-Triples
+    terms a line, in the form a ranking's keys hold them."""
+    truth = set()
+    for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: line {lineno}: invalid UTF-8") from None
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ValueError(f"{path}: line {lineno}: expected {width} tab-separated fields, got {len(fields)}")
+        try:
+            truth.add(tuple(parse_term(field, lineno).nt() for field in fields))
+        except NTriplesError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return truth
+
+
 def cmd_bench(args) -> int:
     g = _load_store(args.store)
     entries = evalkit.load_manifest(args.manifest)
@@ -302,14 +323,7 @@ def cmd_bench(args) -> int:
     for entry in entries:
         q = sparql.parse_query(entry.query_path.read_text(encoding="utf-8"))
         deletions = _read_deletions(g, entry.deletions_path)
-        truth = None
-        if entry.truth_path is not None:
-            truth = set()
-            for line in entry.truth_path.read_text(encoding="utf-8").splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                truth.add(tuple(line.split("\t")))
+        truth = None if entry.truth_path is None else _read_truth(entry.truth_path, len(q.variables()))
         cases.append(evalkit.BenchCase(entry.name, q, deletions, truth))
 
     embeddings = None

@@ -75,11 +75,10 @@ keeps them as they are read: rows are indexed by entry bytes, and
 :meth:`EmbeddingSet.bind` aligns them with a graph's ids by looking the
 graph's entries up, so neither load nor bind decodes a term.
 
-Writes to a path are atomic (a temporary file, then ``os.replace``).
-The loader checks every header count against the bytes present before it
-allocates, and rejects non-positive dimensions, a margin that is not a
-positive number, non-finite matrix values and a term listed twice in the
-entity or the relation table with :class:`EmbeddingFormatError`.
+:mod:`trq.binio` writes and reads the layout and checks it. The loader
+also rejects non-positive dimensions, a margin that is not a positive
+number, non-finite matrix values and a term listed twice in the entity
+or the relation table with :class:`EmbeddingFormatError`.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import TERM_HEADER_SIZE, read_keys, read_source, repeated_term, term_of, write_file, write_keys
+from .binio import key_index, read_body, read_header, read_source, term_of, write_file
 from .store import Graph, first_appearance
 from .terms import Term, TermId
 
@@ -424,8 +423,8 @@ class EmbeddingSet:
     sampler_redraws: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        self.entity_index = dict(zip(self.entity_keys, range(len(self.entity_keys))))
-        self.relation_index = dict(zip(self.relation_keys, range(len(self.relation_keys))))
+        self.entity_index = key_index(self.entity_keys, "entity")
+        self.relation_index = key_index(self.relation_keys, "relation")
         self._view: BoundEmbeddings | None = None  # bind's one-slot cache
 
     @property
@@ -713,49 +712,22 @@ def _matrix_shapes(model: str, n_ent: int, n_rel: int, dim: int, rel_dim: int) -
 def save_embeddings(emb: EmbeddingSet, dest: str | Path | BufferedIOBase) -> None:
     """Write the set in the TRQE binary format (float32 matrices;
     atomically to a path)."""
+    tags = (_MODEL_TAGS[emb.model], 1 if emb.norm == "l1" else 2)
+    counts = (emb.entity_count, emb.relation_count)
+    head = EMBED_MAGIC + _HEADER.pack(EMBED_VERSION, *tags, emb.dim, emb.rel_dim, emb.margin, *counts)
     extra = {TRANSE: [], TRANSH: [emb.normals], TRANSR: [emb.maps]}[emb.model]
-
-    def write(fh):
-        fh.write(EMBED_MAGIC)
-        fh.write(
-            _HEADER.pack(
-                EMBED_VERSION,
-                _MODEL_TAGS[emb.model],
-                1 if emb.norm == "l1" else 2,
-                emb.dim,
-                emb.rel_dim,
-                emb.margin,
-                emb.entity_count,
-                emb.relation_count,
-            )
-        )
-        write_keys(fh, emb.entity_keys)
-        write_keys(fh, emb.relation_keys)
-        for m in [emb.entity_vecs, emb.relation_vecs] + extra:
-            fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
-
-    write_file(dest, write)
+    matrices = [np.asarray(m, dtype="<f4") for m in [emb.entity_vecs, emb.relation_vecs] + extra]
+    write_file(dest, head, [emb.entity_keys, emb.relation_keys], matrices)
 
 
 def load_embeddings(src: str | Path | BufferedIOBase) -> EmbeddingSet:
-    """Read a TRQE file.
-
-    The file is read once, and every count in the header is checked
-    against the bytes actually present before anything is allocated for
-    it; a malformed file of any kind, including one holding a non-finite
-    value or listing a term twice in one table, raises
-    :class:`EmbeddingFormatError`.
-    """
+    """Read a TRQE file; a malformed file of any kind raises
+    :class:`EmbeddingFormatError` (see the module doc)."""
     data = read_source(src)
-    if len(data) < 4:
-        raise EmbeddingFormatError("truncated embedding file")
-    if data[:4] != EMBED_MAGIC:
-        raise EmbeddingFormatError("not a TRQE embedding file (bad magic)")
-    if len(data) < 4 + _HEADER.size:
-        raise EmbeddingFormatError("truncated embedding file")
-    version, tag, norm_tag, dim, rel_dim, margin, n_ent, n_rel = _HEADER.unpack_from(data, 4)
-    if version != EMBED_VERSION:
-        raise EmbeddingFormatError(f"unsupported embedding file version {version}")
+    error, name = EmbeddingFormatError, "embedding file"
+    (tag, norm_tag, dim, rel_dim, margin, n_ent, n_rel), pos = read_header(
+        data, EMBED_MAGIC, _HEADER.format, EMBED_VERSION, error, name
+    )
     model = _TAG_MODELS.get(tag)
     if model is None:
         raise EmbeddingFormatError(f"unknown model tag {tag}")
@@ -768,42 +740,23 @@ def load_embeddings(src: str | Path | BufferedIOBase) -> EmbeddingSet:
     if not math.isfinite(margin) or margin <= 0:
         raise EmbeddingFormatError(f"margin {margin} is not a positive number")
     shapes = _matrix_shapes(model, n_ent, n_rel, dim, rel_dim)
-    size = 4 * sum(math.prod(shape) for shape in shapes)
-    pos = 4 + _HEADER.size
-    # each term takes at least its 5-byte header
-    if (n_ent + n_rel) * TERM_HEADER_SIZE + size > len(data) - pos:
-        raise EmbeddingFormatError("truncated embedding file: header counts exceed the file size")
-    ent_keys, pos = read_keys(data, pos, n_ent, EmbeddingFormatError)
-    rel_keys, pos = read_keys(data, pos, n_rel, EmbeddingFormatError)
-    if len(data) - pos < size:
-        raise EmbeddingFormatError("truncated embedding file")
-    if len(data) - pos > size:
-        raise EmbeddingFormatError("trailing bytes after embedding payload")
-    matrices = []
-    for shape in shapes:
-        count = math.prod(shape)
-        m = np.frombuffer(data, dtype="<f4", count=count, offset=pos).reshape(shape).copy()
-        if not np.isfinite(m).all():
-            raise EmbeddingFormatError("embedding matrices hold a non-finite value")
-        matrices.append(m)
-        pos += 4 * count
-    emb = EmbeddingSet(
-        model=model,
-        norm="l1" if norm_tag == 1 else "l2",
-        dim=dim,
-        rel_dim=rel_dim,
-        margin=margin,
-        entity_keys=ent_keys,
-        relation_keys=rel_keys,
-        entity_vecs=matrices[0],
-        relation_vecs=matrices[1],
-        normals=matrices[2] if model == TRANSH else None,
-        maps=matrices[2] if model == TRANSR else None,
-    )
-    for table, keys, index in (
-        ("entity", ent_keys, emb.entity_index),
-        ("relation", rel_keys, emb.relation_index),
-    ):
-        if len(index) != len(keys):
-            raise EmbeddingFormatError(f"{table} table lists {repeated_term(keys, index)} twice")
-    return emb
+    (ent_keys, rel_keys), views = read_body(data, pos, [n_ent, n_rel], "<f4", shapes, error, name)
+    if not all(np.isfinite(m).all() for m in views):
+        raise EmbeddingFormatError("embedding matrices hold a non-finite value")
+    matrices = [m.copy() for m in views]
+    try:
+        return EmbeddingSet(
+            model=model,
+            norm="l1" if norm_tag == 1 else "l2",
+            dim=dim,
+            rel_dim=rel_dim,
+            margin=margin,
+            entity_keys=ent_keys,
+            relation_keys=rel_keys,
+            entity_vecs=matrices[0],
+            relation_vecs=matrices[1],
+            normals=matrices[2] if model == TRANSH else None,
+            maps=matrices[2] if model == TRANSR else None,
+        )
+    except ValueError as exc:  # a table lists a term twice
+        raise EmbeddingFormatError(str(exc)) from exc

@@ -17,12 +17,12 @@ key range found by ``np.searchsorted`` (a fully bound pattern is a range
 of width one), and every reader of an index's triples, in this module and
 outside it, gets their id columns from :meth:`TripleIndex.columns`, which
 unpacks them with shifts and masks. So the key layout, and which index
-serves which pattern (``_ACCESS``), are known here alone. SPO, POS and
-OSP are built with the graph and cost 24 bytes per triple. PSO is built
-on the first lookup that binds s and p and leaves o free (in practice a
-constant predicate and a subject column), or that binds all three with
-s and p scalars and o a column, and kept; the four then cost 32 bytes
-per triple. Ingest, snapshot loading and training never read PSO.
+serves which pattern (``_ACCESS``), are known here alone. SPO and POS
+are built with the graph and cost 16 bytes per triple. PSO and OSP are
+built on the first lookup that reads them (``_ACCESS``) and kept, 8
+bytes per triple each. Ingest, snapshot loading and training never read
+PSO; they and recommendation, whose predicates are constants, never
+read OSP.
 
 Array lookups with a constant (scalar) leading field, such as every
 pattern of a query with a constant predicate, first find the block of
@@ -45,10 +45,8 @@ Snapshot format (``TRQG``, version 1, little endian)::
     triples     triple_count x (s u32, p u32, o u32), SPO order
 
 The dictionary is written in id order, so a load reproduces the exact
-ids of the saved graph; its entries are the graph's own, written with
-one join and sliced back out, each checked for truncation, its kind,
-UTF-8 and a repeat. The triple block is the SPO index's columns stacked
-into one ``<u4`` array, and is read back with ``np.frombuffer``.
+ids of the saved graph. :mod:`trq.binio` writes and reads the layout and
+checks it; the loader adds the check that every id names a term.
 """
 
 from __future__ import annotations
@@ -61,16 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import (
-    TERM_HEADER_SIZE,
-    read_keys,
-    read_source,
-    repeated_term,
-    term_key,
-    term_of,
-    write_file,
-    write_keys,
-)
+from .binio import key_index, read_body, read_header, read_source, term_key, term_of, write_file
 from .ntriples import TRIPLE_LINE, NTriplesError, parse_line, parse_term
 from .terms import RDF_TYPE, Term, TermId, TermKind, Triple
 
@@ -140,14 +129,14 @@ class TripleIndex:
 # index, so it is searched in the index of its scalar mask: the constant
 # prefix is then as long as it can be.
 _ACCESS = {
-    (True, True, True): "_spo",
-    (True, True, False): "_pso",
-    (True, False, False): "_spo",
-    (True, False, True): "_osp",
-    (False, True, False): "_pos",
-    (False, True, True): "_pos",
-    (False, False, True): "_osp",
-    (False, False, False): "_spo",
+    (True, True, True): "spo",
+    (True, True, False): "pso",
+    (True, False, False): "spo",
+    (True, False, True): "osp",
+    (False, True, False): "pos",
+    (False, True, True): "pos",
+    (False, False, True): "osp",
+    (False, False, False): "spo",
 }
 
 
@@ -162,7 +151,7 @@ class GraphStats:
         bits = graph._bits
         # the (s, p) prefixes of SPO and the (p, o) prefixes of POS, sorted
         sp = graph._spo.keys >> bits
-        po = graph._pos.keys >> bits
+        po = graph._index("pos").keys >> bits
         self._freq = _counts(po >> bits)
         self._dom = _counts(sp[_run_starts(sp)] & ((1 << bits) - 1))
         self._ran = _counts(po[_run_starts(po)] >> bits)
@@ -224,7 +213,7 @@ class Graph:
     dropped, here and only here.
     """
 
-    __slots__ = ("_keys", "_id_of", "_bits", "_spo", "_pos", "_osp", "_pso_index", "_stats", "_rdf_type_id")
+    __slots__ = ("_keys", "_id_of", "_bits", "_spo", "_indexes", "_stats", "_rdf_type_id")
 
     def __init__(self, keys: Iterable[bytes], triples: Iterable[tuple[int, int, int]] | np.ndarray):
         self._keys = tuple(keys)
@@ -233,9 +222,7 @@ class Graph:
             raise GraphTooLargeError(
                 f"graph has {n} terms; the packed index keys hold at most {MAX_TERM_COUNT}"
             )
-        self._id_of = dict(zip(self._keys, range(n)))
-        if len(self._id_of) != n:
-            raise ValueError(f"term table lists {repeated_term(self._keys, self._id_of)} twice")
+        self._id_of = key_index(self._keys, "term")
         if not isinstance(triples, np.ndarray):
             triples = list(triples)
         rows = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
@@ -243,19 +230,20 @@ class Graph:
             raise ValueError("triple references unknown term id")
         self._bits = bits = max(1, (n - 1).bit_length())
         self._spo = TripleIndex((0, 1, 2), bits, *rows.T, unique=True)
-        s, p, o = self._spo.columns()
-        self._pos = TripleIndex((1, 2, 0), bits, s, p, o)
-        self._osp = TripleIndex((2, 0, 1), bits, s, p, o)
+        self._indexes = {"spo": self._spo}
+        self._index("pos")  # PSO and OSP wait for a lookup that reads them
         self._rdf_type_id = self._id_of.get(_RDF_TYPE_KEY)
-        self._pso_index: TripleIndex | None = None
         self._stats: GraphStats | None = None
 
-    @property
-    def _pso(self) -> TripleIndex:
-        """The PSO index, built on first use and kept (see the module doc)."""
-        if self._pso_index is None:
-            self._pso_index = TripleIndex((1, 0, 2), self._bits, *self._spo.columns())
-        return self._pso_index
+    def _index(self, name: str) -> TripleIndex:
+        """The index whose fields are in the order of ``name`` ("pso": p,
+        then s, then o), built from SPO on first use and kept (see the
+        module doc)."""
+        index = self._indexes.get(name)
+        if index is None:
+            order = tuple(map("spo".index, name))
+            index = self._indexes[name] = TripleIndex(order, self._bits, *self._spo.columns())
+        return index
 
     @property
     def stats(self) -> GraphStats:
@@ -382,7 +370,7 @@ class Graph:
         scalar = (getattr(s, "ndim", 0) == 0, getattr(p, "ndim", 0) == 0, getattr(o, "ndim", 0) == 0)
         bound = (s is not None, p is not None, o is not None)
         k = sum(bound)
-        index = getattr(self, _ACCESS[scalar if k == 3 else bound])
+        index = self._index(_ACCESS[scalar if k == 3 else bound])
         keys = index.keys
         if k == 0:  # the whole index; 1 << (3 * bits) may not fit in an int64
             return index, 0, 0, None, (0, len(keys))
@@ -555,44 +543,17 @@ def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError
 
 def save_snapshot(g: Graph, dest: str | Path | BufferedIOBase) -> None:
     """Write the graph in the TRQG binary format (atomically to a path)."""
-
-    def write(fh):
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<HQQ", SNAPSHOT_VERSION, g.term_count, g.triple_count))
-        write_keys(fh, g.term_keys)
-        fh.write(np.stack(g._spo.columns(), axis=1).astype("<u4").tobytes())
-
-    write_file(dest, write)
+    head = SNAPSHOT_MAGIC + struct.pack("<HQQ", SNAPSHOT_VERSION, g.term_count, g.triple_count)
+    write_file(dest, head, [g.term_keys], [np.stack(g._spo.columns(), axis=1).astype("<u4")])
 
 
 def load_snapshot(src: str | Path | BufferedIOBase) -> Graph:
-    """Read a TRQG snapshot back into a Graph.
-
-    Every count in the header is checked against the bytes actually
-    present before anything is allocated for it; a malformed file of any
-    kind raises :class:`SnapshotError`.
-    """
+    """Read a TRQG snapshot back into a Graph; a malformed file of any
+    kind raises :class:`SnapshotError`."""
     data = read_source(src)
-    if len(data) < 4:
-        raise SnapshotError("truncated snapshot")
-    if data[:4] != SNAPSHOT_MAGIC:
-        raise SnapshotError("not a TRQG snapshot (bad magic)")
-    if len(data) < 4 + 18:
-        raise SnapshotError("truncated snapshot")
-    version, term_count, triple_count = struct.unpack_from("<HQQ", data, 4)
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotError(f"unsupported snapshot version {version}")
-    pos = 4 + 18
-    # each term takes at least its 5-byte header, each triple 12 bytes
-    if term_count * TERM_HEADER_SIZE + triple_count * 12 > len(data) - pos:
-        raise SnapshotError("truncated snapshot: header counts exceed the file size")
-    keys, pos = read_keys(data, pos, term_count, SnapshotError)
-    size = triple_count * 12
-    if len(data) - pos < size:
-        raise SnapshotError("truncated snapshot")
-    if len(data) - pos > size:
-        raise SnapshotError("trailing bytes after snapshot payload")
-    triples = np.frombuffer(data, dtype="<u4", count=3 * triple_count, offset=pos).reshape(-1, 3)
+    error, name = SnapshotError, "snapshot"
+    (term_count, triple_count), pos = read_header(data, SNAPSHOT_MAGIC, "<HQQ", SNAPSHOT_VERSION, error, name)
+    (keys,), (triples,) = read_body(data, pos, [term_count], "<u4", [(triple_count, 3)], error, name)
     if len(triples) and int(triples.max()) >= term_count:
         raise SnapshotError("triple references unknown term id")
     try:
@@ -601,4 +562,3 @@ def load_snapshot(src: str | Path | BufferedIOBase) -> Graph:
         raise
     except ValueError as exc:
         raise SnapshotError(str(exc)) from exc
-

@@ -4,35 +4,47 @@ from __future__ import annotations
 
 import io
 import struct
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trq.binio import read_keys, term_of, write_keys
-from trq.embedding import EmbeddingFormatError, load_embeddings, save_embeddings
-from trq.store import SnapshotError, load_snapshot, parse_ntriples, save_snapshot
+from trq.binio import read_keys, term_key, term_of, write_keys
+from trq.embedding import EmbeddingFormatError, EmbeddingSet, load_embeddings, save_embeddings
+from trq.store import Graph, SnapshotError, load_snapshot, parse_ntriples, save_snapshot
 from trq.terms import Term, TermKind
 
 from conftest import TermKeyedIndexes, keys_of, parent_align, parent_read_terms, small_emb
 
 
-def _trqg(count: int, table: bytes) -> bytes:
-    """A snapshot of ``count`` terms read from ``table`` and no triples."""
-    return b"TRQG" + struct.pack("<HQQ", 1, count, 0) + table
+def _trqg(count: int, table: bytes, rows: bytes = b"") -> bytes:
+    """A snapshot of ``count`` terms read from ``table`` and the u32 triple
+    block ``rows`` (none by default)."""
+    return b"TRQG" + struct.pack("<HQQ", 1, count, len(rows) // 12) + table + rows
 
 
-def _trqe(count: int, table: bytes) -> bytes:
+def _trqe(count: int, table: bytes, rows: bytes = b"") -> bytes:
     """A transe file of dim 1 with ``count`` entity terms read from
-    ``table``, no relations and no matrix bytes: each table below is at
-    least 9 bytes per term long, so the header counts fit the file and the
-    term table is read."""
-    return b"TRQE" + struct.pack("<HBBIIdQQ", 1, 1, 1, 1, 1, 1.0, count, 0) + table
+    ``table``, no relations and the matrix bytes ``rows`` (none by
+    default): each table below is at least 9 bytes per term long, so the
+    header counts fit the file and the term table is read."""
+    return b"TRQE" + struct.pack("<HBBIIdQQ", 1, 1, 1, 1, 1, 1.0, count, 0) + table + rows
+
+
+class Format(NamedTuple):
+    build: Callable[..., bytes]
+    load: Callable
+    error: type[Exception]
+    noun: str  # what the format's layout errors call a file
+    head: int  # header bytes after the magic, the u16 version first
+    rows: bytes  # the array bytes that follow one term of a valid file
 
 
 FORMATS = {
-    "trqg": (_trqg, load_snapshot, SnapshotError),
-    "trqe": (_trqe, load_embeddings, EmbeddingFormatError),
+    "trqg": Format(_trqg, load_snapshot, SnapshotError, "snapshot", 18, struct.pack("<3I", 0, 0, 0)),
+    "trqe": Format(_trqe, load_embeddings, EmbeddingFormatError, "embedding file", 36, struct.pack("<f", 0.5)),
 }
 
 
@@ -41,9 +53,49 @@ def _entry(kind: int, body: bytes, length: int | None = None) -> bytes:
 
 
 def _load(fmt: str, count: int, table: bytes, match: str):
-    build, load, error = FORMATS[fmt]
-    with pytest.raises(error, match=match):
-        load(io.BytesIO(build(count, table)))
+    f = FORMATS[fmt]
+    with pytest.raises(f.error, match=match):
+        f.load(io.BytesIO(f.build(count, table)))
+
+
+def _valid(fmt: str) -> bytes:
+    """A file of ``fmt`` holding one term and the array bytes after it."""
+    f = FORMATS[fmt]
+    data = f.build(1, _entry(0, b"http://example.org/a"), f.rows)
+    f.load(io.BytesIO(data))
+    return data
+
+
+# name: the file made from a valid one (``d``) of the format ``f``, and the
+# message, in the order the loader checks them
+_LAYOUT_FAULTS = {
+    **{f"{n}-bytes": (lambda d, f, n=n: d[:n], "truncated {noun}") for n in range(4)},
+    "bad-magic": (lambda d, f: b"TRQX" + d[4:], "not a {magic} {noun} (bad magic)"),
+    "magic-only": (lambda d, f: d[:4], "truncated {noun}"),
+    "header-cut": (lambda d, f: d[: 4 + f.head - 1], "truncated {noun}"),
+    "version-2": (lambda d, f: d[:4] + struct.pack("<H", 2) + d[6:], "unsupported {noun} version 2"),
+    # a million terms, each at least 5 bytes long
+    "counts": (
+        lambda d, f: f.build(10**6, _entry(0, b"http://example.org/a"), f.rows),
+        "truncated {noun}: header counts exceed the file size",
+    ),
+    "payload-short": (lambda d, f: d[:-1], "truncated {noun}"),
+    "trailing": (lambda d, f: d + b"\x00", "trailing bytes after {noun} payload"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_LAYOUT_FAULTS))
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_layout_faults_are_named(fmt, fault):
+    """Each fault of the layout both formats share raises the format's
+    own error class with one exact message."""
+    f = FORMATS[fmt]
+    data = _valid(fmt)
+    make, message = _LAYOUT_FAULTS[fault]
+    with pytest.raises(f.error) as got:
+        f.load(io.BytesIO(make(data, f)))
+    assert type(got.value) is f.error
+    assert str(got.value) == message.format(noun=f.noun, magic=data[:4].decode())
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
@@ -55,7 +107,7 @@ def test_unknown_term_kind_is_named(fmt, kind):
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 @pytest.mark.parametrize("src", [123, b"TRQG", None])
 def test_a_source_that_is_no_path_or_file_is_a_type_error(fmt, src):
-    load = FORMATS[fmt][1]
+    load = FORMATS[fmt].load
     with pytest.raises(TypeError, match=f"^unsupported source type: {type(src).__name__}$"):
         load(src)
 
@@ -202,3 +254,78 @@ def test_write_terms_writes_each_table_once():
     assert fh.getvalue() == (
         _entry(0, b"http://example.org/a") + _entry(1, b'"x"') + _entry(2, b"b0")
     )
+
+
+def _table_bytes(terms) -> bytes:
+    """A term table as the module docs lay it out: kind u8, byte length
+    u32, UTF-8 lexical form."""
+    return b"".join(
+        struct.pack("<BI", int(t.kind), len(t.lexical.encode("utf-8"))) + t.lexical.encode("utf-8") for t in terms
+    )
+
+
+def _saved(save, obj, tmp_path) -> bytes:
+    """The bytes ``save`` writes to a file object, checked equal to those
+    it writes to a path."""
+    buf = io.BytesIO()
+    save(obj, buf)
+    path = tmp_path / "out.bin"
+    save(obj, path)
+    assert path.read_bytes() == buf.getvalue()
+    return buf.getvalue()
+
+
+_WRITER_TERMS = [
+    Term.iri("http://example.org/a"),
+    Term.iri("http://example.org/p"),
+    Term.literal("caf\u00e9", lang="fr"),
+    Term.blank("b0"),
+    Term.iri("http://example.org/q"),
+]
+
+
+@pytest.mark.parametrize(
+    "model, norm, dim, rel_dim, extra",
+    [("transe", "l1", 3, 3, None), ("transh", "l2", 3, 3, (2, 3)), ("transr", "l1", 3, 2, (2, 2, 3))],
+)
+def test_writers_lay_out_the_documented_bytes(tmp_path, model, norm, dim, rel_dim, extra):
+    """``save_snapshot`` and ``save_embeddings`` write exactly the bytes the
+    TRQG and TRQE field tables describe, built here with struct and numpy."""
+    rows = [(3, 1, 2), (0, 1, 2), (0, 4, 3), (0, 1, 2), (2, 4, 0)]
+    g = Graph([term_key(t) for t in _WRITER_TERMS], rows)
+    distinct = sorted(set(rows))
+    assert _saved(save_snapshot, g, tmp_path) == (
+        b"TRQG"
+        + struct.pack("<HQQ", 1, len(_WRITER_TERMS), len(distinct))
+        + _table_bytes(_WRITER_TERMS)
+        + b"".join(struct.pack("<III", *t) for t in distinct)
+    )
+
+    ent_terms, rel_terms = [_WRITER_TERMS[i] for i in (0, 3, 2)], [_WRITER_TERMS[i] for i in (1, 4)]
+    shapes = [(len(ent_terms), dim), (len(rel_terms), rel_dim)] + ([extra] if extra else [])
+    mats = [(np.arange(np.prod(s), dtype=np.float32).reshape(s) - 2.5) / (k + 3) for k, s in enumerate(shapes)]
+    emb = EmbeddingSet(
+        model=model,
+        norm=norm,
+        dim=dim,
+        rel_dim=rel_dim,
+        margin=0.75,
+        entity_keys=[term_key(t) for t in ent_terms],
+        relation_keys=[term_key(t) for t in rel_terms],
+        entity_vecs=mats[0],
+        relation_vecs=mats[1],
+        normals=mats[2] if model == "transh" else None,
+        maps=mats[2] if model == "transr" else None,
+    )
+    tag = {"transe": 1, "transh": 2, "transr": 3}[model]
+    data = _saved(save_embeddings, emb, tmp_path)
+    assert data == (
+        b"TRQE"
+        + struct.pack("<HBBIIdQQ", 1, tag, 1 if norm == "l1" else 2, dim, rel_dim, 0.75, len(ent_terms), len(rel_terms))
+        + _table_bytes(ent_terms)
+        + _table_bytes(rel_terms)
+        + b"".join(struct.pack(f"<{m.size}f", *m.ravel().tolist()) for m in mats)
+    )
+    loaded = load_embeddings(io.BytesIO(data))
+    got = [loaded.entity_vecs, loaded.relation_vecs] + [x for x in (loaded.normals, loaded.maps) if x is not None]
+    assert len(got) == len(mats) and all(np.array_equal(a, b) for a, b in zip(got, mats))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from trq import evalkit
 from trq.cli import _embed_config, build_parser, main
 from trq.embedding import EmbeddingConfig, load_embeddings
 from trq.recommend import DEFAULT_PER_TREE_LIMIT, DEFAULT_THRESHOLD, DEFAULT_TOP_K
@@ -594,6 +595,38 @@ def test_bench_explicit_truth_file(run, artifacts, bench_dir):
     )
     payload = json.loads(stdout)
     assert payload["cases"][0]["truth_size"] == 2
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (f"<{EX}Camelot> <{EX}Franco_Nero>\n", "line 1: expected 2 tab-separated fields, got 1"),
+        (f"# comment\n\n<{EX}Camelot>\n", "line 3: expected 2 tab-separated fields, got 1"),
+        (f"<{EX}Camelot>\t<{EX}Franco_Nero>\t<{EX}x>\n", "line 1: expected 2 tab-separated fields, got 3"),
+        (f"<{EX}Camelot>\t<{EX}Franco_Nero>\nCamelot\t<{EX}x>\n", "line 2: unrecognized term: 'Camelot'"),
+        (f"<{EX}Camelot>\t<{EX}Franco_Nero> <{EX}x>\n", f"line 1: trailing characters after term: '<{EX}Franco_Nero> <{EX}x>'"),
+        (f"\n<{EX}Camelot>\t<{EX}Franco_Nero>\n".encode() + b"<p:\xff>\t<p:x>\n", "line 3: invalid UTF-8"),
+    ],
+    ids=["space-separated", "one-field", "three-fields", "bad-term", "space-in-field", "invalid-utf8"],
+)
+def test_bench_malformed_truth_line_names_file_and_line(run, artifacts, bench_dir, monkeypatch, content, message):
+    """A truth line holds one N-Triples term per query variable, tab
+    separated; any other line is an error before any case trains."""
+    store_path, _ = artifacts
+    truth = bench_dir / "truth.tsv"
+    truth.write_bytes(content if isinstance(content, bytes) else content.encode())
+    (bench_dir / "bench.manifest").write_text("q.rq del.nt truth.tsv\n")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a case trained")
+
+    monkeypatch.setattr(evalkit, "train", no_training)
+    stdout, err = run(
+        "bench", str(bench_dir / "bench.manifest"),
+        "--store", str(store_path), "--dim", "4", "--epochs", "1",
+        expect=1,
+    )
+    assert stdout == "" and err == f"error: {truth}: {message}\n"
 
 
 def test_bench_case_failure_sets_exit_code(run, artifacts, bench_dir):

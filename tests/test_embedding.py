@@ -25,6 +25,7 @@ from trq.embedding import (
     save_embeddings,
     train,
 )
+from trq.binio import term_key
 from trq.evalkit import BenchCase, run_benchmark
 from trq.store import Graph, parse_ntriples
 from trq.terms import RDF_TYPE, Term
@@ -883,14 +884,25 @@ def test_load_rejects_non_utf8_term():
 
 @pytest.mark.parametrize("table", ["entity", "relation"])
 def test_load_rejects_a_term_listed_twice(table):
-    a, b, r = ex("a"), ex("b"), ex("r")
-    ent, rel = ([a, b, a], [r]) if table == "entity" else ([a, b], [r, r])
+    # a set cannot list a term twice, so the file's last entry of the
+    # table is overwritten with its first, an entry of the same length
+    a, b, c, r, s = ex("a"), ex("b"), ex("c"), ex("r"), ex("s")
+    ent, rel = ([a, b, c], [r]) if table == "entity" else ([a, b], [r, s])
     emb = _manual_set("transe", np.zeros((len(ent), 2)), np.zeros((len(rel), 2)), ent, rel)
     buf = io.BytesIO()
     save_embeddings(emb, buf)
-    twice = ent[0] if table == "entity" else rel[0]
+    twice, last = (ent[0], ent[-1]) if table == "entity" else (rel[0], rel[-1])
+    data = buf.getvalue().replace(term_key(last), term_key(twice))
     with pytest.raises(EmbeddingFormatError, match=f"^{table} table lists {re.escape(twice.nt())} twice$"):
-        load_embeddings(io.BytesIO(buf.getvalue()))
+        load_embeddings(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("table", ["entity", "relation"])
+def test_a_set_rejects_a_term_listed_twice(table):
+    a, b, r = ex("a"), ex("b"), ex("r")
+    ent, rel = ([a, b, a], [r]) if table == "entity" else ([a, b], [r, r])
+    with pytest.raises(ValueError, match=f"^{table} table lists {re.escape(a.nt() if table == 'entity' else r.nt())} twice$"):
+        _manual_set("transe", np.zeros((len(ent), 2)), np.zeros((len(rel), 2)), ent, rel)
 
 
 @settings(max_examples=300, deadline=None)

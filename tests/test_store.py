@@ -18,9 +18,12 @@ from trq.store import (
     parse_ntriples,
     save_snapshot,
 )
+from trq.embedding import EmbeddingConfig, load_embeddings, save_embeddings, train
+from trq.recommend import RecommendRequest, recommend
+from trq.sparql import parse_query
 from trq.terms import RDF_TYPE, Triple
 
-from conftest import build_graph, ex, graph_of, keys_of, match_triples
+from conftest import MOVIE_QUERY, build_graph, ex, graph_of, keys_of, match_triples, movie_graph
 
 
 @pytest.fixture
@@ -242,26 +245,64 @@ def test_block_local_lookups_match_a_scan(data):
         assert got == sorted(want, key=lambda t: tuple(t[j] for j in index.order))
 
 
-def test_pso_is_built_only_by_a_subject_and_predicate_lookup(small):
+SPO, POS, OSP, PSO = (0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The field orders of the indexes built from here on, in order."""
+    orders = []
+
+    class Recorded(trq.store.TripleIndex):
+        __slots__ = ()
+
+        def __init__(self, order, *args, **kwargs):
+            orders.append(order)
+            super().__init__(order, *args, **kwargs)
+
+    monkeypatch.setattr(trq.store, "TripleIndex", Recorded)
+    return orders
+
+
+def test_pso_is_built_only_by_a_subject_and_predicate_lookup(small, built):
     """Loading, ``contains``, the other lookups and the statistics read only
-    SPO, POS and OSP, each index's triples through ``columns``. PSO is built
+    SPO and POS, each index's triples through ``columns``. PSO is built
     on the first lookup that binds s and p and leaves o free, or that binds
-    all three with s and p scalars and o a column."""
+    all three with s and p scalars and o a column, and OSP on the first
+    that leaves p free and binds o; each is built once and kept. Ingest,
+    training, loading and a recommendation never build OSP."""
     g = load_snapshot(io.BytesIO(_snapshot_bytes(small)))
-    a, p = g.id(ex("a")), g.id(ex("p"))
+    a, p, b = g.id(ex("a")), g.id(ex("p")), g.id(ex("b"))
     column = np.array([a, a], dtype=np.int64)
     g.contains(a, p, a)
     g.contains_rows(column, column, column)
     g.contains_rows(column, p, column)
     g.ranges(None, p, column)
+    g.ranges(a, None, None)
     g.stats.relations()
-    assert g._pso_index is None
+    assert built == [SPO, POS]
     index, lo, hi = g.ranges(column, p, None)
-    assert g._pso_index is index and index.order == (1, 0, 2)
+    assert built == [SPO, POS, PSO] and index.order == PSO
     assert (hi - lo).tolist() == [2, 2]  # (a, p, b) and (a, p, c)
+    assert g.ranges(a, p, None)[0] is index and len(built) == 3
     fresh = load_snapshot(io.BytesIO(_snapshot_bytes(small)))
     assert fresh.contains_rows(a, p, column).tolist() == [False, False]
-    assert fresh._pso_index is not None
+    assert built[3:] == [SPO, POS, PSO]
+
+    del built[:]
+    index, lo, hi = g.ranges(None, None, b)
+    assert index.order == OSP and built == [OSP]
+    rows = list(zip(*(c.tolist() for c in index.columns(slice(lo, hi)))))
+    assert rows == sorted((tuple(t) for t in small.triples() if t.o == b), key=lambda t: (t[2], t[0], t[1]))
+    assert g.ranges(a, None, np.array([b, a], dtype=np.int64))[0] is index and built == [OSP]
+
+    # a query path with bound predicates never reads OSP
+    del built[:]
+    movies = movie_graph()
+    emb = load_embeddings(_embedding_bytes(train(movies, EmbeddingConfig(dim=4, epochs=2, seed=1))))
+    loaded = load_snapshot(io.BytesIO(_snapshot_bytes(movies)))
+    assert recommend(loaded, RecommendRequest(query=parse_query(MOVIE_QUERY), embeddings=emb)).solutions
+    assert built[:2] == [SPO, POS] and OSP not in built
 
 
 def test_match_results_sorted_spo(small):
@@ -498,6 +539,13 @@ def _snapshot_bytes(g) -> bytes:
     buf = io.BytesIO()
     save_snapshot(g, buf)
     return buf.getvalue()
+
+
+def _embedding_bytes(emb) -> io.BytesIO:
+    buf = io.BytesIO()
+    save_embeddings(emb, buf)
+    buf.seek(0)
+    return buf
 
 
 _FUZZ_SOURCE = parse_ntriples(
