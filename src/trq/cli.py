@@ -11,6 +11,9 @@ a ``TRQ_``-prefixed environment variable (e.g. ``TRQ_STORE``,
 ``TRQ_MODEL``, ``TRQ_TOP_K``) before its built-in default. Booleans read
 ``1/true/yes/on`` or ``0/false/no/off``; any other value, a number
 that does not parse, or a word outside an option's choices is an error.
+
+Text inputs are read by :mod:`trq.ntriples`: a fault reads ``error:
+{path}: line N: ...``, stdin (``-``) named ``<stdin>``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -32,9 +34,9 @@ from .recommend import (
     RecommendRequest,
     recommend,
 )
-from .ntriples import NTriplesError, parse_line, parse_term
+from .ntriples import read_lines, text_input
 from .sparql import Query, QueryForm
-from .terms import Term, Triple
+from .terms import Term
 
 
 class QueryFormError(ValueError):
@@ -67,12 +69,6 @@ def _env(name: str, cast, default, choices=None):
         raise ValueError(f"TRQ_{name}: not a valid {cast.__name__}: {raw!r}") from None
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _load_store(path: str | None) -> store.Graph:
     if not path:
         raise ValueError("no store given (use --store or TRQ_STORE)")
@@ -84,8 +80,8 @@ def _load_store(path: str | None) -> store.Graph:
 
 def cmd_ingest(args) -> int:
     errors: list = []
-    raw = sys.stdin.buffer.read() if args.input == "-" else Path(args.input).read_bytes()
-    g = store.parse_ntriples(raw, on_error=errors.append if args.lax else None)
+    with text_input(args.input) as raw:
+        g = store.parse_ntriples(raw, on_error=errors.append if args.lax else None)
     store.save_snapshot(g, args.output)
     if errors:
         print(f"skipped {len(errors)} malformed line(s)", file=sys.stderr)
@@ -140,7 +136,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    q = sparql.parse_query(_read_text(args.query))
+    q = sparql.parse_query("\n".join(read_lines(args.query)))
     trees = qgraph.enumerate_subquery_trees(q, max_edges=args.max_edges)
     print(f"{len(q.patterns)} patterns, {len(trees)} subquery tree(s)")
     for i, tree in enumerate(trees, start=1):
@@ -169,7 +165,7 @@ def cmd_query(args) -> int:
     emb = embedding.load_embeddings(args.embeddings)
     emb.bind(g)  # aligned before the query clock starts; recommend reuses this view
 
-    text = _read_text(args.query)
+    text = "\n".join(read_lines(args.query))
     wall_start = time.perf_counter()
     parse_start = time.perf_counter()
     q = sparql.parse_query(text)
@@ -241,7 +237,7 @@ def cmd_query(args) -> int:
 
 def cmd_ask(args) -> int:
     g = _load_store(args.store)
-    q = sparql.parse_query(_read_text(args.query))
+    q = sparql.parse_query("\n".join(read_lines(args.query)))
     print("true" if sparql.ask(g, q) else "false")
     return 0
 
@@ -270,61 +266,9 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _read_deletions(g: store.Graph, path: Path) -> list[Triple]:
-    """The triples of a deletions file as ids of ``g``.
-
-    Terms are looked up as written, so a blank node is named by the
-    store's own label (``_:b0``, as ``trq query`` prints it); parsing the
-    file as a document would relabel its blank nodes.
-    """
-    out = []
-    for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
-        try:
-            parsed = parse_line(raw.decode("utf-8"), lineno)
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: line {lineno}: invalid UTF-8") from None
-        except NTriplesError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        if parsed is None:
-            continue
-        ids = [g.id(term) for term in parsed]
-        if None in ids:
-            missing = parsed[ids.index(None)].nt()
-            raise ValueError(f"{path}: line {lineno}: deletion references a term not in the store: {missing}")
-        out.append(Triple(*ids))
-    return out
-
-
-def _read_truth(path: Path, width: int) -> set[tuple[str, ...]]:
-    """The binding keys of a truth file: ``width`` tab-separated N-Triples
-    terms a line, in the form a ranking's keys hold them."""
-    truth = set()
-    for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: line {lineno}: invalid UTF-8") from None
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != width:
-            raise ValueError(f"{path}: line {lineno}: expected {width} tab-separated fields, got {len(fields)}")
-        try:
-            truth.add(tuple(parse_term(field, lineno).nt() for field in fields))
-        except NTriplesError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    return truth
-
-
 def cmd_bench(args) -> int:
     g = _load_store(args.store)
-    entries = evalkit.load_manifest(args.manifest)
-    cases = []
-    for entry in entries:
-        q = sparql.parse_query(entry.query_path.read_text(encoding="utf-8"))
-        deletions = _read_deletions(g, entry.deletions_path)
-        truth = None if entry.truth_path is None else _read_truth(entry.truth_path, len(q.variables()))
-        cases.append(evalkit.BenchCase(entry.name, q, deletions, truth))
+    cases = evalkit.load_cases(g, args.manifest)
 
     embeddings = None
     embed_config = None

@@ -10,6 +10,8 @@ missing from the ranking is charged rank len(ranking) + 1.
 A benchmark case deletes facts from the source graph (making the query
 unanswerable exactly), recommends approximate solutions over the
 corrupted graph, and measures where the original exact solutions land.
+
+:func:`load_cases` reads a manifest's files with :func:`~trq.ntriples.read_lines`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import EmbeddingConfig, EmbeddingSet, train
+from .ntriples import NTriplesError, parse_line, parse_term, read_lines
 from .qgraph import DEFAULT_MAX_EDGES
 from .recommend import (
     DEFAULT_PER_TREE_LIMIT,
@@ -30,7 +33,7 @@ from .recommend import (
     recommend,
     validate_settings,
 )
-from .sparql import Query, evaluate_bgp, resolve_patterns
+from .sparql import Query, evaluate_bgp, parse_query, resolve_patterns
 from .store import Graph
 from .terms import Triple
 
@@ -216,19 +219,17 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     ``-`` (or omission) in the truth column derives the truth from the
     source graph. Case names are the query file stems, deduplicated.
     """
-    path = Path(path)
+    path = Path(path)  # a file, even when named "-": its directory anchors the paths
     base = path.parent
-    entries: list[ManifestEntry] = []
     names: set[str] = set()
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+
+    def entry(raw: str, lineno: int) -> ManifestEntry | None:
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            return None
         if len(parts) not in (2, 3):
-            raise ValueError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(parts)}")
+            raise NTriplesError(f"expected 2 or 3 columns, got {len(parts)}", lineno, raw)
         query_path = base / parts[0]
-        deletions_path = base / parts[1]
         truth_path = None
         if len(parts) == 3 and parts[2] != "-":
             truth_path = base / parts[2]
@@ -238,5 +239,44 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
             name = f"{query_path.stem}-{n}"
             n += 1
         names.add(name)
-        entries.append(ManifestEntry(name, query_path, deletions_path, truth_path))
-    return entries
+        return ManifestEntry(name, query_path, base / parts[1], truth_path)
+
+    return read_lines(path, entry)
+
+
+def load_cases(g: Graph, manifest: str | Path) -> list[BenchCase]:
+    """A manifest's cases over ``g``, every file checked before any case
+    runs. Deletion terms are looked up as written, so a blank node is
+    named by the store's label (``_:b0``, as ``trq query`` prints it). A
+    truth line holds one N-Triples term per query variable, tab separated.
+    """
+
+    def deletion(line: str, lineno: int) -> Triple | None:
+        parsed = parse_line(line, lineno)
+        if parsed is None:
+            return None
+        ids = [g.id(term) for term in parsed]
+        if None in ids:
+            missing = parsed[ids.index(None)].nt()
+            raise NTriplesError(f"deletion references a term not in the store: {missing}", lineno, line)
+        return Triple(*ids)
+
+    def truth_key(raw: str, lineno: int) -> BindingTuple | None:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            return None
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise NTriplesError(f"expected {width} tab-separated fields, got {len(fields)}", lineno, raw)
+        return tuple(parse_term(field, lineno).nt() for field in fields)
+
+    cases = []
+    for entry in load_manifest(manifest):
+        q = parse_query("\n".join(read_lines(entry.query_path)))
+        deletions = read_lines(entry.deletions_path, deletion)
+        width = len(q.variables())  # read by truth_key
+        truth = None if entry.truth_path is None else set(read_lines(entry.truth_path, truth_key))
+        cases.append(BenchCase(entry.name, q, deletions, truth))
+    if not cases:
+        raise ValueError(f"{manifest}: lists no case")
+    return cases

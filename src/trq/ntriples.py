@@ -1,4 +1,4 @@
-"""Line-oriented parser for the N-Triples subset accepted as input.
+"""The reader of every text input, and the N-Triples parser.
 
 Each non-blank, non-comment line holds one statement:
 
@@ -25,6 +25,10 @@ gives for it.
 from __future__ import annotations
 
 import re
+import sys
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from pathlib import Path
 
 from .terms import Term, TermKind, is_absolute_iri, unescape_string
 
@@ -47,7 +51,8 @@ TRIPLE_LINE = re.compile(
 
 
 class NTriplesError(ValueError):
-    """Parse failure carrying the one-based line number and offending text."""
+    """A fault on one line of a text input (N-Triples or another line
+    format), carrying the one-based line number and offending text."""
 
     def __init__(self, message: str, lineno: int, line: str):
         super().__init__(f"line {lineno}: {message}")
@@ -189,3 +194,63 @@ def parse_line(line: str, lineno: int) -> tuple[Term, Term, Term] | None:
     except ValueError as exc:
         raise NTriplesError(str(exc), lineno, line) from None
     return s, p, o
+
+
+def split_lines(source: str | bytes | Path) -> tuple[list[str], dict[int, str]]:
+    """The lines of any text input, split on ``\\n`` alone, and the
+    lines that are not valid UTF-8 by line number.
+
+    A path is read as bytes, so every kind of source splits the same
+    way; any other type of source is a TypeError. Bytes that do not
+    decode as a whole are decoded line by line; an undecodable line is
+    ``""`` in the list and its text, decoded with replacement characters,
+    is in the dict.
+    """
+    if isinstance(source, Path):
+        source = source.read_bytes()
+    elif not isinstance(source, (bytes, str)):
+        raise TypeError(f"unsupported source type: {type(source).__name__}")
+    if isinstance(source, str):
+        return source.split("\n"), {}
+    try:
+        return source.decode("utf-8").split("\n"), {}
+    except UnicodeDecodeError:
+        pass
+    # A UTF-8 multibyte sequence never holds the byte 0x0A, so splitting
+    # the bytes gives the lines that splitting the text would.
+    lines: list[str] = []
+    invalid: dict[int, str] = {}
+    for lineno, raw in enumerate(source.split(b"\n"), start=1):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            lines.append("")
+            invalid[lineno] = raw.decode("utf-8", "replace")
+    return lines, invalid
+
+
+@contextmanager
+def text_input(path: str | Path) -> Iterator[bytes]:
+    """The bytes of a file, or of stdin for the str ``-``; an
+    :class:`NTriplesError` raised in the block becomes
+    ``ValueError("{path}: line N: ...")``, stdin named ``<stdin>``."""
+    stdin = path == "-"
+    try:
+        yield sys.stdin.buffer.read() if stdin else Path(path).read_bytes()
+    except NTriplesError as exc:
+        raise ValueError(f"{'<stdin>' if stdin else path}: {exc}") from None
+
+
+def read_lines(path: str | Path, parse: Callable[[str, int], object] = lambda line, lineno: line) -> list:
+    """``parse(line, lineno)`` of each line of a :func:`text_input` in
+    order, None left out; a line that is not UTF-8 raises when reached."""
+    with text_input(path) as data:
+        lines, invalid = split_lines(data)
+        out = []
+        for lineno, line in enumerate(lines, start=1):
+            if lineno in invalid:
+                raise NTriplesError("invalid UTF-8", lineno, invalid[lineno])
+            item = parse(line, lineno)
+            if item is not None:
+                out.append(item)
+    return out

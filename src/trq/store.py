@@ -60,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from .binio import key_index, read_body, read_header, read_source, term_key, term_of, write_file
-from .ntriples import TRIPLE_LINE, NTriplesError, parse_line, parse_term
+from .ntriples import TRIPLE_LINE, NTriplesError, parse_line, parse_term, split_lines
 from .terms import RDF_TYPE, Term, TermId, TermKind, Triple
 
 SNAPSHOT_MAGIC = b"TRQG"
@@ -421,39 +421,6 @@ class Graph:
         return Graph([self._keys[i] for i in order.tolist()], renumber[kept])
 
 
-def _lines(source: str | bytes | Path) -> tuple[list[str], dict[int, str]]:
-    """The lines of a document, split on ``\\n`` alone, and the lines that
-    are not valid UTF-8 by line number.
-
-    A path is read as bytes, so every kind of source splits the same
-    way; any other type of source is a TypeError. Bytes that do not
-    decode as a whole are decoded line by line; an undecodable line is
-    ``""`` in the list and its text, decoded with replacement characters,
-    is in the dict.
-    """
-    if isinstance(source, Path):
-        source = source.read_bytes()
-    elif not isinstance(source, (bytes, str)):
-        raise TypeError(f"unsupported source type: {type(source).__name__}")
-    if isinstance(source, str):
-        return source.split("\n"), {}
-    try:
-        return source.decode("utf-8").split("\n"), {}
-    except UnicodeDecodeError:
-        pass
-    # A UTF-8 multibyte sequence never holds the byte 0x0A, so splitting
-    # the bytes gives the lines that splitting the text would.
-    lines: list[str] = []
-    invalid: dict[int, str] = {}
-    for lineno, raw in enumerate(source.split(b"\n"), start=1):
-        try:
-            lines.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            lines.append("")
-            invalid[lineno] = raw.decode("utf-8", "replace")
-    return lines, invalid
-
-
 def _token_term(token: str) -> Term:
     """The term of a raw token that :data:`TRIPLE_LINE` matched."""
     if token[0] == "<":  # the pattern has checked the IRI: its body is the term
@@ -487,7 +454,7 @@ def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError
     in s, p, o order. The ids are collected flat and the :class:`Graph`
     constructor drops duplicate triples.
     """
-    lines, invalid = _lines(source)
+    lines, invalid = split_lines(source)
     keys: list[bytes] = []
     id_of: dict[bytes, TermId] = {}
     blanks: dict[str, Term] = {}

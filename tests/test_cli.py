@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -112,14 +113,21 @@ def test_ingest_lax_skips_bad_lines(run, tmp_path):
     assert load_snapshot(out).triple_count == 1
 
 
-def test_ingest_stdin(run, tmp_path, monkeypatch):
-    import io, sys
+def feed_stdin(monkeypatch, data: bytes) -> None:
+    """Stand in for the process's stdin, which decodes its bytes as UTF-8
+    with surrogate escapes under a C locale, so its text can hold bytes
+    that are not UTF-8."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
 
-    data = nt_text([("a", "p", "b")]).encode()
-    monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": io.BytesIO(data)})())
+
+def test_ingest_stdin(run, tmp_path, monkeypatch):
+    feed_stdin(monkeypatch, nt_text([("a", "p", "b")]).encode())
     out = tmp_path / "g.trqg"
     run("ingest", "-", "-o", str(out))
     assert load_snapshot(out).triple_count == 1
+    feed_stdin(monkeypatch, INVALID_UTF8)
+    _, err = run("ingest", "-", "-o", str(out), expect=1)
+    assert err == "error: <stdin>: line 2: invalid UTF-8\n"
 
 
 INVALID_UTF8 = b"<http://a> <http://p> <http://b> .\n<http://a> <http://p> \"\xff\" .\n<http://a> <http://p> <http://c> .\n"
@@ -130,7 +138,7 @@ def test_ingest_strict_fails_on_invalid_utf8_with_its_line(run, tmp_path):
     bad.write_bytes(INVALID_UTF8)
     out = tmp_path / "g.trqg"
     _, err = run("ingest", str(bad), "-o", str(out), expect=1)
-    assert "error: line 2: invalid UTF-8" in err
+    assert err == f"error: {bad}: line 2: invalid UTF-8\n"
     assert not out.exists()
 
 
@@ -504,6 +512,45 @@ def test_ask_true_false(run, artifacts, tmp_path):
     assert stdout.strip() == "false"
 
 
+# -- queries on stdin ---------------------------------------------------
+
+
+QUERY_ARGS = {
+    "plan": lambda store_path, emb_path: [],
+    "query": lambda store_path, emb_path: ["--store", str(store_path), "--embeddings", str(emb_path)],
+    "ask": lambda store_path, emb_path: ["--store", str(store_path)],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(QUERY_ARGS))
+def test_query_read_from_stdin(run, artifacts, tmp_path, monkeypatch, verb):
+    """``-`` reads the query from stdin as UTF-8, whatever the locale, and
+    a byte that is not UTF-8 is an error naming ``<stdin>`` and its line."""
+    args = QUERY_ARGS[verb](*artifacts)
+    form = "ASK" if verb == "ask" else "SELECT *"
+    q = tmp_path / "q.rq"
+    q.write_text(PROLOG + form + " " + STARRING_BODY)
+    from_file, _ = run(verb, str(q), *args)
+    feed_stdin(monkeypatch, q.read_bytes())
+    assert run(verb, "-", *args)[0] == from_file
+    feed_stdin(monkeypatch, form.encode() + b" { ?f <http://e/\xff> ?a . ?f <http://e/p> ?b }\n")
+    stdout, err = run(verb, "-", *args, expect=1)
+    assert stdout == "" and err == "error: <stdin>: line 1: invalid UTF-8\n"
+
+
+def test_ask_reads_stdin_as_utf8_under_the_c_locale(artifacts):
+    store_path, _ = artifacts
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trq", "ask", "-", "--store", str(store_path)],
+        input=b"ASK { ?s ?p <http://e/\xff> }",
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: <stdin>: line 1: invalid UTF-8\n")
+
+
 # -- stats -------------------------------------------------------------
 
 
@@ -706,6 +753,76 @@ def test_bench_bad_deletion_line_names_file_and_line(run, artifacts, bench_dir, 
         expect=1,
     )
     assert stdout == "" and f"error: {bench_dir / 'del.nt'}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"q.rq\n", "line 1: expected 2 or 3 columns, got 1"),
+        (b"q.rq del.nt\nq.rq del.nt - extra\n", "line 2: expected 2 or 3 columns, got 4"),
+        (b"", "lists no case"),
+        (b"# no case\n\n", "lists no case"),
+    ],
+    ids=["one-column", "four-columns", "empty", "comments-only"],
+)
+def test_bench_malformed_manifest_names_it(run, artifacts, bench_dir, content, message):
+    store_path, emb_path = artifacts
+    manifest = bench_dir / "bench.manifest"
+    manifest.write_bytes(content)
+    stdout, err = run("bench", str(manifest), "--store", str(store_path), "--embeddings", str(emb_path), expect=1)
+    assert stdout == "" and err == f"error: {manifest}: {message}\n"
+
+
+NOT_UTF8 = {
+    "query": PROLOG.encode() + b"ASK { ?f ex:starring <http://e/\xff> . }\n",
+    "ntriples": INVALID_UTF8,
+    "manifest": b"q.rq del.nt\n# caf\xe9\n",
+}
+
+
+def text_input_case(kind, bench_dir, artifacts):
+    """The arguments of a command reading one kind of text input, that
+    input's kind of content, and its path."""
+    store_path, emb_path = artifacts
+    q, manifest = bench_dir / "q.rq", bench_dir / "bench.manifest"
+    bench = ["bench", str(manifest), "--store", str(store_path), "--embeddings", str(emb_path)]
+    if kind == "truth":
+        manifest.write_text("q.rq del.nt truth.tsv\n")
+    if kind in QUERY_ARGS:
+        return [kind, str(q), *QUERY_ARGS[kind](store_path, emb_path)], "query", q
+    return {
+        "ingest": (["ingest", str(bench_dir / "g.nt"), "-o", str(bench_dir / "g.trqg")], "ntriples", bench_dir / "g.nt"),
+        "manifest": (bench, "manifest", manifest),
+        "bench-query": (bench, "query", q),
+        "deletions": (bench, "deletions", bench_dir / "del.nt"),
+        "truth": (bench, "truth", bench_dir / "truth.tsv"),
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, fault",
+    [
+        (kind, fault)
+        for kind in ("plan", "query", "ask", "ingest", "manifest", "bench-query", "deletions", "truth")
+        for fault in ("not-utf8", "missing", "directory")
+        # deletions and truth lines that are not UTF-8 are cases of their own tests above
+        if not (fault == "not-utf8" and kind in ("deletions", "truth"))
+    ],
+)
+def test_unreadable_text_input_is_one_error_line(run, artifacts, bench_dir, kind, fault):
+    argv, content, path = text_input_case(kind, bench_dir, artifacts)
+    if path.exists():
+        path.unlink()
+    if fault == "not-utf8":
+        path.write_bytes(NOT_UTF8[content])
+        expected = f"error: {path}: line 2: invalid UTF-8\n"
+    elif fault == "directory":
+        path.mkdir()
+        expected = f"error: [Errno 21] Is a directory: '{path}'\n"
+    else:
+        expected = f"error: [Errno 2] No such file or directory: '{path}'\n"
+    stdout, err = run(*argv, expect=1)
+    assert stdout == "" and err == expected
 
 
 def test_bench_rejects_non_finite_uniform_f(run, artifacts, bench_dir):

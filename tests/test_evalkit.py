@@ -12,6 +12,7 @@ from trq.evalkit import (
     MissingDeletionError,
     corrupt_graph,
     exact_solutions,
+    load_cases,
     load_manifest,
     mean_rank,
     reciprocal_rank,
@@ -404,6 +405,30 @@ def test_load_manifest(tmp_path):
 
 
 def test_load_manifest_bad_column_count(tmp_path):
-    (tmp_path / "bench.manifest").write_text("only-one-column\n")
-    with pytest.raises(ValueError):
-        load_manifest(tmp_path / "bench.manifest")
+    manifest = tmp_path / "bench.manifest"
+    manifest.write_text("only-one-column\n")
+    with pytest.raises(ValueError) as e:
+        load_manifest(manifest)
+    assert str(e.value) == f"{manifest}: line 1: expected 2 or 3 columns, got 1"
+
+
+def test_load_cases_resolves_every_file(tmp_path):
+    g = parse_ntriples("_:x <p:p> <p:a> .\n_:y <p:p> <p:b> .\n<p:a> <p:q> <p:b> .\n")
+    (tmp_path / "q.rq").write_text("SELECT ?s ?o WHERE {\n  ?s <p:p> ?o .\n}")
+    (tmp_path / "d.nt").write_text("# blank nodes go by the store's labels\n_:b1 <p:p> <p:b> .\n")
+    (tmp_path / "t.tsv").write_text("<p:a>\t_:b0\n\n<p:b>\t_:b1\n")  # ?o ?s
+    (tmp_path / "bench.manifest").write_text("q.rq d.nt t.tsv\nq.rq d.nt\n")
+    a, b = load_cases(g, tmp_path / "bench.manifest")
+    assert (a.name, b.name) == ("q", "q-2")
+    assert a.query.patterns == parse_query("SELECT ?s ?o WHERE { ?s <p:p> ?o . }").patterns
+    assert a.deletions == b.deletions == [Triple(g.id(Term.blank("b1")), g.id(Term.iri("p:p")), g.id(Term.iri("p:b")))]
+    assert a.truth == {("<p:a>", "_:b0"), ("<p:b>", "_:b1")} and b.truth is None
+
+
+def test_load_cases_rejects_a_manifest_without_cases(tmp_path):
+    manifest = tmp_path / "bench.manifest"
+    manifest.write_text("# nothing yet\n")
+    with pytest.raises(ValueError) as e:
+        load_cases(parse_ntriples("<p:a> <p:q> <p:b> .\n"), manifest)
+    assert str(e.value) == f"{manifest}: lists no case"
+    assert run_benchmark(parse_ntriples("<p:a> <p:q> <p:b> .\n"), [], uniform_f=0.5).rows == []
