@@ -28,10 +28,7 @@ from .qgraph import (
     BudgetExceededError,
     DisconnectedQueryError,
     NoVariableError,
-    QueryGraph,
     SubqueryTree,
-    build_query_graph,
-    del_constant_leaf,
     enumerate_subquery_trees,
 )
 from .recommend import (

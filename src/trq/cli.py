@@ -19,6 +19,7 @@ Text inputs are read by :mod:`trq.ntriples`: a fault reads ``error:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,6 +34,7 @@ from .recommend import (
     DEFAULT_TOP_K,
     RecommendRequest,
     recommend,
+    validate_settings,
 )
 from .ntriples import read_lines, text_input
 from .sparql import Query, QueryForm
@@ -48,6 +50,9 @@ class PartialProjectionError(ValueError):
 
 
 FORMATS = ("tsv", "json")
+# `trq train` warns when the last epoch's mean loss is less than this
+# share below the first epoch's
+_MIN_LOSS_FALL = 0.05
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -121,10 +126,17 @@ def cmd_train(args) -> int:
                 file=sys.stderr,
             )
         print(f"final mean loss {emb.losses[-1]:.6f} ({elapsed:.1f}s)", file=sys.stderr)
-    if emb.losses[-1] > emb.losses[0]:
+    first, last = emb.losses[0], emb.losses[-1]
+    if last > first:
         print(
-            f"warning: mean loss grew from {emb.losses[0]:.6g} in epoch 1 to {emb.losses[-1]:.6g}"
+            f"warning: mean loss grew from {first:.6g} in epoch 1 to {last:.6g}"
             f" in epoch {cfg.epochs}; the learning rate may be too high",
+            file=sys.stderr,
+        )
+    elif cfg.epochs > 1 and last > (1 - _MIN_LOSS_FALL) * first:
+        print(
+            f"warning: mean loss fell only {100 * (first - last) / first:.1f}% from {first:.6g} in epoch 1"
+            f" to {last:.6g} in epoch {cfg.epochs}; the learning rate may be too low or the epochs too few",
             file=sys.stderr,
         )
     embedding.save_embeddings(emb, args.output)
@@ -140,9 +152,8 @@ def cmd_plan(args) -> int:
     trees = qgraph.enumerate_subquery_trees(q, max_edges=args.max_edges)
     print(f"{len(q.patterns)} patterns, {len(trees)} subquery tree(s)")
     for i, tree in enumerate(trees, start=1):
-        dropped = sorted(tree.dropped_origins)
-        print(f"tree {i}/{len(trees)}: covers {list(tree.covered_origins())}, drops {dropped}")
-        for origin in tree.covered_origins():
+        print(f"tree {i}/{len(trees)}: covers {list(tree.covered)}, drops {list(tree.dropped)}")
+        for origin in tree.covered:
             print(f"  {' '.join(map(qgraph.atom_label, q.patterns[origin].atoms()))} .")
     return 0
 
@@ -266,16 +277,33 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _reject_unread_options(args) -> None:
+    """Fail on bench options the command line gave that no case would
+    read: with ``--embeddings`` or ``--uniform-f`` no case trains, and
+    with ``--uniform-f`` none reads the embeddings file either."""
+    if args.uniform_f is not None:
+        cause, skipped, unread = "--uniform-f", "trains or reads embeddings", args.given
+    elif args.embeddings:
+        cause, skipped, unread = "--embeddings", "trains", [o for o in args.given if o != "--embeddings"]
+    else:
+        return
+    if unread:
+        raise ValueError(f"{', '.join(dict.fromkeys(unread))} would go unread: with {cause} no case {skipped}")
+
+
 def cmd_bench(args) -> int:
+    # a setting out of range is named before an option that would go unread
+    validate_settings(args.threshold, None, args.per_tree_limit, args.max_edges, args.uniform_f)
+    _reject_unread_options(args)
     g = _load_store(args.store)
     cases = evalkit.load_cases(g, args.manifest)
 
-    embeddings = None
-    embed_config = None
-    if args.embeddings:
-        embeddings = embedding.load_embeddings(args.embeddings)
-    else:
-        embed_config = _embed_config(args)
+    embeddings = embed_config = None
+    if args.uniform_f is None:  # with it, no score reads an embedding
+        if args.embeddings:
+            embeddings = embedding.load_embeddings(args.embeddings)
+        else:
+            embed_config = _embed_config(args)
     report = evalkit.run_benchmark(
         g,
         cases,
@@ -329,20 +357,31 @@ def cmd_bench(args) -> int:
 # -- argument wiring ---------------------------------------------------
 
 
+class _Given(argparse.Action):
+    """Store the option's value, or ``const`` for a flag, and add the
+    option to ``given``: the ones the command line gave, not a default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given = [*namespace.given, option_string]
+
+
 def _add_train_options(p: argparse.ArgumentParser) -> None:
     d = embedding.EmbeddingConfig()
-    p.add_argument("--model", default=_env("MODEL", str, d.model, embedding.MODELS), choices=embedding.MODELS)
-    p.add_argument("--dim", type=int, default=_env("DIM", int, d.dim))
-    p.add_argument("--rel-dim", type=int, default=_env("REL_DIM", int, d.rel_dim))
-    p.add_argument("--margin", type=float, default=_env("MARGIN", float, d.margin))
-    p.add_argument("--learning-rate", type=float, default=_env("LEARNING_RATE", float, d.learning_rate))
-    p.add_argument("--epochs", type=int, default=_env("EPOCHS", int, d.epochs))
-    p.add_argument("--batch-size", type=int, default=_env("BATCH_SIZE", int, d.batch_size))
-    p.add_argument("--negatives", type=int, default=_env("NEGATIVES", int, d.negatives_per_positive))
-    p.add_argument("--norm", default=_env("NORM", str, d.norm, embedding.NORMS), choices=embedding.NORMS)
-    p.add_argument("--seed", type=int, default=_env("SEED", int, d.seed))
-    p.add_argument("--include-type-triples", action="store_true",
-                   default=_env("INCLUDE_TYPE_TRIPLES", bool, d.include_type_triples))
+    p.set_defaults(given=[])
+    add = functools.partial(p.add_argument, action=_Given)
+    add("--model", default=_env("MODEL", str, d.model, embedding.MODELS), choices=embedding.MODELS)
+    add("--dim", type=int, default=_env("DIM", int, d.dim))
+    add("--rel-dim", type=int, default=_env("REL_DIM", int, d.rel_dim))
+    add("--margin", type=float, default=_env("MARGIN", float, d.margin))
+    add("--learning-rate", type=float, default=_env("LEARNING_RATE", float, d.learning_rate))
+    add("--epochs", type=int, default=_env("EPOCHS", int, d.epochs))
+    add("--batch-size", type=int, default=_env("BATCH_SIZE", int, d.batch_size))
+    add("--negatives", type=int, default=_env("NEGATIVES", int, d.negatives_per_positive))
+    add("--norm", default=_env("NORM", str, d.norm, embedding.NORMS), choices=embedding.NORMS)
+    add("--seed", type=int, default=_env("SEED", int, d.seed))
+    add("--include-type-triples", nargs=0, const=True,
+        default=_env("INCLUDE_TYPE_TRIPLES", bool, d.include_type_triples))
 
 
 def _add_query_options(p: argparse.ArgumentParser) -> None:
@@ -399,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run fact-deletion benchmark cases")
     p.add_argument("manifest", help="manifest file: query deletions [truth] per line")
     p.add_argument("--store", default=_env("STORE", str, None))
-    p.add_argument("--embeddings", default=_env("EMBEDDINGS", str, None),
+    p.add_argument("--embeddings", action=_Given, default=_env("EMBEDDINGS", str, None),
                    help="reuse one TRQE file instead of retraining per case")
     _add_train_options(p)
     _add_query_options(p)

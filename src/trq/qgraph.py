@@ -1,12 +1,17 @@
-"""Query multigraph construction and subquery tree enumeration.
+"""Subquery tree enumeration over a query's pattern indices.
 
-A query's patterns form a directed multigraph: one node per distinct
-variable or constant appearing in subject/object position, one edge per
-pattern (labeled with its predicate atom and the pattern's position in
-the query). Approximate matching works on spanning trees of the reduced
-graph obtained by iteratively deleting degree-1 constant nodes: each
-combination of |V|-1 edges that connects the reduced node set is kept,
-re-stripped, and deduplicated by a canonical edge-label form.
+A query's patterns form a directed multigraph. Its nodes are the
+distinct variables and constants in subject or object position, and
+pattern i is edge i from its subject node to its object node; a
+predicate, variable or not, is no node. Approximate matching works on
+the spanning trees of the graph left by constant-leaf stripping: a
+constant node of undirected degree 1 loses its edge, repeatedly, until
+no such node is left. A self-loop adds 2 to its node's degree, a
+variable is never stripped, and a constant left at degree 0 stays a
+node. Each combination of |V|-1 remaining edges that closes no cycle is
+a spanning tree; it is stripped again, and trees covering the same
+multiset of patterns are kept once. A tree is the pattern indices it
+covers and those it drops.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .sparql import Atom, Const, Query, Var
+from .sparql import Atom, Const, Query, TriplePattern, Var
 
 DEFAULT_MAX_EDGES = 16
 # Spanning-tree candidates C(|E|, |V|-1) one query may enumerate.
@@ -51,38 +57,12 @@ class BudgetExceededError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class QEdge:
-    src: Atom
-    dst: Atom
-    pred: Atom
-    origin: int
-
-
-@dataclass(frozen=True)
-class QueryGraph:
-    nodes: tuple[Atom, ...]
-    edges: tuple[QEdge, ...]
-
-    def variables(self) -> set[str]:
-        return {n.name for n in self.nodes if isinstance(n, Var)}
-
-    def degrees(self) -> Counter:
-        deg: Counter = Counter()
-        for e in self.edges:
-            deg[e.src] += 1
-            deg[e.dst] += 1
-        return deg
-
-
-@dataclass(frozen=True)
 class SubqueryTree:
-    """A re-stripped spanning tree plus the query patterns it dropped."""
+    """A re-stripped spanning tree: the indices of the query patterns it
+    covers and of those it dropped, each in ascending order."""
 
-    graph: QueryGraph
-    dropped_origins: frozenset[int]
-
-    def covered_origins(self) -> tuple[int, ...]:
-        return tuple(sorted(e.origin for e in self.graph.edges))
+    covered: tuple[int, ...]
+    dropped: tuple[int, ...]
 
 
 def atom_label(atom: Atom) -> str:
@@ -92,109 +72,84 @@ def atom_label(atom: Atom) -> str:
     return atom.term.nt()
 
 
-def build_query_graph(q: Query) -> QueryGraph:
-    """One node per distinct subject/object atom, one edge per pattern.
-
-    Identical constants merge into a single node; variables are merged by
-    name. Predicates stay on the edges (a variable predicate is allowed
-    as an edge label).
-    """
-    nodes: list[Atom] = []
-    seen: set[Atom] = set()
-    edges: list[QEdge] = []
-    for i, pat in enumerate(q.patterns):
-        for endpoint in (pat.s, pat.o):
-            if endpoint not in seen:
-                seen.add(endpoint)
-                nodes.append(endpoint)
-        edges.append(QEdge(pat.s, pat.o, pat.p, i))
-    return QueryGraph(tuple(nodes), tuple(edges))
-
-
-def del_constant_leaf(g: QueryGraph) -> QueryGraph:
-    """Iteratively remove degree-1 constant nodes and their incident edge.
-
-    Degrees are taken on the undirected view; variable nodes are never
-    removed, even when the deletions leave them isolated.
-    """
+def _strip(edges: Sequence[int], ends: list[tuple[int, int]], is_const: list[bool]) -> tuple[Sequence[int], set[int]]:
+    """Remove degree-1 constant nodes and their edge until none is left;
+    returns the edges kept, in their given order, and the nodes removed."""
+    stripped: set[int] = set()
     while True:
-        deg = g.degrees()
-        drop = {n for n in g.nodes if isinstance(n, Const) and deg[n] == 1}
-        if not drop:
-            return g
-        g = QueryGraph(
-            tuple(n for n in g.nodes if n not in drop),
-            tuple(e for e in g.edges if e.src not in drop and e.dst not in drop),
-        )
+        degree = Counter(n for e in edges for n in ends[e])
+        leaves = {n for n, d in degree.items() if d == 1 and is_const[n]}
+        if not leaves:
+            return edges, stripped
+        stripped |= leaves
+        edges = [e for e in edges if leaves.isdisjoint(ends[e])]
 
 
-def is_connected(g: QueryGraph) -> bool:
-    if len(g.nodes) <= 1:
-        return True
-    adj: dict[Atom, list[Atom]] = {n: [] for n in g.nodes}
-    for e in g.edges:
-        adj[e.src].append(e.dst)
-        adj[e.dst].append(e.src)
-    stack = [g.nodes[0]]
-    seen = {g.nodes[0]}
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(g.nodes)
+def _root(parent: list[int], n: int) -> int:
+    while parent[n] != n:
+        parent[n] = parent[parent[n]]
+        n = parent[n]
+    return n
 
 
-def canonical_form(g: QueryGraph) -> str:
-    """Order-independent key: the sorted multiset of labeled edges.
-
-    Variable names are global within a query, so no isomorphism search is
-    needed. An edgeless graph falls back to its sorted node labels.
-    """
-    if not g.edges:
-        return "nodes:" + ",".join(sorted(atom_label(n) for n in g.nodes))
-    rows = sorted(f"{atom_label(e.src)}|{atom_label(e.pred)}|{atom_label(e.dst)}" for e in g.edges)
-    return ";".join(rows)
+def _unions(edges: Sequence[int], ends: list[tuple[int, int]], n_nodes: int) -> int:
+    """How many of the edges, taken in order, join two nodes that no
+    earlier edge connected (union-find over ``n_nodes`` nodes)."""
+    parent = list(range(n_nodes))
+    joined = 0
+    for e in edges:
+        a, b = (_root(parent, n) for n in ends[e])
+        if a != b:
+            parent[a] = b
+            joined += 1
+    return joined
 
 
 def enumerate_subquery_trees(q: Query, max_edges: int = DEFAULT_MAX_EDGES) -> list[SubqueryTree]:
-    """All distinct re-stripped spanning trees of the reduced query graph.
+    """All distinct re-stripped spanning trees of the stripped query graph.
 
     Raises NoVariableError when no subject or object of the query is a
-    variable, DisconnectedQueryError when the reduced graph is
+    variable, DisconnectedQueryError when the stripped graph is
     disconnected and BudgetExceededError when the C(|E|, |V|-1)
     enumeration would exceed ``MAX_COMBINATIONS``, naming the edge cap
-    when it is what trips. Every returned tree preserves the full variable
-    set of the query.
+    when it is what trips. Trees come in ``itertools.combinations``
+    order over the stripped edges, and every one keeps every variable of
+    the query.
     """
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
-    reduced = del_constant_leaf(build_query_graph(q))
-    # del_constant_leaf never strips a variable node
-    if not reduced.variables():
+    node: dict[Atom, int] = {}
+    ends = [(node.setdefault(p.s, len(node)), node.setdefault(p.o, len(node))) for p in q.patterns]
+    is_const = [isinstance(a, Const) for a in node]
+    # stripping never removes a variable node
+    if all(is_const):
         raise NoVariableError()
-    if not is_connected(reduced):
+    edges, stripped = _strip(range(len(ends)), ends, is_const)
+    # the edges left touch only the nodes left, |V| of them, which are
+    # connected exactly when |V|-1 edges join two parts
+    choose = len(node) - len(stripped) - 1
+    if _unions(edges, ends, len(node)) < choose:
         raise DisconnectedQueryError("query graph is disconnected after constant-leaf removal")
-    n_edges = len(reduced.edges)
-    choose = len(reduced.nodes) - 1
-    total = math.comb(n_edges, choose) if n_edges >= choose else 0
-    if n_edges > max_edges:
-        raise BudgetExceededError(n_edges, choose, total, max_edges)
+    total = math.comb(len(edges), choose) if len(edges) >= choose else 0
+    if len(edges) > max_edges:
+        raise BudgetExceededError(len(edges), choose, total, max_edges)
     if total > MAX_COMBINATIONS:
-        raise BudgetExceededError(n_edges, choose, total)
+        raise BudgetExceededError(len(edges), choose, total)
 
-    all_origins = frozenset(range(len(q.patterns)))
+    # equal patterns share the index of the first, so the sorted shared
+    # indices of a tree's patterns are the multiset of patterns it covers
+    first: dict[TriplePattern, int] = {}
+    same = [first.setdefault(p, i) for i, p in enumerate(q.patterns)]
     trees: list[SubqueryTree] = []
-    seen_keys: set[str] = set()
-    for combo in itertools.combinations(range(n_edges), choose):
-        sub = QueryGraph(reduced.nodes, tuple(reduced.edges[i] for i in combo))
-        if not is_connected(sub):
+    seen: set[tuple[int, ...]] = set()
+    for combo in itertools.combinations(edges, choose):
+        # |V|-1 edges span the |V| nodes exactly when none closes a cycle
+        if _unions(combo, ends, len(node)) < choose:
             continue
-        final = del_constant_leaf(sub)
-        key = canonical_form(final)
-        if key in seen_keys:
+        covered = tuple(_strip(combo, ends, is_const)[0])
+        key = tuple(sorted(same[i] for i in covered))
+        if key in seen:
             continue
-        seen_keys.add(key)
-        covered = {e.origin for e in final.edges}
-        trees.append(SubqueryTree(final, all_origins - covered))
+        seen.add(key)
+        trees.append(SubqueryTree(covered, tuple(i for i in range(len(ends)) if i not in covered)))
     return trees

@@ -172,7 +172,7 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
             "bind the predicate or drop the pattern"
         )
     trees = enumerate_subquery_trees(q, max_edges=req.max_edges)
-    usable = [t for t in trees if t.graph.edges]
+    usable = [t for t in trees if t.covered]
     t1 = time.perf_counter()
     if not usable:
         raise QueryUnmatchableError(
@@ -188,12 +188,12 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     seen = 0
     truncated = False
     for tree in usable:
-        covered = list(tree.covered_origins())
+        covered = list(tree.covered)
         result = evaluate_bgp(g, [resolved[i] for i in covered], limit=req.per_tree_limit)
         truncated = truncated or result.truncated
         table = result.rows
         # a tree's own patterns hold on its rows; only its dropped ones are looked up
-        in_graph = in_graph_flags(g, resolved, variables, table, tree.dropped_origins)
+        in_graph = in_graph_flags(g, resolved, variables, table, tree.dropped)
         new = ~_repeated(table, in_graph, earlier)
         seen += int(np.count_nonzero(new))
         distance = (~in_graph).sum(axis=1)

@@ -200,6 +200,17 @@ def test_train_warns_when_the_loss_grows(run, tmp_path, artifacts):
     assert load_embeddings(out).model == "transr"
 
 
+def test_train_warns_when_the_loss_barely_falls(run, tmp_path, artifacts):
+    store_path, _ = artifacts
+    out = tmp_path / "s.trqe"
+    # the embeddings barely move, so the mean loss changes only with the
+    # negatives drawn: 1.0% lower in epoch 10 than in epoch 1 at seed 1
+    args = ["--dim", "4", "--epochs", "10", "--seed", "1", "--learning-rate", "1e-6", "--quiet"]
+    stdout, err = run("train", "--store", str(store_path), "-o", str(out), *args)
+    assert err.startswith("warning: mean loss fell only 1.0% ") and err.count("\n") == 1
+    assert "transe d=4" in stdout and load_embeddings(out).dim == 4
+
+
 def test_train_deterministic_bytes(run, tmp_path, artifacts):
     store_path, _ = artifacts
     a, b = tmp_path / "a.trqe", tmp_path / "b.trqe"
@@ -266,6 +277,57 @@ def test_plan_lists_trees(run, movie_query_file):
     assert "7 patterns, 8 subquery tree(s)" in stdout
     assert stdout.count("tree ") == 8
     assert "?film" in stdout
+
+
+PLAN_PINS = {
+    # ex:p ?x ?y twice, a parallel ex:q edge and a self-loop on ?y
+    "parallel-duplicate-self-loop": (
+        "?x ex:p ?y . ?x ex:q ?y . ?x ex:p ?y . ?y ex:r ?y . ?y ex:s ?z . ?z ex:t ?x .",
+        """6 patterns, 5 subquery tree(s)
+tree 1/5: covers [0, 4], drops [1, 2, 3, 5]
+  ?x <http://example.org/p> ?y .
+  ?y <http://example.org/s> ?z .
+tree 2/5: covers [0, 5], drops [1, 2, 3, 4]
+  ?x <http://example.org/p> ?y .
+  ?z <http://example.org/t> ?x .
+tree 3/5: covers [1, 4], drops [0, 2, 3, 5]
+  ?x <http://example.org/q> ?y .
+  ?y <http://example.org/s> ?z .
+tree 4/5: covers [1, 5], drops [0, 2, 3, 4]
+  ?x <http://example.org/q> ?y .
+  ?z <http://example.org/t> ?x .
+tree 5/5: covers [4, 5], drops [0, 1, 2, 3]
+  ?y <http://example.org/s> ?z .
+  ?z <http://example.org/t> ?x .
+""",
+    ),
+    # ex:a -> ex:b -> ?x strips one constant leaf after the other; ?rel is a predicate
+    "constant-chain-variable-predicate": (
+        'ex:a ex:p ex:b . ex:b ex:p ?x . ?x ?rel ?y . ?y ex:q "c|d;e" . ?y ex:q ex:c . ex:c ex:r ?x .',
+        """6 patterns, 2 subquery tree(s)
+tree 1/2: covers [2], drops [0, 1, 3, 4, 5]
+  ?x ?rel ?y .
+tree 2/2: covers [4, 5], drops [0, 1, 2, 3]
+  ?y <http://example.org/q> <http://example.org/c> .
+  <http://example.org/c> <http://example.org/r> ?x .
+""",
+    ),
+    "single-node": (
+        "ex:a ex:p ?x . ?x ex:q ex:b .",
+        """2 patterns, 1 subquery tree(s)
+tree 1/1: covers [], drops [0, 1]
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PLAN_PINS)
+def test_plan_output_is_pinned(run, tmp_path, name):
+    where, expected = PLAN_PINS[name]
+    q = tmp_path / "q.rq"
+    q.write_text(PROLOG + f"SELECT * WHERE {{ {where} }}\n")
+    stdout, err = run("plan", str(q))
+    assert stdout == expected and err == ""
 
 
 @pytest.mark.parametrize("verb", ["plan", "query"])
@@ -836,6 +898,43 @@ def test_bench_rejects_non_finite_uniform_f(run, artifacts, bench_dir):
     # rejected before any case runs, so no report is printed
     assert stdout == ""
     assert "error: uniform_f must be a finite number" in err
+
+
+TRAINING_OPTIONS = [
+    ["--model", "transh"], ["--dim", "4"], ["--rel-dim", "4"], ["--margin", "2"], ["--learning-rate", "0.1"],
+    ["--epochs", "1"], ["--batch-size", "8"], ["--negatives", "2"], ["--norm", "l2"], ["--seed", "3"],
+    ["--include-type-triples"],
+]
+
+
+@pytest.mark.parametrize("cause", ["--embeddings", "--uniform-f"])
+@pytest.mark.parametrize("option", TRAINING_OPTIONS, ids=lambda o: o[0])
+def test_bench_rejects_training_options_no_case_reads(run, artifacts, bench_dir, monkeypatch, cause, option):
+    store_path, emb_path = artifacts
+    monkeypatch.setattr(evalkit, "run_benchmark", lambda *a, **k: pytest.fail("a case ran"))
+    source = ["--embeddings", str(emb_path)] if cause == "--embeddings" else ["--uniform-f", "0.5"]
+    stdout, err = run("bench", str(bench_dir / "bench.manifest"), "--store", str(store_path), *source, *option, expect=1)
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {option[0]} would go unread: with {cause} no case trains")
+
+
+def test_bench_rejects_embeddings_with_uniform_f(run, artifacts, bench_dir, monkeypatch):
+    store_path, emb_path = artifacts
+    monkeypatch.setattr(evalkit, "run_benchmark", lambda *a, **k: pytest.fail("a case ran"))
+    stdout, err = run(
+        "bench", str(bench_dir / "bench.manifest"), "--store", str(store_path),
+        "--uniform-f", "0.5", "--embeddings", str(emb_path),
+        expect=1,
+    )
+    assert stdout == ""
+    assert err == "error: --embeddings would go unread: with --uniform-f no case trains or reads embeddings\n"
+
+
+def test_bench_with_uniform_f_reads_no_embeddings_file(run, blank_bench, monkeypatch, tmp_path):
+    # TRQ_EMBEDDINGS names a file that is not there; no case reads it
+    monkeypatch.setenv("TRQ_EMBEDDINGS", str(tmp_path / "absent.trqe"))
+    stdout, _ = blank_bench("_:b1 <p:p> <p:b> .\n", expect=0)
+    assert json.loads(stdout)["cases"][0]["error"] is None
 
 
 @pytest.mark.parametrize("max_edges", ["0", "-1"])

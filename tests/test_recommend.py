@@ -342,9 +342,9 @@ def _pooled_oracle(g, q, threshold, limit):
     resolved = resolve_patterns(g, q.patterns)
     tables, covered, truncated = [], [], []
     for tree in enumerate_subquery_trees(q):
-        if not tree.graph.edges:
+        if not tree.covered:
             continue
-        covered.append(tree.covered_origins())
+        covered.append(tree.covered)
         result = evaluate_bgp(g, [resolved[i] for i in covered[-1]], limit=limit)
         tables.append(result.rows)
         truncated.append(result.truncated)
