@@ -284,7 +284,8 @@ def _reject_unread_options(args) -> None:
     if args.uniform_f is not None:
         cause, skipped, unread = "--uniform-f", "trains or reads embeddings", args.given
     elif args.embeddings:
-        cause, skipped, unread = "--embeddings", "trains", [o for o in args.given if o != "--embeddings"]
+        cause = "--embeddings" if "--embeddings" in args.given else "TRQ_EMBEDDINGS"
+        skipped, unread = "trains", [o for o in args.given if o != "--embeddings"]
     else:
         return
     if unread:

@@ -8,7 +8,10 @@ Subjects are absolute IRIs or ``_:label`` blank nodes, predicates are
 absolute IRIs, objects may additionally be literals ``"value"`` with an
 optional ``@lang`` tag or ``^^<datatype>`` suffix. A ``#`` comment may
 follow the closing dot. Escapes inside IRIs are restricted to \\u/\\U;
-literals accept the usual ECHAR set as well.
+literals accept the usual ECHAR set as well. This module owns these
+term rules: ``trq.sparql`` reads each query constant with
+:func:`parse_term` and checks a prefixed name's expansion with
+:func:`iri_term`.
 
 Two readers share this grammar. :data:`TRIPLE_LINE` is one compiled
 pattern for the common line: absolute IRIs without escapes or forbidden
@@ -17,8 +20,8 @@ each term given back as its raw token. A document loader tries it first
 and hands every line it does not match (comments, blank lines, escapes,
 malformed input) to :func:`parse_line`, the full parser, which builds
 the terms and raises the line-numbered :class:`NTriplesError`. A line
-the pattern matches is one :func:`parse_line` accepts, and each raw
-token parses with :func:`parse_term` to the term :func:`parse_line`
+the pattern matches is one :func:`parse_line` accepts, and
+:func:`token_term` turns each raw token into the term :func:`parse_line`
 gives for it.
 """
 
@@ -30,13 +33,15 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from .terms import Term, TermKind, is_absolute_iri, unescape_string
+from .terms import Term, TermKind, unescape_string
 
 _BLANK_LABEL = re.compile(r"_:([A-Za-z0-9_]+)")
 _LANG_TAG = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")
 _WS = re.compile(r"[ \t]+")
 # Characters an IRI may not hold once its escapes are resolved.
-_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`]')
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+# A backslash that does not start a \u or \U escape, the only ones IRIs admit.
+_IRI_ECHAR = re.compile(r"\\(?![uU])(.?)")
 
 # The common line, whose three groups are the raw subject, predicate and
 # object tokens. IRIs are absolute and hold no escape (so no backslash)
@@ -50,12 +55,20 @@ TRIPLE_LINE = re.compile(
 )
 
 
+def token_term(token: str) -> Term:
+    """The term of a raw token that :data:`TRIPLE_LINE` matched."""
+    if token[0] == "<":  # the pattern has checked the IRI: its body is the term
+        return Term(TermKind.IRI, token[1:-1])
+    return parse_term(token)
+
+
 class NTriplesError(ValueError):
     """A fault on one line of a text input (N-Triples or another line
     format), carrying the one-based line number and offending text."""
 
     def __init__(self, message: str, lineno: int, line: str):
         super().__init__(f"line {lineno}: {message}")
+        self.reason = message
         self.lineno = lineno
         self.line = line
 
@@ -65,13 +78,12 @@ def _skip_ws(line: str, i: int) -> int:
     return m.end() if m else i
 
 
-def _unescape_iri(raw: str) -> str:
-    # IRIs only admit \u / \U escapes.
-    if "\\" in raw:
-        for j, ch in enumerate(raw):
-            if ch == "\\" and raw[j + 1 : j + 2] not in ("u", "U"):
-                raise ValueError(f"escape \\{raw[j + 1:j + 2]} not allowed in IRI")
-    return unescape_string(raw)
+def iri_term(value: str, written: str = "") -> Term:
+    """The IRI term of ``value``, an IRI with its escapes resolved, or a
+    ValueError naming it as ``written`` (by default, its repr)."""
+    if _IRI_FORBIDDEN.search(value):
+        raise ValueError(f"malformed IRI {written or repr(value)}")
+    return Term.iri(value)
 
 
 def _parse_iri(line: str, i: int) -> tuple[Term, int]:
@@ -79,12 +91,10 @@ def _parse_iri(line: str, i: int) -> tuple[Term, int]:
     if end < 0:
         raise ValueError("unterminated IRI")
     raw = line[i + 1 : end]
-    value = _unescape_iri(raw)
-    if not value or _IRI_FORBIDDEN.search(value):
-        raise ValueError(f"malformed IRI <{raw}>")
-    if not is_absolute_iri(value):
-        raise ValueError(f"IRI is not absolute: <{raw}>")
-    return Term.iri(value), end + 1
+    echar = _IRI_ECHAR.search(raw)
+    if echar:
+        raise ValueError(f"escape \\{echar.group(1)} not allowed in IRI")
+    return iri_term(unescape_string(raw), f"<{raw}>"), end + 1
 
 
 def _parse_blank(line: str, i: int) -> tuple[Term, int]:
@@ -126,24 +136,28 @@ def _parse_literal(line: str, i: int) -> tuple[Term, int]:
     return Term.literal(value, datatype=datatype, lang=lang), j
 
 
+def _parse_any(line: str, i: int, error: str) -> tuple[Term, int]:
+    """The IRI, blank node or literal at ``line[i]``; anything else is a
+    ValueError, ``error`` formatted with the rest of the line."""
+    if line.startswith("<", i):
+        return _parse_iri(line, i)
+    if line.startswith("_:", i):
+        return _parse_blank(line, i)
+    if line.startswith('"', i):
+        return _parse_literal(line, i)
+    raise ValueError(error.format(line[i:]))
+
+
 def parse_term(text: str, lineno: int = 1) -> Term:
-    """Parse a single N-Triples term from a string (used by report readers)."""
+    """Parse a single N-Triples term from a string (a report field or a
+    query constant)."""
     text = text.strip()
     try:
         if not text:
             raise ValueError("empty term")
-        if text.startswith("<"):
-            term, end = _parse_iri(text, 0)
-        elif text.startswith("_:"):
-            term, end = _parse_blank(text, 0)
-        elif text.startswith('"'):
-            term, end = _parse_literal(text, 0)
-        else:
-            raise ValueError(f"unrecognized term: {text!r}")
+        term, end = _parse_any(text, 0, "unrecognized term: {!r}")
         if text[end:].strip():
             raise ValueError(f"trailing characters after term: {text!r}")
-    except NTriplesError:
-        raise
     except ValueError as exc:
         raise NTriplesError(str(exc), lineno, text) from None
     return term
@@ -176,15 +190,7 @@ def parse_line(line: str, lineno: int) -> tuple[Term, Term, Term] | None:
         else:
             raise ValueError("expected IRI predicate")
         i = _skip_ws(line, i)
-        # object
-        if line.startswith("<", i):
-            o, i = _parse_iri(line, i)
-        elif line.startswith("_:", i):
-            o, i = _parse_blank(line, i)
-        elif line.startswith('"', i):
-            o, i = _parse_literal(line, i)
-        else:
-            raise ValueError("expected IRI, blank node, or literal object")
+        o, i = _parse_any(line, i, "expected IRI, blank node, or literal object")
         i = _skip_ws(line, i)
         if not line.startswith(".", i):
             raise ValueError("missing terminating dot")

@@ -160,6 +160,8 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
 
     ``parse_seconds`` is folded into the timing report so a caller that
     parsed the query text can account for every phase in one place.
+    ``plan`` times resolving the constants as well as enumerating the
+    trees (on serve's queries, resolving is about half of it).
     """
     req.validate()
     q = req.query

@@ -9,6 +9,11 @@ FILTER, OPTIONAL, UNION, property paths, blank nodes in patterns, ...)
 raises :class:`UnsupportedFeatureError` naming the feature, so callers
 can tell a fragment boundary from a typo.
 
+A query's constants follow the N-Triples term rules, read by
+:mod:`trq.ntriples`: an IRI, literal or ``PREFIX`` namespace it rejects
+(a relative IRI, a forbidden character written or ``\\u``-escaped, an
+ECHAR escape in an IRI) is a :class:`QuerySyntaxError`.
+
 A query's constants become term ids in one place,
 :func:`resolve_patterns`, before anything is planned: every evaluator
 and scorer reads the resolved patterns, and terms are rendered again
@@ -58,14 +63,15 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .ntriples import NTriplesError, iri_term, parse_term
 from .store import Graph
-from .terms import RDF_TYPE_IRI, Term, TermId, unescape_string
+from .terms import RDF_TYPE, Term, TermId
 
 
 class QuerySyntaxError(ValueError):
@@ -188,6 +194,16 @@ class _Tok:
     text: str
 
 
+def _read(read: Callable[[str], Term], text: str) -> Term:
+    """``read(text)``; a fault is a QuerySyntaxError with its message."""
+    try:
+        return read(text)
+    except NTriplesError as exc:
+        raise QuerySyntaxError(exc.reason) from None
+    except ValueError as exc:
+        raise QuerySyntaxError(str(exc)) from None
+
+
 def _tokenize(text: str) -> list[_Tok]:
     out: list[_Tok] = []
     pos = 0
@@ -234,21 +250,14 @@ class _Parser:
         if tok.kind == "word" and tok.text.lower() in _UNSUPPORTED_KEYWORDS:
             raise UnsupportedFeatureError(tok.text.upper())
 
-    def _expand_pname(self, text: str) -> str:
-        prefix, _, local = text.partition(":")
+    def _iri(self, tok: _Tok) -> Term:
+        """The IRI an iriref or a prefixed name writes."""
+        if tok.kind == "iriref":
+            return _read(parse_term, tok.text)
+        prefix, _, local = tok.text.partition(":")
         if prefix not in self.prefixes:
             raise QuerySyntaxError(f"unknown prefix {prefix!r}:")
-        return self.prefixes[prefix] + local
-
-    def _iri_from_token(self, tok: _Tok) -> str:
-        raw = tok.text[1:-1]
-        try:
-            value = unescape_string(raw)
-        except ValueError as exc:
-            raise QuerySyntaxError(f"bad IRI escape in <{raw}>: {exc}") from None
-        if not value:
-            raise QuerySyntaxError("empty IRI")
-        return value
+        return _read(iri_term, self.prefixes[prefix] + local)
 
     def parse_prologue(self) -> None:
         while self.at_word("prefix"):
@@ -257,8 +266,7 @@ class _Parser:
             prefix, _, local = name.partition(":")
             if local:
                 raise QuerySyntaxError(f"malformed prefix declaration {name!r}")
-            iri = self._iri_from_token(self.expect("iriref"))
-            self.prefixes[prefix] = iri
+            self.prefixes[prefix] = self._iri(self.expect("iriref")).lexical
 
     def parse_term_atom(self, position: str) -> Atom:
         tok = self.next()
@@ -268,17 +276,15 @@ class _Parser:
         if tok.kind == "word" and tok.text == "a":
             if position != "predicate":
                 raise QuerySyntaxError("'a' is only valid in predicate position")
-            return Const(Term.iri(RDF_TYPE_IRI))
+            return Const(RDF_TYPE)
         if tok.kind == "bnode" or tok.text in ("[", "]"):
             raise UnsupportedFeatureError("blank node in query pattern")
         if tok.kind == "number":
             raise UnsupportedFeatureError("numeric literal shorthand")
-        if tok.kind == "iriref":
-            term = Term.iri(self._iri_from_token(tok))
-        elif tok.kind == "pname":
-            term = Term.iri(self._expand_pname(tok.text))
+        if tok.kind in ("iriref", "pname"):
+            term = self._iri(tok)
         elif tok.kind == "literal":
-            term = self._finish_literal(tok)
+            term = self._literal(tok)
         else:
             if tok.kind in ("semi", "comma"):
                 raise UnsupportedFeatureError("predicate-object list shorthand")
@@ -289,26 +295,19 @@ class _Parser:
             raise QuerySyntaxError("literal not allowed as subject")
         return Const(term)
 
-    def _finish_literal(self, tok: _Tok) -> Term:
-        try:
-            value = unescape_string(tok.text[1:-1])
-        except ValueError as exc:
-            raise QuerySyntaxError(f"bad literal escape: {exc}") from None
+    def _literal(self, tok: _Tok) -> Term:
+        """The literal a literal token writes, with its tag or datatype."""
+        text = tok.text
         nxt = self.peek()
         if nxt is not None and nxt.kind == "langtag":
-            self.next()
-            return Term.literal(value, lang=nxt.text[1:])
-        if nxt is not None and nxt.kind == "dtmark":
+            text += self.next().text
+        elif nxt is not None and nxt.kind == "dtmark":
             self.next()
             dtok = self.next()
-            if dtok.kind == "iriref":
-                dt = self._iri_from_token(dtok)
-            elif dtok.kind == "pname":
-                dt = self._expand_pname(dtok.text)
-            else:
+            if dtok.kind not in ("iriref", "pname"):
                 raise QuerySyntaxError("datatype must be an IRI")
-            return Term.literal(value, datatype=dt)
-        return Term.literal(value)
+            text += "^^" + self._iri(dtok).nt()
+        return _read(parse_term, text)
 
     def parse_group(self) -> tuple[TriplePattern, ...]:
         self.expect("lbrace")

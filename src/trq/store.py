@@ -60,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from .binio import key_index, read_body, read_header, read_source, term_key, term_of, write_file
-from .ntriples import TRIPLE_LINE, NTriplesError, parse_line, parse_term, split_lines
+from .ntriples import TRIPLE_LINE, NTriplesError, parse_line, split_lines, token_term
 from .terms import RDF_TYPE, Term, TermId, TermKind, Triple
 
 SNAPSHOT_MAGIC = b"TRQG"
@@ -421,13 +421,6 @@ class Graph:
         return Graph([self._keys[i] for i in order.tolist()], renumber[kept])
 
 
-def _token_term(token: str) -> Term:
-    """The term of a raw token that :data:`TRIPLE_LINE` matched."""
-    if token[0] == "<":  # the pattern has checked the IRI: its body is the term
-        return Term(TermKind.IRI, token[1:-1])
-    return parse_term(token)
-
-
 def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError], None] | None = None) -> Graph:
     """Parse N-Triples into a Graph.
 
@@ -481,7 +474,7 @@ def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError
             for token in m.groups():
                 tid = memo.get(token)
                 if tid is None:
-                    tid = memo[token] = intern(_token_term(token))
+                    tid = memo[token] = intern(token_term(token))
                 ids.append(tid)
             continue
         try:
@@ -521,8 +514,6 @@ def load_snapshot(src: str | Path | BufferedIOBase) -> Graph:
     error, name = SnapshotError, "snapshot"
     (term_count, triple_count), pos = read_header(data, SNAPSHOT_MAGIC, "<HQQ", SNAPSHOT_VERSION, error, name)
     (keys,), (triples,) = read_body(data, pos, [term_count], "<u4", [(triple_count, 3)], error, name)
-    if len(triples) and int(triples.max()) >= term_count:
-        raise SnapshotError("triple references unknown term id")
     try:
         return Graph(keys, triples)
     except GraphTooLargeError:

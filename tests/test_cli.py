@@ -347,6 +347,14 @@ def test_plan_reports_syntax_errors(run, tmp_path):
     assert "error:" in err
 
 
+def test_plan_rejects_an_iri_that_would_print_as_two_lines(run, tmp_path):
+    # \u000A resolves to a newline, which N-Triples forbids in an IRI
+    p = tmp_path / "q.rq"
+    p.write_text("SELECT * WHERE { ?x <e:p> ?y . ?y <e:q> <e:a\\u000Ab> . <e:a\\u000Ab> <e:r> ?x . }\n")
+    stdout, err = run("plan", str(p), expect=1)
+    assert stdout == "" and err == "error: malformed IRI <e:a\\u000Ab>\n"
+
+
 VARIABLE_FREE = "SELECT * WHERE { <http://e/a> <http://e/p> <http://e/b> }"
 
 
@@ -916,6 +924,15 @@ def test_bench_rejects_training_options_no_case_reads(run, artifacts, bench_dir,
     stdout, err = run("bench", str(bench_dir / "bench.manifest"), "--store", str(store_path), *source, *option, expect=1)
     assert stdout == "" and err.count("\n") == 1
     assert err.startswith(f"error: {option[0]} would go unread: with {cause} no case trains")
+
+
+def test_bench_names_the_environment_that_gave_the_embeddings(run, artifacts, bench_dir, monkeypatch):
+    store_path, emb_path = artifacts
+    monkeypatch.setattr(evalkit, "run_benchmark", lambda *a, **k: pytest.fail("a case ran"))
+    monkeypatch.setenv("TRQ_EMBEDDINGS", str(emb_path))
+    stdout, err = run("bench", str(bench_dir / "bench.manifest"), "--store", str(store_path), "--epochs", "3", expect=1)
+    assert stdout == ""
+    assert err == "error: --epochs would go unread: with TRQ_EMBEDDINGS no case trains\n"
 
 
 def test_bench_rejects_embeddings_with_uniform_f(run, artifacts, bench_dir, monkeypatch):

@@ -67,6 +67,7 @@ def test_trailing_comment_after_dot():
         "<http://a> <http://p> \"\\uD800\" .",  # a surrogate, which UTF-8 cannot encode
         "<http://a/\\U0000DFFF> <http://p> <http://b> .",
         "<http://sp ace> <http://p> <http://b> .",  # space inside IRI
+        "<http://a/\\u005C> <http://p> <http://b> .",  # a backslash, once resolved
         '<http://a> <http://p> "v"^^bad .',  # datatype not an IRI
         "_: <http://p> <http://b> .",  # empty blank label
     ],

@@ -15,8 +15,8 @@ from trq.qgraph import (
     SubqueryTree,
     enumerate_subquery_trees,
 )
-from trq.sparql import Const, Var, parse_query
-from trq.terms import Term
+from trq.sparql import Const, Query, QueryForm, TriplePattern, Var, parse_query
+from trq.terms import Term, TermKind
 
 from conftest import EX, MOVIE_QUERY, make_query, pattern, reference_subquery_trees
 
@@ -341,13 +341,21 @@ def test_trees_match_the_graph_object_enumerator(patterns, max_edges, max_combin
 
 def test_trees_whose_label_strings_join_alike_stay_apart():
     # The graph-object enumerator keyed a tree by its sorted edge labels
-    # joined with | and ;. IRIs holding those characters (written with
-    # \u escapes) make the trees on patterns 0, 1, 4 and 2, 3, 4 join to
-    # the same string, so it kept only the first.
-    q = parse_query(
-        "SELECT * WHERE { ?x <e:a\\u003E|?y;?y|\\u003Ce:b> ?z . ?z <e:c> ?w . ?x <e:a> ?y ."
-        " ?y <e:b\\u003E|?z;?z|\\u003Ce:c> ?w . ?z <e:d> ?y . }"
-    )
+    # joined with | and ;. IRIs holding those characters and < > make the
+    # trees on patterns 0, 1, 4 and 2, 3, 4 join to the same string, so it
+    # kept only the first. No query text writes such an IRI, so the query
+    # is built from its terms.
+    def iri(value):
+        return Const(Term(TermKind.IRI, value))
+
+    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
+    q = Query(QueryForm.SELECT, (
+        TriplePattern(x, iri("e:a>|?y;?y|<e:b"), z),
+        TriplePattern(z, iri("e:c"), w),
+        TriplePattern(x, iri("e:a"), y),
+        TriplePattern(y, iri("e:b>|?z;?z|<e:c"), w),
+        TriplePattern(z, iri("e:d"), y),
+    ), ("x", "z", "w", "y"))
     covers = [t.covered for t in enumerate_subquery_trees(q)]
     assert (0, 1, 4) in covers and (2, 3, 4) in covers and len(covers) == 8
     assert [t.covered_origins() for t in reference_subquery_trees(q)] == covers[:-1]

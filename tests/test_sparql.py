@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trq.ntriples import NTriplesError, parse_term
 from trq.sparql import (
     Const,
     Query,
@@ -173,6 +174,109 @@ def test_unsupported_syntax_shorthands():
 def test_syntax_errors(text):
     with pytest.raises(QuerySyntaxError):
         parse_query(PROLOG + text)
+
+
+# -- constants: the N-Triples term grammar --------------------------------
+
+# Pieces of a written IRI body (a scheme is drawn apart) and of a literal's
+# quoted content, valid and invalid: forbidden characters, \u escapes of
+# forbidden characters, ECHAR escapes (which IRIs forbid), a surrogate
+# and a malformed escape. None is whitespace, < or >, which end a token.
+# Valid pieces are listed more than once, so that about half the queries
+# parse.
+IRI_PIECES = ["a", "/", "#", "\u00e9", "\\u00E9", "\\U0001F600"] * 6 + [
+    "{", "}", "|", "^", '"', "`", "\\u0020", "\\u000A", "\\u005C", "\\n", "\\t", "\\\\", "\\u12"]
+LITERAL_PIECES = ["a", " ", "\u00e9", "\\n", '\\"', "\\'", "\\u00E9", "\\U0001F600"] * 6 + ["\\q", "\\uD800"]
+IRI_BODIES = st.builds(
+    lambda scheme, pieces: scheme + "".join(pieces),
+    st.sampled_from(["e:", "http://x/"] * 6 + ["", "1e:"]),  # the last two are relative
+    st.lists(st.sampled_from(IRI_PIECES), max_size=3),
+)
+LOCALS = st.sampled_from(["", "p", "a-b", "x.y", "1"])
+# ("iri", body) is written <body>; ("pname", local) is written ex:local
+IRIS = st.one_of(st.tuples(st.just("iri"), IRI_BODIES), st.tuples(st.just("pname"), LOCALS))
+LITERALS = st.tuples(
+    st.just("literal"),
+    st.lists(st.sampled_from(LITERAL_PIECES), max_size=4).map("".join),
+    st.one_of(st.just(None), st.tuples(st.just("lang"), st.sampled_from(["en", "EN-gb"])), IRIS),
+)
+
+
+def written(slot, ns):
+    """A constant slot as the query writes it, and as N-Triples writes
+    its term when ``ex:`` names the IRI written ``<ns>``."""
+    if slot[0] == "iri":
+        return f"<{slot[1]}>", f"<{slot[1]}>"
+    if slot[0] == "pname":
+        return f"ex:{slot[1]}", f"<{ns}{slot[1]}>"
+    _, content, suffix = slot
+    quoted = f'"{content}"'
+    if suffix is None:
+        return quoted, quoted
+    if suffix[0] == "lang":
+        return f"{quoted}@{suffix[1]}", f"{quoted}@{suffix[1]}"
+    query_dt, nt_dt = written(suffix, ns)
+    return f"{quoted}^^{query_dt}", f"{quoted}^^{nt_dt}"
+
+
+def reads(nt):
+    try:
+        parse_term(nt)
+    except NTriplesError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(IRI_BODIES, st.lists(st.tuples(IRIS, IRIS, st.one_of(IRIS, LITERALS)), min_size=1, max_size=2))
+def test_constants_are_the_terms_ntriples_reads(ns, slots):
+    # a query holds exactly the constants parse_term reads from the same
+    # text (a prefixed name expanded), and each writes back as itself
+    forms = [written(slot, ns) for row in slots for slot in row]
+    body = " . ".join(" ".join(query for query, _ in forms[i : i + 3]) for i in range(0, len(forms), 3))
+    text = f"PREFIX ex: <{ns}>\nASK {{ {body} }}"
+    if not all(map(reads, [f"<{ns}>", *(nt for _, nt in forms)])):
+        with pytest.raises(QuerySyntaxError):
+            parse_query(text)
+        return
+    constants = [atom.term for p in parse_query(text).patterns for atom in p.atoms()]
+    assert constants == [parse_term(nt) for _, nt in forms]
+    assert all(parse_term(c.nt()) == c for c in constants)
+
+
+MALFORMED_IRIS = [
+    "<e:a{b>", "<e:a}b>", "<e:a|b>", "<e:a^b>", '<e:a"b>', "<e:a`b>",  # forbidden characters
+    "<e:a\\u0020b>", "<e:a\\u000Ab>", "<e:a\\u007Cb>", "<e:a\\u005Cb>",  # forbidden once the escape is resolved
+    "<e:a\\nb>", "<e:a\\tb>", "<e:a\\\\b>", '<e:a\\"b>',  # ECHAR, which IRIs forbid
+    "<a/b>", "<>",  # relative
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *("SELECT * WHERE { " + where.format(iri) + " }" for iri in MALFORMED_IRIS
+          for where in ("{} <e:p> ?x", "?x {} ?y", "?x <e:p> {}")),
+        # a prefixed name that would expand to a forbidden or relative IRI
+        "PREFIX ex: <e:a{> SELECT * WHERE { ?x ex:p ?y }",
+        "PREFIX ex: <e:\\u0020> SELECT * WHERE { ?x ex:p ?y }",
+        "PREFIX ex: <rel/> SELECT * WHERE { ?x ex:p ?y }",
+        # a malformed datatype IRI
+        'SELECT * WHERE { ?x <e:p> "7"^^<e:a|b> }',
+        'SELECT * WHERE { ?x <e:p> "7"^^<e:a\\nb> }',
+        'SELECT * WHERE { ?x <e:p> "7"^^<int> }',
+        'PREFIX ex: <rel#> SELECT * WHERE { ?x <e:p> "7"^^ex:int }',
+        # a malformed literal
+        'SELECT * WHERE { ?x <e:p> "a\\qb" }',
+        'SELECT * WHERE { ?x <e:p> "\\uD800" }',
+    ],
+)
+def test_malformed_constants_are_syntax_errors(text):
+    # the reader's message, on one line and without its "line 1:"
+    with pytest.raises(QuerySyntaxError) as exc:
+        parse_query(text)
+    assert not isinstance(exc.value, UnsupportedFeatureError)
+    assert "\n" not in str(exc.value) and not str(exc.value).startswith("line ")
 
 
 def test_variables_helper():
