@@ -158,14 +158,18 @@ def run_benchmark(
     ``embeddings`` reuses one set trained on the source graph instead.
     With ``uniform_f`` no score reads an embedding, so nothing is trained
     and neither source is needed. A case failure is recorded on its row
-    and does not stop the run; a recommend setting out of range raises
+    and does not stop the run; a recommend setting, or a training option
+    of the ``embed_config`` the cases train with, out of range raises
     ValueError before any case runs. ``top_k=None`` ranks every surviving
     candidate.
     """
-    if embeddings is None and embed_config is None and uniform_f is None:
+    trains = embeddings is None and uniform_f is None
+    if trains and embed_config is None:
         raise ValueError("run_benchmark needs embed_config or embeddings")
     # Once, before any case trains a model it could not use.
     validate_settings(threshold, top_k, per_tree_limit, max_edges, uniform_f)
+    if trains:
+        embed_config.validate()
     report = BenchReport()
     for case in cases:
         row = BenchRow(name=case.name)
@@ -176,9 +180,7 @@ def run_benchmark(
             if not truth:
                 raise ValueError("case has an empty truth set")
             corrupted = corrupt_graph(g, case.deletions)
-            emb = embeddings
-            if emb is None and uniform_f is None:
-                emb = train(corrupted, embed_config)
+            emb = train(corrupted, embed_config) if trains else embeddings
             req = RecommendRequest(
                 query=case.query,
                 embeddings=emb,

@@ -8,10 +8,11 @@ Subjects are absolute IRIs or ``_:label`` blank nodes, predicates are
 absolute IRIs, objects may additionally be literals ``"value"`` with an
 optional ``@lang`` tag or ``^^<datatype>`` suffix. A ``#`` comment may
 follow the closing dot. Escapes inside IRIs are restricted to \\u/\\U;
-literals accept the usual ECHAR set as well. This module owns these
-term rules: ``trq.sparql`` reads each query constant with
-:func:`parse_term` and checks a prefixed name's expansion with
-:func:`iri_term`.
+literals accept the usual ECHAR set as well. A \\u or \\U escape takes
+exactly 4 or 8 hex digits; a raw CR or LF in a literal is an error.
+Every pattern here is built from the term rules of :mod:`trq.terms`,
+and ``trq.sparql`` reads each query constant with :func:`parse_term`
+and checks a prefixed name's expansion with :func:`iri_term`.
 
 Two readers share this grammar. :data:`TRIPLE_LINE` is one compiled
 pattern for the common line: absolute IRIs without escapes or forbidden
@@ -33,22 +34,25 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from .terms import Term, TermKind, unescape_string
+from .terms import BLANK_LABEL, IRI_CHAR, IRI_SCHEME, LANG_TAG, LITERAL_CHAR, Term, TermKind, unescape_string
 
-_BLANK_LABEL = re.compile(r"_:([A-Za-z0-9_]+)")
-_LANG_TAG = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")
-_WS = re.compile(r"[ \t]+")
-# Characters an IRI may not hold once its escapes are resolved.
-_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+_BLANK_LABEL = re.compile(rf"_:({BLANK_LABEL})")
+_LANG_TAG = re.compile(rf"@({LANG_TAG})")
+_WS = re.compile(r"[ \t]*")
+# What an IRI may hold once its escapes are resolved.
+_IRI_BODY = re.compile(rf"{IRI_CHAR}*")
 # A backslash that does not start a \u or \U escape, the only ones IRIs admit.
 _IRI_ECHAR = re.compile(r"\\(?![uU])(.?)")
+# A literal's opening quote and what follows it up to the closing quote:
+# LITERAL_CHARs and backslash pairs, which unescape_string reads.
+_LITERAL_BODY = re.compile(rf'"(?:{LITERAL_CHAR}|\\[^\n\r])*')
 
 # The common line, whose three groups are the raw subject, predicate and
 # object tokens. IRIs are absolute and hold no escape (so no backslash)
-# and no character _IRI_FORBIDDEN rejects; literals hold no backslash.
-_IRI = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
-_BLANK = r"_:[A-Za-z0-9_]+"
-_LITERAL = rf'"[^"\\]*"(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^{_IRI})?'
+# and only IRI characters; literals hold no backslash.
+_IRI = rf"<{IRI_SCHEME}{IRI_CHAR}*>"
+_BLANK = rf"_:{BLANK_LABEL}"
+_LITERAL = rf'"{LITERAL_CHAR}*"(?:@{LANG_TAG}|\^\^{_IRI})?'
 TRIPLE_LINE = re.compile(
     rf"[ \t]*({_IRI}|{_BLANK})[ \t]*({_IRI})[ \t]*({_IRI}|{_BLANK}|{_LITERAL})"
     r"[ \t]*\.[ \t]*(?:#.*)?\r*"
@@ -74,14 +78,13 @@ class NTriplesError(ValueError):
 
 
 def _skip_ws(line: str, i: int) -> int:
-    m = _WS.match(line, i)
-    return m.end() if m else i
+    return _WS.match(line, i).end()
 
 
 def iri_term(value: str, written: str = "") -> Term:
     """The IRI term of ``value``, an IRI with its escapes resolved, or a
     ValueError naming it as ``written`` (by default, its repr)."""
-    if _IRI_FORBIDDEN.search(value):
+    if not _IRI_BODY.fullmatch(value):
         raise ValueError(f"malformed IRI {written or repr(value)}")
     return Term.iri(value)
 
@@ -105,45 +108,39 @@ def _parse_blank(line: str, i: int) -> tuple[Term, int]:
 
 
 def _parse_literal(line: str, i: int) -> tuple[Term, int]:
-    j = i + 1
-    n = len(line)
-    while j < n:
-        ch = line[j]
-        if ch == "\\":
-            j += 2
-            continue
-        if ch == '"':
-            break
-        j += 1
-    if j >= n:
-        raise ValueError("unterminated literal")
+    j = _LITERAL_BODY.match(line, i).end()
+    if not line.startswith('"', j):
+        # the match stops at the end of the line, at a raw line break, or
+        # at a backslash before either
+        raise ValueError("unterminated literal" if line[j:] in ("", "\\") else "raw line break in literal")
     value = unescape_string(line[i + 1 : j])
     j += 1
-    lang = None
-    datatype = None
     if line.startswith("@", j):
         m = _LANG_TAG.match(line, j)
         if not m:
             raise ValueError("malformed language tag")
-        lang = m.group(1)
-        j = m.end()
-    elif line.startswith("^^", j):
-        j += 2
-        if not line.startswith("<", j):
+        return Term.literal(value, lang=m.group(1)), m.end()
+    if line.startswith("^^", j):
+        if not line.startswith("<", j + 2):
             raise ValueError("datatype must be an IRI")
-        dt, j = _parse_iri(line, j)
-        datatype = dt.lexical
-    return Term.literal(value, datatype=datatype, lang=lang), j
+        dt, j = _parse_iri(line, j + 2)
+        return Term.literal(value, datatype=dt.lexical), j
+    return Term.literal(value), j
 
 
-def _parse_any(line: str, i: int, error: str) -> tuple[Term, int]:
+def _parse_any(line: str, i: int, error: str, blank: str = "", literal: str = "") -> tuple[Term, int]:
     """The IRI, blank node or literal at ``line[i]``; anything else is a
-    ValueError, ``error`` formatted with the rest of the line."""
+    ValueError, ``error`` formatted with the rest of the line, and so is
+    a blank node or literal when ``blank`` or ``literal`` names it."""
     if line.startswith("<", i):
         return _parse_iri(line, i)
     if line.startswith("_:", i):
+        if blank:
+            raise ValueError(blank)
         return _parse_blank(line, i)
     if line.startswith('"', i):
+        if literal:
+            raise ValueError(literal)
         return _parse_literal(line, i)
     raise ValueError(error.format(line[i:]))
 
@@ -170,25 +167,11 @@ def parse_line(line: str, lineno: int) -> tuple[Term, Term, Term] | None:
     if i >= len(line) or line[i] == "#":
         return None
     try:
-        # subject
-        if line.startswith("<", i):
-            s, i = _parse_iri(line, i)
-        elif line.startswith("_:", i):
-            s, i = _parse_blank(line, i)
-        elif line.startswith('"', i):
-            raise ValueError("literal not allowed as subject")
-        else:
-            raise ValueError("expected IRI or blank node subject")
+        s, i = _parse_any(line, i, "expected IRI or blank node subject", literal="literal not allowed as subject")
         i = _skip_ws(line, i)
-        # predicate
-        if line.startswith("<", i):
-            p, i = _parse_iri(line, i)
-        elif line.startswith("_:", i):
-            raise ValueError("blank node not allowed as predicate")
-        elif line.startswith('"', i):
-            raise ValueError("literal not allowed as predicate")
-        else:
-            raise ValueError("expected IRI predicate")
+        p, i = _parse_any(
+            line, i, "expected IRI predicate", "blank node not allowed as predicate", "literal not allowed as predicate"
+        )
         i = _skip_ws(line, i)
         o, i = _parse_any(line, i, "expected IRI, blank node, or literal object")
         i = _skip_ws(line, i)

@@ -71,7 +71,7 @@ import numpy as np
 
 from .ntriples import NTriplesError, iri_term, parse_term
 from .store import Graph
-from .terms import RDF_TYPE, Term, TermId
+from .terms import LANG_TAG, RDF_TYPE, Term, TermId
 
 
 class QuerySyntaxError(ValueError):
@@ -144,18 +144,20 @@ ResolvedPattern = tuple[ResolvedAtom, ResolvedAtom, ResolvedAtom]
 
 # -- tokenizer ---------------------------------------------------------
 
+# An f-string ({{ is a brace). iriref and bnode are looser than the term
+# rules on purpose, so that the term reader names a fault.
 _TOKEN = re.compile(
-    r"""
+    rf"""
       (?P<ws>\s+)
     | (?P<comment>\#[^\n]*)
-    | (?P<lbrace>\{) | (?P<rbrace>\}) | (?P<lparen>\() | (?P<rparen>\))
+    | (?P<lbrace>\{{) | (?P<rbrace>\}}) | (?P<lparen>\() | (?P<rparen>\))
     | (?P<dtmark>\^\^)
     | (?P<dot>\.(?![0-9]))
     | (?P<semi>;) | (?P<comma>,)
     | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
     | (?P<iriref><[^<>\s]*>)
     | (?P<literal>"(?:[^"\\]|\\.)*")
-    | (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+    | (?P<langtag>@{LANG_TAG})
     | (?P<bnode>_:[A-Za-z0-9_]*)
     | (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_\-]))*)
     | (?P<number>[+-]?[0-9][0-9.eE+-]*)

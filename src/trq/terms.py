@@ -7,6 +7,12 @@ no value-space normalization is attempted. Blank node labels are file
 scoped: the loader replaces them with fresh internal labels, so terms can
 be compared by value everywhere else.
 
+Each lexical rule of a term is written here once, as a regex string
+that :mod:`trq.ntriples`, the checks of :class:`Term` and the SPARQL
+tokenizer compile their patterns from. As in W3C N-Triples 1.1, a \\u or
+\\U escape takes exactly 4 or 8 hex digits and a literal holds no raw
+CR or LF.
+
 A :class:`Term` is an immutable named tuple ``(kind, lexical)``, so its
 hashing and equality run in C, and a term equals the plain tuple
 ``(kind, lexical)`` of the same two values (with ``kind`` a
@@ -31,7 +37,19 @@ class TermKind(enum.IntEnum):
     BLANK = 2
 
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+# The lexical rules of a term. An IRI starts with a scheme and then holds
+# only IRI characters, once its escapes are resolved.
+IRI_SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
+IRI_CHAR = r'[^\x00-\x20<>"{}|^`\\]'
+BLANK_LABEL = r"[A-Za-z0-9_]+"
+LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+# A character between a literal's quotes that is not part of an escape:
+# a raw quote, backslash or line break never is.
+LITERAL_CHAR = r'[^"\\\n\r]'
+# ECHAR, or UCHAR with exactly four or eight hex digits.
+ESCAPE = r"""\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"""
+
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 _UNESCAPES = {
     "t": "\t",
     "b": "\b",
@@ -42,54 +60,47 @@ _UNESCAPES = {
     "'": "'",
     "\\": "\\",
 }
-_ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-_BLANK_LABEL = re.compile(r"[A-Za-z0-9_]+")
+# An escape, or else a backslash that starts none.
+_ESCAPE = re.compile(rf"{ESCAPE}|\\")
+_ABSOLUTE_IRI = re.compile(IRI_SCHEME)
+_BLANK_LABEL = re.compile(BLANK_LABEL)
 
 
 def escape_string(value: str) -> str:
     """Escape a raw string for the canonical quoted literal form."""
-    return "".join(_ESCAPES.get(ch, ch) for ch in value)
+    return value.translate(_ESCAPES)
+
+
+def _resolve(m: re.Match[str]) -> str:
+    """The character an :data:`ESCAPE` match stands for; a bare backslash
+    match is a ValueError naming what follows it."""
+    text = m.group()
+    if len(text) == 2:
+        return _UNESCAPES[text[1]]
+    if len(text) > 2:
+        point = int(text[2:], 16)
+        if point < 0xD800 or 0xDFFF < point <= 0x10FFFF:
+            return chr(point)
+        raise ValueError(f"bad \\{text[1]} escape: {text[2:]!r}")
+    rest = m.string[m.end() :]
+    if not rest:
+        raise ValueError("dangling backslash escape")
+    e = rest[0]
+    if e not in "uU":
+        raise ValueError(f"unknown escape \\{e}")
+    width = 4 if e == "u" else 8
+    if len(rest) <= width:
+        raise ValueError(f"truncated \\{e} escape")
+    raise ValueError(f"bad \\{e} escape: {rest[1 : 1 + width]!r}")
 
 
 def unescape_string(raw: str) -> str:
     """Resolve backslash escapes (ECHAR plus \\uXXXX and \\UXXXXXXXX).
 
     Raises ValueError on a malformed escape sequence, or one that names a
-    surrogate code point, which UTF-8 cannot encode.
+    surrogate, which UTF-8 cannot encode, or no code point at all.
     """
-    if "\\" not in raw:
-        return raw
-    out: list[str] = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise ValueError("dangling backslash escape")
-        e = raw[i + 1]
-        if e in _UNESCAPES:
-            out.append(_UNESCAPES[e])
-            i += 2
-        elif e in ("u", "U"):
-            width = 4 if e == "u" else 8
-            code = raw[i + 2 : i + 2 + width]
-            if len(code) != width:
-                raise ValueError(f"truncated \\{e} escape")
-            try:
-                point = int(code, 16)
-                if 0xD800 <= point <= 0xDFFF:
-                    raise ValueError("a surrogate is not a character")
-                out.append(chr(point))
-            except ValueError as exc:
-                raise ValueError(f"bad \\{e} escape: {code!r}") from exc
-            i += 2 + width
-        else:
-            raise ValueError(f"unknown escape \\{e}")
-    return "".join(out)
+    return _ESCAPE.sub(_resolve, raw)
 
 
 def is_absolute_iri(value: str) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from trq import (
 )
 from trq.binio import term_key
 from trq.embedding import TRANSE, TRANSH, EmbeddingSet, _norm_values, _pair_grads, _Workspace
-from trq.ntriples import NTriplesError, parse_line
+from trq.ntriples import NTriplesError, _parse_blank, _skip_ws, parse_line
 from trq.qgraph import (
     DEFAULT_MAX_EDGES,
     MAX_COMBINATIONS,
@@ -602,6 +603,149 @@ def reference_parse_ntriples(text: str, on_error=None) -> Graph:
         if parsed is not None:
             builder.add(*parsed)
     return builder.build()
+
+
+# -- the term reader that matches the term rules replaced -------------
+# Character loops that read a literal and resolve escapes, and the line
+# reader over them. They differ from trq.ntriples in two input classes
+# alone: a \u or \U escape whose digits int(code, 16) reads but that are
+# not 4 or 8 ASCII hex digits (a sign, spaces, "_", other digits), which
+# these accept, and a raw CR or LF inside a literal, which these keep.
+
+_REFERENCE_UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_REFERENCE_LANG_TAG = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")
+_REFERENCE_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+_REFERENCE_IRI_ECHAR = re.compile(r"\\(?![uU])(.?)")
+
+
+def reference_unescape_string(raw: str) -> str:
+    if "\\" not in raw:
+        return raw
+    out: list[str] = []
+    i = 0
+    n = len(raw)
+    while i < n:
+        ch = raw[i]
+        if ch != "\\":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= n:
+            raise ValueError("dangling backslash escape")
+        e = raw[i + 1]
+        if e in _REFERENCE_UNESCAPES:
+            out.append(_REFERENCE_UNESCAPES[e])
+            i += 2
+        elif e in ("u", "U"):
+            width = 4 if e == "u" else 8
+            code = raw[i + 2 : i + 2 + width]
+            if len(code) != width:
+                raise ValueError(f"truncated \\{e} escape")
+            try:
+                point = int(code, 16)
+                if 0xD800 <= point <= 0xDFFF:
+                    raise ValueError("a surrogate is not a character")
+                out.append(chr(point))
+            except ValueError as exc:
+                raise ValueError(f"bad \\{e} escape: {code!r}") from exc
+            i += 2 + width
+        else:
+            raise ValueError(f"unknown escape \\{e}")
+    return "".join(out)
+
+
+def _reference_parse_iri(line: str, i: int) -> tuple[Term, int]:
+    end = line.find(">", i + 1)
+    if end < 0:
+        raise ValueError("unterminated IRI")
+    raw = line[i + 1 : end]
+    echar = _REFERENCE_IRI_ECHAR.search(raw)
+    if echar:
+        raise ValueError(f"escape \\{echar.group(1)} not allowed in IRI")
+    value = reference_unescape_string(raw)
+    if _REFERENCE_IRI_FORBIDDEN.search(value):
+        raise ValueError(f"malformed IRI <{raw}>")
+    return Term.iri(value), end + 1
+
+
+def reference_parse_literal(line: str, i: int) -> tuple[Term, int]:
+    j = i + 1
+    n = len(line)
+    while j < n:
+        ch = line[j]
+        if ch == "\\":
+            j += 2
+            continue
+        if ch == '"':
+            break
+        j += 1
+    if j >= n:
+        raise ValueError("unterminated literal")
+    value = reference_unescape_string(line[i + 1 : j])
+    j += 1
+    lang = None
+    datatype = None
+    if line.startswith("@", j):
+        m = _REFERENCE_LANG_TAG.match(line, j)
+        if not m:
+            raise ValueError("malformed language tag")
+        lang = m.group(1)
+        j = m.end()
+    elif line.startswith("^^", j):
+        j += 2
+        if not line.startswith("<", j):
+            raise ValueError("datatype must be an IRI")
+        dt, j = _reference_parse_iri(line, j)
+        datatype = dt.lexical
+    return Term.literal(value, datatype=datatype, lang=lang), j
+
+
+def _reference_parse_any(line: str, i: int, error: str) -> tuple[Term, int]:
+    if line.startswith("<", i):
+        return _reference_parse_iri(line, i)
+    if line.startswith("_:", i):
+        return _parse_blank(line, i)
+    if line.startswith('"', i):
+        return reference_parse_literal(line, i)
+    raise ValueError(error.format(line[i:]))
+
+
+def reference_parse_line(line: str, lineno: int) -> tuple[Term, Term, Term] | None:
+    i = _skip_ws(line.rstrip("\r\n"), 0)
+    line = line.rstrip("\r\n")
+    if i >= len(line) or line[i] == "#":
+        return None
+    try:
+        # subject
+        if line.startswith("<", i):
+            s, i = _reference_parse_iri(line, i)
+        elif line.startswith("_:", i):
+            s, i = _parse_blank(line, i)
+        elif line.startswith('"', i):
+            raise ValueError("literal not allowed as subject")
+        else:
+            raise ValueError("expected IRI or blank node subject")
+        i = _skip_ws(line, i)
+        # predicate
+        if line.startswith("<", i):
+            p, i = _reference_parse_iri(line, i)
+        elif line.startswith("_:", i):
+            raise ValueError("blank node not allowed as predicate")
+        elif line.startswith('"', i):
+            raise ValueError("literal not allowed as predicate")
+        else:
+            raise ValueError("expected IRI predicate")
+        i = _skip_ws(line, i)
+        o, i = _reference_parse_any(line, i, "expected IRI, blank node, or literal object")
+        i = _skip_ws(line, i)
+        if not line.startswith(".", i):
+            raise ValueError("missing terminating dot")
+        i = _skip_ws(line, i + 1)
+        if i < len(line) and line[i] != "#":
+            raise ValueError("trailing characters after dot")
+    except ValueError as exc:
+        raise NTriplesError(str(exc), lineno, line) from None
+    return s, p, o
 
 
 def binding_keys(g: Graph, mappings) -> set[tuple[str, ...]]:

@@ -908,6 +908,26 @@ def test_bench_rejects_non_finite_uniform_f(run, artifacts, bench_dir):
     assert "error: uniform_f must be a finite number" in err
 
 
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        (["--dim", "0"], "dim must be positive"),
+        (["--learning-rate", "nan"], "learning_rate must be a positive finite number, got nan"),
+        (["--model", "transe", "--rel-dim", "3"], "rel_dim must equal dim unless the model is transr"),
+        (["--batch-size", "0"], "batch_size must be positive"),
+    ],
+    ids=["dim", "learning-rate", "rel-dim", "batch-size"],
+)
+def test_bench_rejects_an_out_of_range_training_option_once(run, artifacts, bench_dir, monkeypatch, option, message):
+    store_path, _ = artifacts
+    monkeypatch.delenv("TRQ_EMBEDDINGS", raising=False)
+    monkeypatch.setattr(evalkit, "train", lambda *a, **k: pytest.fail("a case trained"))
+    stdout, err = run("bench", str(bench_dir / "bench.manifest"), "--store", str(store_path), *option, expect=1)
+    # named once, before any case runs, as trq train names it
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+
+
 TRAINING_OPTIONS = [
     ["--model", "transh"], ["--dim", "4"], ["--rel-dim", "4"], ["--margin", "2"], ["--learning-rate", "0.1"],
     ["--epochs", "1"], ["--batch-size", "8"], ["--negatives", "2"], ["--norm", "l2"], ["--seed", "3"],

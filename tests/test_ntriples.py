@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import ast
 import io
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trq.ntriples import TRIPLE_LINE, NTriplesError, parse_line, parse_term
 from trq.store import parse_ntriples
-from trq.terms import Term, TermKind
+from trq.terms import Term, TermKind, unescape_string
 
-from conftest import build_graph, nt_text, reference_parse_ntriples
+from conftest import (
+    build_graph,
+    nt_text,
+    reference_parse_line,
+    reference_parse_ntriples,
+    reference_unescape_string,
+)
 
 
 def test_basic_line():
@@ -51,30 +59,47 @@ def test_trailing_comment_after_dot():
     assert o == Term.iri("http://b")
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "<http://a> <http://p> <http://b>",  # missing dot
-        "<http://a> <http://p> .",  # missing object
-        "<http://a> <http://p> <http://b> <http://c> .",  # extra term
-        '"lit" <http://p> <http://b> .',  # literal subject
-        "<http://a> _:p <http://b> .",  # blank predicate
-        '<http://a> "p" <http://b> .',  # literal predicate
-        "<relative> <http://p> <http://b> .",  # relative IRI
-        "<http://a> <http://p> <http://b> . junk",  # junk after dot
-        '<http://a> <http://p> "unterminated .',
-        "<http://a> <http://p> \"bad\\q\" .",  # unknown escape
-        "<http://a> <http://p> \"\\uD800\" .",  # a surrogate, which UTF-8 cannot encode
-        "<http://a/\\U0000DFFF> <http://p> <http://b> .",
-        "<http://sp ace> <http://p> <http://b> .",  # space inside IRI
-        "<http://a/\\u005C> <http://p> <http://b> .",  # a backslash, once resolved
-        '<http://a> <http://p> "v"^^bad .',  # datatype not an IRI
-        "_: <http://p> <http://b> .",  # empty blank label
-    ],
-)
+# Each malformed line and the reason its error gives.
+MALFORMED_LINES = {
+    "<http://a> <http://p> <http://b>": "missing terminating dot",
+    "<http://a> <http://p> .": "expected IRI, blank node, or literal object",
+    "<http://a> <http://p> <http://b> <http://c> .": "missing terminating dot",  # extra term
+    '"lit" <http://p> <http://b> .': "literal not allowed as subject",
+    "<http://a> _:p <http://b> .": "blank node not allowed as predicate",
+    '<http://a> "p" <http://b> .': "literal not allowed as predicate",
+    "<relative> <http://p> <http://b> .": "IRI must be absolute: 'relative'",
+    "<http://a> <http://p> <http://b> . junk": "trailing characters after dot",
+    '<http://a> <http://p> "unterminated .': "unterminated literal",
+    '<http://a> <http://p> "bad\\q" .': "unknown escape \\q",
+    # a surrogate, which UTF-8 cannot encode
+    '<http://a> <http://p> "\\uD800" .': "bad \\u escape: 'D800'",
+    "<http://a/\\U0000DFFF> <http://p> <http://b> .": "bad \\U escape: '0000DFFF'",
+    "<http://sp ace> <http://p> <http://b> .": "malformed IRI <http://sp ace>",
+    # a backslash, once resolved
+    "<http://a/\\u005C> <http://p> <http://b> .": "malformed IRI <http://a/\\u005C>",
+    '<http://a> <http://p> "v"^^bad .': "datatype must be an IRI",
+    "_: <http://p> <http://b> .": "malformed blank node label",
+    # a hex escape takes exactly 4 or 8 hex digits, with no sign, space or _
+    '<http://a/\\u+041> <http://p> "x\\u 041" .': "bad \\u escape: '+041'",
+    '<http://a> <http://p> "x\\u 041" .': "bad \\u escape: ' 041'",
+    "<http://e/\\u0_41> <http://p> <http://b> .": "bad \\u escape: '0_41'",
+    '<http://a> <http://p> "\\U-0000041" .': "bad \\U escape: '-0000041'",
+    '<http://a> <http://p> "\\u004" .': "truncated \\u escape",
+    # a raw line break inside a literal, on its own or after a backslash
+    '<http://a> <http://p> "a\rb" .': "raw line break in literal",
+    '<http://a> <http://p> "a\nb" .': "raw line break in literal",
+    '<http://a> <http://p> "a\\\rb" .': "raw line break in literal",
+    '<http://a> <http://p> "a\\': "unterminated literal",
+}
+
+
+@pytest.mark.parametrize("line", list(MALFORMED_LINES))
 def test_malformed_lines(line):
-    with pytest.raises(NTriplesError):
+    message = MALFORMED_LINES[line]
+    with pytest.raises(NTriplesError) as e:
         parse_line(line, 7)
+    assert e.value.reason == message
+    assert str(e.value) == f"line 7: {message}"
 
 
 def test_error_carries_line_number():
@@ -167,12 +192,15 @@ def test_literal_round_trip_through_syntax(value, lang):
 
 
 def test_path_and_bytes_give_the_same_graph(tmp_path):
-    # A raw CR inside a literal is part of the line.
+    # A raw CR inside a literal ends no line: it is the literal's fault.
     cr_literal = tmp_path / "cr_literal.nt"
     cr_literal.write_bytes(b'<http://a> <http://p> "x\ry" .\n')
-    g = parse_ntriples(cr_literal)
-    assert [t.lexical for t in g.terms()] == ["http://a", "http://p", '"x\\ry"']
-    assert list(g.terms()) == list(parse_ntriples(cr_literal.read_bytes()).terms())
+    errors = []
+    for source in (cr_literal, cr_literal.read_bytes()):
+        with pytest.raises(NTriplesError) as e:
+            parse_ntriples(source)
+        errors.append(str(e.value))
+    assert errors == ["line 1: raw line break in literal"] * 2
     # A lone CR does not end a line.
     lone_cr = tmp_path / "lone_cr.nt"
     lone_cr.write_bytes(b"<http://a> <http://p> <http://b> .\r<http://a> <http://p> <http://c> .\r")
@@ -247,9 +275,9 @@ def _pieces(pieces):
     return st.lists(st.sampled_from(pieces), max_size=5).map("".join)
 
 
-def _mostly(clean, noisy):
-    """Three draws in four from ``clean``."""
-    return st.sampled_from([clean, clean, clean, noisy]).flatmap(lambda strategy: strategy)
+def _mostly(clean, noisy, one_in=4):
+    """A draw from ``noisy`` once in ``one_in`` draws, else from ``clean``."""
+    return st.sampled_from([clean] * (one_in - 1) + [noisy]).flatmap(lambda strategy: strategy)
 
 
 def _triple_line(subject, predicate, obj, end):
@@ -274,7 +302,7 @@ _iri = st.builds(
 _blank = st.sampled_from(["_:a", "_:b", "_:x_1", "_:B"])
 _literal = st.builds(
     lambda body, suffix: f'"{body}"{suffix}',
-    _pieces(list("ab é'\t\r")),
+    _pieces(list("ab é'\t")),
     st.sampled_from(["", "@en", "@EN", "@en-GB", "@En-gb", "^^<http://www.w3.org/2001/XMLSchema#int>"]),
 )
 _end = st.sampled_from([".", " .", "\t.", " . # c", " .# c", " .\r", " .\r\r", "  . \t# c\r"])
@@ -351,3 +379,123 @@ def test_fast_path_matches_the_line_by_line_reference(doc):
     assert [(e.lineno, str(e)) for e in skipped] == [(e.lineno, str(e)) for e in reference_skipped]
     assert list(g.terms()) == list(ref.terms())
     assert list(g.triples()) == list(ref.triples())
+
+
+# -- the term rules against the character-loop reader ------------------
+
+
+def _loosely_hex(code: str) -> bool:
+    """True when ``code`` is not 4 or 8 ASCII hex digits but the reference
+    reads it as a \\u or \\U escape's character: ``int(code, 16)`` also
+    takes a sign, spaces, ``_`` and other scripts' digits."""
+    try:
+        point = int(code, 16)
+    except ValueError:
+        return False
+    return not re.fullmatch(r"[0-9A-Fa-f]+", code) and 0 <= point <= 0x10FFFF and not 0xD800 <= point <= 0xDFFF
+
+
+# \u and \U digits: hex that names a character, hex that names none or
+# one an IRI forbids, and loose forms (the last of each too short)
+_CODES4 = ["0041", "00e9", "00E9", "FFFD"]
+_CODES8 = ["00000041", "0001F600", "0010FFFF"]
+_BAD4 = ["D800", "DFFF", "0020", "005C", "003E", "0022"]
+_BAD8 = ["00110000", "0000DC00"]
+_LOOSE4 = ["+041", " 041", "041 ", "0_41", "-041", "-000", "\u0660\u0660\u0664\u0661", "00G1", "0 41", "004"]
+_LOOSE8 = ["+0000041", "0000_041", " 0000041", "0000004G", "0000041"]
+
+
+def _uchar(codes4, codes8):
+    return st.one_of(st.sampled_from(codes4).map("\\u".__add__), st.sampled_from(codes8).map("\\U".__add__))
+
+
+_good_uchar = _uchar(_CODES4, _CODES8)
+_odd_uchar = _uchar(_BAD4 + _LOOSE4, _BAD8 + _LOOSE8)
+_echar = st.sampled_from(["\\t", "\\b", "\\n", "\\r", "\\f", '\\"', "\\'", "\\\\"])
+_bad_escape = st.sampled_from(["\\q", "\\x41", "\\", "\\u00", "\\U0001"])
+_raw_break = st.sampled_from(["\r", "\n", "\r\n"])
+# Lines with every escape kind, tags, datatypes, blank nodes and tabs;
+# one piece or term in ten is malformed.
+_literal_body = st.lists(
+    _mostly(
+        st.one_of(st.sampled_from(list("ab \té'#<>_")), _echar, _good_uchar),
+        st.one_of(_odd_uchar, _bad_escape, _raw_break),
+        10,
+    ),
+    max_size=5,
+).map("".join)
+_iri_body = st.lists(
+    _mostly(
+        st.one_of(st.sampled_from(list("ab/#:.é~")), _good_uchar),
+        st.one_of(_odd_uchar, _echar, _bad_escape, st.sampled_from([" ", "{", "\t", "\r"])),
+        10,
+    ),
+    max_size=4,
+).map("".join)
+_oracle_iri = st.builds(
+    lambda scheme, body: f"<{scheme}{body}>",
+    _mostly(st.sampled_from(["http://ex.org/", "urn:x:", "a+b.c-d:"]), st.sampled_from(["", "rel/", "1x:"]), 10),
+    _iri_body,
+)
+_oracle_blank = _mostly(st.sampled_from(["_:a", "_:b1", "_:x_y", "_:B"]), st.sampled_from(["_:", "_:a-b", "_:é"]), 10)
+_oracle_literal = st.builds(
+    lambda body, suffix: f'"{body}"{suffix}',
+    _literal_body,
+    _mostly(
+        st.one_of(st.sampled_from(["", "@en", "@EN-gb", "@de-AT-1996"]), _oracle_iri.map("^^".__add__)),
+        st.sampled_from(["@", "@-x", "^^bad"]),
+        10,
+    ),
+)
+_oracle_line = st.builds(
+    lambda lead, s, g1, p, g2, o, end: f"{lead}{s}{g1}{p}{g2}{o}{end}",
+    st.sampled_from(["", " ", "\t"]),
+    _mostly(st.one_of(_oracle_iri, _oracle_blank), _oracle_literal, 10),
+    st.sampled_from(["", " ", "\t", " \t"]),
+    _mostly(_oracle_iri, st.one_of(_oracle_blank, _oracle_literal), 10),
+    st.sampled_from(["", " ", "\t", " \t"]),
+    st.one_of(_oracle_iri, _oracle_blank, _oracle_literal),
+    _mostly(st.sampled_from([" .", "\t.", ".", " . # c", " .\r"]), st.sampled_from(["", " . x", " .."]), 10),
+)
+
+
+def _changed_reading(got, line: str) -> bool:
+    """True when ``got`` is the reason of an error that only the term
+    rules raise: a raw line break in a literal, or an escape whose digits
+    are loosely hex."""
+    if got == "raw line break in literal":
+        return "\r" in line or "\n" in line
+    m = re.fullmatch(r"bad \\[uU] escape: (.*)", got, re.S)
+    return m is not None and _loosely_hex(ast.literal_eval(m.group(1)))
+
+
+def _read(parse, line):
+    """The terms ``parse`` reads off ``line``, or its error's reason."""
+    try:
+        return parse(line, 3)
+    except NTriplesError as exc:
+        assert str(exc) == f"line 3: {exc.reason}"
+        return exc.reason
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_oracle_line)
+def test_term_rules_read_lines_as_the_character_loops_did(line):
+    expected = _read(reference_parse_line, line)
+    got = _read(parse_line, line)
+    assert got == expected or (isinstance(got, str) and _changed_reading(got, line))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_literal_body)
+def test_unescape_matches_the_character_loop(raw):
+    try:
+        expected = reference_unescape_string(raw)
+    except ValueError as exc:
+        expected = str(exc)
+    try:
+        got = unescape_string(raw)
+    except ValueError as exc:
+        assert str(exc) == expected or _changed_reading(str(exc), raw)
+    else:
+        assert got == expected

@@ -252,6 +252,19 @@ MALFORMED_IRIS = [
 ]
 
 
+# A hex escape takes exactly 4 or 8 hex digits, and a literal holds no
+# raw line break; each query gives its reader's message.
+MALFORMED_ESCAPES_AND_BREAKS = {
+    "SELECT * WHERE { <e:\\u+041> <e:p> ?x }": "bad \\u escape: '+041'",
+    "SELECT * WHERE { <e:\\u0_41> <e:p> ?x }": "bad \\u escape: '0_41'",
+    'SELECT * WHERE { ?x <e:p> "x\\u 041" }': "bad \\u escape: ' 041'",
+    'SELECT * WHERE { ?x <e:p> "x\\U+0000041" }': "bad \\U escape: '+0000041'",
+    'SELECT * WHERE { ?x <e:p> "x\\u04" }': "truncated \\u escape",
+    'SELECT * WHERE { ?x <e:p> "a\nb" }': "raw line break in literal",
+    'SELECT * WHERE { ?x <e:p> "a\rb"@en }': "raw line break in literal",
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -269,6 +282,7 @@ MALFORMED_IRIS = [
         # a malformed literal
         'SELECT * WHERE { ?x <e:p> "a\\qb" }',
         'SELECT * WHERE { ?x <e:p> "\\uD800" }',
+        *MALFORMED_ESCAPES_AND_BREAKS,
     ],
 )
 def test_malformed_constants_are_syntax_errors(text):
@@ -277,6 +291,8 @@ def test_malformed_constants_are_syntax_errors(text):
         parse_query(text)
     assert not isinstance(exc.value, UnsupportedFeatureError)
     assert "\n" not in str(exc.value) and not str(exc.value).startswith("line ")
+    if text in MALFORMED_ESCAPES_AND_BREAKS:
+        assert str(exc.value) == MALFORMED_ESCAPES_AND_BREAKS[text]
 
 
 def test_variables_helper():

@@ -442,7 +442,7 @@ GOLDEN_DOC = (
     b'<http://ex.org/s1> <http://ex.org/p> "Tagged"@en-GB . # the same term\n'
     b'<http://ex.org/s2> <http://ex.org/q> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
     b'<http://ex.org/s2> <http://ex.org/q> "tab\\there \\"quoted\\" \\u00e9\\nnew line" .\n'
-    b'<http://ex.org/s2> <http://ex.org/q> "raw\ttab and raw\rcr" .\n'
+    b'<http://ex.org/s2> <http://ex.org/q> "raw\ttab and raw\\rcr" .\n'  # a raw CR in a literal is an error
     b"<http://ex.org/\\u0041> <http://ex.org/p> <http://ex.org/A> .\n"
     b"_:x <http://ex.org/p> _:y .\n"
     b"_:y\t<http://ex.org/q>\t_:x .  # blank nodes, tabs\n"

@@ -126,13 +126,30 @@ def test_escape_examples(raw, escaped):
 def test_unescape_numeric_forms():
     assert unescape_string("\\u0041") == "A"
     assert unescape_string("\\U0001F600") == "\U0001F600"
-    with pytest.raises(ValueError):
+    assert unescape_string("\\u00e9\\u00E9") == "\u00e9\u00e9"
+    with pytest.raises(ValueError, match="^bad \\\\u escape: '00G1'$"):
         unescape_string("\\u00G1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dangling backslash escape$"):
         unescape_string("trailing\\")
     for surrogate in ("\\uD800", "\\uDFFF", "\\U0000DC00"):
         with pytest.raises(ValueError, match="escape"):
             unescape_string(surrogate)
+    # exactly 4 or 8 hex digits: no sign, space, underscore or other digit
+    for raw, message in [
+        ("\\u+041", "bad \\u escape: '+041'"),
+        ("\\u 041", "bad \\u escape: ' 041'"),
+        ("\\u0_41", "bad \\u escape: '0_41'"),
+        ("\\u-041", "bad \\u escape: '-041'"),
+        ("\\u\u0660\u0660\u0664\u0661", "bad \\u escape: '\u0660\u0660\u0664\u0661'"),  # Arabic-Indic digits
+        ("\\U+0000041", "bad \\U escape: '+0000041'"),
+        ("\\U0000_041", "bad \\U escape: '0000_041'"),
+        ("\\u004", "truncated \\u escape"),
+        ("\\U0000004", "truncated \\U escape"),
+        ("\\q", "unknown escape \\q"),
+    ]:
+        with pytest.raises(ValueError) as e:
+            unescape_string(raw)
+        assert str(e.value) == message
 
 
 @given(st.text(max_size=200))
