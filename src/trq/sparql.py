@@ -156,7 +156,7 @@ _TOKEN = re.compile(
     | (?P<semi>;) | (?P<comma>,)
     | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
     | (?P<iriref><[^<>\s]*>)
-    | (?P<literal>"(?:[^"\\]|\\.)*")
+    | (?P<literal>"(?:[^"\\]|\\[\s\S])*")
     | (?P<langtag>@{LANG_TAG})
     | (?P<bnode>_:[A-Za-z0-9_]*)
     | (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_\-]|\.(?=[A-Za-z0-9_\-]))*)

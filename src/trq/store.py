@@ -13,21 +13,35 @@ VLDB 2008). Each index is one sorted int64 numpy array of packed keys:
 a triple's ids in the index's field order, each in
 ``bits = max(1, (term_count - 1).bit_length())`` bits, so lexicographic
 triple order is numeric key order. Any pattern with a bound prefix is a
-key range found by ``np.searchsorted`` (a fully bound pattern is a range
-of width one), and every reader of an index's triples, in this module and
-outside it, gets their id columns from :meth:`TripleIndex.columns`, which
-unpacks them with shifts and masks. So the key layout, and which index
-serves which pattern (``_ACCESS``), are known here alone. SPO and POS
-are built with the graph and cost 16 bytes per triple. PSO and OSP are
-built on the first lookup that reads them (``_ACCESS``) and kept, 8
-bytes per triple each. Ingest, snapshot loading and training never read
-PSO; they and recommendation, whose predicates are constants, never
-read OSP.
+key range (a fully bound pattern is a range of width one), found by
+``np.searchsorted`` or read from a run table (below), and every reader
+of an index's triples, in this module and outside it, gets their id
+columns from :meth:`TripleIndex.columns`, which unpacks them with shifts
+and masks. So the key layout, and which index serves which pattern
+(``_ACCESS``), are known here alone. SPO and POS are built with the
+graph and cost 16 bytes per triple. PSO and OSP are built on the first
+lookup that reads them (``_ACCESS``) and kept, 8 bytes per triple each.
+Ingest, snapshot loading and training never read PSO; they and
+recommendation, whose predicates are constants, never read OSP. A block
+(the keys of one index that share a constant prefix, such as one
+predicate's in PSO) may also keep a run table: for each id, where its
+run of the next field starts within the block, ``term_count + 1``
+entries of the smallest unsigned dtype that holds the block size. Like
+PSO and OSP it is built on first use and kept, but only by a lookup of
+at least ``(term_count + 1) / RUN_DENSITY`` probes on a block of at
+least as many keys, so a table holds at most ``RUN_DENSITY`` (16)
+entries per key of its block. The blocks of one index and prefix length
+are disjoint, so their tables hold at most 16 entries, of at most 4
+bytes for a block under 2**32 keys, per triple. On perfbench's serve
+graph (seed 7, 61,330 triples), its 400 queries leave 47 uint16 tables
+of 1.84 MB in all, 30 bytes per triple, beside 1.47 MB of index keys.
 
 Array lookups with a constant (scalar) leading field, such as every
 pattern of a query with a constant predicate, first find the block of
-triples that share that constant prefix, with two scalar searches, and
-search their probes inside the block only.
+triples that share that constant prefix, with two scalar searches. When
+one array field follows the prefix, a block with a run table reads each
+probe's range from it (:meth:`Graph.ranges`); otherwise the probes are
+searched inside the block only.
 
 The keys must fit in 63 bits, so a graph holds at most
 ``MAX_TERM_COUNT`` = 2**21 - 1 (2,097,151) distinct terms; building a
@@ -71,6 +85,12 @@ SNAPSHOT_VERSION = 1
 # (a bound prefix plus one) fits too.
 MAX_TERM_COUNT = 2**21 - 1
 
+# A block gets a run table (see Graph.ranges) once a call's probes and the
+# block's keys each number at least 1 / RUN_DENSITY of its term_count + 1
+# entries: counting it then costs at most RUN_DENSITY steps per probe, and
+# it holds at most RUN_DENSITY entries per key of its block.
+RUN_DENSITY = 16
+
 # Rows unpacked at a time when iterating a whole index.
 _SCAN_CHUNK = 65_536
 
@@ -92,11 +112,13 @@ class TripleIndex:
     most to the least significant key field.
     """
 
-    __slots__ = ("keys", "order", "bits")
+    __slots__ = ("keys", "order", "bits", "runs")
 
     def __init__(self, order: tuple[int, int, int], bits: int, s, p, o, unique: bool = False):
         self.order = order
         self.bits = bits
+        # run tables of blocks, keyed by (c, b0, b1): see Graph.ranges
+        self.runs: dict[tuple[int, int, int], np.ndarray] = {}
         keys = self.pack(s, p, o)  # a new array, sorted in place
         keys.sort()
         if unique and len(keys) > 1:
@@ -336,11 +358,22 @@ class Graph:
 
         Each of s, p, o is None (free), an id, or an int64 array of ids
         (one pattern per element, broadcast together); bound ids must be
-        valid term ids. ``lo`` and ``hi`` follow the broadcast shape.
-        An array of patterns is searched within the block of its constant
-        prefix (the leading bound fields that are scalars, such as a
-        constant predicate), or within the whole index when it has none,
-        in the sorted order of its range starts. One argsort per call
+        valid term ids. ``lo`` and ``hi`` follow the broadcast shape; for
+        an array of patterns they are ``np.intp`` arrays. An array of
+        patterns is looked up within the block of its constant prefix
+        (the c leading bound fields that are scalars, such as a constant
+        predicate), or within the whole index when it has none (c = 0).
+
+        When one array field follows that prefix (such as a join step's
+        ``?x p ?y`` with ?x bound), the block's run table answers the
+        call: entry i is the number of the block's keys whose field after
+        the prefix is below i, so both bounds are two reads. The table,
+        of ``term_count + 1`` entries in the smallest unsigned dtype that
+        holds the block size, is counted by the first call on the block
+        whose probes and whose block each number at least
+        ``(term_count + 1) / RUN_DENSITY``, and kept beside the index;
+        every later call on the block reads it. Other arrays are searched
+        in the sorted order of their range starts. One argsort per call
         gives that order to both bounds (a range end is its start plus a
         constant); the bounds are scattered back to the order of the
         patterns.
@@ -348,6 +381,11 @@ class Graph:
         index, k, c, lo_key, (b0, b1) = self._locate(s, p, o)
         if c == k:
             return index, b0, b1
+        if k == c + 1:
+            ids = (s, p, o)[index.order[c]]
+            runs = self._runs(index, c, b0, b1, ids.size)
+            if runs is not None:
+                return index, np.add(runs[ids], b0, dtype=np.intp), np.add(runs[ids + 1], b0, dtype=np.intp)
         keys = index.keys[b0:b1]
         flat = lo_key.ravel()
         order = flat.argsort()
@@ -357,6 +395,22 @@ class Graph:
         lo[order] = keys.searchsorted(probe)
         hi[order] = keys.searchsorted(probe + (np.int64(1) << (index.bits * (3 - k))))
         return index, b0 + lo.reshape(lo_key.shape), b0 + hi.reshape(lo_key.shape)
+
+    def _runs(self, index: TripleIndex, c: int, b0: int, b1: int, probes: int) -> np.ndarray | None:
+        """The run table of the block [b0, b1) of ``index`` whose constant
+        prefix has c fields, counted now if a call of ``probes`` probes
+        pays for it (see :meth:`ranges`), else None. A table is keyed by
+        c as well as its bounds: an empty block starts where the next one
+        does, and a one-triple (p) block spans the same keys as its (p, s)
+        block but counts s, not o."""
+        key = (c, int(b0), int(b1))
+        runs = index.runs.get(key)
+        n = len(self._keys)
+        if runs is None and RUN_DENSITY * min(b1 - b0, probes) >= n + 1:
+            field = (index.keys[b0:b1] >> (index.bits * (2 - c))) & ((1 << index.bits) - 1)
+            runs = index.runs[key] = np.zeros(n + 1, dtype=np.min_scalar_type(b1 - b0))
+            np.cumsum(np.bincount(field, minlength=n), out=runs[1:])
+        return runs
 
     def _locate(self, s, p, o) -> tuple[TripleIndex, int, int, object, tuple[int, int]]:
         """For the pattern(s) (s, p, o) as in :meth:`ranges`: the index to

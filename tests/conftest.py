@@ -105,6 +105,23 @@ def match_triples(g: Graph, s=None, p=None, o=None) -> list[Triple]:
     return [Triple(*t) for t in zip(*(col.tolist() for col in index.columns(slice(lo, hi))))]
 
 
+def reference_ranges(g: Graph, s=None, p=None, o=None):
+    """``Graph.ranges`` before run tables: every array of patterns is
+    searched in its block, in the sorted order of its range starts."""
+    index, k, c, lo_key, (b0, b1) = g._locate(s, p, o)
+    if c == k:
+        return index, b0, b1
+    keys = index.keys[b0:b1]
+    flat = lo_key.ravel()
+    order = flat.argsort()
+    probe = flat[order]
+    lo = np.empty(len(flat), dtype=np.intp)
+    hi = np.empty(len(flat), dtype=np.intp)
+    lo[order] = keys.searchsorted(probe)
+    hi[order] = keys.searchsorted(probe + (np.int64(1) << (index.bits * (3 - k))))
+    return index, b0 + lo.reshape(lo_key.shape), b0 + hi.reshape(lo_key.shape)
+
+
 # -- brute-force oracles -----------------------------------------------
 
 

@@ -262,6 +262,7 @@ MALFORMED_ESCAPES_AND_BREAKS = {
     'SELECT * WHERE { ?x <e:p> "x\\u04" }': "truncated \\u escape",
     'SELECT * WHERE { ?x <e:p> "a\nb" }': "raw line break in literal",
     'SELECT * WHERE { ?x <e:p> "a\rb"@en }': "raw line break in literal",
+    'SELECT * WHERE { ?x <e:p> "a\\\nb" }': "raw line break in literal",
 }
 
 

@@ -20,10 +20,21 @@ from trq.store import (
 )
 from trq.embedding import EmbeddingConfig, load_embeddings, save_embeddings, train
 from trq.recommend import RecommendRequest, recommend
-from trq.sparql import parse_query
+from trq.sparql import evaluate_bgp, parse_query, resolve_patterns
 from trq.terms import RDF_TYPE, Triple
 
-from conftest import MOVIE_QUERY, build_graph, ex, graph_of, keys_of, match_triples, movie_graph
+from conftest import (
+    MOVIE_QUERY,
+    build_graph,
+    ex,
+    graph_of,
+    keys_of,
+    make_query,
+    match_triples,
+    movie_graph,
+    pattern,
+    reference_ranges,
+)
 
 
 @pytest.fixture
@@ -243,6 +254,191 @@ def test_block_local_lookups_match_a_scan(data):
         got = list(zip(*(col.tolist() for col in index.columns(slice(a, b)))))
         # the range holds the matches, in the index's order
         assert got == sorted(want, key=lambda t: tuple(t[j] for j in index.order))
+
+
+# -- run tables ----------------------------------------------------------
+
+
+def _same_ranges(g: Graph, *bound):
+    """g.ranges(*bound), checked against the search it replaces: the same
+    index and bounds, as np.intp."""
+    index, lo, hi = g.ranges(*bound)
+    want_index, want_lo, want_hi = reference_ranges(g, *bound)
+    assert index is want_index
+    assert np.asarray(lo).dtype == np.asarray(hi).dtype == np.intp
+    assert np.shape(lo) == np.shape(want_lo) and np.shape(hi) == np.shape(want_hi)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi), bound
+    return index, lo, hi
+
+
+def _tables(g: Graph) -> dict:
+    """Every run table of g, keyed by (index order, c, b0, b1)."""
+    return {(index.order, *key): runs for index in g._indexes.values() for key, runs in index.runs.items()}
+
+
+def _assert_table_rule(g: Graph) -> None:
+    """Each table has term_count + 1 entries of the smallest dtype that
+    holds its block size, counts its whole block, and sits on a block
+    of at least (term_count + 1) / RUN_DENSITY keys."""
+    n = g.term_count
+    for (_, c, b0, b1), runs in _tables(g).items():
+        assert runs.shape == (n + 1,) and runs.dtype == np.min_scalar_type(b1 - b0)
+        assert runs[0] == 0 and runs[-1] == b1 - b0
+        assert trq.store.RUN_DENSITY * (b1 - b0) >= n + 1
+
+
+@pytest.fixture
+def run_reads(monkeypatch):
+    """For each call that could read a run table, in order: (c, b0, b1,
+    probes, whether a table served it)."""
+    reads = []
+    runs = Graph._runs
+
+    def recorded(self, index, c, b0, b1, probes):
+        table = runs(self, index, c, b0, b1, probes)
+        reads.append((c, int(b0), int(b1), probes, table is not None))
+        return table
+
+    monkeypatch.setattr(Graph, "_runs", recorded)
+    return reads
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_run_tables_match_the_search(data):
+    """A run of ranges calls on one graph, bound positions scalars or
+    probe columns (duplicates, lengths 0, 1 and many, the ids 0 and
+    term_count - 1), gives the results of the search that run tables
+    replace, whether a call counts a table, reads one an earlier call
+    counted, or searches; terms with no triple move the density bound."""
+    n = data.draw(st.integers(1, 8))
+    terms = n + data.draw(st.sampled_from([0, 0, 8, 40, 200]))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=40))
+    g = graph_of([ex(f"t{i}") for i in range(terms)], rows)
+    ids = st.one_of(st.sampled_from([0, terms - 1]), st.integers(0, n - 1), st.integers(0, terms - 1))
+    for _ in range(data.draw(st.integers(1, 6))):
+        length = data.draw(st.sampled_from([0, 1, data.draw(st.integers(2, 60))]))
+        pool = data.draw(st.lists(ids, min_size=1, max_size=4))
+        column = st.lists(st.one_of(st.sampled_from(pool), ids), min_size=length, max_size=length)
+        square = length % 2 == 0 and data.draw(st.booleans())  # a (2, length / 2) probe array
+        bound = []
+        for _ in range(3):
+            how = data.draw(st.sampled_from(["free", "scalar", "array"]))
+            if how == "scalar":
+                bound.append(data.draw(ids))
+            elif how == "array":
+                col = np.array(data.draw(column), dtype=np.int64)
+                bound.append(col.reshape(2, -1) if square else col)
+            else:
+                bound.append(None)
+        _same_ranges(g, *bound)
+    _assert_table_rule(g)
+
+
+def test_run_tables_keep_blocks_apart():
+    """A table is keyed by its prefix length and both block bounds: the
+    empty block of a constant that is no predicate starts where the next
+    predicate's block does, and a one-triple (p) block spans the same keys
+    as its (p, s) block, which counts o, not s."""
+    g = build_graph([("a", "p", "b"), ("b", "p", "a"), ("a", "q", "b")])
+    a, p, b, q = (g.id(ex(x)) for x in "apbq")
+    assert (a, p, b, q) == (0, 1, 2, 3)
+    subjects = np.array([a, b, a], dtype=np.int64)
+    # b names no predicate: its PSO block is empty and starts where q's does
+    for pred in (b, q, b):
+        _, lo, hi = _same_ranges(g, subjects, pred, None)
+        assert (hi - lo).tolist() == ([0, 0, 0] if pred == b else [1, 0, 1])
+    # q's one triple is its (q) block and its (q, a) block alike
+    _, lo, hi = _same_ranges(g, a, q, np.array([b, a, b], dtype=np.int64))
+    assert (hi - lo).tolist() == [1, 0, 1]
+    pso = g._index("pso")
+    assert pso.runs.keys() == {(1, 2, 3), (2, 2, 3)}
+    _assert_table_rule(g)
+
+
+def test_a_block_below_the_density_bound_is_searched(run_reads):
+    """A two-triple predicate among 100 terms stays below the bound
+    (16 x 2 < 101), however many probes a call brings; a 60-triple one
+    gets a table."""
+    terms = [ex(f"e{i}") for i in range(98)] + [ex("rare"), ex("common")]
+    rare, common = 98, 99
+    rows = [(0, rare, 1), (5, rare, 1)] + [(i, common, (i * 7) % 98) for i in range(60)]
+    g = graph_of(terms, rows)
+    probes = np.arange(200, dtype=np.int64) % 100
+    for _ in range(2):
+        _, lo, hi = _same_ranges(g, probes, rare, None)
+        assert int((hi - lo).sum()) == 4  # subjects 0 and 5, twice each
+        _same_ranges(g, probes, common, None)
+    assert [table for *_, table in run_reads] == [False, True, False, True]
+    assert len(_tables(g)) == 1
+    _assert_table_rule(g)
+
+
+def test_a_small_call_reads_a_table_a_large_call_counted(run_reads):
+    """Before a table exists, a call with fewer probes than the bound
+    searches and counts none; once a large call has counted it, a call of
+    any size reads it."""
+    terms = [ex(f"e{i}") for i in range(158)] + [ex("p")]  # bound: (159 + 1) / 16 = 10
+    p = 158
+    g = graph_of(terms, [(i, p, (3 * i) % 50) for i in range(50)])
+    small = np.array([0, 49, 0], dtype=np.int64)
+    for probes in (small, small[:1].repeat(9), np.arange(10, dtype=np.int64) * 15, small, small[:0]):
+        _same_ranges(g, probes, p, None)
+    assert [(probes, table) for *_, probes, table in run_reads] == [
+        (3, False), (9, False), (10, True), (3, True), (0, True)
+    ]
+    assert len(_tables(g)) == 1
+    _assert_table_rule(g)
+
+
+def test_run_table_dtypes():
+    """A table's dtype is the smallest unsigned one that holds its block
+    size: uint8 for 200 keys, uint16 for 300 and uint32 for 72,000."""
+    n = 540
+    terms = [ex(f"e{i}") for i in range(n)] + [ex(f"p{bits}") for bits in (8, 16, 32)]
+    p8, p16, p32 = n, n + 1, n + 2
+    s, o = np.meshgrid(np.arange(300), np.arange(300, 540), indexing="ij")
+    rows = np.concatenate([
+        np.stack([np.arange(200), np.full(200, p8), np.arange(200) + 1], axis=1),
+        np.stack([np.arange(300), np.full(300, p16), np.arange(300) + 2], axis=1),
+        np.stack([s.ravel(), np.full(s.size, p32), o.ravel()], axis=1),
+    ])
+    g = Graph(keys_of(terms), rows)
+    probes = np.concatenate([[0, len(terms) - 1], np.arange(0, len(terms), 12)]).astype(np.int64)
+    for pred, dtype in ((p8, np.uint8), (p16, np.uint16), (p32, np.uint32)):
+        _, lo, hi = _same_ranges(g, probes, pred, None)
+        (runs,) = (t for (_, _, b0, b1), t in _tables(g).items() if b0 <= lo.min() and hi.max() <= b1)
+        assert runs.dtype == dtype
+    _assert_table_rule(g)
+
+
+def test_run_tables_after_a_run_of_queries(run_reads):
+    """After queries are answered, every table holds term_count + 1
+    entries of the dtype of its block size, and no block below the
+    density bound has one, though calls reached such a block with more
+    probes than the bound, and large blocks with fewer."""
+    rng = np.random.default_rng(5)
+    rels = [f"r{i}" for i in range(4)]
+    rows = [(f"e{rng.integers(300)}", rels[rng.integers(4)], f"e{rng.integers(300)}") for _ in range(1600)]
+    rows += [(f"e{i}", "r0", "hub") for i in range(40)]
+    rows += [(f"e{i}", "rare", f"e{i + 1}") for i in range(12)] + [("e9", "r3", "lone")]
+    g = build_graph(rows)
+    queries = [
+        # one row, then one probe on r2's block
+        [pattern("?a", "r3", "lone"), pattern("?a", "r2", "?b")],
+        # forty rows, then forty probes on rare's 12-triple block
+        [pattern("?a", "r0", "hub"), pattern("?a", "rare", "?b")],
+        [pattern("?a", "r0", "?b"), pattern("?b", "r1", "?c"), pattern("?c", "r2", "?a")],
+    ]
+    for patterns in queries:
+        # the whole join, then the subquery trees, which leave out constant leaves
+        evaluate_bgp(g, resolve_patterns(g, patterns))
+        recommend(g, RecommendRequest(query=make_query(patterns), embeddings=None, uniform_f=0.5, top_k=None))
+    _assert_table_rule(g)
+    bound = (g.term_count + 1) / trq.store.RUN_DENSITY
+    assert _tables(g)
+    assert any(b1 - b0 < bound <= probes and not table for _, b0, b1, probes, table in run_reads)
+    assert any(probes < bound <= b1 - b0 and not table for _, b0, b1, probes, table in run_reads)
 
 
 SPO, POS, OSP, PSO = (0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2)
