@@ -387,7 +387,11 @@ def _add_train_options(p: argparse.ArgumentParser) -> None:
 
 def _add_query_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", "-t", type=int, default=_env("THRESHOLD", int, DEFAULT_THRESHOLD))
-    p.add_argument("--per-tree-limit", type=int, default=_env("PER_TREE_LIMIT", int, DEFAULT_PER_TREE_LIMIT))
+    p.add_argument(
+        "--per-tree-limit", type=int, default=_env("PER_TREE_LIMIT", int, DEFAULT_PER_TREE_LIMIT),
+        help="rows kept per relaxation of the query (per subquery tree at a threshold of 3 or more); "
+        "a relaxation that has more sets the truncated flag",
+    )
     p.add_argument("--max-edges", type=int, default=_env("MAX_EDGES", int, qgraph.DEFAULT_MAX_EDGES))
 
 

@@ -1,32 +1,46 @@
 """End-to-end approximate solution recommendation.
 
-Pipeline: enumerate the query's subquery trees, evaluate each tree
-exactly, keep the mappings (deduplicated across trees) whose edit
-distance against the full query stays under the threshold, score them,
+Pipeline: find the mappings whose edit distance against the query, the
+number of its patterns they miss, stays under the threshold, score them,
 and return the top K under a stable ranking: score descending, then edit
 distance ascending, then the lexicographic binding tuple. Exact
 solutions, when they exist, are guaranteed the top ranks.
 
+The candidates are those the query's subquery trees give: a mapping
+whose miss set (the patterns mu(e) not in the graph) has fewer than
+``threshold`` patterns and lies inside the patterns one tree drops.
+They are found through the query's *relaxations* Q - M, the query
+without the patterns of a set M (:func:`relaxations`). At threshold 1
+or 2 the sets M are the distinct sets of ``threshold - 1`` patterns that
+one tree drops: a candidate's miss set lies inside some M, and every
+solution of Q - M is a candidate. At 3 or more each tree is evaluated
+whole, its dropped patterns as M. Q - M holds every pattern of a tree,
+so it binds every variable and its rows are distinct.
+
 The query's constants are resolved to term ids once, with
 :func:`~trq.sparql.resolve_patterns`, and every step below reads those
-ids. The mappings stay a table of term ids throughout. Each tree's rows
-(distinct by construction, since every tree binds every variable) pass
-a funnel in this order, one tree at a time:
+ids. The mappings stay a table of term ids throughout. Each relaxation
+passes a funnel in this order, one relaxation at a time, in a fixed
+order:
 
-1. *Look up.* A tree's own patterns hold on its rows; its dropped
-   patterns are looked up column-wise, one vectorised lookup each
-   (:func:`~trq.scoring.in_graph_flags`). Whether mu(e) is in the graph
-   depends on the row alone, so a row gets the same flags from every
-   tree that produces it.
-2. *Dedupe.* A row repeats a row of an earlier tree exactly when its
-   flags hold on every pattern that tree covers and, if that tree
-   stopped at ``per_tree_limit``, the row is among the ones it kept
-   (checked on just those rows). The first tree's copy is kept, and
-   ``candidates_seen`` counts the rows that are not repeats.
-3. *Threshold.* Of those, rows whose edit distance, the count of False
-   flags, is under the threshold are kept. The distance is counted here,
-   once per row, and kept beside the row's flags.
-4. *Pool.* The kept rows of every tree are pooled in tree order.
+1. *Evaluate.* Q - M is evaluated once, with at most ``per_tree_limit``
+   rows, from the longest prefix of the query's greedy join that avoids
+   M (:class:`~trq.sparql.JoinPrefixes`); a whole tree, or a relaxation
+   whose prefix holds more than ``JOIN_CHUNK`` rows, on its own with
+   :func:`~trq.sparql.evaluate_bgp`.
+2. *Look up.* The patterns of Q - M hold on its rows; only M's patterns
+   are looked up, one vectorised lookup each
+   (:func:`~trq.scoring.in_graph_flags`). A row's edit distance is the
+   count of its False flags, so below ``threshold`` by construction
+   unless M is a whole tree's, whose rows at or over it are dropped.
+3. *Dedupe.* A row is kept under the first relaxation whose M holds
+   its miss set. A row repeats one of an earlier relaxation exactly when
+   its flags hold on every pattern of its M that the earlier one keeps
+   and, if that one stopped at ``per_tree_limit``, the row is among its
+   rows (checked on just those rows). So no table of seen rows is kept,
+   and exact rows come from the first relaxation alone.
+4. *Pool.* The kept rows of every relaxation are pooled in relaxation
+   order; ``candidates_seen`` counts them.
 
 Every kept row is scored once, column-wise, with those same flags; only
 the top K rows become ScoredSolutions, built from the arrays already
@@ -39,8 +53,10 @@ Ranking every candidate (the deletion bench) takes the same path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +64,15 @@ import numpy as np
 from .embedding import EmbeddingSet
 from .qgraph import DEFAULT_MAX_EDGES, SubqueryTree, enumerate_subquery_trees
 from .scoring import ScoredSolution, edge_weights, in_graph_flags, score_table, scored_solution
-from .sparql import Query, evaluate_bgp, resolve_patterns
+from .sparql import JoinPrefixes, Query, evaluate_bgp, resolve_patterns
 from .store import Graph
 
 DEFAULT_THRESHOLD = 2
 DEFAULT_TOP_K = 10
 DEFAULT_PER_TREE_LIMIT = 10_000
+# The largest threshold at which the trees are split into relaxations;
+# above it each tree is evaluated whole (see relaxations).
+MAX_SPLIT_THRESHOLD = 2
 
 
 class QueryUnmatchableError(ValueError):
@@ -99,29 +118,54 @@ def validate_settings(
 @dataclass
 class Recommendation:
     solutions: list[ScoredSolution]
-    trees: list[SubqueryTree]
+    relaxations: list[tuple[int, ...]]
     candidates_seen: int
     truncated: bool
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def trees_evaluated(self) -> int:
-        return len(self.trees)
+        """The relaxations evaluated (the JSON output's name for them)."""
+        return len(self.relaxations)
+
+
+def relaxations(trees: Sequence[SubqueryTree], threshold: int) -> list[tuple[int, ...]]:
+    """The sets M of patterns, each in ascending index order, whose
+    relaxations Q - M give the candidates, in the order they are
+    evaluated.
+
+    At threshold 1 or 2 they are the distinct sets of ``threshold - 1``
+    patterns that one tree drops (or, for a tree that drops none, the
+    empty set), in order of first appearance over the trees; no one of
+    them holds another. At threshold 3 or more they are the trees'
+    dropped patterns, tree by tree: there, splitting a tree into its
+    sets of ``threshold - 1`` patterns repeats most of its rows in each
+    of them and costs more join steps (see the README).
+    """
+    if threshold > MAX_SPLIT_THRESHOLD:
+        return [t.dropped for t in trees]
+    sets = (itertools.combinations(t.dropped, threshold - 1) if t.dropped else [()] for t in trees)
+    return list(dict.fromkeys(itertools.chain.from_iterable(sets)))
 
 
 def _repeated(
-    table: np.ndarray, flags: np.ndarray, earlier: list[tuple[list[int], np.ndarray | None]]
+    table: np.ndarray,
+    flags: np.ndarray,
+    dropped: tuple[int, ...],
+    earlier: list[tuple[tuple[int, ...], np.ndarray | None]],
 ) -> np.ndarray:
-    """Mask of the rows of a tree that an earlier tree also produced.
+    """Mask of the rows of the relaxation without ``dropped`` that an
+    earlier relaxation also produced.
 
-    ``earlier`` holds each earlier tree's covered patterns and, when the
-    tree stopped at its limit, its rows (None otherwise). An untruncated
-    tree produced every mapping on which its covered patterns hold; a
-    truncated one produced those of its rows only.
+    ``earlier`` holds each earlier relaxation's dropped patterns and, when
+    it stopped at its limit, its rows (None otherwise). A row misses only
+    patterns of ``dropped``. An untruncated relaxation produced every
+    mapping whose misses lie inside its dropped patterns; a truncated one
+    produced those of its rows only.
     """
     seen = np.zeros(len(table), dtype=bool)
-    for covered, rows in earlier:
-        hit = flags[:, covered].all(axis=1) & ~seen
+    for other, rows in earlier:
+        hit = flags[:, [i for i in dropped if i not in other]].all(axis=1) & ~seen
         if rows is not None and hit.any():
             kept = set(map(tuple, rows.tolist()))
             at = np.flatnonzero(hit)
@@ -161,7 +205,8 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     ``parse_seconds`` is folded into the timing report so a caller that
     parsed the query text can account for every phase in one place.
     ``plan`` times resolving the constants as well as enumerating the
-    trees (on serve's queries, resolving is about half of it).
+    trees and their relaxations (on serve's queries, resolving is about
+    half of it).
     """
     req.validate()
     q = req.query
@@ -175,36 +220,38 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
         )
     trees = enumerate_subquery_trees(q, max_edges=req.max_edges)
     usable = [t for t in trees if t.covered]
+    relaxed = relaxations(usable, req.threshold)
     t1 = time.perf_counter()
     if not usable:
         raise QueryUnmatchableError(
             "query reduces to a single node; no subquery tree has a matchable edge"
         )
 
-    # every tree binds every variable of the query, in name order
+    # every relaxation binds every variable of the query, in name order
     variables = tuple(sorted(q.variables()))
-    earlier: list[tuple[list[int], np.ndarray | None]] = []
+    split = req.threshold <= MAX_SPLIT_THRESHOLD
+    joined = JoinPrefixes(g, resolved) if split else None
+    earlier: list[tuple[tuple[int, ...], np.ndarray | None]] = []
     tables: list[np.ndarray] = []
     flags: list[np.ndarray] = []
-    distances: list[np.ndarray] = []
-    seen = 0
     truncated = False
-    for tree in usable:
-        covered = list(tree.covered)
-        result = evaluate_bgp(g, [resolved[i] for i in covered], limit=req.per_tree_limit)
+    for dropped in relaxed:
+        result = joined.without(dropped, limit=req.per_tree_limit) if split else None
+        if result is None:  # a whole tree, or a relaxation whose prefix is over JOIN_CHUNK rows
+            kept = [pat for i, pat in enumerate(resolved) if i not in dropped]
+            result = evaluate_bgp(g, kept, limit=req.per_tree_limit)
         truncated = truncated or result.truncated
         table = result.rows
-        # a tree's own patterns hold on its rows; only its dropped ones are looked up
-        in_graph = in_graph_flags(g, resolved, variables, table, tree.dropped)
-        new = ~_repeated(table, in_graph, earlier)
-        seen += int(np.count_nonzero(new))
-        distance = (~in_graph).sum(axis=1)
-        keep = new & (distance < req.threshold)
+        # the patterns of Q - M hold on its rows; only M's are looked up
+        in_graph = in_graph_flags(g, resolved, variables, table, dropped)
+        keep = ~_repeated(table, in_graph, dropped, earlier)
+        if not split:  # a whole tree's rows may miss as many patterns as it drops
+            keep &= (~in_graph).sum(axis=1) < req.threshold
         tables.append(table[keep])
         flags.append(in_graph[keep])
-        distances.append(distance[keep])
-        earlier.append((covered, table if result.truncated else None))
-    rows, in_graph, distance = np.concatenate(tables), np.concatenate(flags), np.concatenate(distances)
+        earlier.append((dropped, table if result.truncated else None))
+    rows, in_graph = np.concatenate(tables), np.concatenate(flags)
+    distance = (~in_graph).sum(axis=1)
     t2 = time.perf_counter()
 
     weights = edge_weights(g, resolved)
@@ -223,8 +270,8 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
 
     return Recommendation(
         solutions=top,
-        trees=usable,
-        candidates_seen=seen,
+        relaxations=relaxed,
+        candidates_seen=len(rows),
         truncated=truncated,
         timings={
             "parse": parse_seconds,

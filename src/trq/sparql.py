@@ -57,13 +57,24 @@ mixed-radix index arithmetic, never by joining one part once per row of
 another. ``truncated`` is set exactly when the product of the
 kept part sizes exceeds ``limit``: a part cut at ``limit + 1`` rows
 alone makes the product exceed it.
+
+The relaxations of a query (the query without some of its patterns,
+which :mod:`trq.recommend` evaluates) share their joins through
+:class:`JoinPrefixes`. The query is joined once in its greedy order,
+and the rows of each prefix of that order are kept while they number at
+most ``JOIN_CHUNK``. The relaxation without the patterns M starts from
+the rows of the longest prefix that holds no pattern of M and joins the
+patterns left in greedy order from that prefix's variables, as one
+depth-first join under the same truncation rule; parts that share no
+variable are joined row by row there, not read off a product. A
+relaxation whose prefix is not kept is left to :func:`evaluate_bgp`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -451,6 +462,8 @@ def _names(pat: ResolvedPattern) -> set[str]:
 
 
 def _cardinality_estimate(g: Graph, pat: ResolvedPattern, bound: set[str]) -> float:
+    if None in pat:  # a constant the graph does not hold matches nothing
+        return 0.0
     p = pat[1]
     sb, pb, ob = (not isinstance(x, str) or x in bound for x in pat)
     if not isinstance(p, str):
@@ -474,28 +487,39 @@ def _cardinality_estimate(g: Graph, pat: ResolvedPattern, bound: set[str]) -> fl
     return float(g.triple_count)
 
 
-def _order_patterns(g: Graph, patterns: Sequence[ResolvedPattern]) -> list[list[ResolvedPattern]]:
-    """Greedy join order, cut into variable-disjoint parts: cheapest
-    estimated pattern next, preferring ones that share a variable with
-    what is already bound (avoids products). A pattern opens a new part
-    when it has a variable and shares none with the bound set; greedy
-    picks such a pattern only once no remaining pattern shares one."""
+def _greedy(g: Graph, patterns: Sequence[ResolvedPattern], bound: set[str]) -> list[tuple[int, bool]]:
+    """The indices of ``patterns`` in greedy join order from the
+    variables ``bound``: cheapest estimated pattern next, preferring ones
+    that share a variable with what is already bound (avoids products).
+    Each index comes with whether it opens a new part: it has a variable
+    and shares none with the bound set, and greedy picks such a pattern
+    only once no remaining pattern shares one."""
     names = [_names(pat) for pat in patterns]
-    remaining = list(range(len(patterns)))
-    bound: set[str] = set()
+    bound = set(bound)
+    # a pattern's estimate changes only when one of its variables is bound
+    estimate = {i: _cardinality_estimate(g, pat, bound) for i, pat in enumerate(patterns)}
+    out: list[tuple[int, bool]] = []
+    while estimate:
+        opens = {i: bool(names[i]) and not names[i] & bound for i in estimate}
+        best = min(estimate, key=lambda i: (bool(bound) and opens[i], estimate[i], i))
+        del estimate[best]
+        out.append((best, opens[best]))
+        fresh = names[best] - bound
+        bound |= fresh
+        for i in estimate:
+            if names[i] & fresh:
+                estimate[i] = _cardinality_estimate(g, patterns[i], bound)
+    return out
+
+
+def _order_patterns(g: Graph, patterns: Sequence[ResolvedPattern]) -> list[list[ResolvedPattern]]:
+    """The greedy join order (:func:`_greedy`), cut into variable-disjoint
+    parts where a pattern opens one."""
     parts: list[list[ResolvedPattern]] = []
-    while remaining:
-        opens = {i: bool(names[i]) and not names[i] & bound for i in remaining}
-
-        def key(i: int) -> tuple:
-            return (bool(bound) and opens[i], _cardinality_estimate(g, patterns[i], bound), i)
-
-        best = min(remaining, key=key)
-        remaining.remove(best)
-        if opens[best] or not parts:
+    for i, opens in _greedy(g, patterns, set()):
+        if opens or not parts:
             parts.append([])
-        parts[-1].append(patterns[best])
-        bound |= names[best]
+        parts[-1].append(patterns[i])
     return parts
 
 
@@ -506,9 +530,12 @@ def _order_patterns(g: Graph, patterns: Sequence[ResolvedPattern]) -> list[list[
 _Slot = tuple[str, int]
 
 
-def _compile(order: list[ResolvedPattern]) -> tuple[list[list[_Slot]], tuple[str, ...]]:
-    """Join steps and the variables in column order."""
-    columns: dict[str, int] = {}
+def _compile(
+    order: list[ResolvedPattern], bound: Sequence[str] = ()
+) -> tuple[list[list[_Slot]], tuple[str, ...]]:
+    """Join steps from a table whose columns bind ``bound``, and the
+    variables in column order."""
+    columns = {v: j for j, v in enumerate(bound)}
     steps: list[list[_Slot]] = []
     for pat in order:
         step: list[_Slot] = []
@@ -528,11 +555,13 @@ def _compile(order: list[ResolvedPattern]) -> tuple[list[list[_Slot]], tuple[str
 
 
 def _expand(g: Graph, step: list[_Slot], table: np.ndarray) -> Iterator[np.ndarray]:
-    """Extend every row of ``table`` (at least one) with each triple
-    matching the step's pattern under that row, in ``Graph.ranges``
-    order; parents stay in order. Yields the extended rows in windows of
-    at most JOIN_CHUNK (see the module doc for how a window finds its
-    parents)."""
+    """Extend every row of ``table`` with each triple matching the step's
+    pattern under that row, in ``Graph.ranges`` order; parents stay in
+    order. Yields the extended rows in windows of at most JOIN_CHUNK (see
+    the module doc for how a window finds its parents), and none when
+    the table is empty or a constant of the step is unknown (None)."""
+    if not len(table) or ("const", None) in step:
+        return
     bound = [None, None, None]
     for pos, (kind, j) in enumerate(step):
         if kind == "const":
@@ -583,12 +612,12 @@ def _join(g: Graph, steps: list[list[_Slot]], table: np.ndarray, i: int = 0) -> 
             yield from _join(g, steps, child, i + 1)
 
 
-def _first_rows(g: Graph, steps: list[list[_Slot]], width: int, cap: int | None) -> np.ndarray:
-    """The first ``cap`` rows of the join of ``steps`` from the one empty
-    row, or all of them when ``cap`` is None."""
+def _first_rows(g: Graph, steps: list[list[_Slot]], table: np.ndarray, width: int, cap: int | None) -> np.ndarray:
+    """The first ``cap`` rows of the join of ``steps`` from ``table``, or
+    all of them when ``cap`` is None."""
     chunks: list[np.ndarray] = []
     kept = 0
-    for chunk in _join(g, steps, np.empty((1, 0), dtype=np.int64)):
+    for chunk in _join(g, steps, table):
         if cap is not None and kept + len(chunk) >= cap:
             chunks.append(chunk[: cap - kept])
             break
@@ -626,7 +655,7 @@ def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | Non
     tables: list[tuple[np.ndarray, tuple[str, ...]]] = []
     for part in _order_patterns(g, resolved):
         steps, variables = _compile(part)
-        table = _first_rows(g, steps, len(variables), cap)
+        table = _first_rows(g, steps, np.empty((1, 0), dtype=np.int64), len(variables), cap)
         if not len(table):
             return _no_rows(resolved)
         tables.append((table, variables))
@@ -649,6 +678,53 @@ def _no_rows(resolved: Sequence[ResolvedPattern]) -> BGPResult:
     """The empty result over the variables of ``resolved``."""
     names = tuple(sorted(set().union(*map(_names, resolved))))
     return BGPResult(names, np.empty((0, len(names)), dtype=np.int64))
+
+
+class JoinPrefixes:
+    """A basic graph pattern joined once in its greedy order, from which
+    the pattern without some of its patterns is evaluated (see the module
+    doc). Each prefix of the order is joined from the one before it when
+    first asked for, and kept while it holds at most ``JOIN_CHUNK`` rows;
+    a longer one ends the prefixes kept."""
+
+    def __init__(self, g: Graph, resolved: Sequence[ResolvedPattern]):
+        self._g = g
+        self._resolved = resolved
+        self._order = [i for i, _ in _greedy(g, resolved, set())]
+        self._steps, self._columns = _compile([resolved[i] for i in self._order])
+        self._prefixes: list[np.ndarray | None] = [np.empty((1, 0), dtype=np.int64)]
+
+    def _prefix(self, k: int) -> np.ndarray | None:
+        """The rows of the first ``k`` patterns of the order, or None when
+        they, or those of a shorter prefix, number more than JOIN_CHUNK."""
+        while len(self._prefixes) <= k:
+            table = self._prefixes[-1]
+            if table is not None:
+                step = self._steps[len(self._prefixes) - 1]
+                width = table.shape[1] + sum(kind == "new" for kind, _ in step)
+                table = _first_rows(self._g, [step], table, width, JOIN_CHUNK + 1)
+                table = None if len(table) > JOIN_CHUNK else table
+            self._prefixes.append(table)
+        return self._prefixes[k]
+
+    def without(self, dropped: Collection[int], limit: int | None = None) -> BGPResult | None:
+        """The solutions of the patterns not in ``dropped`` (indices into
+        the resolved patterns), as :func:`evaluate_bgp` gives them under
+        the same ``limit`` rule, but in the depth-first order of a join
+        that starts from the rows of the longest prefix that avoids
+        ``dropped`` and takes the other patterns in greedy order from that
+        prefix's variables. None when that prefix is not kept."""
+        m = next((k for k, i in enumerate(self._order) if i in dropped), len(self._order))
+        start = self._prefix(m)
+        if start is None:
+            return None
+        bound = self._columns[: start.shape[1]]
+        rest = [self._resolved[i] for i in self._order[m:] if i not in dropped]
+        steps, columns = _compile([rest[j] for j, _ in _greedy(self._g, rest, set(bound))], bound)
+        rows = _first_rows(self._g, steps, start, len(columns), None if limit is None else limit + 1)
+        names = tuple(sorted(columns))
+        truncated = limit is not None and len(rows) > limit
+        return BGPResult(names, rows[:limit, [columns.index(v) for v in names]], truncated)
 
 
 def ask(g: Graph, q: Query) -> bool:

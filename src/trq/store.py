@@ -27,14 +27,16 @@ recommendation, whose predicates are constants, never read OSP. A block
 predicate's in PSO) may also keep a run table: for each id, where its
 run of the next field starts within the block, ``term_count + 1``
 entries of the smallest unsigned dtype that holds the block size. Like
-PSO and OSP it is built on first use and kept, but only by a lookup of
-at least ``(term_count + 1) / RUN_DENSITY`` probes on a block of at
-least as many keys, so a table holds at most ``RUN_DENSITY`` (16)
-entries per key of its block. The blocks of one index and prefix length
-are disjoint, so their tables hold at most 16 entries, of at most 4
-bytes for a block under 2**32 keys, per triple. On perfbench's serve
-graph (seed 7, 61,330 triples), its 400 queries leave 47 uint16 tables
-of 1.84 MB in all, 30 bytes per triple, beside 1.47 MB of index keys.
+PSO and OSP it is built on use and kept, but only by the lookup that
+brings the probes of the lookups on its block to at least
+``(term_count + 1) / RUN_DENSITY``, on a block of at least as many
+keys, so a table holds at most ``RUN_DENSITY`` (16) entries per key of
+its block and costs at most 16 steps per probe counted. The blocks of
+one index and prefix length are disjoint, so their tables hold at most
+16 entries, of at most 4 bytes for a block under 2**32 keys, per
+triple. On perfbench's serve
+graph (seed 7, 61,330 triples), its 400 queries leave 48 uint16 tables
+of 1.88 MB in all, 31 bytes per triple, beside 1.47 MB of index keys.
 
 Array lookups with a constant (scalar) leading field, such as every
 pattern of a query with a constant predicate, first find the block of
@@ -85,10 +87,11 @@ SNAPSHOT_VERSION = 1
 # (a bound prefix plus one) fits too.
 MAX_TERM_COUNT = 2**21 - 1
 
-# A block gets a run table (see Graph.ranges) once a call's probes and the
-# block's keys each number at least 1 / RUN_DENSITY of its term_count + 1
-# entries: counting it then costs at most RUN_DENSITY steps per probe, and
-# it holds at most RUN_DENSITY entries per key of its block.
+# A block gets a run table (see Graph.ranges) once the probes of the calls
+# on it so far and the block's keys each number at least 1 / RUN_DENSITY
+# of its term_count + 1 entries: counting it then costs at most
+# RUN_DENSITY steps per probe counted, and it holds at most RUN_DENSITY
+# entries per key of its block.
 RUN_DENSITY = 16
 
 # Rows unpacked at a time when iterating a whole index.
@@ -112,13 +115,15 @@ class TripleIndex:
     most to the least significant key field.
     """
 
-    __slots__ = ("keys", "order", "bits", "runs")
+    __slots__ = ("keys", "order", "bits", "runs", "probes")
 
     def __init__(self, order: tuple[int, int, int], bits: int, s, p, o, unique: bool = False):
         self.order = order
         self.bits = bits
         # run tables of blocks, keyed by (c, b0, b1): see Graph.ranges
         self.runs: dict[tuple[int, int, int], np.ndarray] = {}
+        # probes of the calls so far on blocks that have no run table yet
+        self.probes: dict[tuple[int, int, int], int] = {}
         keys = self.pack(s, p, o)  # a new array, sorted in place
         keys.sort()
         if unique and len(keys) > 1:
@@ -337,9 +342,10 @@ class Graph:
         per call), so each search starts where the last one ended, and
         the flags are scattered back to the order of the rows.
         """
-        index, _, c, key, (b0, b1) = self._locate(s, p, o)
+        index, _, c, (b0, b1) = self._locate(s, p, o)
         if c == 3:
-            return np.full(np.shape(key), b1 > b0)
+            return np.full((), b1 > b0)
+        key = self._starts(index, 3, s, p, o)
         keys = index.keys[b0:b1]
         if len(keys) == 0:
             return np.zeros(key.shape, dtype=bool)
@@ -369,16 +375,17 @@ class Graph:
         call: entry i is the number of the block's keys whose field after
         the prefix is below i, so both bounds are two reads. The table,
         of ``term_count + 1`` entries in the smallest unsigned dtype that
-        holds the block size, is counted by the first call on the block
-        whose probes and whose block each number at least
-        ``(term_count + 1) / RUN_DENSITY``, and kept beside the index;
-        every later call on the block reads it. Other arrays are searched
+        holds the block size, is counted by the call on the block that
+        brings the probes of the calls on it so far to at least
+        ``(term_count + 1) / RUN_DENSITY``, when the block has at least
+        as many keys, and kept beside the index; every later call on the
+        block reads it. Other arrays are searched
         in the sorted order of their range starts. One argsort per call
         gives that order to both bounds (a range end is its start plus a
         constant); the bounds are scattered back to the order of the
         patterns.
         """
-        index, k, c, lo_key, (b0, b1) = self._locate(s, p, o)
+        index, k, c, (b0, b1) = self._locate(s, p, o)
         if c == k:
             return index, b0, b1
         if k == c + 1:
@@ -386,6 +393,7 @@ class Graph:
             runs = self._runs(index, c, b0, b1, ids.size)
             if runs is not None:
                 return index, np.add(runs[ids], b0, dtype=np.intp), np.add(runs[ids + 1], b0, dtype=np.intp)
+        lo_key = self._starts(index, k, s, p, o)
         keys = index.keys[b0:b1]
         flat = lo_key.ravel()
         order = flat.argsort()
@@ -398,53 +406,59 @@ class Graph:
 
     def _runs(self, index: TripleIndex, c: int, b0: int, b1: int, probes: int) -> np.ndarray | None:
         """The run table of the block [b0, b1) of ``index`` whose constant
-        prefix has c fields, counted now if a call of ``probes`` probes
-        pays for it (see :meth:`ranges`), else None. A table is keyed by
-        c as well as its bounds: an empty block starts where the next one
-        does, and a one-triple (p) block spans the same keys as its (p, s)
-        block but counts s, not o."""
+        prefix has c fields, counted now if the calls on the block, this
+        call's ``probes`` included, pay for it (see :meth:`ranges`), else
+        None. A table is keyed by c as well as its bounds: an empty block
+        starts where the next one does, and a one-triple (p) block spans
+        the same keys as its (p, s) block but counts s, not o."""
         key = (c, int(b0), int(b1))
         runs = index.runs.get(key)
-        n = len(self._keys)
-        if runs is None and RUN_DENSITY * min(b1 - b0, probes) >= n + 1:
-            field = (index.keys[b0:b1] >> (index.bits * (2 - c))) & ((1 << index.bits) - 1)
-            runs = index.runs[key] = np.zeros(n + 1, dtype=np.min_scalar_type(b1 - b0))
-            np.cumsum(np.bincount(field, minlength=n), out=runs[1:])
+        if runs is None:
+            n = len(self._keys)
+            counted = index.probes[key] = index.probes.get(key, 0) + probes
+            if RUN_DENSITY * min(b1 - b0, counted) >= n + 1:
+                field = (index.keys[b0:b1] >> (index.bits * (2 - c))) & ((1 << index.bits) - 1)
+                runs = index.runs[key] = np.zeros(n + 1, dtype=np.min_scalar_type(b1 - b0))
+                np.cumsum(np.bincount(field, minlength=n), out=runs[1:])
         return runs
 
-    def _locate(self, s, p, o) -> tuple[TripleIndex, int, int, object, tuple[int, int]]:
+    def _locate(self, s, p, o) -> tuple[TripleIndex, int, int, tuple[int, int]]:
         """For the pattern(s) (s, p, o) as in :meth:`ranges`: the index to
         search, the number k of its leading fields that are bound, the
-        number c <= k of those that are scalars (the constant prefix),
-        the range-start key(s), and the key positions [b0, b1) of the
-        block of triples that share the constant prefix (the whole index
-        when c is 0, the answer itself when c is k)."""
+        number c <= k of those that are scalars (the constant prefix), and
+        the key positions [b0, b1) of the block of triples that share the
+        constant prefix (the whole index when c is 0, the answer itself
+        when c is k)."""
         spo = (s, p, o)
         # an array of patterns has a dimension; an id (or None) has none
         scalar = (getattr(s, "ndim", 0) == 0, getattr(p, "ndim", 0) == 0, getattr(o, "ndim", 0) == 0)
         bound = (s is not None, p is not None, o is not None)
         k = sum(bound)
         index = self._index(_ACCESS[scalar if k == 3 else bound])
-        keys = index.keys
-        if k == 0:  # the whole index; 1 << (3 * bits) may not fit in an int64
-            return index, 0, 0, None, (0, len(keys))
-        order, bits = index.order, index.bits
-        # the bound fields, in key order; the free ones after them are 0
-        lo_key = spo[order[0]] << (2 * bits)
-        if k > 1:
-            lo_key = lo_key | (spo[order[1]] << bits)
-        if k > 2:
-            lo_key = lo_key | spo[order[2]]
+        keys, order, bits = index.keys, index.order, index.bits
         c = 0
         while c < k and scalar[order[c]]:
             c += 1
         if c == 0:
-            return index, k, 0, lo_key, (0, len(keys))
+            return index, k, 0, (0, len(keys))
         head = 0
         for j in range(c):
             head |= int(spo[order[j]]) << (bits * (2 - j))
         end = head + (1 << (bits * (3 - c)))
-        return index, k, c, lo_key, (keys.searchsorted(head), keys.searchsorted(end))
+        return index, k, c, (keys.searchsorted(head), keys.searchsorted(end))
+
+    @staticmethod
+    def _starts(index: TripleIndex, k: int, s, p, o):
+        """The range-start key(s) in ``index`` of the pattern(s) (s, p, o),
+        whose k leading fields there are bound: those fields in key order,
+        the free ones after them 0. Read on the search paths only."""
+        spo, order, bits = (s, p, o), index.order, index.bits
+        key = spo[order[0]] << (2 * bits)
+        if k > 1:
+            key = key | (spo[order[1]] << bits)
+        if k > 2:
+            key = key | spo[order[2]]
+        return key
 
     def _range_size(self, s, p, o) -> int:
         if not self._in_range(s, p, o):

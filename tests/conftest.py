@@ -35,9 +35,11 @@ from trq.qgraph import (
     DisconnectedQueryError,
     NoVariableError,
     atom_label,
+    enumerate_subquery_trees,
 )
-from trq.scoring import EdgeScore, ScoredSolution, edge_weights, in_graph_flags, score_table
-from trq.sparql import Atom, Const, Var, _order_patterns, resolve_patterns
+from trq.recommend import QueryUnmatchableError, VariablePredicateError, _top
+from trq.scoring import EdgeScore, ScoredSolution, edge_weights, in_graph_flags, score_table, scored_solution
+from trq.sparql import Atom, Const, Var, _order_patterns, evaluate_bgp, resolve_patterns
 
 EX = "http://example.org/"
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -108,9 +110,10 @@ def match_triples(g: Graph, s=None, p=None, o=None) -> list[Triple]:
 def reference_ranges(g: Graph, s=None, p=None, o=None):
     """``Graph.ranges`` before run tables: every array of patterns is
     searched in its block, in the sorted order of its range starts."""
-    index, k, c, lo_key, (b0, b1) = g._locate(s, p, o)
+    index, k, c, (b0, b1) = g._locate(s, p, o)
     if c == k:
         return index, b0, b1
+    lo_key = g._starts(index, k, s, p, o)
     keys = index.keys[b0:b1]
     flat = lo_key.ravel()
     order = flat.argsort()
@@ -916,6 +919,90 @@ def reference_subquery_trees(q: Query, max_edges: int = DEFAULT_MAX_EDGES) -> li
         covered = {e.origin for e in final.edges}
         trees.append(SubqueryTree(final, all_origins - covered))
     return trees
+
+
+# -- the tree path that relaxations replaced ---------------------------
+
+
+def _reference_repeated(
+    table: np.ndarray, flags: np.ndarray, earlier: list[tuple[list[int], np.ndarray | None]]
+) -> np.ndarray:
+    """Mask of the rows of a tree that an earlier tree also produced.
+
+    ``earlier`` holds each earlier tree's covered patterns and, when the
+    tree stopped at its limit, its rows (None otherwise). An untruncated
+    tree produced every mapping on which its covered patterns hold; a
+    truncated one produced those of its rows only.
+    """
+    seen = np.zeros(len(table), dtype=bool)
+    for covered, rows in earlier:
+        hit = flags[:, covered].all(axis=1) & ~seen
+        if rows is not None and hit.any():
+            kept = set(map(tuple, rows.tolist()))
+            at = np.flatnonzero(hit)
+            hit[at] = [r in kept for r in map(tuple, table[at].tolist())]
+        seen |= hit
+    return seen
+
+
+def reference_recommend(g: Graph, req) -> tuple[list[ScoredSolution], int, bool]:
+    """``recommend`` as it joined every subquery tree in full: each tree's
+    rows are looked up on its dropped patterns, deduplicated against the
+    earlier trees, cut at the threshold and pooled in tree order. Returns
+    the ranked solutions, the count of rows that were no repeats (before
+    the threshold) and whether a tree stopped at ``per_tree_limit``."""
+    req.validate()
+    q = req.query
+    resolved = resolve_patterns(g, q.patterns)
+    if any(isinstance(p, str) for _, p, _ in resolved):
+        raise VariablePredicateError(
+            "query patterns with variable predicates cannot be scored; "
+            "bind the predicate or drop the pattern"
+        )
+    trees = enumerate_subquery_trees(q, max_edges=req.max_edges)
+    usable = [t for t in trees if t.covered]
+    if not usable:
+        raise QueryUnmatchableError(
+            "query reduces to a single node; no subquery tree has a matchable edge"
+        )
+
+    # every tree binds every variable of the query, in name order
+    variables = tuple(sorted(q.variables()))
+    earlier: list[tuple[list[int], np.ndarray | None]] = []
+    tables: list[np.ndarray] = []
+    flags: list[np.ndarray] = []
+    distances: list[np.ndarray] = []
+    seen = 0
+    truncated = False
+    for tree in usable:
+        covered = list(tree.covered)
+        result = evaluate_bgp(g, [resolved[i] for i in covered], limit=req.per_tree_limit)
+        truncated = truncated or result.truncated
+        table = result.rows
+        # a tree's own patterns hold on its rows; only its dropped ones are looked up
+        in_graph = in_graph_flags(g, resolved, variables, table, tree.dropped)
+        new = ~_reference_repeated(table, in_graph, earlier)
+        seen += int(np.count_nonzero(new))
+        distance = (~in_graph).sum(axis=1)
+        keep = new & (distance < req.threshold)
+        tables.append(table[keep])
+        flags.append(in_graph[keep])
+        distances.append(distance[keep])
+        earlier.append((covered, table if result.truncated else None))
+    rows, in_graph, distance = np.concatenate(tables), np.concatenate(flags), np.concatenate(distances)
+
+    weights = edge_weights(g, resolved)
+    view = None if req.uniform_f is not None else req.embeddings.bind(g)
+    scores, f, fallback = score_table(view, resolved, weights, variables, rows, in_graph, req.uniform_f)
+    k = len(rows) if req.top_k is None else min(req.top_k, len(rows))
+    chosen, keys = _top(g, rows, scores, distance, k)
+    top = [
+        scored_solution(
+            dict(zip(variables, rows[r].tolist())), key, weights, in_graph[r], distance[r], f[r], fallback[r], scores[r]
+        )
+        for r, key in zip(chosen.tolist(), keys)
+    ]
+    return top, seen, truncated
 
 
 # -- canned graphs ------------------------------------------------------

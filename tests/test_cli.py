@@ -412,8 +412,10 @@ def test_query_json_schema(run, artifacts, movie_query_file):
     assert payload["variables"] == ["actor1", "actor2", "child", "film"]
     assert payload["top_k"] == 2
     assert payload["threshold"] == 2
-    assert payload["trees_evaluated"] == 8
-    assert payload["candidates_seen"] >= 3
+    # the movie query's seven patterns are its seven relaxations, and its
+    # three candidates (one per family) are the only rows kept
+    assert payload["trees_evaluated"] == 7
+    assert payload["candidates_seen"] == 3
     assert payload["truncated"] is False
     assert set(payload["timings"]) == {"parse", "plan", "evaluate", "score", "rank"}
     assert payload["wall"] >= sum(payload["timings"].values()) - 1e-6

@@ -2,19 +2,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import trq.sparql as sparql_mod
 from trq.recommend import (
+    MAX_SPLIT_THRESHOLD,
     QueryUnmatchableError,
     Recommendation,
     RecommendRequest,
     VariablePredicateError,
     _top,
     recommend,
+    relaxations,
 )
 from trq.qgraph import enumerate_subquery_trees
 from trq.scoring import ScoredSolution, score_graph
-from trq.sparql import Const, TriplePattern, Var, evaluate_bgp, parse_query, resolve_patterns
+from trq.sparql import Const, JoinPrefixes, TriplePattern, Var, evaluate_bgp, parse_query, resolve_patterns
 from trq.store import Graph
 
 from conftest import (
@@ -28,6 +31,7 @@ from conftest import (
     movie_graph,
     pattern,
     reference_rank,
+    reference_recommend,
     reference_score_solution,
     small_emb,
 )
@@ -121,7 +125,10 @@ def test_movie_query_exactly_three_candidates(movies, movie_emb):
     rec = recommend(movies, _req(q, movie_emb))
     assert len(rec.solutions) == 3
     assert all(s.edit_distance == 1 for s in rec.solutions)
-    assert rec.trees_evaluated == 8
+    # at threshold 2 a relaxation is one pattern that some tree drops: the
+    # two type leaves are dropped by all eight trees, and each of the five
+    # other patterns by at least one, so every pattern is one
+    assert rec.trees_evaluated == 7
     assert not rec.truncated
 
 
@@ -326,26 +333,38 @@ def test_candidates_deduplicated_across_trees(stars):
 
 
 def test_per_tree_limit_sets_truncated_flag(stars):
+    # one pattern: its one tree drops nothing, so the one relaxation is
+    # the query itself, and its first two of four rows are kept
     emb = small_emb(stars)
     q = make_query([pattern("?f", "starring", "?a")])
     rec = recommend(stars, _req(q, emb, per_tree_limit=2))
     assert rec.truncated
-    assert rec.candidates_seen == 2
+    assert rec.trees_evaluated == 1
+    assert rec.candidates_seen == len(rec.solutions) == 2
+
+
+def _relaxation_rows(g, resolved, dropped, threshold, limit):
+    """The rows of one relaxation as recommend evaluates it: from the
+    shared join prefixes when the trees are split, on its own otherwise."""
+    if threshold <= MAX_SPLIT_THRESHOLD:
+        result = JoinPrefixes(g, resolved).without(dropped, limit)
+        if result is not None:
+            return result
+    return evaluate_bgp(g, [pat for i, pat in enumerate(resolved) if i not in dropped], limit=limit)
 
 
 def _pooled_oracle(g, q, threshold, limit):
     """``candidates_seen`` and the candidate mappings as pooling every
-    tree's rows and deduplicating them with ``np.unique`` gives them,
-    and how many rows of a later tree hold on every pattern of an earlier
-    truncated tree without being among that tree's rows."""
+    relaxation's rows, deduplicating them with ``np.unique`` and cutting
+    them at the threshold gives them, and how many rows of a later
+    relaxation miss only patterns an earlier truncated relaxation drops
+    without being among that relaxation's rows."""
     variables = tuple(sorted(q.variables()))
     resolved = resolve_patterns(g, q.patterns)
-    tables, covered, truncated = [], [], []
-    for tree in enumerate_subquery_trees(q):
-        if not tree.covered:
-            continue
-        covered.append(tree.covered)
-        result = evaluate_bgp(g, [resolved[i] for i in covered[-1]], limit=limit)
+    sets = relaxations([t for t in enumerate_subquery_trees(q) if t.covered], threshold)
+    tables, truncated = [], []
+    for dropped in sets:
+        result = _relaxation_rows(g, resolved, dropped, threshold, limit)
         tables.append(result.rows)
         truncated.append(result.truncated)
 
@@ -357,20 +376,22 @@ def _pooled_oracle(g, q, threshold, limit):
     for j, table in enumerate(tables):
         for row in table.tolist():
             mapping = dict(zip(variables, row))
+            misses = {i for i in range(len(resolved)) if not holds(mapping, i)}
+            assert misses <= set(sets[j])
             for i in range(j):
                 kept = set(map(tuple, tables[i].tolist()))
-                beyond += truncated[i] and all(holds(mapping, e) for e in covered[i]) and tuple(row) not in kept
+                beyond += truncated[i] and misses <= set(sets[i]) and tuple(row) not in kept
     rows = np.concatenate(tables)
     _, first = np.unique(rows, axis=0, return_index=True)
     mappings = [dict(zip(variables, row)) for row in rows[np.sort(first)].tolist()]
     near = [m for m in mappings if sum(not holds(m, i) for i in range(len(q.patterns))) < threshold]
-    return len(first), near, beyond
+    return len(near), near, beyond
 
 
 def test_dedupe_across_truncated_trees_matches_pooling():
-    # With a small per_tree_limit, an earlier tree stops before rows that a
-    # later tree yields although they hold on every pattern of the earlier
-    # one; those rows are new candidates, not repeats.
+    # With a small per_tree_limit, an earlier relaxation stops before rows
+    # that a later one yields although their misses lie inside the earlier
+    # one's dropped patterns; those rows are new candidates, not repeats.
     beyond = 0
     for seed in range(12):
         g, q = candidate_instance(np.random.default_rng(seed), n_noise=120)
@@ -385,6 +406,77 @@ def test_dedupe_across_truncated_trees_matches_pooling():
                 ranked = reference_rank([reference_score_solution(view, q.patterns, m) for m in near], len(near))
                 assert _view(rec.solutions) == _view(ranked), (seed, limit, threshold)
     assert beyond > 0
+
+
+_NODES = ["n0", "n1", "n2", "n3"]
+_RELS = ["r0", "r1", "r2"]
+
+
+@st.composite
+def _small_instances(draw):
+    """Triples over four terms and three relations, and a query over one
+    to three variables: a path through the variables, then up to three
+    more patterns, each an edge between two of them (closing a cycle, or
+    a self-loop) or a constant leaf (a known constant or one the graph
+    lacks), and now and then a repeated pattern, in any order."""
+    triples = draw(st.lists(st.tuples(*(st.sampled_from(x) for x in (_NODES, _RELS, _NODES))), min_size=4, max_size=40))
+    names = ["?a", "?b", "?c"][: draw(st.sampled_from([1, 2, 2, 3, 3]))]
+
+    def oriented(u, v):
+        return (u, draw(st.sampled_from(_RELS)), v) if draw(st.booleans()) else (v, draw(st.sampled_from(_RELS)), u)
+
+    patterns = [oriented(u, v) for u, v in zip(names, names[1:])]
+    for _ in range(draw(st.integers(1 if len(names) == 1 else 0, 3))):
+        u = draw(st.sampled_from(names))
+        kind = draw(st.sampled_from(["edge", "edge", "const", "ghost"]))
+        v = draw(st.sampled_from(names)) if kind == "edge" else draw(st.sampled_from(_NODES)) if kind == "const" else "ghost"
+        patterns.append(oriented(u, v))
+    if draw(st.booleans()):
+        patterns.append(draw(st.sampled_from(patterns)))
+    return triples, draw(st.permutations(patterns))
+
+
+# no exact answer, and the candidates missing ?a r0 ?b come from the
+# second tree only (the graph and query of CI's installed-script check)
+_TWO_TREES = (
+    [("n0", "r0", "n1"), ("n1", "r0", "n2"), ("n2", "r1", "n0"), ("n0", "r2", "n3")],
+    [("?a", "r0", "?b"), ("?b", "r1", "?a"), ("?a", "r2", "n3")],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_instances(), st.sampled_from([3, 10**6]), st.sampled_from([None, 2]))
+@example(_TWO_TREES, 10**6, None)
+@example(_TWO_TREES, 10**6, 2)
+def test_relaxations_match_the_tree_path(instance, limit, chunk):
+    """At thresholds 1-4, wherever the tree path is not truncated, the
+    relaxations give its candidate set, edit distances and full ranking,
+    also when a join chunk of two rows sends every longer prefix to
+    evaluate_bgp; a query the tree path rejects is rejected with the same
+    error."""
+    triples, patterns = instance
+    g = build_graph(triples)
+    q = make_query([pattern(*p) for p in patterns])
+    emb = small_emb(g, epochs=1, dim=4)
+    for threshold in (1, 2, 3, 4):
+        req = _req(q, emb, threshold=threshold, top_k=None, per_tree_limit=limit)
+        try:
+            want, _, truncated = reference_recommend(g, req)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                recommend(g, req)
+            continue
+        default_chunk = sparql_mod.JOIN_CHUNK
+        try:
+            sparql_mod.JOIN_CHUNK = chunk or default_chunk
+            got = recommend(g, req)
+        finally:
+            sparql_mod.JOIN_CHUNK = default_chunk
+        if truncated:
+            continue
+        assert not got.truncated, threshold
+        assert _view(got.solutions) == _view(want), threshold
+        assert got.candidates_seen == len(want), threshold
 
 
 def test_unmatchable_query_raises(stars):

@@ -648,6 +648,67 @@ def test_product_is_never_enumerated_past_the_limit(monkeypatch):
     assert len(ranges) == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.booleans())
+def test_join_prefixes_evaluate_the_patterns_left(seed, products):
+    """Without any subset of the patterns, the shared-prefix join gives
+    the rows ``evaluate_bgp`` gives for the patterns left, in an order of
+    its own; under a limit, the first ``limit`` rows of that order, with
+    the same truncated flag. With join chunks down to one row, a
+    relaxation whose prefix is over the chunk gives None, and the others
+    still give those rows."""
+    import itertools
+
+    import trq.sparql as sparql_mod
+
+    g, pats = (_product_bgp if products else _random_bgp)(np.random.default_rng(seed))
+    resolved = resolve_patterns(g, pats)
+    subsets = [set(c) for k in range(len(resolved) + 1) for c in itertools.combinations(range(len(resolved)), k)]
+    default_chunk = sparql_mod.JOIN_CHUNK
+    try:
+        for chunk in (default_chunk, 1, 3):
+            sparql_mod.JOIN_CHUNK = chunk
+            joined = sparql_mod.JoinPrefixes(g, resolved)
+            for dropped in subsets:
+                want = evaluate_bgp(g, [pat for i, pat in enumerate(resolved) if i not in dropped])
+                full = joined.without(dropped)
+                if full is None:
+                    assert chunk != default_chunk
+                    continue
+                assert full.variables == want.variables
+                assert sorted(full.rows.tolist()) == sorted(want.rows.tolist()), (chunk, dropped)
+                assert not full.truncated
+                for limit in sorted({1, 2, len(want.rows), len(want.rows) + 1} - {0}):
+                    res = joined.without(dropped, limit)
+                    assert res.rows.tolist() == full.rows[:limit].tolist(), (chunk, dropped, limit)
+                    assert res.truncated == (len(want.rows) > limit)
+    finally:
+        sparql_mod.JOIN_CHUNK = default_chunk
+
+
+def test_join_prefixes_keep_a_prefix_up_to_the_chunk(monkeypatch):
+    """A relaxation starts from the longest prefix of the greedy order
+    that avoids its patterns; the first prefix with more than JOIN_CHUNK
+    rows, and every longer one, is not kept, so a relaxation that needs
+    one gives None."""
+    import trq.sparql as sparql_mod
+
+    # greedy order: ?x a T (3 rows), ?x p ?y (6 rows), ?y q ?z (6 rows)
+    g = build_graph(
+        [(f"x{i}", "type", "T") for i in range(3)]
+        + [(f"x{i}", "p", f"y{j}") for i in range(3) for j in range(2)]
+        + [(f"y{j}", "q", f"z{k}") for j in range(2) for k in range(3)]
+    )
+    resolved = resolve_patterns(g, (pattern("?y", "q", "?z"), pattern("?x", "type", "T"), pattern("?x", "p", "?y")))
+    joined = sparql_mod.JoinPrefixes(g, resolved)
+    assert joined._order == [1, 2, 0]
+    monkeypatch.setattr(sparql_mod, "JOIN_CHUNK", 5)
+    assert joined.without({0}) is None  # its prefix (?x a T, ?x p ?y) holds 6 rows
+    assert len(joined.without({2}).rows) == 3 * 6  # from the 3-row prefix, then a product
+    assert len(joined.without({1}).rows) == 18  # from the one empty row
+    assert [len(t) if t is not None else None for t in joined._prefixes] == [1, 3, None]
+
+
 def test_limit_must_be_positive(films):
     with pytest.raises(ValueError):
         evaluate(films, (pattern("?f", "starring", "?a"),), limit=0)

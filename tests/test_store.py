@@ -374,18 +374,40 @@ def test_a_block_below_the_density_bound_is_searched(run_reads):
     _assert_table_rule(g)
 
 
-def test_a_small_call_reads_a_table_a_large_call_counted(run_reads):
-    """Before a table exists, a call with fewer probes than the bound
-    searches and counts none; once a large call has counted it, a call of
-    any size reads it."""
-    terms = [ex(f"e{i}") for i in range(158)] + [ex("p")]  # bound: (159 + 1) / 16 = 10
+def _fifty_triple_block() -> tuple[Graph, int]:
+    """A graph of 159 terms, so the bound is (159 + 1) / 16 = 10 probes,
+    and its one predicate, whose block has 50 keys."""
+    terms = [ex(f"e{i}") for i in range(158)] + [ex("p")]
     p = 158
-    g = graph_of(terms, [(i, p, (3 * i) % 50) for i in range(50)])
+    return graph_of(terms, [(i, p, (3 * i) % 50) for i in range(50)]), p
+
+
+def test_a_small_call_reads_a_table_a_large_call_counted(run_reads):
+    """Before a table exists, calls whose probes together stay below the
+    bound search and count none; once a large call has counted it, a call
+    of any size reads it."""
+    g, p = _fifty_triple_block()
     small = np.array([0, 49, 0], dtype=np.int64)
-    for probes in (small, small[:1].repeat(9), np.arange(10, dtype=np.int64) * 15, small, small[:0]):
+    for probes in (small, small[:1].repeat(6), np.arange(10, dtype=np.int64) * 15, small, small[:0]):
         _same_ranges(g, probes, p, None)
     assert [(probes, table) for *_, probes, table in run_reads] == [
-        (3, False), (9, False), (10, True), (3, True), (0, True)
+        (3, False), (6, False), (10, True), (3, True), (0, True)
+    ]
+    assert len(_tables(g)) == 1
+    _assert_table_rule(g)
+
+
+def test_small_calls_together_count_a_table(run_reads):
+    """The probes of the calls on a block add up: the call that brings
+    them to the bound counts the table, however few probes it brings, so
+    a run of small calls, as a join of many small steps makes, pays for
+    one too."""
+    g, p = _fifty_triple_block()
+    small = np.array([0, 49, 0], dtype=np.int64)
+    for probes in (small, small, small, small[:1], small):
+        _same_ranges(g, probes, p, None)
+    assert [(probes, table) for *_, probes, table in run_reads] == [
+        (3, False), (3, False), (3, False), (1, True), (3, True)
     ]
     assert len(_tables(g)) == 1
     _assert_table_rule(g)
