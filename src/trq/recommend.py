@@ -37,8 +37,11 @@ order:
    its miss set. A row repeats one of an earlier relaxation exactly when
    its flags hold on every pattern of its M that the earlier one keeps
    and, if that one stopped at ``per_tree_limit``, the row is among its
-   rows (checked on just those rows). So no table of seen rows is kept,
-   and exact rows come from the first relaxation alone.
+   rows. The flags are checked once per distinct set of such patterns
+   over the untruncated earlier relaxations (at threshold 2 or less,
+   one set), and a truncated one's rows are looked up only for rows no
+   such check has hit. So no table of seen rows is kept, and exact rows
+   come from the first relaxation alone.
 4. *Pool.* The kept rows of every relaxation are pooled in relaxation
    order; ``candidates_seen`` counts them.
 
@@ -161,15 +164,24 @@ def _repeated(
     it stopped at its limit, its rows (None otherwise). A row misses only
     patterns of ``dropped``. An untruncated relaxation produced every
     mapping whose misses lie inside its dropped patterns; a truncated one
-    produced those of its rows only.
+    produced those of its rows only. A row's misses lie inside another
+    relaxation's dropped patterns when its flags hold on the patterns of
+    ``dropped`` that the other keeps, so the untruncated relaxations give
+    one mask for each distinct set of those patterns (at threshold 2 or
+    less, one set), and a truncated one's rows are looked up only for
+    rows that no mask has hit.
     """
     seen = np.zeros(len(table), dtype=bool)
+    for kept in {tuple(i for i in dropped if i not in other) for other, rows in earlier if rows is None}:
+        seen |= flags[:, list(kept)].all(axis=1)
     for other, rows in earlier:
+        if rows is None:
+            continue
         hit = flags[:, [i for i in dropped if i not in other]].all(axis=1) & ~seen
-        if rows is not None and hit.any():
-            kept = set(map(tuple, rows.tolist()))
+        if hit.any():
+            produced = set(map(tuple, rows.tolist()))
             at = np.flatnonzero(hit)
-            hit[at] = [r in kept for r in map(tuple, table[at].tolist())]
+            hit[at] = [r in produced for r in map(tuple, table[at].tolist())]
         seen |= hit
     return seen
 

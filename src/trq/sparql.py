@@ -27,21 +27,31 @@ extends every row by the triples it matches under that row, found with
 vectorised index range lookups and taken in the order of the index
 range ``Graph.ranges`` returns; the parent rows keep their order. The
 rows thus come out in the order of a depth-first walk of the patterns,
-whatever the size of the windows (``JOIN_CHUNK`` rows) a large step is
-produced in. Truncation rule: with a limit, the result is the first
-``limit`` rows in that order, and it is flagged truncated exactly when
-one more row exists after the last of them.
+whether a step extends the whole table at once (breadth first: the
+parents keep their order and each parent's rows come in range order)
+or is produced in windows of ``JOIN_CHUNK`` rows. Truncation rule: with
+a limit, the result is the first ``limit`` rows in that order, and it
+is flagged truncated exactly when one more row exists after the last of
+them.
 
 A step numbers its output rows in that order. Each parent's rows form
-one run, as long as its range is wide, and the running sum of the
-widths ends each run. A window ``[k0, k1)`` of output rows finds its
-last parent with one scalar search of those ends and starts at the last
-parent of the window before it. Its parent map repeats each parent in
-between by its run length, the first and last runs clipped to the
-window, so a window costs time in proportion to its rows and its parent
-map holds at most ``JOIN_CHUNK`` entries. Row k of parent i reads the
-index key at ``k + lo[i] - start[i]``, where ``start[i]`` is the number
-of the parent's first row.
+one run, as long as its range is wide, and row k of parent i reads the
+index key at ``k + lo[i] - start[i]``, where ``start[i]``, the sum of
+the widths before it, is the number of the parent's first row. While a
+step's rows number at most ``JOIN_CHUNK``, the step extends the whole
+table: each parent is repeated by its run length, and its keys are
+read at ``arange(total) + repeat(lo - start, counts)``. A one-row
+table passes its ids to ``Graph.ranges`` as scalars, as does a step
+that binds no column; their one range is read as a slice and paired
+with every row by broadcasting. A step that binds no new variable keeps
+each row once per match and reads no key. The first step with more
+rows, and every step after it, runs as the depth-first walk in windows
+of ``JOIN_CHUNK`` output rows, so memory stays bounded: a window ``[k0,
+k1)`` finds its last parent with one scalar search of the run ends and
+starts at the last parent of the window before it, and its parent map
+repeats each parent in between by its run length, the first and last
+runs clipped to the window. Either way a step costs time in proportion
+to its rows, and its parent map holds at most ``JOIN_CHUNK`` entries.
 
 Patterns that share no variable form independent parts (two type
 leaves ``?b a C . ?c a C`` meet only at the constant). The greedy
@@ -64,10 +74,12 @@ which :mod:`trq.recommend` evaluates) share their joins through
 and the rows of each prefix of that order are kept while they number at
 most ``JOIN_CHUNK``. The relaxation without the patterns M starts from
 the rows of the longest prefix that holds no pattern of M and joins the
-patterns left in greedy order from that prefix's variables, as one
-depth-first join under the same truncation rule; parts that share no
-variable are joined row by row there, not read off a product. A
-relaxation whose prefix is not kept is left to :func:`evaluate_bgp`.
+patterns left in greedy order from that prefix's variables, under the
+same truncation rule. Where that order opens a part that shares no
+variable with the prefix or the patterns before it, the rows are read
+off the product of the parts, as above, the first part joined from the
+prefix's rows. A relaxation whose prefix is not kept is left to
+:func:`evaluate_bgp`.
 """
 
 from __future__ import annotations
@@ -497,30 +509,38 @@ def _greedy(g: Graph, patterns: Sequence[ResolvedPattern], bound: set[str]) -> l
     names = [_names(pat) for pat in patterns]
     bound = set(bound)
     # a pattern's estimate changes only when one of its variables is bound
-    estimate = {i: _cardinality_estimate(g, pat, bound) for i, pat in enumerate(patterns)}
+    cost = {i: _cardinality_estimate(g, pat, bound) for i, pat in enumerate(patterns)}
     out: list[tuple[int, bool]] = []
-    while estimate:
-        opens = {i: bool(names[i]) and not names[i] & bound for i in estimate}
-        best = min(estimate, key=lambda i: (bool(bound) and opens[i], estimate[i], i))
-        del estimate[best]
-        out.append((best, opens[best]))
+    while cost:
+        best = min(cost, key=lambda i: (bool(bound) and bool(names[i]) and not names[i] & bound, cost[i], i))
+        del cost[best]
+        out.append((best, bool(names[best]) and not names[best] & bound))
         fresh = names[best] - bound
-        bound |= fresh
-        for i in estimate:
-            if names[i] & fresh:
-                estimate[i] = _cardinality_estimate(g, patterns[i], bound)
+        if fresh:
+            bound |= fresh
+            for i in cost:
+                if names[i] & fresh:
+                    cost[i] = _cardinality_estimate(g, patterns[i], bound)
     return out
 
 
-def _order_patterns(g: Graph, patterns: Sequence[ResolvedPattern]) -> list[list[ResolvedPattern]]:
-    """The greedy join order (:func:`_greedy`), cut into variable-disjoint
-    parts where a pattern opens one."""
-    parts: list[list[ResolvedPattern]] = []
-    for i, opens in _greedy(g, patterns, set()):
-        if opens or not parts:
+def _parts(order: Iterable[tuple[int, bool]], patterns: Sequence[ResolvedPattern]) -> list[list[ResolvedPattern]]:
+    """A greedy join order (:func:`_greedy`) as its patterns, cut into
+    variable-disjoint parts where a pattern opens one. The first part
+    holds the patterns before the first that opens one, and is empty
+    when that is the first pattern."""
+    parts: list[list[ResolvedPattern]] = [[]]
+    for i, opens in order:
+        if opens:
             parts.append([])
         parts[-1].append(patterns[i])
     return parts
+
+
+def _order_patterns(g: Graph, patterns: Sequence[ResolvedPattern]) -> list[list[ResolvedPattern]]:
+    """The greedy join order from no bound variable, cut into
+    variable-disjoint parts (:func:`_parts`); none of them is empty."""
+    return [part for part in _parts(_greedy(g, patterns, set()), patterns) if part]
 
 
 # How a join step treats one triple position: ("const", id), ("col", j)
@@ -612,9 +632,69 @@ def _join(g: Graph, steps: list[list[_Slot]], table: np.ndarray, i: int = 0) -> 
             yield from _join(g, steps, child, i + 1)
 
 
+def _step(g: Graph, step: list[_Slot], table: np.ndarray) -> np.ndarray | None:
+    """Every row of ``table`` extended with each triple matching the
+    step's pattern under that row, as :func:`_expand` gives them, in one
+    table; None when the matches number more than JOIN_CHUNK (see the
+    module doc)."""
+    w = table.shape[1]
+    width = w + sum(kind == "new" for kind, _ in step)
+    if not len(table) or ("const", None) in step:
+        return np.empty((0, width), dtype=np.int64)
+    one = len(table) == 1
+    bound = [None, None, None]
+    for pos, (kind, j) in enumerate(step):
+        if kind == "const":
+            bound[pos] = j
+        elif kind == "col":
+            bound[pos] = int(table[0, j]) if one else table[:, j]
+    index, lo, hi = g.ranges(*bound)
+    ranged = isinstance(lo, np.ndarray)  # a range per row, else one for every row
+    counts = hi - lo if ranged else int(hi - lo)
+    total = int(counts.sum()) if ranged else counts * len(table)
+    if total > JOIN_CHUNK:
+        return None
+    if not total:
+        return np.empty((0, width), dtype=np.int64)
+    if width == w:  # the step binds no new variable: each row stays once per match
+        return np.repeat(table, counts, axis=0)
+    child = np.empty((total, width), dtype=np.int64)
+    if ranged:
+        # row k of parent i reads index key k + lo[i] - (the number of its first row)
+        spo = index.columns(np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts))
+        child[:, :w] = np.repeat(table, counts, axis=0)
+        rows = child
+    else:  # the range's keys as a slice, paired with every row by broadcasting
+        spo = index.columns(slice(lo, hi))
+        rows = child.reshape(len(table), counts, width)
+        rows[..., :w] = table[:, None]
+    keep = None
+    for pos, (kind, j) in enumerate(step):
+        if kind == "new":
+            rows[..., j] = spo[pos]
+        elif kind == "same":
+            same = rows[..., j] == spo[pos]
+            keep = same if keep is None else keep & same
+    return child if keep is None else child[keep.ravel()]
+
+
 def _first_rows(g: Graph, steps: list[list[_Slot]], table: np.ndarray, width: int, cap: int | None) -> np.ndarray:
     """The first ``cap`` rows of the join of ``steps`` from ``table``, or
-    all of them when ``cap`` is None."""
+    all of them when ``cap`` is None. Each step extends the whole table
+    (:func:`_step`) while its rows fit in JOIN_CHUNK; from a step that
+    does not, the rest is the depth-first walk in windows (:func:`_walk`)."""
+    for i, step in enumerate(steps):
+        child = _step(g, step, table)
+        if child is None:
+            return _walk(g, steps[i:], table, width, cap)
+        if not len(child):
+            return np.empty((0, width), dtype=np.int64)
+        table = child
+    return table[:cap]
+
+
+def _walk(g: Graph, steps: list[list[_Slot]], table: np.ndarray, width: int, cap: int | None) -> np.ndarray:
+    """:func:`_first_rows` by the depth-first walk in windows alone."""
     chunks: list[np.ndarray] = []
     kept = 0
     for chunk in _join(g, steps, table):
@@ -626,6 +706,45 @@ def _first_rows(g: Graph, steps: list[list[_Slot]], table: np.ndarray, width: in
     if len(chunks) == 1:
         return chunks[0]
     return np.concatenate(chunks) if chunks else np.empty((0, width), dtype=np.int64)
+
+
+# The table a join starts from: one row that binds no variable.
+_ONE_ROW = np.empty((1, 0), dtype=np.int64)
+
+
+def _join_parts(
+    g: Graph,
+    parts: list[list[ResolvedPattern]],
+    start: np.ndarray,
+    bound: Sequence[str],
+    limit: int | None,
+) -> BGPResult:
+    """The solutions of variable-disjoint ``parts`` under the ``limit``
+    rule of :func:`evaluate_bgp`: the first part joined from the rows
+    ``start``, whose columns bind ``bound``, and each other part from the
+    one empty row, each keeping at most ``limit + 1`` rows, and the rows
+    read off the parts' product (see the module doc)."""
+    compiled = [_compile(part, bound if k == 0 else ()) for k, part in enumerate(parts)]
+    names = tuple(sorted(v for _, variables in compiled for v in variables))
+    cap = None if limit is None else limit + 1
+    tables: list[tuple[np.ndarray, tuple[str, ...]]] = []
+    for k, (steps, variables) in enumerate(compiled):
+        table = _first_rows(g, steps, start if k == 0 else _ONE_ROW, len(variables), cap)
+        if not len(table):
+            return BGPResult(names, np.empty((0, len(names)), dtype=np.int64))
+        tables.append((table, variables))
+    total = math.prod(len(table) for table, _ in tables)
+    count = total if limit is None else min(total, limit)
+    rows = np.empty((count, len(names)), dtype=np.int64)
+    stride = 1  # the product's rows that one row of this part spans
+    for table, variables in reversed(tables):
+        columns = [names.index(v) for v in variables]
+        if stride == 1 and len(table) >= count:
+            rows[:, columns] = table[:count]
+        else:  # k // stride is 0 for every k < count once stride >= count
+            rows[:, columns] = table[np.arange(count) // min(stride, count) % len(table)]
+        stride *= len(table)
+    return BGPResult(names, rows, limit is not None and total > limit)
 
 
 def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | None = None) -> BGPResult:
@@ -644,40 +763,12 @@ def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | Non
     part is joined once, keeping at most ``limit + 1`` rows, and an empty
     part ends the evaluation. The depth-first order is the lexicographic
     order of the parts' product: row k takes from each part the row
-    named by k's mixed-radix digit over the part sizes. ``truncated`` is set exactly when the product
-    of those capped sizes exceeds ``limit``.
+    named by k's mixed-radix digit over the part sizes. ``truncated`` is
+    set exactly when the product of those capped sizes exceeds ``limit``.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    if any(None in pat for pat in resolved):
-        return _no_rows(resolved)
-    cap = None if limit is None else limit + 1
-    tables: list[tuple[np.ndarray, tuple[str, ...]]] = []
-    for part in _order_patterns(g, resolved):
-        steps, variables = _compile(part)
-        table = _first_rows(g, steps, np.empty((1, 0), dtype=np.int64), len(variables), cap)
-        if not len(table):
-            return _no_rows(resolved)
-        tables.append((table, variables))
-    names = tuple(sorted(v for _, variables in tables for v in variables))
-    total = math.prod(len(table) for table, _ in tables)
-    count = total if limit is None else min(total, limit)
-    rows = np.empty((count, len(names)), dtype=np.int64)
-    stride = 1  # the product's rows that one row of this part spans
-    for table, variables in reversed(tables):
-        columns = [names.index(v) for v in variables]
-        if stride == 1 and len(table) >= count:
-            rows[:, columns] = table[:count]
-        else:  # k // stride is 0 for every k < count once stride >= count
-            rows[:, columns] = table[np.arange(count) // min(stride, count) % len(table)]
-        stride *= len(table)
-    return BGPResult(names, rows, limit is not None and total > limit)
-
-
-def _no_rows(resolved: Sequence[ResolvedPattern]) -> BGPResult:
-    """The empty result over the variables of ``resolved``."""
-    names = tuple(sorted(set().union(*map(_names, resolved))))
-    return BGPResult(names, np.empty((0, len(names)), dtype=np.int64))
+    return _join_parts(g, _order_patterns(g, resolved), _ONE_ROW, (), limit)
 
 
 class JoinPrefixes:
@@ -692,7 +783,7 @@ class JoinPrefixes:
         self._resolved = resolved
         self._order = [i for i, _ in _greedy(g, resolved, set())]
         self._steps, self._columns = _compile([resolved[i] for i in self._order])
-        self._prefixes: list[np.ndarray | None] = [np.empty((1, 0), dtype=np.int64)]
+        self._prefixes: list[np.ndarray | None] = [_ONE_ROW]
 
     def _prefix(self, k: int) -> np.ndarray | None:
         """The rows of the first ``k`` patterns of the order, or None when
@@ -713,18 +804,17 @@ class JoinPrefixes:
         the same ``limit`` rule, but in the depth-first order of a join
         that starts from the rows of the longest prefix that avoids
         ``dropped`` and takes the other patterns in greedy order from that
-        prefix's variables. None when that prefix is not kept."""
+        prefix's variables; parts of them that share no variable with the
+        prefix or with each other are read off a product, as
+        :func:`evaluate_bgp` reads them. None when that prefix is not
+        kept."""
         m = next((k for k, i in enumerate(self._order) if i in dropped), len(self._order))
         start = self._prefix(m)
         if start is None:
             return None
         bound = self._columns[: start.shape[1]]
         rest = [self._resolved[i] for i in self._order[m:] if i not in dropped]
-        steps, columns = _compile([rest[j] for j, _ in _greedy(self._g, rest, set(bound))], bound)
-        rows = _first_rows(self._g, steps, start, len(columns), None if limit is None else limit + 1)
-        names = tuple(sorted(columns))
-        truncated = limit is not None and len(rows) > limit
-        return BGPResult(names, rows[:limit, [columns.index(v) for v in names]], truncated)
+        return _join_parts(self._g, _parts(_greedy(self._g, rest, set(bound)), rest), start, bound, limit)
 
 
 def ask(g: Graph, q: Query) -> bool:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import trq.sparql as sparql_mod
 from trq import (
     BoundEmbeddings,
     EmbeddingConfig,
@@ -39,7 +40,7 @@ from trq.qgraph import (
 )
 from trq.recommend import QueryUnmatchableError, VariablePredicateError, _top
 from trq.scoring import EdgeScore, ScoredSolution, edge_weights, in_graph_flags, score_table, scored_solution
-from trq.sparql import Atom, Const, Var, _order_patterns, evaluate_bgp, resolve_patterns
+from trq.sparql import Atom, Const, Var, _cardinality_estimate, _names, _order_patterns, evaluate_bgp, resolve_patterns
 
 EX = "http://example.org/"
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -219,6 +220,107 @@ def reference_evaluate_bgp(g: Graph, resolved, limit: int | None = None):
             truncated = next(gen, None) is not None
             break
     return out, truncated
+
+
+# -- the windowed join and the greedy loop that whole-table steps
+# replaced ---------------------------------------------------------------
+
+
+def reference_greedy(g: Graph, patterns, bound: set[str]) -> list[tuple[int, bool]]:
+    """``trq.sparql._greedy`` as it was written before, with a dict of
+    opening flags on every pick: the indices of ``patterns`` in greedy
+    join order from the variables ``bound``, each with whether it opens
+    a new variable-disjoint part."""
+    names = [_names(pat) for pat in patterns]
+    bound = set(bound)
+    # a pattern's estimate changes only when one of its variables is bound
+    estimate = {i: _cardinality_estimate(g, pat, bound) for i, pat in enumerate(patterns)}
+    out: list[tuple[int, bool]] = []
+    while estimate:
+        opens = {i: bool(names[i]) and not names[i] & bound for i in estimate}
+        best = min(estimate, key=lambda i: (bool(bound) and opens[i], estimate[i], i))
+        del estimate[best]
+        out.append((best, opens[best]))
+        fresh = names[best] - bound
+        bound |= fresh
+        for i in estimate:
+            if names[i] & fresh:
+                estimate[i] = _cardinality_estimate(g, patterns[i], bound)
+    return out
+
+
+def reference_expand(g: Graph, step, table: np.ndarray):
+    """``trq.sparql._expand`` as every join step ran it: the rows of
+    ``table`` extended by the step's matches, in windows of at most
+    ``trq.sparql.JOIN_CHUNK`` rows (read when called), each window's
+    parents found by one search of the run ends."""
+    if not len(table) or ("const", None) in step:
+        return
+    bound = [None, None, None]
+    for pos, (kind, j) in enumerate(step):
+        if kind == "const":
+            bound[pos] = j
+        elif kind == "col":
+            bound[pos] = table[:, j]
+    index, lo, hi = g.ranges(*bound)
+    if np.ndim(lo) == 0:  # no column bound: one range serves every row
+        lo = np.full(len(table), lo)
+        hi = np.full(len(table), hi)
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    # output row k of parent i reads index key k + shift[i]
+    shift = lo - (ends - counts)
+    total = int(ends[-1])
+    width = table.shape[1] + sum(kind == "new" for kind, _ in step)
+    p0 = 0  # the window's first parent
+    for k0 in range(0, total, sparql_mod.JOIN_CHUNK):
+        k1 = min(total, k0 + sparql_mod.JOIN_CHUNK)
+        p1 = int(ends.searchsorted(k1 - 1, side="right")) + 1
+        # each parent's rows in [k0, k1): the first and last are clipped
+        clipped = counts[p0:p1].copy()
+        clipped[0] -= k0 - (ends[p0] - counts[p0])
+        clipped[-1] -= ends[p1 - 1] - k1
+        parent = np.repeat(np.arange(p0, p1), clipped)
+        spo = index.columns(np.arange(k0, k1) + shift[parent])
+        p0 = p1 - 1
+        child = np.empty((k1 - k0, width), dtype=np.int64)
+        child[:, : table.shape[1]] = table[parent]
+        keep = None
+        for pos, (kind, j) in enumerate(step):
+            if kind == "new":
+                child[:, j] = spo[pos]
+            elif kind == "same":
+                same = child[:, j] == spo[pos]
+                keep = same if keep is None else keep & same
+        yield child if keep is None else child[keep]
+
+
+def reference_join(g: Graph, steps, table: np.ndarray, i: int = 0):
+    """``trq.sparql._join`` over :func:`reference_expand`: non-empty
+    solution tables in the order of a depth-first walk over the steps."""
+    if i == len(steps):
+        yield table
+        return
+    for child in reference_expand(g, steps[i], table):
+        if len(child):
+            yield from reference_join(g, steps, child, i + 1)
+
+
+def reference_first_rows(g: Graph, steps, table: np.ndarray, width: int, cap: int | None) -> np.ndarray:
+    """``trq.sparql._first_rows`` as the windowed depth-first walk alone
+    gave it: the first ``cap`` rows of the join of ``steps`` from
+    ``table``, or all of them when ``cap`` is None."""
+    chunks: list[np.ndarray] = []
+    kept = 0
+    for chunk in reference_join(g, steps, table):
+        if cap is not None and kept + len(chunk) >= cap:
+            chunks.append(chunk[: cap - kept])
+            break
+        chunks.append(chunk)
+        kept += len(chunk)
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate(chunks) if chunks else np.empty((0, width), dtype=np.int64)
 
 
 class NoEmbeddingRow(LookupError):

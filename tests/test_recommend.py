@@ -11,17 +11,19 @@ from trq.recommend import (
     Recommendation,
     RecommendRequest,
     VariablePredicateError,
+    _repeated,
     _top,
     recommend,
     relaxations,
 )
 from trq.qgraph import enumerate_subquery_trees
-from trq.scoring import ScoredSolution, score_graph
+from trq.scoring import ScoredSolution, in_graph_flags, score_graph
 from trq.sparql import Const, JoinPrefixes, TriplePattern, Var, evaluate_bgp, parse_query, resolve_patterns
 from trq.store import Graph
 
 from conftest import (
     MOVIE_QUERY,
+    _reference_repeated,
     binding_keys,
     brute_candidates,
     build_graph,
@@ -406,6 +408,47 @@ def test_dedupe_across_truncated_trees_matches_pooling():
                 ranked = reference_rank([reference_score_solution(view, q.patterns, m) for m in near], len(near))
                 assert _view(rec.solutions) == _view(ranked), (seed, limit, threshold)
     assert beyond > 0
+
+
+def test_repeated_at_threshold_two_matches_the_tree_check():
+    """At threshold 2, with the relaxations without ?a r0 ?b (truncated
+    at the limit of 3), without nothing (an empty M, not truncated),
+    without ?b r1 ?a and without ?a r2 C, each relaxation's repeats are
+    those the tree path's check finds from the patterns each earlier one
+    keeps: one mask from the untruncated ones, and a truncated one's rows
+    looked up where that mask misses."""
+    g = build_graph(
+        [(f"a{i}", "r0", f"b{i}") for i in range(4)]
+        + [("a0", "r0", "b1")]
+        + [(f"b{i}", "r1", f"a{i}") for i in range(4)]
+        + [("b2", "r1", "a0")]
+        + [(f"a{i}", "r2", "C") for i in range(3)]
+    )
+    q = make_query([pattern("?a", "r0", "?b"), pattern("?b", "r1", "?a"), pattern("?a", "r2", "C")])
+    resolved = resolve_patterns(g, q.patterns)
+    variables = tuple(sorted(q.variables()))
+    joined = JoinPrefixes(g, resolved)
+    earlier, covered = [], []
+    repeats, looked_up = [], 0
+    for dropped in [(0,), (), (1,), (2,)]:
+        result = joined.without(dropped, limit=3)
+        table = result.rows
+        flags = in_graph_flags(g, resolved, variables, table, dropped)
+        got = _repeated(table, flags, dropped, earlier)
+        assert got.tolist() == _reference_repeated(table, flags, covered).tolist(), dropped
+        # rows whose misses lie inside a truncated relaxation's M but are not among its rows
+        looked_up += sum(
+            int((flags[:, [i for i in dropped if i not in other]].all(axis=1) & ~got).sum())
+            for other, rows in earlier
+            if rows is not None
+        )
+        repeats.append(int(got.sum()))
+        rows = table if result.truncated else None
+        earlier.append((dropped, rows))
+        covered.append(([i for i in range(len(resolved)) if i not in dropped], rows))
+    assert [rows is not None for _, rows in earlier] == [True, False, True, True]
+    assert repeats[0] == 0 and all(repeats[1:])
+    assert looked_up > 0
 
 
 _NODES = ["n0", "n1", "n2", "n3"]

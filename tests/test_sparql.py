@@ -26,6 +26,8 @@ from conftest import (
     ex,
     pattern,
     reference_evaluate_bgp,
+    reference_first_rows,
+    reference_greedy,
 )
 
 PROLOG = f"PREFIX ex: <{EX}>\n"
@@ -503,6 +505,90 @@ def test_windows_find_their_parents_by_run_length(monkeypatch):
     assert rows.tolist() == parents[:3].tolist()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([0, 1, 1, 2, 5]))
+def test_whole_table_steps_match_the_windowed_walk(seed, parents):
+    """The join steps from a table of ``parents`` rows, each extending
+    the whole table while its rows fit in JOIN_CHUNK, give the rows of
+    the windowed depth-first walk, in its order and dtype, under caps of
+    None, 1 and around the result size and at JOIN_CHUNK 1, 2, 3 and
+    its default: patterns in a random order (products, ground steps,
+    unknown constants, repeated variables), parents that bind a random
+    set of variables (a one-row table looks its ids up as scalars)."""
+    import trq.sparql as sparql_mod
+
+    rng = np.random.default_rng(seed)
+    g, pats = _random_bgp(rng)
+    resolved = resolve_patterns(g, pats)
+    bound = tuple(v for v in sorted(set().union(*[p.variables() for p in pats])) if rng.random() < 0.5)
+    table = rng.integers(0, g.term_count, size=(parents, len(bound)), dtype=np.int64)
+    steps, columns = sparql_mod._compile(resolved, bound)
+    full = reference_first_rows(g, steps, table, len(columns), None)
+    caps = [None] + sorted({1, len(full) - 1, len(full), len(full) + 1} - {0, -1})
+    default_chunk = sparql_mod.JOIN_CHUNK
+    try:
+        for chunk in (default_chunk, 1, 2, 3):
+            sparql_mod.JOIN_CHUNK = chunk
+            for cap in caps:
+                want = reference_first_rows(g, steps, table, len(columns), cap)
+                got = sparql_mod._first_rows(g, steps, table, len(columns), cap)
+                assert got.dtype == want.dtype == np.int64
+                assert got.shape == want.shape, (chunk, cap)
+                assert got.tolist() == want.tolist(), (chunk, cap)
+    finally:
+        sparql_mod.JOIN_CHUNK = default_chunk
+
+
+def test_a_step_over_the_chunk_walks_in_windows_from_there(monkeypatch):
+    """At JOIN_CHUNK = 4 the first step's 2 rows extend the whole table;
+    the second step's 6 rows do not fit, so it and the third step run as
+    the windowed depth-first walk: the second step on the 2-row table,
+    the third on each of its windows of 4 and 2 rows."""
+    import trq.sparql as sparql_mod
+
+    g = build_graph(
+        [(f"x{i}", "type", "T") for i in range(2)]
+        + [(f"x{i}", "p", f"y{j}") for i in range(2) for j in range(3)]
+        + [(f"y{j}", "q", f"z{k}") for j in range(3) for k in range(2)]
+    )
+    resolved = resolve_patterns(g, (pattern("?x", "type", "T"), pattern("?x", "p", "?y"), pattern("?y", "q", "?z")))
+    steps, columns = sparql_mod._compile(resolved)
+    monkeypatch.setattr(sparql_mod, "JOIN_CHUNK", 4)
+    walked = []
+    real_expand = sparql_mod._expand
+
+    def recorded(g, step, table):
+        walked.append((next(i for i, s in enumerate(steps) if s is step), len(table)))
+        yield from real_expand(g, step, table)
+
+    monkeypatch.setattr(sparql_mod, "_expand", recorded)
+    start = np.empty((1, 0), dtype=np.int64)
+    rows = sparql_mod._first_rows(g, steps, start, len(columns), None)
+    assert walked == [(1, 2), (2, 4), (2, 2)]
+    assert len(rows) == 12
+    assert rows.tolist() == reference_first_rows(g, steps, start, len(columns), None).tolist()
+
+
+def test_a_one_row_table_looks_its_ids_up_as_scalars(monkeypatch):
+    """A one-row parent passes its bound ids to ``Graph.ranges`` as ids,
+    not arrays, and its row is paired with each match; a longer table
+    passes its columns."""
+    import trq.sparql as sparql_mod
+
+    g = build_graph([("x0", "p", f"y{j}") for j in range(3)] + [("x1", "p", "y0")])
+    calls = []
+    real_ranges = type(g).ranges
+    monkeypatch.setattr(type(g), "ranges", lambda self, *a: calls.append(a) or real_ranges(self, *a))
+    steps, columns = sparql_mod._compile(resolve_patterns(g, (pattern("?x", "p", "?y"),)), ("x",))
+    x0, x1 = g.id(ex("x0")), g.id(ex("x1"))
+    rows = sparql_mod._first_rows(g, steps, np.array([[x0]]), len(columns), None)
+    assert rows.tolist() == [[x0, g.id(ex(f"y{j}"))] for j in range(3)]
+    assert not any(isinstance(a, np.ndarray) for a in calls[-1])
+    rows = sparql_mod._first_rows(g, steps, np.array([[x1], [x0]]), len(columns), None)
+    assert rows.tolist() == [[x1, g.id(ex("y0"))]] + [[x0, g.id(ex(f"y{j}"))] for j in range(3)]
+    assert isinstance(calls[-1][0], np.ndarray)
+
+
 def _product_bgp(rng):
     """A small graph and patterns whose variables fall into 2-3 groups
     that meet only at constants, with ground patterns (no variable) mixed
@@ -609,6 +695,31 @@ def test_greedy_order_comes_cut_into_variable_disjoint_parts(seed):
                 bound |= later
 
 
+def count_step_rows(monkeypatch) -> list[int]:
+    """The rows each join step yields from now on, whether it extends a
+    whole table or the windows of a depth-first walk (one entry per
+    call)."""
+    import trq.sparql as sparql_mod
+
+    yielded = []
+    real_expand, real_step = sparql_mod._expand, sparql_mod._step
+
+    def counting_expand(g, step, table):
+        yielded.append(0)
+        for child in real_expand(g, step, table):
+            yielded[-1] += len(child)
+            yield child
+
+    def counting_step(g, step, table):
+        child = real_step(g, step, table)
+        yielded.append(0 if child is None else len(child))
+        return child
+
+    monkeypatch.setattr(sparql_mod, "_expand", counting_expand)
+    monkeypatch.setattr(sparql_mod, "_step", counting_step)
+    return yielded
+
+
 def test_product_is_never_enumerated_past_the_limit(monkeypatch):
     """Each part of a product is joined on its own and stops at limit + 1
     rows, so no step yields more, however large the product is."""
@@ -621,16 +732,7 @@ def test_product_is_never_enumerated_past_the_limit(monkeypatch):
     assert len(films) * len(people) > sparql_mod.JOIN_CHUNK
     resolved = resolve_patterns(g, pats)
 
-    yielded = []
-    real_expand = sparql_mod._expand
-
-    def counting_expand(g, step, table):
-        yielded.append(0)
-        for child in real_expand(g, step, table):
-            yielded[-1] += len(child)
-            yield child
-
-    monkeypatch.setattr(sparql_mod, "_expand", counting_expand)
+    yielded = count_step_rows(monkeypatch)
     limit = 1_000
     res = evaluate_bgp(g, resolved, limit)
     assert len(res.rows) == limit and res.truncated
@@ -684,6 +786,61 @@ def test_join_prefixes_evaluate_the_patterns_left(seed, products):
                     assert res.truncated == (len(want.rows) > limit)
     finally:
         sparql_mod.JOIN_CHUNK = default_chunk
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_join_prefixes_order_the_rest_as_greedy_does(seed):
+    """The query's order, and for each single pattern dropped in turn
+    from one ``JoinPrefixes``, the order its other patterns are joined in
+    from the prefix's variables, with each pattern's opening flag, are
+    those of the reference greedy order."""
+    import trq.sparql as sparql_mod
+
+    rng = np.random.default_rng(seed)
+    for g, pats in (_random_bgp(rng), _product_bgp(rng)):
+        resolved = resolve_patterns(g, pats)
+        orders = []
+        real_greedy = sparql_mod._greedy
+        sparql_mod._greedy = lambda *args: orders.append(real_greedy(*args)) or orders[-1]
+        try:
+            joined = sparql_mod.JoinPrefixes(g, resolved)
+            assert orders == [reference_greedy(g, resolved, set())]
+            for i in range(len(resolved)):
+                orders.clear()
+                assert joined.without({i}) is not None
+                m = joined._order.index(i)
+                bound = set(joined._columns[: joined._prefix(m).shape[1]])
+                rest = [resolved[j] for j in joined._order[m:] if j != i]
+                assert orders == [reference_greedy(g, rest, bound)], i
+        finally:
+            sparql_mod._greedy = real_greedy
+
+
+def test_join_prefixes_read_a_product_off_its_parts(monkeypatch):
+    """Without ``?b r ?c``, ``?b a C . ?c a C`` share no variable: the
+    relaxation starts from the prefix ``?b a C`` and reads the product
+    with ``?c a C`` off the two tables, so no join step yields the
+    product's rows; its rows, their order and the limit rule are those
+    of the depth-first walk."""
+    import trq.sparql as sparql_mod
+
+    nodes = [f"n{i}" for i in range(30)]
+    g = build_graph([(n, "type", "C") for n in nodes] + [(nodes[i % 30], "r", f"m{i}") for i in range(40)])
+    pats = (pattern("?b", "type", "C"), pattern("?c", "type", "C"), pattern("?b", "r", "?c"))
+    resolved = resolve_patterns(g, pats)
+    joined = sparql_mod.JoinPrefixes(g, resolved)
+    assert joined._order == [0, 2, 1]
+    yielded = count_step_rows(monkeypatch)
+    full = joined.without({2})
+    assert len(full.rows) == 900 and not full.truncated and full.variables == ("b", "c")
+    assert yielded and max(yielded) <= 30
+    walk, _ = reference_evaluate_bgp(g, resolved[:2])
+    assert full.rows.tolist() == [list(m.values()) for m in walk]
+    for limit in (1, 29, 30, 31, 899, 900, 901):
+        res = joined.without({2}, limit)
+        assert res.rows.tolist() == full.rows[:limit].tolist(), limit
+        assert res.truncated == (limit < 900), limit
 
 
 def test_join_prefixes_keep_a_prefix_up_to_the_chunk(monkeypatch):

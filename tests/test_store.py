@@ -443,10 +443,10 @@ def test_run_tables_after_a_run_of_queries(run_reads):
     rels = [f"r{i}" for i in range(4)]
     rows = [(f"e{rng.integers(300)}", rels[rng.integers(4)], f"e{rng.integers(300)}") for _ in range(1600)]
     rows += [(f"e{i}", "r0", "hub") for i in range(40)]
-    rows += [(f"e{i}", "rare", f"e{i + 1}") for i in range(12)] + [("e9", "r3", "lone")]
+    rows += [(f"e{i}", "rare", f"e{i + 1}") for i in range(12)] + [("e9", "r3", "lone"), ("e10", "r3", "lone")]
     g = build_graph(rows)
     queries = [
-        # one row, then one probe on r2's block
+        # two rows, then two probes on r2's block (a one-row table passes scalars)
         [pattern("?a", "r3", "lone"), pattern("?a", "r2", "?b")],
         # forty rows, then forty probes on rare's 12-triple block
         [pattern("?a", "r0", "hub"), pattern("?a", "rare", "?b")],
