@@ -329,6 +329,7 @@ def cmd_bench(args) -> int:
                     "truth_size": r.truth_size,
                     "elapsed_s": r.elapsed,
                     "error": r.error,
+                    "source_model": r.source_model,
                 }
                 for r in report.rows
             ],

@@ -543,15 +543,48 @@ class BoundEmbeddings:
 # -- training ----------------------------------------------------------
 
 
-def _first_appearance_rows(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row orders and the training-row table, from the SPO key columns.
+@dataclass(frozen=True, eq=False)
+class TrainingInput:
+    """What :func:`train` reads of a graph under one config.
 
     Entities are numbered by first appearance in SPO triple order (a
     triple's subject before its object) and relations by first
-    appearance as predicate. Returns the entity and the relation term id
-    of each row, the id->row maps (-1 = none) and every triple as an
-    (n, 3) array of (entity, relation, entity) rows, in SPO order.
+    appearance as predicate. ``entity_keys`` and ``relation_keys`` name
+    each row's term, and ``triples`` holds the training triples as an
+    (n, 3) array of (entity, relation, entity) rows in SPO order: every
+    triple, or every one not on rdf:type unless ``include_type_triples``.
+    ``ent_ids`` and ``rel_ids`` give each row's term id in the graph read,
+    and ``ent_row`` and ``rel_row`` each term id's row (-1 = none).
+
+    Two inputs are equal when their keys and triples are; the ids are the
+    graph's own numbering and take no part. :func:`train` reads nothing
+    else of the graph: its sampler asks only whether a candidate on a
+    training relation is known, and every triple of the graph on such a
+    relation is a training triple. So graphs with equal inputs train
+    byte-identical sets under one config.
     """
+
+    entity_keys: list[bytes]
+    relation_keys: list[bytes]
+    triples: np.ndarray
+    ent_ids: np.ndarray
+    rel_ids: np.ndarray
+    ent_row: np.ndarray
+    rel_row: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrainingInput):
+            return NotImplemented
+        return (
+            self.entity_keys == other.entity_keys
+            and self.relation_keys == other.relation_keys
+            and np.array_equal(self.triples, other.triples)
+        )
+
+
+def training_input(g: Graph, cfg: EmbeddingConfig) -> TrainingInput:
+    """The rows and training triples :func:`train` reads of ``g``, from
+    the SPO key columns."""
     index, _, _ = g.ranges()
     s, p, o = index.columns()
     ent_ids = first_appearance(np.stack([s, o], axis=1).ravel())
@@ -561,7 +594,18 @@ def _first_appearance_rows(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ent_row[ent_ids] = np.arange(len(ent_ids))
     rel_row[rel_ids] = np.arange(len(rel_ids))
     rows = np.stack([ent_row[s], rel_row[p], ent_row[o]], axis=1)
-    return ent_ids, rel_ids, ent_row, rel_row, rows
+    if not cfg.include_type_triples and g.rdf_type_id is not None:
+        rows = rows[p != g.rdf_type_id]
+    keys = g.term_keys
+    return TrainingInput(
+        entity_keys=[keys[tid] for tid in ent_ids.tolist()],
+        relation_keys=[keys[tid] for tid in rel_ids.tolist()],
+        triples=rows,
+        ent_ids=ent_ids,
+        rel_ids=rel_ids,
+        ent_row=ent_row,
+        rel_row=rel_row,
+    )
 
 
 # Draws per negative before the sampler keeps a known triple.
@@ -602,8 +646,9 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
 
     Every term occurring as subject/object gets an entity row and every
     predicate a relation row, including rdf:type itself even when type
-    triples are excluded from the batches. Deterministic for a fixed
-    (graph, config): the sampler is a seeded PCG64 generator and all
+    triples are excluded from the batches. The graph is read through
+    :func:`training_input`. Deterministic for a fixed config and
+    training input: the sampler is a seeded PCG64 generator and all
     updates run in a fixed order. Only the final rows are stored, as
     float32; training math runs at float64.
     """
@@ -611,14 +656,10 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
     if g.triple_count == 0:
         raise ValueError("cannot train embeddings on an empty graph")
 
-    ent_ids, rel_ids, ent_row, rel_row, rows = _first_appearance_rows(g)
+    inp = training_input(g, cfg)
+    ent_ids, rel_ids, triples = inp.ent_ids, inp.rel_ids, inp.triples
     n_ent, n_rel = len(ent_ids), len(rel_ids)
     dim, rel_dim = cfg.dim, cfg.resolved_rel_dim()
-    type_id = g.rdf_type_id
-    if cfg.include_type_triples or type_id is None:
-        triples = rows
-    else:
-        triples = rows[rel_ids[rows[:, 1]] != type_id]
 
     def known(cand: np.ndarray) -> np.ndarray:
         return g.contains_rows(ent_ids[cand[:, 0]], rel_ids[cand[:, 1]], ent_ids[cand[:, 2]])
@@ -675,15 +716,14 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
             f"training diverged: non-finite embedding values after {cfg.epochs} epochs "
             f"at learning_rate {cfg.learning_rate}; lower the learning rate"
         )
-    keys = g.term_keys
     out = EmbeddingSet(
         model=cfg.model,
         norm=cfg.norm,
         dim=dim,
         rel_dim=rel_dim,
         margin=cfg.margin,
-        entity_keys=[keys[tid] for tid in ent_ids.tolist()],
-        relation_keys=[keys[tid] for tid in rel_ids.tolist()],
+        entity_keys=inp.entity_keys,
+        relation_keys=inp.relation_keys,
         entity_vecs=vecs[0],
         relation_vecs=vecs[1],
         normals=vecs[2] if cfg.model == TRANSH else None,
@@ -692,7 +732,7 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
         sampler_redraws=redraws,
     )
     # the rows above are the alignment bind would compute
-    out._view = BoundEmbeddings(out, g, ent_row, rel_row)
+    out._view = BoundEmbeddings(out, g, inp.ent_row, inp.rel_row)
     return out
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import struct
+import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from trq import (
 )
 from trq.binio import term_key
 from trq.embedding import TRANSE, TRANSH, EmbeddingSet, _norm_values, _pair_grads, _Workspace
+from trq.evalkit import BenchReport, BenchRow, corrupt_graph, exact_solutions, mean_rank, reciprocal_rank
 from trq.ntriples import NTriplesError, _parse_blank, _skip_ws, parse_line
 from trq.qgraph import (
     DEFAULT_MAX_EDGES,
@@ -38,7 +40,16 @@ from trq.qgraph import (
     atom_label,
     enumerate_subquery_trees,
 )
-from trq.recommend import QueryUnmatchableError, VariablePredicateError, _top
+from trq.recommend import (
+    DEFAULT_PER_TREE_LIMIT,
+    DEFAULT_THRESHOLD,
+    QueryUnmatchableError,
+    RecommendRequest,
+    VariablePredicateError,
+    _top,
+    recommend,
+    validate_settings,
+)
 from trq.scoring import EdgeScore, ScoredSolution, edge_weights, in_graph_flags, score_table, scored_solution
 from trq.sparql import Atom, Const, Var, _cardinality_estimate, _names, _order_patterns, evaluate_bgp, resolve_patterns
 
@@ -1105,6 +1116,61 @@ def reference_recommend(g: Graph, req) -> tuple[list[ScoredSolution], int, bool]
         for r, key in zip(chosen.tolist(), keys)
     ]
     return top, seen, truncated
+
+
+# -- the bench loop that trains every case, verbatim ----------------------
+
+
+def reference_run_benchmark(
+    g: Graph,
+    cases,
+    embed_config: EmbeddingConfig | None = None,
+    embeddings: EmbeddingSet | None = None,
+    threshold: int = DEFAULT_THRESHOLD,
+    top_k: int | None = None,
+    per_tree_limit: int = DEFAULT_PER_TREE_LIMIT,
+    uniform_f: float | None = None,
+    max_edges: int = DEFAULT_MAX_EDGES,
+) -> BenchReport:
+    """``run_benchmark`` before cases with the source graph's training
+    input shared one model: one ``train`` per case."""
+    trains = embeddings is None and uniform_f is None
+    if trains and embed_config is None:
+        raise ValueError("run_benchmark needs embed_config or embeddings")
+    # Once, before any case trains a model it could not use.
+    validate_settings(threshold, top_k, per_tree_limit, max_edges, uniform_f)
+    if trains:
+        embed_config.validate()
+    report = BenchReport()
+    for case in cases:
+        row = BenchRow(name=case.name)
+        report.rows.append(row)
+        started = time.perf_counter()
+        try:
+            truth = case.truth if case.truth is not None else exact_solutions(g, case.query)
+            if not truth:
+                raise ValueError("case has an empty truth set")
+            corrupted = corrupt_graph(g, case.deletions)
+            emb = train(corrupted, embed_config) if trains else embeddings
+            req = RecommendRequest(
+                query=case.query,
+                embeddings=emb,
+                threshold=threshold,
+                top_k=top_k,
+                per_tree_limit=per_tree_limit,
+                max_edges=max_edges,
+                uniform_f=uniform_f,
+            )
+            rec = recommend(corrupted, req)
+            ranked = [s.binding_key for s in rec.solutions]
+            row.rr = reciprocal_rank(ranked, truth)
+            row.mr = mean_rank(ranked, truth)
+            row.candidates = rec.candidates_seen
+            row.truth_size = len(truth)
+        except Exception as exc:  # noqa: BLE001 - cases must not kill the run
+            row.error = f"{type(exc).__name__}: {exc}"
+        row.elapsed = time.perf_counter() - started
+    return report
 
 
 # -- canned graphs ------------------------------------------------------

@@ -702,6 +702,31 @@ def test_bench_json_with_retraining(run, artifacts, bench_dir):
     assert 0.0 <= payload["aggregate"]["mean_rr"] <= 1.0
 
 
+def test_bench_json_marks_the_cases_that_rank_with_the_source_model(run, tmp_path):
+    # deleting b's or c's type keeps C's first appearance (a's type triple),
+    # so those cases train the source graph's input; a p b is relational
+    a = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+    (tmp_path / "g.nt").write_text(
+        f"<e:a> {a} <e:C> .\n<e:a> <e:p> <e:b> .\n<e:b> {a} <e:C> .\n"
+        f"<e:b> <e:p> <e:c> .\n<e:c> {a} <e:C> .\n<e:c> <e:q> <e:a> .\n"
+    )
+    run("ingest", str(tmp_path / "g.nt"), "-o", str(tmp_path / "g.trqg"))
+    (tmp_path / "q.rq").write_text(f"SELECT * WHERE {{ ?x <e:p> ?y . ?y {a} <e:C> . }}\n")
+    (tmp_path / "b.nt").write_text(f"<e:b> {a} <e:C> .\n")
+    (tmp_path / "c.nt").write_text(f"<e:c> {a} <e:C> .\n")
+    (tmp_path / "p.nt").write_text("<e:a> <e:p> <e:b> .\n")
+    (tmp_path / "m.txt").write_text("q.rq b.nt\nq.rq c.nt\nq.rq p.nt\n")
+    argv = ["bench", str(tmp_path / "m.txt"), "--store", str(tmp_path / "g.trqg"), "--epochs", "2"]
+    stdout, _ = run(*argv, "--format", "json")
+    payload = json.loads(stdout)
+    assert payload["schema_version"] == 1
+    v1 = {"name", "rr", "mr", "candidates", "truth_size", "elapsed_s", "error"}
+    assert all(set(case) == v1 | {"source_model"} for case in payload["cases"])
+    assert [case["source_model"] for case in payload["cases"]] == [True, True, False]
+    stdout, _ = run(*argv)
+    assert stdout.split("\n")[0] == "case\trr\tmr\tcandidates\ttruth\telapsed_s\tstatus"
+
+
 def test_bench_explicit_truth_file(run, artifacts, bench_dir):
     store_path, emb_path = artifacts
     truth = bench_dir / "truth.tsv"

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trq.embedding
 import trq.evalkit
-from trq.embedding import EmbeddingConfig
+from trq.embedding import EmbeddingConfig, save_embeddings, training_input
 from trq.evalkit import (
     BenchCase,
     MissingDeletionError,
@@ -24,6 +26,7 @@ from trq.terms import Term, Triple
 
 from conftest import (
     EX,
+    RDF_TYPE_IRI,
     build_graph,
     ex,
     exact_instance,
@@ -32,6 +35,7 @@ from conftest import (
     planted_kg,
     reference_corrupt_graph,
     reference_mean_rank,
+    reference_run_benchmark,
     small_emb,
 )
 
@@ -360,6 +364,115 @@ def test_uniform_f_trains_no_model(bench_world, monkeypatch):
     # without uniform_f, one training per case
     run_benchmark(g, cases, embed_config=cfg)
     assert len(trainings) == 3
+
+
+@pytest.fixture(scope="module")
+def typed_world():
+    rows = []
+    for i in range(4):
+        rows += [(f"m{i}", "type", "Member"), (f"m{i}", "memberOf", "G"), (f"m{i}", "worksAt", "Lab")]
+    rows += [("p0", "type", "Person"), ("p0", "coauth", "m0"), ("p1", "coauth", "m0"), ("p1", "coauth", "m1")]
+    return build_graph(rows + [("p0", "worksAt", "Office"), ("p1", "type", "Person")])
+
+
+def typed_cases(g):
+    def fact(s, p, o):
+        return Triple(*(g.id(Term.iri(RDF_TYPE_IRI) if x == "type" else ex(x)) for x in (s, p, o)))
+
+    q = make_query([pattern("?a", "coauth", "?b"), pattern("?b", "memberOf", "G"), pattern("?b", "type", "Member")])
+    deletions = {
+        "relational": [fact("m0", "memberOf", "G")],
+        # m0's type triple comes first, so Member keeps its first appearance
+        "type-kept": [fact("m1", "type", "Member")],
+        # Member now first appears after m0's other objects: rows renumber
+        "type-moved": [fact("m0", "type", "Member")],
+        "nothing": [],
+        "types-kept": [fact("m2", "type", "Member"), fact("m3", "type", "Member")],
+        "absent": [fact("m0", "coauth", "p0")],
+    }
+    return [BenchCase(name, q, facts) for name, facts in deletions.items()]
+
+
+@pytest.mark.parametrize("include_type_triples", [False, True])
+@pytest.mark.parametrize("model", ["transe", "transh", "transr"])
+def test_cases_with_the_source_input_share_one_model(typed_world, monkeypatch, model, include_type_triples):
+    g = typed_world
+    cases = typed_cases(g)
+    cfg = EmbeddingConfig(model=model, dim=6, epochs=4, batch_size=8, seed=1, include_type_triples=include_type_triples)
+    trainings = []
+    train = trq.evalkit.train
+    monkeypatch.setattr(trq.evalkit, "train", lambda g, cfg: trainings.append(g) or train(g, cfg))
+    report = run_benchmark(g, cases, embed_config=cfg)
+    expected = reference_run_benchmark(g, cases, embed_config=cfg)
+
+    def fields(r):
+        return (r.name, r.rr, r.mr, r.candidates, r.truth_size, r.error)
+
+    assert [fields(r) for r in report.rows] == [fields(r) for r in expected.rows]
+    assert [r.error is None for r in report.rows] == [True] * 5 + [False]
+    # with type triples trained on, every type deletion changes the input
+    shared = ["type-kept", "nothing", "types-kept"] if not include_type_triples else ["nothing"]
+    assert [r.name for r in report.rows if r.source_model] == shared
+    differ = sum(1 for r in report.rows if r.error is None and not r.source_model)
+    assert len(trainings) == differ + 1
+
+
+def test_a_run_with_no_source_input_case_trains_each_case(typed_world, monkeypatch):
+    g = typed_world
+    cases = [c for c in typed_cases(g) if c.name in ("relational", "type-moved")]
+    trainings = []
+    train = trq.evalkit.train
+    monkeypatch.setattr(trq.evalkit, "train", lambda g, cfg: trainings.append(g) or train(g, cfg))
+    report = run_benchmark(g, cases, embed_config=EmbeddingConfig(dim=6, epochs=2, seed=0))
+    assert len(trainings) == 2 and not any(r.source_model for r in report.rows)
+
+
+def test_source_model_is_false_when_nothing_trains(typed_world):
+    g = typed_world
+    cases = typed_cases(g)[:4]
+    for report in (
+        run_benchmark(g, cases, embeddings=small_emb(g, epochs=2)),
+        run_benchmark(g, cases, embed_config=EmbeddingConfig(dim=6, epochs=2), uniform_f=0.5),
+    ):
+        assert not any(r.source_model for r in report.rows)
+
+
+def trqe_bytes(emb) -> bytes:
+    buf = io.BytesIO()
+    save_embeddings(emb, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_equal_training_inputs_train_identical_sets(data):
+    # a random graph with rdf:type facts, its triples written in a random
+    # order so that its ids need not follow first appearance in SPO order
+    ents = st.integers(0, 5)
+    relational = data.draw(st.lists(st.tuples(ents, st.sampled_from(["r0", "r1"]), ents), min_size=1, max_size=10))
+    typed = data.draw(st.lists(st.tuples(ents, st.sampled_from(["C0", "C1", "C2"])), min_size=1, max_size=8))
+    rows = [(f"e{s}", r, f"e{o}") for s, r, o in relational] + [(f"e{s}", "type", c) for s, c in typed]
+    g = build_graph(data.draw(st.permutations(rows)))
+    triples = list(g.triples())
+    type_facts = [t for t in triples if t.p == g.rdf_type_id]
+    pool = data.draw(st.sampled_from([type_facts, triples]))
+    deletions = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+    cfg = EmbeddingConfig(
+        model=data.draw(st.sampled_from(["transe", "transh", "transr"])),
+        dim=4,
+        epochs=3,
+        batch_size=4,
+        negatives_per_positive=data.draw(st.integers(1, 2)),
+        seed=data.draw(st.integers(0, 3)),
+        include_type_triples=data.draw(st.booleans()),
+    )
+    corrupted = corrupt_graph(g, deletions)
+    if training_input(corrupted, cfg) != training_input(g, cfg):
+        return
+    ours, source = trq.embedding.train(corrupted, cfg), trq.embedding.train(g, cfg)
+    assert trqe_bytes(ours) == trqe_bytes(source)
+    assert ours.losses == source.losses
+    assert ours.sampler_redraws == source.sampler_redraws
 
 
 def test_run_benchmark_ranks_every_candidate_of_every_tree():
