@@ -257,6 +257,9 @@ def cmd_stats(args) -> int:
     if args.top < 0:
         raise ValueError(f"--top must be at least 0, got {args.top}")
     g = _load_store(args.store)
+    rid = None if args.relation is None else g.id(Term.iri(args.relation))  # before any output; '' is no IRI
+    if args.relation is not None and rid is None:
+        raise ValueError(f"relation not in graph: <{args.relation}>")
     rel_ids = g.stats.relations()
     index, _, _ = g.ranges()
     s, _, o = index.columns()
@@ -264,10 +267,7 @@ def cmd_stats(args) -> int:
     print(f"terms: {g.term_count}")
     print(f"entities: {len(np.union1d(s, o))}")
     print(f"relations: {len(rel_ids)}")
-    if args.relation:
-        rid = g.id(Term.iri(args.relation))
-        if rid is None:
-            raise ValueError(f"relation not in graph: <{args.relation}>")
+    if rid is not None:
         print(f"<{args.relation}> freq={g.stats.freq(rid)} dom={g.stats.dom(rid)} ran={g.stats.ran(rid)}")
     else:
         by_freq = sorted(rel_ids, key=lambda r: (-g.stats.freq(r), g.term(r).lexical))

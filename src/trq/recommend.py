@@ -13,9 +13,9 @@ They are found through the query's *relaxations* Q - M, the query
 without the patterns of a set M (:func:`relaxations`). At threshold 1
 or 2 the sets M are the distinct sets of ``threshold - 1`` patterns that
 one tree drops: a candidate's miss set lies inside some M, and every
-solution of Q - M is a candidate. At 3 or more each tree is evaluated
-whole, its dropped patterns as M. Q - M holds every pattern of a tree,
-so it binds every variable and its rows are distinct.
+solution of Q - M is a candidate. At 3 or more each tree's dropped
+patterns are one set M. Q - M holds every pattern of a tree, so it
+binds every variable and its rows are distinct.
 
 The query's constants are resolved to term ids once, with
 :func:`~trq.sparql.resolve_patterns`, and every step below reads those
@@ -25,14 +25,14 @@ order:
 
 1. *Evaluate.* Q - M is evaluated once, with at most ``per_tree_limit``
    rows, from the longest prefix of the query's greedy join that avoids
-   M (:class:`~trq.sparql.JoinPrefixes`); a whole tree, or a relaxation
-   whose prefix holds more than ``JOIN_CHUNK`` rows, on its own with
-   :func:`~trq.sparql.evaluate_bgp`.
+   M and holds at most ``JOIN_CHUNK`` rows
+   (:class:`~trq.sparql.JoinPrefixes`).
 2. *Look up.* The patterns of Q - M hold on its rows; only M's patterns
    are looked up, one vectorised lookup each
    (:func:`~trq.scoring.in_graph_flags`). A row's edit distance is the
    count of its False flags, so below ``threshold`` by construction
-   unless M is a whole tree's, whose rows at or over it are dropped.
+   unless M holds ``threshold`` patterns or more (a whole tree's), and
+   then its rows at or over it are dropped.
 3. *Dedupe.* A row is kept under the first relaxation whose M holds
    its miss set. A row repeats one of an earlier relaxation exactly when
    its flags hold on every pattern of its M that the earlier one keeps
@@ -67,14 +67,14 @@ import numpy as np
 from .embedding import EmbeddingSet
 from .qgraph import DEFAULT_MAX_EDGES, SubqueryTree, enumerate_subquery_trees
 from .scoring import ScoredSolution, edge_weights, in_graph_flags, score_table, scored_solution
-from .sparql import JoinPrefixes, Query, evaluate_bgp, resolve_patterns
+from .sparql import JoinPrefixes, Query, resolve_patterns
 from .store import Graph
 
 DEFAULT_THRESHOLD = 2
 DEFAULT_TOP_K = 10
 DEFAULT_PER_TREE_LIMIT = 10_000
 # The largest threshold at which the trees are split into relaxations;
-# above it each tree is evaluated whole (see relaxations).
+# above it each tree's dropped patterns are one relaxation (see relaxations).
 MAX_SPLIT_THRESHOLD = 2
 
 
@@ -241,23 +241,19 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
 
     # every relaxation binds every variable of the query, in name order
     variables = tuple(sorted(q.variables()))
-    split = req.threshold <= MAX_SPLIT_THRESHOLD
-    joined = JoinPrefixes(g, resolved) if split else None
+    joined = JoinPrefixes(g, resolved)
     earlier: list[tuple[tuple[int, ...], np.ndarray | None]] = []
     tables: list[np.ndarray] = []
     flags: list[np.ndarray] = []
     truncated = False
     for dropped in relaxed:
-        result = joined.without(dropped, limit=req.per_tree_limit) if split else None
-        if result is None:  # a whole tree, or a relaxation whose prefix is over JOIN_CHUNK rows
-            kept = [pat for i, pat in enumerate(resolved) if i not in dropped]
-            result = evaluate_bgp(g, kept, limit=req.per_tree_limit)
+        result = joined.without(dropped, limit=req.per_tree_limit)
         truncated = truncated or result.truncated
         table = result.rows
         # the patterns of Q - M hold on its rows; only M's are looked up
         in_graph = in_graph_flags(g, resolved, variables, table, dropped)
         keep = ~_repeated(table, in_graph, dropped, earlier)
-        if not split:  # a whole tree's rows may miss as many patterns as it drops
+        if len(dropped) >= req.threshold:  # a row may miss every pattern of M
             keep &= (~in_graph).sum(axis=1) < req.threshold
         tables.append(table[keep])
         flags.append(in_graph[keep])

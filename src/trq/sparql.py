@@ -78,8 +78,8 @@ patterns left in greedy order from that prefix's variables, under the
 same truncation rule. Where that order opens a part that shares no
 variable with the prefix or the patterns before it, the rows are read
 off the product of the parts, as above, the first part joined from the
-prefix's rows. A relaxation whose prefix is not kept is left to
-:func:`evaluate_bgp`.
+prefix's rows. A relaxation whose prefix is not kept starts from the
+longest kept one, at worst the one empty row.
 """
 
 from __future__ import annotations
@@ -798,23 +798,26 @@ class JoinPrefixes:
             self._prefixes.append(table)
         return self._prefixes[k]
 
-    def without(self, dropped: Collection[int], limit: int | None = None) -> BGPResult | None:
+    def without(self, dropped: Collection[int], limit: int | None = None) -> BGPResult:
         """The solutions of the patterns not in ``dropped`` (indices into
         the resolved patterns), as :func:`evaluate_bgp` gives them under
         the same ``limit`` rule, but in the depth-first order of a join
-        that starts from the rows of the longest prefix that avoids
-        ``dropped`` and takes the other patterns in greedy order from that
+        that starts from the rows of the longest kept prefix that avoids
+        ``dropped`` (at worst the one empty row, where :func:`evaluate_bgp`
+        starts) and takes the other patterns in greedy order from that
         prefix's variables; parts of them that share no variable with the
         prefix or with each other are read off a product, as
-        :func:`evaluate_bgp` reads them. None when that prefix is not
-        kept."""
+        :func:`evaluate_bgp` reads them."""
         m = next((k for k, i in enumerate(self._order) if i in dropped), len(self._order))
-        start = self._prefix(m)
-        if start is None:
-            return None
+        while self._prefix(m) is None:
+            m -= 1
+        start = self._prefixes[m]
         bound = self._columns[: start.shape[1]]
         rest = [self._resolved[i] for i in self._order[m:] if i not in dropped]
-        return _join_parts(self._g, _parts(_greedy(self._g, rest, set(bound)), rest), start, bound, limit)
+        parts = _parts(_greedy(self._g, rest, set(bound)), rest)
+        if not parts[0] and start.shape == _ONE_ROW.shape:  # a product factor of one row
+            del parts[0]
+        return _join_parts(self._g, parts, start, bound, limit)
 
 
 def ask(g: Graph, q: Query) -> bool:

@@ -652,9 +652,13 @@ def test_stats_single_relation(run, artifacts):
 
 
 def test_stats_unknown_relation(run, artifacts):
+    """A relation the graph lacks, a relative IRI and an empty value are
+    each an error named on one line, before any count is printed."""
     store_path, _ = artifacts
-    _, err = run("stats", "--store", str(store_path), "--relation", EX + "zzz", expect=1)
-    assert "not in graph" in err
+    for relation, named in ((EX + "zzz", "not in graph"), ("a b", "must be absolute"), ("", "must be absolute")):
+        stdout, err = run("stats", "--store", str(store_path), "--relation", relation, expect=1)
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
 
 
 # -- bench -------------------------------------------------------------

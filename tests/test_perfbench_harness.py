@@ -40,6 +40,7 @@ ABSENT_TARGETS = [
     "trq.embedding.margin_loss_and_grads",
     "trq.embedding.EmbeddingSet.normalize",
     "trq.embedding.EmbeddingSet.type_vector",
+    "trq.recommend.evaluate_bgp",
     "trq.recommend.edit_distance",
     "trq.scoring.instantiate_ids",
     "trq.recommend.score_solution",

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import trq.sparql as sparql_mod
 from trq.recommend import (
-    MAX_SPLIT_THRESHOLD,
     QueryUnmatchableError,
     Recommendation,
     RecommendRequest,
@@ -18,7 +17,7 @@ from trq.recommend import (
 )
 from trq.qgraph import enumerate_subquery_trees
 from trq.scoring import ScoredSolution, in_graph_flags, score_graph
-from trq.sparql import Const, JoinPrefixes, TriplePattern, Var, evaluate_bgp, parse_query, resolve_patterns
+from trq.sparql import Const, JoinPrefixes, TriplePattern, Var, parse_query, resolve_patterns
 from trq.store import Graph
 
 from conftest import (
@@ -345,16 +344,6 @@ def test_per_tree_limit_sets_truncated_flag(stars):
     assert rec.candidates_seen == len(rec.solutions) == 2
 
 
-def _relaxation_rows(g, resolved, dropped, threshold, limit):
-    """The rows of one relaxation as recommend evaluates it: from the
-    shared join prefixes when the trees are split, on its own otherwise."""
-    if threshold <= MAX_SPLIT_THRESHOLD:
-        result = JoinPrefixes(g, resolved).without(dropped, limit)
-        if result is not None:
-            return result
-    return evaluate_bgp(g, [pat for i, pat in enumerate(resolved) if i not in dropped], limit=limit)
-
-
 def _pooled_oracle(g, q, threshold, limit):
     """``candidates_seen`` and the candidate mappings as pooling every
     relaxation's rows, deduplicating them with ``np.unique`` and cutting
@@ -364,9 +353,10 @@ def _pooled_oracle(g, q, threshold, limit):
     variables = tuple(sorted(q.variables()))
     resolved = resolve_patterns(g, q.patterns)
     sets = relaxations([t for t in enumerate_subquery_trees(q) if t.covered], threshold)
+    joined = JoinPrefixes(g, resolved)
     tables, truncated = [], []
     for dropped in sets:
-        result = _relaxation_rows(g, resolved, dropped, threshold, limit)
+        result = joined.without(dropped, limit)
         tables.append(result.rows)
         truncated.append(result.truncated)
 
@@ -494,9 +484,9 @@ _TWO_TREES = (
 def test_relaxations_match_the_tree_path(instance, limit, chunk):
     """At thresholds 1-4, wherever the tree path is not truncated, the
     relaxations give its candidate set, edit distances and full ranking,
-    also when a join chunk of two rows sends every longer prefix to
-    evaluate_bgp; a query the tree path rejects is rejected with the same
-    error."""
+    also when a join chunk of two rows keeps no longer prefix, so a
+    relaxation starts from a shorter one; a query the tree path rejects
+    is rejected with the same error."""
     triples, patterns = instance
     g = build_graph(triples)
     q = make_query([pattern(*p) for p in patterns])

@@ -757,8 +757,8 @@ def test_join_prefixes_evaluate_the_patterns_left(seed, products):
     the rows ``evaluate_bgp`` gives for the patterns left, in an order of
     its own; under a limit, the first ``limit`` rows of that order, with
     the same truncated flag. With join chunks down to one row, a
-    relaxation whose prefix is over the chunk gives None, and the others
-    still give those rows."""
+    relaxation whose prefix is over the chunk starts from a shorter
+    kept prefix and still gives those rows."""
     import itertools
 
     import trq.sparql as sparql_mod
@@ -774,9 +774,6 @@ def test_join_prefixes_evaluate_the_patterns_left(seed, products):
             for dropped in subsets:
                 want = evaluate_bgp(g, [pat for i, pat in enumerate(resolved) if i not in dropped])
                 full = joined.without(dropped)
-                if full is None:
-                    assert chunk != default_chunk
-                    continue
                 assert full.variables == want.variables
                 assert sorted(full.rows.tolist()) == sorted(want.rows.tolist()), (chunk, dropped)
                 assert not full.truncated
@@ -847,7 +844,8 @@ def test_join_prefixes_keep_a_prefix_up_to_the_chunk(monkeypatch):
     """A relaxation starts from the longest prefix of the greedy order
     that avoids its patterns; the first prefix with more than JOIN_CHUNK
     rows, and every longer one, is not kept, so a relaxation that needs
-    one gives None."""
+    one starts from the longest prefix that is, under the same limit
+    rule."""
     import trq.sparql as sparql_mod
 
     # greedy order: ?x a T (3 rows), ?x p ?y (6 rows), ?y q ?z (6 rows)
@@ -860,7 +858,11 @@ def test_join_prefixes_keep_a_prefix_up_to_the_chunk(monkeypatch):
     joined = sparql_mod.JoinPrefixes(g, resolved)
     assert joined._order == [1, 2, 0]
     monkeypatch.setattr(sparql_mod, "JOIN_CHUNK", 5)
-    assert joined.without({0}) is None  # its prefix (?x a T, ?x p ?y) holds 6 rows
+    # its prefix (?x a T, ?x p ?y) holds 6 rows: it starts from ?x a T (3 rows)
+    full = joined.without({0})
+    assert len(full.rows) == 6 and not full.truncated and full.variables == ("x", "y")
+    cut = joined.without({0}, limit=4)
+    assert cut.rows.tolist() == full.rows[:4].tolist() and cut.truncated
     assert len(joined.without({2}).rows) == 3 * 6  # from the 3-row prefix, then a product
     assert len(joined.without({1}).rows) == 18  # from the one empty row
     assert [len(t) if t is not None else None for t in joined._prefixes] == [1, 3, None]
