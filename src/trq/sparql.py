@@ -15,8 +15,8 @@ A query's constants follow the N-Triples term rules, read by
 ECHAR escape in an IRI) is a :class:`QuerySyntaxError`.
 
 A query's constants become term ids in one place,
-:func:`resolve_patterns`, before anything is planned: every evaluator
-and scorer reads the resolved patterns, and terms are rendered again
+:func:`resolve_patterns`, before anything is planned: the evaluator
+and every scorer read the resolved patterns, and terms are rendered again
 only for output.
 
 Evaluation is an exact, order-preserving columnar bind-join over the
@@ -26,32 +26,29 @@ column per variable) starts as one empty row, and each pattern in turn
 extends every row by the triples it matches under that row, found with
 vectorised index range lookups and taken in the order of the index
 range ``Graph.ranges`` returns; the parent rows keep their order. The
-rows thus come out in the order of a depth-first walk of the patterns,
-whether a step extends the whole table at once (breadth first: the
-parents keep their order and each parent's rows come in range order)
-or is produced in windows of ``JOIN_CHUNK`` rows. Truncation rule: with
-a limit, the result is the first ``limit`` rows in that order, and it
-is flagged truncated exactly when one more row exists after the last of
-them.
+rows thus come out in the order of a depth-first walk of the patterns.
+Truncation rule: with a limit, the result is the first ``limit`` rows
+in that order, and it is flagged truncated exactly when one more row
+exists after the last of them.
 
-A step numbers its output rows in that order. Each parent's rows form
-one run, as long as its range is wide, and row k of parent i reads the
-index key at ``k + lo[i] - start[i]``, where ``start[i]``, the sum of
-the widths before it, is the number of the parent's first row. While a
-step's rows number at most ``JOIN_CHUNK``, the step extends the whole
-table: each parent is repeated by its run length, and its keys are
-read at ``arange(total) + repeat(lo - start, counts)``. A one-row
-table passes its ids to ``Graph.ranges`` as scalars, as does a step
-that binds no column; their one range is read as a slice and paired
-with every row by broadcasting. A step that binds no new variable keeps
-each row once per match and reads no key. The first step with more
-rows, and every step after it, runs as the depth-first walk in windows
-of ``JOIN_CHUNK`` output rows, so memory stays bounded: a window ``[k0,
-k1)`` finds its last parent with one scalar search of the run ends and
-starts at the last parent of the window before it, and its parent map
-repeats each parent in between by its run length, the first and last
-runs clipped to the window. Either way a step costs time in proportion
-to its rows, and its parent map holds at most ``JOIN_CHUNK`` entries.
+A join step numbers its output rows in that order. Each parent's rows
+form one run, as long as its range is wide, and row k of parent i reads
+the index key at ``k + lo[i] - start[i]``, where ``start[i]``, the sum
+of the widths before it, is the number of the parent's first row. A
+step whose rows number at most ``JOIN_CHUNK`` yields them in one
+window: each parent is repeated by its run length, and its keys are
+read at ``arange(total) + repeat(lo - start, counts)``. A one-row table
+passes its ids to ``Graph.ranges`` as scalars, as does a step that
+binds no column; their one range is read as a slice and paired with
+every row by broadcasting. A step that binds no new variable keeps each
+row once per match and reads no key. A step with more rows yields them
+in windows of ``JOIN_CHUNK``: a window ``[k0, k1)`` finds its last
+parent with one scalar search of the run ends and starts at the last
+parent of the window before it, and its parent map repeats each parent
+in between by its run length, the first and last runs clipped to the
+window. The join walks the steps depth first, each window through the
+steps after it before the next window is made, so a step costs time in
+proportion to its rows and holds at most ``JOIN_CHUNK`` of them.
 
 Patterns that share no variable form independent parts (two type
 leaves ``?b a C . ?c a C`` meet only at the constant). The greedy
@@ -59,27 +56,28 @@ order yields the parts itself: a pattern starts a new part when greedy
 picks it while it has a variable and shares none with the variables
 bound so far, which it does only once no remaining pattern shares one,
 so the patterns before it and from it on share no variable. A ground
-pattern (no variable) joins the current part. Each part is joined once,
-from the one empty row, and keeps at most ``limit + 1`` rows. The
-depth-first order over all the patterns is the lexicographic order of
-the parts' product, so the result is read off the part tables by
-mixed-radix index arithmetic, never by joining one part once per row of
-another. ``truncated`` is set exactly when the product of the
-kept part sizes exceeds ``limit``: a part cut at ``limit + 1`` rows
-alone makes the product exceed it.
+pattern (no variable) joins the current part. Each part is joined once
+and keeps at most ``limit + 1`` rows. The depth-first order over all
+the patterns is the lexicographic order of the parts' product, so the
+result is read off the part tables by mixed-radix index arithmetic,
+never by joining one part once per row of another. ``truncated`` is
+set exactly when the product of the kept part sizes exceeds ``limit``:
+a part cut at ``limit + 1`` rows alone makes the product exceed it.
 
-The relaxations of a query (the query without some of its patterns,
-which :mod:`trq.recommend` evaluates) share their joins through
-:class:`JoinPrefixes`. The query is joined once in its greedy order,
-and the rows of each prefix of that order are kept while they number at
-most ``JOIN_CHUNK``. The relaxation without the patterns M starts from
-the rows of the longest prefix that holds no pattern of M and joins the
-patterns left in greedy order from that prefix's variables, under the
-same truncation rule. Where that order opens a part that shares no
-variable with the prefix or the patterns before it, the rows are read
-off the product of the parts, as above, the first part joined from the
-prefix's rows. A relaxation whose prefix is not kept starts from the
-longest kept one, at worst the one empty row.
+There is one evaluator, :class:`JoinPrefixes`, which also shares the
+joins of a query's relaxations (the query without some of its patterns,
+which :mod:`trq.recommend` evaluates); :func:`evaluate_bgp` is its
+relaxation that drops nothing. The rows of each prefix of the query's
+greedy order are joined from the prefix before it when first needed,
+its one new step compiled then, and kept while they number at most
+``JOIN_CHUNK``. A prefix never reaches past a pattern that opens a
+second part, so no prefix holds a product. The relaxation without the
+patterns M starts from the rows of the longest kept prefix that holds
+no pattern of M, at worst the one empty row, and joins the patterns
+left in greedy order from that prefix's variables, under the same
+truncation rule. Where that order opens a part, the rows are read off
+the product of the parts, as above, the first part joined from the
+prefix's rows.
 """
 
 from __future__ import annotations
@@ -537,12 +535,6 @@ def _parts(order: Iterable[tuple[int, bool]], patterns: Sequence[ResolvedPattern
     return parts
 
 
-def _order_patterns(g: Graph, patterns: Sequence[ResolvedPattern]) -> list[list[ResolvedPattern]]:
-    """The greedy join order from no bound variable, cut into
-    variable-disjoint parts (:func:`_parts`); none of them is empty."""
-    return [part for part in _parts(_greedy(g, patterns, set()), patterns) if part]
-
-
 # How a join step treats one triple position: ("const", id), ("col", j)
 # for a variable bound in column j by an earlier step, ("new", j) for a
 # variable this step binds into column j, and ("same", j) for a second
@@ -574,30 +566,65 @@ def _compile(
     return steps, tuple(columns)
 
 
+def _matched(step: list[_Slot], child: np.ndarray, rows: np.ndarray, spo) -> np.ndarray:
+    """``child`` with the step's new variables written from the matched
+    keys ``spo`` through ``rows``, a view of it shaped like them, less the
+    rows where a variable repeated in the pattern takes two values."""
+    keep = None
+    for pos, (kind, j) in enumerate(step):
+        if kind == "new":
+            rows[..., j] = spo[pos]
+        elif kind == "same":
+            same = rows[..., j] == spo[pos]
+            keep = same if keep is None else keep & same
+    return child if keep is None else child[keep.ravel()]
+
+
 def _expand(g: Graph, step: list[_Slot], table: np.ndarray) -> Iterator[np.ndarray]:
     """Extend every row of ``table`` with each triple matching the step's
     pattern under that row, in ``Graph.ranges`` order; parents stay in
-    order. Yields the extended rows in windows of at most JOIN_CHUNK (see
-    the module doc for how a window finds its parents), and none when
-    the table is empty or a constant of the step is unknown (None)."""
+    order. Yields the extended rows in one window when they number at
+    most JOIN_CHUNK, else in windows of JOIN_CHUNK (see the module doc),
+    and none when there are none or a constant of the step is unknown
+    (None)."""
     if not len(table) or ("const", None) in step:
         return
+    w = table.shape[1]
+    width = w + sum(kind == "new" for kind, _ in step)
     bound = [None, None, None]
     for pos, (kind, j) in enumerate(step):
         if kind == "const":
             bound[pos] = j
         elif kind == "col":
-            bound[pos] = table[:, j]
+            bound[pos] = int(table[0, j]) if len(table) == 1 else table[:, j]
     index, lo, hi = g.ranges(*bound)
-    if np.ndim(lo) == 0:  # no column bound: one range serves every row
+    ranged = isinstance(lo, np.ndarray)  # a range per row, else one for every row
+    counts = hi - lo if ranged else int(hi - lo)
+    total = int(counts.sum()) if ranged else counts * len(table)
+    if not total:
+        return
+    if total <= JOIN_CHUNK:
+        if width == w:  # the step binds no new variable: each row stays once per match
+            yield np.repeat(table, counts, axis=0)
+            return
+        child = np.empty((total, width), dtype=np.int64)
+        if ranged:
+            # row k of parent i reads index key k + lo[i] - (the number of its first row)
+            spo = index.columns(np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts))
+            child[:, :w] = np.repeat(table, counts, axis=0)
+            rows = child
+        else:  # the range's keys as a slice, paired with every row by broadcasting
+            spo = index.columns(slice(lo, hi))
+            rows = child.reshape(len(table), counts, width)
+            rows[..., :w] = table[:, None]
+        yield _matched(step, child, rows, spo)
+        return
+    if not ranged:
         lo = np.full(len(table), lo)
-        hi = np.full(len(table), hi)
-    counts = hi - lo
+        counts = np.full(len(table), counts)
     ends = np.cumsum(counts)
     # output row k of parent i reads index key k + shift[i]
     shift = lo - (ends - counts)
-    total = int(ends[-1])
-    width = table.shape[1] + sum(kind == "new" for kind, _ in step)
     p0 = 0  # the window's first parent
     for k0 in range(0, total, JOIN_CHUNK):
         k1 = min(total, k0 + JOIN_CHUNK)
@@ -610,15 +637,8 @@ def _expand(g: Graph, step: list[_Slot], table: np.ndarray) -> Iterator[np.ndarr
         spo = index.columns(np.arange(k0, k1) + shift[parent])
         p0 = p1 - 1
         child = np.empty((k1 - k0, width), dtype=np.int64)
-        child[:, : table.shape[1]] = table[parent]
-        keep = None
-        for pos, (kind, j) in enumerate(step):
-            if kind == "new":
-                child[:, j] = spo[pos]
-            elif kind == "same":
-                same = child[:, j] == spo[pos]
-                keep = same if keep is None else keep & same
-        yield child if keep is None else child[keep]
+        child[:, :w] = table[parent]
+        yield _matched(step, child, child, spo)
 
 
 def _join(g: Graph, steps: list[list[_Slot]], table: np.ndarray, i: int = 0) -> Iterator[np.ndarray]:
@@ -632,69 +652,10 @@ def _join(g: Graph, steps: list[list[_Slot]], table: np.ndarray, i: int = 0) -> 
             yield from _join(g, steps, child, i + 1)
 
 
-def _step(g: Graph, step: list[_Slot], table: np.ndarray) -> np.ndarray | None:
-    """Every row of ``table`` extended with each triple matching the
-    step's pattern under that row, as :func:`_expand` gives them, in one
-    table; None when the matches number more than JOIN_CHUNK (see the
-    module doc)."""
-    w = table.shape[1]
-    width = w + sum(kind == "new" for kind, _ in step)
-    if not len(table) or ("const", None) in step:
-        return np.empty((0, width), dtype=np.int64)
-    one = len(table) == 1
-    bound = [None, None, None]
-    for pos, (kind, j) in enumerate(step):
-        if kind == "const":
-            bound[pos] = j
-        elif kind == "col":
-            bound[pos] = int(table[0, j]) if one else table[:, j]
-    index, lo, hi = g.ranges(*bound)
-    ranged = isinstance(lo, np.ndarray)  # a range per row, else one for every row
-    counts = hi - lo if ranged else int(hi - lo)
-    total = int(counts.sum()) if ranged else counts * len(table)
-    if total > JOIN_CHUNK:
-        return None
-    if not total:
-        return np.empty((0, width), dtype=np.int64)
-    if width == w:  # the step binds no new variable: each row stays once per match
-        return np.repeat(table, counts, axis=0)
-    child = np.empty((total, width), dtype=np.int64)
-    if ranged:
-        # row k of parent i reads index key k + lo[i] - (the number of its first row)
-        spo = index.columns(np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts))
-        child[:, :w] = np.repeat(table, counts, axis=0)
-        rows = child
-    else:  # the range's keys as a slice, paired with every row by broadcasting
-        spo = index.columns(slice(lo, hi))
-        rows = child.reshape(len(table), counts, width)
-        rows[..., :w] = table[:, None]
-    keep = None
-    for pos, (kind, j) in enumerate(step):
-        if kind == "new":
-            rows[..., j] = spo[pos]
-        elif kind == "same":
-            same = rows[..., j] == spo[pos]
-            keep = same if keep is None else keep & same
-    return child if keep is None else child[keep.ravel()]
-
-
 def _first_rows(g: Graph, steps: list[list[_Slot]], table: np.ndarray, width: int, cap: int | None) -> np.ndarray:
     """The first ``cap`` rows of the join of ``steps`` from ``table``, or
-    all of them when ``cap`` is None. Each step extends the whole table
-    (:func:`_step`) while its rows fit in JOIN_CHUNK; from a step that
-    does not, the rest is the depth-first walk in windows (:func:`_walk`)."""
-    for i, step in enumerate(steps):
-        child = _step(g, step, table)
-        if child is None:
-            return _walk(g, steps[i:], table, width, cap)
-        if not len(child):
-            return np.empty((0, width), dtype=np.int64)
-        table = child
-    return table[:cap]
-
-
-def _walk(g: Graph, steps: list[list[_Slot]], table: np.ndarray, width: int, cap: int | None) -> np.ndarray:
-    """:func:`_first_rows` by the depth-first walk in windows alone."""
+    all of them when ``cap`` is None, collected off the depth-first walk
+    (:func:`_join`) until they reach ``cap``."""
     chunks: list[np.ndarray] = []
     kept = 0
     for chunk in _join(g, steps, table):
@@ -747,67 +708,50 @@ def _join_parts(
     return BGPResult(names, rows, limit is not None and total > limit)
 
 
-def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | None = None) -> BGPResult:
-    """Evaluate a basic graph pattern given as :func:`resolve_patterns`
-    tuples.
-
-    Returns every solution mapping over the variables of the patterns
-    (each mapping is total), with the columns in name order and the rows
-    in the depth-first order of the bind-join (see the module doc). With
-    ``limit`` set, the result holds the first ``limit`` rows in that
-    order, and ``truncated`` is set exactly when one more row exists
-    after the last of them. A constant unknown to the graph (a None
-    atom) matches nothing, so the result is then empty.
-
-    The greedy join order comes cut into variable-disjoint parts. Each
-    part is joined once, keeping at most ``limit + 1`` rows, and an empty
-    part ends the evaluation. The depth-first order is the lexicographic
-    order of the parts' product: row k takes from each part the row
-    named by k's mixed-radix digit over the part sizes. ``truncated`` is
-    set exactly when the product of those capped sizes exceeds ``limit``.
-    """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be at least 1")
-    return _join_parts(g, _order_patterns(g, resolved), _ONE_ROW, (), limit)
-
-
 class JoinPrefixes:
-    """A basic graph pattern joined once in its greedy order, from which
-    the pattern without some of its patterns is evaluated (see the module
+    """A basic graph pattern joined in its greedy order, from which the
+    pattern without some of its patterns is evaluated (see the module
     doc). Each prefix of the order is joined from the one before it when
-    first asked for, and kept while it holds at most ``JOIN_CHUNK`` rows;
-    a longer one ends the prefixes kept."""
+    first asked for, its one new step compiled then, and kept while it
+    holds at most ``JOIN_CHUNK`` rows and no pattern that opens a second
+    variable-disjoint part; a prefix that does not ends the prefixes
+    kept."""
 
     def __init__(self, g: Graph, resolved: Sequence[ResolvedPattern]):
         self._g = g
         self._resolved = resolved
-        self._order = [i for i, _ in _greedy(g, resolved, set())]
-        self._steps, self._columns = _compile([resolved[i] for i in self._order])
+        order = _greedy(g, resolved, set())
+        self._order = [i for i, _ in order]
+        self._opens = [opens for _, opens in order]
         self._prefixes: list[np.ndarray | None] = [_ONE_ROW]
+        self._columns: tuple[str, ...] = ()  # of the longest prefix kept so far
 
     def _prefix(self, k: int) -> np.ndarray | None:
-        """The rows of the first ``k`` patterns of the order, or None when
-        they, or those of a shorter prefix, number more than JOIN_CHUNK."""
+        """The rows of the first ``k`` patterns of the order, their
+        columns the first of ``_columns``, or None when they, or those of
+        a shorter prefix, number more than JOIN_CHUNK or hold a product."""
         while len(self._prefixes) <= k:
-            table = self._prefixes[-1]
+            table, n = self._prefixes[-1], len(self._prefixes) - 1
+            if self._opens[n] and self._columns:  # a second part: the product is read off the parts
+                table = None
             if table is not None:
-                step = self._steps[len(self._prefixes) - 1]
-                width = table.shape[1] + sum(kind == "new" for kind, _ in step)
-                table = _first_rows(self._g, [step], table, width, JOIN_CHUNK + 1)
+                steps, self._columns = _compile([self._resolved[self._order[n]]], self._columns)
+                table = _first_rows(self._g, steps, table, len(self._columns), JOIN_CHUNK + 1)
                 table = None if len(table) > JOIN_CHUNK else table
             self._prefixes.append(table)
         return self._prefixes[k]
 
     def without(self, dropped: Collection[int], limit: int | None = None) -> BGPResult:
         """The solutions of the patterns not in ``dropped`` (indices into
-        the resolved patterns), as :func:`evaluate_bgp` gives them under
-        the same ``limit`` rule, but in the depth-first order of a join
-        that starts from the rows of the longest kept prefix that avoids
-        ``dropped`` (at worst the one empty row, where :func:`evaluate_bgp`
-        starts) and takes the other patterns in greedy order from that
-        prefix's variables; parts of them that share no variable with the
-        prefix or with each other are read off a product, as
-        :func:`evaluate_bgp` reads them."""
+        the resolved patterns) under the ``limit`` rule of
+        :func:`evaluate_bgp`, in the depth-first order of a join that
+        starts from the rows of the longest kept prefix that avoids
+        ``dropped`` (at worst the one empty row) and takes the other
+        patterns in greedy order from that prefix's variables; parts of
+        them that share no variable with the prefix or with each other
+        are read off a product (see the module doc)."""
+        if limit is not None and limit < 1:
+            raise ValueError("limit must be at least 1")
         m = next((k for k, i in enumerate(self._order) if i in dropped), len(self._order))
         while self._prefix(m) is None:
             m -= 1
@@ -818,6 +762,21 @@ class JoinPrefixes:
         if not parts[0] and start.shape == _ONE_ROW.shape:  # a product factor of one row
             del parts[0]
         return _join_parts(self._g, parts, start, bound, limit)
+
+
+def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | None = None) -> BGPResult:
+    """Evaluate a basic graph pattern given as :func:`resolve_patterns`
+    tuples: the shared-prefix join with no pattern dropped.
+
+    Returns every solution mapping over the variables of the patterns
+    (each mapping is total), with the columns in name order and the rows
+    in the depth-first order of the bind-join (see the module doc). With
+    ``limit`` set, at least 1, the result holds the first ``limit`` rows
+    in that order, and ``truncated`` is set exactly when one more row
+    exists after the last of them. A constant unknown to the graph (a
+    None atom) matches nothing, so the result is then empty.
+    """
+    return JoinPrefixes(g, resolved).without((), limit)
 
 
 def ask(g: Graph, q: Query) -> bool:

@@ -51,7 +51,7 @@ from trq.recommend import (
     validate_settings,
 )
 from trq.scoring import EdgeScore, ScoredSolution, edge_weights, in_graph_flags, score_table, scored_solution
-from trq.sparql import Atom, Const, Var, _cardinality_estimate, _names, _order_patterns, evaluate_bgp, resolve_patterns
+from trq.sparql import Atom, Const, Var, _cardinality_estimate, _names, evaluate_bgp, resolve_patterns
 
 EX = "http://example.org/"
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -184,8 +184,8 @@ def brute_candidates(g: Graph, patterns, threshold: int) -> dict[tuple, int]:
 def reference_evaluate_bgp(g: Graph, resolved, limit: int | None = None):
     """The scalar depth-first evaluator that the columnar join replaced.
 
-    Walks the resolved patterns (``resolve_patterns`` tuples) in
-    ``trq.sparql``'s greedy order, its parts flattened, one
+    Walks the resolved patterns (``resolve_patterns`` tuples) in the
+    greedy order of :func:`reference_greedy` from no bound variable, one
     :func:`match_triples` scan per binding, copying the binding dict at
     every step. Returns (mappings, truncated) under the same limit rule
     as ``evaluate_bgp``, each mapping keyed in name order; a constant
@@ -193,7 +193,7 @@ def reference_evaluate_bgp(g: Graph, resolved, limit: int | None = None):
     """
     if any(None in pat for pat in resolved):
         return [], False
-    order = [pat for part in _order_patterns(g, tuple(resolved)) for pat in part]
+    order = [resolved[i] for i, _ in reference_greedy(g, resolved, set())]
 
     def resolve(atom, binding):
         if not isinstance(atom, str):

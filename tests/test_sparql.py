@@ -440,6 +440,14 @@ def _ordered(mappings):
     return [list(m.items()) for m in mappings]
 
 
+def _greedy_parts(g, resolved):
+    """The greedy join order from no bound variable, cut into its
+    variable-disjoint parts, less an empty first part."""
+    import trq.sparql as sparql_mod
+
+    return [part for part in sparql_mod._parts(sparql_mod._greedy(g, resolved, set()), resolved) if part]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_join_matches_reference_walk(seed):
@@ -485,7 +493,7 @@ def test_windows_find_their_parents_by_run_length(monkeypatch):
     )
     pats = (pattern("?x", "type", "T"), pattern("?x", "p", "?y"))
     resolved = resolve_patterns(g, pats)
-    assert [pat for part in sparql_mod._order_patterns(g, resolved) for pat in part] == resolved
+    assert [pat for part in _greedy_parts(g, resolved) for pat in part] == resolved
     monkeypatch.setattr(sparql_mod, "JOIN_CHUNK", 2)
     steps, _ = sparql_mod._compile(resolved)
     parents = np.array([[g.id(ex(f"x{i}"))] for i in range(len(children))])
@@ -540,10 +548,11 @@ def test_whole_table_steps_match_the_windowed_walk(seed, parents):
 
 
 def test_a_step_over_the_chunk_walks_in_windows_from_there(monkeypatch):
-    """At JOIN_CHUNK = 4 the first step's 2 rows extend the whole table;
-    the second step's 6 rows do not fit, so it and the third step run as
-    the windowed depth-first walk: the second step on the 2-row table,
-    the third on each of its windows of 4 and 2 rows."""
+    """At JOIN_CHUNK = 4 the first step's 2 rows come in one window of the
+    whole table; the second step's 6 rows do not fit, so they come in
+    windows of 4 and 2, and the third step runs on each of them: 8 rows
+    in windows of 4 from the first, and from the second 4 rows, which fit,
+    in one window."""
     import trq.sparql as sparql_mod
 
     g = build_graph(
@@ -558,13 +567,16 @@ def test_a_step_over_the_chunk_walks_in_windows_from_there(monkeypatch):
     real_expand = sparql_mod._expand
 
     def recorded(g, step, table):
-        walked.append((next(i for i, s in enumerate(steps) if s is step), len(table)))
-        yield from real_expand(g, step, table)
+        windows = []
+        walked.append((next(i for i, s in enumerate(steps) if s is step), len(table), windows))
+        for window in real_expand(g, step, table):
+            windows.append(len(window))
+            yield window
 
     monkeypatch.setattr(sparql_mod, "_expand", recorded)
     start = np.empty((1, 0), dtype=np.int64)
     rows = sparql_mod._first_rows(g, steps, start, len(columns), None)
-    assert walked == [(1, 2), (2, 4), (2, 2)]
+    assert walked == [(0, 1, [2]), (1, 2, [4, 2]), (2, 4, [4, 4]), (2, 2, [4])]
     assert len(rows) == 12
     assert rows.tolist() == reference_first_rows(g, steps, start, len(columns), None).tolist()
 
@@ -630,7 +642,7 @@ def test_product_of_parts_matches_reference_walk(seed):
     resolved = resolve_patterns(g, pats)
     full, _ = reference_evaluate_bgp(g, resolved)
     limits = {1, 2, len(full), len(full) + 1}
-    for part in sparql_mod._order_patterns(g, resolved):
+    for part in _greedy_parts(g, resolved):
         size = len(reference_evaluate_bgp(g, part)[0])
         limits |= {size - 1, size, size + 1}
     expected = {None: (full, False)}
@@ -680,7 +692,7 @@ def test_greedy_order_comes_cut_into_variable_disjoint_parts(seed):
     rng = np.random.default_rng(seed)
     for g, pats in (_random_bgp(rng), _product_bgp(rng)):
         resolved = resolve_patterns(g, pats)
-        parts = sparql_mod._order_patterns(g, resolved)
+        parts = _greedy_parts(g, resolved)
         assert all(parts)
         assert [pat for part in parts for pat in part] == _greedy_order(g, resolved)
         bound = set()
@@ -696,13 +708,12 @@ def test_greedy_order_comes_cut_into_variable_disjoint_parts(seed):
 
 
 def count_step_rows(monkeypatch) -> list[int]:
-    """The rows each join step yields from now on, whether it extends a
-    whole table or the windows of a depth-first walk (one entry per
-    call)."""
+    """The rows each join step yields from now on, over all its windows
+    (one entry per call of ``_expand``)."""
     import trq.sparql as sparql_mod
 
     yielded = []
-    real_expand, real_step = sparql_mod._expand, sparql_mod._step
+    real_expand = sparql_mod._expand
 
     def counting_expand(g, step, table):
         yielded.append(0)
@@ -710,13 +721,7 @@ def count_step_rows(monkeypatch) -> list[int]:
             yielded[-1] += len(child)
             yield child
 
-    def counting_step(g, step, table):
-        child = real_step(g, step, table)
-        yielded.append(0 if child is None else len(child))
-        return child
-
     monkeypatch.setattr(sparql_mod, "_expand", counting_expand)
-    monkeypatch.setattr(sparql_mod, "_step", counting_step)
     return yielded
 
 
@@ -741,13 +746,30 @@ def test_product_is_never_enumerated_past_the_limit(monkeypatch):
     # a first part with no row stops the evaluation before the second is looked up
     pats = (pattern("?f", "film0", "?x"), pattern("?p", "type", "Person"))
     resolved = resolve_patterns(g, pats)
-    assert sparql_mod._order_patterns(g, resolved)[0][0] == resolved[0]
+    assert _greedy_parts(g, resolved)[0][0] == resolved[0]
     ranges = []
     real_ranges = type(g).ranges
     monkeypatch.setattr(type(g), "ranges", lambda self, *a: ranges.append(a) or real_ranges(self, *a))
     res = evaluate_bgp(g, resolved, limit)
     assert len(res.rows) == 0 and not res.truncated and res.variables == ("f", "p", "x")
     assert len(ranges) == 1
+
+
+def test_a_prefix_never_holds_a_product_of_parts(monkeypatch):
+    """``?f in K . K has ?p`` meet only at K, a constant that is no leaf.
+    The shared prefixes ``recommend`` joins from stop before the pattern
+    that opens the second part, so no join step yields more rows than
+    one pattern matches, not the product's 75,000, and the candidates
+    are the product's first rows."""
+    from trq.recommend import RecommendRequest, recommend
+
+    g = build_graph([(f"f{i}", "in", "K") for i in range(300)] + [("K", "has", f"p{j}") for j in range(250)])
+    q = parse_query(PROLOG + "SELECT * WHERE { ?f ex:in ex:K . ex:K ex:has ?p . }")
+    yielded = count_step_rows(monkeypatch)
+    rec = recommend(g, RecommendRequest(query=q, embeddings=None, per_tree_limit=10, uniform_f=0.5))
+    assert yielded and max(yielded) <= 300
+    assert rec.candidates_seen == 10 and rec.truncated
+    assert [s.binding_key for s in rec.solutions] == [(ex(f"f{i}").nt(), ex("p0").nt()) for i in range(10)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -807,6 +829,8 @@ def test_join_prefixes_order_the_rest_as_greedy_does(seed):
                 orders.clear()
                 assert joined.without({i}) is not None
                 m = joined._order.index(i)
+                while joined._prefix(m) is None:  # the prefix it starts from
+                    m -= 1
                 bound = set(joined._columns[: joined._prefix(m).shape[1]])
                 rest = [resolved[j] for j in joined._order[m:] if j != i]
                 assert orders == [reference_greedy(g, rest, bound)], i
@@ -869,8 +893,14 @@ def test_join_prefixes_keep_a_prefix_up_to_the_chunk(monkeypatch):
 
 
 def test_limit_must_be_positive(films):
+    import trq.sparql as sparql_mod
+
     with pytest.raises(ValueError):
         evaluate(films, (pattern("?f", "starring", "?a"),), limit=0)
+    joined = sparql_mod.JoinPrefixes(films, resolve_patterns(films, (pattern("?f", "starring", "?a"),)))
+    for limit in (0, -1, -2):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            joined.without((), limit)
 
 
 def test_join_order_invariance(films):
@@ -906,6 +936,30 @@ def test_ask_ground(films):
 def test_ask_with_variables(films):
     assert ask(films, parse_query(PROLOG + "ASK { ?f ex:starring ?a . ?a ex:spouse ?b . }"))
     assert not ask(films, parse_query(PROLOG + "ASK { ?a ex:spouse ex:cat . }"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.booleans())
+def test_ask_and_exact_solutions_match_brute_force(seed, products):
+    """``ask`` holds exactly when the brute-force evaluation has a
+    solution, and ``exact_solutions`` is that evaluation's solutions as
+    N-Triples terms, for joins and products and join chunks down to one
+    row."""
+    import trq.sparql as sparql_mod
+    from trq.evalkit import exact_solutions
+
+    g, pats = (_product_bgp if products else _random_bgp)(np.random.default_rng(seed))
+    q = Query(QueryForm.SELECT, pats, tuple(sorted(set().union(*[p.variables() for p in pats]))))
+    brute = brute_solutions(g, pats)
+    want = {tuple(g.term(t).nt() for _, t in m) for m in brute}
+    default_chunk = sparql_mod.JOIN_CHUNK
+    try:
+        for chunk in (default_chunk, 1, 3):
+            sparql_mod.JOIN_CHUNK = chunk
+            assert ask(g, Query(QueryForm.ASK, pats)) == bool(brute), chunk
+            assert exact_solutions(g, q) == want, chunk
+    finally:
+        sparql_mod.JOIN_CHUNK = default_chunk
 
 
 def test_movie_query_shape_parses():
