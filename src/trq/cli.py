@@ -329,7 +329,6 @@ def cmd_bench(args) -> int:
                     "truth_size": r.truth_size,
                     "elapsed_s": r.elapsed,
                     "error": r.error,
-                    "source_model": r.source_model,
                 }
                 for r in report.rows
             ],
@@ -337,6 +336,7 @@ def cmd_bench(args) -> int:
                 "mean_rr": report.mean_rr,
                 "mean_mr": report.mean_mr,
                 "failures": report.failures,
+                "train_s": report.train_s,
             },
         }
         print(json.dumps(payload, indent=2))
@@ -350,7 +350,7 @@ def cmd_bench(args) -> int:
         if report.mean_rr is not None:
             print(
                 f"# mean_rr={report.mean_rr:.6g} mean_mr={report.mean_mr:.6g} "
-                f"failures={report.failures}",
+                f"failures={report.failures} train_s={report.train_s:.3f}",
                 file=sys.stderr,
             )
     return 1 if report.failures else 0
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="manifest file: query deletions [truth] per line")
     p.add_argument("--store", default=_env("STORE", str, None))
     p.add_argument("--embeddings", action=_Given, default=_env("EMBEDDINGS", str, None),
-                   help="reuse one TRQE file instead of retraining per case")
+                   help="rank with this TRQE file instead of training one model for the run")
     _add_train_options(p)
     _add_query_options(p)
     p.add_argument("--uniform-f", type=float, default=None,

@@ -556,12 +556,11 @@ class TrainingInput:
     ``ent_ids`` and ``rel_ids`` give each row's term id in the graph read,
     and ``ent_row`` and ``rel_row`` each term id's row (-1 = none).
 
-    Two inputs are equal when their keys and triples are; the ids are the
-    graph's own numbering and take no part. :func:`train` reads nothing
-    else of the graph: its sampler asks only whether a candidate on a
-    training relation is known, and every triple of the graph on such a
-    relation is a training triple. So graphs with equal inputs train
-    byte-identical sets under one config.
+    :func:`train` reads nothing else of the graph: its sampler asks only
+    whether a candidate on a training relation is known, and every triple
+    of the graph on such a relation is a training triple. So graphs with
+    the same keys and triples train byte-identical sets under one config;
+    the ids are the graph's own numbering and take no part.
     """
 
     entity_keys: list[bytes]
@@ -571,15 +570,6 @@ class TrainingInput:
     rel_ids: np.ndarray
     ent_row: np.ndarray
     rel_row: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrainingInput):
-            return NotImplemented
-        return (
-            self.entity_keys == other.entity_keys
-            and self.relation_keys == other.relation_keys
-            and np.array_equal(self.triples, other.triples)
-        )
 
 
 def training_input(g: Graph, cfg: EmbeddingConfig) -> TrainingInput:

@@ -10,6 +10,8 @@ missing from the ranking is charged rank len(ranking) + 1.
 A benchmark case deletes facts from the source graph (making the query
 unanswerable exactly), recommends approximate solutions over the
 corrupted graph, and measures where the original exact solutions land.
+A run trains one model with every case's deletions held out, as link
+prediction holds out every test fact (Bordes et al., NIPS 2013, section 4).
 
 :func:`load_cases` reads a manifest's files with :func:`~trq.ntriples.read_lines`.
 """
@@ -23,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingConfig, EmbeddingSet, train, training_input
+from .embedding import EmbeddingConfig, EmbeddingSet, train
 from .ntriples import NTriplesError, parse_line, parse_term, read_lines
 from .qgraph import DEFAULT_MAX_EDGES
 from .recommend import (
@@ -78,21 +80,23 @@ def _nt_line(g: Graph, t: Triple) -> str:
     return " ".join(g.term(x).nt() if 0 <= x < g.term_count else f"(term id {x})" for x in t) + " ."
 
 
-def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
-    """A new graph without the deleted facts; every deletion must exist.
-
-    One ``contains_rows`` lookup checks every deletion, and
-    :meth:`~trq.store.Graph.without` drops them: ids follow first
-    appearance in the kept SPO triples, but the terms (blank labels too)
-    are the source's.
-    """
+def _deletion_rows(g: Graph, deletions: Iterable[Triple]) -> np.ndarray:
+    """The distinct deletions as an (n, 3) id array; one ``contains_rows``
+    lookup raises :class:`MissingDeletionError` if the graph lacks any."""
     todel = sorted(set(deletions))
     rows = np.array(todel, dtype=np.int64).reshape(-1, 3)
     present = ((rows >= 0) & (rows < g.term_count)).all(axis=1)
     present[present] = g.contains_rows(*rows[present].T)
     if not present.all():
         raise MissingDeletionError({t: _nt_line(g, t) for t, ok in zip(todel, present.tolist()) if not ok})
-    return g.without(rows)
+    return rows
+
+
+def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
+    """A new graph without the deleted facts, every one of which ``g`` must
+    hold (:meth:`~trq.store.Graph.without`): ids follow first appearance in
+    the kept SPO triples, but the terms (blank labels too) are the source's."""
+    return g.without(_deletion_rows(g, deletions))
 
 
 def exact_solutions(g: Graph, q: Query) -> set[BindingTuple]:
@@ -117,16 +121,14 @@ class BenchRow:
     mr: float | None = None
     candidates: int = 0
     truth_size: int = 0
-    elapsed: float = 0.0
+    elapsed: float = 0.0  # the case's own work; training is in BenchReport.train_s
     error: str | None = None
-    # the case's training input equals the source graph's, so it ranks
-    # with the model run_benchmark trains once for all such cases
-    source_model: bool = False
 
 
 @dataclass
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
+    train_s: float = 0.0  # the run's one training, 0.0 when nothing trains
 
     @property
     def failures(self) -> int:
@@ -156,34 +158,43 @@ def run_benchmark(
 ) -> BenchReport:
     """Run every case, charging metrics against the original exact answers.
 
-    By default each case ranks with an embedding set trained on its
-    corrupted graph (the deleted facts then carry no direct training
-    signal). Graphs with equal training inputs
-    (:func:`~trq.embedding.training_input`) train byte-identical sets,
-    so every case whose input equals the source graph's, such as one
-    that deletes only an rdf:type fact while type triples are not
-    trained on, ranks with one shared set and has ``source_model`` set:
-    the first such case trains it and the later ones reuse it, so their
-    ``elapsed`` holds no training. Every other case trains its own set,
-    and no set of an earlier case is kept but the shared one. Passing
-    ``embeddings`` reuses one set trained on the source graph instead.
-    With ``uniform_f`` no score reads an embedding, so nothing is trained
-    and neither source is needed. A case failure is recorded on its row
-    and does not stop the run; a recommend setting, or a training option
-    of the ``embed_config`` the cases train with, out of range raises
-    ValueError before any case runs. ``top_k=None`` ranks every surviving
-    candidate.
+    By default the run trains one embedding set, on the source graph
+    without the deletions of every case whose deletions it holds, and
+    each case ranks with it on its own corrupted graph: no case's deleted
+    facts carry training signal. ``train_s`` holds that training, no
+    case's ``elapsed``; if it fails, each case that would rank with the
+    set records the error. Passing ``embeddings`` reuses one set trained
+    on the source graph instead. With ``uniform_f`` no score reads an
+    embedding, so nothing is trained and neither source is needed. A
+    case failure is recorded on its row and does not stop the run; a
+    recommend setting, or a training option of ``embed_config``, out of
+    range raises ValueError before any case runs. ``top_k=None`` ranks
+    every surviving candidate.
     """
     trains = embeddings is None and uniform_f is None
     if trains and embed_config is None:
         raise ValueError("run_benchmark needs embed_config or embeddings")
-    # Once, before any case trains a model it could not use.
+    # Once, before the run trains a model it could not use.
     validate_settings(threshold, top_k, per_tree_limit, max_edges, uniform_f)
+    report = BenchReport()
+    failed_training = None
     if trains:
         embed_config.validate()
-    source = training_input(g, embed_config) if trains else None
-    shared = None  # trained by the first case whose input equals the source's
-    report = BenchReport()
+        present = []  # the cases whose deletions the graph holds
+        for case in cases:
+            try:
+                _deletion_rows(g, case.deletions)
+            except Exception:  # noqa: BLE001 - the case's own row records it below
+                continue
+            present.append(case)
+        if present:
+            started = time.perf_counter()
+            held_out = {t for case in present for t in case.deletions}
+            try:
+                embeddings = train(corrupt_graph(g, held_out), embed_config)
+            except Exception as exc:  # noqa: BLE001 - recorded on every case that ranks with it
+                failed_training = exc
+            report.train_s = time.perf_counter() - started
     for case in cases:
         row = BenchRow(name=case.name)
         report.rows.append(row)
@@ -193,15 +204,11 @@ def run_benchmark(
             if not truth:
                 raise ValueError("case has an empty truth set")
             corrupted = corrupt_graph(g, case.deletions)
-            emb = embeddings
-            if trains:
-                row.source_model = training_input(corrupted, embed_config) == source
-                if row.source_model and shared is None:
-                    shared = train(corrupted, embed_config)
-                emb = shared if row.source_model else train(corrupted, embed_config)
+            if failed_training is not None:
+                raise failed_training.with_traceback(None)
             req = RecommendRequest(
                 query=case.query,
-                embeddings=emb,
+                embeddings=embeddings,
                 threshold=threshold,
                 top_k=top_k,
                 per_tree_limit=per_tree_limit,

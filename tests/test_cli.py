@@ -706,9 +706,8 @@ def test_bench_json_with_retraining(run, artifacts, bench_dir):
     assert 0.0 <= payload["aggregate"]["mean_rr"] <= 1.0
 
 
-def test_bench_json_marks_the_cases_that_rank_with_the_source_model(run, tmp_path):
-    # deleting b's or c's type keeps C's first appearance (a's type triple),
-    # so those cases train the source graph's input; a p b is relational
+def test_bench_reports_the_training_time_once(run, tmp_path):
+    # two rdf:type deletions and one relational deletion, ranked with one model
     a = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
     (tmp_path / "g.nt").write_text(
         f"<e:a> {a} <e:C> .\n<e:a> <e:p> <e:b> .\n<e:b> {a} <e:C> .\n"
@@ -725,10 +724,12 @@ def test_bench_json_marks_the_cases_that_rank_with_the_source_model(run, tmp_pat
     payload = json.loads(stdout)
     assert payload["schema_version"] == 1
     v1 = {"name", "rr", "mr", "candidates", "truth_size", "elapsed_s", "error"}
-    assert all(set(case) == v1 | {"source_model"} for case in payload["cases"])
-    assert [case["source_model"] for case in payload["cases"]] == [True, True, False]
-    stdout, _ = run(*argv)
+    assert all(set(case) == v1 for case in payload["cases"])
+    assert set(payload["aggregate"]) == {"mean_rr", "mean_mr", "failures", "train_s"}
+    assert payload["aggregate"]["train_s"] > 0 and payload["aggregate"]["failures"] == 0
+    stdout, err = run(*argv)
     assert stdout.split("\n")[0] == "case\trr\tmr\tcandidates\ttruth\telapsed_s\tstatus"
+    assert "train_s" not in stdout and err.count(" train_s=") == 1
 
 
 def test_bench_explicit_truth_file(run, artifacts, bench_dir):

@@ -45,6 +45,7 @@ from conftest import (
     pattern,
     planted_kg,
     reference_extended_score,
+    reference_run_benchmark,
     reference_score_triple,
     reference_train_step,
     row_score,
@@ -823,6 +824,25 @@ def test_run_benchmark_records_divergence_on_the_case(bench_graph):
         report = run_benchmark(bench_graph, [BenchCase("c", q, [deleted])], embed_config=cfg)
     assert report.failures == 1
     assert report.rows[0].error.startswith("NonFiniteEmbeddingError")
+
+
+def test_a_diverged_training_is_recorded_on_every_case_that_ranks_with_it(bench_graph):
+    g = bench_graph
+    q = make_query([pattern("?a", "linked", "?b"), pattern("?b", "attr0", "val0_00")])
+    deleted = match_triples(g, None, g.id(ex("attr0")), g.id(ex("val0_00")))
+    absent = match_triples(g, None, g.id(ex("attr0")), g.id(ex("val0_01")))[0]._replace(o=g.id(ex("val0_00")))
+    cases = [BenchCase("a", q, deleted[:1]), BenchCase("absent", q, [absent]), BenchCase("b", q, deleted[1:3])]
+    cases.append(BenchCase("nothing", q, []))
+    cfg = EmbeddingConfig(dim=8, epochs=5, learning_rate=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_benchmark(g, cases, embed_config=cfg)
+        expected = reference_run_benchmark(g, cases, embed_config=cfg)
+    assert [r.error for r in report.rows] == [r.error for r in expected.rows]
+    errors = [r.error.split(":")[0] for r in report.rows]
+    assert errors == ["NonFiniteEmbeddingError", "MissingDeletionError"] + ["NonFiniteEmbeddingError"] * 2
+    assert report.rows[0].error == report.rows[2].error == report.rows[3].error
+    assert report.train_s > 0
 
 
 @functools.cache

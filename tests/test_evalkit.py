@@ -28,6 +28,7 @@ from conftest import (
     EX,
     RDF_TYPE_IRI,
     build_graph,
+    deletion_cases,
     ex,
     exact_instance,
     make_query,
@@ -361,9 +362,9 @@ def test_uniform_f_trains_no_model(bench_world, monkeypatch):
     with_set = run_benchmark(g, cases, embeddings=small_emb(g, epochs=3), uniform_f=0.5)
     assert [(r.rr, r.mr, r.candidates) for r in skipped.rows] == [(r.rr, r.mr, r.candidates) for r in with_set.rows]
     assert rankings[:3] == rankings[3:]
-    # without uniform_f, one training per case
+    # without uniform_f, one training for the run
     run_benchmark(g, cases, embed_config=cfg)
-    assert len(trainings) == 3
+    assert len(trainings) == 1
 
 
 @pytest.fixture(scope="module")
@@ -388,53 +389,78 @@ def typed_cases(g):
         "type-moved": [fact("m0", "type", "Member")],
         "nothing": [],
         "types-kept": [fact("m2", "type", "Member"), fact("m3", "type", "Member")],
-        "absent": [fact("m0", "coauth", "p0")],
+        # a fact the graph holds beside one it lacks: neither is held out
+        "absent": [fact("m1", "memberOf", "G"), fact("m0", "coauth", "p0")],
     }
     return [BenchCase(name, q, facts) for name, facts in deletions.items()]
 
 
+def bench_fields(r):
+    return (r.name, r.rr, r.mr, r.candidates, r.truth_size, r.error)
+
+
 @pytest.mark.parametrize("include_type_triples", [False, True])
 @pytest.mark.parametrize("model", ["transe", "transh", "transr"])
-def test_cases_with_the_source_input_share_one_model(typed_world, monkeypatch, model, include_type_triples):
+def test_a_run_trains_one_model_without_every_present_deletion(typed_world, monkeypatch, model, include_type_triples):
     g = typed_world
-    cases = typed_cases(g)
     cfg = EmbeddingConfig(model=model, dim=6, epochs=4, batch_size=8, seed=1, include_type_triples=include_type_triples)
     trainings = []
     train = trq.evalkit.train
     monkeypatch.setattr(trq.evalkit, "train", lambda g, cfg: trainings.append(g) or train(g, cfg))
-    report = run_benchmark(g, cases, embed_config=cfg)
-    expected = reference_run_benchmark(g, cases, embed_config=cfg)
-
-    def fields(r):
-        return (r.name, r.rr, r.mr, r.candidates, r.truth_size, r.error)
-
-    assert [fields(r) for r in report.rows] == [fields(r) for r in expected.rows]
-    assert [r.error is None for r in report.rows] == [True] * 5 + [False]
-    # with type triples trained on, every type deletion changes the input
-    shared = ["type-kept", "nothing", "types-kept"] if not include_type_triples else ["nothing"]
-    assert [r.name for r in report.rows if r.source_model] == shared
-    differ = sum(1 for r in report.rows if r.error is None and not r.source_model)
-    assert len(trainings) == differ + 1
-
-
-def test_a_run_with_no_source_input_case_trains_each_case(typed_world, monkeypatch):
-    g = typed_world
-    cases = [c for c in typed_cases(g) if c.name in ("relational", "type-moved")]
-    trainings = []
-    train = trq.evalkit.train
-    monkeypatch.setattr(trq.evalkit, "train", lambda g, cfg: trainings.append(g) or train(g, cfg))
-    report = run_benchmark(g, cases, embed_config=EmbeddingConfig(dim=6, epochs=2, seed=0))
-    assert len(trainings) == 2 and not any(r.source_model for r in report.rows)
+    for n in (1, 2, 6):
+        cases = typed_cases(g)[:n]
+        trainings.clear()
+        report = run_benchmark(g, cases, embed_config=cfg)
+        assert [bench_fields(r) for r in report.rows] == [
+            bench_fields(r) for r in reference_run_benchmark(g, cases, embed_config=cfg).rows
+        ]
+        assert [r.error is None for r in report.rows] == [c.name != "absent" for c in cases]
+        assert len(trainings) == 1 and report.train_s > 0
+        held_out = corrupt_graph(g, {t for c in cases if c.name != "absent" for t in c.deletions})
+        [trained] = trainings
+        assert list(trained.triples()) == list(held_out.triples())
+        assert [trained.term(i) for i in range(trained.term_count)] == [
+            held_out.term(i) for i in range(held_out.term_count)
+        ]
 
 
-def test_source_model_is_false_when_nothing_trains(typed_world):
+def test_a_run_that_trains_nothing_reports_no_training_time(typed_world):
     g = typed_world
     cases = typed_cases(g)[:4]
     for report in (
         run_benchmark(g, cases, embeddings=small_emb(g, epochs=2)),
         run_benchmark(g, cases, embed_config=EmbeddingConfig(dim=6, epochs=2), uniform_f=0.5),
+        run_benchmark(g, typed_cases(g)[5:], embed_config=EmbeddingConfig(dim=6, epochs=2)),
     ):
-        assert not any(r.source_model for r in report.rows)
+        assert report.train_s == 0.0
+
+
+# (name, rr, mr, candidates, truth_size, error) of one fixed run per model:
+# a change that moves any bench ranking fails here. A change that moves them
+# on purpose updates these rows and says why.
+_ABSENT = (
+    "MissingDeletionError: 1 deletion(s) not present in the graph: "
+    "<http://example.org/n004> <http://example.org/attr0> <http://example.org/val0_01> ."
+)
+PINNED_BENCH_ROWS = {
+    "transe": [2.8, 3.8, 3.8, 2.0],
+    "transh": [3.6, 4.2, 5.0, 3.4],
+    "transr": [2.4, 3.8, 4.8, 3.0],
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_BENCH_ROWS))
+def test_a_fixed_run_gives_the_pinned_rows(model):
+    g, items = planted_kg(n_clusters=8)
+    cases = [
+        BenchCase(name, parse_query(text), [Triple(*(g.id(ex(x)) for x in fact))])
+        for name, text, fact in deletion_cases(items, 4)
+    ]
+    cases.append(BenchCase("absent", cases[0].query, [Triple(*(g.id(ex(x)) for x in (items[0][0], "attr0", "val0_01")))]))
+    cfg = EmbeddingConfig(model=model, dim=8, epochs=20, batch_size=32, learning_rate=0.1, margin=2.0, norm="l2", seed=3)
+    report = run_benchmark(g, cases, embed_config=cfg)
+    expected = [(f"cluster-{i:02d}", 1.0, mr, 40, 5, None) for i, mr in enumerate(PINNED_BENCH_ROWS[model])]
+    assert [bench_fields(r) for r in report.rows] == expected + [("absent", None, None, 0, 0, _ABSENT)]
 
 
 def trqe_bytes(emb) -> bytes:
@@ -467,7 +493,10 @@ def test_equal_training_inputs_train_identical_sets(data):
         include_type_triples=data.draw(st.booleans()),
     )
     corrupted = corrupt_graph(g, deletions)
-    if training_input(corrupted, cfg) != training_input(g, cfg):
+    ours_in, source_in = training_input(corrupted, cfg), training_input(g, cfg)
+    if (ours_in.entity_keys, ours_in.relation_keys) != (source_in.entity_keys, source_in.relation_keys):
+        return
+    if not np.array_equal(ours_in.triples, source_in.triples):
         return
     ours, source = trq.embedding.train(corrupted, cfg), trq.embedding.train(g, cfg)
     assert trqe_bytes(ours) == trqe_bytes(source)
