@@ -424,6 +424,20 @@ def test_a_run_trains_one_model_without_every_present_deletion(typed_world, monk
         ]
 
 
+def test_a_run_whose_every_case_deletes_trains_one_model(typed_world, monkeypatch):
+    g = typed_world
+    cases = [c for c in typed_cases(g) if c.name in ("relational", "type-moved")]
+    trainings = []
+    train = trq.evalkit.train
+    monkeypatch.setattr(trq.evalkit, "train", lambda g, cfg: trainings.append(g) or train(g, cfg))
+    report = run_benchmark(g, cases, embed_config=EmbeddingConfig(dim=6, epochs=2, seed=0))
+    assert len(trainings) == 1 and report.train_s > 0
+    assert all(r.error is None for r in report.rows)
+    [trained] = trainings
+    held_out = corrupt_graph(g, {t for c in cases for t in c.deletions})
+    assert list(trained.triples()) == list(held_out.triples())
+
+
 def test_a_run_that_trains_nothing_reports_no_training_time(typed_world):
     g = typed_world
     cases = typed_cases(g)[:4]
