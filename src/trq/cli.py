@@ -10,7 +10,9 @@ errors occurred. Every option except ``--output``, ``--lax``,
 a ``TRQ_``-prefixed environment variable (e.g. ``TRQ_STORE``,
 ``TRQ_MODEL``, ``TRQ_TOP_K``) before its built-in default. Booleans read
 ``1/true/yes/on`` or ``0/false/no/off``; any other value, a number
-that does not parse, or a word outside an option's choices is an error.
+that does not parse, or a word outside an option's choices is an error,
+as is an unknown option, a malformed value or a missing argument on the
+command line.
 
 Text inputs are read by :mod:`trq.ntriples`: a fault reads ``error:
 {path}: line N: ...``, stdin (``-``) named ``<stdin>``.
@@ -149,7 +151,7 @@ def cmd_train(args) -> int:
 
 def cmd_plan(args) -> int:
     q = sparql.parse_query("\n".join(read_lines(args.query)))
-    trees = qgraph.enumerate_subquery_trees(q, max_edges=args.max_edges)
+    trees = qgraph.enumerate_subquery_trees(q)
     print(f"{len(q.patterns)} patterns, {len(trees)} subquery tree(s)")
     for i, tree in enumerate(trees, start=1):
         print(f"tree {i}/{len(trees)}: covers {list(tree.covered)}, drops {list(tree.dropped)}")
@@ -165,7 +167,6 @@ def _request_from_args(args, q: Query, emb: embedding.EmbeddingSet) -> Recommend
         threshold=args.threshold,
         top_k=args.top_k,
         per_tree_limit=args.per_tree_limit,
-        max_edges=args.max_edges,
     )
 
 
@@ -294,7 +295,7 @@ def _reject_unread_options(args) -> None:
 
 def cmd_bench(args) -> int:
     # a setting out of range is named before an option that would go unread
-    validate_settings(args.threshold, None, args.per_tree_limit, args.max_edges, args.uniform_f)
+    validate_settings(args.threshold, None, args.per_tree_limit, args.uniform_f)
     _reject_unread_options(args)
     g = _load_store(args.store)
     cases = evalkit.load_cases(g, args.manifest)
@@ -313,7 +314,6 @@ def cmd_bench(args) -> int:
         threshold=args.threshold,
         top_k=None,
         per_tree_limit=args.per_tree_limit,
-        max_edges=args.max_edges,
         uniform_f=args.uniform_f,
     )
 
@@ -359,6 +359,14 @@ def cmd_bench(args) -> int:
 # -- argument wiring ---------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, which ``main`` prints as one
+    ``error:`` line with exit status 1; subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 class _Given(argparse.Action):
     """Store the option's value, or ``const`` for a flag, and add the
     option to ``given``: the ones the command line gave, not a default."""
@@ -393,11 +401,10 @@ def _add_query_options(p: argparse.ArgumentParser) -> None:
         help="rows kept per relaxation of the query (per subquery tree at a threshold of 3 or more); "
         "a relaxation that has more sets the truncated flag",
     )
-    p.add_argument("--max-edges", type=int, default=_env("MAX_EDGES", int, qgraph.DEFAULT_MAX_EDGES))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trq",
         description="Approximate SPARQL basic-graph-pattern answering over RDF graphs",
     )
@@ -418,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="show a query's subquery trees")
     p.add_argument("query", help="query file, or - for stdin")
-    p.add_argument("--max-edges", type=int, default=_env("MAX_EDGES", int, qgraph.DEFAULT_MAX_EDGES))
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("query", help="rank approximate solutions for a query")

@@ -27,7 +27,6 @@ import numpy as np
 
 from .embedding import EmbeddingConfig, EmbeddingSet, train
 from .ntriples import NTriplesError, parse_line, parse_term, read_lines
-from .qgraph import DEFAULT_MAX_EDGES
 from .recommend import (
     DEFAULT_PER_TREE_LIMIT,
     DEFAULT_THRESHOLD,
@@ -154,7 +153,6 @@ def run_benchmark(
     top_k: int | None = None,
     per_tree_limit: int = DEFAULT_PER_TREE_LIMIT,
     uniform_f: float | None = None,
-    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> BenchReport:
     """Run every case, charging metrics against the original exact answers.
 
@@ -175,7 +173,7 @@ def run_benchmark(
     if trains and embed_config is None:
         raise ValueError("run_benchmark needs embed_config or embeddings")
     # Once, before the run trains a model it could not use.
-    validate_settings(threshold, top_k, per_tree_limit, max_edges, uniform_f)
+    validate_settings(threshold, top_k, per_tree_limit, uniform_f)
     report = BenchReport()
     failed_training = None
     if trains:
@@ -212,7 +210,6 @@ def run_benchmark(
                 threshold=threshold,
                 top_k=top_k,
                 per_tree_limit=per_tree_limit,
-                max_edges=max_edges,
                 uniform_f=uniform_f,
             )
             rec = recommend(corrupted, req)

@@ -24,7 +24,10 @@ from dataclasses import dataclass
 
 from .sparql import Atom, Const, Query, TriplePattern, Var
 
-DEFAULT_MAX_EDGES = 16
+# Edges one query's stripped graph may keep. It bounds what
+# MAX_COMBINATIONS does not: a cycle of n variables has only n
+# combinations, but n relaxations at threshold 2, each ordered in O(n^2).
+MAX_EDGES = 16
 # Spanning-tree candidates C(|E|, |V|-1) one query may enumerate.
 MAX_COMBINATIONS = 50_000
 
@@ -45,11 +48,11 @@ class NoVariableError(ValueError):
 
 
 class BudgetExceededError(ValueError):
-    def __init__(self, edges: int, choose: int, combinations: int, max_edges: int | None = None):
-        if max_edges is None:
-            detail = f"C({edges},{choose}) = {combinations} spanning-tree candidates"
+    def __init__(self, edges: int, choose: int, combinations: int):
+        if edges > MAX_EDGES:
+            detail = f"{edges} edges after constant-leaf removal, more than the cap of {MAX_EDGES}"
         else:
-            detail = f"{edges} edges after constant-leaf removal, more than max_edges = {max_edges}"
+            detail = f"C({edges},{choose}) = {combinations} spanning-tree candidates"
         super().__init__(f"combinatorial budget exceeded: {detail}")
         self.edges = edges
         self.choose = choose
@@ -105,19 +108,17 @@ def _unions(edges: Sequence[int], ends: list[tuple[int, int]], n_nodes: int) -> 
     return joined
 
 
-def enumerate_subquery_trees(q: Query, max_edges: int = DEFAULT_MAX_EDGES) -> list[SubqueryTree]:
+def enumerate_subquery_trees(q: Query) -> list[SubqueryTree]:
     """All distinct re-stripped spanning trees of the stripped query graph.
 
     Raises NoVariableError when no subject or object of the query is a
     variable, DisconnectedQueryError when the stripped graph is
-    disconnected and BudgetExceededError when the C(|E|, |V|-1)
-    enumeration would exceed ``MAX_COMBINATIONS``, naming the edge cap
-    when it is what trips. Trees come in ``itertools.combinations``
+    disconnected and BudgetExceededError when the stripped graph keeps
+    more than ``MAX_EDGES`` edges or the C(|E|, |V|-1) enumeration would
+    exceed ``MAX_COMBINATIONS``. Trees come in ``itertools.combinations``
     order over the stripped edges, and every one keeps every variable of
     the query.
     """
-    if max_edges < 1:
-        raise ValueError("max_edges must be at least 1")
     node: dict[Atom, int] = {}
     ends = [(node.setdefault(p.s, len(node)), node.setdefault(p.o, len(node))) for p in q.patterns]
     is_const = [isinstance(a, Const) for a in node]
@@ -131,9 +132,7 @@ def enumerate_subquery_trees(q: Query, max_edges: int = DEFAULT_MAX_EDGES) -> li
     if _unions(edges, ends, len(node)) < choose:
         raise DisconnectedQueryError("query graph is disconnected after constant-leaf removal")
     total = math.comb(len(edges), choose) if len(edges) >= choose else 0
-    if len(edges) > max_edges:
-        raise BudgetExceededError(len(edges), choose, total, max_edges)
-    if total > MAX_COMBINATIONS:
+    if len(edges) > MAX_EDGES or total > MAX_COMBINATIONS:
         raise BudgetExceededError(len(edges), choose, total)
 
     # equal patterns share the index of the first, so the sorted shared

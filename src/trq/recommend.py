@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import EmbeddingSet
-from .qgraph import DEFAULT_MAX_EDGES, SubqueryTree, enumerate_subquery_trees
+from .qgraph import SubqueryTree, enumerate_subquery_trees
 from .scoring import ScoredSolution, edge_weights, in_graph_flags, score_table, scored_solution
 from .sparql import JoinPrefixes, Query, resolve_patterns
 from .store import Graph
@@ -93,18 +93,15 @@ class RecommendRequest:
     threshold: int = DEFAULT_THRESHOLD
     top_k: int | None = DEFAULT_TOP_K  # None: every candidate
     per_tree_limit: int = DEFAULT_PER_TREE_LIMIT
-    max_edges: int = DEFAULT_MAX_EDGES
     uniform_f: float | None = None  # ablation hook: constant f for every edge
 
     def validate(self) -> None:
-        validate_settings(self.threshold, self.top_k, self.per_tree_limit, self.max_edges, self.uniform_f)
+        validate_settings(self.threshold, self.top_k, self.per_tree_limit, self.uniform_f)
         if self.embeddings is None and self.uniform_f is None:
             raise ValueError("a request without embeddings needs uniform_f")
 
 
-def validate_settings(
-    threshold: int, top_k: int | None, per_tree_limit: int, max_edges: int, uniform_f: float | None
-) -> None:
+def validate_settings(threshold: int, top_k: int | None, per_tree_limit: int, uniform_f: float | None) -> None:
     """Raise ValueError for a :class:`RecommendRequest` setting out of range."""
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
@@ -112,8 +109,6 @@ def validate_settings(
         raise ValueError("top_k must be at least 1")
     if per_tree_limit < 1:
         raise ValueError("per_tree_limit must be at least 1")
-    if max_edges < 1:
-        raise ValueError("max_edges must be at least 1")
     if uniform_f is not None and not (math.isfinite(uniform_f) and 0 < uniform_f <= 1):
         raise ValueError(f"uniform_f must be a finite number in (0, 1], got {uniform_f}")
 
@@ -230,7 +225,7 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
             "query patterns with variable predicates cannot be scored; "
             "bind the predicate or drop the pattern"
         )
-    trees = enumerate_subquery_trees(q, max_edges=req.max_edges)
+    trees = enumerate_subquery_trees(q)
     usable = [t for t in trees if t.covered]
     relaxed = relaxations(usable, req.threshold)
     t1 = time.perf_counter()

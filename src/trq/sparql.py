@@ -64,10 +64,10 @@ never by joining one part once per row of another. ``truncated`` is
 set exactly when the product of the kept part sizes exceeds ``limit``:
 a part cut at ``limit + 1`` rows alone makes the product exceed it.
 
-There is one evaluator, :class:`JoinPrefixes`, which also shares the
-joins of a query's relaxations (the query without some of its patterns,
-which :mod:`trq.recommend` evaluates); :func:`evaluate_bgp` is its
-relaxation that drops nothing. The rows of each prefix of the query's
+:func:`evaluate_bgp` joins a basic graph pattern once from the one empty row.
+:class:`JoinPrefixes` shares the joins of a query's relaxations (the
+query without some of its patterns, which :mod:`trq.recommend`
+evaluates) through the same join. The rows of each prefix of the query's
 greedy order are joined from the prefix before it when first needed,
 its one new step compiled then, and kept while they number at most
 ``JOIN_CHUNK``. A prefix never reaches past a pattern that opens a
@@ -675,16 +675,22 @@ _ONE_ROW = np.empty((1, 0), dtype=np.int64)
 
 def _join_parts(
     g: Graph,
-    parts: list[list[ResolvedPattern]],
+    patterns: Sequence[ResolvedPattern],
     start: np.ndarray,
     bound: Sequence[str],
     limit: int | None,
 ) -> BGPResult:
-    """The solutions of variable-disjoint ``parts`` under the ``limit``
-    rule of :func:`evaluate_bgp`: the first part joined from the rows
-    ``start``, whose columns bind ``bound``, and each other part from the
-    one empty row, each keeping at most ``limit + 1`` rows, and the rows
-    read off the parts' product (see the module doc)."""
+    """The solutions of ``patterns`` under the ``limit`` rule of
+    :func:`evaluate_bgp`, taken in greedy order from the variables
+    ``bound`` and cut into variable-disjoint parts: the first part joined
+    from the rows ``start``, whose columns bind ``bound``, and each other
+    part from the one empty row, each keeping at most ``limit + 1`` rows,
+    and the rows read off the parts' product (see the module doc)."""
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
+    parts = _parts(_greedy(g, patterns, set(bound)), patterns)
+    if not parts[0] and start.shape == _ONE_ROW.shape:  # a product factor of one row
+        del parts[0]
     compiled = [_compile(part, bound if k == 0 else ()) for k, part in enumerate(parts)]
     names = tuple(sorted(v for _, variables in compiled for v in variables))
     cap = None if limit is None else limit + 1
@@ -750,23 +756,17 @@ class JoinPrefixes:
         patterns in greedy order from that prefix's variables; parts of
         them that share no variable with the prefix or with each other
         are read off a product (see the module doc)."""
-        if limit is not None and limit < 1:
-            raise ValueError("limit must be at least 1")
         m = next((k for k, i in enumerate(self._order) if i in dropped), len(self._order))
         while self._prefix(m) is None:
             m -= 1
         start = self._prefixes[m]
-        bound = self._columns[: start.shape[1]]
         rest = [self._resolved[i] for i in self._order[m:] if i not in dropped]
-        parts = _parts(_greedy(self._g, rest, set(bound)), rest)
-        if not parts[0] and start.shape == _ONE_ROW.shape:  # a product factor of one row
-            del parts[0]
-        return _join_parts(self._g, parts, start, bound, limit)
+        return _join_parts(self._g, rest, start, self._columns[: start.shape[1]], limit)
 
 
 def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | None = None) -> BGPResult:
     """Evaluate a basic graph pattern given as :func:`resolve_patterns`
-    tuples: the shared-prefix join with no pattern dropped.
+    tuples: one join from the one empty row, in greedy order.
 
     Returns every solution mapping over the variables of the patterns
     (each mapping is total), with the columns in name order and the rows
@@ -776,7 +776,7 @@ def evaluate_bgp(g: Graph, resolved: Sequence[ResolvedPattern], limit: int | Non
     exists after the last of them. A constant unknown to the graph (a
     None atom) matches nothing, so the result is then empty.
     """
-    return JoinPrefixes(g, resolved).without((), limit)
+    return _join_parts(g, resolved, _ONE_ROW, (), limit)
 
 
 def ask(g: Graph, q: Query) -> bool:

@@ -32,8 +32,8 @@ from trq.embedding import TRANSE, TRANSH, EmbeddingSet, _norm_values, _pair_grad
 from trq.evalkit import BenchReport, BenchRow, corrupt_graph, exact_solutions, mean_rank, reciprocal_rank
 from trq.ntriples import NTriplesError, _parse_blank, _skip_ws, parse_line
 from trq.qgraph import (
-    DEFAULT_MAX_EDGES,
     MAX_COMBINATIONS,
+    MAX_EDGES,
     BudgetExceededError,
     DisconnectedQueryError,
     NoVariableError,
@@ -991,18 +991,16 @@ def canonical_form(g: QueryGraph) -> str:
     return ";".join(rows)
 
 
-def reference_subquery_trees(q: Query, max_edges: int = DEFAULT_MAX_EDGES) -> list[SubqueryTree]:
+def reference_subquery_trees(q: Query) -> list[SubqueryTree]:
     """All distinct re-stripped spanning trees of the reduced query graph.
 
     Raises NoVariableError when no subject or object of the query is a
     variable, DisconnectedQueryError when the reduced graph is
-    disconnected and BudgetExceededError when the C(|E|, |V|-1)
-    enumeration would exceed ``MAX_COMBINATIONS``, naming the edge cap
-    when it is what trips. Every returned tree preserves the full variable
-    set of the query.
+    disconnected and BudgetExceededError when the reduced graph keeps
+    more than ``MAX_EDGES`` edges or the C(|E|, |V|-1) enumeration would
+    exceed ``MAX_COMBINATIONS``. Every returned tree preserves the full
+    variable set of the query.
     """
-    if max_edges < 1:
-        raise ValueError("max_edges must be at least 1")
     reduced = del_constant_leaf(build_query_graph(q))
     # del_constant_leaf never strips a variable node
     if not reduced.variables():
@@ -1012,9 +1010,7 @@ def reference_subquery_trees(q: Query, max_edges: int = DEFAULT_MAX_EDGES) -> li
     n_edges = len(reduced.edges)
     choose = len(reduced.nodes) - 1
     total = math.comb(n_edges, choose) if n_edges >= choose else 0
-    if n_edges > max_edges:
-        raise BudgetExceededError(n_edges, choose, total, max_edges)
-    if total > MAX_COMBINATIONS:
+    if n_edges > MAX_EDGES or total > MAX_COMBINATIONS:
         raise BudgetExceededError(n_edges, choose, total)
 
     all_origins = frozenset(range(len(q.patterns)))
@@ -1072,7 +1068,7 @@ def reference_recommend(g: Graph, req) -> tuple[list[ScoredSolution], int, bool]
             "query patterns with variable predicates cannot be scored; "
             "bind the predicate or drop the pattern"
         )
-    trees = enumerate_subquery_trees(q, max_edges=req.max_edges)
+    trees = enumerate_subquery_trees(q)
     usable = [t for t in trees if t.covered]
     if not usable:
         raise QueryUnmatchableError(
@@ -1130,7 +1126,6 @@ def reference_run_benchmark(
     top_k: int | None = None,
     per_tree_limit: int = DEFAULT_PER_TREE_LIMIT,
     uniform_f: float | None = None,
-    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> BenchReport:
     """``run_benchmark`` as its protocol reads: one ``train`` on the source
     graph without the deletions of every case whose every deletion is a
@@ -1139,7 +1134,7 @@ def reference_run_benchmark(
     trains = embeddings is None and uniform_f is None
     if trains and embed_config is None:
         raise ValueError("run_benchmark needs embed_config or embeddings")
-    validate_settings(threshold, top_k, per_tree_limit, max_edges, uniform_f)
+    validate_settings(threshold, top_k, per_tree_limit, uniform_f)
     training_error = None
     if trains:
         embed_config.validate()
@@ -1169,7 +1164,6 @@ def reference_run_benchmark(
                     threshold=threshold,
                     top_k=top_k,
                     per_tree_limit=per_tree_limit,
-                    max_edges=max_edges,
                     uniform_f=uniform_f,
                 )
                 rec = recommend(corrupted, req)

@@ -333,11 +333,12 @@ def test_plan_output_is_pinned(run, tmp_path, name):
 @pytest.mark.parametrize("verb", ["plan", "query"])
 @pytest.mark.parametrize("max_edges", ["0", "-1"])
 def test_max_edges_below_one_is_a_named_error(run, artifacts, movie_query_file, verb, max_edges):
+    # the edge cap is qgraph.MAX_EDGES, so no value of the option is read
     store_path, emb_path = artifacts
     args = [] if verb == "plan" else ["--store", str(store_path), "--embeddings", str(emb_path)]
     stdout, err = run(verb, str(movie_query_file), *args, "--max-edges", max_edges, expect=1)
     assert stdout == ""
-    assert err == "error: max_edges must be at least 1\n"
+    assert err == f"error: unrecognized arguments: --max-edges {max_edges}\n"
 
 
 def test_plan_reports_syntax_errors(run, tmp_path):
@@ -492,6 +493,55 @@ def test_defaults_come_from_the_library(monkeypatch):
     assert (args.threshold, args.per_tree_limit, args.top_k) == (
         DEFAULT_THRESHOLD, DEFAULT_PER_TREE_LIMIT, DEFAULT_TOP_K,
     )
+
+
+# Command lines that fail to parse, and the word their error line names.
+USAGE_ERRORS = [
+    (["ingest", "g.nt", "-o", "g.trqg", "--bogus"], "--bogus"),
+    (["ingest", "-o", "g.trqg"], "input"),
+    (["train", "-o", "g.trqe", "--bogus"], "--bogus"),
+    (["train", "-o", "g.trqe", "--dim", "abc"], "--dim"),
+    (["train"], "--output"),
+    (["plan", "q.rq", "--bogus"], "--bogus"),
+    (["plan", "q.rq", "--max-edges", "3"], "--max-edges"),
+    (["plan"], "query"),
+    (["query", "q.rq", "--bogus"], "--bogus"),
+    (["query", "q.rq", "--top-k", "abc"], "--top-k"),
+    (["query", "q.rq", "--max-edges", "3"], "--max-edges"),
+    (["query"], "query"),
+    (["ask", "q.rq", "--bogus"], "--bogus"),
+    (["ask"], "query"),
+    (["stats", "--bogus"], "--bogus"),
+    (["stats", "--top", "abc"], "--top"),
+    (["bench", "m", "--bogus"], "--bogus"),
+    (["bench", "m", "--epochs", "abc"], "--epochs"),
+    (["bench", "m", "--max-edges", "3"], "--max-edges"),
+    (["bench"], "manifest"),
+    (["nosuchverb"], "nosuchverb"),
+    ([], "command"),
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS, ids=[" ".join(a) or "none" for a, _ in USAGE_ERRORS])
+def test_usage_error_is_one_named_error_line(run, argv, named):
+    stdout, err = run(*argv, expect=1)
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("verb", ["ingest", "train", "plan", "query", "ask", "stats", "bench"])
+def test_help_exits_zero(capsys, verb):
+    with pytest.raises(SystemExit) as e:
+        main([verb, "--help"])
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: trq {verb}") and "--max-edges" not in out
+
+
+def test_an_edge_cap_in_the_environment_is_ignored(run, movie_query_file, monkeypatch):
+    monkeypatch.setenv("TRQ_MAX_EDGES", "1")
+    stdout, _ = run("plan", str(movie_query_file))
+    assert "subquery tree(s)" in stdout
 
 
 def test_query_unsupported_feature_is_clean_error(run, artifacts, tmp_path):
@@ -1021,10 +1071,12 @@ def test_bench_max_edges_below_one_is_a_named_error(run, artifacts, bench_dir, m
     )
     # rejected before any case trains, so no report is printed
     assert stdout == "" and trained == []
-    assert err == "error: max_edges must be at least 1\n"
+    assert err == f"error: unrecognized arguments: --max-edges {max_edges}\n"
 
 
-def test_bench_max_edges_caps_each_case(run, artifacts, bench_dir):
+def test_bench_max_edges_caps_each_case(run, artifacts, bench_dir, monkeypatch):
+    import trq.qgraph
+
     store_path, emb_path = artifacts
     # two edges are left after ?f a ex:Film is removed as a constant leaf
     (bench_dir / "q.rq").write_text(
@@ -1034,13 +1086,14 @@ def test_bench_max_edges_caps_each_case(run, artifacts, bench_dir):
         "bench", str(bench_dir / "bench.manifest"),
         "--store", str(store_path), "--embeddings", str(emb_path), "--format", "json",
     ]
-    stdout, _ = run(*args, "--max-edges", "2")
+    stdout, _ = run(*args)
     assert json.loads(stdout)["cases"][0]["error"] is None
-    stdout, _ = run(*args, "--max-edges", "1", expect=1)
+    monkeypatch.setattr(trq.qgraph, "MAX_EDGES", 1)
+    stdout, _ = run(*args, expect=1)
     [case] = json.loads(stdout)["cases"]
     assert case["error"] == (
         "BudgetExceededError: combinatorial budget exceeded: "
-        "2 edges after constant-leaf removal, more than max_edges = 1"
+        "2 edges after constant-leaf removal, more than the cap of 1"
     )
 
 

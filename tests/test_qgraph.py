@@ -262,19 +262,13 @@ def test_budget_error_reports_counts(monkeypatch):
 def test_max_edges_budget():
     pats = [pattern(f"?v{i}", "p", f"?v{i + 1}") for i in range(17)]
     with pytest.raises(BudgetExceededError) as e:
-        enumerate_subquery_trees(make_query(pats), max_edges=16)
+        enumerate_subquery_trees(make_query(pats))
     # the edge cap trips, not the combinations: C(17,17) = 1
     assert (e.value.edges, e.value.choose, e.value.combinations) == (17, 17, 1)
-    assert "17 edges" in str(e.value) and "max_edges = 16" in str(e.value)
+    assert str(e.value) == (
+        "combinatorial budget exceeded: 17 edges after constant-leaf removal, more than the cap of 16"
+    )
     assert "spanning-tree candidates" not in str(e.value)
-
-
-@pytest.mark.parametrize("max_edges", [0, -1])
-def test_max_edges_below_one_is_rejected(max_edges):
-    q = make_query([pattern("?x", "p", "?y"), pattern("?y", "q", "?z")])
-    with pytest.raises(ValueError, match="max_edges must be at least 1") as e:
-        enumerate_subquery_trees(q, max_edges=max_edges)
-    assert not isinstance(e.value, BudgetExceededError)
 
 
 def test_degenerate_single_node_query_yields_no_edges():
@@ -302,10 +296,10 @@ NODES = ("?a", "?b", "?c", "?d", "?a", "?b", "?c", "c1", "c2", "c1",
 PREDICATES = ("p", "q", "?v")
 
 
-def outcome(enumerate_, q, max_edges):
+def outcome(enumerate_, q):
     """The trees as (covered, dropped) index tuples, or the error raised."""
     try:
-        trees = enumerate_(q, max_edges)
+        trees = enumerate_(q)
     except ValueError as exc:
         counts = (exc.edges, exc.choose, exc.combinations) if isinstance(exc, BudgetExceededError) else None
         return type(exc), str(exc), counts
@@ -318,7 +312,7 @@ def outcome(enumerate_, q, max_edges):
 @settings(max_examples=400, deadline=None)
 @given(
     st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(PREDICATES), st.sampled_from(NODES)), min_size=1, max_size=8),
-    st.sampled_from([16, 16, 3, 0]),
+    st.sampled_from([16, 16, 3, 1]),
     st.sampled_from([trq.qgraph.MAX_COMBINATIONS, trq.qgraph.MAX_COMBINATIONS, 2]),
 )
 @example(  # parallel edges, a duplicated pattern and a self-loop
@@ -333,10 +327,13 @@ def outcome(enumerate_, q, max_edges):
 @example([("?a", "p", "?b"), ("?b", "p", "?c"), ("?c", "p", "?a")], 16, 2)  # combinations cap
 def test_trees_match_the_graph_object_enumerator(patterns, max_edges, max_combinations):
     q = make_query([pattern(*t) for t in patterns])
-    with mock.patch.object(trq.qgraph, "MAX_COMBINATIONS", max_combinations), mock.patch.object(
-        conftest, "MAX_COMBINATIONS", max_combinations
+    with (
+        mock.patch.object(trq.qgraph, "MAX_COMBINATIONS", max_combinations),
+        mock.patch.object(conftest, "MAX_COMBINATIONS", max_combinations),
+        mock.patch.object(trq.qgraph, "MAX_EDGES", max_edges),
+        mock.patch.object(conftest, "MAX_EDGES", max_edges),
     ):
-        assert outcome(enumerate_subquery_trees, q, max_edges) == outcome(reference_subquery_trees, q, max_edges)
+        assert outcome(enumerate_subquery_trees, q) == outcome(reference_subquery_trees, q)
 
 
 def test_trees_whose_label_strings_join_alike_stay_apart():

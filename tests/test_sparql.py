@@ -938,6 +938,18 @@ def test_ask_with_variables(films):
     assert not ask(films, parse_query(PROLOG + "ASK { ?a ex:spouse ex:cat . }"))
 
 
+def test_ask_joins_once_from_the_one_empty_row(monkeypatch):
+    """``ask`` joins its pattern once, in windows of JOIN_CHUNK, and stops
+    at the first: no prefix is joined past the chunk and thrown away."""
+    import trq.sparql as sparql_mod
+
+    g = build_graph([(f"x{i}", "p", f"y{i}") for i in range(10)])
+    monkeypatch.setattr(sparql_mod, "JOIN_CHUNK", 4)
+    yielded = count_step_rows(monkeypatch)
+    assert ask(g, parse_query(PROLOG + "ASK { ?x ex:p ?y . }"))
+    assert sum(yielded) <= 4
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.booleans())
 def test_ask_and_exact_solutions_match_brute_force(seed, products):
