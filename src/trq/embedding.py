@@ -445,10 +445,17 @@ class EmbeddingSet:
 
     def bind(self, g: Graph) -> BoundEmbeddings:
         """The view of this set over ``g``. The last view built is returned
-        again for the same graph, so a caller may bind ahead of time."""
+        again for the same graph, so a caller may bind ahead of time. The
+        alignment reads the term table alone, so a graph that shares the
+        last view's table (one :meth:`~trq.store.Graph.without` made)
+        gets a new view over the same rows, with its own type vectors."""
         view = self._view
         if view is None or view.graph is not g:
-            view = self._view = BoundEmbeddings(self, g, *_align(self, g))
+            if view is not None and view.graph.term_keys is g.term_keys:
+                rows = view.ent_row, view.rel_row
+            else:
+                rows = _align(self, g)
+            view = self._view = BoundEmbeddings(self, g, *rows)
         return view
 
 

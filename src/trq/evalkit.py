@@ -35,7 +35,7 @@ from .recommend import (
     validate_settings,
 )
 from .sparql import Query, evaluate_bgp, parse_query, resolve_patterns
-from .store import Graph
+from .store import Graph, first_appearance
 from .terms import Triple
 
 BindingTuple = tuple[str, ...]
@@ -93,9 +93,23 @@ def _deletion_rows(g: Graph, deletions: Iterable[Triple]) -> np.ndarray:
 
 def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
     """A new graph without the deleted facts, every one of which ``g`` must
-    hold (:meth:`~trq.store.Graph.without`): ids follow first appearance in
-    the kept SPO triples, but the terms (blank labels too) are the source's."""
-    return g.without(_deletion_rows(g, deletions))
+    hold, numbered as ``trq ingest`` would number it written out in SPO
+    order: ids follow first appearance in the kept SPO triples, but the
+    terms (blank labels too) are the source's.
+
+    :meth:`~trq.store.Graph.without` removes the facts and keeps ``g``'s
+    ids, which is all a ranking needs; the renumbering is for a graph
+    that is trained on or written out, such as :func:`run_benchmark`'s
+    one training graph, because :func:`~trq.embedding.training_input`
+    numbers its rows in SPO order and TRQE bytes follow from them."""
+    kept = g.without(_deletion_rows(g, deletions))
+    index, _, _ = kept.ranges()
+    triples = np.stack(index.columns(), axis=1)
+    order = first_appearance(triples.ravel())
+    renumber = np.empty(kept.term_count, dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    keys = kept.term_keys
+    return Graph([keys[i] for i in order.tolist()], renumber[triples])
 
 
 def exact_solutions(g: Graph, q: Query) -> set[BindingTuple]:
@@ -157,9 +171,14 @@ def run_benchmark(
     """Run every case, charging metrics against the original exact answers.
 
     By default the run trains one embedding set, on the source graph
-    without the deletions of every case whose deletions it holds, and
-    each case ranks with it on its own corrupted graph: no case's deleted
-    facts carry training signal. ``train_s`` holds that training, no
+    without the deletions of every case whose deletions it holds
+    (:func:`corrupt_graph`), and each case ranks with it on its own
+    corrupted graph: no case's deleted facts carry training signal. A
+    case's graph is ``g.without`` its deletions, over ``g``'s term table
+    and ids, so the set is aligned to that table once for the run
+    (:meth:`~trq.embedding.EmbeddingSet.bind`); a term the case leaves
+    in no fact is unknown to it, as in a re-ingested graph. Each case's
+    deletions are checked once. ``train_s`` holds that training, no
     case's ``elapsed``; if it fails, each case that would rank with the
     set records the error. Passing ``embeddings`` reuses one set trained
     on the source graph instead. With ``uniform_f`` no score reads an
@@ -175,16 +194,18 @@ def run_benchmark(
     # Once, before the run trains a model it could not use.
     validate_settings(threshold, top_k, per_tree_limit, uniform_f)
     report = BenchReport()
+    # each case's deletions as id rows, or the error that rejects them
+    deleted: list[np.ndarray | Exception] = []
+    for case in cases:
+        try:
+            deleted.append(_deletion_rows(g, case.deletions))
+        except Exception as exc:  # noqa: BLE001 - the case's own row records it below
+            deleted.append(exc)
     failed_training = None
     if trains:
         embed_config.validate()
-        present = []  # the cases whose deletions the graph holds
-        for case in cases:
-            try:
-                _deletion_rows(g, case.deletions)
-            except Exception:  # noqa: BLE001 - the case's own row records it below
-                continue
-            present.append(case)
+        # the cases whose deletions the graph holds
+        present = [case for case, rows in zip(cases, deleted) if not isinstance(rows, Exception)]
         if present:
             started = time.perf_counter()
             held_out = {t for case in present for t in case.deletions}
@@ -193,7 +214,7 @@ def run_benchmark(
             except Exception as exc:  # noqa: BLE001 - recorded on every case that ranks with it
                 failed_training = exc
             report.train_s = time.perf_counter() - started
-    for case in cases:
+    for case, rows in zip(cases, deleted):
         row = BenchRow(name=case.name)
         report.rows.append(row)
         started = time.perf_counter()
@@ -201,7 +222,8 @@ def run_benchmark(
             truth = case.truth if case.truth is not None else exact_solutions(g, case.query)
             if not truth:
                 raise ValueError("case has an empty truth set")
-            corrupted = corrupt_graph(g, case.deletions)
+            if isinstance(rows, Exception):
+                raise rows.with_traceback(None)
             if failed_training is not None:
                 raise failed_training.with_traceback(None)
             req = RecommendRequest(
@@ -212,7 +234,7 @@ def run_benchmark(
                 per_tree_limit=per_tree_limit,
                 uniform_f=uniform_f,
             )
-            rec = recommend(corrupted, req)
+            rec = recommend(g.without(rows), req)
             ranked = [s.binding_key for s in rec.solutions]
             row.rr = reciprocal_rank(ranked, truth)
             row.mr = mean_rank(ranked, truth)

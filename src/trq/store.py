@@ -22,7 +22,10 @@ and masks. So the key layout, and which index serves which pattern
 graph and cost 16 bytes per triple. PSO and OSP are built on the first
 lookup that reads them (``_ACCESS``) and kept, 8 bytes per triple each.
 Ingest, snapshot loading and training never read PSO; they and
-recommendation, whose predicates are constants, never read OSP. A block
+recommendation, whose predicates are constants, never read OSP. A graph
+without some of its triples (:meth:`Graph.without`) shares the term
+table and ids, and each index built so far loses their keys by position,
+with no sort. A block
 (the keys of one index that share a constant prefix, such as one
 predicate's in PSO) may also keep a run table: for each id, where its
 run of the next field starts within the block, ``term_count + 1``
@@ -129,6 +132,16 @@ class TripleIndex:
         if unique and len(keys) > 1:
             keys = keys[_run_starts(keys)]
         self.keys = keys
+
+    def without(self, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> "TripleIndex":
+        """This index without the keys of the triples (s, p, o), int64 id
+        arrays of distinct triples it holds: each key is deleted by its
+        position, so the keys stay sorted with no sort. Run tables are
+        not carried over."""
+        out = TripleIndex.__new__(TripleIndex)
+        out.order, out.bits, out.runs, out.probes = self.order, self.bits, {}, {}
+        out.keys = np.delete(self.keys, self.keys.searchsorted(self.pack(s, p, o)))
+        return out
 
     def pack(self, s, p, o):
         """Key of (s, p, o); scalars or int64 arrays."""
@@ -474,19 +487,54 @@ class Graph:
                 yield Triple(*t)
 
     def without(self, rows: np.ndarray) -> "Graph":
-        """The graph without the triples of ``rows``, an (n, 3) int64 array
-        of (s, p, o) ids, every one of which it must hold.
+        """The graph without the triples of ``rows``, an (n, 3) array of
+        (s, p, o) ids, every one of which it must hold (a row it lacks
+        raises ValueError); a row may repeat.
 
-        Ids follow first appearance in the kept SPO triples, as
-        :func:`parse_ntriples` would number them written out in SPO order,
-        but the terms (blank labels too) are this graph's.
+        The result keeps this graph's terms and ids: it shares the term
+        table, and each index built here loses the rows' keys by position,
+        with no sort (:meth:`TripleIndex.without`); run tables and stats
+        are built again on use. A term of ``rows`` that is left in no
+        triple leaves the dictionary, as it would from a graph ingested
+        from the kept triples: :meth:`id` gives None for it, and the ids
+        after it shift down in order. Only then is the graph built anew.
         """
-        index = self._spo
-        kept = np.stack(index.columns(~np.isin(index.keys, index.pack(*rows.T))), axis=1)
-        order = first_appearance(kept.ravel())
-        renumber = np.empty(self.term_count, dtype=np.int64)
-        renumber[order] = np.arange(len(order))
-        return Graph([self._keys[i] for i in order.tolist()], renumber[kept])
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        spo, n = self._spo, len(self._keys)
+        keys = spo.pack(*rows.T)
+        at = spo.keys.searchsorted(keys)
+        held = ((rows >= 0) & (rows < n)).all(axis=1) & (at < len(spo.keys))
+        held[held] = spo.keys[at[held]] == keys[held]
+        if not held.all():
+            raise ValueError(f"cannot delete {tuple(rows[~held][0].tolist())}: the graph does not hold it")
+        cols = spo.columns(np.unique(at))
+        out = Graph.__new__(Graph)
+        out._keys, out._id_of, out._bits = self._keys, self._id_of, self._bits
+        out._rdf_type_id = self._rdf_type_id
+        out._indexes = {name: index.without(*cols) for name, index in self._indexes.items()}
+        out._spo, out._stats = out._indexes["spo"], None
+        dead = out._unused(np.unique(np.concatenate(cols)))
+        if len(dead) == 0:
+            return out
+        alive = np.ones(n, dtype=bool)
+        alive[dead] = False
+        renumber = np.cumsum(alive) - 1
+        kept = [key for key, keep in zip(self._keys, alive.tolist()) if keep]
+        return Graph(kept, renumber[np.stack(out._spo.columns(), axis=1)])
+
+    def _unused(self, ids: np.ndarray) -> np.ndarray:
+        """The ids of ``ids`` that occur in no triple: no key range of SPO,
+        POS or a built OSP leads with them (without OSP, SPO's objects
+        are counted)."""
+        shift = 2 * self._bits
+        for name in ("spo", "pos", "osp"):
+            index = self._indexes.get(name)
+            if index is not None:
+                ids = ids[index.keys.searchsorted(ids << shift) == index.keys.searchsorted((ids + 1) << shift)]
+            elif len(ids):
+                objects = self._spo.keys & ((1 << self._bits) - 1)
+                ids = ids[np.bincount(objects, minlength=len(self._keys))[ids] == 0]
+        return ids
 
 
 def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError], None] | None = None) -> Graph:

@@ -725,8 +725,8 @@ def test_views_on_two_graphs_match_fresh_binds(chain, first):
 
 
 def test_bind_aligns_once_per_graph(bench_graph, monkeypatch):
-    # train's own view needs no alignment; run_benchmark with shared
-    # embeddings aligns once per case, for that case's corrupted graph
+    # train's own view needs no alignment, and neither does a graph that
+    # Graph.without made from it: the alignment reads the term table alone
     graphs = []
     align = trq.embedding._align
     monkeypatch.setattr(trq.embedding, "_align", lambda emb, g: graphs.append(g) or align(emb, g))
@@ -740,8 +740,31 @@ def test_bind_aligns_once_per_graph(bench_graph, monkeypatch):
         q = make_query([pattern("?a", "linked", "?b"), pattern("?b", "attr0", f"val0_{c:02d}")])
         cases.append(BenchCase(f"c{c}", q, [match_triples(bench_graph, None, bench_graph.id(ex("attr0")), value)[0]]))
     report = run_benchmark(bench_graph, cases, embeddings=emb)
-    assert report.failures == 0
-    assert len(graphs) == len(cases) and len({id(g) for g in graphs}) == len(cases)
+    assert report.failures == 0 and graphs == []
+    # a run that trains binds the first case's graph to the trained set's
+    # own (renumbered) table once; every later case shares that table
+    trained = []
+    monkeypatch.setattr(trq.evalkit, "train", lambda g, cfg: trained.append(train(g, cfg)) or trained[-1])
+    report = run_benchmark(bench_graph, cases, embed_config=EmbeddingConfig(dim=8, epochs=1))
+    assert report.failures == 0 and len(trained) == 1 and len(graphs) == 1
+    assert graphs[0].term_keys is bench_graph.term_keys
+    # an equal table that is another tuple is aligned again
+    copy = Graph(list(bench_graph.term_keys), np.stack(bench_graph.ranges()[0].columns(), axis=1))
+    assert copy.term_keys == bench_graph.term_keys and copy.term_keys is not bench_graph.term_keys
+    emb.bind(bench_graph)
+    graphs.clear()
+    assert np.array_equal(emb.bind(copy).ent_row, view.ent_row) and graphs == [copy]
+    # views that share rows keep their own type vectors
+    g = build_graph([("e0", "type", "C"), ("e1", "type", "C"), ("e0", "p", "e1"), ("e1", "p", "e2")])
+    typed = train(g, EmbeddingConfig(dim=4, epochs=1))
+    one, cls = typed.bind(g), g.id(ex("C"))
+    vec = one.type_vector(cls)
+    other = typed.bind(g.without(np.array([[g.id(ex("e1")), g.rdf_type_id, cls]])))
+    assert other.ent_row is one.ent_row and other._type_cache is not one._type_cache
+    assert cls not in other._type_cache
+    # e0 alone is C's instance now
+    assert np.array_equal(other.type_vector(cls), typed.entity_vecs[one.ent_row[g.id(ex("e0"))]].astype(np.float64))
+    assert not np.array_equal(other.type_vector(cls), vec)
 
 
 # -- persistence -------------------------------------------------------

@@ -20,7 +20,8 @@ from trq.evalkit import (
     reciprocal_rank,
     run_benchmark,
 )
-from trq.sparql import parse_query
+from trq.recommend import RecommendRequest, recommend
+from trq.sparql import Const, parse_query
 from trq.store import parse_ntriples
 from trq.terms import Term, Triple
 
@@ -535,6 +536,103 @@ def test_run_benchmark_ranks_every_candidate_of_every_tree():
     assert (row.candidates, row.rr, row.mr) == (8, 0.0, 9.0)
     [row] = run_benchmark(g, [case], embeddings=emb, per_tree_limit=4, top_k=3).rows
     assert (row.candidates, row.mr) == (8, 4.0)
+
+
+# -- ranking over the kept ids against a re-ingest -----------------------
+
+
+def ranking_fields(g, req):
+    """What ``recommend`` gives that no id reads: each row's binding key,
+    score, edit distance and per-edge scores, the candidate count and the
+    truncation flag; or the error it raises."""
+    try:
+        rec = recommend(g, req)
+    except Exception as exc:  # noqa: BLE001 - both graphs must fail alike
+        return f"{type(exc).__name__}: {exc}"
+    rows = [
+        (s.binding_key, s.score, s.edit_distance, [(e.pattern, e.weight, e.f, e.in_graph, e.fallback) for e in s.per_edge])
+        for s in rec.solutions
+    ]
+    return rows, rec.candidates_seen, rec.truncated
+
+
+def typed_pattern(data, names, classes, rels):
+    kind = data.draw(st.sampled_from(["var", "type", "const"]))
+    subject = data.draw(st.sampled_from(["?a", "?b"]))
+    if kind == "type":
+        return pattern(subject, "type", data.draw(st.sampled_from(classes)))
+    rel = data.draw(st.sampled_from(rels))
+    return pattern(subject, rel, "?c" if kind == "var" else data.draw(st.sampled_from(names)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ranking_over_the_kept_ids_matches_a_reingest(data):
+    # A random typed graph, its triples in a random order. Each case
+    # deletes facts of one term of the query, often every one of them, so
+    # the last fact of a query constant, a class, a predicate or rdf:type
+    # goes.
+    names, classes, rels = [f"e{i}" for i in range(5)], ["C0", "C1"], ["r0", "r1", "r2"]
+    ents = st.sampled_from(names)
+    rows = data.draw(st.lists(st.tuples(ents, st.sampled_from(rels), ents), min_size=2, max_size=12))
+    rows += [(s, "type", c) for s, c in data.draw(st.lists(st.tuples(ents, st.sampled_from(classes)), max_size=6))]
+    g = build_graph(data.draw(st.permutations(rows)))
+    q = make_query(
+        [pattern("?a", data.draw(st.sampled_from(rels)), "?b")]
+        + [typed_pattern(data, names, classes, rels) for _ in range(data.draw(st.integers(1, 2)))]
+    )
+    triples = list(g.triples())
+    # a term of the query (rdf:type included) that the graph holds, else any
+    known = [x for p in q.patterns for x in (p.p, p.o) if isinstance(x, Const) and g.id(x.term) is not None]
+    terms = [g.id(x.term) for x in known] or list(range(g.term_count))
+
+    def deletions():
+        term = data.draw(st.sampled_from(terms))
+        facts = [t for t in triples if term in t]
+        if data.draw(st.booleans()):  # every fact of the term: its last goes
+            return facts
+        return data.draw(st.lists(st.sampled_from(data.draw(st.sampled_from([facts, triples]))), min_size=1, max_size=3))
+
+    cases = [BenchCase(f"case{i}", q, deletions()) for i in range(data.draw(st.integers(1, 3)))]
+    cfg = EmbeddingConfig(
+        model=data.draw(st.sampled_from(["transe", "transh", "transr"])), dim=4, epochs=2, batch_size=4, seed=0
+    )
+    emb = trq.embedding.train(g, cfg)
+    for case in cases:
+        threshold = data.draw(st.integers(1, 3))
+        req = RecommendRequest(query=q, embeddings=emb, threshold=threshold, top_k=None)
+        kept = g.without(np.array(case.deletions, dtype=np.int64))
+        assert ranking_fields(kept, req) == ranking_fields(corrupt_graph(g, case.deletions), req)
+    for kwargs in ({"embed_config": cfg}, {"embeddings": emb}):
+        assert [bench_fields(r) for r in run_benchmark(g, cases, **kwargs).rows] == [
+            bench_fields(r) for r in reference_run_benchmark(g, cases, **kwargs).rows
+        ]
+
+
+def test_a_class_left_with_no_instance_is_unknown_to_its_case():
+    # <e:D> has one instance, whose type fact the case deletes. D is then
+    # in no fact, so the case's graph does not know it: the class edge of
+    # every row falls back to the floor, as over a re-ingested graph, and
+    # is not scored against the zero type vector of a class with no
+    # embedded instance.
+    rows = [("a", "type", "C"), ("a", "p", "b"), ("b", "type", "C"), ("b", "p", "c"), ("c", "type", "C")]
+    rows += [("c", "q", "a"), ("d", "type", "D"), ("d", "p", "a")]
+    g = build_graph(rows)
+    q = make_query([pattern("?x", "p", "?y"), pattern("?x", "type", "D")])
+    fact = Triple(g.id(ex("d")), g.rdf_type_id, g.id(ex("D")))
+    kept = g.without(np.array([fact]))
+    assert kept.id(ex("D")) is None and kept.term_count == g.term_count - 1
+    for emb in (small_emb(g, epochs=3), small_emb(corrupt_graph(g, [fact]), epochs=3)):
+        req = RecommendRequest(query=q, embeddings=emb, top_k=None)
+        got = ranking_fields(kept, req)
+        assert got == ranking_fields(corrupt_graph(g, [fact]), req)
+        solutions, candidates, _ = got
+        assert candidates == 3 and all(edges[1][4] and edges[1][2] == 0.5 for _, _, _, edges in solutions)
+    case = BenchCase("d", q, [fact], truth={(ex("d").nt(), ex("a").nt())})
+    cfg = EmbeddingConfig(dim=4, epochs=2, seed=0)
+    assert [bench_fields(r) for r in run_benchmark(g, [case], embed_config=cfg).rows] == [
+        bench_fields(r) for r in reference_run_benchmark(g, [case], embed_config=cfg).rows
+    ]
 
 
 # -- manifests ---------------------------------------------------------

@@ -538,6 +538,124 @@ def test_rdf_type_id_property():
     assert g2.rdf_type_id is None
 
 
+# -- deletion ----------------------------------------------------------
+
+
+def rebuilt_without(g: Graph, rows) -> Graph:
+    """``g`` without ``rows``, built anew: every term kept but those of
+    ``rows`` that no kept triple holds, in id order, and the kept triples
+    renumbered to match."""
+    gone = set(map(tuple, np.asarray(rows, dtype=np.int64).reshape(-1, 3).tolist()))
+    kept = [tuple(t) for t in g.triples() if tuple(t) not in gone]
+    dead = {x for row in gone for x in row} - {x for t in kept for x in t}
+    alive = [i for i in range(g.term_count) if i not in dead]
+    renumber = {old: new for new, old in enumerate(alive)}
+    return Graph([g.term_keys[i] for i in alive], [tuple(renumber[x] for x in t) for t in kept])
+
+
+def assert_same_indexes(got: Graph, want: Graph, names):
+    assert got.term_keys == want.term_keys and got.rdf_type_id == want.rdf_type_id
+    assert [got.id(t) for t in want.terms()] == list(range(want.term_count))
+    for name in names:
+        assert np.array_equal(got._index(name).keys, want._index(name).keys), name
+
+
+def source_state(g: Graph):
+    """Copies of what ``without`` must leave untouched."""
+    indexes = {name: (index, index.keys.copy(), dict(index.runs), dict(index.probes)) for name, index in g._indexes.items()}
+    return g.term_keys, g._id_of.copy(), indexes, g._stats
+
+
+def assert_state_kept(g: Graph, state):
+    keys, id_of, indexes, stats = state
+    assert g.term_keys is keys and g._id_of == id_of and g._stats is stats
+    assert g._indexes.keys() == indexes.keys()
+    for name, (index, copy, runs, probes) in indexes.items():
+        assert g._indexes[name] is index and np.array_equal(index.keys, copy)
+        assert index.runs.keys() == runs.keys() and index.probes == probes
+
+
+def test_without_keeps_the_term_table_and_drops_keys_by_position(small):
+    a, p, b, c = (small.id(ex(x)) for x in "apbc")
+    column = np.array([a, c], dtype=np.int64)
+    small.ranges(column, p, None)  # builds PSO
+    small.ranges(None, None, b)  # builds OSP
+    small.stats.relations()
+    state = source_state(small)
+    out = small.without(np.array([[a, p, b]]))
+    assert out.term_keys is small.term_keys and out.rdf_type_id == small.rdf_type_id
+    assert out.triple_count == small.triple_count - 1 and not out.contains(a, p, b)
+    # every index the source had built loses the key, and no other is built
+    assert sorted(out._indexes) == sorted(small._indexes) == ["osp", "pos", "pso", "spo"]
+    assert_same_indexes(out, rebuilt_without(small, [[a, p, b]]), small._indexes)
+    assert all(not index.runs and not index.probes for index in out._indexes.values()) and out._stats is None
+    assert_state_kept(small, state)
+
+
+def test_a_term_left_in_no_triple_leaves_the_dictionary():
+    g = build_graph([("a", "type", "C"), ("a", "p", "b"), ("c", "p", "b"), ("c", "q", "C")])
+    a, C, c, q = (g.id(ex(x)) for x in "aCcq")
+    # C is still an object of q; rdf:type dies with its one fact
+    out = g.without(np.array([[a, g.rdf_type_id, C]]))
+    assert out.rdf_type_id is None and out.id(RDF_TYPE) is None and out.id(ex("C")) == C - 1
+    assert [out.term(i) for i in range(out.term_count)] == [ex("a"), ex("C"), ex("p"), ex("b"), ex("c"), ex("q")]
+    assert_same_indexes(out, rebuilt_without(g, [[a, g.rdf_type_id, C]]), ["spo", "pos", "pso", "osp"])
+    # with c's q fact too, C is in no fact, and neither is q
+    rows = np.array([[a, g.rdf_type_id, C], [c, q, C]])
+    out = g.without(rows)
+    assert out.id(ex("C")) is None and out.id(ex("q")) is None and out.id(ex("c")) == c - 2
+    assert_same_indexes(out, rebuilt_without(g, rows), ["spo", "pos", "pso", "osp"])
+    # c, p and b each stay in a kept triple, as subject, predicate or object
+    out = g.without(np.array([[c, g.id(ex("p")), g.id(ex("b"))]]))
+    assert out.term_keys is g.term_keys and out.rdf_type_id == g.rdf_type_id
+
+
+def test_without_takes_repeated_and_no_rows(small):
+    a, p, b = (small.id(ex(x)) for x in "apb")
+    twice = small.without(np.array([[a, p, b], [a, p, b]]))
+    assert twice.triple_count == small.triple_count - 1
+    assert_same_indexes(twice, rebuilt_without(small, [[a, p, b]]), ["spo", "pos", "pso", "osp"])
+    for rows in (np.empty((0, 3), dtype=np.int64), []):
+        none = small.without(rows)
+        assert none.term_keys is small.term_keys and list(none.triples()) == list(small.triples())
+
+
+@pytest.mark.parametrize("row", [("b", "q", "a"), ("a", "p", None), (None, "p", "b")])
+def test_without_a_row_the_graph_lacks_is_a_named_error(small, row):
+    # a row of known terms, and ids past either end of the table
+    ids = [small.term_count if x is None else small.id(ex(x)) for x in row]
+    if row[0] is None:
+        ids[0] = -1
+    state = source_state(small)
+    with pytest.raises(ValueError, match=r"cannot delete \(.*\): the graph does not hold it"):
+        small.without(np.array([[small.id(ex("a")), small.id(ex("p")), small.id(ex("b"))], ids]))
+    assert_state_kept(small, state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_without_matches_a_rebuild(data):
+    n = data.draw(st.integers(1, 8))
+    triples = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=30))
+    g = graph_of([RDF_TYPE] + [ex(f"t{i}") for i in range(1, n)], triples)
+    held = [tuple(t) for t in g.triples()]
+    rows = data.draw(st.lists(st.sampled_from(held), max_size=len(held) + 2))
+    # the source may have built PSO, OSP and run tables before
+    for name in data.draw(st.lists(st.sampled_from(["pso", "osp"]), unique=True)):
+        g._index(name)
+    if data.draw(st.booleans()):
+        g.ranges(None, 0, np.arange(n, dtype=np.int64))
+    state = source_state(g)
+    out = g.without(np.array(rows, dtype=np.int64).reshape(-1, 3))
+    built = sorted(out._indexes)
+    want = rebuilt_without(g, rows)
+    assert (out.term_keys is g.term_keys) == (want.term_count == g.term_count)
+    if out.term_keys is g.term_keys:  # the source's indexes, each without the rows
+        assert built == sorted(g._indexes)
+    assert_same_indexes(out, want, ["spo", "pos", "pso", "osp"])
+    assert_state_kept(g, state)
+
+
 # -- statistics --------------------------------------------------------
 
 
