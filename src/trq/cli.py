@@ -39,7 +39,7 @@ from .recommend import (
     validate_settings,
 )
 from .ntriples import read_lines, text_input
-from .sparql import Query, QueryForm
+from .sparql import QueryForm
 from .terms import Term
 
 
@@ -160,16 +160,6 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _request_from_args(args, q: Query, emb: embedding.EmbeddingSet) -> RecommendRequest:
-    return RecommendRequest(
-        query=q,
-        embeddings=emb,
-        threshold=args.threshold,
-        top_k=args.top_k,
-        per_tree_limit=args.per_tree_limit,
-    )
-
-
 def cmd_query(args) -> int:
     g = _load_store(args.store)
     if not args.embeddings:
@@ -193,7 +183,10 @@ def cmd_query(args) -> int:
             f"SELECT leaves out {' '.join('?' + v for v in left_out)}; trq query ranks whole "
             "solution mappings, so project every variable or use SELECT *"
         )
-    rec = recommend(g, _request_from_args(args, q, emb), parse_seconds=parse_seconds)
+    req = RecommendRequest(
+        query=q, embeddings=emb, threshold=args.threshold, top_k=args.top_k, per_tree_limit=args.per_tree_limit
+    )
+    rec = recommend(g, req, parse_seconds=parse_seconds)
     wall = time.perf_counter() - wall_start
 
     variables = sorted(q.variables())

@@ -36,6 +36,11 @@ by default; classes are handled through aggregated type vectors instead:
   the triple and 1 / (1 + extended score) otherwise, so it always lies
   in (0, 1].
 
+:func:`train` numbers its rows from the graph's SPO key columns:
+entities by first appearance as subject or object, relations by first
+appearance as predicate. So graphs with the same keys and the same
+SPO-ordered triples train byte-identical sets under one config.
+
 An :class:`EmbeddingSet` is data only. Scores read term ids of one
 graph, so they live on the :class:`BoundEmbeddings` view ``bind(g)``
 returns, which aligns each id with its rows once and is never rebound.
@@ -550,61 +555,6 @@ class BoundEmbeddings:
 # -- training ----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class TrainingInput:
-    """What :func:`train` reads of a graph under one config.
-
-    Entities are numbered by first appearance in SPO triple order (a
-    triple's subject before its object) and relations by first
-    appearance as predicate. ``entity_keys`` and ``relation_keys`` name
-    each row's term, and ``triples`` holds the training triples as an
-    (n, 3) array of (entity, relation, entity) rows in SPO order: every
-    triple, or every one not on rdf:type unless ``include_type_triples``.
-    ``ent_ids`` and ``rel_ids`` give each row's term id in the graph read,
-    and ``ent_row`` and ``rel_row`` each term id's row (-1 = none).
-
-    :func:`train` reads nothing else of the graph: its sampler asks only
-    whether a candidate on a training relation is known, and every triple
-    of the graph on such a relation is a training triple. So graphs with
-    the same keys and triples train byte-identical sets under one config;
-    the ids are the graph's own numbering and take no part.
-    """
-
-    entity_keys: list[bytes]
-    relation_keys: list[bytes]
-    triples: np.ndarray
-    ent_ids: np.ndarray
-    rel_ids: np.ndarray
-    ent_row: np.ndarray
-    rel_row: np.ndarray
-
-
-def training_input(g: Graph, cfg: EmbeddingConfig) -> TrainingInput:
-    """The rows and training triples :func:`train` reads of ``g``, from
-    the SPO key columns."""
-    index, _, _ = g.ranges()
-    s, p, o = index.columns()
-    ent_ids = first_appearance(np.stack([s, o], axis=1).ravel())
-    rel_ids = first_appearance(p)
-    ent_row = np.full(g.term_count, -1, dtype=np.int64)
-    rel_row = np.full(g.term_count, -1, dtype=np.int64)
-    ent_row[ent_ids] = np.arange(len(ent_ids))
-    rel_row[rel_ids] = np.arange(len(rel_ids))
-    rows = np.stack([ent_row[s], rel_row[p], ent_row[o]], axis=1)
-    if not cfg.include_type_triples and g.rdf_type_id is not None:
-        rows = rows[p != g.rdf_type_id]
-    keys = g.term_keys
-    return TrainingInput(
-        entity_keys=[keys[tid] for tid in ent_ids.tolist()],
-        relation_keys=[keys[tid] for tid in rel_ids.tolist()],
-        triples=rows,
-        ent_ids=ent_ids,
-        rel_ids=rel_ids,
-        ent_row=ent_row,
-        rel_row=rel_row,
-    )
-
-
 # Draws per negative before the sampler keeps a known triple.
 SAMPLER_ROUNDS = 50
 
@@ -641,20 +591,38 @@ def _corrupt(
 def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
     """Train an embedding set on the graph's relational triples.
 
-    Every term occurring as subject/object gets an entity row and every
-    predicate a relation row, including rdf:type itself even when type
-    triples are excluded from the batches. The graph is read through
-    :func:`training_input`. Deterministic for a fixed config and
-    training input: the sampler is a seeded PCG64 generator and all
-    updates run in a fixed order. Only the final rows are stored, as
-    float32; training math runs at float64.
+    The rows are numbered from the graph's SPO key columns: entities by
+    first appearance as subject or object (a triple's subject before its
+    object), relations by first appearance as predicate. So every
+    subject/object gets an entity row and every predicate a relation row,
+    rdf:type itself included even when type triples are excluded from the
+    batches. The training triples are the graph's triples in SPO order,
+    those on rdf:type left out unless ``include_type_triples``.
+
+    Nothing else of the graph is read: the sampler asks only whether a
+    candidate on a training relation is known, and every triple of the
+    graph on such a relation is a training triple. So graphs with the
+    same keys and the same SPO-ordered triples train byte-identical sets
+    under one config; the ids are each graph's own numbering and take no
+    part. The sampler is a seeded PCG64 generator and all updates run in
+    a fixed order. Only the final rows are stored, as float32; training
+    math runs at float64.
     """
     cfg.validate()
     if g.triple_count == 0:
         raise ValueError("cannot train embeddings on an empty graph")
 
-    inp = training_input(g, cfg)
-    ent_ids, rel_ids, triples = inp.ent_ids, inp.rel_ids, inp.triples
+    index, _, _ = g.ranges()
+    s, p, o = index.columns()
+    ent_ids = first_appearance(np.stack([s, o], axis=1).ravel())
+    rel_ids = first_appearance(p)
+    ent_row = np.full(g.term_count, -1, dtype=np.int64)
+    rel_row = np.full(g.term_count, -1, dtype=np.int64)
+    ent_row[ent_ids] = np.arange(len(ent_ids))
+    rel_row[rel_ids] = np.arange(len(rel_ids))
+    triples = np.stack([ent_row[s], rel_row[p], ent_row[o]], axis=1)
+    if not cfg.include_type_triples and g.rdf_type_id is not None:
+        triples = triples[p != g.rdf_type_id]
     n_ent, n_rel = len(ent_ids), len(rel_ids)
     dim, rel_dim = cfg.dim, cfg.resolved_rel_dim()
 
@@ -713,14 +681,15 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
             f"training diverged: non-finite embedding values after {cfg.epochs} epochs "
             f"at learning_rate {cfg.learning_rate}; lower the learning rate"
         )
-    out = EmbeddingSet(
+    keys = g.term_keys
+    return EmbeddingSet(
         model=cfg.model,
         norm=cfg.norm,
         dim=dim,
         rel_dim=rel_dim,
         margin=cfg.margin,
-        entity_keys=inp.entity_keys,
-        relation_keys=inp.relation_keys,
+        entity_keys=[keys[tid] for tid in ent_ids.tolist()],
+        relation_keys=[keys[tid] for tid in rel_ids.tolist()],
         entity_vecs=vecs[0],
         relation_vecs=vecs[1],
         normals=vecs[2] if cfg.model == TRANSH else None,
@@ -728,9 +697,6 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
         losses=losses,
         sampler_redraws=redraws,
     )
-    # the rows above are the alignment bind would compute
-    out._view = BoundEmbeddings(out, g, inp.ent_row, inp.rel_row)
-    return out
 
 
 # -- file I/O ----------------------------------------------------------

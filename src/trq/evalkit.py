@@ -100,8 +100,8 @@ def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
     :meth:`~trq.store.Graph.without` removes the facts and keeps ``g``'s
     ids, which is all a ranking needs; the renumbering is for a graph
     that is trained on or written out, such as :func:`run_benchmark`'s
-    one training graph, because :func:`~trq.embedding.training_input`
-    numbers its rows in SPO order and TRQE bytes follow from them."""
+    one training graph, because :func:`~trq.embedding.train` numbers its
+    rows in SPO order and TRQE bytes follow from them."""
     kept = g.without(_deletion_rows(g, deletions))
     index, _, _ = kept.ranges()
     triples = np.stack(index.columns(), axis=1)

