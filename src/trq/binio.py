@@ -27,8 +27,8 @@ error class with the format's name for a file (``snapshot``,
 A format checks its own header fields between the two readers.
 
 An entry's bytes are the term's key: a :class:`~trq.store.Graph` and an
-:class:`~trq.embedding.EmbeddingSet` keep their tables as lists of keys
-and index them with :func:`key_index`, which rejects a term listed
+:class:`~trq.embedding.EmbeddingSet` keep their tables as
+:class:`~trq.store.TermTable` objects of keys, which reject a term listed
 twice, so a table is read and written without building a :class:`Term`.
 :func:`term_key` and :func:`term_of` convert at the edge.
 """
@@ -214,15 +214,3 @@ def _check_utf8(data: bytes, start: int, stop: int, keys: list[bytes], error: ty
     except UnicodeDecodeError as exc:
         at = int(heads.searchsorted(exc.start, side="right")) - 1
         raise error(f"term {at} is not valid UTF-8") from exc
-
-
-def key_index(keys: Sequence[bytes], table: str) -> dict[bytes, int]:
-    """The row of each of ``keys``; a key listed twice raises ValueError
-    ``{table} table lists {term} twice``, naming the first repeated term
-    in N-Triples form."""
-    index = dict(zip(keys, range(len(keys))))
-    if len(index) != len(keys):
-        # a repeated key keeps its last row, so its first entry is not it
-        twice = next(k for i, k in enumerate(keys) if index[k] != i)
-        raise ValueError(f"{table} table lists {term_of(twice).nt()} twice")
-    return index

@@ -76,9 +76,10 @@ Embedding file format (``TRQE``, version 1, little endian)::
     [transr] maps    f32, relation_count x rel_dim x dim
 
 The term tables hold the same entries as a TRQG dictionary, and a set
-keeps them as they are read: rows are indexed by entry bytes, and
-:meth:`EmbeddingSet.bind` aligns them with a graph's ids by looking the
-graph's entries up, so neither load nor bind decodes a term.
+keeps them as they are read, in two :class:`~trq.store.TermTable`
+objects: rows are indexed by entry bytes, and :meth:`EmbeddingSet.bind`
+aligns them with a graph's ids by looking the graph's entries up, so
+neither load nor bind decodes a term.
 
 :mod:`trq.binio` writes and reads the layout and checks it. The loader
 also rejects non-positive dimensions, a margin that is not a positive
@@ -88,7 +89,6 @@ or the relation table with :class:`EmbeddingFormatError`.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from collections.abc import Callable
@@ -98,8 +98,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .binio import key_index, read_body, read_header, read_source, term_of, write_file
-from .store import Graph, first_appearance
+from .binio import read_body, read_header, read_source, term_of, write_file
+from .store import Graph, TermTable, first_appearance
 from .terms import Term, TermId
 
 TRANSE, TRANSH, TRANSR = "transe", "transh", "transr"
@@ -404,8 +404,8 @@ class EmbeddingSet:
 
     ``entity_keys`` and ``relation_keys`` name each row's term by its
     table entry (:func:`~trq.binio.term_key`), the bytes TRQG and TRQE
-    files hold, and ``entity_index`` and ``relation_index`` map an entry
-    to its row. ``entity_terms`` and ``relation_terms`` decode them.
+    files hold; ``entity_table`` and ``relation_table`` give an entry's
+    row. ``entity_terms`` and ``relation_terms`` decode them.
 
     The set holds no graph. Scores read term ids of one graph, so they
     live on the :class:`BoundEmbeddings` view that :meth:`bind` returns.
@@ -428,8 +428,8 @@ class EmbeddingSet:
     sampler_redraws: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        self.entity_index = key_index(self.entity_keys, "entity")
-        self.relation_index = key_index(self.relation_keys, "relation")
+        self.entity_table = TermTable(self.entity_keys, "entity")
+        self.relation_table = TermTable(self.relation_keys, "relation")
         self._view: BoundEmbeddings | None = None  # bind's one-slot cache
 
     @property
@@ -452,25 +452,17 @@ class EmbeddingSet:
         """The view of this set over ``g``. The last view built is returned
         again for the same graph, so a caller may bind ahead of time. The
         alignment reads the term table alone, so a graph that shares the
-        last view's table (one :meth:`~trq.store.Graph.without` made)
-        gets a new view over the same rows, with its own type vectors."""
+        last view's :class:`~trq.store.TermTable` object (one
+        :meth:`~trq.store.Graph.without` made) gets a new view over the
+        same rows, with its own type vectors."""
         view = self._view
         if view is None or view.graph is not g:
-            if view is not None and view.graph.term_keys is g.term_keys:
+            if view is not None and view.graph.term_table is g.term_table:
                 rows = view.ent_row, view.rel_row
             else:
-                rows = _align(self, g)
+                rows = self.entity_table.ids(g.term_keys), self.relation_table.ids(g.term_keys)
             view = self._view = BoundEmbeddings(self, g, *rows)
         return view
-
-
-def _align(emb: EmbeddingSet, g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The entity and the relation row of every term id of ``g`` (-1 = none)."""
-    keys = g.term_keys
-    return tuple(
-        np.fromiter(map(index.get, keys, itertools.repeat(-1)), dtype=np.int64, count=len(keys))
-        for index in (emb.entity_index, emb.relation_index)
-    )
 
 
 def _rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:

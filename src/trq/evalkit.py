@@ -104,12 +104,7 @@ def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
     rows in SPO order and TRQE bytes follow from them."""
     kept = g.without(_deletion_rows(g, deletions))
     index, _, _ = kept.ranges()
-    triples = np.stack(index.columns(), axis=1)
-    order = first_appearance(triples.ravel())
-    renumber = np.empty(kept.term_count, dtype=np.int64)
-    renumber[order] = np.arange(len(order))
-    keys = kept.term_keys
-    return Graph([keys[i] for i in order.tolist()], renumber[triples])
+    return kept.renumbered(first_appearance(np.stack(index.columns(), axis=1).ravel()))
 
 
 def exact_solutions(g: Graph, q: Query) -> set[BindingTuple]:

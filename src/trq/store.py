@@ -1,13 +1,14 @@
 """Dictionary-encoded immutable RDF graph with four columnar indexes.
 
 A :class:`Graph` interns every distinct term into a dense id space in
-first-appearance order. Its dictionary is the list of the terms' table
-entries (kind byte, length, UTF-8; :mod:`trq.binio`), the bytes a TRQG
-or TRQE file holds, indexed by entry, so a snapshot loads and saves
-without building a :class:`Term`: :meth:`Graph.term` decodes an entry
-when it is read and :meth:`Graph.id` encodes the term it is given, in
-the manner of the HDT dictionary (Fernández et al., JWS 2013). The
-graph keeps the (deduplicated) triples in sorted permutation indexes,
+first-appearance order. Its dictionary, like an embedding set's two row
+tables, is a :class:`TermTable` of the terms' table entries (kind byte,
+length, UTF-8; :mod:`trq.binio`), the bytes a TRQG or TRQE file holds,
+indexed by entry, so a snapshot loads and saves without building a
+:class:`Term`: :meth:`TermTable.term` decodes an entry when it is read
+and :meth:`TermTable.id` encodes the term it is given, in the manner of
+the HDT dictionary (Fernández et al., JWS 2013). The graph keeps the
+(deduplicated) triples in sorted permutation indexes,
 SPO / POS / OSP and PSO, after the RDF-3X layout (Neumann & Weikum,
 VLDB 2008). Each index is one sorted int64 numpy array of packed keys:
 a triple's ids in the index's field order, each in
@@ -70,15 +71,16 @@ checks it; the loader adds the check that every id names a term.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from io import BufferedIOBase
 from pathlib import Path
 
 import numpy as np
 
-from .binio import key_index, read_body, read_header, read_source, term_key, term_of, write_file
+from .binio import read_body, read_header, read_source, term_key, term_of, write_file
 from .ntriples import TRIPLE_LINE, NTriplesError, parse_line, split_lines, token_term
 from .terms import RDF_TYPE, Term, TermId, TermKind, Triple
 
@@ -109,6 +111,39 @@ class SnapshotError(ValueError):
 
 class GraphTooLargeError(ValueError):
     """The term dictionary is beyond what the packed index keys can hold."""
+
+
+class TermTable:
+    """An immutable term table: ``keys``, the entries in id (row) order,
+    the id of each, and ``rdf_type_id`` (None without rdf:type). ValueError
+    ``{name} table lists {term} twice`` names its first repeated term."""
+
+    __slots__ = ("keys", "_id_of", "rdf_type_id")
+
+    def __init__(self, keys: Iterable[bytes], name: str):
+        self.keys = keys = tuple(keys)
+        self._id_of = id_of = dict(zip(keys, range(len(keys))))
+        if len(id_of) != len(keys):
+            # a repeated key keeps its last id, so its first entry is not it
+            twice = next(k for i, k in enumerate(keys) if id_of[k] != i)
+            raise ValueError(f"{name} table lists {term_of(twice).nt()} twice")
+        self.rdf_type_id = id_of.get(_RDF_TYPE_KEY)
+
+    def term(self, tid: TermId) -> Term:
+        n = len(self.keys)
+        if not 0 <= tid < n:
+            raise IndexError(f"term id {tid} is outside [0, term_count = {n})")
+        return term_of(self.keys[tid])
+
+    def id(self, term: Term) -> TermId | None:
+        try:
+            return self._id_of.get(term_key(term))
+        except UnicodeEncodeError:  # not text a table entry can hold
+            return None
+
+    def ids(self, keys: Sequence[bytes]) -> np.ndarray:
+        """The id of each of ``keys`` as int64, -1 for a key not in the table."""
+        return np.fromiter(map(self._id_of.get, keys, itertools.repeat(-1)), dtype=np.int64, count=len(keys))
 
 
 class TripleIndex:
@@ -188,7 +223,7 @@ class GraphStats:
 
     def __init__(self, graph: "Graph"):
         self._graph = graph
-        bits = graph._bits
+        bits = graph._spo.bits
         # the (s, p) prefixes of SPO and the (p, o) prefixes of POS, sorted
         sp = graph._spo.keys >> bits
         po = graph._index("pos").keys >> bits
@@ -248,31 +283,29 @@ class Graph:
     :func:`parse_ntriples` or :func:`load_snapshot`.
 
     ``keys`` are the distinct terms in id order, each as its table entry
-    (:func:`~trq.binio.term_key`). ``triples`` is an iterable of
-    (s, p, o) id tuples or an (n, 3) integer array; duplicates are
-    dropped, here and only here.
+    (:func:`~trq.binio.term_key`); they make :attr:`term_table`.
+    ``triples`` is an iterable of (s, p, o) id tuples or an (n, 3)
+    integer array; duplicates are dropped, here and only here.
     """
 
-    __slots__ = ("_keys", "_id_of", "_bits", "_spo", "_indexes", "_stats", "_rdf_type_id")
+    __slots__ = ("term_table", "_spo", "_indexes", "_stats")
 
     def __init__(self, keys: Iterable[bytes], triples: Iterable[tuple[int, int, int]] | np.ndarray):
-        self._keys = tuple(keys)
-        n = len(self._keys)
+        keys = tuple(keys)
+        n = len(keys)
         if n > MAX_TERM_COUNT:
             raise GraphTooLargeError(
                 f"graph has {n} terms; the packed index keys hold at most {MAX_TERM_COUNT}"
             )
-        self._id_of = key_index(self._keys, "term")
+        self.term_table = TermTable(keys, "term")
         if not isinstance(triples, np.ndarray):
             triples = list(triples)
         rows = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
         if len(rows) and (rows.min() < 0 or rows.max() >= n):
             raise ValueError("triple references unknown term id")
-        self._bits = bits = max(1, (n - 1).bit_length())
-        self._spo = TripleIndex((0, 1, 2), bits, *rows.T, unique=True)
+        self._spo = TripleIndex((0, 1, 2), max(1, (n - 1).bit_length()), *rows.T, unique=True)
         self._indexes = {"spo": self._spo}
         self._index("pos")  # PSO and OSP wait for a lookup that reads them
-        self._rdf_type_id = self._id_of.get(_RDF_TYPE_KEY)
         self._stats: GraphStats | None = None
 
     def _index(self, name: str) -> TripleIndex:
@@ -282,7 +315,7 @@ class Graph:
         index = self._indexes.get(name)
         if index is None:
             order = tuple(map("spo".index, name))
-            index = self._indexes[name] = TripleIndex(order, self._bits, *self._spo.columns())
+            index = self._indexes[name] = TripleIndex(order, self._spo.bits, *self._spo.columns())
         return index
 
     @property
@@ -302,12 +335,12 @@ class Graph:
 
     @property
     def term_count(self) -> int:
-        return len(self._keys)
+        return len(self.term_table.keys)
 
     @property
     def term_keys(self) -> tuple[bytes, ...]:
         """Every term's table entry, in id order."""
-        return self._keys
+        return self.term_table.keys
 
     @property
     def triple_count(self) -> int:
@@ -315,28 +348,21 @@ class Graph:
 
     @property
     def rdf_type_id(self) -> TermId | None:
-        return self._rdf_type_id
+        return self.term_table.rdf_type_id
 
     def term(self, tid: TermId) -> Term:
-        n = len(self._keys)
-        if not 0 <= tid < n:
-            raise IndexError(f"term id {tid} is outside [0, term_count = {n})")
-        return term_of(self._keys[tid])
+        return self.term_table.term(tid)
 
     def id(self, term: Term) -> TermId | None:
-        try:
-            key = term_key(term)
-        except UnicodeEncodeError:  # not text a table entry can hold
-            return None
-        return self._id_of.get(key)
+        return self.term_table.id(term)
 
     def terms(self) -> Iterator[Term]:
-        return map(term_of, self._keys)
+        return map(term_of, self.term_table.keys)
 
     # -- triples -------------------------------------------------------
 
     def _in_range(self, *ids) -> bool:
-        n = len(self._keys)
+        n = len(self.term_table.keys)
         return all(x is None or 0 <= x < n for x in ids)
 
     def contains(self, s: TermId, p: TermId, o: TermId) -> bool:
@@ -427,7 +453,7 @@ class Graph:
         key = (c, int(b0), int(b1))
         runs = index.runs.get(key)
         if runs is None:
-            n = len(self._keys)
+            n = len(self.term_table.keys)
             counted = index.probes[key] = index.probes.get(key, 0) + probes
             if RUN_DENSITY * min(b1 - b0, counted) >= n + 1:
                 field = (index.keys[b0:b1] >> (index.bits * (2 - c))) & ((1 << index.bits) - 1)
@@ -497,10 +523,10 @@ class Graph:
         are built again on use. A term of ``rows`` that is left in no
         triple leaves the dictionary, as it would from a graph ingested
         from the kept triples: :meth:`id` gives None for it, and the ids
-        after it shift down in order. Only then is the graph built anew.
+        after it shift down in order. Only then is it :meth:`renumbered`.
         """
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-        spo, n = self._spo, len(self._keys)
+        spo, n = self._spo, self.term_count
         keys = spo.pack(*rows.T)
         at = spo.keys.searchsorted(keys)
         held = ((rows >= 0) & (rows < n)).all(axis=1) & (at < len(spo.keys))
@@ -509,31 +535,34 @@ class Graph:
             raise ValueError(f"cannot delete {tuple(rows[~held][0].tolist())}: the graph does not hold it")
         cols = spo.columns(np.unique(at))
         out = Graph.__new__(Graph)
-        out._keys, out._id_of, out._bits = self._keys, self._id_of, self._bits
-        out._rdf_type_id = self._rdf_type_id
+        out.term_table = self.term_table
         out._indexes = {name: index.without(*cols) for name, index in self._indexes.items()}
         out._spo, out._stats = out._indexes["spo"], None
         dead = out._unused(np.unique(np.concatenate(cols)))
         if len(dead) == 0:
             return out
-        alive = np.ones(n, dtype=bool)
-        alive[dead] = False
-        renumber = np.cumsum(alive) - 1
-        kept = [key for key, keep in zip(self._keys, alive.tolist()) if keep]
-        return Graph(kept, renumber[np.stack(out._spo.columns(), axis=1)])
+        return out.renumbered(np.delete(np.arange(n), dead))
+
+    def renumbered(self, order: np.ndarray) -> "Graph":
+        """This graph built anew over the terms of ``order``, old ids in
+        their new id order; every term of a triple must be among them."""
+        renumber = np.empty(self.term_count, dtype=np.int64)
+        renumber[order] = np.arange(len(order))
+        keys = self.term_table.keys
+        return Graph([keys[i] for i in order.tolist()], renumber[np.stack(self._spo.columns(), axis=1)])
 
     def _unused(self, ids: np.ndarray) -> np.ndarray:
         """The ids of ``ids`` that occur in no triple: no key range of SPO,
         POS or a built OSP leads with them (without OSP, SPO's objects
         are counted)."""
-        shift = 2 * self._bits
+        shift = 2 * self._spo.bits
         for name in ("spo", "pos", "osp"):
             index = self._indexes.get(name)
             if index is not None:
                 ids = ids[index.keys.searchsorted(ids << shift) == index.keys.searchsorted((ids + 1) << shift)]
             elif len(ids):
-                objects = self._spo.keys & ((1 << self._bits) - 1)
-                ids = ids[np.bincount(objects, minlength=len(self._keys))[ids] == 0]
+                objects = self._spo.keys & ((1 << self._spo.bits) - 1)
+                ids = ids[np.bincount(objects, minlength=self.term_count)[ids] == 0]
         return ids
 
 
@@ -564,8 +593,7 @@ def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError
     constructor drops duplicate triples.
     """
     lines, invalid = split_lines(source)
-    keys: list[bytes] = []
-    id_of: dict[bytes, TermId] = {}
+    id_of: dict[bytes, TermId] = {}  # in id order
     blanks: dict[str, Term] = {}
 
     def intern(term: Term) -> TermId:
@@ -574,12 +602,7 @@ def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError
             if mapped is None:
                 mapped = blanks[term.lexical] = Term.blank(f"b{len(blanks)}")
             term = mapped
-        key = term_key(term)
-        tid = id_of.get(key)
-        if tid is None:
-            tid = id_of[key] = len(keys)
-            keys.append(key)
-        return tid
+        return id_of.setdefault(term_key(term), len(id_of))
 
     memo: dict[str, TermId] = {}
     ids: list[TermId] = []
@@ -611,7 +634,7 @@ def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError
             continue
         if parsed is not None:
             ids.extend(map(intern, parsed))
-    return Graph(keys, np.array(ids, dtype=np.int64).reshape(-1, 3))
+    return Graph(id_of, np.array(ids, dtype=np.int64).reshape(-1, 3))
 
 
 # -- snapshot I/O ------------------------------------------------------

@@ -27,7 +27,7 @@ from trq.embedding import (
 )
 from trq.binio import term_key
 from trq.evalkit import BenchCase, run_benchmark
-from trq.store import Graph, parse_ntriples
+from trq.store import Graph, TermTable, parse_ntriples
 from trq.terms import RDF_TYPE, Term
 
 from conftest import (
@@ -745,34 +745,41 @@ def test_views_on_two_graphs_match_fresh_binds(chain, first):
 def test_bind_aligns_once_per_graph(bench_graph, monkeypatch):
     # the trained graph is aligned once, and a graph that Graph.without
     # made from it needs no alignment: the alignment reads the term table alone
-    graphs = []
-    align = trq.embedding._align
-    monkeypatch.setattr(trq.embedding, "_align", lambda emb, g: graphs.append(g) or align(emb, g))
+    looked_up = []
+    ids = TermTable.ids
+    monkeypatch.setattr(TermTable, "ids", lambda table, keys: looked_up.append(keys) or ids(table, keys))
+
+    def aligned(*graphs):
+        """Whether the alignments so far were of the keys of ``graphs``, in
+        order: each looks them up in the entity, then the relation table."""
+        return [id(keys) for keys in looked_up] == [id(g.term_keys) for g in graphs for _ in "er"]
+
     emb = train(bench_graph, EmbeddingConfig(dim=8, epochs=1))
     assert emb._view is None
     view = emb.bind(bench_graph)
-    assert emb.bind(bench_graph) is view and graphs == [bench_graph]
-    assert all(np.array_equal(a, b) for a, b in zip((view.ent_row, view.rel_row), align(emb, bench_graph)))
+    assert emb.bind(bench_graph) is view and aligned(bench_graph)
+    want = (ids(emb.entity_table, bench_graph.term_keys), ids(emb.relation_table, bench_graph.term_keys))
+    assert all(np.array_equal(a, b) for a, b in zip((view.ent_row, view.rel_row), want))
     cases = []
     for c in range(3):
         value = bench_graph.id(ex(f"val0_{c:02d}"))
         q = make_query([pattern("?a", "linked", "?b"), pattern("?b", "attr0", f"val0_{c:02d}")])
         cases.append(BenchCase(f"c{c}", q, [match_triples(bench_graph, None, bench_graph.id(ex("attr0")), value)[0]]))
     report = run_benchmark(bench_graph, cases, embeddings=emb)
-    assert report.failures == 0 and graphs == [bench_graph]
+    assert report.failures == 0 and aligned(bench_graph)
     # a run that trains binds the first case's graph to the trained set's
     # own (renumbered) table once; every later case shares that table
     trained = []
     monkeypatch.setattr(trq.evalkit, "train", lambda g, cfg: trained.append(train(g, cfg)) or trained[-1])
     report = run_benchmark(bench_graph, cases, embed_config=EmbeddingConfig(dim=8, epochs=1))
-    assert report.failures == 0 and len(trained) == 1 and len(graphs) == 2
-    assert graphs[1].term_keys is bench_graph.term_keys
-    # an equal table that is another tuple is aligned again
+    assert report.failures == 0 and len(trained) == 1 and aligned(bench_graph, bench_graph)
+    # an equal table that is another object is aligned again
     copy = Graph(list(bench_graph.term_keys), np.stack(bench_graph.ranges()[0].columns(), axis=1))
     assert copy.term_keys == bench_graph.term_keys and copy.term_keys is not bench_graph.term_keys
+    assert copy.term_table is not bench_graph.term_table
     emb.bind(bench_graph)
-    graphs.clear()
-    assert np.array_equal(emb.bind(copy).ent_row, view.ent_row) and graphs == [copy]
+    looked_up.clear()
+    assert np.array_equal(emb.bind(copy).ent_row, view.ent_row) and aligned(copy)
     # views that share rows keep their own type vectors
     g = build_graph([("e0", "type", "C"), ("e1", "type", "C"), ("e0", "p", "e1"), ("e1", "p", "e2")])
     typed = train(g, EmbeddingConfig(dim=4, epochs=1))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
+import re
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ from trq.store import (
     Graph,
     GraphTooLargeError,
     SnapshotError,
+    TermTable,
     load_snapshot,
     parse_ntriples,
     save_snapshot,
@@ -21,7 +23,8 @@ from trq.store import (
 from trq.embedding import EmbeddingConfig, load_embeddings, save_embeddings, train
 from trq.recommend import RecommendRequest, recommend
 from trq.sparql import evaluate_bgp, parse_query, resolve_patterns
-from trq.terms import RDF_TYPE, Triple
+from trq.binio import term_key, term_of
+from trq.terms import RDF_TYPE, Term, Triple
 
 from conftest import (
     MOVIE_QUERY,
@@ -538,6 +541,40 @@ def test_rdf_type_id_property():
     assert g2.rdf_type_id is None
 
 
+# -- term table --------------------------------------------------------
+
+
+def test_term_table(small):
+    vocab = [RDF_TYPE, ex("a"), Term.literal("a"), Term.literal("a", lang="en"), Term.blank("a")]
+    vocab += [ex(f"t{i}") for i in range(len(vocab), 8)]
+    for entries in ([], [0], [3, 1, 4, 2], [5, 0, 2, 6, 1, 4, 3]):
+        table = TermTable(keys_of([vocab[i] for i in entries]), "term")
+        # ids equals a Term-keyed lookup, absent keys (7 always) and an empty table too
+        row_of = {vocab[i]: row for row, i in enumerate(entries)}
+        keys = keys_of(vocab + vocab[::-1])
+        got = table.ids(keys)
+        assert got.dtype == np.int64 and got.tolist() == [row_of.get(term_of(k), -1) for k in keys]
+        assert [table.id(t) for t in vocab] == [row_of.get(t) for t in vocab]
+        assert table.rdf_type_id == row_of.get(RDF_TYPE)
+        assert [table.term(i) for i in range(len(entries))] == [vocab[i] for i in entries]
+        for tid in (-1, len(entries)):
+            with pytest.raises(IndexError, match=rf"^term id {tid} is outside \[0, term_count = {len(entries)}\)$"):
+                table.term(tid)
+        assert table.id(Term.literal("\ud800")) is None  # a lone surrogate has no entry
+        if entries:
+            twice = vocab[entries[-1]]
+            for name in ("term", "entity", "relation"):
+                with pytest.raises(ValueError, match=f"^{name} table lists {re.escape(twice.nt())} twice$"):
+                    TermTable(table.keys + (term_key(twice),), name)
+    # Graph.without shares its table unless a term leaves it
+    a, p, b, c, q = (small.id(ex(x)) for x in "apbcq")
+    assert small.without(np.array([[a, p, b]])).term_table is small.term_table
+    assert small.without(np.empty((0, 3), dtype=np.int64)).term_table is small.term_table
+    out = small.without(np.array([[a, q, c]]))  # q is in no other triple
+    assert out.term_table is not small.term_table and out.id(ex("q")) is None
+    assert out.term_keys == tuple(k for k in small.term_keys if k != term_key(ex("q")))
+
+
 # -- deletion ----------------------------------------------------------
 
 
@@ -563,12 +600,12 @@ def assert_same_indexes(got: Graph, want: Graph, names):
 def source_state(g: Graph):
     """Copies of what ``without`` must leave untouched."""
     indexes = {name: (index, index.keys.copy(), dict(index.runs), dict(index.probes)) for name, index in g._indexes.items()}
-    return g.term_keys, g._id_of.copy(), indexes, g._stats
+    return g.term_keys, g.term_table, g.term_table._id_of.copy(), indexes, g._stats
 
 
 def assert_state_kept(g: Graph, state):
-    keys, id_of, indexes, stats = state
-    assert g.term_keys is keys and g._id_of == id_of and g._stats is stats
+    keys, table, id_of, indexes, stats = state
+    assert g.term_keys is keys and g.term_table is table and table._id_of == id_of and g._stats is stats
     assert g._indexes.keys() == indexes.keys()
     for name, (index, copy, runs, probes) in indexes.items():
         assert g._indexes[name] is index and np.array_equal(index.keys, copy)
