@@ -74,7 +74,9 @@ def write_file(
     A path is written atomically: the payload goes to a temporary file in
     the destination's directory, which then replaces the destination, so
     a write that fails halfway, or a crash, leaves any existing file
-    untouched. A file object is written in place.
+    untouched. An OSError is raised again, as its own type, with the path
+    as given for its file name, not the temporary file's, which is gone.
+    A file object is written in place.
     """
 
     def write(fh: BinaryIO) -> None:
@@ -87,17 +89,30 @@ def write_file(
     if not isinstance(dest, (str, Path)):
         write(dest)
         return
-    dest = Path(dest)
-    tmp = dest.with_name(f".{dest.name}.{os.urandom(6).hex()}.tmp")
+    path = Path(dest)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "xb") as fh:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise _named(exc, dest) from None
+    try:
+        with fh:
             write(fh)
             fh.flush()
             os.fsync(fh.fileno())  # the payload is on disk before the rename is
-        os.replace(tmp, dest)
-    except BaseException:
+        os.replace(tmp, path)
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _named(exc, dest) from None
         raise
+
+
+def _named(exc: OSError, dest: str | Path) -> OSError:
+    """``exc`` of the same type, naming ``dest`` as its file."""
+    if exc.errno is None:  # no errno and strerror to carry over
+        return exc
+    return type(exc)(exc.errno, exc.strerror, os.fspath(dest))
 
 
 def read_header(

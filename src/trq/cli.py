@@ -15,7 +15,10 @@ as is an unknown option, a malformed value or a missing argument on the
 command line.
 
 Text inputs are read by :mod:`trq.ntriples`: a fault reads ``error:
-{path}: line N: ...``, stdin (``-``) named ``<stdin>``.
+{path}: line N: ...``, stdin (``-``) named ``<stdin>``. An output path
+that cannot be written is named as given, such as ``error: [Errno 21]
+Is a directory: '{path}'``. A reader that closes stdout early ends the
+command quietly, with exit status 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -458,7 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: what is left to flush at exit goes to
+        # os.devnull, as Python's note on SIGPIPE advises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, LookupError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -76,10 +76,10 @@ Embedding file format (``TRQE``, version 1, little endian)::
     [transr] maps    f32, relation_count x rel_dim x dim
 
 The term tables hold the same entries as a TRQG dictionary, and a set
-keeps them as they are read, in two :class:`~trq.store.TermTable`
-objects: rows are indexed by entry bytes, and :meth:`EmbeddingSet.bind`
-aligns them with a graph's ids by looking the graph's entries up, so
-neither load nor bind decodes a term.
+keeps them as read, only in two :class:`~trq.store.TermTable` objects:
+rows are indexed by entry bytes, and :meth:`EmbeddingSet.bind` aligns
+them with a graph's ids by looking the graph's entries up, so neither
+load nor bind decodes a term.
 
 :mod:`trq.binio` writes and reads the layout and checks it. The loader
 also rejects non-positive dimensions, a margin that is not a positive
@@ -91,8 +91,8 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import InitVar, dataclass, field
 from io import BufferedIOBase
 from pathlib import Path
 
@@ -402,10 +402,10 @@ def _train_step(ws, model, norm, margin, learning_rate, ent, rel, normals, maps,
 class EmbeddingSet:
     """Trained (or loaded) embedding rows keyed by term.
 
-    ``entity_keys`` and ``relation_keys`` name each row's term by its
-    table entry (:func:`~trq.binio.term_key`), the bytes TRQG and TRQE
-    files hold; ``entity_table`` and ``relation_table`` give an entry's
-    row. ``entity_terms`` and ``relation_terms`` decode them.
+    ``entity_keys`` and ``relation_keys``, each row's term as its table
+    entry (:func:`~trq.binio.term_key`), are kept only as ``entity_table``
+    and ``relation_table``; ``entity_terms`` and ``relation_terms`` decode
+    them. ``dim`` and ``rel_dim`` are read off the matrices.
 
     The set holds no graph. Scores read term ids of one graph, so they
     live on the :class:`BoundEmbeddings` view that :meth:`bind` returns.
@@ -413,11 +413,9 @@ class EmbeddingSet:
 
     model: str
     norm: str
-    dim: int
-    rel_dim: int
     margin: float
-    entity_keys: list[bytes]
-    relation_keys: list[bytes]
+    entity_keys: InitVar[Iterable[bytes]]
+    relation_keys: InitVar[Iterable[bytes]]
     entity_vecs: np.ndarray
     relation_vecs: np.ndarray
     normals: np.ndarray | None = None
@@ -427,26 +425,34 @@ class EmbeddingSet:
     # not stored in TRQE files
     sampler_redraws: list[int] = field(default_factory=list, repr=False)
 
-    def __post_init__(self):
-        self.entity_table = TermTable(self.entity_keys, "entity")
-        self.relation_table = TermTable(self.relation_keys, "relation")
+    def __post_init__(self, entity_keys, relation_keys):
+        self.entity_table = TermTable(entity_keys, "entity")
+        self.relation_table = TermTable(relation_keys, "relation")
         self._view: BoundEmbeddings | None = None  # bind's one-slot cache
 
     @property
+    def dim(self) -> int:
+        return self.entity_vecs.shape[1]
+
+    @property
+    def rel_dim(self) -> int:
+        return self.relation_vecs.shape[1]
+
+    @property
     def entity_count(self) -> int:
-        return len(self.entity_keys)
+        return len(self.entity_table.keys)
 
     @property
     def relation_count(self) -> int:
-        return len(self.relation_keys)
+        return len(self.relation_table.keys)
 
     @property
     def entity_terms(self) -> list[Term]:
-        return list(map(term_of, self.entity_keys))
+        return list(map(term_of, self.entity_table.keys))
 
     @property
     def relation_terms(self) -> list[Term]:
-        return list(map(term_of, self.relation_keys))
+        return list(map(term_of, self.relation_table.keys))
 
     def bind(self, g: Graph) -> BoundEmbeddings:
         """The view of this set over ``g``. The last view built is returned
@@ -673,15 +679,12 @@ def train(g: Graph, cfg: EmbeddingConfig) -> EmbeddingSet:
             f"training diverged: non-finite embedding values after {cfg.epochs} epochs "
             f"at learning_rate {cfg.learning_rate}; lower the learning rate"
         )
-    keys = g.term_keys
     return EmbeddingSet(
         model=cfg.model,
         norm=cfg.norm,
-        dim=dim,
-        rel_dim=rel_dim,
         margin=cfg.margin,
-        entity_keys=[keys[tid] for tid in ent_ids.tolist()],
-        relation_keys=[keys[tid] for tid in rel_ids.tolist()],
+        entity_keys=map(g.term_keys.__getitem__, ent_ids.tolist()),
+        relation_keys=map(g.term_keys.__getitem__, rel_ids.tolist()),
         entity_vecs=vecs[0],
         relation_vecs=vecs[1],
         normals=vecs[2] if cfg.model == TRANSH else None,
@@ -712,7 +715,7 @@ def save_embeddings(emb: EmbeddingSet, dest: str | Path | BufferedIOBase) -> Non
     head = EMBED_MAGIC + _HEADER.pack(EMBED_VERSION, *tags, emb.dim, emb.rel_dim, emb.margin, *counts)
     extra = {TRANSE: [], TRANSH: [emb.normals], TRANSR: [emb.maps]}[emb.model]
     matrices = [np.asarray(m, dtype="<f4") for m in [emb.entity_vecs, emb.relation_vecs] + extra]
-    write_file(dest, head, [emb.entity_keys, emb.relation_keys], matrices)
+    write_file(dest, head, [emb.entity_table.keys, emb.relation_table.keys], matrices)
 
 
 def load_embeddings(src: str | Path | BufferedIOBase) -> EmbeddingSet:
@@ -743,8 +746,6 @@ def load_embeddings(src: str | Path | BufferedIOBase) -> EmbeddingSet:
         return EmbeddingSet(
             model=model,
             norm="l1" if norm_tag == 1 else "l2",
-            dim=dim,
-            rel_dim=rel_dim,
             margin=margin,
             entity_keys=ent_keys,
             relation_keys=rel_keys,

@@ -115,17 +115,18 @@ class GraphTooLargeError(ValueError):
 
 class TermTable:
     """An immutable term table: ``keys``, the entries in id (row) order,
-    the id of each, and ``rdf_type_id`` (None without rdf:type). ValueError
+    the id of each (a dict of entries to ids in id order is taken over,
+    not copied), and ``rdf_type_id`` (None without rdf:type). ValueError
     ``{name} table lists {term} twice`` names its first repeated term."""
 
     __slots__ = ("keys", "_id_of", "rdf_type_id")
 
     def __init__(self, keys: Iterable[bytes], name: str):
-        self.keys = keys = tuple(keys)
-        self._id_of = id_of = dict(zip(keys, range(len(keys))))
-        if len(id_of) != len(keys):
+        self.keys = tuple(keys)  # a dict gives its entries, in id order
+        self._id_of = id_of = keys if isinstance(keys, dict) else dict(zip(self.keys, itertools.count()))
+        if len(id_of) != len(self.keys):
             # a repeated key keeps its last id, so its first entry is not it
-            twice = next(k for i, k in enumerate(keys) if id_of[k] != i)
+            twice = next(k for i, k in enumerate(self.keys) if id_of[k] != i)
             raise ValueError(f"{name} table lists {term_of(twice).nt()} twice")
         self.rdf_type_id = id_of.get(_RDF_TYPE_KEY)
 
@@ -291,13 +292,12 @@ class Graph:
     __slots__ = ("term_table", "_spo", "_indexes", "_stats")
 
     def __init__(self, keys: Iterable[bytes], triples: Iterable[tuple[int, int, int]] | np.ndarray):
-        keys = tuple(keys)
-        n = len(keys)
+        self.term_table = TermTable(keys, "term")
+        n = self.term_count
         if n > MAX_TERM_COUNT:
             raise GraphTooLargeError(
                 f"graph has {n} terms; the packed index keys hold at most {MAX_TERM_COUNT}"
             )
-        self.term_table = TermTable(keys, "term")
         if not isinstance(triples, np.ndarray):
             triples = list(triples)
         rows = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
@@ -548,8 +548,7 @@ class Graph:
         their new id order; every term of a triple must be among them."""
         renumber = np.empty(self.term_count, dtype=np.int64)
         renumber[order] = np.arange(len(order))
-        keys = self.term_table.keys
-        return Graph([keys[i] for i in order.tolist()], renumber[np.stack(self._spo.columns(), axis=1)])
+        return Graph(map(self.term_keys.__getitem__, order.tolist()), renumber[np.stack(self._spo.columns(), axis=1)])
 
     def _unused(self, ids: np.ndarray) -> np.ndarray:
         """The ids of ``ids`` that occur in no triple: no key range of SPO,
@@ -593,7 +592,7 @@ def parse_ntriples(source: str | bytes | Path, on_error: Callable[[NTriplesError
     constructor drops duplicate triples.
     """
     lines, invalid = split_lines(source)
-    id_of: dict[bytes, TermId] = {}  # in id order
+    id_of: dict[bytes, TermId] = {}  # in id order: the graph's table takes it over
     blanks: dict[str, Term] = {}
 
     def intern(term: Term) -> TermId:

@@ -276,8 +276,6 @@ def _manual_set(model, ent, rel, terms_e, terms_r, normals=None, maps=None, norm
     return EmbeddingSet(
         model=model,
         norm=norm,
-        dim=ent.shape[1],
-        rel_dim=rel.shape[1],
         margin=1.0,
         entity_keys=keys_of(terms_e),
         relation_keys=keys_of(terms_r),

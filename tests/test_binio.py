@@ -306,8 +306,6 @@ def test_writers_lay_out_the_documented_bytes(tmp_path, model, norm, dim, rel_di
     emb = EmbeddingSet(
         model=model,
         norm=norm,
-        dim=dim,
-        rel_dim=rel_dim,
         margin=0.75,
         entity_keys=[term_key(t) for t in ent_terms],
         relation_keys=[term_key(t) for t in rel_terms],

@@ -977,6 +977,58 @@ def test_unreadable_text_input_is_one_error_line(run, artifacts, bench_dir, kind
     assert stdout == "" and err == expected
 
 
+@pytest.mark.parametrize("verb", ["ingest", "train"])
+@pytest.mark.parametrize("fault", ["missing-parent", "directory", "file-parent"])
+def test_unwritable_output_path_is_one_error_line(run, artifacts, movie_nt, tmp_path, verb, fault):
+    # the error names the path given, not the temporary file written first
+    store_path, _ = artifacts
+    if fault == "directory":
+        path = tmp_path / "out"
+        path.mkdir()
+        expected = f"error: [Errno 21] Is a directory: '{path}'\n"
+    elif fault == "file-parent":
+        path = tmp_path / "file" / "out"
+        path.parent.write_text("")
+        expected = f"error: [Errno 20] Not a directory: '{path}'\n"
+    else:
+        path = tmp_path / "missing" / "out"
+        expected = f"error: [Errno 2] No such file or directory: '{path}'\n"
+    argv = {
+        "ingest": ["ingest", str(movie_nt)],
+        "train": ["train", "--store", str(store_path), "--dim", "4", "--epochs", "1", "--quiet"],
+    }[verb]
+    before = sorted(tmp_path.rglob("*"))
+    stdout, err = run(*argv, "-o", str(path), expect=1)
+    assert stdout == "" and err == expected and ".tmp" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_closed_stdout_ends_the_command_quietly(tmp_path):
+    # about 1 MB of JSON, far more than a pipe holds: trq is still writing
+    # when the reader closes the pipe after 100 bytes
+    nt, store_path, emb_path = tmp_path / "big.nt", tmp_path / "big.trqg", tmp_path / "big.trqe"
+    nt.write_text("".join(f"<e:s{i}> <e:p> <e:o{i % 97}> .\n" for i in range(3000)))
+    assert main(["ingest", str(nt), "-o", str(store_path)]) == 0
+    assert main(["train", "--store", str(store_path), "-o", str(emb_path), "--dim", "4", "--epochs", "1", "--quiet"]) == 0
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT * WHERE { ?x <e:p> ?y . }\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["query", str(query), "--store", str(store_path), "--embeddings", str(emb_path), "--top-k", "3000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trq", *argv, "--format", "json"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert head.startswith(b"{") and len(head) == 100
+    assert err == b""
+
+
 def test_bench_rejects_non_finite_uniform_f(run, artifacts, bench_dir):
     store_path, emb_path = artifacts
     stdout, err = run(

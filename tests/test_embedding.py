@@ -335,8 +335,6 @@ def _manual_set(model, ent, rel, terms_e, terms_r, normals=None, maps=None, norm
     return EmbeddingSet(
         model=model,
         norm=norm,
-        dim=ent.shape[1],
-        rel_dim=rel.shape[1],
         margin=1.0,
         entity_keys=keys_of(terms_e),
         relation_keys=keys_of(terms_r),
@@ -476,8 +474,8 @@ def test_train_numbers_rows_by_first_appearance_in_spo(include_type_triples, dat
     g = build_graph(data.draw(st.permutations(rows)))
     cfg = EmbeddingConfig(dim=2, epochs=1, include_type_triples=include_type_triples)
     emb, want = train(g, cfg), reference_training_input(g, cfg)
-    assert emb.entity_keys == want.entity_keys
-    assert emb.relation_keys == want.relation_keys
+    assert list(emb.entity_table.keys) == want.entity_keys
+    assert list(emb.relation_table.keys) == want.relation_keys
 
 
 def test_include_type_triples_changes_training(chain):
@@ -734,7 +732,8 @@ def test_views_on_two_graphs_match_fresh_binds(chain, first):
     graphs = [chain, flipped] if first == "trained" else [flipped, chain]
     views = [emb.bind(g) for g in graphs]
     for g, view in zip(graphs, views):
-        fresh = dataclasses.replace(emb).bind(g)
+        tables = {"entity_keys": emb.entity_table.keys, "relation_keys": emb.relation_table.keys}
+        fresh = dataclasses.replace(emb, **tables).bind(g)
         ents = [g.id(t) for t in emb.entity_terms]
         rels = [g.id(t) for t in emb.relation_terms]
         triples = list(itertools.product(ents, rels, ents))
@@ -828,6 +827,23 @@ def test_save_bytes_deterministic(chain):
     save_embeddings(emb, b2)
     assert b1.getvalue() == b2.getvalue()
     assert b1.getvalue()[:4] == EMBED_MAGIC
+
+
+def test_changing_the_key_lists_a_set_was_made_of_changes_nothing(chain):
+    # the set's tables are its one copy of its keys: reordering the lists
+    # it was made of changes neither its file bytes nor its bound rows
+    emb = small_emb(chain)
+    want_bytes, want_view = io.BytesIO(), emb.bind(chain)
+    save_embeddings(emb, want_bytes)
+    entity_keys, relation_keys = list(emb.entity_table.keys), list(emb.relation_table.keys)
+    made = dataclasses.replace(emb, entity_keys=entity_keys, relation_keys=relation_keys)
+    entity_keys.reverse()
+    relation_keys.reverse()
+    got_bytes, got_view = io.BytesIO(), made.bind(chain)
+    save_embeddings(made, got_bytes)
+    assert got_bytes.getvalue() == want_bytes.getvalue()
+    assert np.array_equal(got_view.ent_row, want_view.ent_row)
+    assert np.array_equal(got_view.rel_row, want_view.rel_row)
 
 
 def test_load_rejects_bad_magic(chain):
@@ -1009,9 +1025,10 @@ def test_failed_save_leaves_existing_file_untouched(tmp_path, chain):
     path = tmp_path / "e.trqe"
     save_embeddings(small_emb(chain), path)
     before = path.read_bytes()
-    emb = small_emb(chain, seed=1)
+    trained = small_emb(chain, seed=1)
     # an entry that is not bytes cannot be joined: the write fails after the header
-    emb.relation_keys[-1] = "not bytes"
+    relation_keys = [*trained.relation_table.keys[:-1], "not bytes"]
+    emb = dataclasses.replace(trained, entity_keys=trained.entity_table.keys, relation_keys=relation_keys)
     with pytest.raises(TypeError):
         save_embeddings(emb, path)
     assert path.read_bytes() == before
