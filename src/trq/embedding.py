@@ -428,7 +428,33 @@ class EmbeddingSet:
     def __post_init__(self, entity_keys, relation_keys):
         self.entity_table = TermTable(entity_keys, "entity")
         self.relation_table = TermTable(relation_keys, "relation")
+        self._check_shapes()
         self._view: BoundEmbeddings | None = None  # bind's one-slot cache
+
+    def _check_shapes(self) -> None:
+        """ValueError, naming both counts, unless each matrix has a row per
+        entry of its table and the shape the model reads, as a TRQE file
+        of the set must have: relation rows as wide as entity rows except
+        for transr, ``normals`` (n_rel, dim) for transh alone and ``maps``
+        (n_rel, rel_dim, dim) for transr alone."""
+        n_ent, n_rel = self.entity_count, self.relation_count
+        if len(self.entity_vecs) != n_ent:
+            raise ValueError(f"entity_vecs has {len(self.entity_vecs)} rows for {n_ent} entity table entries")
+        if len(self.relation_vecs) != n_rel:
+            raise ValueError(f"relation_vecs has {len(self.relation_vecs)} rows for {n_rel} relation table entries")
+        if self.model != TRANSR and self.rel_dim != self.dim:
+            raise ValueError(f"relation_vecs is {self.rel_dim} wide for entity rows {self.dim} wide in a {self.model} set")
+        for name, model, shape in (
+            ("normals", TRANSH, (n_rel, self.dim)),
+            ("maps", TRANSR, (n_rel, self.rel_dim, self.dim)),
+        ):
+            matrix = getattr(self, name)
+            if self.model != model:
+                if matrix is not None:
+                    raise ValueError(f"a {self.model} set has no {name}, got shape {matrix.shape}")
+            elif matrix is None or matrix.shape != shape:
+                got = None if matrix is None else matrix.shape
+                raise ValueError(f"{name} has shape {got} for {n_rel} relations, {self.model} needs {shape}")
 
     @property
     def dim(self) -> int:
@@ -754,5 +780,5 @@ def load_embeddings(src: str | Path | BufferedIOBase) -> EmbeddingSet:
             normals=matrices[2] if model == TRANSH else None,
             maps=matrices[2] if model == TRANSR else None,
         )
-    except ValueError as exc:  # a table lists a term twice
+    except ValueError as exc:  # a table lists a term twice, or a count or shape is off
         raise EmbeddingFormatError(str(exc)) from exc

@@ -8,10 +8,15 @@ tuples in a prefix scores a mean rank of exactly 1.0. A correct tuple
 missing from the ranking is charged rank len(ranking) + 1.
 
 A benchmark case deletes facts from the source graph (making the query
-unanswerable exactly), recommends approximate solutions over the
+unanswerable exactly), scores the approximate solutions over the
 corrupted graph, and measures where the original exact solutions land.
 A run trains one model with every case's deletions held out, as link
 prediction holds out every test fact (Bordes et al., NIPS 2013, section 4).
+A case renders no ranking: its truth tuples are resolved to id rows of
+its graph once, and each one's place among every candidate is read off
+the scored table (:func:`~trq.recommend.position`), so the metrics are
+those :func:`reciprocal_rank` and :func:`mean_rank` give on the ranking
+``recommend`` would return.
 
 :func:`load_cases` reads a manifest's files with :func:`~trq.ntriples.read_lines`.
 """
@@ -31,12 +36,17 @@ from .recommend import (
     DEFAULT_PER_TREE_LIMIT,
     DEFAULT_THRESHOLD,
     RecommendRequest,
-    recommend,
+    candidate_table,
+    position,
     validate_settings,
 )
+
+# No case calls recommend; it stays a name of this module because
+# perfbench's deletion check and trace look it up here.
+from .recommend import recommend  # noqa: F401
 from .sparql import Query, evaluate_bgp, parse_query, resolve_patterns
 from .store import Graph, first_appearance
-from .terms import Triple
+from .terms import Term, Triple
 
 BindingTuple = tuple[str, ...]
 
@@ -107,11 +117,52 @@ def corrupt_graph(g: Graph, deletions: Iterable[Triple]) -> Graph:
     return kept.renumbered(first_appearance(np.stack(index.columns(), axis=1).ravel()))
 
 
+def _exact_terms(g: Graph, q: Query) -> set[tuple[Term, ...]]:
+    """The terms (sorted-variable order) of all exact solutions of the
+    query's patterns."""
+    rows = evaluate_bgp(g, resolve_patterns(g, q.patterns)).rows
+    return {tuple(map(g.term, row)) for row in rows.tolist()}
+
+
 def exact_solutions(g: Graph, q: Query) -> set[BindingTuple]:
     """Binding tuples (sorted-variable order, N-Triples forms) of all
     exact solutions of the query's patterns."""
-    rows = evaluate_bgp(g, resolve_patterns(g, q.patterns)).rows
-    return {tuple(g.term(t).nt() for t in row) for row in rows.tolist()}
+    return {tuple(t.nt() for t in terms) for terms in _exact_terms(g, q)}
+
+
+def _form_term(form: str) -> Term | None:
+    """The term whose N-Triples form is ``form``, or None when ``form``
+    does not parse or is not its term's own form: no ranked binding key
+    equals it."""
+    try:
+        term = parse_term(form)
+    except NTriplesError:
+        return None
+    return term if term.nt() == form else None
+
+
+def _truth_terms(g: Graph, case: BenchCase) -> list[tuple[Term | None, ...]]:
+    """A case's truth tuples as terms, in sorted-variable order: a derived
+    truth's are those of the exact solutions over ``g``, and a given
+    tuple's forms go through :func:`_form_term`."""
+    if case.truth is None:
+        return list(_exact_terms(g, case.query))
+    return [tuple(map(_form_term, key)) for key in case.truth]
+
+
+def _id_row(g: Graph, terms: tuple[Term | None, ...]) -> list[int]:
+    """The ids of ``terms`` in ``g``, -1 for a term it does not hold."""
+    ids = [None if t is None else g.id(t) for t in terms]
+    return [-1 if i is None else i for i in ids]
+
+
+def _rank_metrics(places: Sequence[int | None], listed: int) -> tuple[float, float]:
+    """:func:`reciprocal_rank` and :func:`mean_rank` of a ranking of
+    ``listed`` rows from each truth tuple's 1-based place in the full
+    ranking (None: no candidate); a place past ``listed`` is missing."""
+    found = sorted(p for p in places if p is not None and p <= listed)
+    total = sum(p - i for i, p in enumerate(found)) + (len(places) - len(found)) * (listed + 1)
+    return (1.0 / found[0] if found else 0.0), total / len(places)
 
 
 @dataclass
@@ -180,8 +231,14 @@ def run_benchmark(
     embedding, so nothing is trained and neither source is needed. A
     case failure is recorded on its row and does not stop the run; a
     recommend setting, or a training option of ``embed_config``, out of
-    range raises ValueError before any case runs. ``top_k=None`` ranks
-    every surviving candidate.
+    range raises ValueError before any case runs.
+
+    A case's metrics are those of the ranking ``recommend`` would return
+    for it, read off the case's :func:`~trq.recommend.candidate_table`:
+    each truth tuple's place among every candidate
+    (:func:`~trq.recommend.position`), a place past ``top_k`` missing and
+    charged ``min(top_k, candidates) + 1``. ``top_k=None`` ranks every
+    surviving candidate.
     """
     trains = embeddings is None and uniform_f is None
     if trains and embed_config is None:
@@ -214,7 +271,7 @@ def run_benchmark(
         report.rows.append(row)
         started = time.perf_counter()
         try:
-            truth = case.truth if case.truth is not None else exact_solutions(g, case.query)
+            truth = _truth_terms(g, case)
             if not truth:
                 raise ValueError("case has an empty truth set")
             if isinstance(rows, Exception):
@@ -229,11 +286,12 @@ def run_benchmark(
                 per_tree_limit=per_tree_limit,
                 uniform_f=uniform_f,
             )
-            rec = recommend(g.without(rows), req)
-            ranked = [s.binding_key for s in rec.solutions]
-            row.rr = reciprocal_rank(ranked, truth)
-            row.mr = mean_rank(ranked, truth)
-            row.candidates = rec.candidates_seen
+            kept = g.without(rows)
+            table = candidate_table(kept, req)
+            n = len(table.rows)
+            places = [position(kept, table.rows, table.scores, table.distance, _id_row(kept, t)) for t in truth]
+            row.rr, row.mr = _rank_metrics(places, n if top_k is None else min(top_k, n))
+            row.candidates = n
             row.truth_size = len(truth)
         except Exception as exc:  # noqa: BLE001 - cases must not kill the run
             row.error = f"{type(exc).__name__}: {exc}"

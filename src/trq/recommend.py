@@ -45,13 +45,18 @@ order:
 4. *Pool.* The kept rows of every relaxation are pooled in relaxation
    order; ``candidates_seen`` counts them.
 
-Every kept row is scored once, column-wise, with those same flags; only
-the top K rows become ScoredSolutions, built from the arrays already
-computed, edit distances included. Terms are rendered only for ranking:
-the N-Triples form of each term in the rows that tie with or beat the
-K-th score is decoded once, orders the ties, and becomes the chosen
-rows' binding keys.
-Ranking every candidate (the deletion bench) takes the same path.
+Every kept row is scored once, column-wise, with those same flags;
+:func:`candidate_table` returns that scored table. :func:`recommend`
+ranks it, and only the top K rows become ScoredSolutions, built from the
+arrays already computed, edit distances included. Terms are rendered
+only for ranking: the N-Triples form of each term in the rows that tie
+with or beat the K-th score is decoded once, orders the ties, and
+becomes the chosen rows' binding keys.
+
+The deletion bench needs no ranked list, only where its truth rows land
+among every candidate: :func:`position` reads one row's place in the
+full ranking off the table's arrays, decoding only the terms of the rows
+tied with it on score and edit distance.
 """
 
 from __future__ import annotations
@@ -111,6 +116,32 @@ def validate_settings(threshold: int, top_k: int | None, per_tree_limit: int, un
         raise ValueError("per_tree_limit must be at least 1")
     if uniform_f is not None and not (math.isfinite(uniform_f) and 0 < uniform_f <= 1):
         raise ValueError(f"uniform_f must be a finite number in (0, 1], got {uniform_f}")
+
+
+@dataclass
+class CandidateTable:
+    """A request's scored candidates, in pool order and unranked.
+
+    ``rows`` holds one row of term ids per candidate, a column per name
+    of ``variables`` (name order). ``in_graph``, ``f`` and ``fallback``
+    are (rows x patterns) arrays of :func:`~trq.scoring.in_graph_flags`
+    and :func:`~trq.scoring.score_table`; ``distance`` (the count of each
+    row's False flags) and ``scores`` hold a value per row, ``weights`` one
+    per pattern. ``timings`` holds the parse, plan, evaluate and score
+    phases.
+    """
+
+    variables: tuple[str, ...]
+    rows: np.ndarray
+    in_graph: np.ndarray
+    distance: np.ndarray
+    scores: np.ndarray
+    f: np.ndarray
+    fallback: np.ndarray
+    weights: list[float]
+    relaxations: list[tuple[int, ...]]
+    truncated: bool
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -181,6 +212,18 @@ def _repeated(
     return seen
 
 
+def _lexical(g: Graph, rows: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The N-Triples form of each distinct term of ``rows``, each decoded
+    once, with each cell's index into them and each cell's rank among
+    them: two rows' binding tuples compare as their rows of ranks do."""
+    ids, inverse = np.unique(rows, return_inverse=True)
+    forms = [g.term(t).nt() for t in ids.tolist()]
+    cells = inverse.reshape(rows.shape)
+    order = np.empty(len(ids), dtype=np.int64)
+    order[np.argsort(np.array(forms, dtype=object), kind="stable")] = np.arange(len(ids))
+    return forms, cells, order[cells]
+
+
 def _top(
     g: Graph, rows: np.ndarray, scores: np.ndarray, distance: np.ndarray, k: int
 ) -> tuple[np.ndarray, list[tuple[str, ...]]]:
@@ -195,19 +238,39 @@ def _top(
     kth = -np.partition(-scores, k - 1)[k - 1]
     picked = np.flatnonzero(scores >= kth)
     rows, scores, distance = rows[picked], scores[picked], distance[picked]
-    ids, inverse = np.unique(rows, return_inverse=True)
-    forms = [g.term(t).nt() for t in ids.tolist()]
-    cells = inverse.reshape(rows.shape)
-    order = np.empty(len(ids), dtype=np.int64)
-    order[np.argsort(np.array(forms, dtype=object), kind="stable")] = np.arange(len(ids))
-    lexical = order[cells]
+    forms, cells, lexical = _lexical(g, rows)
     keys = [lexical[:, j] for j in reversed(range(rows.shape[1]))] + [distance, -scores]
     best = np.lexsort(keys)[:k]
     return picked[best], [tuple(forms[c] for c in row) for row in cells[best].tolist()]
 
 
-def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Recommendation:
-    """Run the full recommendation pipeline over one graph.
+def position(g: Graph, rows: np.ndarray, scores: np.ndarray, distance: np.ndarray, row: Sequence[int]) -> int | None:
+    """The 1-based place of the id row ``row`` in the ranking of all of
+    ``rows`` under :func:`_top`'s order, or None when it is no row of
+    them. The rows that beat it on score, or tie on score and beat it on
+    edit distance, are counted; only those that tie on both have their
+    terms decoded, and they are compared by binding tuple."""
+    row = np.asarray(row, dtype=np.int64)
+    if row.shape != rows.shape[1:]:
+        return None
+    hit = np.flatnonzero((rows == row).all(axis=1))
+    if not len(hit):
+        return None
+    score, dist = scores[hit[0]], distance[hit[0]]
+    ahead = np.count_nonzero(scores > score) + np.count_nonzero((scores == score) & (distance < dist))
+    tied = np.flatnonzero((scores == score) & (distance == dist))
+    _, _, lexical = _lexical(g, rows[tied])
+    key = lexical[np.searchsorted(tied, hit[0])]
+    before, same = np.zeros(len(tied), dtype=bool), np.ones(len(tied), dtype=bool)
+    for column, value in zip(lexical.T, key):
+        before |= same & (column < value)
+        same &= column == value
+    return int(ahead + np.count_nonzero(before)) + 1
+
+
+def candidate_table(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> CandidateTable:
+    """Find and score every candidate of a request over one graph (steps
+    1-4 of the module doc, then scoring), with no ranking.
 
     ``parse_seconds`` is folded into the timing report so a caller that
     parsed the query text can account for every phase in one place.
@@ -261,11 +324,40 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
     view = None if req.uniform_f is not None else req.embeddings.bind(g)
     scores, f, fallback = score_table(view, resolved, weights, variables, rows, in_graph, req.uniform_f)
     t3 = time.perf_counter()
+    return CandidateTable(
+        variables=variables,
+        rows=rows,
+        in_graph=in_graph,
+        distance=distance,
+        scores=scores,
+        f=f,
+        fallback=fallback,
+        weights=weights,
+        relaxations=relaxed,
+        truncated=truncated,
+        timings={"parse": parse_seconds, "plan": t1 - t0, "evaluate": t2 - t1, "score": t3 - t2},
+    )
+
+
+def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Recommendation:
+    """Run the full recommendation pipeline over one graph: the request's
+    :func:`candidate_table` (which takes ``parse_seconds`` into its
+    timings), ranked, with its top K rendered (see the module doc)."""
+    table = candidate_table(g, req, parse_seconds)
+    t3 = time.perf_counter()
+    rows, distance, scores = table.rows, table.distance, table.scores
     k = len(rows) if req.top_k is None else min(req.top_k, len(rows))
     chosen, keys = _top(g, rows, scores, distance, k)
     top = [
         scored_solution(
-            dict(zip(variables, rows[r].tolist())), key, weights, in_graph[r], distance[r], f[r], fallback[r], scores[r]
+            dict(zip(table.variables, rows[r].tolist())),
+            key,
+            table.weights,
+            table.in_graph[r],
+            distance[r],
+            table.f[r],
+            table.fallback[r],
+            scores[r],
         )
         for r, key in zip(chosen.tolist(), keys)
     ]
@@ -273,14 +365,8 @@ def recommend(g: Graph, req: RecommendRequest, parse_seconds: float = 0.0) -> Re
 
     return Recommendation(
         solutions=top,
-        relaxations=relaxed,
+        relaxations=table.relaxations,
         candidates_seen=len(rows),
-        truncated=truncated,
-        timings={
-            "parse": parse_seconds,
-            "plan": t1 - t0,
-            "evaluate": t2 - t1,
-            "score": t3 - t2,
-            "rank": t4 - t3,
-        },
+        truncated=table.truncated,
+        timings={**table.timings, "rank": t4 - t3},
     )

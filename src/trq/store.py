@@ -274,9 +274,15 @@ def _counts(ids: np.ndarray) -> dict[TermId, int]:
 
 
 def first_appearance(ids: np.ndarray) -> np.ndarray:
-    """The distinct values of ``ids`` in the order they first appear."""
-    distinct, first = np.unique(ids, return_index=True)
-    return distinct[np.argsort(first)]
+    """The distinct values of ``ids``, non-negative integers, in the order
+    they first appear: each value's first position is found by counting
+    over ``max(ids) + 1`` slots, with no sort of ``ids``."""
+    if not len(ids):
+        return ids[:0]
+    first = np.full(int(ids.max()) + 1, len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    seen = np.flatnonzero(first < len(ids))
+    return seen[np.argsort(first[seen])].astype(ids.dtype, copy=False)
 
 
 class Graph:

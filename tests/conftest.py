@@ -53,7 +53,6 @@ from trq.recommend import (
 )
 from trq.scoring import EdgeScore, ScoredSolution, edge_weights, in_graph_flags, score_table, scored_solution
 from trq.sparql import Atom, Const, Var, _cardinality_estimate, _names, evaluate_bgp, resolve_patterns
-from trq.store import first_appearance
 
 EX = "http://example.org/"
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -722,6 +721,13 @@ def reference_corrupt_graph(g: Graph, deletions) -> Graph:
     return builder.build()
 
 
+def reference_first_appearance(ids: np.ndarray) -> np.ndarray:
+    """``store.first_appearance`` by sorting: the distinct values, ordered
+    by the position of each one's first occurrence."""
+    distinct, first = np.unique(ids, return_index=True)
+    return distinct[np.argsort(first)]
+
+
 def reference_training_input(g: Graph, cfg: EmbeddingConfig) -> SimpleNamespace:
     """The rows and training triples ``train`` reads of ``g``, from the SPO
     key columns, as the function that ``train`` inlined computed them.
@@ -736,8 +742,8 @@ def reference_training_input(g: Graph, cfg: EmbeddingConfig) -> SimpleNamespace:
     and ``ent_row`` and ``rel_row`` each term id's row (-1 = none)."""
     index, _, _ = g.ranges()
     s, p, o = index.columns()
-    ent_ids = first_appearance(np.stack([s, o], axis=1).ravel())
-    rel_ids = first_appearance(p)
+    ent_ids = reference_first_appearance(np.stack([s, o], axis=1).ravel())
+    rel_ids = reference_first_appearance(p)
     ent_row = np.full(g.term_count, -1, dtype=np.int64)
     rel_row = np.full(g.term_count, -1, dtype=np.int64)
     ent_row[ent_ids] = np.arange(len(ent_ids))

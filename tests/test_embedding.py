@@ -345,6 +345,35 @@ def _manual_set(model, ent, rel, terms_e, terms_r, normals=None, maps=None, norm
     )
 
 
+def test_a_set_with_more_entity_rows_than_entities_is_refused(tmp_path):
+    # 3 entity keys and a 4 x 2 entity_vecs once saved 112 bytes that
+    # load_embeddings rejected as trailing bytes
+    terms_e, terms_r = [ex("a"), ex("b"), ex("c")], [ex("p")]
+    with pytest.raises(ValueError, match="^entity_vecs has 4 rows for 3 entity table entries$"):
+        _manual_set("transe", np.zeros((4, 2)), np.zeros((1, 2)), terms_e, terms_r)
+
+
+@pytest.mark.parametrize(
+    ("model", "rel", "normals", "maps", "message"),
+    [
+        ("transe", (2, 2), None, None, "relation_vecs has 2 rows for 1 relation table entries"),
+        ("transh", (1, 3), (1, 2), None, "relation_vecs is 3 wide for entity rows 2 wide in a transh set"),
+        ("transe", (1, 2), (1, 2), None, r"a transe set has no normals, got shape \(1, 2\)"),
+        ("transr", (1, 3), (1, 2), (1, 3, 2), r"a transr set has no normals, got shape \(1, 2\)"),
+        ("transh", (1, 2), (1, 2), (1, 2, 2), r"a transh set has no maps, got shape \(1, 2, 2\)"),
+        ("transh", (1, 2), None, None, r"normals has shape None for 1 relations, transh needs \(1, 2\)"),
+        ("transh", (1, 2), (2, 2), None, r"normals has shape \(2, 2\) for 1 relations, transh needs \(1, 2\)"),
+        ("transr", (1, 3), None, (1, 2, 3), r"maps has shape \(1, 2, 3\) for 1 relations, transr needs \(1, 3, 2\)"),
+    ],
+)
+def test_a_set_whose_matrices_do_not_fit_its_tables_or_model_is_refused(model, rel, normals, maps, message):
+    def zeros(shape):
+        return None if shape is None else np.zeros(shape)
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _manual_set(model, np.zeros((3, 2)), zeros(rel), [ex("a"), ex("b"), ex("c")], [ex("p")], zeros(normals), zeros(maps))
+
+
 def test_transh_with_zero_normal_reduces_to_transe():
     g = build_graph([("a", "p", "b")])
     rng = np.random.default_rng(0)

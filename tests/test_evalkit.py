@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from trq.evalkit import (
     reciprocal_rank,
     run_benchmark,
 )
-from trq.recommend import RecommendRequest, recommend
+from trq.recommend import RecommendRequest, candidate_table, recommend
+from trq.scoring import ScoredSolution
 from trq.sparql import Const, parse_query
-from trq.store import parse_ntriples
+from trq.store import Graph, parse_ntriples
 from trq.terms import Term, Triple
 
 from conftest import (
@@ -343,15 +345,15 @@ def test_benchmark_uniform_f_ablation_runs(bench_world):
 
 def test_uniform_f_trains_no_model(bench_world, monkeypatch):
     trainings, rankings = [], []
-    train, recommend = trq.evalkit.train, trq.evalkit.recommend
+    train, candidate_table = trq.evalkit.train, trq.evalkit.candidate_table
 
     def ranking(g, req):
-        rec = recommend(g, req)
-        rankings.append([(s.binding_key, s.score) for s in rec.solutions])
-        return rec
+        table = candidate_table(g, req)
+        rankings.append(list(zip(table.rows.tolist(), table.scores.tolist())))
+        return table
 
     monkeypatch.setattr(trq.evalkit, "train", lambda g, cfg: trainings.append(cfg) or train(g, cfg))
-    monkeypatch.setattr(trq.evalkit, "recommend", ranking)
+    monkeypatch.setattr(trq.evalkit, "candidate_table", ranking)
     g = bench_world
     cases = [
         BenchCase(f"m{i}", member_query(), [Triple(g.id(ex(f"m{i}")), g.id(ex("memberOf")), g.id(ex("G")))])
@@ -634,6 +636,123 @@ def test_a_class_left_with_no_instance_is_unknown_to_its_case():
     assert [bench_fields(r) for r in run_benchmark(g, [case], embed_config=cfg).rows] == [
         bench_fields(r) for r in reference_run_benchmark(g, [case], embed_config=cfg).rows
     ]
+
+
+# -- truth places read off the candidate table ---------------------------
+
+
+def rendered_fields(g, case, **settings):
+    """A case's bench fields from the ranking ``recommend`` renders over
+    the graph without its deletions, through ``reciprocal_rank`` and
+    ``mean_rank``; ``settings`` are the rest of the request."""
+    try:
+        truth = case.truth if case.truth is not None else exact_solutions(g, case.query)
+        if not truth:
+            raise ValueError("case has an empty truth set")
+        kept = g.without(np.array(case.deletions, dtype=np.int64).reshape(-1, 3))
+        rec = recommend(kept, RecommendRequest(query=case.query, **settings))
+    except Exception as exc:  # noqa: BLE001 - run_benchmark records it on the row
+        return (case.name, None, None, 0, 0, f"{type(exc).__name__}: {exc}")
+    ranked = [s.binding_key for s in rec.solutions]
+    return (case.name, reciprocal_rank(ranked, truth), mean_rank(ranked, truth), rec.candidates_seen, len(truth), None)
+
+
+def tied_forms(g, case, **settings):
+    """The N-Triples forms of the terms of every candidate row that ties
+    with one of the case's truth rows on score and edit distance."""
+    truth = case.truth if case.truth is not None else exact_solutions(g, case.query)
+    try:
+        kept = g.without(np.array(case.deletions, dtype=np.int64).reshape(-1, 3))
+        table = candidate_table(kept, RecommendRequest(query=case.query, **settings))
+    except ValueError:
+        return set()
+    keys = [tuple(kept.term(t).nt() for t in row) for row in table.rows.tolist()]
+    forms = set()
+    for i in (i for i, key in enumerate(keys) if key in truth):
+        tied = (table.scores == table.scores[i]) & (table.distance == table.distance[i])
+        forms.update(form for j in np.flatnonzero(tied).tolist() for form in keys[j])
+    return forms
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bench_places_match_the_rendered_ranking(data):
+    # A random typed graph and query; each case deletes facts, often every
+    # fact of one term, and takes a derived truth or a given one drawn from
+    # its candidates and the graph's terms, which may add a tuple that is
+    # no candidate, a non-canonical form, a tuple of another width and a
+    # term its deletions leave in no fact.
+    names, classes, rels = [f"e{i}" for i in range(5)], ["C0", "C1"], ["r0", "r1", "r2"]
+    ents = st.sampled_from(names)
+    rows = data.draw(st.lists(st.tuples(ents, st.sampled_from(rels), ents), min_size=2, max_size=12))
+    rows += [(s, "type", c) for s, c in data.draw(st.lists(st.tuples(ents, st.sampled_from(classes)), max_size=6))]
+    g = build_graph(data.draw(st.permutations(rows)))
+    q = make_query(
+        [pattern("?a", data.draw(st.sampled_from([r for _, r, _ in rows])), "?b")]
+        + [typed_pattern(data, names, classes, rels) for _ in range(data.draw(st.integers(0, 2)))]
+    )
+    triples = list(g.triples())
+    forms = [t.nt() for t in g.terms()]
+    width = len(q.variables())
+    settings = dict(
+        embeddings=trq.embedding.train(g, EmbeddingConfig(dim=4, epochs=2, batch_size=4, seed=0)),
+        threshold=data.draw(st.integers(1, 3)),
+        top_k=data.draw(st.sampled_from([None, 1, 2, 3])),
+        uniform_f=data.draw(st.sampled_from([None, 0.5])),
+    )
+
+    def deletions():
+        term = data.draw(st.integers(0, g.term_count - 1))
+        facts = [t for t in triples if term in t]
+        if facts and data.draw(st.booleans()):  # every fact of the term: it goes
+            return facts
+        return data.draw(st.lists(st.sampled_from(triples), min_size=1, max_size=3))
+
+    def truth(deleted):
+        if data.draw(st.booleans()):
+            return None
+        kept = g.without(np.array(deleted, dtype=np.int64))
+        try:
+            req = RecommendRequest(query=q, **dict(settings, top_k=None))
+            ranked = [s.binding_key for s in recommend(kept, req).solutions]
+        except ValueError:
+            ranked = []
+        drawn = st.tuples(*[st.sampled_from(forms)] * width)
+        tuples = data.draw(st.lists(st.sampled_from(ranked) if ranked else drawn, max_size=3))
+        tuples += data.draw(st.lists(drawn, max_size=2))
+        gone = [g.term(x).nt() for x in {x for t in deleted for x in t} if kept.id(g.term(x)) is None]
+        base = data.draw(st.sampled_from(ranked) if ranked else drawn)
+        extras = {
+            "noncanonical": (" " + base[0],) + base[1:],
+            "escaped": (base[0].replace("org/", "org\\u002F", 1),) + base[1:],
+            "width": base + base[:1],
+            "gone": (gone[0],) + base[1:] if gone else base,
+        }
+        tuples += [extras[k] for k in data.draw(st.lists(st.sampled_from(sorted(extras)), unique=True))]
+        return set(tuples)
+
+    cases = []
+    for i in range(data.draw(st.integers(1, 3))):
+        deleted = deletions()
+        cases.append(BenchCase(f"case{i}", q, deleted, truth(deleted)))
+    built, decoded = [], []
+    init, term = ScoredSolution.__init__, Graph.term
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_term(self, tid):
+        found = term(self, tid)
+        if self is not g:  # a case graph's term; a derived truth's are read from the source
+            decoded.append(found.nt())
+        return found
+
+    with patch.object(ScoredSolution, "__init__", counted_init), patch.object(Graph, "term", counted_term):
+        report = run_benchmark(g, cases, **settings)
+    assert built == []
+    assert set(decoded) <= set().union(*(tied_forms(g, case, **settings) for case in cases))
+    assert [bench_fields(r) for r in report.rows] == [rendered_fields(g, case, **settings) for case in cases]
 
 
 # -- manifests ---------------------------------------------------------

@@ -12,6 +12,8 @@ from trq.recommend import (
     VariablePredicateError,
     _repeated,
     _top,
+    candidate_table,
+    position,
     recommend,
     relaxations,
 )
@@ -19,6 +21,7 @@ from trq.qgraph import enumerate_subquery_trees
 from trq.scoring import ScoredSolution, in_graph_flags, score_graph
 from trq.sparql import Const, JoinPrefixes, TriplePattern, Var, parse_query, resolve_patterns
 from trq.store import Graph
+from trq.terms import Term
 
 from conftest import (
     MOVIE_QUERY,
@@ -116,6 +119,48 @@ def test_rank_matches_reference_sort(candidates, k):
     # ties on the score, on the edit distance and on either binding
     got, want = _ranked(candidates, k, width=2)
     assert got == want
+
+
+_TIE_TERMS = [ex("a"), ex("ab"), ex("b"), ex("ba"), Term.literal("a"), Term.literal("b", lang="en")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_position_is_the_place_in_the_full_ranking(data):
+    # a candidate table with many ties: scores and edit distances from
+    # small sets, and terms that repeat across rows and columns, their ids
+    # in a random order so that id order is not form order
+    terms = data.draw(st.permutations(_TIE_TERMS))
+    g = build_graph([("s", "p", t) for t in terms])
+    ids = [g.id(t) for t in terms]
+    width = data.draw(st.integers(1, 3))
+    cells = st.tuples(*[st.sampled_from(ids)] * width)
+    table = data.draw(st.lists(cells, unique=True, max_size=14))
+    rows = np.array(table, dtype=np.int64).reshape(len(table), width)
+    scores = np.array(data.draw(st.lists(st.sampled_from([1.0, 2.0, 2.5]), min_size=len(rows), max_size=len(rows))))
+    distance = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows))), dtype=np.int64)
+    ranked, _ = _top(g, rows, scores, distance, len(rows))
+    for place, i in enumerate(ranked.tolist(), start=1):
+        assert position(g, rows, scores, distance, rows[i]) == place
+    # an id row that is no candidate, one of another width, one with an id
+    # the graph lacks
+    absent = data.draw(cells)
+    if absent not in table:
+        assert position(g, rows, scores, distance, absent) is None
+    assert position(g, rows, scores, distance, absent + absent[:1]) is None
+    assert position(g, rows, scores, distance, (-1,) * width) is None
+
+
+def test_position_decodes_only_the_rows_tied_with_it(monkeypatch):
+    g = build_graph([("s", "p", x) for x in ("a", "b", "c", "d", "e")])
+    rows = np.array([[g.id(ex(x))] for x in ("a", "b", "c", "d", "e")], dtype=np.int64)
+    scores = np.array([2.0, 1.0, 1.0, 1.0, 0.5])
+    distance = np.array([0, 1, 1, 2, 1])
+    decoded = []
+    term = Graph.term
+    monkeypatch.setattr(Graph, "term", lambda self, tid: decoded.append(tid) or term(self, tid))
+    assert position(g, rows, scores, distance, rows[2]) == 3
+    assert sorted(decoded) == sorted(rows[1:3, 0].tolist())
 
 
 # -- pipeline on the film toy ------------------------------------------
@@ -570,6 +615,25 @@ def test_timings_cover_all_phases(stars):
     assert set(rec.timings) == {"parse", "plan", "evaluate", "score", "rank"}
     assert rec.timings["parse"] == 0.125
     assert all(v >= 0 for v in rec.timings.values())
+    table = candidate_table(stars, _req(q, emb), parse_seconds=0.125)
+    assert list(table.timings) == ["parse", "plan", "evaluate", "score"] and table.timings["parse"] == 0.125
+
+
+@pytest.mark.parametrize("top_k", [None, 1, 3])
+def test_recommend_renders_the_head_of_the_candidate_table(stars, top_k):
+    # recommend's solutions are the candidate table's rows in position order
+    emb = small_emb(stars)
+    q = make_query([pattern("?f", "starring", "?a"), pattern("?f", "type", "Film")])
+    rec = recommend(stars, _req(q, emb, top_k=top_k))
+    table = candidate_table(stars, _req(q, emb, top_k=top_k))
+    assert rec.candidates_seen == len(table.rows) and rec.relaxations == table.relaxations
+    assert rec.truncated == table.truncated
+    for place, s in enumerate(rec.solutions, start=1):
+        row = [s.mapping[v] for v in table.variables]
+        assert position(stars, table.rows, table.scores, table.distance, row) == place
+        [i] = np.flatnonzero((table.rows == row).all(axis=1))
+        assert (s.score, s.edit_distance) == (table.scores[i], table.distance[i])
+        assert [e.f for e in s.per_edge] == table.f[i].tolist()
 
 
 # -- completeness against brute force ----------------------------------

@@ -16,6 +16,7 @@ from trq.store import (
     GraphTooLargeError,
     SnapshotError,
     TermTable,
+    first_appearance,
     load_snapshot,
     parse_ntriples,
     save_snapshot,
@@ -36,6 +37,7 @@ from conftest import (
     match_triples,
     movie_graph,
     pattern,
+    reference_first_appearance,
     reference_ranges,
 )
 
@@ -59,6 +61,15 @@ def test_dictionary_first_appearance_order(small):
     assert small.id(ex("p")) == 1
     assert small.id(ex("b")) == 2
     assert small.term(0) == ex("a")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 300), max_size=80), st.sampled_from([np.int64, np.int32, np.uint32]))
+def test_first_appearance_matches_the_sorting_reference(values, dtype):
+    ids = np.array(values, dtype=dtype)
+    got = first_appearance(ids)
+    assert got.dtype == ids.dtype
+    assert got.tolist() == reference_first_appearance(ids).tolist()
 
 
 def test_id_lookup_is_total_inverse(small):
